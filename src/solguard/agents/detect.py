@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Any
+from typing import TYPE_CHECKING, Any, Sequence
 
 from solguard.core import (
     Channel,
@@ -35,12 +35,13 @@ from solguard.llm.provider import Provider
 from solguard.llm.structured import DETECTOR_SCHEMA, StructuredSchema, extract_structured
 from solguard.llm.template import render_prompt
 from solguard.retrieval.kb import KbIndex, kb_search
-from solguard.retrieval.tfidf import CorpusIndex, RetrievalConfig, retrieval_channel, top_k
-from solguard.static_analysis.rules import PatternRule
+from solguard.retrieval.tfidf import Neighbor, retrieval_channel, top_k
 from solguard.static_analysis.scanner import static_channel
-from solguard.static_analysis.structure import build_view
 
 from solguard.agents.config import FusionWeights
+
+if TYPE_CHECKING:
+    from solguard.agents.pipeline import PipelineContext
 
 log = logging.getLogger(__name__)
 
@@ -130,22 +131,19 @@ def ask_structured(
 def build_detection_prompt(
     contract: SourceContract,
     mode: str = "weighted",
-    corpus_index: CorpusIndex | None = None,
+    neighbors: Sequence[Neighbor] = (),
     kb_index: KbIndex | None = None,
-    retrieval_cfg: RetrievalConfig | None = None,
 ) -> str:
-    """Render the detection prompt; enriched mode injects retrieval context."""
+    """Render the detection prompt; enriched mode injects the retrieval
+    channel's corpus neighbors and knowledge-base notes."""
     if mode != "enriched":
         return render_prompt(DETECTOR_TEMPLATE, {"code": contract.source})
-    retrieval_cfg = retrieval_cfg or RetrievalConfig()
     similar = NO_REFERENCES_NOTE
-    if corpus_index is not None:
-        neighbors = top_k(contract, corpus_index, retrieval_cfg)
-        if neighbors:
-            similar = "\n".join(
-                f"- {nb.contract_id} (label: {nb.label}, similarity: {nb.similarity:.4f})"
-                for nb in neighbors
-            )
+    if neighbors:
+        similar = "\n".join(
+            f"- {nb.contract_id} (label: {nb.label}, similarity: {nb.similarity:.4f})"
+            for nb in neighbors
+        )
     notes = NO_REFERENCES_NOTE
     if kb_index is not None:
         chunks = kb_search(contract.source, kb_index, k=3)
@@ -161,14 +159,15 @@ def model_channel(
     contract: SourceContract,
     provider: Provider,
     channel_threshold: float = 0.5,
-    mode: str = "weighted",
-    corpus_index: CorpusIndex | None = None,
-    kb_index: KbIndex | None = None,
-    retrieval_cfg: RetrievalConfig | None = None,
+    prompt: str | None = None,
 ) -> ChannelResult:
-    """Ask the model for a verdict, score, and itemized findings."""
-    prompt = build_detection_prompt(contract, mode, corpus_index, kb_index, retrieval_cfg)
-    record = ask_structured(provider, "detector", prompt, DETECTOR_SCHEMA)
+    """Ask the model for a verdict, score, and itemized findings.
+
+    ``prompt`` defaults to the plain (non-enriched) detection prompt.
+    """
+    record = ask_structured(
+        provider, "detector", prompt or build_detection_prompt(contract), DETECTOR_SCHEMA
+    )
     score = min(1.0, max(0.0, float(record["score"])))
     findings = _model_findings(contract, record.get("findings", []), score)
     verdict = Verdict.VULNERABLE if score >= channel_threshold else Verdict.SAFE
@@ -178,7 +177,7 @@ def model_channel(
 def _model_findings(
     contract: SourceContract, raw: list[Any], score: float
 ) -> tuple[Finding, ...]:
-    spans_by_name = {fn.name: fn.body_span for fn in build_view(contract.token_stream).functions}
+    spans_by_name = {fn.name: fn.body_span for fn in contract.view.functions}
     whole = Span(0, byte_length(contract.source))
     findings: list[Finding] = []
     for item in raw:
@@ -200,62 +199,43 @@ def _model_findings(
 
 
 def run_channels(
-    contract: SourceContract,
-    ruleset: list[PatternRule],
-    corpus_index: CorpusIndex,
-    provider: Provider,
-    retrieval_cfg: RetrievalConfig,
-    channel_threshold: float = 0.5,
-    mode: str = "weighted",
-    kb_index: KbIndex | None = None,
-) -> dict[Channel, ChannelResult]:
-    """Run all three channels once; fusion happens separately so ablations
-    can reuse these results."""
+    contract: SourceContract, ctx: PipelineContext, modes: Sequence[str]
+) -> dict[str, dict[Channel, ChannelResult]]:
+    """Run the three channels for each detection mode, keyed by mode.
+
+    The static and retrieval channels do not depend on the mode, so they run
+    once, and their ``top_k`` neighbors also feed the enriched prompt. The
+    model is asked once per distinct prompt. Fusion happens separately so
+    ablations can reuse these results.
+    """
+    static = static_channel(contract, ctx.ruleset)
+    neighbors = top_k(contract, ctx.corpus_index, ctx.retrieval_cfg)
+    retrieval = retrieval_channel(contract, neighbors, ctx.retrieval_cfg.threshold)
+    answers: dict[str, ChannelResult] = {}
+    results: dict[str, dict[Channel, ChannelResult]] = {}
     try:
-        results = {
-            Channel.STATIC: static_channel(contract, ruleset),
-            Channel.RETRIEVAL: retrieval_channel(contract, corpus_index, retrieval_cfg),
-            Channel.MODEL: model_channel(
-                contract,
-                provider,
-                channel_threshold=channel_threshold,
-                mode=mode,
-                corpus_index=corpus_index,
-                kb_index=kb_index,
-                retrieval_cfg=retrieval_cfg,
-            ),
-        }
+        for mode in modes:
+            prompt = build_detection_prompt(contract, mode, neighbors, ctx.kb_index)
+            if prompt not in answers:
+                answers[prompt] = model_channel(
+                    contract, ctx.provider("detector"), ctx.config.channel_threshold, prompt
+                )
+            results[mode] = {
+                Channel.STATIC: static,
+                Channel.RETRIEVAL: retrieval,
+                Channel.MODEL: answers[prompt],
+            }
     except ExtractionError as exc:
         raise PipelineError(f"{contract.id}: model channel failed: {exc}") from exc
     return results
 
 
-def detect(
-    contract: SourceContract,
-    ruleset: list[PatternRule],
-    corpus_index: CorpusIndex,
-    provider: Provider,
-    mode: str = "weighted",
-    weights: FusionWeights | None = None,
-    threshold: float = 0.5,
-    retrieval_cfg: RetrievalConfig | None = None,
-    channel_threshold: float = 0.5,
-    kb_index: KbIndex | None = None,
-) -> FusedVerdict:
-    """Full detection for one contract: run the channels, fuse the verdict."""
-    weights = weights or FusionWeights()
-    retrieval_cfg = retrieval_cfg or RetrievalConfig()
-    channels = run_channels(
-        contract,
-        ruleset,
-        corpus_index,
-        provider,
-        retrieval_cfg,
-        channel_threshold=channel_threshold,
-        mode=mode,
-        kb_index=kb_index,
-    )
-    return fuse_channels(channels, mode, weights, threshold)
+def detect(contract: SourceContract, ctx: PipelineContext) -> FusedVerdict:
+    """Full detection for one contract in the configured mode: run the
+    channels, fuse the verdict."""
+    cfg = ctx.config
+    channels = run_channels(contract, ctx, (cfg.mode,))[cfg.mode]
+    return fuse_channels(channels, cfg.mode, cfg.weights, cfg.threshold)
 
 
 def actionable_findings(fused: FusedVerdict, contract: SourceContract) -> list[Finding]:

@@ -61,6 +61,15 @@ class PipelineRun:
         order = [STAGE_ORDER.index(s) for s in self.stages]
         if order != sorted(order) or len(set(order)) != len(order):
             raise ValueError(f"stages out of order: {self.stages}")
+        for name, entries in (("suggestions", self.suggestions), ("risk assignments", self.risk_assignments)):
+            if entries and [e.finding for e in entries] != list(self.findings):
+                raise ValueError(f"{name} must hold one entry per finding, in findings order")
+
+    def per_finding(self) -> list[tuple[Finding, RepairSuggestion | None, RiskAssignment | None]]:
+        """Each finding with its suggestion and risk assignment, or None
+        where that stage did not run."""
+        missing = (None,) * len(self.findings)
+        return list(zip(self.findings, self.suggestions or missing, self.risk_assignments or missing))
 
     def to_payload(self) -> dict[str, Any]:
         """Serializable run record.
@@ -147,18 +156,7 @@ def run_pipeline(contract: SourceContract, ctx: PipelineContext) -> PipelineRun:
             log.info("%s: stage %s finished in %.3fs", contract.id, stage, timings[stage])
 
     with timed("detect"):
-        fused = detect(
-            contract,
-            ctx.ruleset,
-            ctx.corpus_index,
-            ctx.provider("detector"),
-            mode=cfg.mode,
-            weights=cfg.weights,
-            threshold=cfg.threshold,
-            retrieval_cfg=ctx.retrieval_cfg,
-            channel_threshold=cfg.channel_threshold,
-            kb_index=ctx.kb_index,
-        )
+        fused = detect(contract, ctx)
     stages.append("detect")
     findings = actionable_findings(fused, contract)
 

@@ -18,7 +18,6 @@ from solguard.core import (
     VerificationResult,
     VulnerabilityClass,
     byte_length,
-    compare_risk,
 )
 from solguard.errors import ExtractionError, LexicalError, PipelineError
 from solguard.llm.prompts import (
@@ -38,7 +37,7 @@ from solguard.llm.structured import (
 from solguard.llm.template import render_prompt
 from solguard.retrieval.kb import KbIndex, kb_search
 from solguard.static_analysis.rules import PatternRule
-from solguard.static_analysis.scanner import load_source, scan
+from solguard.static_analysis.scanner import scan
 
 from solguard.agents.detect import ask_structured
 
@@ -163,13 +162,14 @@ def assess(
 ) -> tuple[list[RiskAssignment], dict[str, int]]:
     """Risk level per finding plus the count-per-level distribution.
 
-    An unusable model answer falls back to High, flagged, erring toward
-    caution rather than silence.
+    ``suggestions`` is empty or holds one entry per finding, in order. An
+    unusable model answer falls back to High, flagged, erring toward caution
+    rather than silence.
     """
-    by_finding = {id(s.finding): s for s in suggestions}
     assignments: list[RiskAssignment] = []
-    for finding in findings:
-        prompt = build_assessor_prompt(contract, finding, by_finding.get(id(finding)), kb_index, k)
+    paired = zip(findings, suggestions or [None] * len(findings), strict=True)
+    for finding, suggestion in paired:
+        prompt = build_assessor_prompt(contract, finding, suggestion, kb_index, k)
         level, defaulted = RiskLevel.HIGH, True
         try:
             record = ask_structured(provider, "assessor", prompt, ASSESSOR_SCHEMA)
@@ -184,29 +184,28 @@ def assess(
     return assignments, distribution
 
 
+def _priority(assignment: RiskAssignment) -> tuple[int, int, int]:
+    span = assignment.finding.location.span
+    return (-assignment.level.severity, span.start, span.end)
+
+
 def prioritize(assignments: list[RiskAssignment]) -> list[RiskAssignment]:
     """Repair order: risk descending, then source location ascending."""
-    return sorted(
-        assignments,
-        key=lambda a: (-a.level.severity, a.finding.location.span.start, a.finding.location.span.end),
-    )
+    return sorted(assignments, key=_priority)
 
 
 def build_fixer_prompt(
     contract: SourceContract,
-    ordered: list[RiskAssignment],
-    suggestions: list[RepairSuggestion],
+    ordered: list[tuple[RiskAssignment, RepairSuggestion]],
 ) -> str:
-    by_finding = {id(s.finding): s for s in suggestions}
     lines: list[str] = []
-    for i, assignment in enumerate(ordered, start=1):
+    for i, (assignment, suggestion) in enumerate(ordered, start=1):
         finding = assignment.finding
         line = (
             f"{i}. [{assignment.level.value}] {finding.vuln_class.name} in "
             f"{finding.location.function or '(contract level)'}"
         )
-        suggestion = by_finding.get(id(finding))
-        if suggestion is not None and suggestion.complete:
+        if suggestion.complete:
             line += f": {'; '.join(suggestion.repair_steps)}"
         else:
             line += ": (no complete suggestion; repair from first principles)"
@@ -224,40 +223,41 @@ def fix(
 ) -> Patch:
     """Generate a patch; the repaired source must tokenize cleanly.
 
-    An untokenizable answer earns one repair retry; a second failure raises
-    :class:`PipelineError`.
+    ``suggestions`` and ``assignments`` hold one entry per finding, in the
+    same order. An untokenizable answer earns one repair retry; a second
+    failure raises :class:`PipelineError`. The returned patch carries its
+    lexed source as :attr:`Patch.repaired`, which :func:`verify` reuses.
     """
     if not suggestions:
         raise PipelineError(f"{contract.id}: fix requires at least one suggestion")
-    ordered = prioritize(assignments)
-    prompt = build_fixer_prompt(contract, ordered, suggestions)
+    ordered = sorted(zip(assignments, suggestions, strict=True), key=lambda pair: _priority(pair[0]))
+    prompt = build_fixer_prompt(contract, ordered)
+
+    def ask(fixer_prompt: str) -> Patch:
+        try:
+            record = ask_structured(provider, "fixer", fixer_prompt, FIXER_SCHEMA)
+        except ExtractionError as exc:
+            raise PipelineError(f"{contract.id}: fixer output unusable: {exc}") from exc
+        return Patch(
+            original=contract.id,
+            repaired_source=record["repaired_source"],
+            addressed_findings=tuple(a.finding for a, _ in ordered),
+            rationale=record["rationale"],
+        )
+
+    patch = ask(prompt)
     try:
-        record = ask_structured(provider, "fixer", prompt, FIXER_SCHEMA)
-    except ExtractionError as exc:
-        raise PipelineError(f"{contract.id}: fixer output unusable: {exc}") from exc
-    repaired = record["repaired_source"]
-    try:
-        load_source(f"{contract.id}.patched", repaired)
+        patch.repaired  # lexes the repaired source now, so verify need not
     except LexicalError:
-        retry_prompt = (
+        patch = ask(
             f"{prompt}\n\nThe repaired source you returned does not lex as Solidity. "
             "Return the complete corrected source."
         )
         try:
-            record = ask_structured(provider, "fixer", retry_prompt, FIXER_SCHEMA)
-        except ExtractionError as exc:
-            raise PipelineError(f"{contract.id}: fixer output unusable: {exc}") from exc
-        repaired = record["repaired_source"]
-        try:
-            load_source(f"{contract.id}.patched", repaired)
+            patch.repaired
         except LexicalError as exc:
             raise PipelineError(f"{contract.id}: repaired source does not tokenize: {exc}") from exc
-    return Patch(
-        original=contract.id,
-        repaired_source=repaired,
-        addressed_findings=tuple(a.finding for a in ordered),
-        rationale=record["rationale"],
-    )
+    return patch
 
 
 def build_verifier_prompt(contract: SourceContract, patch: Patch) -> str:
@@ -295,8 +295,7 @@ def verify(
         raise PipelineError(f"{contract.id}: verifier output unusable: {exc}") from exc
     model_passed = bool(record["passed"])
 
-    patched = load_source(f"{contract.id}.patched", patch.repaired_source)
-    rescan = scan(patched, ruleset)
+    rescan = scan(patch.repaired, ruleset)
     original_keys = {(f.vuln_class.name, f.location.function) for f in original_findings}
     rescan_keys = {(f.vuln_class.name, f.location.function) for f in rescan}
     new_from_rescan = tuple(

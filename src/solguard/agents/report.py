@@ -18,7 +18,6 @@ from solguard.core import (
     Verdict,
     byte_length,
 )
-from solguard.static_analysis.structure import build_view
 
 if TYPE_CHECKING:
     from solguard.agents.pipeline import PipelineRun
@@ -36,7 +35,7 @@ _DISCLAIMER = (
 
 
 def _basic_information(contract: SourceContract) -> str:
-    view = build_view(contract.token_stream)
+    view = contract.view
     functions = ", ".join(fn.name for fn in view.functions) or "(none)"
     lines = [
         f"- Contract id: {contract.id}",
@@ -109,10 +108,8 @@ def _discovery_summary(run: "PipelineRun") -> str:
         if run.fused.verdict is Verdict.VULNERABLE and retrieval_hints:
             return "No localized findings.\n" + "\n".join(retrieval_hints)
         return "No vulnerabilities were found."
-    levels = {id(a.finding): a for a in run.risk_assignments}
     rows = ["| # | Class | SWC | Function | Channel | Confidence | Risk |", "|---|---|---|---|---|---|---|"]
-    for i, f in enumerate(run.findings, start=1):
-        assignment = levels.get(id(f))
+    for i, (f, _, assignment) in enumerate(run.per_finding(), start=1):
         risk = assignment.level.value if assignment else "(not assessed)"
         rows.append(
             f"| {i} | {f.vuln_class.name} | {f.vuln_class.swc_id or '-'} | "
@@ -127,11 +124,8 @@ def _in_depth(run: "PipelineRun") -> str:
         return _NOT_PERFORMED
     if not run.findings:
         return "No localized findings to analyze."
-    by_finding = {id(s.finding): s for s in run.suggestions}
-    levels = {id(a.finding): a for a in run.risk_assignments}
     blocks: list[str] = []
-    for i, f in enumerate(run.findings, start=1):
-        assignment = levels.get(id(f))
+    for i, (f, suggestion, assignment) in enumerate(run.per_finding(), start=1):
         risk = assignment.level.value if assignment else "(not assessed)"
         block = [
             f"### {i}. {f.vuln_class.name} ({risk})",
@@ -139,7 +133,6 @@ def _in_depth(run: "PipelineRun") -> str:
             f"(bytes {f.location.span.start}..{f.location.span.end})",
             f"- Evidence: `{f.evidence}`" if f.evidence else "- Evidence: (none)",
         ]
-        suggestion = by_finding.get(id(f))
         if suggestion is not None and suggestion.complete:
             block.append(f"- Cause: {suggestion.cause_analysis}")
             block.append(f"- Impact: {suggestion.impact_assessment}")

@@ -233,18 +233,7 @@ def cmd_detect(paths, config_path, mode, weights, threshold, k, as_json, verbose
     for contract_id, path in zip(ids, files):
         try:
             contract = load_file(path, contract_id)
-            fused = run_detect(
-                contract,
-                ctx.ruleset,
-                ctx.corpus_index,
-                ctx.provider("detector"),
-                mode=config.mode,
-                weights=config.weights,
-                threshold=config.threshold,
-                retrieval_cfg=ctx.retrieval_cfg,
-                channel_threshold=config.channel_threshold,
-                kb_index=ctx.kb_index,
-            )
+            fused = run_detect(contract, ctx)
         except (SolguardError, OSError) as exc:
             had_errors = True
             click.echo(f"{contract_id}: error: {exc}", err=True)

@@ -8,7 +8,11 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Any, Iterable, NamedTuple
+from functools import cached_property
+from typing import TYPE_CHECKING, Any, Iterable, NamedTuple
+
+if TYPE_CHECKING:
+    from solguard.static_analysis.structure import ContractView
 
 
 class Span(NamedTuple):
@@ -81,11 +85,6 @@ def byte_length(text: str) -> int:
     return len(text.encode("utf-8"))
 
 
-def span_text(source: str, span: Span) -> str:
-    """Slice ``source`` by a byte span."""
-    return source.encode("utf-8")[span.start : span.end].decode("utf-8", errors="replace")
-
-
 @dataclass(frozen=True)
 class SourceContract:
     """One Solidity source unit with its tokenized view.
@@ -109,6 +108,13 @@ class SourceContract:
             if tok.span.start < prev_end:
                 raise ValueError(f"token spans overlap or descend at {tok.span}")
             prev_end = tok.span.end
+
+    @cached_property
+    def view(self) -> ContractView:
+        """The function-segmented view every consumer shares, built on first use."""
+        from solguard.static_analysis.structure import build_view
+
+        return build_view(self.token_stream)
 
 
 @dataclass(frozen=True)
@@ -251,6 +257,16 @@ class Patch:
     def __post_init__(self) -> None:
         if not self.addressed_findings:
             raise ValueError("a patch must address at least one finding")
+
+    @cached_property
+    def repaired(self) -> SourceContract:
+        """The repaired source loaded as a contract, lexed on first use.
+
+        Raises :class:`~solguard.errors.LexicalError` when it does not lex.
+        """
+        from solguard.static_analysis.scanner import load_source
+
+        return load_source(f"{self.original}.patched", self.repaired_source)
 
     def to_payload(self) -> dict[str, Any]:
         return {

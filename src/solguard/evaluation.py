@@ -15,8 +15,8 @@ from typing import Any
 from solguard.agents.config import FusionWeights, PipelineConfig
 from solguard.agents.detect import fuse_channels, run_channels
 from solguard.agents.pipeline import PipelineContext
-from solguard.core import Channel
-from solguard.errors import DatasetError, PipelineError, SolguardError
+from solguard.core import Channel, ChannelResult
+from solguard.errors import DatasetError, SolguardError
 from solguard.static_analysis.scanner import load_source
 
 log = logging.getLogger(__name__)
@@ -219,6 +219,35 @@ def variant_settings(variant: str, config: PipelineConfig) -> tuple[str, FusionW
     raise DatasetError(f"unknown variant {variant!r}")
 
 
+@dataclass(frozen=True)
+class ChannelCache:
+    """Channel results per contract and detection mode, computed once and
+    re-fused for every variant or calibration sweep."""
+
+    labels: dict[str, str]  # contract id -> gold label
+    channels: dict[str, dict[str, dict[Channel, ChannelResult]]]  # contract id -> mode -> channels
+    failures: int
+
+
+def channel_cache(dataset: LabeledDataset, ctx: PipelineContext, modes: tuple[str, ...]) -> ChannelCache:
+    """Run the channels once per contract for ``modes``.
+
+    A contract whose detection fails is excluded, counted, and logged.
+    """
+    labels: dict[str, str] = {}
+    channels: dict[str, dict[str, dict[Channel, ChannelResult]]] = {}
+    failures = 0
+    for entry in dataset.entries:
+        try:
+            contract = load_source(entry.contract_id, entry.source)
+            channels[entry.contract_id] = run_channels(contract, ctx, modes)
+            labels[entry.contract_id] = entry.label
+        except SolguardError as exc:
+            failures += 1
+            log.warning("evaluation: %s failed and is excluded: %s", entry.contract_id, exc)
+    return ChannelCache(labels, channels, failures)
+
+
 def run_variants(
     dataset: LabeledDataset,
     variants: list[str],
@@ -226,66 +255,28 @@ def run_variants(
 ) -> list[MetricsReport]:
     """Evaluate each variant over the dataset with shared channel results.
 
-    Channels run once per contract (twice when an enriched variant is
-    requested, since enrichment changes the model prompt); fusion is then
+    Channels run once per contract (the model twice when an enriched variant
+    is requested, since enrichment changes its prompt); fusion is then
     re-applied per variant, so ablations cannot disturb the surviving
-    channels' raw scores. Contracts that fail any stage are excluded from
+    channels' raw scores. Contracts that fail detection are excluded from
     every variant and counted.
     """
     names = [normalize_variant(v) for v in variants]
     if len(set(names)) != len(names):
         raise DatasetError(f"duplicate variants requested: {variants}")
     config = ctx.config
-    need_enriched = "enriched" in names
+    cache = channel_cache(dataset, ctx, ("weighted", "enriched") if "enriched" in names else ("weighted",))
 
-    per_contract: dict[str, dict[str, Any]] = {}
-    failures = 0
-    for entry in dataset.entries:
-        try:
-            contract = load_source(entry.contract_id, entry.source)
-            channels = run_channels(
-                contract,
-                ctx.ruleset,
-                ctx.corpus_index,
-                ctx.provider("detector"),
-                ctx.retrieval_cfg,
-                channel_threshold=config.channel_threshold,
-                mode="weighted",
-                kb_index=ctx.kb_index,
-            )
-            enriched_channels = None
-            if need_enriched:
-                enriched_channels = dict(channels)
-                enriched_channels[Channel.MODEL] = run_channels(
-                    contract,
-                    ctx.ruleset,
-                    ctx.corpus_index,
-                    ctx.provider("detector"),
-                    ctx.retrieval_cfg,
-                    channel_threshold=config.channel_threshold,
-                    mode="enriched",
-                    kb_index=ctx.kb_index,
-                )[Channel.MODEL]
-            per_contract[entry.contract_id] = {
-                "channels": channels,
-                "enriched": enriched_channels,
-                "label": entry.label,
-            }
-        except (SolguardError, PipelineError) as exc:
-            failures += 1
-            log.warning("evaluation: %s failed and is excluded: %s", entry.contract_id, exc)
-
-    gold = {cid: info["label"] for cid, info in per_contract.items()}
     reports: list[MetricsReport] = []
     for name in names:
         mode, weights, active = variant_settings(name, config)
         predictions: dict[str, str] = {}
-        for cid, info in per_contract.items():
-            channels = info["enriched"] if name == "enriched" else info["channels"]
+        for cid, by_mode in cache.channels.items():
+            channels = by_mode["enriched" if name == "enriched" else "weighted"]
             subset = {ch: res for ch, res in channels.items() if ch in active}
             fused = fuse_channels(subset, mode, weights, config.threshold)
             predictions[cid] = fused.verdict.value
-        reports.append(metrics(confusion(predictions, gold), variant=name, failures=failures))
+        reports.append(metrics(confusion(predictions, cache.labels), variant=name, failures=cache.failures))
     return reports
 
 
@@ -326,20 +317,14 @@ def calibrate_threshold(scores: list[tuple[float, str]]) -> float:
 
 
 def fused_scores(dataset: LabeledDataset, ctx: PipelineContext) -> list[tuple[float, str]]:
-    """(weighted fused score, gold label) per contract, for calibration."""
+    """(weighted fused score, gold label) per contract, for calibration.
+
+    Contracts that fail detection are excluded and logged, as in
+    :func:`run_variants`.
+    """
     config = ctx.config
-    out: list[tuple[float, str]] = []
-    for entry in dataset.entries:
-        contract = load_source(entry.contract_id, entry.source)
-        channels = run_channels(
-            contract,
-            ctx.ruleset,
-            ctx.corpus_index,
-            ctx.provider("detector"),
-            ctx.retrieval_cfg,
-            channel_threshold=config.channel_threshold,
-            kb_index=ctx.kb_index,
-        )
-        fused = fuse_channels(channels, "weighted", config.weights, config.threshold)
-        out.append((fused.score, entry.label))
-    return out
+    cache = channel_cache(dataset, ctx, ("weighted",))
+    return [
+        (fuse_channels(by_mode["weighted"], "weighted", config.weights, config.threshold).score, cache.labels[cid])
+        for cid, by_mode in cache.channels.items()
+    ]

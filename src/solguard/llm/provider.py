@@ -157,7 +157,11 @@ class HttpProvider:
                 continue
             if resp.status_code != 200:
                 raise TransportError(f"{self.provider_id}: unexpected status {resp.status_code}")
-            text = _response_text(resp.json(), self.provider_id)
+            try:
+                payload = resp.json()
+            except ValueError as exc:
+                raise TransportError(f"{self.provider_id}: response body is not JSON") from exc
+            text = _response_text(payload, self.provider_id)
             exchange = ChatExchange(
                 role=role,
                 request=prompt,
@@ -171,10 +175,13 @@ class HttpProvider:
         raise last_error or TransportError(f"{self.provider_id}: no attempts made")
 
 
-def _response_text(payload: dict[str, Any], provider_id: str) -> str:
-    if isinstance(payload.get("content"), str):
+def _response_text(payload: Any, provider_id: str) -> str:
+    if isinstance(payload, dict) and isinstance(payload.get("content"), str):
         return payload["content"]
     try:
-        return payload["choices"][0]["message"]["content"]
+        text = payload["choices"][0]["message"]["content"]
     except (KeyError, IndexError, TypeError) as exc:
         raise TransportError(f"{provider_id}: unrecognized response shape") from exc
+    if not isinstance(text, str):
+        raise TransportError(f"{provider_id}: unrecognized response shape")
+    return text

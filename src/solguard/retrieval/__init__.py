@@ -11,7 +11,6 @@ from solguard.retrieval.kb import (
     get_embedder,
     kb_search,
     load_kb_documents,
-    register_embedder,
 )
 from solguard.retrieval.snapshot import CorpusSnapshotStore, KbSnapshotStore, SnapshotStore
 from solguard.retrieval.terms import tokenize_for_tfidf
@@ -54,7 +53,6 @@ __all__ = [
     "load_kb_documents",
     "rank_weighted_probability",
     "rank_weights",
-    "register_embedder",
     "retrieval_channel",
     "tokenize_for_tfidf",
     "top_k",

@@ -62,20 +62,11 @@ class HashingEmbedder:
         return vec
 
 
-_EMBEDDERS: dict[str, Embedder] = {}
-
-
 def get_embedder(embedder_id: str) -> Embedder:
-    if embedder_id in _EMBEDDERS:
-        return _EMBEDDERS[embedder_id]
     m = re.fullmatch(r"hash-bow-(\d+)-v1", embedder_id)
     if m:
         return HashingEmbedder(int(m.group(1)))
     raise SolguardError(f"unknown embedder {embedder_id!r}")
-
-
-def register_embedder(embedder: Embedder) -> None:
-    _EMBEDDERS[embedder.embedder_id] = embedder
 
 
 @dataclass(frozen=True)

@@ -176,17 +176,16 @@ def rank_weighted_probability(neighbors: list[Neighbor]) -> float:
 
 
 def retrieval_channel(
-    query: SourceContract, index: CorpusIndex, cfg: RetrievalConfig
+    query: SourceContract, neighbors: list[Neighbor], threshold: float
 ) -> ChannelResult:
-    """Similarity retrieval as a detection channel.
+    """Similarity retrieval as a detection channel over ``top_k``'s neighbors.
 
-    The score is the rank-weighted vulnerable probability over the top-k
+    The score is the rank-weighted vulnerable probability over the
     neighbors; neighbor vulnerability classes surface as low-confidence,
     contract-level findings.
     """
-    neighbors = top_k(query, index, cfg)
     score = rank_weighted_probability(neighbors)
-    verdict = Verdict.VULNERABLE if score >= cfg.threshold else Verdict.SAFE
+    verdict = Verdict.VULNERABLE if score >= threshold else Verdict.SAFE
     classes: list[str] = []
     for nb in neighbors:
         if nb.label != "vulnerable":

@@ -16,7 +16,7 @@ from solguard.core import (
     normalize_text,
 )
 from solguard.static_analysis.rules import PatternRule, evaluate_rule
-from solguard.static_analysis.structure import build_view, parse_pragma
+from solguard.static_analysis.structure import parse_pragma
 from solguard.static_analysis.tokenizer import tokenize_solidity
 
 
@@ -54,7 +54,7 @@ def scan(contract: SourceContract, ruleset: list[PatternRule]) -> list[Finding]:
     """
     if not ruleset:
         raise ValueError("ruleset must not be empty")
-    view = build_view(contract.token_stream)
+    view = contract.view
     findings: list[Finding] = []
     for fn in view.functions:
         for rule in ruleset:

@@ -27,7 +27,7 @@ from solguard.agents.detect import build_detection_prompt
 from solguard.llm.mock import prompt_fingerprint
 from solguard.retrieval.kb import HashingEmbedder, build_kb_index, load_kb_documents
 from solguard.retrieval.snapshot import CorpusSnapshotStore, KbSnapshotStore
-from solguard.retrieval.tfidf import RetrievalConfig, build_corpus_index, load_corpus_file
+from solguard.retrieval.tfidf import RetrievalConfig, build_corpus_index, load_corpus_file, top_k
 from solguard.static_analysis.scanner import load_source
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -170,7 +170,7 @@ def build_eval_fixture(root: Path) -> dict[str, Path]:
                 + "\n"
             )
             enriched = build_detection_prompt(
-                contract, "enriched", corpus_index, kb_index, retrieval_cfg
+                contract, "enriched", top_k(contract, corpus_index, retrieval_cfg), kb_index
             )
             fh.write(
                 json.dumps(

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import importlib
 import itertools
 import json
 import random
+import sys
 from pathlib import Path
 
 import pytest
@@ -15,7 +17,7 @@ from solguard.agents.detect import (
     model_channel,
     weighted_score,
 )
-from solguard.agents.pipeline import run_pipeline
+from solguard.agents.pipeline import PipelineRun, run_pipeline
 from solguard.agents.remediate import (
     RiskAssignment,
     advise,
@@ -37,6 +39,7 @@ from solguard.core import (
 )
 from solguard.errors import ConfigError, PipelineError
 from solguard.llm.mock import TranscriptRecorder
+from solguard.retrieval.tfidf import top_k
 from solguard.static_analysis.rules import default_ruleset
 from solguard.static_analysis.scanner import load_file, load_source
 
@@ -153,7 +156,7 @@ class TestDetectionPrompt:
         ctx, _ = presign_fixture.recording_context()
         contract = load_file(FIXTURES / "presign.sol", "presign")
         prompt = build_detection_prompt(
-            contract, "enriched", ctx.corpus_index, ctx.kb_index, ctx.retrieval_cfg
+            contract, "enriched", top_k(contract, ctx.corpus_index, ctx.retrieval_cfg), ctx.kb_index
         )
         assert "Similar contracts from the audit corpus:" in prompt
         assert "corp-presign-registry" in prompt
@@ -418,6 +421,29 @@ class TestPipeline:
         assert len(run.report.sections) == 7
         assert "No vulnerabilities were found." in run.report.sections[3].body
 
+    def test_each_source_is_lexed_and_viewed_once(self, monkeypatch):
+        ctx, _ = presign_fixture.recording_context()
+        calls: dict[str, list] = {"tokenize_solidity": [], "build_view": []}
+        for module_name, name in (
+            ("solguard.static_analysis.tokenizer", "tokenize_solidity"),
+            ("solguard.static_analysis.structure", "build_view"),
+        ):
+            original = getattr(importlib.import_module(module_name), name)
+
+            def counted(arg, _original=original, _calls=calls[name]):
+                _calls.append(arg)
+                return _original(arg)
+
+            # patch every module that imported the function by name
+            for module_key, module in list(sys.modules.items()):
+                if module_key.startswith("solguard") and getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, counted)
+        run = run_pipeline(load_file(FIXTURES / "presign.sol", "presign"), ctx)
+        assert run.verification is not None
+        original_source = (FIXTURES / "presign.sol").read_text(encoding="utf-8")
+        assert calls["tokenize_solidity"] == [original_source, run.patch.repaired_source]
+        assert len(calls["build_view"]) == 2
+
     def test_deterministic_output_across_runs(self):
         ctx, _ = presign_fixture.recording_context()
         contract = load_file(FIXTURES / "presign.sol", "presign")
@@ -427,6 +453,24 @@ class TestPipeline:
             second.to_payload(), sort_keys=True
         )
         assert first.report.to_markdown() == second.report.to_markdown()
+
+
+class TestPipelineRunAlignment:
+    def _fused(self):
+        return fuse_channels(channels_for(0.9, 0.6, 0.9), "weighted", FusionWeights(), 0.5)
+
+    @pytest.mark.parametrize("order", [(1, 0), (0,)])
+    def test_entries_out_of_findings_order_or_count_rejected(self, order):
+        findings = (_finding("A", "f", 0), _finding("B", "g", 20))
+        assignments = tuple(RiskAssignment(findings[i], RiskLevel.HIGH) for i in order)
+        with pytest.raises(ValueError, match="one entry per finding"):
+            PipelineRun("presign", self._fused(), findings=findings, risk_assignments=assignments)
+
+    def test_aligned_or_empty_entries_accepted(self):
+        first = _finding("A", "f", 0)
+        assignment = RiskAssignment(first, RiskLevel.HIGH)
+        run = PipelineRun("presign", self._fused(), findings=(first,), risk_assignments=(assignment,))
+        assert run.per_finding() == [(first, None, assignment)]
 
 
 class TestFixFailurePaths:

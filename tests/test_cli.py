@@ -9,6 +9,7 @@ import yaml
 from solguard.agents.detect import FusedVerdict
 from solguard.cli import main
 from conftest import write_pipeline_config
+import presign_fixture
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 TRANSCRIPT = FIXTURES / "presign_transcript.jsonl"
@@ -63,6 +64,46 @@ class TestAudit:
         )
         assert result.exit_code == 1
         assert (tmp_path / "out" / "presign.report.md").exists()
+
+    @pytest.mark.parametrize(
+        "bad_body",
+        ["<html>gateway hiccup</html>", "[1, 2]", '{"choices": [{"message": {"content": null}}]}'],
+    )
+    def test_malformed_provider_reply_fails_one_contract_not_the_batch(
+        self, runner, built_index_root, tmp_path, monkeypatch, bad_body
+    ):
+        class Reply:
+            status_code = 200
+
+            def __init__(self, body: str):
+                self.body = body
+
+            def json(self):
+                return json.loads(self.body)
+
+        def post(url, **kwargs):
+            prompt = kwargs["json"]["messages"][0]["content"]
+            if "preSign" in prompt:
+                return Reply(bad_body)
+            return Reply(json.dumps({"content": presign_fixture.safe_detector_response()}))
+
+        monkeypatch.setattr("solguard.llm.provider.requests.post", post)
+        endpoint = "http://127.0.0.1:9/v1/chat"  # never contacted: requests.post is replaced
+        providers = {
+            role: {"kind": "http-endpoint", "model_id": f"{role}-model", "endpoint": endpoint}
+            for role in ("base", "verifier")
+        }
+        config = write_pipeline_config(
+            tmp_path / "cfg.yaml", built_index_root, tmp_path / "out", TRANSCRIPT, providers=providers
+        )
+        result = runner.invoke(
+            main,
+            ["audit", str(FIXTURES / "presign.sol"), str(FIXTURES / "safe.sol"), "-c", str(config), "--jobs", "2"],
+        )
+        assert result.exit_code == 1
+        assert "processed 1/2 contracts" in result.output
+        assert (tmp_path / "out" / "safe.run.json").exists()
+        assert not (tmp_path / "out" / "presign.run.json").exists()
 
     def test_missing_config_file_is_usage_error(self, runner, tmp_path):
         result = runner.invoke(

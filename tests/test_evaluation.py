@@ -14,6 +14,7 @@ from solguard.evaluation import (
     calibrate_threshold,
     confusion,
     format_table,
+    fused_scores,
     load_dataset,
     metrics,
     normalize_variant,
@@ -237,3 +238,4 @@ class TestFailureCounting:
         reports = run_variants(load_dataset(dataset_path), ["weighted"], ctx)
         assert reports[0].failures == 1
         assert reports[0].evaluated == 40
+        assert len(fused_scores(load_dataset(dataset_path), ctx)) == 40  # calibrate excludes it too

@@ -337,7 +337,9 @@ class TestRetrievalChannel:
 
     def test_two_of_five_vulnerable_crosses_threshold(self):
         index = self._index_with_labels(["vulnerable", "vulnerable", "safe", "safe", "safe"])
-        result = retrieval_channel(load_source("q", "same body text"), index, RetrievalConfig())
+        query = load_source("q", "same body text")
+        cfg = RetrievalConfig()
+        result = retrieval_channel(query, top_k(query, index, cfg), cfg.threshold)
         assert result.verdict is Verdict.VULNERABLE
         assert result.score == pytest.approx(0.6)
         assert [f.vuln_class.name for f in result.findings] == ["Reentrancy"]
@@ -345,13 +347,17 @@ class TestRetrievalChannel:
 
     def test_one_of_five_stays_safe(self):
         index = self._index_with_labels(["vulnerable", "safe", "safe", "safe", "safe"])
-        result = retrieval_channel(load_source("q", "same body text"), index, RetrievalConfig())
+        query = load_source("q", "same body text")
+        cfg = RetrievalConfig()
+        result = retrieval_channel(query, top_k(query, index, cfg), cfg.threshold)
         assert result.verdict is Verdict.SAFE
         assert result.score == pytest.approx(5 / 15)
 
     def test_empty_index_is_safe_zero(self):
         index = CorpusIndex(documents=(), idf={})
-        result = retrieval_channel(load_source("q", "anything"), index, RetrievalConfig())
+        query = load_source("q", "anything")
+        cfg = RetrievalConfig()
+        result = retrieval_channel(query, top_k(query, index, cfg), cfg.threshold)
         assert result.verdict is Verdict.SAFE
         assert result.score == 0.0
         assert result.findings == ()
