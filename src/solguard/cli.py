@@ -19,9 +19,9 @@ import yaml
 
 from solguard.agents.config import PipelineConfig, apply_overrides, load_config
 from solguard.agents.detect import detect as run_detect
-from solguard.agents.pipeline import build_context, run_pipeline
+from solguard.agents.pipeline import PipelineContext, build_context, run_pipeline
 from solguard.core import Verdict
-from solguard.errors import ConfigError, SolguardError
+from solguard.errors import ConfigError, SnapshotError, SolguardError
 from solguard.evaluation import (
     calibrate_threshold,
     format_table,
@@ -62,6 +62,22 @@ def _load_config_or_exit(config_path: str, **overrides) -> PipelineConfig:
 def _usage_error(message: str) -> int:
     click.echo(f"error: {message}", err=True)
     return EXIT_USAGE
+
+
+def _processing_error(message: str) -> int:
+    click.echo(f"error: {message}", err=True)
+    return EXIT_PROCESSING
+
+
+def _context_or_exit(config: PipelineConfig, roles: tuple[str, ...] | None = None) -> PipelineContext:
+    """``build_context``, exiting 1 on an unreadable snapshot and 2 on any
+    other configuration fault."""
+    try:
+        return build_context(config, roles)
+    except SnapshotError as exc:
+        raise SystemExit(_processing_error(str(exc)))
+    except SolguardError as exc:
+        raise SystemExit(_usage_error(str(exc)))
 
 
 def _collect_contract_paths(paths: tuple[str, ...]) -> list[Path]:
@@ -134,10 +150,7 @@ def cmd_audit(paths, config_path, output_dir, mode, weights, threshold, k, jobs,
         k=k,
         output_dir=output_dir,
     )
-    try:
-        ctx = build_context(config)
-    except (ConfigError, SolguardError) as exc:
-        raise SystemExit(_usage_error(str(exc)))
+    ctx = _context_or_exit(config)
 
     files = _collect_contract_paths(paths)
     if not files:
@@ -219,10 +232,7 @@ def cmd_detect(paths, config_path, mode, weights, threshold, k, as_json, verbose
     config = _load_config_or_exit(
         config_path, mode=mode, weights=_parse_weights(weights), threshold=threshold, k=k
     )
-    try:
-        ctx = build_context(config, roles=("detector",))
-    except (ConfigError, SolguardError) as exc:
-        raise SystemExit(_usage_error(str(exc)))
+    ctx = _context_or_exit(config, roles=("detector",))
 
     files = _collect_contract_paths(paths)
     if not files:
@@ -285,8 +295,7 @@ def cmd_kb_build(corpus, docs, index_root, verbose):
     try:
         corpus_version, kb_version = _build_snapshots(corpus, docs, index_root)
     except SolguardError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_PROCESSING)
+        raise SystemExit(_processing_error(str(exc)))
     _echo_versions(corpus_version, kb_version)
     sys.exit(EXIT_OK)
 
@@ -308,8 +317,7 @@ def cmd_kb_update(corpus, docs, index_root, verbose):
     try:
         corpus_version, kb_version = _build_snapshots(corpus, docs, index_root)
     except SolguardError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_PROCESSING)
+        raise SystemExit(_processing_error(str(exc)))
     _echo_versions(corpus_version, kb_version)
     sys.exit(EXIT_OK)
 
@@ -327,19 +335,22 @@ def cmd_kb_status(index_root):
     """Show the live snapshot versions and document counts."""
     corpus_store = CorpusSnapshotStore(Path(index_root) / "corpus")
     kb_store = KbSnapshotStore(Path(index_root) / "kb")
-    corpus_version = corpus_store.current_version()
-    if corpus_version is None:
-        click.echo("corpus: no snapshot published")
-    else:
-        index = corpus_store.load()
-        click.echo(f"corpus: version {corpus_version}, {len(index.documents)} documents")
-    kb_version = kb_store.current_version()
-    if kb_version is None:
-        click.echo("kb: no snapshot published")
-    else:
-        kb_index = kb_store.load()
-        docs = len({c.doc_id for c in kb_index.chunks})
-        click.echo(f"kb: version {kb_version}, {docs} documents, {len(kb_index.chunks)} chunks")
+    try:
+        corpus_version = corpus_store.current_version()
+        if corpus_version is None:
+            click.echo("corpus: no snapshot published")
+        else:
+            index = corpus_store.load()
+            click.echo(f"corpus: version {corpus_version}, {len(index.documents)} documents")
+        kb_version = kb_store.current_version()
+        if kb_version is None:
+            click.echo("kb: no snapshot published")
+        else:
+            kb_index = kb_store.load()
+            docs = len({c.doc_id for c in kb_index.chunks})
+            click.echo(f"kb: version {kb_version}, {docs} documents, {len(kb_index.chunks)} chunks")
+    except SnapshotError as exc:
+        raise SystemExit(_processing_error(str(exc)))
     sys.exit(EXIT_OK)
 
 
@@ -359,7 +370,7 @@ def cmd_eval(dataset_path, config_path, variants, split, out, verbose):
         dataset = load_dataset(dataset_path).subset(split)
         if not dataset.entries:
             raise SystemExit(_usage_error(f"no dataset entries for split {split!r}"))
-        ctx = build_context(config, roles=("detector",))
+        ctx = _context_or_exit(config, roles=("detector",))
         reports = run_variants(dataset, names, ctx)
     except SolguardError as exc:
         raise SystemExit(_usage_error(str(exc)))
@@ -386,7 +397,7 @@ def cmd_calibrate(dataset_path, config_path, split, write, verbose):
         dataset = load_dataset(dataset_path).subset(split)
         if not dataset.entries:
             raise SystemExit(_usage_error(f"no dataset entries for split {split!r}"))
-        ctx = build_context(config, roles=("detector",))
+        ctx = _context_or_exit(config, roles=("detector",))
         threshold = calibrate_threshold(fused_scores(dataset, ctx))
     except SolguardError as exc:
         raise SystemExit(_usage_error(str(exc)))

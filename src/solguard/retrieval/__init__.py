@@ -21,7 +21,6 @@ from solguard.retrieval.tfidf import (
     RetrievalConfig,
     TfIdfVector,
     build_corpus_index,
-    cosine,
     load_corpus_file,
     rank_weighted_probability,
     rank_weights,
@@ -46,7 +45,6 @@ __all__ = [
     "build_corpus_index",
     "build_kb_index",
     "chunk_spans",
-    "cosine",
     "get_embedder",
     "kb_search",
     "load_corpus_file",

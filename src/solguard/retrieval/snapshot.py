@@ -15,13 +15,14 @@ directory unreferenced.
 from __future__ import annotations
 
 import json
+import math
 import os
 from pathlib import Path
-from typing import Generic, TypeVar
+from typing import Callable, Generic, TypeVar
 
 from solguard.errors import SnapshotError
 from solguard.retrieval.kb import KbChunk, KbIndex
-from solguard.retrieval.tfidf import CorpusDocument, CorpusIndex, TfIdfVector
+from solguard.retrieval.tfidf import CorpusDocument, CorpusIndex, Postings, add_postings, l2_norm
 
 T = TypeVar("T")
 
@@ -68,14 +69,13 @@ class SnapshotStore(Generic[T]):
         target = self.root / str(version)
         if not target.is_dir():
             raise SnapshotError(f"snapshot directory {target} is missing")
-        index = self._read_files(target)
         meta = _read_json(target / "meta.json")
         if meta.get("version") != version:
             raise SnapshotError(
                 f"snapshot {target} is internally inconsistent: "
                 f"meta names version {meta.get('version')}"
             )
-        return index
+        return self._read_files(target, meta)
 
     def versions(self) -> list[int]:
         if not self.root.is_dir():
@@ -102,7 +102,7 @@ class SnapshotStore(Generic[T]):
     def _write_files(self, target: Path, index: T) -> None:
         raise NotImplementedError
 
-    def _read_files(self, target: Path) -> T:
+    def _read_files(self, target: Path, meta: dict) -> T:
         raise NotImplementedError
 
 
@@ -110,19 +110,19 @@ class CorpusSnapshotStore(SnapshotStore[CorpusIndex]):
     kind = "corpus"
 
     def _with_version(self, index: CorpusIndex, version: int) -> CorpusIndex:
-        return CorpusIndex(index.documents, index.idf, snapshot_version=version)
+        return CorpusIndex(index.documents, index.idf, index.postings, snapshot_version=version)
 
     def _write_files(self, target: Path, index: CorpusIndex) -> None:
         _write_json(target / "idf.json", index.idf)
         with open(target / "docs.jsonl", "w", encoding="utf-8") as fh:
-            for doc in index.documents:
+            for doc, weights in zip(index.documents, index.document_weights()):
                 fh.write(
                     json.dumps(
                         {
                             "id": doc.id,
                             "label": doc.label,
                             "classes": list(doc.classes),
-                            "vector": doc.vector.weights,
+                            "vector": weights,
                         },
                         sort_keys=True,
                     )
@@ -133,23 +133,19 @@ class CorpusSnapshotStore(SnapshotStore[CorpusIndex]):
             {"kind": self.kind, "version": index.snapshot_version, "documents": len(index.documents)},
         )
 
-    def _read_files(self, target: Path) -> CorpusIndex:
-        meta = _read_json(target / "meta.json")
+    def _read_files(self, target: Path, meta: dict) -> CorpusIndex:
         idf = _read_json(target / "idf.json")
         documents: list[CorpusDocument] = []
-        for line in (target / "docs.jsonl").read_text(encoding="utf-8").splitlines():
-            if not line.strip():
-                continue
-            rec = json.loads(line)
-            documents.append(
-                CorpusDocument(
-                    id=rec["id"],
-                    label=rec["label"],
-                    classes=tuple(rec["classes"]),
-                    vector=TfIdfVector(rec["vector"]),
-                )
-            )
-        return CorpusIndex(tuple(documents), idf, snapshot_version=int(meta["version"]))
+        postings: Postings = {}
+
+        def read(rec: dict) -> None:
+            vector = rec["vector"]
+            doc = CorpusDocument(rec["id"], rec["label"], tuple(rec["classes"]), _checked_norm(vector))
+            add_postings(postings, len(documents), vector)
+            documents.append(doc)
+
+        _read_jsonl(target / "docs.jsonl", read)
+        return CorpusIndex(tuple(documents), idf, postings, snapshot_version=int(meta["version"]))
 
 
 class KbSnapshotStore(SnapshotStore[KbIndex]):
@@ -185,23 +181,57 @@ class KbSnapshotStore(SnapshotStore[KbIndex]):
             },
         )
 
-    def _read_files(self, target: Path) -> KbIndex:
-        meta = _read_json(target / "meta.json")
+    def _read_files(self, target: Path, meta: dict) -> KbIndex:
         chunks: list[KbChunk] = []
-        for line in (target / "chunks.jsonl").read_text(encoding="utf-8").splitlines():
-            if not line.strip():
-                continue
-            rec = json.loads(line)
+
+        def read(rec: dict) -> None:
+            embedding = tuple(rec["embedding"])
+            if not all(isinstance(x, (int, float)) for x in embedding):
+                raise ValueError("embedding must be a list of numbers")
             chunks.append(
                 KbChunk(
                     doc_id=rec["doc_id"],
                     chunk_index=rec["chunk_index"],
                     text=rec["text"],
                     metadata=rec["metadata"],
-                    embedding=tuple(rec["embedding"]),
+                    embedding=embedding,
                 )
             )
+
+        _read_jsonl(target / "chunks.jsonl", read)
         return KbIndex(tuple(chunks), meta["embedder"], snapshot_version=int(meta["version"]))
+
+
+def _read_jsonl(path: Path, read: Callable[[dict], None]) -> None:
+    """Call ``read`` on the JSON record of each non-blank line of ``path``;
+    a fault in any line is a SnapshotError naming ``<file>:<line>``."""
+    try:
+        fh = open(path, encoding="utf-8")
+    except FileNotFoundError as exc:
+        raise SnapshotError(f"snapshot file {path} is missing") from exc
+    with fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                read(json.loads(line))
+            except KeyError as exc:
+                raise SnapshotError(f"{path}:{lineno}: record has no {exc} field") from exc
+            except (TypeError, ValueError) as exc:
+                raise SnapshotError(f"{path}:{lineno}: bad record: {exc}") from exc
+
+
+def _checked_norm(vector: object) -> float:
+    """L2 norm of a stored term->weight object, whose weights must be finite
+    non-negative numbers."""
+    try:
+        norm = l2_norm(vector)
+        valid = math.isfinite(norm) and min(vector.values(), default=0.0) >= 0
+    except (AttributeError, TypeError):
+        valid = False
+    if not valid:
+        raise ValueError("vector must map terms to finite non-negative numbers")
+    return norm
 
 
 def _write_json(path: Path, payload: object) -> None:

@@ -9,13 +9,16 @@ linearly, rank 1 heaviest, weights summing to 1.
 
 from __future__ import annotations
 
+import heapq
 import json
 import logging
 import math
+from array import array
 from collections import Counter
 from dataclasses import dataclass, field
+from operator import mul
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from solguard.core import (
     Channel,
@@ -33,6 +36,8 @@ from solguard.retrieval.terms import tokenize_for_tfidf
 
 log = logging.getLogger(__name__)
 
+_NO_POSTINGS: tuple[array, array] = (array("i"), array("d"))
+
 
 @dataclass(frozen=True)
 class TfIdfVector:
@@ -45,34 +50,47 @@ class TfIdfVector:
         if any(w < 0 for w in self.weights.values()):
             raise ValueError("tf-idf weights must be non-negative")
         if self.norm < 0:
-            object.__setattr__(self, "norm", math.sqrt(sum(w * w for w in self.weights.values())))
-
-    def dot(self, other: "TfIdfVector") -> float:
-        a, b = self.weights, other.weights
-        if len(b) < len(a):
-            a, b = b, a
-        return sum(w * b[t] for t, w in a.items() if t in b)
+            object.__setattr__(self, "norm", l2_norm(self.weights))
 
 
-def cosine(a: TfIdfVector, b: TfIdfVector) -> float:
-    """Cosine similarity; 0 when either vector has zero norm."""
-    if a.norm == 0.0 or b.norm == 0.0:
-        return 0.0
-    return min(1.0, a.dot(b) / (a.norm * b.norm))
+def l2_norm(weights: dict[str, float]) -> float:
+    """L2 norm of a term->weight map, summed in the map's order."""
+    values = weights.values()
+    return math.sqrt(sum(map(mul, values, values)))
 
 
-@dataclass(frozen=True)
-class CorpusDocument:
+class CorpusDocument(NamedTuple):
     id: str
     label: str  # safe | vulnerable
     classes: tuple[str, ...]
-    vector: TfIdfVector
+    norm: float  # L2 norm of the document's tf-idf weights
+
+
+# term -> (ascending document positions, the documents' weights for the term)
+Postings = dict[str, tuple[array, array]]
+
+
+def add_postings(postings: Postings, position: int, weights: dict[str, float]) -> None:
+    """Append one document's term weights to the postings lists."""
+    for term, w in weights.items():
+        entry = postings.get(term)
+        if entry is None:
+            entry = postings[term] = (array("i"), array("d"))
+        entry[0].append(position)
+        entry[1].append(w)
 
 
 @dataclass(frozen=True)
 class CorpusIndex:
+    """Term-major index: document metadata plus one postings list per term.
+
+    The postings are built once, with the index, and only read afterwards,
+    so concurrent ``top_k`` calls may share an index.
+    """
+
     documents: tuple[CorpusDocument, ...]
     idf: dict[str, float]
+    postings: Postings = field(default_factory=dict)
     snapshot_version: int = 0
 
     def vectorize(self, terms: Iterable[str]) -> TfIdfVector:
@@ -87,6 +105,14 @@ class CorpusIndex:
             if term in self.idf
         }
         return _l2_normalize(raw)
+
+    def document_weights(self) -> list[dict[str, float]]:
+        """Each document's term->weight map, regrouped from the postings."""
+        regrouped: list[dict[str, float]] = [{} for _ in self.documents]
+        for term, (positions, weights) in self.postings.items():
+            for position, w in zip(positions, weights):
+                regrouped[position][term] = w
+        return regrouped
 
 
 @dataclass(frozen=True)
@@ -109,7 +135,7 @@ class RetrievalConfig:
 
 
 def _l2_normalize(raw: dict[str, float]) -> TfIdfVector:
-    norm = math.sqrt(sum(w * w for w in raw.values()))
+    norm = l2_norm(raw)
     if norm == 0.0:
         return TfIdfVector(dict(raw), 0.0)
     return TfIdfVector({t: w / norm for t, w in raw.items()}, 1.0)
@@ -130,6 +156,7 @@ def build_corpus_index(
     idf = {term: math.log((1 + n) / (1 + d)) + 1.0 for term, d in df.items()}
 
     documents: list[CorpusDocument] = []
+    postings: Postings = {}
     for (doc_id, label, classes, _), terms in zip(docs, term_lists):
         total = len(terms)
         if total == 0:
@@ -139,25 +166,41 @@ def build_corpus_index(
             counts = Counter(terms)
             raw = {term: (count / total) * idf[term] for term, count in counts.items()}
             vector = _l2_normalize(raw)
-        documents.append(CorpusDocument(doc_id, label, tuple(classes), vector))
-    return CorpusIndex(tuple(documents), idf, snapshot_version)
+        add_postings(postings, len(documents), vector.weights)
+        documents.append(CorpusDocument(doc_id, label, tuple(classes), vector.norm))
+    return CorpusIndex(tuple(documents), idf, postings, snapshot_version)
 
 
 def top_k(query: SourceContract, index: CorpusIndex, cfg: RetrievalConfig) -> list[Neighbor]:
-    """Exact top-k scan, similarity descending, ties broken by id ascending.
+    """Exact top-k, similarity descending, ties broken by id ascending.
 
-    The query's own id is excluded when present in the index.
+    Dot products accumulate through the postings of the query's terms only,
+    adding one product at a time in the query's term order. Documents that
+    share no term score 0 and fill any remaining ranks in id order. The
+    query's own id is excluded when present in the index.
     """
     qvec = index.vectorize(tokenize_for_tfidf(query.source))
-    scored = [
-        (doc, cosine(qvec, doc.vector))
-        for doc in index.documents
-        if doc.id != query.id
+    documents = index.documents
+    dots = [0.0] * len(documents)
+    for term, qw in qvec.weights.items():
+        positions, weights = index.postings.get(term, _NO_POSTINGS)
+        for position, w in zip(positions, weights):
+            dots[position] += qw * w
+    qid, qnorm = query.id, qvec.norm
+    sims = [
+        -1.0 if doc.id == qid  # never ranked
+        else min(1.0, dot / (qnorm * doc.norm)) if dot and doc.norm
+        else 0.0
+        for doc, dot in zip(documents, dots)
     ]
-    scored.sort(key=lambda pair: (-pair[1], pair[0].id))
+    # every document scoring at least the k-th best similarity (0 when fewer
+    # than k share a term) competes for the k ranks
+    cut = max(0.0, min(heapq.nlargest(cfg.k, sims), default=0.0))
+    contenders = [position for position, sim in enumerate(sims) if sim >= cut]
+    contenders.sort(key=lambda position: (-sims[position], documents[position].id))
     return [
-        Neighbor(doc.id, sim, rank, doc.label, doc.classes)
-        for rank, (doc, sim) in enumerate(scored[: cfg.k], start=1)
+        Neighbor(documents[p].id, sims[p], rank, documents[p].label, documents[p].classes)
+        for rank, p in enumerate(contenders[: cfg.k], start=1)
     ]
 
 

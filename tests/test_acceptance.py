@@ -107,10 +107,10 @@ def test_criterion_03_retrieval_oracle():
         assert set(index.idf) == set(oracle_idf)
         for term, value in oracle_idf.items():
             assert abs(index.idf[term] - value) <= 1e-9
-        for doc, expected in zip(index.documents, oracle_vectors):
-            assert set(doc.vector.weights) == set(expected)
+        for weights, expected in zip(index.document_weights(), oracle_vectors):
+            assert set(weights) == set(expected)
             for term, weight in expected.items():
-                assert abs(doc.vector.weights[term] - weight) <= 1e-9
+                assert abs(weights[term] - weight) <= 1e-9
         query = load_source("query", docs[n_docs // 3][3] + " word2 word5")
         neighbors = top_k(query, index, RetrievalConfig(k=5))
         expected_order = brute_force_top_k(oracle_terms(query.source), index, 5, "query")

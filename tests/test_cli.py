@@ -1,13 +1,14 @@
 from __future__ import annotations
 
 import json
+import shutil
 from pathlib import Path
 
 import pytest
 import yaml
 
 from solguard.agents.detect import FusedVerdict
-from solguard.cli import main
+from solguard.cli import EXIT_PROCESSING, main
 from conftest import write_pipeline_config
 import presign_fixture
 
@@ -142,6 +143,20 @@ class TestDetect:
         fused = FusedVerdict.from_payload(record)
         assert fused.to_payload() == record
         assert fused.verdict.value == "vulnerable"
+
+    def test_corrupt_snapshot_line_is_processing_error(self, runner, built_index_root, tmp_path):
+        index_root = tmp_path / "idx"
+        shutil.copytree(built_index_root, index_root)
+        docs = index_root / "corpus" / "1" / "docs.jsonl"
+        lines = docs.read_text(encoding="utf-8").splitlines(keepends=True)
+        lines[1] = lines[1][: len(lines[1]) // 2] + "\n"
+        docs.write_text("".join(lines), encoding="utf-8")
+        config = write_pipeline_config(tmp_path / "cfg.yaml", index_root, tmp_path / "out", TRANSCRIPT)
+        result = runner.invoke(main, ["detect", str(FIXTURES / "safe.sol"), "-c", str(config)])
+        assert result.exit_code == EXIT_PROCESSING
+        assert isinstance(result.exception, SystemExit)
+        assert f"error: {docs}:2: " in result.output
+        assert "Traceback" not in result.output
 
     def test_weights_override_validation(self, runner, presign_config):
         result = runner.invoke(

@@ -3,12 +3,14 @@ from __future__ import annotations
 import logging
 import math
 import random
+import tempfile
 from collections import Counter
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from solguard.retrieval.snapshot import CorpusSnapshotStore
 from solguard.retrieval.terms import tokenize_for_tfidf
 from solguard.retrieval.tfidf import (
     CorpusIndex,
@@ -16,7 +18,6 @@ from solguard.retrieval.tfidf import (
     RetrievalConfig,
     TfIdfVector,
     build_corpus_index,
-    cosine,
     rank_weighted_probability,
     rank_weights,
     retrieval_channel,
@@ -168,18 +169,18 @@ class TestBuildCorpusIndex:
         assert set(index.idf) == set(idf)
         for term, value in idf.items():
             assert index.idf[term] == pytest.approx(value, abs=1e-9)
-        for doc, expected in zip(index.documents, vectors):
-            assert set(doc.vector.weights) == set(expected)
+        for weights, expected in zip(index.document_weights(), vectors):
+            assert set(weights) == set(expected)
             for term, w in expected.items():
-                assert doc.vector.weights[term] == pytest.approx(w, abs=1e-9)
+                assert weights[term] == pytest.approx(w, abs=1e-9)
 
     def test_empty_document_kept_as_zero_vector_with_warning(self, caplog):
         with caplog.at_level(logging.WARNING):
             index = build_corpus_index(
                 [("full", "safe", (), "a b c"), ("blank", "safe", (), "// only a comment")]
             )
-        assert index.documents[1].vector.weights == {}
-        assert index.documents[1].vector.norm == 0.0
+        assert index.document_weights()[1] == {}
+        assert index.documents[1].norm == 0.0
         assert any("blank" in rec.message for rec in caplog.records)
 
     def test_empty_corpus_rejected(self):
@@ -187,33 +188,47 @@ class TestBuildCorpusIndex:
             build_corpus_index([])
 
 
-# --- cosine --------------------------------------------------------------------
+# --- cosine similarity, as top_k reports it -------------------------------------
+
+
+def similarities(index: CorpusIndex, query_id: str, text: str) -> dict[str, float]:
+    """Similarity of every indexed document to ``text``, read off ``top_k``."""
+    neighbors = top_k(load_source(query_id, text), index, RetrievalConfig(k=len(index.documents)))
+    return {nb.contract_id: nb.similarity for nb in neighbors}
 
 
 class TestCosine:
     def test_identical_nonzero_vectors(self):
-        v = TfIdfVector({"x": 0.6, "y": 0.8})
-        assert cosine(v, v) == pytest.approx(1.0)
+        # the unclamped quotient rounds to 1.0000000000000002 here
+        index = build_corpus_index([("d1", "safe", (), "f a"), ("d2", "safe", (), "y z")])
+        assert similarities(index, "q", "a f")["d1"] == 1.0
 
     def test_disjoint_supports(self):
-        assert cosine(TfIdfVector({"x": 1.0}), TfIdfVector({"y": 1.0})) == 0.0
+        index = build_corpus_index([("d1", "safe", (), "x"), ("d2", "safe", (), "y")])
+        assert similarities(index, "q", "y")["d1"] == 0.0
 
     def test_partial_overlap_analytic_value(self):
-        a = TfIdfVector({"x": 1.0, "y": 1.0})
-        b = TfIdfVector({"x": 1.0})
-        assert cosine(a, b) == pytest.approx(1 / math.sqrt(2), abs=1e-12)
+        # x and y each occur in two documents, so they share one idf
+        index = build_corpus_index(
+            [("xy", "safe", (), "x y"), ("x", "safe", (), "x"), ("y", "safe", (), "y")]
+        )
+        assert similarities(index, "q", "x")["xy"] == pytest.approx(1 / math.sqrt(2), abs=1e-12)
 
     def test_zero_vector_yields_zero(self):
-        assert cosine(TfIdfVector({}), TfIdfVector({"x": 1.0})) == 0.0
+        index = build_corpus_index([("blank", "safe", (), "// no terms"), ("d", "safe", (), "x")])
+        assert similarities(index, "q", "x")["blank"] == 0.0
+        assert similarities(index, "q", "")["d"] == 0.0
 
     @given(
-        st.dictionaries(st.sampled_from("abcdef"), st.floats(0.0, 10.0), max_size=6),
-        st.dictionaries(st.sampled_from("abcdef"), st.floats(0.0, 10.0), max_size=6),
+        st.lists(st.sampled_from("abcdef"), max_size=6),
+        st.lists(st.sampled_from("abcdef"), max_size=6),
     )
-    def test_symmetry_and_range(self, wa, wb):
-        a, b = TfIdfVector(wa), TfIdfVector(wb)
-        assert cosine(a, b) == pytest.approx(cosine(b, a))
-        assert 0.0 <= cosine(a, b) <= 1.0
+    def test_symmetry_and_range(self, ta, tb):
+        index = build_corpus_index([("a", "safe", (), " ".join(ta)), ("b", "safe", (), " ".join(tb))])
+        ab = similarities(index, "a", " ".join(ta))["b"]
+        ba = similarities(index, "b", " ".join(tb))["a"]
+        assert ab == pytest.approx(ba)
+        assert 0.0 <= ab <= 1.0
 
     def test_cached_norm_matches_recomputed(self):
         v = TfIdfVector({"x": 0.3, "y": 0.4, "z": 1.2})
@@ -230,12 +245,30 @@ class TestCosine:
 def brute_force_top_k(query_terms, index: CorpusIndex, k: int, exclude_id: str):
     qvec = index.vectorize(query_terms)
     sims = [
-        (doc.id, oracle_cosine(qvec.weights, doc.vector.weights), doc.label)
-        for doc in index.documents
+        (doc.id, oracle_cosine(qvec.weights, weights), doc.label)
+        for doc, weights in zip(index.documents, index.document_weights())
         if doc.id != exclude_id
     ]
     sims.sort(key=lambda t: (-t[1], t[0]))
     return sims[:k]
+
+
+def scan_top_k(query_terms, index: CorpusIndex, k: int, exclude_id: str) -> list[tuple[str, float]]:
+    """Score every document by the stated rule (products added one at a time
+    in the query's term order, ``min(1, dot / (qnorm * dnorm))``, 0 at zero
+    norm) and sort by (-similarity, id)."""
+    qvec = index.vectorize(query_terms)
+    rows = []
+    for doc, weights in zip(index.documents, index.document_weights()):
+        if doc.id == exclude_id:
+            continue
+        dot = 0.0
+        for t, qw in qvec.weights.items():
+            dot += qw * weights.get(t, 0.0)
+        sim = min(1.0, dot / (qvec.norm * doc.norm)) if qvec.norm and doc.norm else 0.0
+        rows.append((doc.id, sim))
+    rows.sort(key=lambda row: (-row[1], row[0]))
+    return rows[:k]
 
 
 class TestTopK:
@@ -270,6 +303,41 @@ class TestTopK:
         for nb, (_, sim, _) in zip(neighbors, expected):
             assert nb.similarity == pytest.approx(sim, abs=1e-9)
         assert [nb.rank for nb in neighbors] == list(range(1, len(neighbors) + 1))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_matches_brute_force_scan(self, data):
+        # Terms are written in sorted order, so every document and query
+        # meets its shared terms in the same order and any exact scan sums
+        # the same products in the same order: rounding cannot reorder ties.
+        texts = data.draw(st.lists(st.lists(st.sampled_from("abcdef"), max_size=6), min_size=1, max_size=8))
+        texts += data.draw(st.lists(st.sampled_from(texts), max_size=3))  # exact duplicates
+        order = data.draw(st.permutations(range(len(texts))))  # ids out of position order
+        docs = [
+            (f"d{order[i]:02d}", ("safe", "vulnerable")[i % 2], (), " ".join(sorted(terms)))
+            for i, terms in enumerate(texts)
+        ]
+        index = build_corpus_index(docs)
+        if data.draw(st.booleans()):
+            with tempfile.TemporaryDirectory() as root:
+                store = CorpusSnapshotStore(root)
+                store.publish(index)
+                index = store.load()  # norms recomputed from the stored weights
+        # the query may reuse an indexed id; "xyz" are in no document, so a
+        # query of those alone scores 0 everywhere and is filled in id order
+        query_id = data.draw(st.sampled_from(["q"] + [doc[0] for doc in docs]))
+        query_text = " ".join(sorted(data.draw(st.lists(st.sampled_from("abcdefxyz"), max_size=6))))
+        k = data.draw(st.integers(1, len(docs) + 2))
+        neighbors = top_k(load_source(query_id, query_text), index, RetrievalConfig(k=k))
+        expected = scan_top_k(oracle_terms(query_text), index, k, query_id)
+        assert [(nb.contract_id, nb.rank) for nb in neighbors] == [
+            (doc_id, rank) for rank, (doc_id, _) in enumerate(expected, start=1)
+        ]
+        assert [nb.similarity for nb in neighbors] == [sim for _, sim in expected]
+        independent = brute_force_top_k(oracle_terms(query_text), index, len(docs), query_id)
+        by_id = {doc_id: sim for doc_id, sim, _ in independent}
+        for nb in neighbors:
+            assert nb.similarity == pytest.approx(by_id[nb.contract_id], abs=1e-12)
 
     def test_empty_index(self):
         index = CorpusIndex(documents=(), idf={})

@@ -1,13 +1,17 @@
 from __future__ import annotations
 
+import json
 import threading
+from pathlib import Path
 
 import pytest
 
 from solguard.errors import SnapshotError
 from solguard.retrieval.kb import HashingEmbedder, KbDocument, build_kb_index
 from solguard.retrieval.snapshot import CorpusSnapshotStore, KbSnapshotStore
-from solguard.retrieval.tfidf import build_corpus_index
+from solguard.retrieval.tfidf import build_corpus_index, load_corpus_file
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def corpus_for(version_tag: int):
@@ -30,11 +34,12 @@ class TestPublishLoad:
         loaded = store.load()
         assert loaded.snapshot_version == 1
         assert loaded.idf == pytest.approx(index.idf, abs=1e-9)
-        for got, want in zip(loaded.documents, index.documents):
+        pairs = zip(loaded.documents, loaded.document_weights(), index.documents, index.document_weights())
+        for got, got_weights, want, want_weights in pairs:
             assert got.id == want.id and got.label == want.label and got.classes == want.classes
-            assert set(got.vector.weights) == set(want.vector.weights)
-            for term, w in want.vector.weights.items():
-                assert got.vector.weights[term] == pytest.approx(w, abs=1e-9)
+            assert set(got_weights) == set(want_weights)
+            for term, w in want_weights.items():
+                assert got_weights[term] == pytest.approx(w, abs=1e-9)
 
     def test_kb_round_trip(self, tmp_path):
         store = KbSnapshotStore(tmp_path)
@@ -126,3 +131,73 @@ class TestConcurrentReaders:
             for t in threads:
                 t.join()
         assert problems == []
+
+
+class TestRoundTrip:
+    def test_republished_fixture_snapshot_is_byte_identical(self, tmp_path):
+        first, second = CorpusSnapshotStore(tmp_path / "a"), CorpusSnapshotStore(tmp_path / "b")
+        first.publish(build_corpus_index(load_corpus_file(FIXTURES / "corpus.jsonl")))
+        second.publish(first.load())
+        for name in ("docs.jsonl", "idf.json"):
+            assert (tmp_path / "b" / "1" / name).read_bytes() == (tmp_path / "a" / "1" / name).read_bytes()
+
+
+def edit_record(path: Path, lineno: int, edit) -> None:
+    """Rewrite line ``lineno`` (1-based) of a JSONL file through ``edit``."""
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    lines[lineno - 1] = edit(lines[lineno - 1])
+    path.write_text("".join(lines), encoding="utf-8")
+
+
+def with_field(mutate):
+    def edit(line: str) -> str:
+        rec = json.loads(line)
+        mutate(rec)
+        return json.dumps(rec) + "\n"
+
+    return edit
+
+
+def first_weight(value):
+    def mutate(rec: dict) -> None:
+        rec["vector"][next(iter(rec["vector"]))] = value
+
+    return with_field(mutate)
+
+
+def truncated(line: str) -> str:
+    return line[: len(line) // 2] + "\n"
+
+
+CORPUS_FAULTS = {
+    "truncated line": truncated,
+    "missing key": with_field(lambda rec: rec.pop("vector")),
+    "vector not an object": with_field(lambda rec: rec.update(vector=[0.5])),
+    "negative weight": first_weight(-0.5),
+    "non-numeric weight": first_weight("heavy"),
+}
+
+KB_FAULTS = {
+    "truncated line": truncated,
+    "missing key": with_field(lambda rec: rec.pop("text")),
+    "non-numeric embedding": with_field(lambda rec: rec.update(embedding=["x"] * len(rec["embedding"]))),
+}
+
+
+class TestCorruptRecords:
+    @pytest.mark.parametrize("fault", sorted(CORPUS_FAULTS))
+    def test_corpus_line_fault_names_file_and_line(self, tmp_path, fault):
+        store = CorpusSnapshotStore(tmp_path)
+        store.publish(corpus_for(1))
+        edit_record(tmp_path / "1" / "docs.jsonl", 3, CORPUS_FAULTS[fault])
+        with pytest.raises(SnapshotError, match=r"docs\.jsonl:3: "):
+            store.load()
+
+    @pytest.mark.parametrize("fault", sorted(KB_FAULTS))
+    def test_kb_line_fault_names_file_and_line(self, tmp_path, fault):
+        store = KbSnapshotStore(tmp_path)
+        docs = [KbDocument(f"d{i}", f"alpha beta {i}", {}) for i in range(3)]
+        store.publish(build_kb_index(docs, HashingEmbedder()))
+        edit_record(tmp_path / "1" / "chunks.jsonl", 2, KB_FAULTS[fault])
+        with pytest.raises(SnapshotError, match=r"chunks\.jsonl:2: "):
+            store.load()
