@@ -22,7 +22,7 @@ from solguard.core import (
     Verdict,
     VerificationResult,
 )
-from solguard.errors import ConfigError, PipelineError, SnapshotError
+from solguard.errors import ConfigError, PipelineError
 from solguard.llm import build_provider
 from solguard.llm.provider import ExchangeLog, Provider
 from solguard.retrieval.kb import KbIndex
@@ -114,17 +114,19 @@ def build_context(config: PipelineConfig, roles: tuple[str, ...] | None = None) 
     """Load rules, index snapshots, and providers named by the config.
 
     ``roles`` limits which providers must exist (detection-only commands
-    need just the detector).
+    need just the detector). A knowledge base that was never published
+    disables advisory retrieval; one that cannot be read is a
+    ``SnapshotError``.
     """
     ruleset = load_ruleset(config.ruleset_path) if config.ruleset_path else default_ruleset()
     corpus_store = CorpusSnapshotStore(f"{config.index_root}/corpus")
     corpus_index = corpus_store.load()
-    kb_index: KbIndex | None
-    try:
-        kb_index = KbSnapshotStore(f"{config.index_root}/kb").load()
-    except SnapshotError:
-        kb_index = None
+    kb_store = KbSnapshotStore(f"{config.index_root}/kb")
+    kb_index: KbIndex | None = None
+    if kb_store.current_version() is None:
         log.info("no knowledge base snapshot under %s; advisory retrieval disabled", config.index_root)
+    else:
+        kb_index = kb_store.load()
     exchange_log = ExchangeLog(config.exchange_log) if config.exchange_log else None
     providers: dict[str, Provider] = {}
     for role in roles or ("detector", "advisor", "assessor", "fixer", "verifier"):

@@ -110,6 +110,10 @@ class HttpProvider:
     Request body: ``{"model", "messages": [{"role","content"}], "temperature",
     "max_tokens"}``. The response may carry the text either as a top-level
     ``content`` string or under ``choices[0].message.content``.
+
+    Timeouts, connection failures, 5xx and 429 replies are retried up to
+    ``retry_count`` times, after the reply's ``Retry-After`` seconds (capped
+    at ``timeout_s``) or else a backoff of 50 ms times the attempt number.
     """
 
     def __init__(self, config: ProviderConfig, exchange_log: ExchangeLog | None = None):
@@ -134,9 +138,11 @@ class HttpProvider:
         }
         started = time.perf_counter()
         last_error: Exception | None = None
+        retry_after: float | None = None
         for attempt in range(self.config.retry_count + 1):
             if attempt:
-                time.sleep(0.05 * attempt)
+                time.sleep(0.05 * attempt if retry_after is None else retry_after)
+                retry_after = None
             try:
                 resp = requests.post(
                     self.config.endpoint,
@@ -152,8 +158,10 @@ class HttpProvider:
                 last_error = TransportError(f"{self.provider_id}: {exc}")
                 log.warning("completion transport failure (attempt %d): %s", attempt + 1, exc)
                 continue
-            if resp.status_code >= 500:
-                last_error = TransportError(f"{self.provider_id}: server error {resp.status_code}")
+            if resp.status_code >= 500 or resp.status_code == 429:
+                reason = "rate limited" if resp.status_code == 429 else "server error"
+                last_error = TransportError(f"{self.provider_id}: {reason} {resp.status_code}")
+                retry_after = _retry_after_s(resp.headers.get("Retry-After"), self.config.timeout_s)
                 continue
             if resp.status_code != 200:
                 raise TransportError(f"{self.provider_id}: unexpected status {resp.status_code}")
@@ -173,6 +181,16 @@ class HttpProvider:
                 self._log.append(exchange)
             return exchange
         raise last_error or TransportError(f"{self.provider_id}: no attempts made")
+
+
+def _retry_after_s(header: str | None, cap: float) -> float | None:
+    """A ``Retry-After`` header given in seconds, capped at ``cap``; None
+    when it is absent or not a non-negative number (an HTTP date included)."""
+    try:
+        seconds = float(header)
+    except (TypeError, ValueError):
+        return None
+    return min(seconds, cap) if seconds >= 0 else None
 
 
 def _response_text(payload: Any, provider_id: str) -> str:

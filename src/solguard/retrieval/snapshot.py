@@ -198,8 +198,11 @@ class KbSnapshotStore(SnapshotStore[KbIndex]):
                 )
             )
 
+        embedder_id = meta.get("embedder")
+        if not isinstance(embedder_id, str):
+            raise SnapshotError(f"snapshot file {target / 'meta.json'} names no embedder")
         _read_jsonl(target / "chunks.jsonl", read)
-        return KbIndex(tuple(chunks), meta["embedder"], snapshot_version=int(meta["version"]))
+        return KbIndex(tuple(chunks), embedder_id, snapshot_version=int(meta["version"]))
 
 
 def _read_jsonl(path: Path, read: Callable[[dict], None]) -> None:
@@ -240,8 +243,11 @@ def _write_json(path: Path, payload: object) -> None:
 
 def _read_json(path: Path) -> dict:
     try:
-        return json.loads(path.read_text(encoding="utf-8"))
+        payload = json.loads(path.read_text(encoding="utf-8"))
     except FileNotFoundError as exc:
         raise SnapshotError(f"snapshot file {path} is missing") from exc
     except json.JSONDecodeError as exc:
         raise SnapshotError(f"snapshot file {path} is corrupt: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise SnapshotError(f"snapshot file {path} is corrupt: not a JSON object")
+    return payload

@@ -1,8 +1,19 @@
 """Term extraction for the contract-similarity index.
 
-Lowercases, splits on non-alphanumeric boundaries, and drops comments and
-string-literal contents before splitting. Kept independent from the full
-Solidity lexer so the two views cannot drift together.
+Drops comments and string literals, lowercases, and splits the rest into
+runs of ``[a-z0-9]``. Kept independent from the full Solidity lexer so the
+two views cannot drift together.
+
+One regex pass replaces each comment and string literal with a space:
+
+- ``//`` starts a line comment, which stops before its newline.
+- ``/*`` starts a block comment, which ends after the first ``*/`` that
+  begins after the opening ``/*`` (so ``/*/`` does not close it), or at the
+  end of the text.
+- ``"`` or ``'`` starts a string, which ends after the next unescaped quote
+  of the same kind or the next newline, or at the end of the text. Inside
+  it a backslash escapes the next character, a newline included, and may
+  stand last in the text.
 """
 
 from __future__ import annotations
@@ -10,41 +21,16 @@ from __future__ import annotations
 import re
 
 _TERM_RE = re.compile(r"[a-z0-9]+")
-
-
-def _strip_comments_and_strings(text: str) -> str:
-    out: list[str] = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if text.startswith("//", i):
-            j = text.find("\n", i)
-            i = n if j == -1 else j
-            continue
-        if text.startswith("/*", i):
-            j = text.find("*/", i + 2)
-            i = n if j == -1 else j + 2
-            out.append(" ")
-            continue
-        if ch in "\"'":
-            j = i + 1
-            while j < n:
-                if text[j] == "\\":
-                    j += 2
-                    continue
-                if text[j] == ch or text[j] == "\n":
-                    break
-                j += 1
-            i = min(j + 1, n)
-            out.append(" ")
-            continue
-        out.append(ch)
-        i += 1
-    return "".join(out)
+_STRIP_RE = re.compile(
+    r"//[^\n]*"
+    r"|/\*.*?(?:\*/|\Z)"
+    r'|"[^"\\\n]*(?:\\.?[^"\\\n]*)*["\n]?'
+    r"|'[^'\\\n]*(?:\\.?[^'\\\n]*)*['\n]?",
+    re.DOTALL,
+)
 
 
 def tokenize_for_tfidf(source: str) -> list[str]:
     """Lowercased alphanumeric terms of ``source``, comments and string
     contents excluded."""
-    return _TERM_RE.findall(_strip_comments_and_strings(source).lower())
+    return _TERM_RE.findall(_STRIP_RE.sub(" ", source).lower())

@@ -226,6 +226,28 @@ class TestKb:
         result = runner.invoke(main, ["kb", "build", "--index-root", str(tmp_path / "idx")])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("fault", ["corpus meta not an object", "kb meta without embedder"])
+    def test_status_on_corrupt_meta_is_processing_error(self, runner, built_index_root, tmp_path, fault):
+        index_root = tmp_path / "idx"
+        shutil.copytree(built_index_root, index_root)
+        if fault == "corpus meta not an object":
+            meta = index_root / "corpus" / "1" / "meta.json"
+            meta.write_text("[1]", encoding="utf-8")
+        else:
+            meta = index_root / "kb" / "1" / "meta.json"
+            payload = json.loads(meta.read_text(encoding="utf-8"))
+            del payload["embedder"]
+            meta.write_text(json.dumps(payload), encoding="utf-8")
+        status = runner.invoke(main, ["kb", "status", "--index-root", str(index_root)])
+        assert status.exit_code == EXIT_PROCESSING
+        assert isinstance(status.exception, SystemExit)
+        assert f"error: snapshot file {meta} " in status.output
+        config = write_pipeline_config(tmp_path / "cfg.yaml", index_root, tmp_path / "out", TRANSCRIPT)
+        for command in ("detect", "audit"):
+            result = runner.invoke(main, [command, str(FIXTURES / "safe.sol"), "-c", str(config)])
+            assert result.exit_code == EXIT_PROCESSING, command
+            assert f"error: snapshot file {meta} " in result.output
+
 
 class TestEval:
     def test_all_variants_five_rows(self, runner, eval_env, tmp_path):

@@ -228,6 +228,67 @@ class TestHttpProvider:
             ProviderConfig(kind="http-endpoint", model_id="remote")
 
 
+class _Reply:
+    def __init__(self, status_code: int, headers: dict[str, str] | None = None):
+        self.status_code = status_code
+        self.headers = headers or {}
+
+    def json(self):
+        return {"content": "after the wait"}
+
+
+@pytest.fixture
+def scripted_http(monkeypatch):
+    """Replaces ``requests.post`` with a queue of replies and ``time.sleep``
+    with a recorder; yields (replies, posts, sleeps)."""
+    replies: list[_Reply] = []
+    posts: list[str] = []
+    sleeps: list[float] = []
+
+    def post(url, **kwargs):
+        posts.append(url)
+        return replies.pop(0) if len(replies) > 1 else replies[0]
+
+    monkeypatch.setattr("solguard.llm.provider.requests.post", post)
+    monkeypatch.setattr("solguard.llm.provider.time.sleep", sleeps.append)
+    return replies, posts, sleeps
+
+
+class TestRateLimit:
+    def complete(self, **config):
+        # never contacted: requests.post is replaced
+        cfg = ProviderConfig(kind="http-endpoint", model_id="remote", endpoint="http://127.0.0.1:9/v1", **config)
+        return HttpProvider(cfg).complete("hello", role="detector")
+
+    def test_429_is_retried_after_its_retry_after_seconds(self, scripted_http):
+        replies, posts, sleeps = scripted_http
+        replies += [_Reply(429, {"Retry-After": "3"}), _Reply(200)]
+        assert self.complete().response == "after the wait"
+        assert len(posts) == 2
+        assert sleeps == [3.0]
+
+    def test_retry_after_is_capped_at_the_timeout(self, scripted_http):
+        replies, _, sleeps = scripted_http
+        replies += [_Reply(429, {"Retry-After": "120"}), _Reply(200)]
+        assert self.complete(timeout_s=5.0).response == "after the wait"
+        assert sleeps == [5.0]
+
+    @pytest.mark.parametrize("headers", [{}, {"Retry-After": "Wed, 21 Oct 2015 07:28:00 GMT"}, {"Retry-After": "-1"}])
+    def test_429_without_seconds_backs_off_as_for_server_errors(self, scripted_http, headers):
+        replies, _, sleeps = scripted_http
+        replies += [_Reply(429, headers), _Reply(200)]
+        assert self.complete().response == "after the wait"
+        assert sleeps == [0.05]
+
+    def test_429_counts_against_retry_count(self, scripted_http):
+        replies, posts, sleeps = scripted_http
+        replies.append(_Reply(429, {"Retry-After": "1"}))
+        with pytest.raises(TransportError, match="429"):
+            self.complete(retry_count=1)
+        assert len(posts) == 2
+        assert sleeps == [1.0]
+
+
 class _ScriptedProvider:
     """Returns queued responses in order; used to exercise the repair retry."""
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 import logging
 import math
 import random
+import re
 import tempfile
 from collections import Counter
 
@@ -83,6 +84,49 @@ def oracle_terms(source: str) -> list[str]:
     return terms
 
 
+def oracle_strip(text: str) -> str:
+    """The character walker that term extraction used before its one-regex
+    form, kept verbatim as the oracle for that regex."""
+    out: list[str] = []
+    i = 0
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if text.startswith("//", i):
+            j = text.find("\n", i)
+            i = n if j == -1 else j
+            continue
+        if text.startswith("/*", i):
+            j = text.find("*/", i + 2)
+            i = n if j == -1 else j + 2
+            out.append(" ")
+            continue
+        if ch in "\"'":
+            j = i + 1
+            while j < n:
+                if text[j] == "\\":
+                    j += 2
+                    continue
+                if text[j] == ch or text[j] == "\n":
+                    break
+                j += 1
+            i = min(j + 1, n)
+            out.append(" ")
+            continue
+        out.append(ch)
+        i += 1
+    return "".join(out)
+
+
+oracle_findall = re.compile(r"[a-z0-9]+").findall
+
+# structure characters weighted up against letters, digits, "_" and a
+# non-ASCII letter whose lowercase form holds an ASCII "i"
+STRUCTURE_HEAVY = st.text(
+    alphabet=st.sampled_from(list("/*\"'\\\n") * 3 + list("aZ9_ İ")), max_size=40
+)
+
+
 def oracle_tfidf(docs: list[list[str]]) -> tuple[dict[str, float], list[dict[str, float]]]:
     """Brute-force tf-idf: tf = count/len, idf = ln((1+N)/(1+df)) + 1, L2."""
     n = len(docs)
@@ -145,6 +189,31 @@ class TestTermExtraction:
 
     def test_splits_on_underscores(self):
         assert tokenize_for_tfidf("total_supply") == ["total", "supply"]
+
+    @settings(max_examples=2000, deadline=None)
+    @given(STRUCTURE_HEAVY)
+    def test_matches_character_walker(self, text):
+        assert tokenize_for_tfidf(text) == oracle_findall(oracle_strip(text).lower())
+
+    @pytest.mark.parametrize(
+        "text, terms",
+        [
+            ('a "open\nb', ["a", "b"]),  # an unterminated string ends at a newline
+            ('a "x\\\ny" b', ["a", "b"]),  # backslash-newline stays inside the string
+            ("a /*/ b */ c", ["a", "c"]),  # "/*/" does not close the comment
+            ("a /* b", ["a"]),  # an unclosed comment runs to the end
+            ('a "b\\', ["a"]),  # a trailing backslash ends the text
+            ('a "// b" c', ["a", "c"]),  # "//" inside a string is string content
+            ("a /* 'b */ c", ["a", "c"]),  # a quote inside a comment opens nothing
+            ("a // 'b\nc", ["a", "c"]),  # nor inside a line comment
+            ("a//b\nc", ["a", "c"]),  # a line comment keeps its newline
+            ("a/*b*/c", ["a", "c"]),  # a block comment separates terms
+            ('a "b\\" c" d', ["a", "d"]),  # an escaped quote does not end the string
+            ("a \"b' c\" d", ["a", "d"]),  # nor does a quote of the other kind
+        ],
+    )
+    def test_grammar_quirks(self, text, terms):
+        assert tokenize_for_tfidf(text) == terms == oracle_findall(oracle_strip(text).lower())
 
 
 # --- index construction -------------------------------------------------------

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import threading
 from pathlib import Path
@@ -141,6 +142,19 @@ class TestRoundTrip:
         for name in ("docs.jsonl", "idf.json"):
             assert (tmp_path / "b" / "1" / name).read_bytes() == (tmp_path / "a" / "1" / name).read_bytes()
 
+    def test_fixture_snapshot_bytes_are_pinned(self, tmp_path):
+        # any change to term extraction, weighting or the file format that
+        # alters the published bytes must update these digests on purpose
+        CorpusSnapshotStore(tmp_path).publish(build_corpus_index(load_corpus_file(FIXTURES / "corpus.jsonl")))
+        digests = {
+            name: hashlib.sha256((tmp_path / "1" / name).read_bytes()).hexdigest()
+            for name in ("docs.jsonl", "idf.json")
+        }
+        assert digests == {
+            "docs.jsonl": "40c1248fd6b537d89bbb45e77fcec437d9c9dad96009dbc50fca91263a20d964",
+            "idf.json": "c7ac17cb8a492c24d3760e960f1a2a13987f371c2380a1890107a4b3a9b99138",
+        }
+
 
 def edit_record(path: Path, lineno: int, edit) -> None:
     """Rewrite line ``lineno`` (1-based) of a JSONL file through ``edit``."""
@@ -200,4 +214,46 @@ class TestCorruptRecords:
         store.publish(build_kb_index(docs, HashingEmbedder()))
         edit_record(tmp_path / "1" / "chunks.jsonl", 2, KB_FAULTS[fault])
         with pytest.raises(SnapshotError, match=r"chunks\.jsonl:2: "):
+            store.load()
+
+
+def kb_store_with_docs(root: Path) -> KbSnapshotStore:
+    store = KbSnapshotStore(root)
+    store.publish(build_kb_index([KbDocument("d", "alpha beta", {})], HashingEmbedder()))
+    return store
+
+
+class TestCorruptMeta:
+    @pytest.mark.parametrize("kind", ["corpus", "kb"])
+    @pytest.mark.parametrize("payload", ["[1]", '"text"', "3"])
+    def test_non_object_meta_names_file(self, tmp_path, kind, payload):
+        if kind == "corpus":
+            store = CorpusSnapshotStore(tmp_path)
+            store.publish(corpus_for(1))
+        else:
+            store = kb_store_with_docs(tmp_path)
+        meta = tmp_path / "1" / "meta.json"
+        meta.write_text(payload, encoding="utf-8")
+        with pytest.raises(SnapshotError, match=f"{meta}.*not a JSON object"):
+            store.load()
+
+    def test_non_object_idf_names_file(self, tmp_path):
+        store = CorpusSnapshotStore(tmp_path)
+        store.publish(corpus_for(1))
+        idf = tmp_path / "1" / "idf.json"
+        idf.write_text("[0.5]", encoding="utf-8")
+        with pytest.raises(SnapshotError, match=f"{idf}.*not a JSON object"):
+            store.load()
+
+    @pytest.mark.parametrize("embedder", [None, 7])
+    def test_kb_meta_without_embedder_name_names_file(self, tmp_path, embedder):
+        store = kb_store_with_docs(tmp_path)
+        meta_path = tmp_path / "1" / "meta.json"
+        meta = json.loads(meta_path.read_text(encoding="utf-8"))
+        if embedder is None:
+            del meta["embedder"]
+        else:
+            meta["embedder"] = embedder
+        meta_path.write_text(json.dumps(meta), encoding="utf-8")
+        with pytest.raises(SnapshotError, match=f"{meta_path}.*embedder"):
             store.load()
