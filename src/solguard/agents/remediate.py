@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 import logging
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Callable, Sequence, TypeVar
 
 from solguard.core import (
     Channel,
@@ -19,7 +20,7 @@ from solguard.core import (
     VulnerabilityClass,
     byte_length,
 )
-from solguard.errors import ExtractionError, LexicalError, PipelineError
+from solguard.errors import ExtractionError, LexicalError, PipelineError, StructuralError
 from solguard.llm.prompts import (
     ADVISOR_TEMPLATE,
     ASSESSOR_TEMPLATE,
@@ -42,6 +43,26 @@ from solguard.static_analysis.scanner import scan
 from solguard.agents.detect import ask_structured
 
 log = logging.getLogger(__name__)
+
+# Per-finding advisor or assessor calls one contract keeps in flight at once.
+FINDING_CALLS_IN_FLIGHT = 4
+
+T = TypeVar("T")
+R = TypeVar("R")
+
+
+def _per_finding(call: Callable[[T], R], items: Sequence[T]) -> list[R]:
+    """``[call(item) for item in items]`` with the calls overlapped on up to
+    :data:`FINDING_CALLS_IN_FLIGHT` threads when there are two or more.
+
+    Results keep the items' order. If calls raise, the exception of the
+    earliest failing item propagates, as in the sequential loop; calls not
+    yet started are cancelled and those already running finish first.
+    """
+    if len(items) < 2:
+        return [call(item) for item in items]
+    with ThreadPoolExecutor(max_workers=min(len(items), FINDING_CALLS_IN_FLIGHT)) as pool:
+        return list(pool.map(call, items))
 
 
 def _reference_notes(kb_index: KbIndex | None, query: str, k: int) -> str:
@@ -76,42 +97,40 @@ def advise(
     provider: Provider,
     k: int = 5,
 ) -> list[RepairSuggestion]:
-    """One repair suggestion per finding, grounded in retrieved knowledge.
+    """One repair suggestion per finding, grounded in retrieved knowledge,
+    in findings order; the per-finding calls overlap.
 
     A suggestion that cannot be extracted even after the repair retry is
     recorded as incomplete; the pipeline carries on.
     """
     if not findings:
         raise PipelineError(f"{contract.id}: advise requires at least one finding")
-    suggestions: list[RepairSuggestion] = []
-    for finding in findings:
+
+    def suggest(finding: Finding) -> RepairSuggestion:
         prompt = build_advisor_prompt(contract, finding, kb_index, k)
         try:
             record = ask_structured(provider, "advisor", prompt, ADVISOR_SCHEMA)
-            suggestions.append(
-                RepairSuggestion(
-                    vulnerability_name=record["vulnerability_name"],
-                    cause_analysis=record["cause_analysis"],
-                    impact_assessment=record["impact_assessment"],
-                    repair_steps=tuple(str(s) for s in record["repair_steps"]),
-                    preventive_measures=tuple(str(s) for s in record["preventive_measures"]),
-                    finding=finding,
-                )
-            )
         except ExtractionError as exc:
             log.warning("%s: advisor output unusable for %s: %s", contract.id, finding.vuln_class.name, exc)
-            suggestions.append(
-                RepairSuggestion(
-                    vulnerability_name=finding.vuln_class.name,
-                    cause_analysis="",
-                    impact_assessment="",
-                    repair_steps=(),
-                    preventive_measures=(),
-                    finding=finding,
-                    complete=False,
-                )
+            return RepairSuggestion(
+                vulnerability_name=finding.vuln_class.name,
+                cause_analysis="",
+                impact_assessment="",
+                repair_steps=(),
+                preventive_measures=(),
+                finding=finding,
+                complete=False,
             )
-    return suggestions
+        return RepairSuggestion(
+            vulnerability_name=record["vulnerability_name"],
+            cause_analysis=record["cause_analysis"],
+            impact_assessment=record["impact_assessment"],
+            repair_steps=tuple(str(s) for s in record["repair_steps"]),
+            preventive_measures=tuple(str(s) for s in record["preventive_measures"]),
+            finding=finding,
+        )
+
+    return _per_finding(suggest, findings)
 
 
 @dataclass(frozen=True)
@@ -162,22 +181,25 @@ def assess(
 ) -> tuple[list[RiskAssignment], dict[str, int]]:
     """Risk level per finding plus the count-per-level distribution.
 
-    ``suggestions`` is empty or holds one entry per finding, in order. An
+    ``suggestions`` is empty or holds one entry per finding, in order; the
+    per-finding calls overlap and the levels come back in that order. An
     unusable model answer falls back to High, flagged, erring toward caution
     rather than silence.
     """
-    assignments: list[RiskAssignment] = []
-    paired = zip(findings, suggestions or [None] * len(findings), strict=True)
-    for finding, suggestion in paired:
+
+    def rate(pair: tuple[Finding, RepairSuggestion | None]) -> RiskAssignment:
+        finding, suggestion = pair
         prompt = build_assessor_prompt(contract, finding, suggestion, kb_index, k)
-        level, defaulted = RiskLevel.HIGH, True
         try:
             record = ask_structured(provider, "assessor", prompt, ASSESSOR_SCHEMA)
             raw = str(record["level"]).strip().title()
-            level, defaulted = RiskLevel(raw), False
+            return RiskAssignment(finding=finding, level=RiskLevel(raw))
         except (ExtractionError, ValueError) as exc:
             log.warning("%s: assessor output unusable for %s: %s", contract.id, finding.vuln_class.name, exc)
-        assignments.append(RiskAssignment(finding=finding, level=level, defaulted=defaulted))
+            return RiskAssignment(finding=finding, level=RiskLevel.HIGH, defaulted=True)
+
+    paired = list(zip(findings, suggestions or [None] * len(findings), strict=True))
+    assignments = _per_finding(rate, paired)
     distribution = {lvl.value: 0 for lvl in RiskLevel}
     for a in assignments:
         distribution[a.level.value] += 1
@@ -221,12 +243,13 @@ def fix(
     assignments: list[RiskAssignment],
     provider: Provider,
 ) -> Patch:
-    """Generate a patch; the repaired source must tokenize cleanly.
+    """Generate a patch; the repaired source must tokenize and segment cleanly.
 
     ``suggestions`` and ``assignments`` hold one entry per finding, in the
-    same order. An untokenizable answer earns one repair retry; a second
-    failure raises :class:`PipelineError`. The returned patch carries its
-    lexed source as :attr:`Patch.repaired`, which :func:`verify` reuses.
+    same order. An answer that does not tokenize or segment earns one repair
+    retry; a second failure raises :class:`PipelineError`. The returned patch
+    carries its lexed and segmented source as :attr:`Patch.repaired`, which
+    :func:`verify` reuses.
     """
     if not suggestions:
         raise PipelineError(f"{contract.id}: fix requires at least one suggestion")
@@ -247,16 +270,18 @@ def fix(
 
     patch = ask(prompt)
     try:
-        patch.repaired  # lexes the repaired source now, so verify need not
-    except LexicalError:
+        patch.repaired.view  # lexes and segments the repaired source now, so verify need not
+    except (LexicalError, StructuralError):
         patch = ask(
             f"{prompt}\n\nThe repaired source you returned does not lex as Solidity. "
             "Return the complete corrected source."
         )
         try:
-            patch.repaired
+            patch.repaired.view
         except LexicalError as exc:
             raise PipelineError(f"{contract.id}: repaired source does not tokenize: {exc}") from exc
+        except StructuralError as exc:
+            raise PipelineError(f"{contract.id}: repaired source does not segment: {exc}") from exc
     return patch
 
 

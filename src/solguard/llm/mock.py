@@ -101,13 +101,9 @@ class TranscriptRecorder:
         )
 
     def dump(self) -> str:
-        seen: set[str] = set()
-        lines: list[str] = []
-        for entry in self.entries:
-            line = json.dumps(entry, sort_keys=True)
-            if line not in seen:
-                seen.add(line)
-                lines.append(line)
+        """The distinct entries as sorted JSON lines, so the text does not
+        depend on the order in which overlapping calls finished."""
+        lines = sorted({json.dumps(entry, sort_keys=True) for entry in self.entries})
         return "\n".join(lines) + "\n"
 
     def write(self, path: str | Path) -> None:

@@ -487,6 +487,21 @@ class TestFixFailurePaths:
         assert run.stages == ("detect", "advise", "assess", "report")
         assert run.report is not None
 
+    def test_unsegmentable_patch_after_retry_records_fix_error(self):
+        responses = presign_fixture.scripted_responses()
+        responses["fixer"] = json.dumps(
+            {"repaired_source": "pragma solidity ^0.8.0;\ncontract A { function f() public {", "rationale": "r"}
+        )
+        ctx, recorders = presign_fixture.recording_context(responses)
+        run = run_pipeline(load_file(FIXTURES / "presign.sol", "presign"), ctx)
+        assert run.errors == {
+            "fix": "presign: repaired source does not segment: unbalanced braces at bytes 57..58"
+        }
+        assert len(recorders["fixer"].entries) == 2  # one repair retry
+        assert run.patch is None
+        assert run.stages == ("detect", "advise", "assess", "report")
+        assert run.report is not None
+
     def test_untokenizable_then_repaired_patch_succeeds(self):
         responses = presign_fixture.scripted_responses()
         good = responses["fixer"]
