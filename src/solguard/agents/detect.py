@@ -128,6 +128,17 @@ def ask_structured(
         return extract_structured(retry.response, schema)
 
 
+def reference_notes(kb_index: KbIndex | None, query: str, k: int) -> str:
+    """The ``k`` knowledge-base chunks nearest ``query``, rendered for a
+    prompt's reference-notes slot."""
+    if kb_index is None:
+        return NO_REFERENCES_NOTE
+    chunks = kb_search(query, kb_index, k)
+    if not chunks:
+        return NO_REFERENCES_NOTE
+    return "\n\n".join(f"[{c.doc_id}#{c.chunk_index}] {c.text}" for c in chunks)
+
+
 def build_detection_prompt(
     contract: SourceContract,
     mode: str = "weighted",
@@ -144,14 +155,13 @@ def build_detection_prompt(
             f"- {nb.contract_id} (label: {nb.label}, similarity: {nb.similarity:.4f})"
             for nb in neighbors
         )
-    notes = NO_REFERENCES_NOTE
-    if kb_index is not None:
-        chunks = kb_search(contract.source, kb_index, k=3)
-        if chunks:
-            notes = "\n\n".join(f"[{c.doc_id}#{c.chunk_index}] {c.text}" for c in chunks)
     return render_prompt(
         DETECTOR_ENRICHED_TEMPLATE,
-        {"code": contract.source, "similar_contracts": similar, "reference_notes": notes},
+        {
+            "code": contract.source,
+            "similar_contracts": similar,
+            "reference_notes": reference_notes(kb_index, contract.source, 3),
+        },
     )
 
 

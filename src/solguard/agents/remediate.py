@@ -25,7 +25,6 @@ from solguard.llm.prompts import (
     ADVISOR_TEMPLATE,
     ASSESSOR_TEMPLATE,
     FIXER_TEMPLATE,
-    NO_REFERENCES_NOTE,
     VERIFIER_TEMPLATE,
 )
 from solguard.llm.provider import Provider
@@ -36,11 +35,11 @@ from solguard.llm.structured import (
     VERIFIER_SCHEMA,
 )
 from solguard.llm.template import render_prompt
-from solguard.retrieval.kb import KbIndex, kb_search
+from solguard.retrieval.kb import KbIndex
 from solguard.static_analysis.rules import PatternRule
 from solguard.static_analysis.scanner import scan
 
-from solguard.agents.detect import ask_structured
+from solguard.agents.detect import ask_structured, reference_notes
 
 log = logging.getLogger(__name__)
 
@@ -65,19 +64,10 @@ def _per_finding(call: Callable[[T], R], items: Sequence[T]) -> list[R]:
         return list(pool.map(call, items))
 
 
-def _reference_notes(kb_index: KbIndex | None, query: str, k: int) -> str:
-    if kb_index is None:
-        return NO_REFERENCES_NOTE
-    chunks = kb_search(query, kb_index, k)
-    if not chunks:
-        return NO_REFERENCES_NOTE
-    return "\n\n".join(f"[{c.doc_id}#{c.chunk_index}] {c.text}" for c in chunks)
-
-
 def build_advisor_prompt(
     contract: SourceContract, finding: Finding, kb_index: KbIndex | None, k: int = 5
 ) -> str:
-    notes = _reference_notes(kb_index, f"{finding.vuln_class.name} {finding.evidence}", k)
+    notes = reference_notes(kb_index, f"{finding.vuln_class.name} {finding.evidence}", k)
     return render_prompt(
         ADVISOR_TEMPLATE,
         {
@@ -157,7 +147,7 @@ def build_assessor_prompt(
     summary = "(no suggestion available)"
     if suggestion is not None and suggestion.complete:
         summary = f"{suggestion.cause_analysis} Repair: {'; '.join(suggestion.repair_steps)}"
-    notes = _reference_notes(kb_index, f"{finding.vuln_class.name} severity impact", k)
+    notes = reference_notes(kb_index, f"{finding.vuln_class.name} severity impact", k)
     return render_prompt(
         ASSESSOR_TEMPLATE,
         {
@@ -321,16 +311,10 @@ def verify(
     model_passed = bool(record["passed"])
 
     rescan = scan(patch.repaired, ruleset)
-    original_keys = {(f.vuln_class.name, f.location.function) for f in original_findings}
-    rescan_keys = {(f.vuln_class.name, f.location.function) for f in rescan}
-    new_from_rescan = tuple(
-        f for f in rescan if (f.vuln_class.name, f.location.function) not in original_keys
-    )
-    still_present = {
-        (f.vuln_class.name, f.location.function)
-        for f in patch.addressed_findings
-        if (f.vuln_class.name, f.location.function) in rescan_keys
-    }
+    original_keys = {f.key for f in original_findings}
+    rescan_keys = {f.key for f in rescan}
+    new_from_rescan = tuple(f for f in rescan if f.key not in original_keys)
+    still_present = {f.key for f in patch.addressed_findings if f.key in rescan_keys}
 
     whole = Location(span=Span(0, byte_length(patch.repaired_source)), function="")
     model_new = tuple(
@@ -350,11 +334,7 @@ def verify(
 
     new_issues = new_from_rescan + model_new
     passed = model_passed and not new_issues and not still_present
-    eliminated = tuple(
-        f
-        for f in patch.addressed_findings
-        if (f.vuln_class.name, f.location.function) not in rescan_keys
-    )
+    eliminated = tuple(f for f in patch.addressed_findings if f.key not in rescan_keys)
     return VerificationResult(
         passed=passed,
         eliminated=eliminated,

@@ -40,7 +40,7 @@ def _basic_information(contract: SourceContract) -> str:
     lines = [
         f"- Contract id: {contract.id}",
         f"- Source size: {byte_length(contract.source)} bytes",
-        f"- Compiler pragma: {contract.pragma_version or '(none declared)'}",
+        f"- Compiler pragma: {view.pragma_version or '(none declared)'}",
         f"- Functions ({len(view.functions)}): {functions}",
         f"- State variables: {', '.join(sorted(view.state_variables)) or '(none)'}",
     ]

@@ -264,17 +264,31 @@ def cmd_kb() -> None:
     """Build, update, and inspect the retrieval index snapshots."""
 
 
-def _build_snapshots(corpus: str | None, docs: str | None, index_root: str) -> tuple[int | None, int | None]:
-    corpus_version = kb_version = None
-    if corpus:
-        store = CorpusSnapshotStore(Path(index_root) / "corpus")
-        index = build_corpus_index(load_corpus_file(corpus))
-        corpus_version = store.publish(index)
-    if docs:
-        store_kb = KbSnapshotStore(Path(index_root) / "kb")
-        index_kb = build_kb_index(load_kb_documents(docs), HashingEmbedder())
-        kb_version = store_kb.publish(index_kb)
-    return corpus_version, kb_version
+def _publish_snapshots(
+    command: str, corpus: str | None, docs: str | None, index_root: str, verbose: int
+) -> None:
+    """The body of ``kb build`` and ``kb update``: publish a new snapshot of
+    each source given. ``build`` refuses an index that already exists."""
+    _setup_logging(verbose)
+    if not corpus and not docs:
+        raise SystemExit(_usage_error(f"kb {command} needs --corpus and/or --docs"))
+    corpus_store = CorpusSnapshotStore(Path(index_root) / "corpus")
+    kb_store = KbSnapshotStore(Path(index_root) / "kb")
+    published: list[str] = []
+    try:
+        if command == "build" and (corpus_store.current_version() or kb_store.current_version()):
+            raise SystemExit(_usage_error(f"index under {index_root} already exists; use 'kb update'"))
+        if corpus:
+            version = corpus_store.publish(build_corpus_index(load_corpus_file(corpus)))
+            published.append(f"corpus: published version {version}")
+        if docs:
+            version = kb_store.publish(build_kb_index(load_kb_documents(docs), HashingEmbedder()))
+            published.append(f"kb: published version {version}")
+    except SolguardError as exc:
+        raise SystemExit(_processing_error(str(exc)))
+    for line in published:
+        click.echo(line)
+    sys.exit(EXIT_OK)
 
 
 @cmd_kb.command("build")
@@ -284,20 +298,7 @@ def _build_snapshots(corpus: str | None, docs: str | None, index_root: str) -> t
 @click.option("-v", "--verbose", count=True)
 def cmd_kb_build(corpus, docs, index_root, verbose):
     """Create the first snapshot of the corpus and/or knowledge base."""
-    _setup_logging(verbose)
-    if not corpus and not docs:
-        raise SystemExit(_usage_error("kb build needs --corpus and/or --docs"))
-    existing = CorpusSnapshotStore(Path(index_root) / "corpus").current_version() or KbSnapshotStore(
-        Path(index_root) / "kb"
-    ).current_version()
-    if existing:
-        raise SystemExit(_usage_error(f"index under {index_root} already exists; use 'kb update'"))
-    try:
-        corpus_version, kb_version = _build_snapshots(corpus, docs, index_root)
-    except SolguardError as exc:
-        raise SystemExit(_processing_error(str(exc)))
-    _echo_versions(corpus_version, kb_version)
-    sys.exit(EXIT_OK)
+    _publish_snapshots("build", corpus, docs, index_root, verbose)
 
 
 @cmd_kb.command("update")
@@ -311,22 +312,7 @@ def cmd_kb_update(corpus, docs, index_root, verbose):
     Audits already running keep the snapshot they loaded; a failed build
     leaves the pointer untouched.
     """
-    _setup_logging(verbose)
-    if not corpus and not docs:
-        raise SystemExit(_usage_error("kb update needs --corpus and/or --docs"))
-    try:
-        corpus_version, kb_version = _build_snapshots(corpus, docs, index_root)
-    except SolguardError as exc:
-        raise SystemExit(_processing_error(str(exc)))
-    _echo_versions(corpus_version, kb_version)
-    sys.exit(EXIT_OK)
-
-
-def _echo_versions(corpus_version: int | None, kb_version: int | None) -> None:
-    if corpus_version is not None:
-        click.echo(f"corpus: published version {corpus_version}")
-    if kb_version is not None:
-        click.echo(f"kb: published version {kb_version}")
+    _publish_snapshots("update", corpus, docs, index_root, verbose)
 
 
 @cmd_kb.command("status")

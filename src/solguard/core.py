@@ -97,7 +97,6 @@ class SourceContract:
     id: str
     source: str
     token_stream: tuple[Token, ...] = ()
-    pragma_version: str | None = None
 
     def __post_init__(self) -> None:
         limit = byte_length(self.source)
@@ -159,6 +158,12 @@ class Finding:
     def __post_init__(self) -> None:
         if not 0.0 <= self.confidence <= 1.0:
             raise ValueError(f"confidence {self.confidence} outside [0, 1]")
+
+    @property
+    def key(self) -> tuple[str, str]:
+        """The defect's identity, (class name, enclosing function): findings
+        that share it report the same weakness."""
+        return (self.vuln_class.name, self.location.function)
 
     def to_payload(self) -> dict[str, Any]:
         return {
@@ -341,8 +346,8 @@ class AuditReport:
 def merge_findings(lists: Iterable[Iterable[Finding]]) -> list[Finding]:
     """Merge findings from several channels into one deduplicated list.
 
-    Findings that share (class name, enclosing function) are considered the
-    same defect reported by different channels; the highest-confidence
+    Findings that share a :attr:`Finding.key` are considered the same
+    defect reported by different channels; the highest-confidence
     instance wins. Output is sorted by location ascending. All findings must
     reference the same contract.
     """
@@ -355,10 +360,9 @@ def merge_findings(lists: Iterable[Iterable[Finding]]) -> list[Finding]:
 
     best: dict[tuple[str, str], Finding] = {}
     for f in flat:
-        key = (f.vuln_class.name, f.location.function)
-        cur = best.get(key)
+        cur = best.get(f.key)
         if cur is None or (f.confidence, f.channel.value) > (cur.confidence, cur.channel.value):
-            best[key] = f
+            best[f.key] = f
     return sorted(
         best.values(),
         key=lambda f: (f.location.span.start, f.location.span.end, f.vuln_class.name),

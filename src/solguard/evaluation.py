@@ -6,7 +6,6 @@ the fraction of safe contracts flagged vulnerable.
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass
 from pathlib import Path
@@ -17,6 +16,7 @@ from solguard.agents.detect import fuse_channels, run_channels
 from solguard.agents.pipeline import PipelineContext
 from solguard.core import Channel, ChannelResult
 from solguard.errors import DatasetError, SolguardError
+from solguard.jsonl import DatasetEntry, load_labeled_records
 from solguard.static_analysis.scanner import load_source
 
 log = logging.getLogger(__name__)
@@ -54,15 +54,6 @@ def normalize_variant(name: str) -> str:
 
 
 @dataclass(frozen=True)
-class DatasetEntry:
-    contract_id: str
-    source: str
-    label: str  # safe | vulnerable
-    classes: tuple[str, ...] = ()
-    split: str = ""
-
-
-@dataclass(frozen=True)
 class LabeledDataset:
     entries: tuple[DatasetEntry, ...]
 
@@ -74,45 +65,7 @@ class LabeledDataset:
 
 def load_dataset(path: str | Path) -> LabeledDataset:
     """Read a line-delimited dataset: {id, label, source|source_path, classes?, split?}."""
-    p = Path(path)
-    entries: list[DatasetEntry] = []
-    seen: set[str] = set()
-    try:
-        lines = p.read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
-        raise DatasetError(f"cannot read dataset {p}: {exc}") from exc
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        try:
-            rec = json.loads(line)
-            contract_id = rec["id"]
-            label = rec["label"]
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
-            raise DatasetError(f"{p}:{lineno}: bad dataset record: {exc}") from exc
-        if label not in ("safe", "vulnerable"):
-            raise DatasetError(f"{p}:{lineno}: label must be safe|vulnerable, got {label!r}")
-        if contract_id in seen:
-            raise DatasetError(f"{p}:{lineno}: duplicate contract id {contract_id!r}")
-        seen.add(contract_id)
-        if "source" in rec:
-            source = rec["source"]
-        elif "source_path" in rec:
-            source = (p.parent / rec["source_path"]).read_text(encoding="utf-8")
-        else:
-            raise DatasetError(f"{p}:{lineno}: record needs source or source_path")
-        entries.append(
-            DatasetEntry(
-                contract_id=contract_id,
-                source=source,
-                label=label,
-                classes=tuple(rec.get("classes", [])),
-                split=rec.get("split", ""),
-            )
-        )
-    if not entries:
-        raise DatasetError(f"{p}: dataset is empty")
-    return LabeledDataset(tuple(entries))
+    return LabeledDataset(tuple(load_labeled_records(path)))
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,7 @@ from pathlib import Path
 from typing import Callable
 
 from solguard.errors import TranscriptError
+from solguard.jsonl import read_jsonl
 from solguard.llm.provider import ChatExchange, ExchangeLog, ProviderConfig
 
 UNKNOWN_RESPONSE = "UNKNOWN"
@@ -28,23 +29,14 @@ def prompt_fingerprint(prompt: str) -> str:
 def load_transcript(path: str | Path) -> dict[tuple[str, str], str]:
     """Map (role, fingerprint) -> response from a transcript file."""
     entries: dict[tuple[str, str], str] = {}
-    p = Path(path)
-    try:
-        lines = p.read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
-        raise TranscriptError(f"cannot read transcript {p}: {exc}") from exc
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        try:
-            rec = json.loads(line)
-            key = (rec["role"], rec["fingerprint"])
-            response = rec["response"]
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
-            raise TranscriptError(f"{p}:{lineno}: malformed transcript record: {exc}") from exc
+
+    def read(rec: dict) -> None:
+        key, response = (rec["role"], rec["fingerprint"]), rec["response"]
         if not isinstance(response, str):
-            raise TranscriptError(f"{p}:{lineno}: response must be a string")
+            raise ValueError("response must be a string")
         entries[key] = response
+
+    read_jsonl(path, read, TranscriptError)
     return entries
 
 

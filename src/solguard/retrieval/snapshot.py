@@ -14,13 +14,15 @@ directory unreferenced.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import os
 from pathlib import Path
-from typing import Callable, Generic, TypeVar
+from typing import Generic, TypeVar
 
 from solguard.errors import SnapshotError
+from solguard.jsonl import read_jsonl
 from solguard.retrieval.kb import KbChunk, KbIndex
 from solguard.retrieval.tfidf import CorpusDocument, CorpusIndex, Postings, add_postings, l2_norm
 
@@ -45,7 +47,7 @@ class SnapshotStore(Generic[T]):
             return int(pointer.read_text(encoding="utf-8").strip())
         except FileNotFoundError:
             return None
-        except ValueError as exc:
+        except (OSError, ValueError) as exc:
             raise SnapshotError(f"corrupt pointer file {pointer}: {exc}") from exc
 
     def publish(self, index: T) -> int:
@@ -53,8 +55,7 @@ class SnapshotStore(Generic[T]):
         version = self._next_version()
         target = self.root / str(version)
         target.mkdir(parents=True, exist_ok=False)
-        stamped = self._with_version(index, version)
-        self._write_files(target, stamped)
+        self._write_files(target, dataclasses.replace(index, snapshot_version=version))
         self._activate(version)
         return version
 
@@ -96,9 +97,6 @@ class SnapshotStore(Generic[T]):
         tmp.write_text(f"{version}\n", encoding="utf-8")
         os.replace(tmp, pointer)
 
-    def _with_version(self, index: T, version: int) -> T:
-        raise NotImplementedError
-
     def _write_files(self, target: Path, index: T) -> None:
         raise NotImplementedError
 
@@ -108,9 +106,6 @@ class SnapshotStore(Generic[T]):
 
 class CorpusSnapshotStore(SnapshotStore[CorpusIndex]):
     kind = "corpus"
-
-    def _with_version(self, index: CorpusIndex, version: int) -> CorpusIndex:
-        return CorpusIndex(index.documents, index.idf, index.postings, snapshot_version=version)
 
     def _write_files(self, target: Path, index: CorpusIndex) -> None:
         _write_json(target / "idf.json", index.idf)
@@ -144,15 +139,12 @@ class CorpusSnapshotStore(SnapshotStore[CorpusIndex]):
             add_postings(postings, len(documents), vector)
             documents.append(doc)
 
-        _read_jsonl(target / "docs.jsonl", read)
+        read_jsonl(target / "docs.jsonl", read, SnapshotError)
         return CorpusIndex(tuple(documents), idf, postings, snapshot_version=int(meta["version"]))
 
 
 class KbSnapshotStore(SnapshotStore[KbIndex]):
     kind = "kb"
-
-    def _with_version(self, index: KbIndex, version: int) -> KbIndex:
-        return KbIndex(index.chunks, index.embedder_id, snapshot_version=version)
 
     def _write_files(self, target: Path, index: KbIndex) -> None:
         with open(target / "chunks.jsonl", "w", encoding="utf-8") as fh:
@@ -201,27 +193,8 @@ class KbSnapshotStore(SnapshotStore[KbIndex]):
         embedder_id = meta.get("embedder")
         if not isinstance(embedder_id, str):
             raise SnapshotError(f"snapshot file {target / 'meta.json'} names no embedder")
-        _read_jsonl(target / "chunks.jsonl", read)
+        read_jsonl(target / "chunks.jsonl", read, SnapshotError)
         return KbIndex(tuple(chunks), embedder_id, snapshot_version=int(meta["version"]))
-
-
-def _read_jsonl(path: Path, read: Callable[[dict], None]) -> None:
-    """Call ``read`` on the JSON record of each non-blank line of ``path``;
-    a fault in any line is a SnapshotError naming ``<file>:<line>``."""
-    try:
-        fh = open(path, encoding="utf-8")
-    except FileNotFoundError as exc:
-        raise SnapshotError(f"snapshot file {path} is missing") from exc
-    with fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                read(json.loads(line))
-            except KeyError as exc:
-                raise SnapshotError(f"{path}:{lineno}: record has no {exc} field") from exc
-            except (TypeError, ValueError) as exc:
-                raise SnapshotError(f"{path}:{lineno}: bad record: {exc}") from exc
 
 
 def _checked_norm(vector: object) -> float:
@@ -244,9 +217,9 @@ def _write_json(path: Path, payload: object) -> None:
 def _read_json(path: Path) -> dict:
     try:
         payload = json.loads(path.read_text(encoding="utf-8"))
-    except FileNotFoundError as exc:
-        raise SnapshotError(f"snapshot file {path} is missing") from exc
-    except json.JSONDecodeError as exc:
+    except OSError as exc:
+        raise SnapshotError(f"snapshot file {path} cannot be read: {exc}") from exc
+    except ValueError as exc:
         raise SnapshotError(f"snapshot file {path} is corrupt: {exc}") from exc
     if not isinstance(payload, dict):
         raise SnapshotError(f"snapshot file {path} is corrupt: not a JSON object")

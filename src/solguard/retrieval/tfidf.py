@@ -10,7 +10,6 @@ linearly, rank 1 heaviest, weights summing to 1.
 from __future__ import annotations
 
 import heapq
-import json
 import logging
 import math
 from array import array
@@ -31,7 +30,7 @@ from solguard.core import (
     VulnerabilityClass,
     byte_length,
 )
-from solguard.errors import DatasetError
+from solguard.jsonl import load_labeled_records
 from solguard.retrieval.terms import tokenize_for_tfidf
 
 log = logging.getLogger(__name__)
@@ -96,15 +95,7 @@ class CorpusIndex:
     def vectorize(self, terms: Iterable[str]) -> TfIdfVector:
         """Project a term list into this index's weighting space."""
         counts = Counter(terms)
-        total = sum(counts.values())
-        if total == 0:
-            return TfIdfVector({})
-        raw = {
-            term: (count / total) * self.idf[term]
-            for term, count in counts.items()
-            if term in self.idf
-        }
-        return _l2_normalize(raw)
+        return _tfidf_vector(counts, sum(counts.values()), self.idf)
 
     def document_weights(self) -> list[dict[str, float]]:
         """Each document's term->weight map, regrouped from the postings."""
@@ -134,10 +125,13 @@ class RetrievalConfig:
             raise ValueError("k must be >= 1")
 
 
-def _l2_normalize(raw: dict[str, float]) -> TfIdfVector:
+def _tfidf_vector(counts: Counter[str], total: int, idf: dict[str, float]) -> TfIdfVector:
+    """The L2-normalized ``(count / total) * idf`` weights of the counted
+    terms that ``idf`` knows."""
+    raw = {term: (count / total) * idf[term] for term, count in counts.items() if term in idf}
     norm = l2_norm(raw)
     if norm == 0.0:
-        return TfIdfVector(dict(raw), 0.0)
+        return TfIdfVector(raw, 0.0)
     return TfIdfVector({t: w / norm for t, w in raw.items()}, 1.0)
 
 
@@ -158,14 +152,9 @@ def build_corpus_index(
     documents: list[CorpusDocument] = []
     postings: Postings = {}
     for (doc_id, label, classes, _), terms in zip(docs, term_lists):
-        total = len(terms)
-        if total == 0:
+        if not terms:
             log.warning("corpus document %s has no terms; indexing a zero vector", doc_id)
-            vector = TfIdfVector({})
-        else:
-            counts = Counter(terms)
-            raw = {term: (count / total) * idf[term] for term, count in counts.items()}
-            vector = _l2_normalize(raw)
+        vector = _tfidf_vector(Counter(terms), len(terms), idf)
         add_postings(postings, len(documents), vector.weights)
         documents.append(CorpusDocument(doc_id, label, tuple(classes), vector.norm))
     return CorpusIndex(tuple(documents), idf, postings, snapshot_version)
@@ -252,35 +241,9 @@ def retrieval_channel(
 
 
 def load_corpus_file(path: str | Path) -> list[tuple[str, str, tuple[str, ...], str]]:
-    """Read a line-delimited corpus file.
+    """Read a line-delimited corpus file as (id, label, classes, source) tuples.
 
     Each line is a JSON record {id, label, classes?, source | source_path};
     source_path is resolved relative to the corpus file.
     """
-    p = Path(path)
-    docs: list[tuple[str, str, tuple[str, ...], str]] = []
-    seen: set[str] = set()
-    for lineno, line in enumerate(p.read_text(encoding="utf-8").splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            rec = json.loads(line)
-            doc_id = rec["id"]
-            label = rec["label"]
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
-            raise DatasetError(f"{p}:{lineno}: bad corpus record: {exc}") from exc
-        if label not in ("safe", "vulnerable"):
-            raise DatasetError(f"{p}:{lineno}: label must be safe|vulnerable, got {label!r}")
-        if doc_id in seen:
-            raise DatasetError(f"{p}:{lineno}: duplicate contract id {doc_id!r}")
-        seen.add(doc_id)
-        if "source" in rec:
-            source = rec["source"]
-        elif "source_path" in rec:
-            source = (p.parent / rec["source_path"]).read_text(encoding="utf-8")
-        else:
-            raise DatasetError(f"{p}:{lineno}: record needs source or source_path")
-        docs.append((doc_id, label, tuple(rec.get("classes", [])), source))
-    if not docs:
-        raise DatasetError(f"{p}: corpus file is empty")
-    return docs
+    return [(e.contract_id, e.label, e.classes, e.source) for e in load_labeled_records(path)]

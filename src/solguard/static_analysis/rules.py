@@ -16,11 +16,10 @@ import yaml
 
 from solguard.core import Token, TokenKind, VulnerabilityClass
 from solguard.errors import RulesetError
-from solguard.static_analysis.structure import ContractView, FunctionSpan
+from solguard.static_analysis.structure import ASSIGNMENT_OPS, ContractView, FunctionSpan, assignment_roots
 
 _CONDITION_OPENERS = frozenset({"require", "if", "while"})
 _ARITHMETIC_OPS = frozenset({"+", "-", "*", "+=", "-=", "*=", "++", "--"})
-_ASSIGNMENT_OPS = frozenset({"=", "+=", "-=", "*=", "/=", "%=", "|=", "&=", "^=", "<<=", ">>="})
 
 
 @dataclass(frozen=True)
@@ -39,15 +38,9 @@ class PatternRule:
             raise RulesetError(f"rule {self.rule_id}: unknown matcher type {mtype!r}")
 
 
-@dataclass(frozen=True)
-class Match:
-    """Where a rule fired inside one function."""
-
-    token_index: int  # index into the function's body tokens
-
-
-def evaluate_rule(rule: PatternRule, fn: FunctionSpan, view: ContractView) -> Match | None:
-    """Deterministically evaluate one rule against one function scope."""
+def evaluate_rule(rule: PatternRule, fn: FunctionSpan, view: ContractView) -> int | None:
+    """Deterministically evaluate one rule against one function scope: the
+    index into the function's body tokens where it fired, or None."""
     return _MATCHERS[rule.matcher["type"]](rule.matcher, fn, view)
 
 
@@ -107,32 +100,21 @@ def _statement_start(body: tuple[Token, ...], idx: int) -> int:
 
 def _match_external_call_before_state_write(
     spec: dict[str, Any], fn: FunctionSpan, view: ContractView
-) -> Match | None:
+) -> int | None:
     members = frozenset(spec.get("call_members", ["call", "send", "transfer"]))
     body = fn.body_tokens
     sites = _member_call_sites(body, members)
     if not sites:
         return None
     first_call = sites[0]
-    for idx in range(first_call + 1, len(body)):
-        tok = body[idx]
-        is_assign = (tok.kind is TokenKind.PUNCT and tok.lexeme in _ASSIGNMENT_OPS) or tok.lexeme in ("++", "--")
-        if not is_assign:
-            continue
-        stmt = body[_statement_start(body, idx) : idx]
-        for t in stmt:
-            if t.kind is TokenKind.IDENT:
-                if t.lexeme in view.state_variables:
-                    return Match(first_call)
-                break
-            if t.kind is TokenKind.KEYWORD or t.lexeme == "(":
-                break
+    if any(idx > first_call and root in view.state_variables for idx, root in assignment_roots(body)):
+        return first_call
     return None
 
 
 def _match_unguarded_state_mutator(
     spec: dict[str, Any], fn: FunctionSpan, view: ContractView
-) -> Match | None:
+) -> int | None:
     if fn.kind == "constructor":
         return None
     externally_callable = fn.visibility in ("public", "external") or fn.kind in ("fallback", "receive")
@@ -142,39 +124,39 @@ def _match_unguarded_state_mutator(
         return None
     if _has_sender_guard(fn.body_tokens):
         return None
-    return Match(0)
+    return 0
 
 
 def _match_unchecked_arithmetic(
     spec: dict[str, Any], fn: FunctionSpan, view: ContractView
-) -> Match | None:
+) -> int | None:
     major, minor = (int(p) for p in str(spec.get("flag_below", "0.8")).split("."))
     if not view.pragma_below(major, minor):
         return None
-    if any(view.has_lexeme(marker) for marker in spec.get("guard_markers", ["SafeMath"])):
+    if any(marker in view.lexemes for marker in spec.get("guard_markers", ["SafeMath"])):
         return None
     for idx, tok in enumerate(fn.body_tokens):
         if tok.kind is TokenKind.PUNCT and tok.lexeme in _ARITHMETIC_OPS:
-            return Match(idx)
+            return idx
     return None
 
 
 def _match_token_sequence_in_condition(
     spec: dict[str, Any], fn: FunctionSpan, view: ContractView
-) -> Match | None:
+) -> int | None:
     body = fn.body_tokens
     inside = _condition_indices(body)
     for seq in spec["sequences"]:
         m = len(seq)
         for k in range(len(body) - m + 1):
             if all(body[k + o].lexeme == seq[o] for o in range(m)) and k in inside:
-                return Match(k)
+                return k
     return None
 
 
 def _match_unchecked_call_result(
     spec: dict[str, Any], fn: FunctionSpan, view: ContractView
-) -> Match | None:
+) -> int | None:
     members = frozenset(spec.get("call_members", ["call", "delegatecall", "staticcall", "send"]))
     body = fn.body_tokens
     inside = _condition_indices(body)
@@ -183,15 +165,15 @@ def _match_unchecked_call_result(
             continue  # checked inline, e.g. require(addr.send(x))
         start = _statement_start(body, k)
         stmt_before = body[start:k]
-        if any(t.lexeme in _ASSIGNMENT_OPS and t.kind is TokenKind.PUNCT for t in stmt_before):
+        if any(t.lexeme in ASSIGNMENT_OPS and t.kind is TokenKind.PUNCT for t in stmt_before):
             continue  # return value captured
         if stmt_before and stmt_before[0].lexeme in ("require", "if", "return", "assert", "while"):
             continue
-        return Match(k)
+        return k
     return None
 
 
-def _match_unguarded_token(spec: dict[str, Any], fn: FunctionSpan, view: ContractView) -> Match | None:
+def _match_unguarded_token(spec: dict[str, Any], fn: FunctionSpan, view: ContractView) -> int | None:
     if fn.kind == "constructor":
         return None
     wanted = spec["token"]
@@ -201,22 +183,22 @@ def _match_unguarded_token(spec: dict[str, Any], fn: FunctionSpan, view: Contrac
                 return None
             if _has_sender_guard(fn.body_tokens):
                 return None
-            return Match(idx)
+            return idx
     return None
 
 
 def _match_member_call_on_parameter(
     spec: dict[str, Any], fn: FunctionSpan, view: ContractView
-) -> Match | None:
+) -> int | None:
     member = spec["member"]
     body = fn.body_tokens
     for k in _member_call_sites(body, frozenset({member})):
         if k >= 2 and body[k - 2].kind is TokenKind.IDENT and body[k - 2].lexeme in fn.params:
-            return Match(k)
+            return k
     return None
 
 
-_MATCHERS: dict[str, Callable[[dict[str, Any], FunctionSpan, ContractView], Match | None]] = {
+_MATCHERS: dict[str, Callable[[dict[str, Any], FunctionSpan, ContractView], int | None]] = {
     "external_call_before_state_write": _match_external_call_before_state_write,
     "unguarded_state_mutator": _match_unguarded_state_mutator,
     "unchecked_arithmetic": _match_unchecked_arithmetic,

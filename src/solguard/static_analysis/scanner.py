@@ -16,20 +16,14 @@ from solguard.core import (
     normalize_text,
 )
 from solguard.static_analysis.rules import PatternRule, evaluate_rule
-from solguard.static_analysis.structure import parse_pragma
 from solguard.static_analysis.tokenizer import tokenize_solidity
 
 
 def load_source(contract_id: str, text: str) -> SourceContract:
-    """Build a contract from raw text: LF-normalize, tokenize, read the pragma."""
+    """Build a contract from raw text: LF-normalize, tokenize."""
     source = normalize_text(text)
     stream = tokenize_solidity(source)
-    return SourceContract(
-        id=contract_id,
-        source=source,
-        token_stream=stream.tokens,
-        pragma_version=parse_pragma(stream.tokens),
-    )
+    return SourceContract(id=contract_id, source=source, token_stream=stream.tokens)
 
 
 def load_file(path: str | Path, contract_id: str | None = None) -> SourceContract:
@@ -58,10 +52,10 @@ def scan(contract: SourceContract, ruleset: list[PatternRule]) -> list[Finding]:
     findings: list[Finding] = []
     for fn in view.functions:
         for rule in ruleset:
-            match = evaluate_rule(rule, fn, view)
-            if match is None:
+            fired = evaluate_rule(rule, fn, view)
+            if fired is None:
                 continue
-            tok = fn.body_tokens[match.token_index]
+            tok = fn.body_tokens[fired]
             findings.append(
                 Finding(
                     contract_id=contract.id,

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from solguard.core import Span, Token, TokenKind
 from solguard.errors import StructuralError
@@ -17,7 +18,7 @@ VISIBILITY_KEYWORDS = ("public", "external", "internal", "private")
 _MUTABILITY_KEYWORDS = frozenset({"pure", "view", "payable", "constant"})
 _DECLARATION_KEYWORDS = frozenset({"function", "constructor", "fallback", "receive"})
 _CONTAINER_KEYWORDS = frozenset({"contract", "interface", "library"})
-_ASSIGNMENT_OPS = frozenset({"=", "+=", "-=", "*=", "/=", "%=", "|=", "&=", "^=", "<<=", ">>="})
+ASSIGNMENT_OPS = frozenset({"=", "+=", "-=", "*=", "/=", "%=", "|=", "&=", "^=", "<<=", ">>="})
 _VERSION_RE = re.compile(r"\d+\.\d+(\.\d+)?")
 
 
@@ -55,9 +56,6 @@ class ContractView:
         parts = [int(p) for p in m.group(0).split(".")]
         return (parts[0], parts[1]) < (major, minor)
 
-    def has_lexeme(self, lexeme: str) -> bool:
-        return lexeme in self.lexemes
-
 
 def _check_balanced(tokens: tuple[Token, ...]) -> None:
     stack: list[Token] = []
@@ -72,31 +70,24 @@ def _check_balanced(tokens: tuple[Token, ...]) -> None:
         raise StructuralError("unbalanced braces", stack[-1].span)
 
 
-def _match_brace(tokens: tuple[Token, ...], open_idx: int) -> int:
-    """Index of the ``}`` matching the ``{`` at ``open_idx``."""
+# opening bracket -> (its closer, the fault when none matches)
+_CLOSERS = {"{": ("}", "unbalanced braces"), "(": (")", "unclosed parenthesis")}
+
+
+def _match_close(tokens: tuple[Token, ...], open_idx: int) -> int:
+    """Index of the ``}`` or ``)`` matching the bracket at ``open_idx``."""
+    opener = tokens[open_idx].lexeme
+    closer, fault = _CLOSERS[opener]
     depth = 0
     for i in range(open_idx, len(tokens)):
         lex = tokens[i].lexeme
-        if lex == "{":
+        if lex == opener:
             depth += 1
-        elif lex == "}":
+        elif lex == closer:
             depth -= 1
             if depth == 0:
                 return i
-    raise StructuralError("unbalanced braces", tokens[open_idx].span)
-
-
-def _match_paren(tokens: tuple[Token, ...], open_idx: int) -> int:
-    depth = 0
-    for i in range(open_idx, len(tokens)):
-        lex = tokens[i].lexeme
-        if lex == "(":
-            depth += 1
-        elif lex == ")":
-            depth -= 1
-            if depth == 0:
-                return i
-    raise StructuralError("unclosed parenthesis", tokens[open_idx].span)
+    raise StructuralError(fault, tokens[open_idx].span)
 
 
 def _param_names(tokens: tuple[Token, ...], open_idx: int, close_idx: int) -> tuple[str, ...]:
@@ -130,8 +121,10 @@ def segment_functions(tokens: tuple[Token, ...]) -> list[FunctionSpan]:
     skipped. Raises :class:`StructuralError` on unbalanced braces, pointing
     at the last unmatched opening brace.
     """
-    _check_balanced(tokens)
-    state_vars = collect_state_variables(tokens)
+    return list(build_view(tokens).functions)
+
+
+def _function_spans(tokens: tuple[Token, ...], state_vars: frozenset[str]) -> list[FunctionSpan]:
     spans: list[FunctionSpan] = []
     i = 0
     n = len(tokens)
@@ -150,7 +143,7 @@ def segment_functions(tokens: tuple[Token, ...]) -> list[FunctionSpan]:
         # parameter list
         params: tuple[str, ...] = ()
         if j < n and tokens[j].lexeme == "(":
-            close = _match_paren(tokens, j)
+            close = _match_close(tokens, j)
             params = _param_names(tokens, j, close)
             j = close + 1
         # header up to the body brace or a bodyless `;`
@@ -162,16 +155,16 @@ def segment_functions(tokens: tuple[Token, ...]) -> list[FunctionSpan]:
                 if h.lexeme in VISIBILITY_KEYWORDS:
                     visibility = h.lexeme
                 elif h.lexeme in ("returns", "override") and j + 1 < n and tokens[j + 1].lexeme == "(":
-                    j = _match_paren(tokens, j + 1)
+                    j = _match_close(tokens, j + 1)
             elif h.kind is TokenKind.IDENT:
                 modifiers.append(h.lexeme)
                 if j + 1 < n and tokens[j + 1].lexeme == "(":  # modifier arguments
-                    j = _match_paren(tokens, j + 1)
+                    j = _match_close(tokens, j + 1)
             j += 1
         if j >= n or tokens[j].lexeme == ";":
             i = j + 1
             continue
-        close = _match_brace(tokens, j)
+        close = _match_close(tokens, j)
         body = tokens[j : close + 1]
         spans.append(
             FunctionSpan(
@@ -191,7 +184,7 @@ def segment_functions(tokens: tuple[Token, ...]) -> list[FunctionSpan]:
 
 def _mutates_state(body: tuple[Token, ...], state_vars: frozenset[str]) -> bool:
     """Writes to a storage variable, or moves value out via a call."""
-    if statement_roots_of_assignments(body) & state_vars:
+    if any(root in state_vars for _, root in assignment_roots(body)):
         return True
     for k in range(len(body) - 1):
         if body[k].lexeme == "." and body[k + 1].lexeme in ("transfer", "send"):
@@ -207,28 +200,26 @@ def _mutates_state(body: tuple[Token, ...], state_vars: frozenset[str]) -> bool:
     return False
 
 
-def statement_roots_of_assignments(body: tuple[Token, ...]) -> frozenset[str]:
-    """Root identifiers of statements that perform an assignment.
+def assignment_roots(body: tuple[Token, ...]) -> Iterator[tuple[int, str]]:
+    """``(index, root)`` for each assigning token of ``body``, where root is
+    the root identifier of the statement it assigns in.
 
     For ``balances[msg.sender] -= x;`` the root is ``balances``. Compound
     ops (``++``/``--``) count as assignments to the preceding identifier
-    chain's root.
+    chain's root. Local declarations and tuple assignments have no root.
     """
-    roots: set[str] = set()
     stmt_start = 0
     for idx, tok in enumerate(body):
         if tok.lexeme in (";", "{", "}"):
             stmt_start = idx + 1
             continue
-        if (tok.kind is TokenKind.PUNCT and tok.lexeme in _ASSIGNMENT_OPS) or tok.lexeme in ("++", "--"):
-            stmt = body[stmt_start:idx]
-            for t in stmt:
+        if (tok.kind is TokenKind.PUNCT and tok.lexeme in ASSIGNMENT_OPS) or tok.lexeme in ("++", "--"):
+            for t in body[stmt_start:idx]:
                 if t.kind is TokenKind.IDENT:
-                    roots.add(t.lexeme)
+                    yield idx, t.lexeme
                     break
                 if t.kind is TokenKind.KEYWORD or t.lexeme == "(":
                     break  # local declaration or tuple assignment
-    return frozenset(roots)
 
 
 def collect_state_variables(tokens: tuple[Token, ...]) -> frozenset[str]:
@@ -250,7 +241,7 @@ def collect_state_variables(tokens: tuple[Token, ...]) -> frozenset[str]:
                 j += 1
             if j >= n:
                 break
-            end = _match_brace(tokens, j)
+            end = _match_close(tokens, j)
             names |= _state_vars_in_block(tokens, j + 1, end)
             i = end + 1
         else:
@@ -286,7 +277,7 @@ def _state_vars_in_block(tokens: tuple[Token, ...], start: int, end: int) -> set
             if t.lexeme == ";" and depth == 0:
                 break
             if t.lexeme == "{":  # unexpected block: bail to its end
-                stmt_end = _match_brace(tokens, stmt_end)
+                stmt_end = _match_close(tokens, stmt_end)
                 last_ident = None
                 break
             stmt_end += 1
@@ -304,7 +295,7 @@ def _skip_member(tokens: tuple[Token, ...], i: int, end: int) -> int:
         if lex == ";":
             return j + 1
         if lex == "{":
-            return _match_brace(tokens, j) + 1
+            return _match_close(tokens, j) + 1
         j += 1
     return end
 
@@ -323,10 +314,12 @@ def parse_pragma(tokens: tuple[Token, ...]) -> str | None:
 
 
 def build_view(tokens: tuple[Token, ...]) -> ContractView:
+    _check_balanced(tokens)
+    state_variables = collect_state_variables(tokens)
     return ContractView(
         tokens=tokens,
-        functions=tuple(segment_functions(tokens)),
-        state_variables=collect_state_variables(tokens),
+        functions=tuple(_function_spans(tokens, state_variables)),
+        state_variables=state_variables,
         pragma_version=parse_pragma(tokens),
         lexemes=frozenset(t.lexeme for t in tokens),
     )

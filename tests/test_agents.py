@@ -423,10 +423,14 @@ class TestPipeline:
 
     def test_each_source_is_lexed_and_viewed_once(self, monkeypatch):
         ctx, _ = presign_fixture.recording_context()
-        calls: dict[str, list] = {"tokenize_solidity": [], "build_view": []}
+        calls: dict[str, list] = {
+            "tokenize_solidity": [], "build_view": [], "collect_state_variables": [], "parse_pragma": []
+        }
         for module_name, name in (
             ("solguard.static_analysis.tokenizer", "tokenize_solidity"),
             ("solguard.static_analysis.structure", "build_view"),
+            ("solguard.static_analysis.structure", "collect_state_variables"),
+            ("solguard.static_analysis.structure", "parse_pragma"),
         ):
             original = getattr(importlib.import_module(module_name), name)
 
@@ -438,11 +442,16 @@ class TestPipeline:
             for module_key, module in list(sys.modules.items()):
                 if module_key.startswith("solguard") and getattr(module, name, None) is original:
                     monkeypatch.setattr(module, name, counted)
-        run = run_pipeline(load_file(FIXTURES / "presign.sol", "presign"), ctx)
+        contract = load_file(FIXTURES / "presign.sol", "presign")
+        run = run_pipeline(contract, ctx)
         assert run.verification is not None
         original_source = (FIXTURES / "presign.sol").read_text(encoding="utf-8")
         assert calls["tokenize_solidity"] == [original_source, run.patch.repaired_source]
         assert len(calls["build_view"]) == 2
+        # one state-variable pass and one pragma read per view
+        streams = [contract.token_stream, run.patch.repaired.token_stream]
+        assert calls["collect_state_variables"] == streams
+        assert calls["parse_pragma"] == streams
 
     def test_deterministic_output_across_runs(self):
         ctx, _ = presign_fixture.recording_context()

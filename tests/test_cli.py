@@ -249,6 +249,70 @@ class TestKb:
             assert f"error: snapshot file {meta} " in result.output
 
 
+def assert_clean_error(result, exit_code: int, *fragments: str) -> None:
+    """The command failed through its error path: ``error: ...`` naming every
+    fragment, the documented exit code, no traceback."""
+    assert result.exit_code == exit_code, result.output
+    assert isinstance(result.exception, SystemExit), result.exception
+    assert "Traceback" not in result.output
+    assert "error: " in result.output
+    for fragment in fragments:
+        assert fragment in result.output
+
+
+def write_corpus_with_missing_source(path: Path) -> Path:
+    path.write_text(
+        '{"id": "a", "label": "safe", "source": "contract A {}"}\n'
+        '{"id": "b", "label": "vulnerable", "source_path": "missing.sol"}\n',
+        encoding="utf-8",
+    )
+    return path
+
+
+class TestInputFileErrors:
+    @pytest.mark.parametrize("command", ["build", "update"])
+    def test_missing_corpus_file_is_processing_error(self, runner, tmp_path, command):
+        corpus = tmp_path / "nonexistent.jsonl"
+        result = runner.invoke(
+            main, ["kb", command, "--corpus", str(corpus), "--index-root", str(tmp_path / "idx")]
+        )
+        assert_clean_error(result, EXIT_PROCESSING, str(corpus))
+
+    @pytest.mark.parametrize("command", ["build", "update"])
+    def test_corpus_record_with_missing_source_path_names_file_and_line(self, runner, tmp_path, command):
+        corpus = write_corpus_with_missing_source(tmp_path / "corpus.jsonl")
+        result = runner.invoke(
+            main, ["kb", command, "--corpus", str(corpus), "--index-root", str(tmp_path / "idx")]
+        )
+        assert_clean_error(result, EXIT_PROCESSING, f"{corpus}:2: ", "missing.sol")
+        assert not (tmp_path / "idx" / "corpus" / "CURRENT").exists()
+
+    @pytest.mark.parametrize("command", ["eval", "calibrate"])
+    def test_dataset_record_with_missing_source_path_names_file_and_line(self, runner, eval_env, tmp_path, command):
+        dataset = write_corpus_with_missing_source(tmp_path / "ds.jsonl")
+        result = runner.invoke(main, [command, str(dataset), "-c", str(eval_env["config"])])
+        assert_clean_error(result, 2, f"{dataset}:2: ", "missing.sol")
+
+    def test_build_over_corrupt_pointer_is_processing_error(self, runner, tmp_path):
+        pointer = tmp_path / "idx" / "corpus" / "CURRENT"
+        pointer.parent.mkdir(parents=True)
+        pointer.write_text("garbage\n", encoding="utf-8")
+        result = runner.invoke(
+            main,
+            ["kb", "build", "--corpus", str(FIXTURES / "corpus.jsonl"), "--index-root", str(tmp_path / "idx")],
+        )
+        assert_clean_error(result, EXIT_PROCESSING, str(pointer))
+
+    def test_status_with_unreadable_snapshot_file_is_processing_error(self, runner, built_index_root, tmp_path):
+        index_root = tmp_path / "idx"
+        shutil.copytree(built_index_root, index_root)
+        idf = index_root / "corpus" / "1" / "idf.json"
+        idf.unlink()
+        idf.mkdir()
+        result = runner.invoke(main, ["kb", "status", "--index-root", str(index_root)])
+        assert_clean_error(result, EXIT_PROCESSING, str(idf))
+
+
 class TestEval:
     def test_all_variants_five_rows(self, runner, eval_env, tmp_path):
         out = tmp_path / "results.json"

@@ -1,0 +1,70 @@
+"""Every line-delimited input goes through one reader and fails the same way."""
+
+from __future__ import annotations
+
+import re
+
+import pytest
+
+from solguard.errors import DatasetError, TranscriptError
+from solguard.evaluation import load_dataset
+from solguard.llm.mock import load_transcript
+from solguard.retrieval.tfidf import load_corpus_file
+
+GOOD_CONTRACT = b'{"id": "a", "label": "safe", "source": "contract A {}"}\n'
+
+LOADERS = {
+    "transcript": (load_transcript, TranscriptError, b'{"role": "detector", "fingerprint": "f", "response": "r"}\n'),
+    "corpus": (load_corpus_file, DatasetError, GOOD_CONTRACT),
+    "dataset": (load_dataset, DatasetError, GOOD_CONTRACT),
+}
+
+FAULTS = {
+    "not json": b"{oops\n",
+    "bad utf-8": b'{"id": "\xff"}\n',
+    "missing field": b"{}\n",
+    "not an object": b"[1]\n",
+}
+
+
+@pytest.mark.parametrize("fault", sorted(FAULTS))
+@pytest.mark.parametrize("kind", sorted(LOADERS))
+def test_faulty_line_is_named_by_file_and_line(tmp_path, kind, fault):
+    load, error, good = LOADERS[kind]
+    path = tmp_path / "input.jsonl"
+    path.write_bytes(good + b"\n" + FAULTS[fault] + good)
+    with pytest.raises(error, match=re.escape(f"{path}:3: ")):
+        load(path)
+
+
+@pytest.mark.parametrize("kind", sorted(LOADERS))
+def test_unreadable_file_is_named(tmp_path, kind):
+    load, error, _ = LOADERS[kind]
+    for path in (tmp_path / "absent.jsonl", tmp_path):
+        with pytest.raises(error, match=re.escape(str(path))):
+            load(path)
+
+
+@pytest.mark.parametrize("kind", ["corpus", "dataset"])
+def test_labeled_record_faults_name_the_line(tmp_path, kind):
+    load, error, _ = LOADERS[kind]
+    path = tmp_path / "input.jsonl"
+    faults = {
+        b'{"id": "b", "label": "meh", "source": "x"}\n': "label must be safe|vulnerable",
+        GOOD_CONTRACT: "duplicate contract id 'a'",
+        b'{"id": "b", "label": "safe"}\n': "record needs source or source_path",
+        b'{"id": "b", "label": "safe", "source_path": "gone.sol"}\n': "gone.sol",
+    }
+    for line, message in faults.items():
+        path.write_bytes(GOOD_CONTRACT + line)
+        with pytest.raises(error, match=re.escape(f"{path}:2: ") + ".*" + re.escape(message)):
+            load(path)
+
+
+def test_blank_lines_are_skipped(tmp_path):
+    path = tmp_path / "input.jsonl"
+    path.write_bytes(b"\n  \n" + GOOD_CONTRACT + b"\r\n\n")
+    assert [doc[0] for doc in load_corpus_file(path)] == ["a"]
+    path.write_bytes(b"\n  \n")
+    with pytest.raises(DatasetError, match=re.escape(str(path))):
+        load_corpus_file(path)

@@ -257,3 +257,20 @@ class TestCorruptMeta:
         meta_path.write_text(json.dumps(meta), encoding="utf-8")
         with pytest.raises(SnapshotError, match=f"{meta_path}.*embedder"):
             store.load()
+
+
+class TestUnreadableFiles:
+    @pytest.mark.parametrize("name", ["meta.json", "idf.json", "docs.jsonl"])
+    def test_directory_in_place_of_a_snapshot_file_names_it(self, tmp_path, name):
+        store = CorpusSnapshotStore(tmp_path)
+        store.publish(corpus_for(1))
+        path = tmp_path / "1" / name
+        path.unlink()
+        path.mkdir()
+        with pytest.raises(SnapshotError, match=str(path)):
+            store.load()
+
+    def test_directory_in_place_of_the_pointer_names_it(self, tmp_path):
+        (tmp_path / "CURRENT").mkdir()
+        with pytest.raises(SnapshotError, match=str(tmp_path / "CURRENT")):
+            CorpusSnapshotStore(tmp_path).current_version()
