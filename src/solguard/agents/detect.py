@@ -24,7 +24,7 @@ from solguard.core import (
     VulnerabilityClass,
     byte_length,
 )
-from solguard.errors import ExtractionError, PipelineError
+from solguard.errors import ExtractionError, ModelChannelError, SolguardError
 from solguard.llm.prompts import (
     DETECTOR_ENRICHED_TEMPLATE,
     DETECTOR_TEMPLATE,
@@ -216,11 +216,13 @@ def run_channels(
     The static and retrieval channels do not depend on the mode, so they run
     once, and their ``top_k`` neighbors also feed the enriched prompt. The
     model is asked once per distinct prompt. Fusion happens separately so
-    ablations can reuse these results.
+    ablations can reuse these results. Any failure of the model channel is a
+    :class:`ModelChannelError` carrying the static and retrieval results.
     """
     static = static_channel(contract, ctx.ruleset)
-    neighbors = top_k(contract, ctx.corpus_index, ctx.retrieval_cfg)
-    retrieval = retrieval_channel(contract, neighbors, ctx.retrieval_cfg.threshold)
+    neighbors = top_k(contract, ctx.corpus_index, ctx.config.k)
+    retrieval = retrieval_channel(contract, neighbors, ctx.config.channel_threshold)
+    survivors = {Channel.STATIC: static, Channel.RETRIEVAL: retrieval}
     answers: dict[str, ChannelResult] = {}
     results: dict[str, dict[Channel, ChannelResult]] = {}
     try:
@@ -230,13 +232,9 @@ def run_channels(
                 answers[prompt] = model_channel(
                     contract, ctx.provider("detector"), ctx.config.channel_threshold, prompt
                 )
-            results[mode] = {
-                Channel.STATIC: static,
-                Channel.RETRIEVAL: retrieval,
-                Channel.MODEL: answers[prompt],
-            }
-    except ExtractionError as exc:
-        raise PipelineError(f"{contract.id}: model channel failed: {exc}") from exc
+            results[mode] = {**survivors, Channel.MODEL: answers[prompt]}
+    except SolguardError as exc:
+        raise ModelChannelError(f"{contract.id}: model channel failed: {exc}", survivors) from exc
     return results
 
 
@@ -251,14 +249,14 @@ def detect(contract: SourceContract, ctx: PipelineContext) -> FusedVerdict:
 def actionable_findings(fused: FusedVerdict, contract: SourceContract) -> list[Finding]:
     """Findings handed to the repair chain.
 
-    Static and model findings merge by (class, function); unlocalized
-    retrieval hints step in only when the localized channels found nothing
-    despite a vulnerable verdict.
+    Static and model findings (of whichever of the two ran) merge by (class,
+    function); unlocalized retrieval hints step in only when the localized
+    channels found nothing despite a vulnerable verdict.
     """
     from solguard.core import merge_findings
 
     localized = merge_findings(
-        [fused.channel(Channel.STATIC).findings, fused.channel(Channel.MODEL).findings]
+        c.findings for c in fused.channel_results if c.channel is not Channel.RETRIEVAL
     )
     if localized or fused.verdict is Verdict.SAFE:
         return localized

@@ -1,17 +1,22 @@
 """End-to-end pipeline: detect, then advise/assess/fix/verify, then report.
 
 Later stages run only when detection judged the contract vulnerable and
-produced actionable findings. A stage failure is recorded and the pipeline
-degrades: the report always renders with whatever completed.
+produced actionable findings. One runner times each stage and records a
+``SolguardError`` as ``errors[stage]``; only the stages that need the failed
+one are skipped. Advise and assess need detect (assess runs without
+suggestions if advise failed), fix needs advise and assess, verify needs fix,
+and the report always renders. A failed model channel is a ``detect`` error
+that keeps a verdict, fused from the static and retrieval channels with their
+weights renormalized, and skips the repair chain. ``solguard audit`` exits 1
+on any recorded stage error.
 """
 
 from __future__ import annotations
 
 import logging
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from typing import Any
+from typing import Any, Callable, TypeVar
 
 from solguard.core import (
     AuditReport,
@@ -22,22 +27,24 @@ from solguard.core import (
     Verdict,
     VerificationResult,
 )
-from solguard.errors import ConfigError, PipelineError
+from solguard.errors import ConfigError, ModelChannelError, SolguardError
 from solguard.llm import build_provider
 from solguard.llm.provider import ExchangeLog, Provider
 from solguard.retrieval.kb import KbIndex
 from solguard.retrieval.snapshot import CorpusSnapshotStore, KbSnapshotStore
-from solguard.retrieval.tfidf import CorpusIndex, RetrievalConfig
+from solguard.retrieval.tfidf import CorpusIndex
 from solguard.static_analysis.rules import PatternRule, default_ruleset, load_ruleset
 
 from solguard.agents.config import PipelineConfig
-from solguard.agents.detect import FusedVerdict, actionable_findings, detect
+from solguard.agents.detect import FusedVerdict, actionable_findings, detect, fuse_channels
 from solguard.agents.remediate import RiskAssignment, advise, assess, fix, verify
 from solguard.agents.report import build_report
 
 log = logging.getLogger(__name__)
 
 STAGE_ORDER = ("detect", "advise", "assess", "fix", "verify", "report")
+
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -102,7 +109,6 @@ class PipelineContext:
     corpus_index: CorpusIndex
     kb_index: KbIndex | None
     providers: dict[str, Provider]
-    retrieval_cfg: RetrievalConfig
 
     def provider(self, role: str) -> Provider:
         if role not in self.providers:
@@ -137,7 +143,6 @@ def build_context(config: PipelineConfig, roles: tuple[str, ...] | None = None) 
         corpus_index=corpus_index,
         kb_index=kb_index,
         providers=providers,
-        retrieval_cfg=RetrievalConfig(k=config.k, threshold=config.channel_threshold),
     )
 
 
@@ -145,21 +150,31 @@ def run_pipeline(contract: SourceContract, ctx: PipelineContext) -> PipelineRun:
     """Audit one contract end to end and return the full run record."""
     cfg = ctx.config
     stages: list[str] = []
-    errors: dict[str, str] = {}
+    failures: dict[str, SolguardError] = {}
     timings: dict[str, float] = {}
 
-    @contextmanager
-    def timed(stage: str):
+    def run_stage(stage: str, needs: tuple[str, ...], call: Callable[[], T]) -> T | None:
+        """Time ``call`` once every stage it needs succeeded; record its ``SolguardError``."""
+        if not set(needs) <= set(stages):
+            return None
         started = time.perf_counter()
         try:
-            yield
+            result = call()
+            stages.append(stage)
+            return result
+        except SolguardError as exc:
+            failures[stage] = exc
+            log.warning("%s: %s stage failed: %s", contract.id, stage, exc)
         finally:
             timings[stage] = time.perf_counter() - started
             log.info("%s: stage %s finished in %.3fs", contract.id, stage, timings[stage])
 
-    with timed("detect"):
-        fused = detect(contract, ctx)
-    stages.append("detect")
+    fused = run_stage("detect", (), lambda: detect(contract, ctx))
+    if fused is None:
+        failure = failures["detect"]
+        if not isinstance(failure, ModelChannelError) or not (cfg.weights.static or cfg.weights.retrieval):
+            raise failure  # not the model channel, or no other channel has weight: no verdict
+        fused = fuse_channels(failure.channels, cfg.mode, cfg.weights.without("model"), cfg.threshold)
     findings = actionable_findings(fused, contract)
 
     suggestions: list[RepairSuggestion] = []
@@ -169,34 +184,18 @@ def run_pipeline(contract: SourceContract, ctx: PipelineContext) -> PipelineRun:
     verification: VerificationResult | None = None
 
     if fused.verdict is Verdict.VULNERABLE and findings:
-        with timed("advise"):
-            suggestions = advise(contract, findings, ctx.kb_index, ctx.provider("advisor"), cfg.k)
-        stages.append("advise")
-
-        with timed("assess"):
-            assignments, distribution = assess(
-                contract, findings, suggestions, ctx.kb_index, ctx.provider("assessor"), cfg.k
-            )
-        stages.append("assess")
-
-        try:
-            with timed("fix"):
-                patch = fix(contract, suggestions, assignments, ctx.provider("fixer"))
-            stages.append("fix")
-        except PipelineError as exc:
-            errors["fix"] = str(exc)
-            log.warning("%s: fix stage failed: %s", contract.id, exc)
-
-        if patch is not None:
-            try:
-                with timed("verify"):
-                    verification = verify(
-                        contract, patch, findings, ctx.ruleset, ctx.provider("verifier")
-                    )
-                stages.append("verify")
-            except PipelineError as exc:
-                errors["verify"] = str(exc)
-                log.warning("%s: verify stage failed; patch left unverified: %s", contract.id, exc)
+        suggestions = run_stage("advise", ("detect",), lambda: advise(
+            contract, findings, ctx.kb_index, ctx.provider("advisor"), cfg.k
+        )) or []
+        assignments, distribution = run_stage("assess", ("detect",), lambda: assess(
+            contract, findings, suggestions, ctx.kb_index, ctx.provider("assessor"), cfg.k
+        )) or ([], {})
+        patch = run_stage("fix", ("advise", "assess"), lambda: fix(
+            contract, suggestions, assignments, ctx.provider("fixer")
+        ))
+        verification = run_stage("verify", ("fix",), lambda: verify(
+            contract, patch, findings, ctx.ruleset, ctx.provider("verifier")
+        ))
     elif fused.verdict is Verdict.VULNERABLE:
         log.warning("%s: vulnerable verdict without actionable findings; skipping repair chain", contract.id)
 
@@ -210,9 +209,8 @@ def run_pipeline(contract: SourceContract, ctx: PipelineContext) -> PipelineRun:
         patch=patch,
         verification=verification,
         stages=tuple(stages),
-        errors=errors,
+        errors={stage: str(exc) for stage, exc in failures.items()},
         timings=timings,
     )
-    with timed("report"):
-        report = build_report(run, contract)
-    return replace(run, report=report, stages=run.stages + ("report",))
+    report = run_stage("report", (), lambda: build_report(run, contract))
+    return replace(run, report=report, stages=tuple(stages))

@@ -247,10 +247,7 @@ def fix(
     prompt = build_fixer_prompt(contract, ordered)
 
     def ask(fixer_prompt: str) -> Patch:
-        try:
-            record = ask_structured(provider, "fixer", fixer_prompt, FIXER_SCHEMA)
-        except ExtractionError as exc:
-            raise PipelineError(f"{contract.id}: fixer output unusable: {exc}") from exc
+        record = ask_structured(provider, "fixer", fixer_prompt, FIXER_SCHEMA)
         return Patch(
             original=contract.id,
             repaired_source=record["repaired_source"],
@@ -304,10 +301,7 @@ def verify(
     still fires blocks the pass regardless of the model's opinion.
     """
     prompt = build_verifier_prompt(contract, patch)
-    try:
-        record = ask_structured(provider, "verifier", prompt, VERIFIER_SCHEMA)
-    except ExtractionError as exc:
-        raise PipelineError(f"{contract.id}: verifier output unusable: {exc}") from exc
+    record = ask_structured(provider, "verifier", prompt, VERIFIER_SCHEMA)
     model_passed = bool(record["passed"])
 
     rescan = scan(patch.repaired, ruleset)

@@ -1,8 +1,9 @@
 """Command-line surface: audit, detect, kb, eval, calibrate.
 
-Exit codes: 0 success, 1 processing errors (some contract failed), 2 usage
-or configuration errors. A vulnerable verdict alone never fails the exit
-code; gate CI with --fail-on-vulnerable instead.
+Exit codes: 0 success, 1 processing errors (some contract failed, or audit
+recorded a stage error), 2 usage or configuration errors. A vulnerable
+verdict alone never fails the exit code; gate CI with --fail-on-vulnerable
+instead.
 """
 
 from __future__ import annotations
@@ -17,12 +18,13 @@ from pathlib import Path
 import click
 import yaml
 
-from solguard.agents.config import PipelineConfig, apply_overrides, load_config
+from solguard.agents.config import MODES, PipelineConfig, apply_overrides, load_config
 from solguard.agents.detect import detect as run_detect
 from solguard.agents.pipeline import PipelineContext, build_context, run_pipeline
 from solguard.core import Verdict
 from solguard.errors import ConfigError, SnapshotError, SolguardError
 from solguard.evaluation import (
+    LabeledDataset,
     calibrate_threshold,
     format_table,
     fused_scores,
@@ -80,6 +82,20 @@ def _context_or_exit(config: PipelineConfig, roles: tuple[str, ...] | None = Non
         raise SystemExit(_usage_error(str(exc)))
 
 
+def _dataset_split_or_exit(
+    dataset_path: str, split: str | None, config: PipelineConfig
+) -> tuple[LabeledDataset, PipelineContext]:
+    """The ``split`` entries of the dataset and a detector-only context. A
+    dataset file fault exits 1, like any unreadable input; an empty split 2."""
+    try:
+        dataset = load_dataset(dataset_path).subset(split)
+    except SolguardError as exc:
+        raise SystemExit(_processing_error(str(exc)))
+    if not dataset.entries:
+        raise SystemExit(_usage_error(f"no dataset entries for split {split!r}"))
+    return dataset, _context_or_exit(config, roles=("detector",))
+
+
 def _collect_contract_paths(paths: tuple[str, ...]) -> list[Path]:
     """Expand arguments: files stay, directories recurse over *.sol."""
     collected: list[Path] = []
@@ -130,7 +146,7 @@ def main() -> None:
 @click.argument("paths", nargs=-1, type=click.Path())
 @click.option("--config", "-c", "config_path", required=True, type=click.Path(), help="Pipeline configuration file.")
 @click.option("--output-dir", "-o", default=None, type=click.Path(), help="Where reports and run records go.")
-@click.option("--mode", type=click.Choice(["weighted", "voting", "enriched"]), default=None)
+@click.option("--mode", type=click.Choice(MODES), default=None)
 @click.option("--weights", default=None, help="Fusion weights as model,static,retrieval.")
 @click.option("--threshold", type=float, default=None)
 @click.option("--k", type=int, default=None, help="Neighbors for similarity retrieval.")
@@ -198,7 +214,8 @@ def cmd_audit(paths, config_path, output_dir, mode, weights, threshold, k, jobs,
         if error is not None:
             click.echo(f"{contract_id}: error: {error}", err=True)
         else:
-            click.echo(f"{contract_id}: {run.fused.verdict.value} (report written to {out_dir})")
+            failed = f"; failed stages: {', '.join(run.errors)}" if run.errors else ""
+            click.echo(f"{contract_id}: {run.fused.verdict.value} (report written to {out_dir}{failed})")
     click.echo(
         f"processed {len(runs)}/{len(results)} contracts, {len(vulnerable)} vulnerable"
     )
@@ -208,9 +225,7 @@ def cmd_audit(paths, config_path, output_dir, mode, weights, threshold, k, jobs,
             f"patch verification passed: {len(verified)}/{len(patched)} patched "
             f"({len(verified)}/{len(runs)} of all processed)"
         )
-    if failures:
-        sys.exit(EXIT_PROCESSING)
-    if fail_on_vulnerable and vulnerable:
+    if failures or any(r.errors for r in runs) or (fail_on_vulnerable and vulnerable):
         sys.exit(EXIT_PROCESSING)
     sys.exit(EXIT_OK)
 
@@ -218,7 +233,7 @@ def cmd_audit(paths, config_path, output_dir, mode, weights, threshold, k, jobs,
 @main.command("detect")
 @click.argument("paths", nargs=-1, type=click.Path())
 @click.option("--config", "-c", "config_path", required=True, type=click.Path())
-@click.option("--mode", type=click.Choice(["weighted", "voting", "enriched"]), default=None)
+@click.option("--mode", type=click.Choice(MODES), default=None)
 @click.option("--weights", default=None, help="Fusion weights as model,static,retrieval.")
 @click.option("--threshold", type=float, default=None)
 @click.option("--k", type=int, default=None)
@@ -353,10 +368,7 @@ def cmd_eval(dataset_path, config_path, variants, split, out, verbose):
     config = _load_config_or_exit(config_path)
     try:
         names = [normalize_variant(v) for v in variants.split(",") if v.strip()]
-        dataset = load_dataset(dataset_path).subset(split)
-        if not dataset.entries:
-            raise SystemExit(_usage_error(f"no dataset entries for split {split!r}"))
-        ctx = _context_or_exit(config, roles=("detector",))
+        dataset, ctx = _dataset_split_or_exit(dataset_path, split, config)
         reports = run_variants(dataset, names, ctx)
     except SolguardError as exc:
         raise SystemExit(_usage_error(str(exc)))
@@ -380,10 +392,7 @@ def cmd_calibrate(dataset_path, config_path, split, write, verbose):
     _setup_logging(verbose)
     config = _load_config_or_exit(config_path)
     try:
-        dataset = load_dataset(dataset_path).subset(split)
-        if not dataset.entries:
-            raise SystemExit(_usage_error(f"no dataset entries for split {split!r}"))
-        ctx = _context_or_exit(config, roles=("detector",))
+        dataset, ctx = _dataset_split_or_exit(dataset_path, split, config)
         threshold = calibrate_threshold(fused_scores(dataset, ctx))
     except SolguardError as exc:
         raise SystemExit(_usage_error(str(exc)))

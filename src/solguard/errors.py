@@ -69,3 +69,11 @@ class DatasetError(SolguardError):
 
 class PipelineError(SolguardError):
     """A pipeline stage failed for one contract."""
+
+
+class ModelChannelError(PipelineError):
+    """The model channel failed; ``channels`` holds the static and retrieval results."""
+
+    def __init__(self, message: str, channels: dict):
+        super().__init__(message)
+        self.channels = channels

@@ -18,7 +18,6 @@ from solguard.retrieval.tfidf import (
     CorpusDocument,
     CorpusIndex,
     Neighbor,
-    RetrievalConfig,
     TfIdfVector,
     build_corpus_index,
     load_corpus_file,
@@ -39,7 +38,6 @@ __all__ = [
     "KbIndex",
     "KbSnapshotStore",
     "Neighbor",
-    "RetrievalConfig",
     "SnapshotStore",
     "TfIdfVector",
     "build_corpus_index",

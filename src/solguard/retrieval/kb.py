@@ -174,7 +174,10 @@ def load_kb_documents(directory: str | Path) -> list[KbDocument]:
     for path in sorted(root.iterdir()):
         if path.suffix.lower() not in (".md", ".txt"):
             continue
-        raw = path.read_text(encoding="utf-8")
+        try:
+            raw = path.read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise DatasetError(f"{path}: cannot read knowledge document: {exc}") from exc
         metadata: dict[str, object] = {}
         body = raw
         if raw.startswith("---\n"):

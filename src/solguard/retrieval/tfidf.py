@@ -115,16 +115,6 @@ class Neighbor:
     classes: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class RetrievalConfig:
-    k: int = 5
-    threshold: float = 0.5
-
-    def __post_init__(self) -> None:
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
-
-
 def _tfidf_vector(counts: Counter[str], total: int, idf: dict[str, float]) -> TfIdfVector:
     """The L2-normalized ``(count / total) * idf`` weights of the counted
     terms that ``idf`` knows."""
@@ -160,7 +150,7 @@ def build_corpus_index(
     return CorpusIndex(tuple(documents), idf, postings, snapshot_version)
 
 
-def top_k(query: SourceContract, index: CorpusIndex, cfg: RetrievalConfig) -> list[Neighbor]:
+def top_k(query: SourceContract, index: CorpusIndex, k: int) -> list[Neighbor]:
     """Exact top-k, similarity descending, ties broken by id ascending.
 
     Dot products accumulate through the postings of the query's terms only,
@@ -184,12 +174,12 @@ def top_k(query: SourceContract, index: CorpusIndex, cfg: RetrievalConfig) -> li
     ]
     # every document scoring at least the k-th best similarity (0 when fewer
     # than k share a term) competes for the k ranks
-    cut = max(0.0, min(heapq.nlargest(cfg.k, sims), default=0.0))
+    cut = max(0.0, min(heapq.nlargest(k, sims), default=0.0))
     contenders = [position for position, sim in enumerate(sims) if sim >= cut]
     contenders.sort(key=lambda position: (-sims[position], documents[position].id))
     return [
         Neighbor(documents[p].id, sims[p], rank, documents[p].label, documents[p].classes)
-        for rank, p in enumerate(contenders[: cfg.k], start=1)
+        for rank, p in enumerate(contenders[:k], start=1)
     ]
 
 

@@ -27,7 +27,7 @@ from solguard.agents.detect import build_detection_prompt
 from solguard.llm.mock import prompt_fingerprint
 from solguard.retrieval.kb import HashingEmbedder, build_kb_index, load_kb_documents
 from solguard.retrieval.snapshot import CorpusSnapshotStore, KbSnapshotStore
-from solguard.retrieval.tfidf import RetrievalConfig, build_corpus_index, load_corpus_file, top_k
+from solguard.retrieval.tfidf import build_corpus_index, load_corpus_file, top_k
 from solguard.static_analysis.scanner import load_source
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -153,7 +153,6 @@ def build_eval_fixture(root: Path) -> dict[str, Path]:
     KbSnapshotStore(index_root / "kb").publish(kb_index)
 
     transcript_path = root / "transcript.jsonl"
-    retrieval_cfg = RetrievalConfig(k=5, threshold=0.5)
     with open(transcript_path, "w", encoding="utf-8") as fh:
         for c in contracts:
             contract = load_source(c.contract_id, c.source)
@@ -170,7 +169,7 @@ def build_eval_fixture(root: Path) -> dict[str, Path]:
                 + "\n"
             )
             enriched = build_detection_prompt(
-                contract, "enriched", top_k(contract, corpus_index, retrieval_cfg), kb_index
+                contract, "enriched", top_k(contract, corpus_index, 5), kb_index
             )
             fh.write(
                 json.dumps(

@@ -17,7 +17,7 @@ from solguard.agents.pipeline import PipelineContext, PipelineRun, run_pipeline
 from solguard.llm.mock import TranscriptRecorder
 from solguard.llm.provider import ProviderConfig
 from solguard.retrieval.kb import HashingEmbedder, build_kb_index, load_kb_documents
-from solguard.retrieval.tfidf import RetrievalConfig, build_corpus_index, load_corpus_file
+from solguard.retrieval.tfidf import build_corpus_index, load_corpus_file
 from solguard.static_analysis.rules import default_ruleset
 from solguard.static_analysis.scanner import load_file
 
@@ -139,7 +139,6 @@ def recording_context(
         corpus_index=corpus_index,
         kb_index=kb_index,
         providers=dict(recorders),
-        retrieval_cfg=RetrievalConfig(k=5, threshold=0.5),
     )
     return ctx, recorders
 

@@ -23,7 +23,6 @@ from solguard.cli import main
 from solguard.core import Channel, ChannelResult, Verdict
 from solguard.evaluation import ConfusionMatrix, metrics
 from solguard.retrieval.tfidf import (
-    RetrievalConfig,
     build_corpus_index,
     rank_weighted_probability,
     rank_weights,
@@ -112,7 +111,7 @@ def test_criterion_03_retrieval_oracle():
             for term, weight in expected.items():
                 assert abs(weights[term] - weight) <= 1e-9
         query = load_source("query", docs[n_docs // 3][3] + " word2 word5")
-        neighbors = top_k(query, index, RetrievalConfig(k=5))
+        neighbors = top_k(query, index, 5)
         expected_order = brute_force_top_k(oracle_terms(query.source), index, 5, "query")
         assert [nb.contract_id for nb in neighbors] == [e[0] for e in expected_order]
         for nb, (_, sim, _) in zip(neighbors, expected_order):

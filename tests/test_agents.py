@@ -5,6 +5,7 @@ import itertools
 import json
 import random
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -37,7 +38,7 @@ from solguard.core import (
     Verdict,
     VulnerabilityClass,
 )
-from solguard.errors import ConfigError, PipelineError
+from solguard.errors import ConfigError, PipelineError, TransportError
 from solguard.llm.mock import TranscriptRecorder
 from solguard.retrieval.tfidf import top_k
 from solguard.static_analysis.rules import default_ruleset
@@ -156,7 +157,7 @@ class TestDetectionPrompt:
         ctx, _ = presign_fixture.recording_context()
         contract = load_file(FIXTURES / "presign.sol", "presign")
         prompt = build_detection_prompt(
-            contract, "enriched", top_k(contract, ctx.corpus_index, ctx.retrieval_cfg), ctx.kb_index
+            contract, "enriched", top_k(contract, ctx.corpus_index, ctx.config.k), ctx.kb_index
         )
         assert "Similar contracts from the audit corpus:" in prompt
         assert "corp-presign-registry" in prompt
@@ -389,7 +390,6 @@ class TestPipeline:
             corpus_index=ctx.corpus_index,
             kb_index=ctx.kb_index,
             providers=dict(broken),
-            retrieval_cfg=ctx.retrieval_cfg,
         )
         contract = load_file(FIXTURES / "presign.sol", "presign")
         run = run_pipeline(contract, ctx)
@@ -398,6 +398,41 @@ class TestPipeline:
         assert run.stages == ("detect", "advise", "assess", "report")
         assert run.report is not None
         assert len(run.suggestions) == 1  # earlier stages intact
+
+    @pytest.mark.parametrize(
+        "role, stage, stages",
+        [
+            ("detector", "detect", ("report",)),
+            ("advisor", "advise", ("detect", "assess", "report")),
+            ("assessor", "assess", ("detect", "advise", "report")),
+            ("verifier", "verify", ("detect", "advise", "assess", "fix", "report")),
+        ],
+    )
+    def test_failed_stage_skips_only_the_stages_that_need_it(self, role, stage, stages):
+        responses = presign_fixture.scripted_responses()
+
+        def responder(asked: str, prompt: str) -> str:
+            if asked == role:
+                raise TransportError(f"{role} server error 503")
+            return responses[asked]
+
+        ctx, _ = presign_fixture.recording_context()
+        ctx = replace(ctx, providers={r: TranscriptRecorder(responder, model_id=f"{r}-m") for r in ctx.providers})
+        run = run_pipeline(load_file(FIXTURES / "presign.sol", "presign"), ctx)
+        assert list(run.errors) == [stage]
+        assert f"{role} server error 503" in run.errors[stage]
+        assert run.stages == stages
+        assert set(run.timings) == set(stages) | {stage}  # skipped stages never start
+        assert len(run.report.sections) == 7
+        assert f"Stages with errors: {stage}" in run.report.sections[1].body
+        assert (run.patch is not None) == (stage == "verify")
+        assert run.verification is None
+        if stage == "detect":
+            channels = [c["channel"] for c in run.to_payload()["verdict"]["channels"]]
+            assert channels == ["static", "retrieval"]
+            static, retrieval = run.fused.channel_results
+            renormalized = ctx.config.weights.without("model")
+            assert run.fused.score == weighted_score(renormalized, 0.0, static.score, retrieval.score)
 
     def test_stage_timings_recorded_in_memory_but_not_serialized(self):
         ctx, _ = presign_fixture.recording_context()
@@ -534,7 +569,6 @@ class TestFixFailurePaths:
             corpus_index=ctx.corpus_index,
             kb_index=ctx.kb_index,
             providers=patched_providers,
-            retrieval_cfg=ctx.retrieval_cfg,
         )
         run = run_pipeline(load_file(FIXTURES / "presign.sol", "presign"), ctx)
         assert run.errors == {}

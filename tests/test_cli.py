@@ -102,9 +102,11 @@ class TestAudit:
             ["audit", str(FIXTURES / "presign.sol"), str(FIXTURES / "safe.sol"), "-c", str(config), "--jobs", "2"],
         )
         assert result.exit_code == 1
-        assert "processed 1/2 contracts" in result.output
+        assert "processed 2/2 contracts" in result.output
+        assert "presign: " in result.output and "failed stages: detect" in result.output
         assert (tmp_path / "out" / "safe.run.json").exists()
-        assert not (tmp_path / "out" / "presign.run.json").exists()
+        presign = json.loads((tmp_path / "out" / "presign.run.json").read_text(encoding="utf-8"))
+        assert "model channel failed" in presign["errors"]["detect"]
 
     def test_missing_config_file_is_usage_error(self, runner, tmp_path):
         result = runner.invoke(
@@ -287,11 +289,25 @@ class TestInputFileErrors:
         assert_clean_error(result, EXIT_PROCESSING, f"{corpus}:2: ", "missing.sol")
         assert not (tmp_path / "idx" / "corpus" / "CURRENT").exists()
 
+    @pytest.mark.parametrize("command", ["build", "update"])
+    @pytest.mark.parametrize("fault", ["not utf-8", "unreadable"])
+    def test_unreadable_knowledge_document_names_file(self, runner, tmp_path, command, fault):
+        docs = tmp_path / "docs"
+        shutil.copytree(FIXTURES / "kb_docs", docs)
+        bad = docs / "x.md"
+        if fault == "not utf-8":
+            bad.write_bytes(b"bad \xff byte")
+        else:
+            bad.mkdir()  # listed as a document, but reading it fails
+        result = runner.invoke(main, ["kb", command, "--docs", str(docs), "--index-root", str(tmp_path / "idx")])
+        assert_clean_error(result, EXIT_PROCESSING, f"error: {bad}: ")
+        assert not (tmp_path / "idx" / "kb" / "CURRENT").exists()
+
     @pytest.mark.parametrize("command", ["eval", "calibrate"])
     def test_dataset_record_with_missing_source_path_names_file_and_line(self, runner, eval_env, tmp_path, command):
         dataset = write_corpus_with_missing_source(tmp_path / "ds.jsonl")
         result = runner.invoke(main, [command, str(dataset), "-c", str(eval_env["config"])])
-        assert_clean_error(result, 2, f"{dataset}:2: ", "missing.sol")
+        assert_clean_error(result, EXIT_PROCESSING, f"{dataset}:2: ", "missing.sol")
 
     def test_build_over_corrupt_pointer_is_processing_error(self, runner, tmp_path):
         pointer = tmp_path / "idx" / "corpus" / "CURRENT"
@@ -365,7 +381,7 @@ class TestEval:
         bad = tmp_path / "bad.jsonl"
         bad.write_text("not json\n", encoding="utf-8")
         result = runner.invoke(main, ["eval", str(bad), "-c", str(eval_env["config"])])
-        assert result.exit_code == 2
+        assert result.exit_code == EXIT_PROCESSING
 
 
 class TestConfigValidationExitCodes:

@@ -16,7 +16,6 @@ from solguard.retrieval.terms import tokenize_for_tfidf
 from solguard.retrieval.tfidf import (
     CorpusIndex,
     Neighbor,
-    RetrievalConfig,
     TfIdfVector,
     build_corpus_index,
     rank_weighted_probability,
@@ -262,7 +261,7 @@ class TestBuildCorpusIndex:
 
 def similarities(index: CorpusIndex, query_id: str, text: str) -> dict[str, float]:
     """Similarity of every indexed document to ``text``, read off ``top_k``."""
-    neighbors = top_k(load_source(query_id, text), index, RetrievalConfig(k=len(index.documents)))
+    neighbors = top_k(load_source(query_id, text), index, len(index.documents))
     return {nb.contract_id: nb.similarity for nb in neighbors}
 
 
@@ -344,13 +343,13 @@ class TestTopK:
     def test_bounded_by_corpus_size(self):
         index = build_corpus_index(synthetic_corpus(3, seed=1))
         query = load_source("q", "word1 word2 word3")
-        assert len(top_k(query, index, RetrievalConfig(k=5))) == 3
+        assert len(top_k(query, index, 5)) == 3
 
     def test_identical_document_ranks_first_with_similarity_one(self):
         docs = synthetic_corpus(5, seed=2)
         index = build_corpus_index(docs)
         query = load_source("not-in-index", docs[2][3])
-        neighbors = top_k(query, index, RetrievalConfig(k=5))
+        neighbors = top_k(query, index, 5)
         assert neighbors[0].contract_id == docs[2][0]
         assert neighbors[0].similarity == pytest.approx(1.0, abs=1e-9)
 
@@ -358,7 +357,7 @@ class TestTopK:
         docs = synthetic_corpus(5, seed=3)
         index = build_corpus_index(docs)
         query = load_source(docs[0][0], docs[0][3])
-        ids = [nb.contract_id for nb in top_k(query, index, RetrievalConfig(k=5))]
+        ids = [nb.contract_id for nb in top_k(query, index, 5)]
         assert docs[0][0] not in ids
 
     @pytest.mark.parametrize("n_docs,seed", [(10, 11), (50, 12), (200, 13)])
@@ -366,7 +365,7 @@ class TestTopK:
         docs = synthetic_corpus(n_docs, seed=seed)
         index = build_corpus_index(docs)
         query = load_source("query", docs[n_docs // 2][3] + " word0 word1")
-        neighbors = top_k(query, index, RetrievalConfig(k=5))
+        neighbors = top_k(query, index, 5)
         expected = brute_force_top_k(oracle_terms(query.source), index, 5, "query")
         assert [nb.contract_id for nb in neighbors] == [e[0] for e in expected]
         for nb, (_, sim, _) in zip(neighbors, expected):
@@ -397,7 +396,7 @@ class TestTopK:
         query_id = data.draw(st.sampled_from(["q"] + [doc[0] for doc in docs]))
         query_text = " ".join(sorted(data.draw(st.lists(st.sampled_from("abcdefxyz"), max_size=6))))
         k = data.draw(st.integers(1, len(docs) + 2))
-        neighbors = top_k(load_source(query_id, query_text), index, RetrievalConfig(k=k))
+        neighbors = top_k(load_source(query_id, query_text), index, k)
         expected = scan_top_k(oracle_terms(query_text), index, k, query_id)
         assert [(nb.contract_id, nb.rank) for nb in neighbors] == [
             (doc_id, rank) for rank, (doc_id, _) in enumerate(expected, start=1)
@@ -410,7 +409,7 @@ class TestTopK:
 
     def test_empty_index(self):
         index = CorpusIndex(documents=(), idf={})
-        assert top_k(load_source("q", "a b"), index, RetrievalConfig()) == []
+        assert top_k(load_source("q", "a b"), index, 5) == []
 
     def test_deterministic_tie_break_by_id(self):
         docs = [
@@ -418,7 +417,7 @@ class TestTopK:
             ("a-doc", "safe", (), "same text here"),
         ]
         index = build_corpus_index(docs)
-        neighbors = top_k(load_source("q", "same text here"), index, RetrievalConfig(k=2))
+        neighbors = top_k(load_source("q", "same text here"), index, 2)
         assert [nb.contract_id for nb in neighbors] == ["a-doc", "z-doc"]
 
 
@@ -475,8 +474,7 @@ class TestRetrievalChannel:
     def test_two_of_five_vulnerable_crosses_threshold(self):
         index = self._index_with_labels(["vulnerable", "vulnerable", "safe", "safe", "safe"])
         query = load_source("q", "same body text")
-        cfg = RetrievalConfig()
-        result = retrieval_channel(query, top_k(query, index, cfg), cfg.threshold)
+        result = retrieval_channel(query, top_k(query, index, 5), 0.5)
         assert result.verdict is Verdict.VULNERABLE
         assert result.score == pytest.approx(0.6)
         assert [f.vuln_class.name for f in result.findings] == ["Reentrancy"]
@@ -485,16 +483,14 @@ class TestRetrievalChannel:
     def test_one_of_five_stays_safe(self):
         index = self._index_with_labels(["vulnerable", "safe", "safe", "safe", "safe"])
         query = load_source("q", "same body text")
-        cfg = RetrievalConfig()
-        result = retrieval_channel(query, top_k(query, index, cfg), cfg.threshold)
+        result = retrieval_channel(query, top_k(query, index, 5), 0.5)
         assert result.verdict is Verdict.SAFE
         assert result.score == pytest.approx(5 / 15)
 
     def test_empty_index_is_safe_zero(self):
         index = CorpusIndex(documents=(), idf={})
         query = load_source("q", "anything")
-        cfg = RetrievalConfig()
-        result = retrieval_channel(query, top_k(query, index, cfg), cfg.threshold)
+        result = retrieval_channel(query, top_k(query, index, 5), 0.5)
         assert result.verdict is Verdict.SAFE
         assert result.score == 0.0
         assert result.findings == ()
