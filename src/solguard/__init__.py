@@ -18,7 +18,6 @@ from solguard.core import (
     VerificationResult,
     Verdict,
     VulnerabilityClass,
-    compare_risk,
     merge_findings,
 )
 
@@ -36,7 +35,6 @@ __all__ = [
     "VerificationResult",
     "Verdict",
     "VulnerabilityClass",
-    "compare_risk",
     "merge_findings",
     "__version__",
 ]

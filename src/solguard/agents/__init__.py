@@ -18,7 +18,7 @@ from solguard.agents.detect import (
     weighted_score,
 )
 from solguard.agents.pipeline import PipelineContext, PipelineRun, build_context, run_pipeline
-from solguard.agents.remediate import RiskAssignment, advise, assess, fix, prioritize, verify
+from solguard.agents.remediate import RiskAssignment, advise, assess, fix, verify
 from solguard.agents.report import build_report
 
 __all__ = [
@@ -41,7 +41,6 @@ __all__ = [
     "load_config",
     "model_channel",
     "parse_config",
-    "prioritize",
     "run_channels",
     "run_pipeline",
     "verify",

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any
@@ -24,8 +25,8 @@ class FusionWeights:
 
     def __post_init__(self) -> None:
         for name, value in self.as_dict().items():
-            if value < 0:
-                raise ConfigError(f"fusion weight {name} must be >= 0, got {value}")
+            if not (math.isfinite(value) and value >= 0):
+                raise ConfigError(f"fusion weight {name} must be a finite number >= 0, got {value}")
         total = self.model + self.static + self.retrieval
         if abs(total - 1.0) > _WEIGHT_TOLERANCE:
             raise ConfigError(f"fusion weights must sum to 1, got {total}")
@@ -61,8 +62,10 @@ class PipelineConfig:
     def __post_init__(self) -> None:
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if not 0.0 <= self.threshold <= 1.0:
-            raise ConfigError(f"threshold must lie in [0, 1], got {self.threshold}")
+        for name in ("threshold", "channel_threshold"):
+            value = getattr(self, name)
+            if not 0.0 <= value <= 1.0:
+                raise ConfigError(f"{name} must lie in [0, 1], got {value}")
         if self.k < 1:
             raise ConfigError(f"k must be >= 1, got {self.k}")
         unknown = set(self.providers) - set(ROLES) - {"base"}

@@ -69,16 +69,6 @@ class FusedVerdict:
             "channels": [c.to_payload() for c in self.channel_results],
         }
 
-    @classmethod
-    def from_payload(cls, payload: dict[str, Any]) -> "FusedVerdict":
-        return cls(
-            verdict=Verdict(payload["verdict"]),
-            score=payload["score"],
-            mode=payload["mode"],
-            channel_results=tuple(ChannelResult.from_payload(c) for c in payload["channels"]),
-            threshold=payload["threshold"],
-        )
-
 
 def weighted_score(weights: FusionWeights, s_model: float, s_static: float, s_retrieval: float) -> float:
     return weights.model * s_model + weights.static * s_static + weights.retrieval * s_retrieval

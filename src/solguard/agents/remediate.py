@@ -197,13 +197,9 @@ def assess(
 
 
 def _priority(assignment: RiskAssignment) -> tuple[int, int, int]:
+    """Repair order: risk descending, then source location ascending."""
     span = assignment.finding.location.span
     return (-assignment.level.severity, span.start, span.end)
-
-
-def prioritize(assignments: list[RiskAssignment]) -> list[RiskAssignment]:
-    """Repair order: risk descending, then source location ascending."""
-    return sorted(assignments, key=_priority)
 
 
 def build_fixer_prompt(

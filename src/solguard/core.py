@@ -28,7 +28,6 @@ class TokenKind(str, enum.Enum):
     NUMBER = "number"
     STRING = "string"
     PUNCT = "punct"
-    COMMENT = "comment"  # discard channel only; never appears in token_stream
 
 
 class Token(NamedTuple):
@@ -65,15 +64,6 @@ _RISK_SEVERITY = {
     RiskLevel.MEDIUM: 2,
     RiskLevel.LOW: 1,
 }
-
-
-def compare_risk(a: RiskLevel, b: RiskLevel) -> int:
-    """Total-order comparison: Critical > High > Medium > Low.
-
-    Returns a positive number when ``a`` outranks ``b``, zero when equal,
-    negative otherwise.
-    """
-    return a.severity - b.severity
 
 
 def normalize_text(text: str) -> str:
@@ -126,10 +116,6 @@ class VulnerabilityClass:
     def to_payload(self) -> dict[str, Any]:
         return {"name": self.name, "swc_id": self.swc_id}
 
-    @classmethod
-    def from_payload(cls, payload: dict[str, Any]) -> "VulnerabilityClass":
-        return cls(name=payload["name"], swc_id=payload.get("swc_id"))
-
 
 @dataclass(frozen=True)
 class Location:
@@ -138,10 +124,6 @@ class Location:
 
     def to_payload(self) -> dict[str, Any]:
         return {"start": self.span.start, "end": self.span.end, "function": self.function}
-
-    @classmethod
-    def from_payload(cls, payload: dict[str, Any]) -> "Location":
-        return cls(span=Span(payload["start"], payload["end"]), function=payload.get("function", ""))
 
 
 @dataclass(frozen=True)
@@ -175,17 +157,6 @@ class Finding:
             "confidence": self.confidence,
         }
 
-    @classmethod
-    def from_payload(cls, payload: dict[str, Any]) -> "Finding":
-        return cls(
-            contract_id=payload["contract_id"],
-            vuln_class=VulnerabilityClass.from_payload(payload["class"]),
-            location=Location.from_payload(payload["location"]),
-            evidence=payload["evidence"],
-            channel=Channel(payload["channel"]),
-            confidence=payload["confidence"],
-        )
-
 
 @dataclass(frozen=True)
 class ChannelResult:
@@ -203,15 +174,6 @@ class ChannelResult:
             "score": self.score,
             "findings": [f.to_payload() for f in self.findings],
         }
-
-    @classmethod
-    def from_payload(cls, payload: dict[str, Any]) -> "ChannelResult":
-        return cls(
-            channel=Channel(payload["channel"]),
-            verdict=Verdict(payload["verdict"]),
-            score=payload["score"],
-            findings=tuple(Finding.from_payload(f) for f in payload.get("findings", [])),
-        )
 
 
 @dataclass(frozen=True)

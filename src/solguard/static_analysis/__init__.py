@@ -9,14 +9,13 @@ from solguard.static_analysis.rules import (
     save_ruleset,
 )
 from solguard.static_analysis.scanner import load_file, load_source, scan, static_channel
-from solguard.static_analysis.structure import ContractView, FunctionSpan, build_view, segment_functions
-from solguard.static_analysis.tokenizer import TokenStream, tokenize_solidity
+from solguard.static_analysis.structure import ContractView, FunctionSpan, build_view
+from solguard.static_analysis.tokenizer import tokenize_solidity
 
 __all__ = [
     "ContractView",
     "FunctionSpan",
     "PatternRule",
-    "TokenStream",
     "build_view",
     "default_ruleset",
     "dump_ruleset",
@@ -26,7 +25,6 @@ __all__ = [
     "parse_ruleset",
     "save_ruleset",
     "scan",
-    "segment_functions",
     "static_channel",
     "tokenize_solidity",
 ]

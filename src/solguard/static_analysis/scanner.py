@@ -10,7 +10,6 @@ from solguard.core import (
     Finding,
     Location,
     SourceContract,
-    Span,
     Verdict,
     merge_findings,
     normalize_text,
@@ -22,8 +21,7 @@ from solguard.static_analysis.tokenizer import tokenize_solidity
 def load_source(contract_id: str, text: str) -> SourceContract:
     """Build a contract from raw text: LF-normalize, tokenize."""
     source = normalize_text(text)
-    stream = tokenize_solidity(source)
-    return SourceContract(id=contract_id, source=source, token_stream=stream.tokens)
+    return SourceContract(id=contract_id, source=source, token_stream=tokenize_solidity(source))
 
 
 def load_file(path: str | Path, contract_id: str | None = None) -> SourceContract:

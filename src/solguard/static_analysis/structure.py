@@ -40,7 +40,6 @@ class FunctionSpan:
 class ContractView:
     """Everything the pattern rules need to evaluate one source unit."""
 
-    tokens: tuple[Token, ...]
     functions: tuple[FunctionSpan, ...]
     state_variables: frozenset[str]
     pragma_version: str | None
@@ -112,16 +111,6 @@ def _param_names(tokens: tuple[Token, ...], open_idx: int, close_idx: int) -> tu
 def _slot_name(slot: list[Token]) -> list[str]:
     idents = [t.lexeme for t in slot if t.kind is TokenKind.IDENT]
     return [idents[-1]] if idents else []
-
-
-def segment_functions(tokens: tuple[Token, ...]) -> list[FunctionSpan]:
-    """One span per function/constructor/fallback/receive declaration.
-
-    Declarations without a body (interfaces, abstract signatures) are
-    skipped. Raises :class:`StructuralError` on unbalanced braces, pointing
-    at the last unmatched opening brace.
-    """
-    return list(build_view(tokens).functions)
 
 
 def _function_spans(tokens: tuple[Token, ...], state_vars: frozenset[str]) -> list[FunctionSpan]:
@@ -317,7 +306,6 @@ def build_view(tokens: tuple[Token, ...]) -> ContractView:
     _check_balanced(tokens)
     state_variables = collect_state_variables(tokens)
     return ContractView(
-        tokens=tokens,
         functions=tuple(_function_spans(tokens, state_variables)),
         state_variables=state_variables,
         pragma_version=parse_pragma(tokens),

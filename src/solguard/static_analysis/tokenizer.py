@@ -1,15 +1,31 @@
-"""Lexical scanner for Solidity source.
+r"""Lexical scanner for Solidity source.
 
-Scans the UTF-8 byte representation so token spans are byte offsets,
-classifies keywords/identifiers/numbers/strings/punctuation, and diverts
-comments into a separate channel. Tokenization is a pure function of the
-source bytes.
+Lexes the UTF-8 bytes of the source, so token spans are byte offsets, with
+one regex whose alternatives are tried in this order at each position:
+
+1. whitespace ``[ \t\n\f\v]+``, skipped;
+2. a ``//`` comment to the end of the line, then a ``/* ... */`` comment
+   closed by the first ``*/`` after the opener (so ``/*/`` stays open);
+3. a ``"`` or ``'`` string; a backslash escapes any one byte, and an
+   unescaped newline leaves the string unterminated;
+4. an unterminated block comment or string, which is an error;
+5. a number: hex ``0[xX][0-9a-fA-F_]*``, else decimal
+   ``[0-9][0-9_]*(\.[0-9]+)?([eE][0-9]+)?``;
+6. a word ``[A-Za-z_$][A-Za-z_$0-9]*``: a keyword if it is in
+   :data:`KEYWORDS` or a sized type, else an identifier;
+7. an operator, longest first, so ``>>=`` is one token;
+8. any other byte, which is an error.
+
+Comments are dropped with the whitespace. A :class:`LexicalError` spans the
+rest of the input for an unterminated block comment; for an unterminated
+string, up to the newline or input end that stopped it (a trailing lone
+backslash included); and for an unexpected byte, that byte, which the
+message names.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from solguard.core import Span, Token, TokenKind
 from solguard.errors import LexicalError
@@ -38,19 +54,19 @@ _OPERATORS = [
     b"=", b"+", b"-", b"*", b"/", b"%", b"!", b"&", b"|", b"^", b"~", b"<", b">",
 ]
 
-_IDENT_START = frozenset(b"abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_$")
-_IDENT_CONT = _IDENT_START | frozenset(b"0123456789")
-_DIGITS = frozenset(b"0123456789")
-_HEX_DIGITS = frozenset(b"0123456789abcdefABCDEF_")
-_WHITESPACE = frozenset(b" \t\n\f\v")
-
-
-@dataclass(frozen=True)
-class TokenStream:
-    """Lexer output: code tokens plus the discarded comment channel."""
-
-    tokens: tuple[Token, ...]
-    comments: tuple[Token, ...]
+# group names that are token kinds are emitted as such; see the module docstring
+_GRAMMAR = re.compile(
+    rb"""(?P<space>[ \t\n\f\v]+)
+    | (?P<comment>//[^\n]*|/\*.*?\*/)
+    | (?P<string>"(?:\\.|[^"\\\n])*"|'(?:\\.|[^'\\\n])*')
+    | (?P<unterminated>/\*|"(?:\\.|[^"\\\n])*\\?|'(?:\\.|[^'\\\n])*\\?)
+    | (?P<number>0[xX][0-9a-fA-F_]*|[0-9][0-9_]*(?:\.[0-9]+)?(?:[eE][0-9]+)?)
+    | (?P<word>[A-Za-z_$][A-Za-z_$0-9]*)
+    | (?P<punct>%s)
+    | (?P<unexpected>.)"""
+    % b"|".join(re.escape(op) for op in _OPERATORS),
+    re.DOTALL | re.VERBOSE,
+)
 
 
 def _classify_word(word: str) -> TokenKind:
@@ -59,105 +75,26 @@ def _classify_word(word: str) -> TokenKind:
     return TokenKind.IDENT
 
 
-def tokenize_solidity(source: str) -> TokenStream:
-    """Tokenize Solidity source text.
+def tokenize_solidity(source: str) -> tuple[Token, ...]:
+    """Tokenize Solidity source text, comments and whitespace dropped.
 
     Raises :class:`LexicalError` on unterminated strings or block comments
     and on bytes that do not start any token.
     """
     data = source.encode("utf-8")
-    n = len(data)
     tokens: list[Token] = []
-    comments: list[Token] = []
-    i = 0
-    while i < n:
-        b = data[i]
-        if b in _WHITESPACE:
-            i += 1
+    for m in _GRAMMAR.finditer(data):
+        group = m.lastgroup
+        if group == "space" or group == "comment":
             continue
-        if data.startswith(b"//", i):
-            end = data.find(b"\n", i)
-            end = n if end == -1 else end
-            comments.append(_token(TokenKind.COMMENT, data, i, end))
-            i = end
-            continue
-        if data.startswith(b"/*", i):
-            end = data.find(b"*/", i + 2)
-            if end == -1:
-                raise LexicalError("unterminated block comment", (i, n))
-            comments.append(_token(TokenKind.COMMENT, data, i, end + 2))
-            i = end + 2
-            continue
-        if b in (0x22, 0x27):  # " or '
-            i = _scan_string(data, i, tokens)
-            continue
-        if b in _DIGITS:
-            i = _scan_number(data, i, tokens)
-            continue
-        if b in _IDENT_START:
-            j = i + 1
-            while j < n and data[j] in _IDENT_CONT:
-                j += 1
-            word = data[i:j].decode("utf-8")
-            tokens.append(Token(_classify_word(word), word, Span(i, j)))
-            i = j
-            continue
-        op = _match_operator(data, i)
-        if op is not None:
-            tokens.append(Token(TokenKind.PUNCT, op.decode("ascii"), Span(i, i + len(op))))
-            i += len(op)
-            continue
-        raise LexicalError(f"unexpected byte {bytes([b])!r}", (i, i + 1))
-    return TokenStream(tuple(tokens), tuple(comments))
-
-
-def _token(kind: TokenKind, data: bytes, start: int, end: int) -> Token:
-    lexeme = data[start:end].decode("utf-8", errors="replace")
-    return Token(kind, lexeme, Span(start, end))
-
-
-def _match_operator(data: bytes, i: int) -> bytes | None:
-    for op in _OPERATORS:
-        if data.startswith(op, i):
-            return op
-    return None
-
-
-def _scan_string(data: bytes, i: int, tokens: list[Token]) -> int:
-    quote = data[i]
-    j = i + 1
-    n = len(data)
-    while j < n:
-        b = data[j]
-        if b == 0x5C:  # backslash escape
-            j += 2
-            continue
-        if b == quote:
-            tokens.append(_token(TokenKind.STRING, data, i, j + 1))
-            return j + 1
-        if b == 0x0A:
-            break
-        j += 1
-    raise LexicalError("unterminated string literal", (i, min(j, n)))
-
-
-def _scan_number(data: bytes, i: int, tokens: list[Token]) -> int:
-    n = len(data)
-    j = i
-    if data.startswith(b"0x", i) or data.startswith(b"0X", i):
-        j = i + 2
-        while j < n and data[j] in _HEX_DIGITS:
-            j += 1
-    else:
-        while j < n and (data[j] in _DIGITS or data[j] == 0x5F):  # digits and _
-            j += 1
-        if j < n and data[j] == 0x2E and j + 1 < n and data[j + 1] in _DIGITS:  # .
-            j += 1
-            while j < n and data[j] in _DIGITS:
-                j += 1
-        if j < n and data[j] in (0x65, 0x45) and j + 1 < n and data[j + 1] in _DIGITS:  # e/E
-            j += 1
-            while j < n and data[j] in _DIGITS:
-                j += 1
-    tokens.append(_token(TokenKind.NUMBER, data, i, j))
-    return j
+        start, end = m.span()
+        if group == "unexpected":
+            raise LexicalError(f"unexpected byte {m.group()!r}", (start, end))
+        if group == "unterminated":
+            if m.group() == b"/*":
+                raise LexicalError("unterminated block comment", (start, len(data)))
+            raise LexicalError("unterminated string literal", (start, end))
+        lexeme = m.group().decode("utf-8")
+        kind = _classify_word(lexeme) if group == "word" else TokenKind(group)
+        tokens.append(Token(kind, lexeme, Span(start, end)))
+    return tuple(tokens)

@@ -4,6 +4,7 @@ import importlib
 import itertools
 import json
 import random
+import re
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -12,7 +13,6 @@ import pytest
 
 from solguard.agents.config import FusionWeights, parse_config
 from solguard.agents.detect import (
-    FusedVerdict,
     build_detection_prompt,
     fuse_channels,
     model_channel,
@@ -24,7 +24,7 @@ from solguard.agents.remediate import (
     advise,
     assess,
     build_advisor_prompt,
-    prioritize,
+    fix,
     verify,
 )
 from solguard.core import (
@@ -33,6 +33,7 @@ from solguard.core import (
     Finding,
     Location,
     Patch,
+    RepairSuggestion,
     RiskLevel,
     Span,
     Verdict,
@@ -115,10 +116,6 @@ class TestFusion:
             Channel.STATIC, Channel.RETRIEVAL, Channel.MODEL,
         ]
 
-    def test_payload_round_trip(self):
-        fused = fuse_channels(channels_for(0.9, 0.6, 0.8), "weighted", FusionWeights(), 0.5)
-        assert FusedVerdict.from_payload(fused.to_payload()) == fused
-
 
 class TestFusionWeights:
     def test_defaults(self):
@@ -132,6 +129,11 @@ class TestFusionWeights:
     def test_negative_rejected(self):
         with pytest.raises(ConfigError):
             FusionWeights(model=1.2, static=-0.4, retrieval=0.2)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_rejected(self, value):
+        with pytest.raises(ConfigError, match="finite"):
+            FusionWeights(model=value, static=0.1, retrieval=0.2)
 
     def test_proportional_renormalization_without_static(self):
         w = FusionWeights().without("static")
@@ -256,20 +258,33 @@ class TestAssess:
         assert distribution == {"Critical": 1, "High": 0, "Medium": 0, "Low": 2}
 
 
+def _repair_order(assignments: list[RiskAssignment]) -> list[str]:
+    """Functions in the order the fixer prompt numbers their findings."""
+    prompts: list[str] = []
+
+    def reply(role, prompt):
+        prompts.append(prompt)
+        return json.dumps({"repaired_source": "contract C {}", "rationale": "r"})
+
+    suggestions = [RepairSuggestion("", "", "", (), (), a.finding, complete=False) for a in assignments]
+    fix(load_source("c", "contract C {}"), suggestions, assignments, TranscriptRecorder(reply))
+    return re.findall(r"^\d+\. \[\w+\] \w+ in (\w+):", prompts[0], re.MULTILINE)
+
+
 class TestPrioritize:
     def test_critical_before_medium_regardless_of_position(self):
         medium = RiskAssignment(_finding("A", "f", start=40), RiskLevel.MEDIUM)
         critical = RiskAssignment(_finding("B", "g", start=900), RiskLevel.CRITICAL)
-        assert prioritize([medium, critical]) == [critical, medium]
+        assert _repair_order([medium, critical]) == ["g", "f"]
 
     def test_single_assignment_identity(self):
         only = RiskAssignment(_finding("A", "f"), RiskLevel.LOW)
-        assert prioritize([only]) == [only]
+        assert _repair_order([only]) == ["f"]
 
     def test_location_breaks_ties(self):
         first = RiskAssignment(_finding("A", "f", start=10), RiskLevel.HIGH)
         second = RiskAssignment(_finding("B", "g", start=500), RiskLevel.HIGH)
-        assert prioritize([second, first]) == [first, second]
+        assert _repair_order([second, first]) == ["f", "g"]
 
 
 class TestVerify:
@@ -340,6 +355,12 @@ class TestConfigValidation:
     def test_k_must_be_positive(self):
         with pytest.raises(ConfigError, match="k must be >= 1"):
             parse_config(self._payload(k=0))
+
+    @pytest.mark.parametrize("key", ["threshold", "channel_threshold"])
+    @pytest.mark.parametrize("value", [7, -0.1, float("nan")])
+    def test_thresholds_outside_unit_interval_rejected(self, key, value):
+        with pytest.raises(ConfigError, match=f"{key} must lie in"):
+            parse_config(self._payload(**{key: value}))
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ConfigError, match="mode"):

@@ -7,7 +7,6 @@ from pathlib import Path
 import pytest
 import yaml
 
-from solguard.agents.detect import FusedVerdict
 from solguard.cli import EXIT_PROCESSING, main
 from conftest import write_pipeline_config
 import presign_fixture
@@ -140,11 +139,13 @@ class TestDetect:
         assert result.exit_code == 0, result.output
         payload = json.loads(result.output)
         assert len(payload) == 1
-        record = dict(payload[0])
-        record.pop("contract_id")
-        fused = FusedVerdict.from_payload(record)
-        assert fused.to_payload() == record
-        assert fused.verdict.value == "vulnerable"
+        record = payload[0]
+        assert list(record) == ["contract_id", "verdict", "score", "mode", "threshold", "channels"]
+        assert record["contract_id"] == "presign"
+        assert record["verdict"] == "vulnerable"
+        assert [c["channel"] for c in record["channels"]] == ["static", "retrieval", "model"]
+        for channel in record["channels"]:
+            assert list(channel) == ["channel", "verdict", "score", "findings"]
 
     def test_corrupt_snapshot_line_is_processing_error(self, runner, built_index_root, tmp_path):
         index_root = tmp_path / "idx"
@@ -167,6 +168,14 @@ class TestDetect:
         )
         assert result.exit_code == 2
         assert "sum to 1" in result.output
+
+    def test_nan_weight_is_usage_error(self, runner, presign_config):
+        result = runner.invoke(
+            main,
+            ["audit", str(FIXTURES / "presign.sol"), "-c", str(presign_config), "--weights", "nan,0.5,0.5"],
+        )
+        assert result.exit_code == 2
+        assert "finite" in result.output
 
 
 class TestKb:
@@ -421,6 +430,15 @@ class TestConfigValidationExitCodes:
         config = self._write_config(tmp_path, mutate)
         result = runner.invoke(main, ["audit", str(FIXTURES / "presign.sol"), "-c", str(config)])
         assert result.exit_code == 2
+
+    def test_channel_threshold_outside_unit_interval_rejected_exit_2(self, runner, tmp_path):
+        def mutate(p):
+            p["channel_threshold"] = 7
+
+        config = self._write_config(tmp_path, mutate)
+        result = runner.invoke(main, ["audit", str(FIXTURES / "presign.sol"), "-c", str(config)])
+        assert result.exit_code == 2
+        assert "channel_threshold must lie in [0, 1]" in result.output
 
     def test_zero_k_rejected_exit_2(self, runner, tmp_path):
         def mutate(p):

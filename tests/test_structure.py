@@ -9,7 +9,6 @@ from solguard.static_analysis.structure import (
     build_view,
     collect_state_variables,
     parse_pragma,
-    segment_functions,
 )
 from solguard.static_analysis.tokenizer import tokenize_solidity
 
@@ -17,7 +16,7 @@ FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def functions_of(source: str):
-    return segment_functions(tokenize_solidity(source).tokens)
+    return list(build_view(tokenize_solidity(source)).functions)
 
 
 def test_presign_has_external_presign_function_without_modifiers():
@@ -132,7 +131,7 @@ def test_state_variables_collected():
         function f() external { owner = msg.sender; }
     }
     """
-    tokens = tokenize_solidity(source).tokens
+    tokens = tokenize_solidity(source)
     assert collect_state_variables(tokens) == {"owner", "preSignatures", "FEE"}
 
 
@@ -158,15 +157,15 @@ def test_mutates_state_detection():
 
 
 def test_pragma_parsing_and_comparison():
-    tokens = tokenize_solidity("pragma solidity >=0.6.0 <0.8.0;\ncontract C {}").tokens
+    tokens = tokenize_solidity("pragma solidity >=0.6.0 <0.8.0;\ncontract C {}")
     assert parse_pragma(tokens) == ">=0.6.0<0.8.0"
     view = build_view(tokens)
     assert view.pragma_below(0, 8)
 
-    tokens = tokenize_solidity("pragma solidity ^0.8.10;\ncontract C {}").tokens
+    tokens = tokenize_solidity("pragma solidity ^0.8.10;\ncontract C {}")
     assert not build_view(tokens).pragma_below(0, 8)
 
-    assert parse_pragma(tokenize_solidity("contract C {}").tokens) is None
+    assert parse_pragma(tokenize_solidity("contract C {}")) is None
 
 
 def test_fixture_corpus_functions_match_manifest():
