@@ -25,7 +25,7 @@ class FusionWeights:
 
     def __post_init__(self) -> None:
         for name, value in self.as_dict().items():
-            if not (math.isfinite(value) and value >= 0):
+            if isinstance(value, bool) or not (math.isfinite(value) and value >= 0):
                 raise ConfigError(f"fusion weight {name} must be a finite number >= 0, got {value}")
         total = self.model + self.static + self.retrieval
         if abs(total - 1.0) > _WEIGHT_TOLERANCE:
@@ -128,19 +128,25 @@ def parse_config(payload: dict[str, Any], base_dir: Path | None = None) -> Pipel
             record["transcript"] = _resolve(record["transcript"])
         providers[role] = ProviderConfig.from_payload(record)
 
-    try:
-        k = int(payload.get("k", 5))
-        threshold = float(payload.get("threshold", 0.5))
-        channel_threshold = float(payload.get("channel_threshold", 0.5))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad numeric setting: {exc}") from exc
+    def _number(name: str, default: float) -> float:
+        value = payload.get(name, default)
+        if not isinstance(value, bool):  # YAML true/false are not numbers here
+            try:
+                return float(value)
+            except (TypeError, ValueError):
+                pass
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+
+    k = _number("k", 5)
+    if not k.is_integer():
+        raise ConfigError(f"k must be a whole number, got {payload['k']!r}")
 
     return PipelineConfig(
         mode=payload.get("mode", "weighted"),
         weights=weights,
-        threshold=threshold,
-        channel_threshold=channel_threshold,
-        k=k,
+        threshold=_number("threshold", 0.5),
+        channel_threshold=_number("channel_threshold", 0.5),
+        k=int(k),
         ruleset_path=_resolve(payload.get("ruleset")),
         index_root=_resolve(payload.get("index_root", "index")),
         output_dir=_resolve(payload.get("output_dir", "out")),

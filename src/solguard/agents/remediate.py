@@ -90,8 +90,9 @@ def advise(
     """One repair suggestion per finding, grounded in retrieved knowledge,
     in findings order; the per-finding calls overlap.
 
-    A suggestion that cannot be extracted even after the repair retry is
-    recorded as incomplete; the pipeline carries on.
+    A suggestion that cannot be extracted even after the repair retry, or
+    that leaves a field empty, is recorded as incomplete; the pipeline
+    carries on.
     """
     if not findings:
         raise PipelineError(f"{contract.id}: advise requires at least one finding")
@@ -100,7 +101,15 @@ def advise(
         prompt = build_advisor_prompt(contract, finding, kb_index, k)
         try:
             record = ask_structured(provider, "advisor", prompt, ADVISOR_SCHEMA)
-        except ExtractionError as exc:
+            return RepairSuggestion(
+                vulnerability_name=record["vulnerability_name"],
+                cause_analysis=record["cause_analysis"],
+                impact_assessment=record["impact_assessment"],
+                repair_steps=tuple(str(s) for s in record["repair_steps"]),
+                preventive_measures=tuple(str(s) for s in record["preventive_measures"]),
+                finding=finding,
+            )
+        except (ExtractionError, ValueError) as exc:  # ValueError: a field left empty
             log.warning("%s: advisor output unusable for %s: %s", contract.id, finding.vuln_class.name, exc)
             return RepairSuggestion(
                 vulnerability_name=finding.vuln_class.name,
@@ -111,14 +120,6 @@ def advise(
                 finding=finding,
                 complete=False,
             )
-        return RepairSuggestion(
-            vulnerability_name=record["vulnerability_name"],
-            cause_analysis=record["cause_analysis"],
-            impact_assessment=record["impact_assessment"],
-            repair_steps=tuple(str(s) for s in record["repair_steps"]),
-            preventive_measures=tuple(str(s) for s in record["preventive_measures"]),
-            finding=finding,
-        )
 
     return _per_finding(suggest, findings)
 

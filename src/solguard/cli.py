@@ -4,6 +4,10 @@ Exit codes: 0 success, 1 processing errors (some contract failed, or audit
 recorded a stage error), 2 usage or configuration errors. A vulnerable
 verdict alone never fails the exit code; gate CI with --fail-on-vulnerable
 instead.
+
+``audit`` and ``detect`` read their contracts through one loop. A contract
+that cannot be read, is not UTF-8, or cannot be lexed or segmented prints
+``<id>: error: ...`` and the batch goes on with the next contract.
 """
 
 from __future__ import annotations
@@ -14,14 +18,15 @@ import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
+from typing import Callable, NoReturn, TypeVar
 
 import click
 import yaml
 
 from solguard.agents.config import MODES, PipelineConfig, apply_overrides, load_config
 from solguard.agents.detect import detect as run_detect
-from solguard.agents.pipeline import PipelineContext, build_context, run_pipeline
-from solguard.core import Verdict
+from solguard.agents.pipeline import PipelineContext, PipelineRun, build_context, run_pipeline
+from solguard.core import SourceContract, Verdict
 from solguard.errors import ConfigError, SnapshotError, SolguardError
 from solguard.evaluation import (
     LabeledDataset,
@@ -37,11 +42,11 @@ from solguard.retrieval.snapshot import CorpusSnapshotStore, KbSnapshotStore
 from solguard.retrieval.tfidf import build_corpus_index, load_corpus_file
 from solguard.static_analysis.scanner import load_file
 
-log = logging.getLogger(__name__)
-
-EXIT_OK = 0
 EXIT_PROCESSING = 1
 EXIT_USAGE = 2
+
+T = TypeVar("T")
+Outcome = tuple[str, T | None, str | None]  # (contract id, result, error message)
 
 
 def _setup_logging(verbose: int) -> None:
@@ -53,36 +58,40 @@ def _setup_logging(verbose: int) -> None:
     logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
 
 
-def _load_config_or_exit(config_path: str, **overrides) -> PipelineConfig:
+def _fail(code: int, message: str) -> NoReturn:
+    """The one error exit: ``error: <message>`` on stderr, then exit ``code``."""
+    click.echo(f"error: {message}", err=True)
+    raise SystemExit(code)
+
+
+def _config(config_path: str, weights: str | None = None, **overrides) -> PipelineConfig:
+    """The configuration file with the command-line overrides applied;
+    ``weights`` is the raw ``model,static,retrieval`` option. Exits 2 on
+    any fault in either."""
+    if weights is not None:
+        parts = weights.split(",")
+        if len(parts) != 3:
+            _fail(EXIT_USAGE, "--weights expects model,static,retrieval")
+        try:
+            overrides["weights"] = tuple(float(x) for x in parts)
+        except ValueError:
+            _fail(EXIT_USAGE, f"--weights values must be numbers, got {weights!r}")
     try:
-        config = load_config(config_path)
-        return apply_overrides(config, **overrides)
+        return apply_overrides(load_config(config_path), **overrides)
     except ConfigError as exc:
-        raise SystemExit(_usage_error(str(exc)))
+        _fail(EXIT_USAGE, str(exc))
 
 
-def _usage_error(message: str) -> int:
-    click.echo(f"error: {message}", err=True)
-    return EXIT_USAGE
-
-
-def _processing_error(message: str) -> int:
-    click.echo(f"error: {message}", err=True)
-    return EXIT_PROCESSING
-
-
-def _context_or_exit(config: PipelineConfig, roles: tuple[str, ...] | None = None) -> PipelineContext:
+def _context(config: PipelineConfig, roles: tuple[str, ...] | None = None) -> PipelineContext:
     """``build_context``, exiting 1 on an unreadable snapshot and 2 on any
     other configuration fault."""
     try:
         return build_context(config, roles)
-    except SnapshotError as exc:
-        raise SystemExit(_processing_error(str(exc)))
     except SolguardError as exc:
-        raise SystemExit(_usage_error(str(exc)))
+        _fail(EXIT_PROCESSING if isinstance(exc, SnapshotError) else EXIT_USAGE, str(exc))
 
 
-def _dataset_split_or_exit(
+def _dataset_split(
     dataset_path: str, split: str | None, config: PipelineConfig
 ) -> tuple[LabeledDataset, PipelineContext]:
     """The ``split`` entries of the dataset and a detector-only context. A
@@ -90,50 +99,55 @@ def _dataset_split_or_exit(
     try:
         dataset = load_dataset(dataset_path).subset(split)
     except SolguardError as exc:
-        raise SystemExit(_processing_error(str(exc)))
+        _fail(EXIT_PROCESSING, str(exc))
     if not dataset.entries:
-        raise SystemExit(_usage_error(f"no dataset entries for split {split!r}"))
-    return dataset, _context_or_exit(config, roles=("detector",))
+        _fail(EXIT_USAGE, f"no dataset entries for split {split!r}")
+    return dataset, _context(config, roles=("detector",))
 
 
-def _collect_contract_paths(paths: tuple[str, ...]) -> list[Path]:
-    """Expand arguments: files stay, directories recurse over *.sol."""
-    collected: list[Path] = []
+def _contracts(paths: tuple[str, ...]) -> list[tuple[str, Path]]:
+    """(id, path) per contract in argument order. Files stay, directories
+    recurse over *.sol; ids are file stems, suffixed ``_2``, ``_3``... where
+    a stem repeats. Exits 2 when there is no contract to read."""
+    if not paths:
+        _fail(EXIT_USAGE, "no input files given")
+    files: list[Path] = []
     for raw in paths:
-        p = Path(raw)
-        if p.is_dir():
-            collected.extend(sorted(p.rglob("*.sol")))
-        else:
-            collected.append(p)
-    return collected
-
-
-def _contract_ids(paths: list[Path]) -> list[str]:
-    """Stable, unique output ids derived from file stems."""
-    ids: list[str] = []
+        path = Path(raw)
+        files.extend(sorted(path.rglob("*.sol")) if path.is_dir() else [path])
+    if not files:
+        _fail(EXIT_USAGE, "no .sol files found under the given paths")
+    items: list[tuple[str, Path]] = []
     used: set[str] = set()
-    for p in paths:
-        base = p.stem
-        candidate = base
-        suffix = 2
-        while candidate in used:
-            candidate = f"{base}_{suffix}"
+    for path in files:
+        contract_id, suffix = path.stem, 2
+        while contract_id in used:
+            contract_id = f"{path.stem}_{suffix}"
             suffix += 1
-        used.add(candidate)
-        ids.append(candidate)
-    return ids
+        used.add(contract_id)
+        items.append((contract_id, path))
+    return items
 
 
-def _parse_weights(raw: str | None) -> tuple[float, float, float] | None:
-    if raw is None:
-        return None
-    parts = raw.split(",")
-    if len(parts) != 3:
-        raise SystemExit(_usage_error("--weights expects model,static,retrieval"))
-    try:
-        return tuple(float(x) for x in parts)  # type: ignore[return-value]
-    except ValueError:
-        raise SystemExit(_usage_error(f"--weights values must be numbers, got {raw!r}"))
+def _each_contract(
+    items: list[tuple[str, Path]], work: Callable[[SourceContract], T], jobs: int
+) -> list[Outcome[T]]:
+    """Load each contract and run ``work`` on it, up to ``jobs`` at a time.
+
+    Outcomes come back in input order. A contract that cannot be loaded, or
+    whose work fails or cannot write its output, gets its error message
+    instead of a result; the other contracts go on.
+    """
+
+    def one(item: tuple[str, Path]) -> Outcome[T]:
+        contract_id, path = item
+        try:
+            return contract_id, work(load_file(path, contract_id)), None
+        except (SolguardError, OSError) as exc:
+            return contract_id, None, str(exc)
+
+    with ThreadPoolExecutor(max_workers=max(jobs, 1)) as pool:
+        return list(pool.map(one, items))
 
 
 @click.group()
@@ -156,68 +170,40 @@ def main() -> None:
 def cmd_audit(paths, config_path, output_dir, mode, weights, threshold, k, jobs, fail_on_vulnerable, verbose):
     """Run the full pipeline over contracts and write reports."""
     _setup_logging(verbose)
-    if not paths:
-        raise SystemExit(_usage_error("no input files given"))
-    config = _load_config_or_exit(
-        config_path,
-        mode=mode,
-        weights=_parse_weights(weights),
-        threshold=threshold,
-        k=k,
-        output_dir=output_dir,
-    )
-    ctx = _context_or_exit(config)
-
-    files = _collect_contract_paths(paths)
-    if not files:
-        raise SystemExit(_usage_error("no .sol files found under the given paths"))
-    ids = _contract_ids(files)
+    items = _contracts(paths)
+    config = _config(config_path, weights, mode=mode, threshold=threshold, k=k, output_dir=output_dir)
+    ctx = _context(config)
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    def process(item: tuple[str, Path]) -> tuple[str, object | None, str | None]:
-        contract_id, path = item
-        try:
-            contract = load_file(path, contract_id)
-            run = run_pipeline(contract, ctx)
-            report_payload = {
-                "sections": [{"title": s.title, "body": s.body} for s in run.report.sections],
-                "machine_payload": run.report.machine_payload,
-            }
-            (out_dir / f"{contract_id}.report.md").write_text(
-                run.report.to_markdown(), encoding="utf-8"
-            )
-            (out_dir / f"{contract_id}.report.json").write_text(
-                json.dumps(report_payload, indent=2, ensure_ascii=False) + "\n", encoding="utf-8"
-            )
-            (out_dir / f"{contract_id}.run.json").write_text(
-                json.dumps(run.to_payload(), indent=2, ensure_ascii=False) + "\n", encoding="utf-8"
-            )
-            return contract_id, run, None
-        except (SolguardError, OSError) as exc:
-            log.error("%s: %s", path, exc)
-            return contract_id, None, str(exc)
+    def audit(contract: SourceContract) -> PipelineRun:
+        run = run_pipeline(contract, ctx)
+        report_payload = {
+            "sections": [{"title": s.title, "body": s.body} for s in run.report.sections],
+            "machine_payload": run.report.machine_payload,
+        }
+        (out_dir / f"{contract.id}.report.md").write_text(run.report.to_markdown(), encoding="utf-8")
+        (out_dir / f"{contract.id}.report.json").write_text(
+            json.dumps(report_payload, indent=2, ensure_ascii=False) + "\n", encoding="utf-8"
+        )
+        (out_dir / f"{contract.id}.run.json").write_text(
+            json.dumps(run.to_payload(), indent=2, ensure_ascii=False) + "\n", encoding="utf-8"
+        )
+        return run
 
-    max_workers = jobs or os.cpu_count() or 1
-    if max_workers > 1 and len(files) > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            results = list(pool.map(process, zip(ids, files)))
-    else:
-        results = [process(item) for item in zip(ids, files)]
-
-    failures = [r for r in results if r[2] is not None]
-    runs = [run for _, run, error in results if error is None]
+    outcomes = _each_contract(items, audit, jobs or os.cpu_count() or 1)
+    runs = [run for _, run, error in outcomes if error is None]
     vulnerable = [r for r in runs if r.fused.verdict is Verdict.VULNERABLE]
     patched = [r for r in runs if r.patch is not None]
     verified = [r for r in patched if r.verification is not None and r.verification.passed]
-    for contract_id, run, error in results:
+    for contract_id, run, error in outcomes:
         if error is not None:
             click.echo(f"{contract_id}: error: {error}", err=True)
         else:
             failed = f"; failed stages: {', '.join(run.errors)}" if run.errors else ""
             click.echo(f"{contract_id}: {run.fused.verdict.value} (report written to {out_dir}{failed})")
     click.echo(
-        f"processed {len(runs)}/{len(results)} contracts, {len(vulnerable)} vulnerable"
+        f"processed {len(runs)}/{len(outcomes)} contracts, {len(vulnerable)} vulnerable"
     )
     if patched:
         # both denominators: verified patches over patched contracts and over all processed
@@ -225,9 +211,8 @@ def cmd_audit(paths, config_path, output_dir, mode, weights, threshold, k, jobs,
             f"patch verification passed: {len(verified)}/{len(patched)} patched "
             f"({len(verified)}/{len(runs)} of all processed)"
         )
-    if failures or any(r.errors for r in runs) or (fail_on_vulnerable and vulnerable):
+    if len(runs) < len(outcomes) or any(r.errors for r in runs) or (fail_on_vulnerable and vulnerable):
         sys.exit(EXIT_PROCESSING)
-    sys.exit(EXIT_OK)
 
 
 @main.command("detect")
@@ -242,36 +227,22 @@ def cmd_audit(paths, config_path, output_dir, mode, weights, threshold, k, jobs,
 def cmd_detect(paths, config_path, mode, weights, threshold, k, as_json, verbose):
     """Detection only: verdict, fused score, and the per-channel breakdown."""
     _setup_logging(verbose)
-    if not paths:
-        raise SystemExit(_usage_error("no input files given"))
-    config = _load_config_or_exit(
-        config_path, mode=mode, weights=_parse_weights(weights), threshold=threshold, k=k
-    )
-    ctx = _context_or_exit(config, roles=("detector",))
-
-    files = _collect_contract_paths(paths)
-    if not files:
-        raise SystemExit(_usage_error("no .sol files found under the given paths"))
-    ids = _contract_ids(files)
-    had_errors = False
-    outputs: list[dict] = []
-    for contract_id, path in zip(ids, files):
-        try:
-            contract = load_file(path, contract_id)
-            fused = run_detect(contract, ctx)
-        except (SolguardError, OSError) as exc:
-            had_errors = True
-            click.echo(f"{contract_id}: error: {exc}", err=True)
-            continue
-        if as_json:
-            outputs.append({"contract_id": contract_id, **fused.to_payload()})
-        else:
+    items = _contracts(paths)
+    config = _config(config_path, weights, mode=mode, threshold=threshold, k=k)
+    ctx = _context(config, roles=("detector",))
+    outcomes = _each_contract(items, lambda contract: run_detect(contract, ctx), jobs=1)
+    for contract_id, fused, error in outcomes:
+        if error is not None:
+            click.echo(f"{contract_id}: error: {error}", err=True)
+        elif not as_json:
             click.echo(f"{contract_id}: {fused.verdict.value} {fused.score:.2f} (mode {fused.mode})")
             for channel in fused.channel_results:
                 click.echo(f"  {channel.channel.value:<10} {channel.verdict.value:<10} {channel.score:.2f}")
     if as_json:
-        click.echo(json.dumps(outputs, indent=2, ensure_ascii=False))
-    sys.exit(EXIT_PROCESSING if had_errors else EXIT_OK)
+        payload = [{"contract_id": cid, **fused.to_payload()} for cid, fused, error in outcomes if error is None]
+        click.echo(json.dumps(payload, indent=2, ensure_ascii=False))
+    if any(error is not None for _, _, error in outcomes):
+        sys.exit(EXIT_PROCESSING)
 
 
 @main.group("kb")
@@ -286,13 +257,13 @@ def _publish_snapshots(
     each source given. ``build`` refuses an index that already exists."""
     _setup_logging(verbose)
     if not corpus and not docs:
-        raise SystemExit(_usage_error(f"kb {command} needs --corpus and/or --docs"))
+        _fail(EXIT_USAGE, f"kb {command} needs --corpus and/or --docs")
     corpus_store = CorpusSnapshotStore(Path(index_root) / "corpus")
     kb_store = KbSnapshotStore(Path(index_root) / "kb")
     published: list[str] = []
     try:
         if command == "build" and (corpus_store.current_version() or kb_store.current_version()):
-            raise SystemExit(_usage_error(f"index under {index_root} already exists; use 'kb update'"))
+            _fail(EXIT_USAGE, f"index under {index_root} already exists; use 'kb update'")
         if corpus:
             version = corpus_store.publish(build_corpus_index(load_corpus_file(corpus)))
             published.append(f"corpus: published version {version}")
@@ -300,10 +271,9 @@ def _publish_snapshots(
             version = kb_store.publish(build_kb_index(load_kb_documents(docs), HashingEmbedder()))
             published.append(f"kb: published version {version}")
     except SolguardError as exc:
-        raise SystemExit(_processing_error(str(exc)))
+        _fail(EXIT_PROCESSING, str(exc))
     for line in published:
         click.echo(line)
-    sys.exit(EXIT_OK)
 
 
 @cmd_kb.command("build")
@@ -351,8 +321,7 @@ def cmd_kb_status(index_root):
             docs = len({c.doc_id for c in kb_index.chunks})
             click.echo(f"kb: version {kb_version}, {docs} documents, {len(kb_index.chunks)} chunks")
     except SnapshotError as exc:
-        raise SystemExit(_processing_error(str(exc)))
-    sys.exit(EXIT_OK)
+        _fail(EXIT_PROCESSING, str(exc))
 
 
 @main.command("eval")
@@ -365,20 +334,19 @@ def cmd_kb_status(index_root):
 def cmd_eval(dataset_path, config_path, variants, split, out, verbose):
     """Score detection variants against a labeled dataset."""
     _setup_logging(verbose)
-    config = _load_config_or_exit(config_path)
+    config = _config(config_path)
     try:
         names = [normalize_variant(v) for v in variants.split(",") if v.strip()]
-        dataset, ctx = _dataset_split_or_exit(dataset_path, split, config)
+        dataset, ctx = _dataset_split(dataset_path, split, config)
         reports = run_variants(dataset, names, ctx)
     except SolguardError as exc:
-        raise SystemExit(_usage_error(str(exc)))
+        _fail(EXIT_USAGE, str(exc))
     click.echo(format_table(reports))
     payload = {"dataset": str(dataset_path), "results": [r.to_payload() for r in reports]}
     out_path = Path(out) if out else Path(config.output_dir) / "eval_results.json"
     out_path.parent.mkdir(parents=True, exist_ok=True)
     out_path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
     click.echo(f"results written to {out_path}")
-    sys.exit(EXIT_OK)
 
 
 @main.command("calibrate")
@@ -390,12 +358,12 @@ def cmd_eval(dataset_path, config_path, variants, split, out, verbose):
 def cmd_calibrate(dataset_path, config_path, split, write, verbose):
     """Sweep fused scores on a validation split and pick the F1-best threshold."""
     _setup_logging(verbose)
-    config = _load_config_or_exit(config_path)
+    config = _config(config_path)
     try:
-        dataset, ctx = _dataset_split_or_exit(dataset_path, split, config)
+        dataset, ctx = _dataset_split(dataset_path, split, config)
         threshold = calibrate_threshold(fused_scores(dataset, ctx))
     except SolguardError as exc:
-        raise SystemExit(_usage_error(str(exc)))
+        _fail(EXIT_USAGE, str(exc))
     click.echo(f"calibrated threshold: {threshold}")
     if write:
         path = Path(config_path)
@@ -403,7 +371,6 @@ def cmd_calibrate(dataset_path, config_path, split, write, verbose):
         payload["threshold"] = threshold
         path.write_text(yaml.safe_dump(payload, sort_keys=False), encoding="utf-8")
         click.echo(f"threshold written to {path}")
-    sys.exit(EXIT_OK)
 
 
 if __name__ == "__main__":

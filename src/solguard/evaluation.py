@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
-from solguard.agents.config import FusionWeights, PipelineConfig
 from solguard.agents.detect import fuse_channels, run_channels
 from solguard.agents.pipeline import PipelineContext
 from solguard.core import Channel, ChannelResult
@@ -21,36 +20,27 @@ from solguard.static_analysis.scanner import load_source
 
 log = logging.getLogger(__name__)
 
-VARIANTS = ("weighted", "voting", "enriched", "no-static", "no-rag")
-
-# Accepted spellings for --variants; table-style labels map onto the
-# canonical channel-toggle names.
-_VARIANT_ALIASES = {
-    "weighted": "weighted",
-    "w": "weighted",
-    "voting": "voting",
-    "v": "voting",
-    "enriched": "enriched",
-    "e": "enriched",
-    "no-static": "no-static",
-    "w/o static": "no-static",
-    "wo static": "no-static",
-    "without static": "no-static",
-    "no-rag": "no-rag",
-    "w/o rag": "no-rag",
-    "wo rag": "no-rag",
-    "without rag": "no-rag",
+# name: (detect mode, channel dropped from fusion, other accepted spellings).
+# The mode picks both the channel results and the fusion rule; dropping a
+# channel renormalizes the remaining weights proportionally.
+VARIANTS: dict[str, tuple[str, Channel | None, tuple[str, ...]]] = {
+    "weighted": ("weighted", None, ("w",)),
+    "voting": ("voting", None, ("v",)),
+    "enriched": ("enriched", None, ("e",)),
+    "no-static": ("weighted", Channel.STATIC, ("w/o static", "wo static", "without static")),
+    "no-rag": ("weighted", Channel.RETRIEVAL, ("w/o rag", "wo rag", "without rag")),
 }
+_SPELLINGS = {spelling: name for name, (_, _, aliases) in VARIANTS.items() for spelling in (name, *aliases)}
 
 
 def normalize_variant(name: str) -> str:
     key = " ".join(name.strip().lower().split())
-    if key not in _VARIANT_ALIASES:
+    if key not in _SPELLINGS:
         raise DatasetError(
             f"unknown variant {name!r}; valid names: {', '.join(VARIANTS)} "
             "(aliases: W, V, E, 'w/o Static', 'w/o RAG')"
         )
-    return _VARIANT_ALIASES[key]
+    return _SPELLINGS[key]
 
 
 @dataclass(frozen=True)
@@ -157,21 +147,6 @@ def metrics(cm: ConfusionMatrix, variant: str = "", failures: int = 0) -> Metric
     )
 
 
-def variant_settings(variant: str, config: PipelineConfig) -> tuple[str, FusionWeights, tuple[Channel, ...]]:
-    """(detect mode, fusion weights, active channels) for one variant.
-
-    Removing a channel renormalizes the remaining weights proportionally.
-    """
-    all_channels = (Channel.STATIC, Channel.RETRIEVAL, Channel.MODEL)
-    if variant in ("weighted", "voting", "enriched"):
-        return variant, config.weights, all_channels
-    if variant == "no-static":
-        return "weighted", config.weights.without("static"), (Channel.RETRIEVAL, Channel.MODEL)
-    if variant == "no-rag":
-        return "weighted", config.weights.without("retrieval"), (Channel.STATIC, Channel.MODEL)
-    raise DatasetError(f"unknown variant {variant!r}")
-
-
 @dataclass(frozen=True)
 class ChannelCache:
     """Channel results per contract and detection mode, computed once and
@@ -208,27 +183,26 @@ def run_variants(
 ) -> list[MetricsReport]:
     """Evaluate each variant over the dataset with shared channel results.
 
-    Channels run once per contract (the model twice when an enriched variant
-    is requested, since enrichment changes its prompt); fusion is then
-    re-applied per variant, so ablations cannot disturb the surviving
-    channels' raw scores. Contracts that fail detection are excluded from
-    every variant and counted.
+    Channels run once per contract, for the detect modes the variants name;
+    the model is asked once per distinct prompt, so only an enriched variant
+    adds a call. Fusion is then re-applied per variant, so ablations cannot
+    disturb the surviving channels' raw scores. Contracts that fail
+    detection are excluded from every variant and counted.
     """
     names = [normalize_variant(v) for v in variants]
     if len(set(names)) != len(names):
         raise DatasetError(f"duplicate variants requested: {variants}")
     config = ctx.config
-    cache = channel_cache(dataset, ctx, ("weighted", "enriched") if "enriched" in names else ("weighted",))
+    cache = channel_cache(dataset, ctx, tuple(dict.fromkeys(VARIANTS[name][0] for name in names)))
 
     reports: list[MetricsReport] = []
     for name in names:
-        mode, weights, active = variant_settings(name, config)
+        mode, dropped, _ = VARIANTS[name]
+        weights = config.weights.without(dropped.value) if dropped else config.weights
         predictions: dict[str, str] = {}
         for cid, by_mode in cache.channels.items():
-            channels = by_mode["enriched" if name == "enriched" else "weighted"]
-            subset = {ch: res for ch, res in channels.items() if ch in active}
-            fused = fuse_channels(subset, mode, weights, config.threshold)
-            predictions[cid] = fused.verdict.value
+            channels = {ch: res for ch, res in by_mode[mode].items() if ch is not dropped}
+            predictions[cid] = fuse_channels(channels, mode, weights, config.threshold).verdict.value
         reports.append(metrics(confusion(predictions, cache.labels), variant=name, failures=cache.failures))
     return reports
 

@@ -214,8 +214,11 @@ _MATCHERS: dict[str, Callable[[dict[str, Any], FunctionSpan, ContractView], int 
 
 def load_ruleset(path: str | Path) -> list[PatternRule]:
     """Load rules from a YAML file; see data/rules.yaml for the shipped set."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_ruleset(fh.read())
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise RulesetError(f"cannot read rule file {path}: {exc}") from exc
+    return parse_ruleset(text)
 
 
 def parse_ruleset(text: str) -> list[PatternRule]:

@@ -14,6 +14,7 @@ from solguard.core import (
     merge_findings,
     normalize_text,
 )
+from solguard.errors import SolguardError
 from solguard.static_analysis.rules import PatternRule, evaluate_rule
 from solguard.static_analysis.tokenizer import tokenize_solidity
 
@@ -25,8 +26,14 @@ def load_source(contract_id: str, text: str) -> SourceContract:
 
 
 def load_file(path: str | Path, contract_id: str | None = None) -> SourceContract:
+    """``load_source`` over a UTF-8 file; a file that cannot be read or
+    decoded is a ``SolguardError`` naming it."""
     p = Path(path)
-    return load_source(contract_id or p.stem, p.read_text(encoding="utf-8"))
+    try:
+        text = p.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise SolguardError(f"cannot read {p}: {exc}") from exc
+    return load_source(contract_id or p.stem, text)
 
 
 def evidence_line(source: str, byte_offset: int) -> str:

@@ -230,6 +230,22 @@ class TestAdvise:
         assert len(suggestions) == 1
         assert not suggestions[0].complete
 
+    @pytest.mark.parametrize("field", ["cause_analysis", "repair_steps"])
+    def test_reply_with_an_empty_field_yields_incomplete_suggestion(self, field):
+        reply = {
+            "vulnerability_name": "Reentrancy",
+            "cause_analysis": "state written after the call",
+            "impact_assessment": "funds drained",
+            "repair_steps": ["move the write before the call"],
+            "preventive_measures": ["checks-effects-interactions"],
+        }
+        reply[field] = [] if field == "repair_steps" else ""
+        contract = load_source("c", "contract C {}")
+        recorder = TranscriptRecorder(lambda role, prompt: json.dumps(reply))
+        suggestions = advise(contract, [_finding("Reentrancy", "f", contract_id="c")], None, recorder)
+        assert len(suggestions) == 1
+        assert not suggestions[0].complete
+
 
 class TestAssess:
     def test_invalid_level_defaults_to_high_with_flag(self):
@@ -361,6 +377,20 @@ class TestConfigValidation:
     def test_thresholds_outside_unit_interval_rejected(self, key, value):
         with pytest.raises(ConfigError, match=f"{key} must lie in"):
             parse_config(self._payload(**{key: value}))
+
+    @pytest.mark.parametrize("k", [2.5, True, float("nan")])
+    def test_k_must_be_a_whole_number(self, k):
+        with pytest.raises(ConfigError, match="k must be"):
+            parse_config(self._payload(k=k))
+
+    @pytest.mark.parametrize("key", ["threshold", "channel_threshold"])
+    def test_boolean_threshold_rejected(self, key):
+        with pytest.raises(ConfigError, match=f"{key} must be a number"):
+            parse_config(self._payload(**{key: True}))
+
+    def test_boolean_weight_rejected(self):
+        with pytest.raises(ConfigError, match="fusion weight model"):
+            parse_config(self._payload(weights={"model": True, "static": 0, "retrieval": 0}))
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ConfigError, match="mode"):

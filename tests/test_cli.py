@@ -114,6 +114,39 @@ class TestAudit:
         assert result.exit_code == 2
 
 
+def write_batch_with_undecodable_contract(directory: Path) -> Path:
+    """``presign.sol`` and ``safe.sol`` around a contract that is not UTF-8."""
+    directory.mkdir()
+    shutil.copy(FIXTURES / "presign.sol", directory / "presign.sol")
+    (directory / "bad.sol").write_bytes(b"contract Bad { string s = \"\xff\"; }\n")
+    shutil.copy(FIXTURES / "safe.sol", directory / "safe.sol")
+    return directory
+
+
+class TestUndecodableContract:
+    def test_audit_reports_it_and_finishes_the_batch(self, runner, presign_config, tmp_path):
+        batch = write_batch_with_undecodable_contract(tmp_path / "batch")
+        result = runner.invoke(main, ["audit", str(batch), "-c", str(presign_config), "--jobs", "2"])
+        assert result.exit_code == EXIT_PROCESSING, result.output
+        assert "Traceback" not in result.output
+        errors = [l for l in result.stderr.splitlines() if ": error: " in l]
+        assert len(errors) == 1 and errors[0].startswith("bad: error: "), errors
+        assert "processed 2/3 contracts" in result.stdout
+        written = sorted(p.name for p in (tmp_path / "out").iterdir())
+        assert written == [
+            f"{cid}.{kind}" for cid in ("presign", "safe") for kind in ("report.json", "report.md", "run.json")
+        ]
+
+    def test_detect_reports_it_and_prints_the_other_verdicts(self, runner, presign_config, tmp_path):
+        batch = write_batch_with_undecodable_contract(tmp_path / "batch")
+        result = runner.invoke(main, ["detect", str(batch), "-c", str(presign_config)])
+        assert result.exit_code == EXIT_PROCESSING, result.output
+        assert "Traceback" not in result.output
+        assert "bad: error: " in result.stderr
+        verdicts = [l for l in result.stdout.splitlines() if not l.startswith(" ")]
+        assert verdicts == ["presign: vulnerable 0.84 (mode weighted)", "safe: safe 0.00 (mode weighted)"]
+
+
 class TestDetect:
     def test_safe_fixture_prints_three_channel_rows(self, runner, presign_config):
         result = runner.invoke(main, ["detect", str(FIXTURES / "safe.sol"), "-c", str(presign_config)])
@@ -439,6 +472,23 @@ class TestConfigValidationExitCodes:
         result = runner.invoke(main, ["audit", str(FIXTURES / "presign.sol"), "-c", str(config)])
         assert result.exit_code == 2
         assert "channel_threshold must lie in [0, 1]" in result.output
+
+    def test_missing_ruleset_file_rejected_exit_2(self, runner, tmp_path):
+        def mutate(p):
+            p["ruleset"] = str(tmp_path / "no-rules.yaml")
+
+        config = self._write_config(tmp_path, mutate)
+        result = runner.invoke(main, ["detect", str(FIXTURES / "presign.sol"), "-c", str(config)])
+        assert_clean_error(result, 2, str(tmp_path / "no-rules.yaml"))
+
+    @pytest.mark.parametrize("key, value", [("k", 2.5), ("threshold", True)])
+    def test_fractional_k_or_boolean_threshold_rejected_exit_2(self, runner, tmp_path, key, value):
+        def mutate(p):
+            p[key] = value
+
+        config = self._write_config(tmp_path, mutate)
+        result = runner.invoke(main, ["detect", str(FIXTURES / "presign.sol"), "-c", str(config)])
+        assert_clean_error(result, 2, key)
 
     def test_zero_k_rejected_exit_2(self, runner, tmp_path):
         def mutate(p):

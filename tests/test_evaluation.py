@@ -110,6 +110,22 @@ class TestVariantNames:
         assert normalize_variant("w/o RAG") == "no-rag"
         assert normalize_variant("no-rag") == "no-rag"
 
+    def test_exactly_the_documented_spellings(self):
+        spellings = {
+            "weighted": ["weighted", "W"],
+            "voting": ["voting", "V"],
+            "enriched": ["enriched", "E"],
+            "no-static": ["no-static", "w/o Static", "wo static", "Without  Static"],
+            "no-rag": ["no-rag", "w/o RAG", "wo rag", "without RAG"],
+        }
+        assert sum(len(v) for v in spellings.values()) == 14
+        for name, accepted in spellings.items():
+            for spelling in accepted:
+                assert normalize_variant(f" {spelling} ") == name
+        for near_miss in ("no static", "w/o-static", "norag", "weight", "x"):
+            with pytest.raises(DatasetError):
+                normalize_variant(near_miss)
+
     def test_unknown_name_lists_valid_ones(self):
         with pytest.raises(DatasetError, match="valid names"):
             normalize_variant("mystery")
@@ -177,6 +193,26 @@ class TestRunVariants:
         dataset = load_dataset(eval_env["dataset"])
         with pytest.raises(DatasetError, match="duplicate"):
             run_variants(dataset, ["W", "weighted"], ctx)
+
+    @pytest.mark.parametrize(
+        "variants, prompts_per_contract",
+        [(["W", "V", "E", "w/o Static", "w/o RAG"], 2), (["W", "V", "w/o Static", "w/o RAG"], 1), (["E"], 1)],
+    )
+    def test_detector_asked_once_per_distinct_prompt(self, eval_env, monkeypatch, variants, prompts_per_contract):
+        from solguard.llm.mock import MockProvider
+
+        calls: list[str] = []
+        original = MockProvider.complete
+
+        def counted(self, prompt, *, role):
+            calls.append(role)
+            return original(self, prompt, role=role)
+
+        monkeypatch.setattr(MockProvider, "complete", counted)
+        ctx = build_context(load_config(eval_env["config"]), roles=("detector",))
+        dataset = load_dataset(eval_env["dataset"])
+        run_variants(dataset, variants, ctx)
+        assert calls == ["detector"] * prompts_per_contract * len(dataset.entries)
 
     def test_deterministic_across_invocations(self, eval_env):
         config = load_config(eval_env["config"])

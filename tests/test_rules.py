@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -171,6 +172,16 @@ class TestRulesetFile:
         path = tmp_path / "broken.yaml"
         path.write_text("rule_id: [unclosed", encoding="utf-8")
         with pytest.raises(RulesetError):
+            load_ruleset(path)
+
+    @pytest.mark.parametrize("fault", ["missing", "not utf-8", "a directory"])
+    def test_unreadable_file_is_ruleset_error_naming_it(self, tmp_path, fault):
+        path = tmp_path / "rules.yaml"
+        if fault == "not utf-8":
+            path.write_bytes(b"- rule_id: \xff")
+        elif fault == "a directory":
+            path.mkdir()
+        with pytest.raises(RulesetError, match=re.escape(str(path))):
             load_ruleset(path)
 
     def test_default_class_names_unique_with_swc_ids(self, ruleset):
