@@ -106,10 +106,12 @@ def parse_config(payload: dict[str, Any], base_dir: Path | None = None) -> Pipel
     if unknown:
         raise ConfigError(f"unknown configuration keys: {sorted(unknown)}")
 
-    def _resolve(value: str | None) -> str | None:
-        if value is None or base_dir is None:
-            return value
-        return str((base_dir / value).resolve()) if not Path(value).is_absolute() else value
+    def _path(name: str, value: object, required: bool = False) -> str | None:
+        if value is None and not required:
+            return None
+        if not isinstance(value, str):
+            raise ConfigError(f"{name} must be a path, got {value!r}")
+        return str((base_dir / value).resolve()) if base_dir and not Path(value).is_absolute() else value
 
     weights_payload = payload.get("weights", {})
     if not isinstance(weights_payload, dict):
@@ -119,13 +121,16 @@ def parse_config(payload: dict[str, Any], base_dir: Path | None = None) -> Pipel
     except TypeError as exc:
         raise ConfigError(f"bad weights: {exc}") from exc
 
+    records = payload.get("providers") or {}
+    if not isinstance(records, dict):
+        raise ConfigError("providers must be a mapping of role -> provider")
     providers: dict[str, ProviderConfig] = {}
-    for role, record in (payload.get("providers") or {}).items():
+    for role, record in records.items():
         if not isinstance(record, dict):
             raise ConfigError(f"provider entry for {role!r} must be a mapping")
         record = dict(record)
         if record.get("transcript"):
-            record["transcript"] = _resolve(record["transcript"])
+            record["transcript"] = _path("transcript", record["transcript"])
         providers[role] = ProviderConfig.from_payload(record)
 
     def _number(name: str, default: float) -> float:
@@ -147,11 +152,11 @@ def parse_config(payload: dict[str, Any], base_dir: Path | None = None) -> Pipel
         threshold=_number("threshold", 0.5),
         channel_threshold=_number("channel_threshold", 0.5),
         k=int(k),
-        ruleset_path=_resolve(payload.get("ruleset")),
-        index_root=_resolve(payload.get("index_root", "index")),
-        output_dir=_resolve(payload.get("output_dir", "out")),
+        ruleset_path=_path("ruleset", payload.get("ruleset")),
+        index_root=_path("index_root", payload.get("index_root", "index"), required=True),
+        output_dir=_path("output_dir", payload.get("output_dir", "out"), required=True),
         providers=providers,
-        exchange_log=_resolve(payload.get("exchange_log")),
+        exchange_log=_path("exchange_log", payload.get("exchange_log")),
     )
 
 

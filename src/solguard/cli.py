@@ -174,7 +174,10 @@ def cmd_audit(paths, config_path, output_dir, mode, weights, threshold, k, jobs,
     config = _config(config_path, weights, mode=mode, threshold=threshold, k=k, output_dir=output_dir)
     ctx = _context(config)
     out_dir = Path(config.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        _fail(EXIT_PROCESSING, f"cannot create output directory {out_dir}: {exc}")
 
     def audit(contract: SourceContract) -> PipelineRun:
         run = run_pipeline(contract, ctx)
@@ -344,8 +347,11 @@ def cmd_eval(dataset_path, config_path, variants, split, out, verbose):
     click.echo(format_table(reports))
     payload = {"dataset": str(dataset_path), "results": [r.to_payload() for r in reports]}
     out_path = Path(out) if out else Path(config.output_dir) / "eval_results.json"
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    out_path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    try:
+        out_path.parent.mkdir(parents=True, exist_ok=True)
+        out_path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    except OSError as exc:
+        _fail(EXIT_PROCESSING, f"cannot write results to {out_path}: {exc}")
     click.echo(f"results written to {out_path}")
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import os
 import threading
 import time
@@ -37,6 +38,23 @@ class ProviderConfig:
     retry_count: int = 2
 
     def __post_init__(self) -> None:
+        for name in ("kind", "model_id", "endpoint", "api_key_env", "transcript"):
+            value = getattr(self, name)
+            if value is not None and not isinstance(value, str):
+                raise ConfigError(f"provider {name} must be a string, got {value!r}")
+        # number field -> (accepted types, whether 0 is allowed)
+        for name, kinds, zero_ok in (
+            ("temperature", (int, float), True),
+            ("max_output_tokens", (int,), False),
+            ("timeout_s", (int, float), False),
+            ("retry_count", (int,), True),
+        ):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, kinds) or not (
+                math.isfinite(value) and (value >= 0 if zero_ok else value > 0)
+            ):
+                number = "a whole number" if kinds == (int,) else "a number"
+                raise ConfigError(f"provider {name} must be {number} {'>=' if zero_ok else '>'} 0, got {value!r}")
         if self.kind == "mock":
             if not self.transcript:
                 raise ConfigError(f"mock provider {self.model_id!r} requires a transcript path")

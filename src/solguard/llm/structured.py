@@ -7,6 +7,8 @@ from dataclasses import dataclass
 
 from solguard.errors import ExtractionError, SchemaError
 
+_DECODER = json.JSONDecoder()
+
 
 @dataclass(frozen=True)
 class StructuredSchema:
@@ -16,55 +18,23 @@ class StructuredSchema:
     fields: dict[str, tuple[type, ...]]
 
 
-def _candidate_objects(text: str):
-    """Balanced {...} regions in order of appearance, string-aware."""
-    i = 0
-    n = len(text)
-    while i < n:
-        start = text.find("{", i)
-        if start == -1:
-            return
-        depth = 0
-        in_string = False
-        escaped = False
-        for j in range(start, n):
-            ch = text[j]
-            if in_string:
-                if escaped:
-                    escaped = False
-                elif ch == "\\":
-                    escaped = True
-                elif ch == '"':
-                    in_string = False
-                continue
-            if ch == '"':
-                in_string = True
-            elif ch == "{":
-                depth += 1
-            elif ch == "}":
-                depth -= 1
-                if depth == 0:
-                    yield text[start : j + 1]
-                    break
-        else:
-            return  # unbalanced tail; no further candidates
-        i = start + 1
-
-
 def extract_structured(response: str, schema: StructuredSchema) -> dict:
     """Parse the first well-formed JSON object in ``response`` and validate it.
+
+    Each ``{`` is tried in turn, so a stray brace before the object (one
+    that never closes included) does not hide it.
 
     Raises :class:`ExtractionError` when no object parses, and
     :class:`SchemaError` naming the field when the first parsed object is
     missing or mistypes a required field. The raw response text is carried
     on the error untouched.
     """
-    for candidate in _candidate_objects(response):
+    start = response.find("{")
+    while start != -1:
         try:
-            record = json.loads(candidate)
+            record, _ = _DECODER.raw_decode(response, start)
         except json.JSONDecodeError:
-            continue
-        if not isinstance(record, dict):
+            start = response.find("{", start + 1)
             continue
         for field_name, types in schema.fields.items():
             if field_name not in record:

@@ -18,7 +18,6 @@ from solguard.retrieval.tfidf import (
     CorpusDocument,
     CorpusIndex,
     Neighbor,
-    TfIdfVector,
     build_corpus_index,
     load_corpus_file,
     rank_weighted_probability,
@@ -39,7 +38,6 @@ __all__ = [
     "KbSnapshotStore",
     "Neighbor",
     "SnapshotStore",
-    "TfIdfVector",
     "build_corpus_index",
     "build_kb_index",
     "chunk_spans",

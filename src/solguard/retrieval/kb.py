@@ -37,33 +37,30 @@ class Embedder(Protocol):
     def embed(self, text: str) -> list[float]: ...
 
 
+@dataclass(frozen=True)
 class HashingEmbedder:
     """Feature-hashing bag-of-words embedder; deterministic across platforms."""
 
-    def __init__(self, dim: int = 256):
-        self._dim = dim
+    dim: int = 256
 
     @property
     def embedder_id(self) -> str:
-        return f"hash-bow-{self._dim}-v1"
-
-    @property
-    def dim(self) -> int:
-        return self._dim
+        return f"hash-bow-{self.dim}-v1"
 
     def embed(self, text: str) -> list[float]:
-        vec = [0.0] * self._dim
+        vec = [0.0] * self.dim
         for word in _WORD_RE.findall(text.lower()):
             digest = hashlib.md5(word.encode("utf-8")).digest()
-            vec[int.from_bytes(digest[:4], "big") % self._dim] += 1.0
+            vec[int.from_bytes(digest[:4], "big") % self.dim] += 1.0
         norm = math.sqrt(sum(x * x for x in vec))
         if norm > 0:
             vec = [x / norm for x in vec]
         return vec
 
 
-def get_embedder(embedder_id: str) -> Embedder:
-    m = re.fullmatch(r"hash-bow-(\d+)-v1", embedder_id)
+def get_embedder(embedder_id: object) -> Embedder:
+    """The embedder a snapshot's ``embedder`` id names."""
+    m = re.fullmatch(r"hash-bow-([1-9]\d*)-v1", embedder_id) if isinstance(embedder_id, str) else None
     if m:
         return HashingEmbedder(int(m.group(1)))
     raise SolguardError(f"unknown embedder {embedder_id!r}")
@@ -87,14 +84,20 @@ class KbChunk:
 
 @dataclass(frozen=True)
 class KbIndex:
+    """Embedded chunks and the embedder that made them, which also embeds
+    every query; each chunk has exactly ``embedder.dim`` numbers."""
+
     chunks: tuple[KbChunk, ...]
-    embedder_id: str
+    embedder: Embedder
     snapshot_version: int = 0
 
     def __post_init__(self) -> None:
-        dims = {len(c.embedding) for c in self.chunks}
-        if len(dims) > 1:
-            raise ValueError(f"chunks carry mixed embedding dimensions: {sorted(dims)}")
+        for c in self.chunks:
+            if len(c.embedding) != self.embedder.dim:
+                raise SolguardError(
+                    f"chunk {c.doc_id}#{c.chunk_index} has embedding dimension {len(c.embedding)}, "
+                    f"embedder {self.embedder.embedder_id} gives {self.embedder.dim}"
+                )
 
 
 def chunk_spans(n_tokens: int, size: int = CHUNK_TOKENS, overlap: int = CHUNK_OVERLAP) -> list[tuple[int, int]]:
@@ -124,14 +127,8 @@ def build_kb_index(
     chunks: list[KbChunk] = []
     for doc in docs:
         for chunk_index, text in split_chunks(doc):
-            embedding = embedder.embed(text)
-            if len(embedding) != embedder.dim:
-                raise SolguardError(
-                    f"embedder {embedder.embedder_id} returned dimension "
-                    f"{len(embedding)}, expected {embedder.dim}"
-                )
-            chunks.append(KbChunk(doc.doc_id, chunk_index, text, dict(doc.metadata), tuple(embedding)))
-    return KbIndex(tuple(chunks), embedder.embedder_id, snapshot_version)
+            chunks.append(KbChunk(doc.doc_id, chunk_index, text, dict(doc.metadata), tuple(embedder.embed(text))))
+    return KbIndex(tuple(chunks), embedder, snapshot_version)
 
 
 def _dense_cosine(a: tuple[float, ...] | list[float], b: tuple[float, ...] | list[float]) -> float:
@@ -143,17 +140,10 @@ def _dense_cosine(a: tuple[float, ...] | list[float], b: tuple[float, ...] | lis
     return dot / (na * nb)
 
 
-def kb_search(query: str, index: KbIndex, k: int, embedder: Embedder | None = None) -> list[KbChunk]:
-    """Top-k chunks by cosine similarity; ties break on (doc id, chunk index)."""
-    if not index.chunks:
-        return []
-    embedder = embedder or get_embedder(index.embedder_id)
-    qvec = embedder.embed(query)
-    if len(qvec) != len(index.chunks[0].embedding):
-        raise SolguardError(
-            f"query embedding dimension {len(qvec)} does not match index "
-            f"dimension {len(index.chunks[0].embedding)}"
-        )
+def kb_search(query: str, index: KbIndex, k: int) -> list[KbChunk]:
+    """Top-k chunks by cosine similarity to the query as the index's
+    embedder embeds it; ties break on (doc id, chunk index)."""
+    qvec = index.embedder.embed(query)
     scored = sorted(
         ((chunk, _dense_cosine(qvec, chunk.embedding)) for chunk in index.chunks),
         key=lambda pair: (-pair[1], pair[0].doc_id, pair[0].chunk_index),

@@ -19,11 +19,11 @@ import json
 import math
 import os
 from pathlib import Path
-from typing import Generic, TypeVar
+from typing import Generic, Iterable, TypeVar
 
-from solguard.errors import SnapshotError
+from solguard.errors import SnapshotError, SolguardError
 from solguard.jsonl import read_jsonl
-from solguard.retrieval.kb import KbChunk, KbIndex
+from solguard.retrieval.kb import KbChunk, KbIndex, get_embedder
 from solguard.retrieval.tfidf import CorpusDocument, CorpusIndex, Postings, add_postings, l2_norm
 
 T = TypeVar("T")
@@ -109,20 +109,13 @@ class CorpusSnapshotStore(SnapshotStore[CorpusIndex]):
 
     def _write_files(self, target: Path, index: CorpusIndex) -> None:
         _write_json(target / "idf.json", index.idf)
-        with open(target / "docs.jsonl", "w", encoding="utf-8") as fh:
-            for doc, weights in zip(index.documents, index.document_weights()):
-                fh.write(
-                    json.dumps(
-                        {
-                            "id": doc.id,
-                            "label": doc.label,
-                            "classes": list(doc.classes),
-                            "vector": weights,
-                        },
-                        sort_keys=True,
-                    )
-                    + "\n"
-                )
+        _write_jsonl(
+            target / "docs.jsonl",
+            (
+                {"id": doc.id, "label": doc.label, "classes": list(doc.classes), "vector": weights}
+                for doc, weights in zip(index.documents, index.document_weights())
+            ),
+        )
         _write_json(
             target / "meta.json",
             {"kind": self.kind, "version": index.snapshot_version, "documents": len(index.documents)},
@@ -130,6 +123,12 @@ class CorpusSnapshotStore(SnapshotStore[CorpusIndex]):
 
     def _read_files(self, target: Path, meta: dict) -> CorpusIndex:
         idf = _read_json(target / "idf.json")
+        try:
+            _checked_norm(idf)
+            if bool in set(map(type, idf.values())):  # true and false pass arithmetic as 1 and 0
+                raise ValueError("term weights must be numbers, not booleans")
+        except ValueError as exc:
+            raise SnapshotError(f"snapshot file {target / 'idf.json'} is corrupt: {exc}") from exc
         documents: list[CorpusDocument] = []
         postings: Postings = {}
 
@@ -147,67 +146,63 @@ class KbSnapshotStore(SnapshotStore[KbIndex]):
     kind = "kb"
 
     def _write_files(self, target: Path, index: KbIndex) -> None:
-        with open(target / "chunks.jsonl", "w", encoding="utf-8") as fh:
-            for chunk in index.chunks:
-                fh.write(
-                    json.dumps(
-                        {
-                            "doc_id": chunk.doc_id,
-                            "chunk_index": chunk.chunk_index,
-                            "text": chunk.text,
-                            "metadata": chunk.metadata,
-                            "embedding": list(chunk.embedding),
-                        },
-                        sort_keys=True,
-                    )
-                    + "\n"
-                )
+        _write_jsonl(
+            target / "chunks.jsonl",
+            (
+                {
+                    "doc_id": chunk.doc_id,
+                    "chunk_index": chunk.chunk_index,
+                    "text": chunk.text,
+                    "metadata": chunk.metadata,
+                    "embedding": list(chunk.embedding),
+                }
+                for chunk in index.chunks
+            ),
+        )
         _write_json(
             target / "meta.json",
             {
                 "kind": self.kind,
                 "version": index.snapshot_version,
-                "embedder": index.embedder_id,
+                "embedder": index.embedder.embedder_id,
                 "documents": len({c.doc_id for c in index.chunks}),
                 "chunks": len(index.chunks),
             },
         )
 
     def _read_files(self, target: Path, meta: dict) -> KbIndex:
+        try:
+            embedder = get_embedder(meta.get("embedder"))
+        except SolguardError as exc:
+            raise SnapshotError(f"snapshot file {target / 'meta.json'} cannot be loaded: {exc}") from exc
         chunks: list[KbChunk] = []
 
         def read(rec: dict) -> None:
             embedding = tuple(rec["embedding"])
-            if not all(isinstance(x, (int, float)) for x in embedding):
-                raise ValueError("embedding must be a list of numbers")
-            chunks.append(
-                KbChunk(
-                    doc_id=rec["doc_id"],
-                    chunk_index=rec["chunk_index"],
-                    text=rec["text"],
-                    metadata=rec["metadata"],
-                    embedding=embedding,
-                )
-            )
+            if len(embedding) != embedder.dim or not all(isinstance(x, (int, float)) for x in embedding):
+                raise ValueError(f"embedding must be a list of {embedder.dim} numbers for {embedder.embedder_id}")
+            chunks.append(KbChunk(rec["doc_id"], rec["chunk_index"], rec["text"], rec["metadata"], embedding))
 
-        embedder_id = meta.get("embedder")
-        if not isinstance(embedder_id, str):
-            raise SnapshotError(f"snapshot file {target / 'meta.json'} names no embedder")
         read_jsonl(target / "chunks.jsonl", read, SnapshotError)
-        return KbIndex(tuple(chunks), embedder_id, snapshot_version=int(meta["version"]))
+        return KbIndex(tuple(chunks), embedder, snapshot_version=int(meta["version"]))
 
 
-def _checked_norm(vector: object) -> float:
-    """L2 norm of a stored term->weight object, whose weights must be finite
-    non-negative numbers."""
+def _checked_norm(weights: object) -> float:
+    """L2 norm of a stored term->weight map, whose weights must be finite
+    numbers >= 0."""
     try:
-        norm = l2_norm(vector)
-        valid = math.isfinite(norm) and min(vector.values(), default=0.0) >= 0
+        norm = l2_norm(weights)
+        if math.isfinite(norm) and min(weights.values(), default=0) >= 0:
+            return norm
     except (AttributeError, TypeError):
-        valid = False
-    if not valid:
-        raise ValueError("vector must map terms to finite non-negative numbers")
-    return norm
+        pass  # not a map of numbers
+    raise ValueError("term weights must be finite numbers >= 0")
+
+
+def _write_jsonl(path: Path, records: Iterable[dict]) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        for record in records:
+            fh.write(json.dumps(record, sort_keys=True) + "\n")
 
 
 def _write_json(path: Path, payload: object) -> None:

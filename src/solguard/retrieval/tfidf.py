@@ -17,7 +17,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from operator import mul
 from pathlib import Path
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 from solguard.core import (
     Channel,
@@ -36,20 +36,6 @@ from solguard.retrieval.terms import tokenize_for_tfidf
 log = logging.getLogger(__name__)
 
 _NO_POSTINGS: tuple[array, array] = (array("i"), array("d"))
-
-
-@dataclass(frozen=True)
-class TfIdfVector:
-    """Sparse term->weight map with its L2 norm cached at construction."""
-
-    weights: dict[str, float]
-    norm: float = field(default=-1.0)
-
-    def __post_init__(self) -> None:
-        if any(w < 0 for w in self.weights.values()):
-            raise ValueError("tf-idf weights must be non-negative")
-        if self.norm < 0:
-            object.__setattr__(self, "norm", l2_norm(self.weights))
 
 
 def l2_norm(weights: dict[str, float]) -> float:
@@ -92,10 +78,10 @@ class CorpusIndex:
     postings: Postings = field(default_factory=dict)
     snapshot_version: int = 0
 
-    def vectorize(self, terms: Iterable[str]) -> TfIdfVector:
-        """Project a term list into this index's weighting space."""
-        counts = Counter(terms)
-        return _tfidf_vector(counts, sum(counts.values()), self.idf)
+    def vectorize(self, terms: list[str]) -> tuple[dict[str, float], float]:
+        """Project a term list into this index's weighting space: the
+        (term -> weight, L2 norm) pair."""
+        return _tfidf_vector(terms, self.idf)
 
     def document_weights(self) -> list[dict[str, float]]:
         """Each document's term->weight map, regrouped from the postings."""
@@ -115,14 +101,15 @@ class Neighbor:
     classes: tuple[str, ...] = ()
 
 
-def _tfidf_vector(counts: Counter[str], total: int, idf: dict[str, float]) -> TfIdfVector:
-    """The L2-normalized ``(count / total) * idf`` weights of the counted
-    terms that ``idf`` knows."""
-    raw = {term: (count / total) * idf[term] for term, count in counts.items() if term in idf}
+def _tfidf_vector(terms: list[str], idf: dict[str, float]) -> tuple[dict[str, float], float]:
+    """The L2-normalized ``(count / len(terms)) * idf`` weights of the terms
+    that ``idf`` knows, and their norm: 1, or 0 when none is known."""
+    total = len(terms)
+    raw = {term: (count / total) * idf[term] for term, count in Counter(terms).items() if term in idf}
     norm = l2_norm(raw)
     if norm == 0.0:
-        return TfIdfVector(raw, 0.0)
-    return TfIdfVector({t: w / norm for t, w in raw.items()}, 1.0)
+        return raw, 0.0
+    return {t: w / norm for t, w in raw.items()}, 1.0
 
 
 def build_corpus_index(
@@ -144,9 +131,9 @@ def build_corpus_index(
     for (doc_id, label, classes, _), terms in zip(docs, term_lists):
         if not terms:
             log.warning("corpus document %s has no terms; indexing a zero vector", doc_id)
-        vector = _tfidf_vector(Counter(terms), len(terms), idf)
-        add_postings(postings, len(documents), vector.weights)
-        documents.append(CorpusDocument(doc_id, label, tuple(classes), vector.norm))
+        weights, norm = _tfidf_vector(terms, idf)
+        add_postings(postings, len(documents), weights)
+        documents.append(CorpusDocument(doc_id, label, tuple(classes), norm))
     return CorpusIndex(tuple(documents), idf, postings, snapshot_version)
 
 
@@ -158,14 +145,14 @@ def top_k(query: SourceContract, index: CorpusIndex, k: int) -> list[Neighbor]:
     share no term score 0 and fill any remaining ranks in id order. The
     query's own id is excluded when present in the index.
     """
-    qvec = index.vectorize(tokenize_for_tfidf(query.source))
+    qweights, qnorm = index.vectorize(tokenize_for_tfidf(query.source))
     documents = index.documents
     dots = [0.0] * len(documents)
-    for term, qw in qvec.weights.items():
+    for term, qw in qweights.items():
         positions, weights = index.postings.get(term, _NO_POSTINGS)
         for position, w in zip(positions, weights):
             dots[position] += qw * w
-    qid, qnorm = query.id, qvec.norm
+    qid = query.id
     sims = [
         -1.0 if doc.id == qid  # never ranked
         else min(1.0, dot / (qnorm * doc.norm)) if dot and doc.norm

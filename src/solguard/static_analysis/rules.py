@@ -7,6 +7,7 @@ so the shipped set can be extended or re-tuned without code changes.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -33,15 +34,25 @@ class PatternRule:
     def __post_init__(self) -> None:
         if not 0.0 <= self.default_confidence <= 1.0:
             raise RulesetError(f"rule {self.rule_id}: confidence outside [0, 1]")
+        if not isinstance(self.matcher, dict):
+            raise RulesetError(f"rule {self.rule_id}: matcher must be a mapping")
         mtype = self.matcher.get("type")
         if mtype not in _MATCHERS:
             raise RulesetError(f"rule {self.rule_id}: unknown matcher type {mtype!r}")
+        for name in _MATCHERS[mtype][1]:
+            if name not in self.matcher:
+                raise RulesetError(f"rule {self.rule_id}: matcher {mtype} needs a {name} parameter")
+        for name, value in self.matcher.items():
+            if name in _PARAMETERS and not _PARAMETERS[name][1](value):
+                raise RulesetError(
+                    f"rule {self.rule_id}: matcher parameter {name} must be {_PARAMETERS[name][0]}, got {value!r}"
+                )
 
 
 def evaluate_rule(rule: PatternRule, fn: FunctionSpan, view: ContractView) -> int | None:
     """Deterministically evaluate one rule against one function scope: the
     index into the function's body tokens where it fired, or None."""
-    return _MATCHERS[rule.matcher["type"]](rule.matcher, fn, view)
+    return _MATCHERS[rule.matcher["type"]][0](rule.matcher, fn, view)
 
 
 # --- matcher predicates ----------------------------------------------------
@@ -198,14 +209,31 @@ def _match_member_call_on_parameter(
     return None
 
 
-_MATCHERS: dict[str, Callable[[dict[str, Any], FunctionSpan, ContractView], int | None]] = {
-    "external_call_before_state_write": _match_external_call_before_state_write,
-    "unguarded_state_mutator": _match_unguarded_state_mutator,
-    "unchecked_arithmetic": _match_unchecked_arithmetic,
-    "token_sequence_in_condition": _match_token_sequence_in_condition,
-    "unchecked_call_result": _match_unchecked_call_result,
-    "unguarded_token": _match_unguarded_token,
-    "member_call_on_parameter": _match_member_call_on_parameter,
+def _strings(value: Any) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
+# matcher type -> (predicate, the parameters it has no default for). Rule
+# parameters are checked against both tables when the rule file is read, so
+# no predicate meets a missing or malformed one.
+_MATCHERS: dict[str, tuple[Callable[[dict[str, Any], FunctionSpan, ContractView], int | None], tuple[str, ...]]] = {
+    "external_call_before_state_write": (_match_external_call_before_state_write, ()),
+    "unguarded_state_mutator": (_match_unguarded_state_mutator, ()),
+    "unchecked_arithmetic": (_match_unchecked_arithmetic, ()),
+    "token_sequence_in_condition": (_match_token_sequence_in_condition, ("sequences",)),
+    "unchecked_call_result": (_match_unchecked_call_result, ()),
+    "unguarded_token": (_match_unguarded_token, ("token",)),
+    "member_call_on_parameter": (_match_member_call_on_parameter, ("member",)),
+}
+# matcher parameter -> (what it must be, its check)
+_PARAMETERS: dict[str, tuple[str, Callable[[Any], bool]]] = {
+    "call_members": ("a list of strings", _strings),
+    "allowed_modifiers": ("a list of strings", _strings),
+    "guard_markers": ("a list of strings", _strings),
+    "sequences": ("a list of token lists", lambda v: isinstance(v, list) and all(_strings(q) and q for q in v)),
+    "token": ("a string", lambda v: isinstance(v, str)),
+    "member": ("a string", lambda v: isinstance(v, str)),
+    "flag_below": ("a version like 0.8", lambda v: re.fullmatch(r"\d+\.\d+", str(v)) is not None),
 }
 
 
@@ -240,7 +268,7 @@ def parse_ruleset(text: str) -> list[PatternRule]:
                 description=rec.get("description", ""),
                 default_confidence=float(rec["confidence"]),
             )
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise RulesetError(f"malformed rule record {rec!r}: {exc}") from exc
         if rule.rule_id in seen_ids:
             raise RulesetError(f"duplicate rule_id {rule.rule_id!r}")

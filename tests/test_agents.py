@@ -368,6 +368,23 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="sum to 1"):
             parse_config(self._payload(weights={"model": 0.5, "static": 0.1, "retrieval": 0.2}))
 
+    @pytest.mark.parametrize("key", ["index_root", "output_dir", "ruleset", "exchange_log"])
+    @pytest.mark.parametrize("value", [5, ["a"]])
+    def test_path_that_is_not_a_string_rejected(self, key, value):
+        with pytest.raises(ConfigError, match=f"{key} must be a path"):
+            parse_config(self._payload(**{key: value}), base_dir=Path("."))
+
+    def test_transcript_that_is_not_a_string_rejected(self):
+        payload = self._payload()
+        payload["providers"]["detector"]["transcript"] = 5
+        with pytest.raises(ConfigError, match="transcript must be a path"):
+            parse_config(payload, base_dir=Path("."))
+
+    @pytest.mark.parametrize("providers", [["x"], "detector"])
+    def test_providers_that_are_not_a_mapping_rejected(self, providers):
+        with pytest.raises(ConfigError, match="providers must be a mapping"):
+            parse_config(self._payload(providers=providers))
+
     def test_k_must_be_positive(self):
         with pytest.raises(ConfigError, match="k must be >= 1"):
             parse_config(self._payload(k=0))

@@ -270,7 +270,9 @@ class TestKb:
         result = runner.invoke(main, ["kb", "build", "--index-root", str(tmp_path / "idx")])
         assert result.exit_code == 2
 
-    @pytest.mark.parametrize("fault", ["corpus meta not an object", "kb meta without embedder"])
+    @pytest.mark.parametrize(
+        "fault", ["corpus meta not an object", "kb meta without embedder", "kb meta naming an unknown embedder"]
+    )
     def test_status_on_corrupt_meta_is_processing_error(self, runner, built_index_root, tmp_path, fault):
         index_root = tmp_path / "idx"
         shutil.copytree(built_index_root, index_root)
@@ -280,7 +282,10 @@ class TestKb:
         else:
             meta = index_root / "kb" / "1" / "meta.json"
             payload = json.loads(meta.read_text(encoding="utf-8"))
-            del payload["embedder"]
+            if fault == "kb meta without embedder":
+                del payload["embedder"]
+            else:
+                payload["embedder"] = "remote-embedder-v2"
             meta.write_text(json.dumps(payload), encoding="utf-8")
         status = runner.invoke(main, ["kb", "status", "--index-root", str(index_root)])
         assert status.exit_code == EXIT_PROCESSING
@@ -369,6 +374,64 @@ class TestInputFileErrors:
         idf.mkdir()
         result = runner.invoke(main, ["kb", "status", "--index-root", str(index_root)])
         assert_clean_error(result, EXIT_PROCESSING, str(idf))
+
+
+def rewrite_json(path: Path, edit) -> None:
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    edit(payload)
+    path.write_text(json.dumps(payload), encoding="utf-8")
+
+
+class TestSnapshotChecksOnLoad:
+    """A snapshot fault is found where the snapshot is read, so every command
+    that loads it stops with exit 1 naming the file, before any contract."""
+
+    @pytest.mark.parametrize("weight", ["heavy", -0.5, float("nan"), True])
+    def test_bad_idf_weight_stops_status_audit_and_eval(self, runner, built_index_root, eval_env, tmp_path, weight):
+        index_root = tmp_path / "idx"
+        shutil.copytree(built_index_root, index_root)
+        idf = index_root / "corpus" / "1" / "idf.json"
+        rewrite_json(idf, lambda payload: payload.update(reentrancy=weight))
+        config = write_pipeline_config(tmp_path / "cfg.yaml", index_root, tmp_path / "out", TRANSCRIPT)
+        for args in (
+            ["kb", "status", "--index-root", str(index_root)],
+            ["audit", str(FIXTURES / "presign.sol"), "-c", str(config)],
+            ["eval", str(eval_env["dataset"]), "-c", str(config)],
+        ):
+            result = runner.invoke(main, args)
+            assert_clean_error(result, EXIT_PROCESSING, f"error: snapshot file {idf} is corrupt")
+
+    @pytest.mark.parametrize("lines", ["one", "every"])
+    def test_wrong_embedding_dimension_names_the_line(self, runner, built_index_root, tmp_path, lines):
+        index_root = tmp_path / "idx"
+        shutil.copytree(built_index_root, index_root)
+        chunks = index_root / "kb" / "1" / "chunks.jsonl"
+        records = [json.loads(line) for line in chunks.read_text(encoding="utf-8").splitlines()]
+        for rec in records if lines == "every" else records[2:3]:
+            rec["embedding"].append(0.0)
+        chunks.write_text("".join(json.dumps(rec) + "\n" for rec in records), encoding="utf-8")
+        where = f"{chunks}:{1 if lines == 'every' else 3}: "
+        config = write_pipeline_config(tmp_path / "cfg.yaml", index_root, tmp_path / "out", TRANSCRIPT)
+        for args in (
+            ["kb", "status", "--index-root", str(index_root)],
+            ["audit", str(FIXTURES / "presign.sol"), "-c", str(config)],
+        ):
+            assert_clean_error(runner.invoke(main, args), EXIT_PROCESSING, where, "256 numbers")
+
+
+class TestOutputLocations:
+    def test_audit_output_dir_that_is_a_file(self, runner, presign_config, tmp_path):
+        taken = tmp_path / "taken"
+        taken.write_text("", encoding="utf-8")
+        result = runner.invoke(main, ["audit", str(FIXTURES / "presign.sol"), "-c", str(presign_config), "-o", str(taken)])
+        assert_clean_error(result, EXIT_PROCESSING, f"cannot create output directory {taken}")
+
+    def test_eval_out_under_a_file(self, runner, eval_env, tmp_path):
+        taken = tmp_path / "taken"
+        taken.write_text("", encoding="utf-8")
+        out = taken / "x.json"
+        result = runner.invoke(main, ["eval", str(eval_env["dataset"]), "-c", str(eval_env["config"]), "--out", str(out)])
+        assert_clean_error(result, EXIT_PROCESSING, f"cannot write results to {out}")
 
 
 class TestEval:
@@ -480,6 +543,33 @@ class TestConfigValidationExitCodes:
         config = self._write_config(tmp_path, mutate)
         result = runner.invoke(main, ["detect", str(FIXTURES / "presign.sol"), "-c", str(config)])
         assert_clean_error(result, 2, str(tmp_path / "no-rules.yaml"))
+
+    @pytest.mark.parametrize(
+        "key, mutate",
+        [
+            ("providers", lambda p: p.update(providers=["x"])),
+            ("index_root", lambda p: p.update(index_root=5)),
+            ("exchange_log", lambda p: p.update(exchange_log=True)),
+            ("transcript", lambda p: p["providers"]["base"].update(transcript=7)),
+            ("retry_count", lambda p: p["providers"]["base"].update(retry_count="2")),
+            ("timeout_s", lambda p: p["providers"]["base"].update(timeout_s="60")),
+        ],
+    )
+    def test_value_of_the_wrong_type_rejected_exit_2(self, runner, tmp_path, key, mutate):
+        config = self._write_config(tmp_path, mutate)
+        result = runner.invoke(main, ["audit", str(FIXTURES / "presign.sol"), "-c", str(config)])
+        assert_clean_error(result, 2, key)
+
+    @pytest.mark.parametrize("command", ["audit", "detect"])
+    def test_rule_missing_a_matcher_parameter_rejected_exit_2(self, runner, tmp_path, command):
+        rules = tmp_path / "rules.yaml"
+        rules.write_text(
+            "- {rule_id: origin, class: X, matcher: {type: token_sequence_in_condition}, confidence: 0.8}\n",
+            encoding="utf-8",
+        )
+        config = self._write_config(tmp_path, lambda p: p.update(ruleset=str(rules)))
+        result = runner.invoke(main, [command, str(FIXTURES / "presign.sol"), "-c", str(config)])
+        assert_clean_error(result, 2, "rule origin: ", "sequences")
 
     @pytest.mark.parametrize("key, value", [("k", 2.5), ("threshold", True)])
     def test_fractional_k_or_boolean_threshold_rejected_exit_2(self, runner, tmp_path, key, value):

@@ -98,8 +98,19 @@ class TestBuildIndex:
     def test_mixed_dimensions_rejected(self):
         c1 = KbChunk("a", 0, "t", {}, (1.0, 0.0))
         c2 = KbChunk("b", 0, "t", {}, (1.0, 0.0, 0.0))
-        with pytest.raises(ValueError, match="mixed"):
-            KbIndex(chunks=(c1, c2), embedder_id="x")
+        with pytest.raises(SolguardError, match="b#0 has embedding dimension 3"):
+            KbIndex(chunks=(c1, c2), embedder=HashingEmbedder(dim=2))
+
+    def test_embedder_of_the_wrong_dimension_aborts_build(self):
+        class Short:
+            embedder_id = "short-v1"
+            dim = 4
+
+            def embed(self, text: str):
+                return [1.0, 0.0]
+
+        with pytest.raises(SolguardError, match="dimension 2, embedder short-v1 gives 4"):
+            build_kb_index([KbDocument("d", "text")], Short())
 
 
 class TestSearch:
@@ -146,12 +157,26 @@ class TestSearch:
         ]
 
     def test_dimension_mismatch_rejected(self):
+        # queries are embedded by the index's own embedder, so an index whose
+        # embedder disagrees with its chunks must not exist
         index = self._index({"a": "alpha"})
         with pytest.raises(SolguardError, match="dimension"):
-            kb_search("alpha", index, k=1, embedder=HashingEmbedder(dim=16))
+            KbIndex(index.chunks, HashingEmbedder(dim=16))
+
+    def test_custom_embedder_builds_and_searches_in_process(self):
+        class Letters:
+            embedder_id = "letters-v1"
+            dim = 2
+
+            def embed(self, text: str):
+                return [text.count("a") + 0.0, text.count("b") + 0.0]
+
+        docs = [KbDocument("as", "aaa a"), KbDocument("bs", "bbb b")]
+        index = build_kb_index(docs, Letters())
+        assert [c.doc_id for c in kb_search("b b", index, k=2)] == ["bs", "as"]
 
     def test_empty_index(self):
-        index = KbIndex(chunks=(), embedder_id="hash-bow-256-v1")
+        index = KbIndex(chunks=(), embedder=HashingEmbedder())
         assert kb_search("anything", index, k=3) == []
 
 

@@ -5,6 +5,8 @@ import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from solguard.errors import (
     ConfigError,
@@ -19,6 +21,7 @@ from solguard.llm.structured import DETECTOR_SCHEMA, StructuredSchema, extract_s
 from solguard.llm.template import PromptTemplate, TemplateError, render_prompt
 from solguard.llm.prompts import DETECTOR_TEMPLATE
 from solguard.agents.detect import ask_structured
+import reference_reply_reader
 
 
 class TestRenderPrompt:
@@ -158,6 +161,51 @@ class TestExtractStructured:
         schema = StructuredSchema("t", {"code": (str,)})
         record = extract_structured('{"code": "contract C { uint x; }"}', schema)
         assert record["code"] == "contract C { uint x; }"
+
+    def test_object_after_a_brace_that_never_closes(self):
+        response = 'Looking at { the code: {"verdict": "safe", "score": 0.1, "findings": []}'
+        record = extract_structured(response, DETECTOR_SCHEMA)
+        assert record == {"verdict": "safe", "score": 0.1, "findings": []}
+
+
+REPLY_SCHEMA = StructuredSchema("t", {"a": (str,), "b": (list,)})
+REPLY_ALPHABET = st.sampled_from(
+    list('{}"\\:,[]') + ["a", "b", "x", "0", "7", "null", "NaN", "\n", " ", '"a"', '"b"']
+)
+
+
+def reply_outcome(extract, response: str):
+    """The record read, the field a ``SchemaError`` names, or None."""
+    try:
+        return extract(response, REPLY_SCHEMA)
+    except SchemaError as exc:
+        return ("schema error", exc.field)
+    except ExtractionError:
+        return None
+
+
+def never_closes(response: str, position: int) -> bool:
+    """Whether the reference scan from the ``{`` at ``position`` runs off
+    the end of the reply without balancing it."""
+    return next(reference_reply_reader.candidate_objects(response[position:]), None) is None
+
+
+@settings(max_examples=2000, deadline=None)
+@given(st.lists(REPLY_ALPHABET, max_size=24).map("".join))
+@example('{"a": "x", "b": [null, NaN]}')
+@example('{"a": 7} {"a": "x", "b": []}')
+@example('a { b {"a": "x", "b": []}')
+def test_reply_reader_matches_reference(response):
+    expected = reply_outcome(reference_reply_reader.extract_structured, response)
+    got = reply_outcome(extract_structured, response)
+    if expected is not None or got is None:
+        assert got == expected
+        return
+    # the reference gave up at a brace that never closes; the new reader
+    # found its object behind it and agrees on everything before it
+    unclosed = [p for p, ch in enumerate(response) if ch == "{" and never_closes(response, p)]
+    assert unclosed
+    assert reply_outcome(extract_structured, response[: unclosed[0]]) is None
 
 
 class _StubHandler(BaseHTTPRequestHandler):
@@ -397,6 +445,31 @@ class TestProviderConfigPayload:
             ProviderConfig.from_payload(
                 {"kind": "mock", "model_id": "m", "transcript": "t", "api_key": "nope"}
             )
+
+    # each of these used to load, then fail the first HTTP call (or a mock
+    # build) with a TypeError or ValueError outside the error hierarchy
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("retry_count", "2"),
+            ("retry_count", 1.5),
+            ("retry_count", -1),
+            ("timeout_s", "60"),
+            ("timeout_s", 0),
+            ("timeout_s", float("inf")),
+            ("temperature", True),
+            ("temperature", float("nan")),
+            ("max_output_tokens", 0),
+            ("max_output_tokens", "2048"),
+            ("endpoint", 8080),
+            ("api_key_env", ["KEY"]),
+            ("transcript", 5),
+        ],
+    )
+    def test_field_of_the_wrong_type_or_range_rejected(self, field, value):
+        payload = {"kind": "http-endpoint", "model_id": "m", "endpoint": "http://x/v1", field: value}
+        with pytest.raises(ConfigError, match=f"provider {field} must be"):
+            ProviderConfig.from_payload(payload)
 
     def test_round_trip_fields(self):
         cfg = ProviderConfig.from_payload(

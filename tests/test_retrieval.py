@@ -16,7 +16,6 @@ from solguard.retrieval.terms import tokenize_for_tfidf
 from solguard.retrieval.tfidf import (
     CorpusIndex,
     Neighbor,
-    TfIdfVector,
     build_corpus_index,
     rank_weighted_probability,
     rank_weights,
@@ -298,22 +297,15 @@ class TestCosine:
         assert ab == pytest.approx(ba)
         assert 0.0 <= ab <= 1.0
 
-    def test_cached_norm_matches_recomputed(self):
-        v = TfIdfVector({"x": 0.3, "y": 0.4, "z": 1.2})
-        assert v.norm == pytest.approx(math.sqrt(0.09 + 0.16 + 1.44), abs=1e-9)
-
-    def test_negative_weights_rejected(self):
-        with pytest.raises(ValueError):
-            TfIdfVector({"x": -0.1})
 
 
 # --- top-k ----------------------------------------------------------------------
 
 
 def brute_force_top_k(query_terms, index: CorpusIndex, k: int, exclude_id: str):
-    qvec = index.vectorize(query_terms)
+    qweights, _ = index.vectorize(query_terms)
     sims = [
-        (doc.id, oracle_cosine(qvec.weights, weights), doc.label)
+        (doc.id, oracle_cosine(qweights, weights), doc.label)
         for doc, weights in zip(index.documents, index.document_weights())
         if doc.id != exclude_id
     ]
@@ -325,15 +317,15 @@ def scan_top_k(query_terms, index: CorpusIndex, k: int, exclude_id: str) -> list
     """Score every document by the stated rule (products added one at a time
     in the query's term order, ``min(1, dot / (qnorm * dnorm))``, 0 at zero
     norm) and sort by (-similarity, id)."""
-    qvec = index.vectorize(query_terms)
+    qweights, qnorm = index.vectorize(query_terms)
     rows = []
     for doc, weights in zip(index.documents, index.document_weights()):
         if doc.id == exclude_id:
             continue
         dot = 0.0
-        for t, qw in qvec.weights.items():
+        for t, qw in qweights.items():
             dot += qw * weights.get(t, 0.0)
-        sim = min(1.0, dot / (qvec.norm * doc.norm)) if qvec.norm and doc.norm else 0.0
+        sim = min(1.0, dot / (qnorm * doc.norm)) if qnorm and doc.norm else 0.0
         rows.append((doc.id, sim))
     rows.sort(key=lambda row: (-row[1], row[0]))
     return rows[:k]

@@ -168,6 +168,29 @@ class TestRulesetFile:
                 "- rule_id: x\n  class: X\n  matcher: {type: unguarded_token, token: t}\n  confidence: 1.5"
             )
 
+    # each of these used to load, then fail or match nothing during the scan
+    @pytest.mark.parametrize(
+        "matcher, complaint",
+        [
+            ("{type: token_sequence_in_condition}", "needs a sequences parameter"),
+            ("{type: unguarded_token}", "needs a token parameter"),
+            ("{type: member_call_on_parameter}", "needs a member parameter"),
+            ("{type: unchecked_arithmetic, flag_below: zero}", "flag_below must be a version"),
+            ('{type: token_sequence_in_condition, sequences: "tx.origin"}', "sequences must be a list of token lists"),
+            ("{type: token_sequence_in_condition, sequences: [tx, origin]}", "sequences must be a list of token lists"),
+            ("{type: unguarded_token, token: selfdestruct, allowed_modifiers: onlyOwner}", "allowed_modifiers must be"),
+            ("{type: member_call_on_parameter, member: [delegatecall]}", "member must be a string"),
+            ("unguarded_token", "matcher must be a mapping"),
+        ],
+    )
+    def test_bad_matcher_parameter_names_the_rule(self, matcher, complaint):
+        with pytest.raises(RulesetError, match=f"rule odd: .*{complaint}"):
+            parse_ruleset(f"- {{rule_id: odd, class: X, matcher: {matcher}, confidence: 0.5}}")
+
+    def test_non_numeric_confidence_rejected(self):
+        with pytest.raises(RulesetError, match="malformed rule record"):
+            parse_ruleset("- {rule_id: x, class: X, matcher: {type: unguarded_token, token: t}, confidence: high}")
+
     def test_not_yaml_rejected(self, tmp_path):
         path = tmp_path / "broken.yaml"
         path.write_text("rule_id: [unclosed", encoding="utf-8")

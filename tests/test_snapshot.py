@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import threading
@@ -49,7 +50,7 @@ class TestPublishLoad:
         )
         store.publish(index)
         loaded = store.load()
-        assert loaded.embedder_id == index.embedder_id
+        assert loaded == dataclasses.replace(index, snapshot_version=1)
         assert loaded.chunks[0].text == "alpha beta gamma"
         assert loaded.chunks[0].embedding == pytest.approx(index.chunks[0].embedding, abs=1e-12)
 
@@ -195,6 +196,7 @@ KB_FAULTS = {
     "truncated line": truncated,
     "missing key": with_field(lambda rec: rec.pop("text")),
     "non-numeric embedding": with_field(lambda rec: rec.update(embedding=["x"] * len(rec["embedding"]))),
+    "embedding one number short": with_field(lambda rec: rec.update(embedding=rec["embedding"][:-1])),
 }
 
 
@@ -223,6 +225,12 @@ def kb_store_with_docs(root: Path) -> KbSnapshotStore:
     return store
 
 
+def set_kb_embedder(meta_path: Path, embedder_id: str) -> None:
+    meta = json.loads(meta_path.read_text(encoding="utf-8"))
+    meta["embedder"] = embedder_id
+    meta_path.write_text(json.dumps(meta), encoding="utf-8")
+
+
 class TestCorruptMeta:
     @pytest.mark.parametrize("kind", ["corpus", "kb"])
     @pytest.mark.parametrize("payload", ["[1]", '"text"', "3"])
@@ -243,6 +251,45 @@ class TestCorruptMeta:
         idf = tmp_path / "1" / "idf.json"
         idf.write_text("[0.5]", encoding="utf-8")
         with pytest.raises(SnapshotError, match=f"{idf}.*not a JSON object"):
+            store.load()
+
+    # a weight the loader let through used to fail only later, inside top_k
+    @pytest.mark.parametrize("weight", ["heavy", -0.5, float("nan"), True])
+    def test_idf_weight_that_is_not_a_finite_number_at_least_zero_names_file(self, tmp_path, weight):
+        store = CorpusSnapshotStore(tmp_path)
+        store.publish(corpus_for(1))
+        idf_path = tmp_path / "1" / "idf.json"
+        idf = json.loads(idf_path.read_text(encoding="utf-8"))
+        idf[next(iter(idf))] = weight
+        idf_path.write_text(json.dumps(idf), encoding="utf-8")
+        with pytest.raises(SnapshotError, match=f"{idf_path} is corrupt: term weights"):
+            store.load()
+
+    def test_kb_embedding_dimension_other_than_the_embedder_names_first_line(self, tmp_path):
+        store = kb_store_with_docs(tmp_path)
+        set_kb_embedder(tmp_path / "1" / "meta.json", "hash-bow-64-v1")
+        with pytest.raises(SnapshotError, match=r"chunks\.jsonl:1: .*64 numbers"):
+            store.load()
+
+    @pytest.mark.parametrize("embedder", ["letters-v1", "hash-bow-x-v1", "hash-bow-0-v1"])
+    def test_kb_meta_naming_an_unknown_embedder_names_file(self, tmp_path, embedder):
+        store = kb_store_with_docs(tmp_path)
+        meta_path = tmp_path / "1" / "meta.json"
+        set_kb_embedder(meta_path, embedder)
+        with pytest.raises(SnapshotError, match=f"{meta_path} cannot be loaded: unknown embedder"):
+            store.load()
+
+    def test_snapshot_of_a_custom_embedder_fails_to_load(self, tmp_path):
+        class Letters:
+            embedder_id = "letters-v1"
+            dim = 2
+
+            def embed(self, text: str):
+                return [text.count("a") + 0.0, text.count("b") + 0.0]
+
+        store = KbSnapshotStore(tmp_path)
+        store.publish(build_kb_index([KbDocument("d", "a b", {})], Letters()))
+        with pytest.raises(SnapshotError, match="unknown embedder 'letters-v1'"):
             store.load()
 
     @pytest.mark.parametrize("embedder", [None, 7])
