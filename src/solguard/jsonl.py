@@ -69,8 +69,10 @@ def load_labeled_records(path: str | Path) -> list[DatasetEntry]:
             source = (p.parent / rec["source_path"]).read_text(encoding="utf-8")
         else:
             raise ValueError("record needs source or source_path")
-        classes = tuple(rec.get("classes", []))
-        entries.append(DatasetEntry(contract_id, source, label, classes, rec.get("split", "")))
+        classes = rec.get("classes", [])
+        if not isinstance(classes, list) or not all(isinstance(name, str) for name in classes):
+            raise ValueError(f"classes must be a list of strings, got {classes!r}")
+        entries.append(DatasetEntry(contract_id, source, label, tuple(classes), rec.get("split", "")))
 
     read_jsonl(p, read, DatasetError)
     if not entries:

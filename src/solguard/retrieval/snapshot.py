@@ -18,17 +18,24 @@ import dataclasses
 import json
 import math
 import os
+import sys
+from array import array
+from itertools import chain
+from operator import gt, mul
 from pathlib import Path
-from typing import Generic, Iterable, TypeVar
+from typing import Generic, TypeVar
 
 from solguard.errors import SnapshotError, SolguardError
 from solguard.jsonl import read_jsonl
 from solguard.retrieval.kb import KbChunk, KbIndex, get_embedder
-from solguard.retrieval.tfidf import CorpusDocument, CorpusIndex, Postings, add_postings, l2_norm
+from solguard.retrieval.tfidf import CorpusDocument, CorpusIndex
 
 T = TypeVar("T")
 
 POINTER_NAME = "CURRENT"
+FORMAT_VERSION = 2  # of corpus snapshots
+POSTINGS = {"idf": "d", "offsets": "q", "positions": "i", "weights": "d", "norms": "d"}  # array -> typecode
+ITEMSIZE = {name: array(typecode).itemsize for name, typecode in POSTINGS.items()}
 
 
 class SnapshotStore(Generic[T]):
@@ -105,60 +112,77 @@ class SnapshotStore(Generic[T]):
 
 
 class CorpusSnapshotStore(SnapshotStore[CorpusIndex]):
+    """Corpus snapshots in format 2: ``terms.json``, the sorted term list;
+    ``documents.json``, one ``[id, label, classes]`` row per document; and
+    ``postings.bin``, the arrays of ``POSTINGS`` back to back, in the byte
+    order and item sizes that ``meta.json`` records with the counts."""
+
     kind = "corpus"
 
     def _write_files(self, target: Path, index: CorpusIndex) -> None:
-        _write_json(target / "idf.json", index.idf)
-        _write_jsonl(
-            target / "docs.jsonl",
-            (
-                {"id": doc.id, "label": doc.label, "classes": list(doc.classes), "vector": weights}
-                for doc, weights in zip(index.documents, index.document_weights())
-            ),
-        )
-        _write_json(
-            target / "meta.json",
-            {"kind": self.kind, "version": index.snapshot_version, "documents": len(index.documents)},
-        )
+        norms = array("d", (doc.norm for doc in index.documents))
+        with open(target / "postings.bin", "wb") as fh:
+            for values in (index.idf, index.offsets, index.positions, index.weights, norms):
+                values.tofile(fh)
+        (target / "terms.json").write_text(json.dumps(list(index.term_ids)), encoding="utf-8")
+        rows = [[doc.id, doc.label, list(doc.classes)] for doc in index.documents]
+        (target / "documents.json").write_text(json.dumps(rows), encoding="utf-8")
+        counts = {"terms": len(index.term_ids), "postings": len(index.positions), "documents": len(norms)}
+        header = {"format_version": FORMAT_VERSION, "byteorder": sys.byteorder, "itemsize": ITEMSIZE, **counts}
+        _write_json(target / "meta.json", {"kind": self.kind, "version": index.snapshot_version, **header})
 
     def _read_files(self, target: Path, meta: dict) -> CorpusIndex:
-        idf = _read_json(target / "idf.json")
+        meta_path, terms_path, rows_path, path = (
+            target / name for name in ("meta.json", "terms.json", "documents.json", "postings.bin")
+        )
+        if meta.get("format_version", 1) != FORMAT_VERSION:
+            raise SnapshotError(
+                f"snapshot file {meta_path} names format {meta.get('format_version', 1)!r}, not {FORMAT_VERSION}: "
+                "republish the corpus with `solguard kb update --corpus <file>`"
+            )
+        counts = [meta.get(name) for name in ("terms", "postings", "documents")]
+        if not all(type(count) is int and count >= 0 for count in counts):
+            raise _corrupt(meta_path, "terms, postings and documents must be counts")
+        if meta.get("byteorder") != sys.byteorder or meta.get("itemsize") != ITEMSIZE:
+            raise _corrupt(meta_path, f"this machine reads byte order {sys.byteorder!r} with item sizes {ITEMSIZE}")
+        n_terms, n_postings, n_documents = counts
+        term_ids = {term: t for t, term in enumerate(_read_json(terms_path, list))}
+        if len(term_ids) != n_terms:
+            raise _corrupt(terms_path, f"it holds {len(term_ids)} distinct terms, but meta.json counts {n_terms}")
+        rows = _read_json(rows_path, list)  # checked column by column, which is faster than row by row
+        shaped = len(rows) == n_documents and {*map(type, rows)} <= {list} and {*map(len, rows)} <= {3}
+        ids, labels, classes = list(zip(*rows)) if shaped and rows else ((), (), ())
+        if not shaped or not {*map(type, classes)} <= {list} or not {*map(type, chain(ids, labels, *classes))} <= {str}:
+            raise _corrupt(rows_path, f"it must hold meta.json's {n_documents} [id, label, [class, ...]] rows of strings")
+        arrays = {name: array(typecode) for name, typecode in POSTINGS.items()}
+        lengths = (n_terms, n_terms + 1, n_postings, n_postings, n_documents)
         try:
-            _checked_norm(idf)
-            if bool in set(map(type, idf.values())):  # true and false pass arithmetic as 1 and 0
-                raise ValueError("term weights must be numbers, not booleans")
-        except ValueError as exc:
-            raise SnapshotError(f"snapshot file {target / 'idf.json'} is corrupt: {exc}") from exc
-        documents: list[CorpusDocument] = []
-        postings: Postings = {}
-
-        def read(rec: dict) -> None:
-            vector = rec["vector"]
-            doc = CorpusDocument(rec["id"], rec["label"], tuple(rec["classes"]), _checked_norm(vector))
-            add_postings(postings, len(documents), vector)
-            documents.append(doc)
-
-        read_jsonl(target / "docs.jsonl", read, SnapshotError)
-        return CorpusIndex(tuple(documents), idf, postings, snapshot_version=int(meta["version"]))
+            with open(path, "rb") as fh:
+                size, expected = os.fstat(fh.fileno()).st_size, sum(map(mul, ITEMSIZE.values(), lengths))
+                if size != expected:
+                    raise _corrupt(path, f"it holds {size} bytes, but the counts in meta.json make {expected}")
+                for values, length in zip(arrays.values(), lengths):
+                    values.fromfile(fh, length)
+        except (OSError, EOFError) as exc:
+            raise SnapshotError(f"snapshot file {path} cannot be read: {exc}") from exc
+        for name in ("idf", "weights", "norms"):  # a NaN fails one check or the other
+            if min(arrays[name], default=0.0) < 0 or not math.isfinite(sum(arrays[name])):
+                raise _corrupt(path, f"{name} must be finite numbers >= 0")
+        idf, offsets, positions, weights, norms = arrays.values()
+        if offsets[0] != 0 or offsets[-1] != n_postings or any(map(gt, offsets, offsets[1:])):
+            raise _corrupt(path, f"offsets must rise from 0 to the {n_postings} postings")
+        if positions and max(array("I", positions.tobytes())) >= n_documents:  # unsigned, a negative is >= 2**31
+            raise _corrupt(path, f"every position must lie in [0, {n_documents})")
+        documents = tuple(map(CorpusDocument, ids, labels, map(tuple, classes), norms))
+        return CorpusIndex(documents, term_ids, idf, offsets, positions, weights, int(meta["version"]))
 
 
 class KbSnapshotStore(SnapshotStore[KbIndex]):
     kind = "kb"
 
     def _write_files(self, target: Path, index: KbIndex) -> None:
-        _write_jsonl(
-            target / "chunks.jsonl",
-            (
-                {
-                    "doc_id": chunk.doc_id,
-                    "chunk_index": chunk.chunk_index,
-                    "text": chunk.text,
-                    "metadata": chunk.metadata,
-                    "embedding": list(chunk.embedding),
-                }
-                for chunk in index.chunks
-            ),
-        )
+        with open(target / "chunks.jsonl", "w", encoding="utf-8") as fh:
+            fh.writelines(json.dumps(dataclasses.asdict(chunk), sort_keys=True) + "\n" for chunk in index.chunks)
         _write_json(
             target / "meta.json",
             {
@@ -187,35 +211,21 @@ class KbSnapshotStore(SnapshotStore[KbIndex]):
         return KbIndex(tuple(chunks), embedder, snapshot_version=int(meta["version"]))
 
 
-def _checked_norm(weights: object) -> float:
-    """L2 norm of a stored term->weight map, whose weights must be finite
-    numbers >= 0."""
-    try:
-        norm = l2_norm(weights)
-        if math.isfinite(norm) and min(weights.values(), default=0) >= 0:
-            return norm
-    except (AttributeError, TypeError):
-        pass  # not a map of numbers
-    raise ValueError("term weights must be finite numbers >= 0")
-
-
-def _write_jsonl(path: Path, records: Iterable[dict]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for record in records:
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
-
-
 def _write_json(path: Path, payload: object) -> None:
     path.write_text(json.dumps(payload, sort_keys=True, indent=0), encoding="utf-8")
 
 
-def _read_json(path: Path) -> dict:
+def _corrupt(path: Path, reason: str) -> SnapshotError:
+    return SnapshotError(f"snapshot file {path} is corrupt: {reason}")
+
+
+def _read_json(path: Path, kind: type = dict) -> dict | list:
     try:
         payload = json.loads(path.read_text(encoding="utf-8"))
     except OSError as exc:
         raise SnapshotError(f"snapshot file {path} cannot be read: {exc}") from exc
     except ValueError as exc:
-        raise SnapshotError(f"snapshot file {path} is corrupt: {exc}") from exc
-    if not isinstance(payload, dict):
-        raise SnapshotError(f"snapshot file {path} is corrupt: not a JSON object")
+        raise _corrupt(path, str(exc)) from exc
+    if not isinstance(payload, kind):
+        raise _corrupt(path, f"not a JSON {'object' if kind is dict else 'array'}")
     return payload

@@ -14,7 +14,8 @@ import logging
 import math
 from array import array
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import accumulate
 from operator import mul
 from pathlib import Path
 from typing import NamedTuple
@@ -35,14 +36,6 @@ from solguard.retrieval.terms import tokenize_for_tfidf
 
 log = logging.getLogger(__name__)
 
-_NO_POSTINGS: tuple[array, array] = (array("i"), array("d"))
-
-
-def l2_norm(weights: dict[str, float]) -> float:
-    """L2 norm of a term->weight map, summed in the map's order."""
-    values = weights.values()
-    return math.sqrt(sum(map(mul, values, values)))
-
 
 class CorpusDocument(NamedTuple):
     id: str
@@ -51,45 +44,30 @@ class CorpusDocument(NamedTuple):
     norm: float  # L2 norm of the document's tf-idf weights
 
 
-# term -> (ascending document positions, the documents' weights for the term)
-Postings = dict[str, tuple[array, array]]
-
-
-def add_postings(postings: Postings, position: int, weights: dict[str, float]) -> None:
-    """Append one document's term weights to the postings lists."""
-    for term, w in weights.items():
-        entry = postings.get(term)
-        if entry is None:
-            entry = postings[term] = (array("i"), array("d"))
-        entry[0].append(position)
-        entry[1].append(w)
-
-
 @dataclass(frozen=True)
 class CorpusIndex:
-    """Term-major index: document metadata plus one postings list per term.
+    """Term-major index over flat arrays, the layout of a published snapshot.
 
-    The postings are built once, with the index, and only read afterwards,
-    so concurrent ``top_k`` calls may share an index.
+    Term ids follow sorted term order. Term ``t``'s postings are
+    ``positions[offsets[t]:offsets[t + 1]]``, ascending document positions,
+    and the same slice of ``weights``. A document's norm is the square root
+    of its squared weights added in this flat order, so ascending term order.
+    Built once and only read afterwards, so concurrent ``top_k`` calls may
+    share an index.
     """
 
     documents: tuple[CorpusDocument, ...]
-    idf: dict[str, float]
-    postings: Postings = field(default_factory=dict)
+    term_ids: dict[str, int]
+    idf: array  # "d", by term id
+    offsets: array  # "q", one more than there are terms
+    positions: array  # "i"
+    weights: array  # "d"
     snapshot_version: int = 0
 
     def vectorize(self, terms: list[str]) -> tuple[dict[str, float], float]:
         """Project a term list into this index's weighting space: the
         (term -> weight, L2 norm) pair."""
-        return _tfidf_vector(terms, self.idf)
-
-    def document_weights(self) -> list[dict[str, float]]:
-        """Each document's term->weight map, regrouped from the postings."""
-        regrouped: list[dict[str, float]] = [{} for _ in self.documents]
-        for term, (positions, weights) in self.postings.items():
-            for position, w in zip(positions, weights):
-                regrouped[position][term] = w
-        return regrouped
+        return _tfidf_vector(terms, self.term_ids, self.idf)
 
 
 @dataclass(frozen=True)
@@ -101,12 +79,13 @@ class Neighbor:
     classes: tuple[str, ...] = ()
 
 
-def _tfidf_vector(terms: list[str], idf: dict[str, float]) -> tuple[dict[str, float], float]:
+def _tfidf_vector(terms: list[str], term_ids: dict[str, int], idf: array) -> tuple[dict[str, float], float]:
     """The L2-normalized ``(count / len(terms)) * idf`` weights of the terms
-    that ``idf`` knows, and their norm: 1, or 0 when none is known."""
+    that ``term_ids`` knows, and their norm: 1, or 0 when none is known."""
     total = len(terms)
-    raw = {term: (count / total) * idf[term] for term, count in Counter(terms).items() if term in idf}
-    norm = l2_norm(raw)
+    raw = {term: (count / total) * idf[term_ids[term]] for term, count in Counter(terms).items() if term in term_ids}
+    values = raw.values()
+    norm = math.sqrt(sum(map(mul, values, values)))
     if norm == 0.0:
         return raw, 0.0
     return {t: w / norm for t, w in raw.items()}, 1.0
@@ -124,17 +103,27 @@ def build_corpus_index(
     df: Counter[str] = Counter()
     for terms in term_lists:
         df.update(set(terms))
-    idf = {term: math.log((1 + n) / (1 + d)) + 1.0 for term, d in df.items()}
-
-    documents: list[CorpusDocument] = []
-    postings: Postings = {}
-    for (doc_id, label, classes, _), terms in zip(docs, term_lists):
+    vocabulary = sorted(df)
+    term_ids = {term: t for t, term in enumerate(vocabulary)}
+    idf = array("d", (math.log((1 + n) / (1 + df[term])) + 1.0 for term in vocabulary))
+    offsets = array("q", accumulate((df[term] for term in vocabulary), initial=0))
+    positions, weights = array("i", [0]) * offsets[-1], array("d", [0.0]) * offsets[-1]
+    free = offsets.tolist()  # each term's next unfilled posting
+    for position, ((doc_id, _, _, _), terms) in enumerate(zip(docs, term_lists)):
         if not terms:
             log.warning("corpus document %s has no terms; indexing a zero vector", doc_id)
-        weights, norm = _tfidf_vector(terms, idf)
-        add_postings(postings, len(documents), weights)
-        documents.append(CorpusDocument(doc_id, label, tuple(classes), norm))
-    return CorpusIndex(tuple(documents), idf, postings, snapshot_version)
+        for term, w in _tfidf_vector(terms, term_ids, idf)[0].items():
+            t = term_ids[term]
+            slot = free[t]
+            positions[slot], weights[slot], free[t] = position, w, slot + 1
+    squares = [0.0] * n
+    for position, w in zip(positions, weights):
+        squares[position] += w * w
+    documents = (
+        CorpusDocument(doc_id, label, tuple(classes), math.sqrt(square))
+        for (doc_id, label, classes, _), square in zip(docs, squares)
+    )
+    return CorpusIndex(tuple(documents), term_ids, idf, offsets, positions, weights, snapshot_version)
 
 
 def top_k(query: SourceContract, index: CorpusIndex, k: int) -> list[Neighbor]:
@@ -146,11 +135,12 @@ def top_k(query: SourceContract, index: CorpusIndex, k: int) -> list[Neighbor]:
     query's own id is excluded when present in the index.
     """
     qweights, qnorm = index.vectorize(tokenize_for_tfidf(query.source))
-    documents = index.documents
+    documents, offsets, positions, weights = index.documents, index.offsets, index.positions, index.weights
     dots = [0.0] * len(documents)
     for term, qw in qweights.items():
-        positions, weights = index.postings.get(term, _NO_POSTINGS)
-        for position, w in zip(positions, weights):
+        t = index.term_ids[term]
+        start, end = offsets[t], offsets[t + 1]
+        for position, w in zip(positions[start:end], weights[start:end]):
             dots[position] += qw * w
     qid = query.id
     sims = [

@@ -43,6 +43,8 @@ class PatternRule:
             if name not in self.matcher:
                 raise RulesetError(f"rule {self.rule_id}: matcher {mtype} needs a {name} parameter")
         for name, value in self.matcher.items():
+            if name != "type" and name not in _PARAMETERS:
+                raise RulesetError(f"rule {self.rule_id}: unknown matcher parameter {name!r}")
             if name in _PARAMETERS and not _PARAMETERS[name][1](value):
                 raise RulesetError(
                     f"rule {self.rule_id}: matcher parameter {name} must be {_PARAMETERS[name][0]}, got {value!r}"

@@ -33,6 +33,7 @@ from solguard.static_analysis.rules import default_ruleset
 from solguard.static_analysis.scanner import load_file, load_source
 
 from conftest import write_pipeline_config
+from reference_corpus_snapshot_v1 import document_weights, idf_map
 from test_retrieval import (
     brute_force_top_k,
     neighbor,
@@ -103,10 +104,11 @@ def test_criterion_03_retrieval_oracle():
         index = build_corpus_index(docs)
         term_lists = [oracle_terms(d[3]) for d in docs]
         oracle_idf, oracle_vectors = oracle_tfidf(term_lists)
-        assert set(index.idf) == set(oracle_idf)
+        idf = idf_map(index)
+        assert set(idf) == set(oracle_idf)
         for term, value in oracle_idf.items():
-            assert abs(index.idf[term] - value) <= 1e-9
-        for weights, expected in zip(index.document_weights(), oracle_vectors):
+            assert abs(idf[term] - value) <= 1e-9
+        for weights, expected in zip(document_weights(index), oracle_vectors):
             assert set(weights) == set(expected)
             for term, weight in expected.items():
                 assert abs(weights[term] - weight) <= 1e-9

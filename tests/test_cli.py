@@ -2,14 +2,17 @@ from __future__ import annotations
 
 import json
 import shutil
+import struct
 from pathlib import Path
 
 import pytest
 import yaml
 
 from solguard.cli import EXIT_PROCESSING, main
+from solguard.retrieval.tfidf import build_corpus_index, load_corpus_file
 from conftest import write_pipeline_config
 import presign_fixture
+import reference_corpus_snapshot_v1
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 TRANSCRIPT = FIXTURES / "presign_transcript.jsonl"
@@ -180,18 +183,16 @@ class TestDetect:
         for channel in record["channels"]:
             assert list(channel) == ["channel", "verdict", "score", "findings"]
 
-    def test_corrupt_snapshot_line_is_processing_error(self, runner, built_index_root, tmp_path):
+    def test_corrupt_snapshot_file_is_processing_error(self, runner, built_index_root, tmp_path):
         index_root = tmp_path / "idx"
         shutil.copytree(built_index_root, index_root)
-        docs = index_root / "corpus" / "1" / "docs.jsonl"
-        lines = docs.read_text(encoding="utf-8").splitlines(keepends=True)
-        lines[1] = lines[1][: len(lines[1]) // 2] + "\n"
-        docs.write_text("".join(lines), encoding="utf-8")
+        postings = index_root / "corpus" / "1" / "postings.bin"
+        postings.write_bytes(postings.read_bytes()[:-1])
         config = write_pipeline_config(tmp_path / "cfg.yaml", index_root, tmp_path / "out", TRANSCRIPT)
         result = runner.invoke(main, ["detect", str(FIXTURES / "safe.sol"), "-c", str(config)])
         assert result.exit_code == EXIT_PROCESSING
         assert isinstance(result.exception, SystemExit)
-        assert f"error: {docs}:2: " in result.output
+        assert f"error: snapshot file {postings} is corrupt: " in result.output
         assert "Traceback" not in result.output
 
     def test_weights_override_validation(self, runner, presign_config):
@@ -369,29 +370,23 @@ class TestInputFileErrors:
     def test_status_with_unreadable_snapshot_file_is_processing_error(self, runner, built_index_root, tmp_path):
         index_root = tmp_path / "idx"
         shutil.copytree(built_index_root, index_root)
-        idf = index_root / "corpus" / "1" / "idf.json"
-        idf.unlink()
-        idf.mkdir()
+        postings = index_root / "corpus" / "1" / "postings.bin"
+        postings.unlink()
+        postings.mkdir()
         result = runner.invoke(main, ["kb", "status", "--index-root", str(index_root)])
-        assert_clean_error(result, EXIT_PROCESSING, str(idf))
-
-
-def rewrite_json(path: Path, edit) -> None:
-    payload = json.loads(path.read_text(encoding="utf-8"))
-    edit(payload)
-    path.write_text(json.dumps(payload), encoding="utf-8")
+        assert_clean_error(result, EXIT_PROCESSING, str(postings))
 
 
 class TestSnapshotChecksOnLoad:
     """A snapshot fault is found where the snapshot is read, so every command
     that loads it stops with exit 1 naming the file, before any contract."""
 
-    @pytest.mark.parametrize("weight", ["heavy", -0.5, float("nan"), True])
-    def test_bad_idf_weight_stops_status_audit_and_eval(self, runner, built_index_root, eval_env, tmp_path, weight):
+    @pytest.mark.parametrize("value", [-0.5, float("nan"), float("inf")])
+    def test_bad_idf_value_stops_status_audit_and_eval(self, runner, built_index_root, eval_env, tmp_path, value):
         index_root = tmp_path / "idx"
         shutil.copytree(built_index_root, index_root)
-        idf = index_root / "corpus" / "1" / "idf.json"
-        rewrite_json(idf, lambda payload: payload.update(reentrancy=weight))
+        postings = index_root / "corpus" / "1" / "postings.bin"
+        postings.write_bytes(struct.pack("=d", value) + postings.read_bytes()[8:])  # the first term's idf
         config = write_pipeline_config(tmp_path / "cfg.yaml", index_root, tmp_path / "out", TRANSCRIPT)
         for args in (
             ["kb", "status", "--index-root", str(index_root)],
@@ -399,7 +394,25 @@ class TestSnapshotChecksOnLoad:
             ["eval", str(eval_env["dataset"]), "-c", str(config)],
         ):
             result = runner.invoke(main, args)
-            assert_clean_error(result, EXIT_PROCESSING, f"error: snapshot file {idf} is corrupt")
+            assert_clean_error(result, EXIT_PROCESSING, f"error: snapshot file {postings} is corrupt: idf must be")
+
+    def test_format1_corpus_stops_status_and_audit_until_kb_update(self, runner, built_index_root, tmp_path):
+        index_root = tmp_path / "idx"
+        shutil.copytree(built_index_root / "kb", index_root / "kb")
+        corpus = build_corpus_index(load_corpus_file(FIXTURES / "corpus.jsonl"))
+        meta = reference_corpus_snapshot_v1.publish_v1(index_root / "corpus", corpus) / "meta.json"
+        config = write_pipeline_config(tmp_path / "cfg.yaml", index_root, tmp_path / "out", TRANSCRIPT)
+        for args in (
+            ["kb", "status", "--index-root", str(index_root)],
+            ["audit", str(FIXTURES / "presign.sol"), "-c", str(config)],
+        ):
+            result = runner.invoke(main, args)
+            assert_clean_error(result, EXIT_PROCESSING, f"error: snapshot file {meta} names format 1", "kb update")
+        update = ["kb", "update", "--corpus", str(FIXTURES / "corpus.jsonl"), "--index-root", str(index_root)]
+        assert runner.invoke(main, update).output == "corpus: published version 2\n"
+        result = runner.invoke(main, ["kb", "status", "--index-root", str(index_root)])
+        assert result.exit_code == 0
+        assert "corpus: version 2, 15 documents" in result.output
 
     @pytest.mark.parametrize("lines", ["one", "every"])
     def test_wrong_embedding_dimension_names_the_line(self, runner, built_index_root, tmp_path, lines):

@@ -54,6 +54,9 @@ def test_labeled_record_faults_name_the_line(tmp_path, kind):
         GOOD_CONTRACT: "duplicate contract id 'a'",
         b'{"id": "b", "label": "safe"}\n': "record needs source or source_path",
         b'{"id": "b", "label": "safe", "source_path": "gone.sol"}\n': "gone.sol",
+        # a string used to load as one class per letter
+        b'{"id": "b", "label": "safe", "source": "x", "classes": "Reentrancy"}\n': "classes must be a list of strings",
+        b'{"id": "b", "label": "safe", "source": "x", "classes": ["Reentrancy", 7]}\n': "classes must be a list of strings",
     }
     for line, message in faults.items():
         path.write_bytes(GOOD_CONTRACT + line)

@@ -5,6 +5,7 @@ import math
 import random
 import re
 import tempfile
+from array import array
 from collections import Counter
 
 import pytest
@@ -24,6 +25,11 @@ from solguard.retrieval.tfidf import (
 )
 from solguard.core import Verdict
 from solguard.static_analysis.scanner import load_source
+
+from reference_corpus_snapshot_v1 import document_weights, idf_map
+
+# no documents and no terms
+EMPTY_INDEX = CorpusIndex((), {}, array("d"), array("q", [0]), array("i"), array("d"))
 
 
 # --- independent oracle implementations -------------------------------------
@@ -222,21 +228,19 @@ class TestBuildCorpusIndex:
         index = build_corpus_index(
             [("d1", "safe", (), "a b"), ("d2", "safe", (), "b c")]
         )
-        assert index.idf["b"] == pytest.approx(1.0)  # ln(3/3) + 1
-        assert index.idf["a"] == pytest.approx(math.log(3 / 2) + 1)
+        assert idf_map(index)["b"] == pytest.approx(1.0)  # ln(3/3) + 1
+        assert idf_map(index)["a"] == pytest.approx(math.log(3 / 2) + 1)
 
     def test_single_doc_idf_collapses_to_one(self):
         index = build_corpus_index([("d1", "safe", (), "x y z x")])
-        assert all(v == pytest.approx(1.0) for v in index.idf.values())
+        assert all(v == pytest.approx(1.0) for v in idf_map(index).values())
 
     def test_weights_match_brute_force_oracle(self):
         docs = synthetic_corpus(10, seed=7)
         index = build_corpus_index(docs)
         idf, vectors = oracle_tfidf([oracle_terms(d[3]) for d in docs])
-        assert set(index.idf) == set(idf)
-        for term, value in idf.items():
-            assert index.idf[term] == pytest.approx(value, abs=1e-9)
-        for weights, expected in zip(index.document_weights(), vectors):
+        assert idf_map(index) == pytest.approx(idf, abs=1e-9)
+        for weights, expected in zip(document_weights(index), vectors):
             assert set(weights) == set(expected)
             for term, w in expected.items():
                 assert weights[term] == pytest.approx(w, abs=1e-9)
@@ -246,7 +250,7 @@ class TestBuildCorpusIndex:
             index = build_corpus_index(
                 [("full", "safe", (), "a b c"), ("blank", "safe", (), "// only a comment")]
             )
-        assert index.document_weights()[1] == {}
+        assert document_weights(index)[1] == {}
         assert index.documents[1].norm == 0.0
         assert any("blank" in rec.message for rec in caplog.records)
 
@@ -306,7 +310,7 @@ def brute_force_top_k(query_terms, index: CorpusIndex, k: int, exclude_id: str):
     qweights, _ = index.vectorize(query_terms)
     sims = [
         (doc.id, oracle_cosine(qweights, weights), doc.label)
-        for doc, weights in zip(index.documents, index.document_weights())
+        for doc, weights in zip(index.documents, document_weights(index))
         if doc.id != exclude_id
     ]
     sims.sort(key=lambda t: (-t[1], t[0]))
@@ -319,7 +323,7 @@ def scan_top_k(query_terms, index: CorpusIndex, k: int, exclude_id: str) -> list
     norm) and sort by (-similarity, id)."""
     qweights, qnorm = index.vectorize(query_terms)
     rows = []
-    for doc, weights in zip(index.documents, index.document_weights()):
+    for doc, weights in zip(index.documents, document_weights(index)):
         if doc.id == exclude_id:
             continue
         dot = 0.0
@@ -382,7 +386,7 @@ class TestTopK:
             with tempfile.TemporaryDirectory() as root:
                 store = CorpusSnapshotStore(root)
                 store.publish(index)
-                index = store.load()  # norms recomputed from the stored weights
+                index = store.load()  # norms read back from postings.bin
         # the query may reuse an indexed id; "xyz" are in no document, so a
         # query of those alone scores 0 everywhere and is filled in id order
         query_id = data.draw(st.sampled_from(["q"] + [doc[0] for doc in docs]))
@@ -400,7 +404,7 @@ class TestTopK:
             assert nb.similarity == pytest.approx(by_id[nb.contract_id], abs=1e-12)
 
     def test_empty_index(self):
-        index = CorpusIndex(documents=(), idf={})
+        index = EMPTY_INDEX
         assert top_k(load_source("q", "a b"), index, 5) == []
 
     def test_deterministic_tie_break_by_id(self):
@@ -480,7 +484,7 @@ class TestRetrievalChannel:
         assert result.score == pytest.approx(5 / 15)
 
     def test_empty_index_is_safe_zero(self):
-        index = CorpusIndex(documents=(), idf={})
+        index = EMPTY_INDEX
         query = load_source("q", "anything")
         result = retrieval_channel(query, top_k(query, index, 5), 0.5)
         assert result.verdict is Verdict.SAFE

@@ -181,6 +181,8 @@ class TestRulesetFile:
             ("{type: unguarded_token, token: selfdestruct, allowed_modifiers: onlyOwner}", "allowed_modifiers must be"),
             ("{type: member_call_on_parameter, member: [delegatecall]}", "member must be a string"),
             ("unguarded_token", "matcher must be a mapping"),
+            # a misspelled parameter used to be ignored, leaving the default in force
+            ("{type: unguarded_state_mutator, allowed_modifier: [onlyOwner]}", "unknown matcher parameter 'allowed_modifier'"),
         ],
     )
     def test_bad_matcher_parameter_names_the_rule(self, matcher, complaint):

@@ -3,7 +3,13 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
+import random
+import re
+import struct
+import sys
 import threading
+from array import array
 from pathlib import Path
 
 import pytest
@@ -11,7 +17,10 @@ import pytest
 from solguard.errors import SnapshotError
 from solguard.retrieval.kb import HashingEmbedder, KbDocument, build_kb_index
 from solguard.retrieval.snapshot import CorpusSnapshotStore, KbSnapshotStore
-from solguard.retrieval.tfidf import build_corpus_index, load_corpus_file
+from solguard.retrieval.tfidf import build_corpus_index, load_corpus_file, top_k
+from solguard.static_analysis.scanner import load_file, load_source
+
+import reference_corpus_snapshot_v1 as reference
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -28,20 +37,12 @@ def corpus_for(version_tag: int):
 
 
 class TestPublishLoad:
-    def test_round_trip_reproduces_vectors(self, tmp_path):
+    def test_round_trip_reproduces_the_built_index(self, tmp_path):
         store = CorpusSnapshotStore(tmp_path)
         index = corpus_for(1)
         version = store.publish(index)
         assert version == 1
-        loaded = store.load()
-        assert loaded.snapshot_version == 1
-        assert loaded.idf == pytest.approx(index.idf, abs=1e-9)
-        pairs = zip(loaded.documents, loaded.document_weights(), index.documents, index.document_weights())
-        for got, got_weights, want, want_weights in pairs:
-            assert got.id == want.id and got.label == want.label and got.classes == want.classes
-            assert set(got_weights) == set(want_weights)
-            for term, w in want_weights.items():
-                assert got_weights[term] == pytest.approx(w, abs=1e-9)
+        assert store.load() == dataclasses.replace(index, snapshot_version=1)
 
     def test_kb_round_trip(self, tmp_path):
         store = KbSnapshotStore(tmp_path)
@@ -97,7 +98,7 @@ class TestCrashSafety:
         store.publish(corpus_for(1))
 
         def explode(target, index) -> None:
-            (target / "docs.jsonl").write_text("partial", encoding="utf-8")
+            (target / "postings.bin").write_bytes(b"partial")
             raise OSError("simulated crash mid-write")
 
         monkeypatch.setattr(store, "_write_files", explode)
@@ -135,26 +136,87 @@ class TestConcurrentReaders:
         assert problems == []
 
 
+def fixture_index():
+    return build_corpus_index(load_corpus_file(FIXTURES / "corpus.jsonl"))
+
+
+def digests(directory: Path) -> dict[str, str]:
+    return {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in sorted(directory.iterdir())}
+
+
 class TestRoundTrip:
     def test_republished_fixture_snapshot_is_byte_identical(self, tmp_path):
         first, second = CorpusSnapshotStore(tmp_path / "a"), CorpusSnapshotStore(tmp_path / "b")
-        first.publish(build_corpus_index(load_corpus_file(FIXTURES / "corpus.jsonl")))
+        first.publish(fixture_index())
         second.publish(first.load())
-        for name in ("docs.jsonl", "idf.json"):
-            assert (tmp_path / "b" / "1" / name).read_bytes() == (tmp_path / "a" / "1" / name).read_bytes()
+        assert digests(tmp_path / "b" / "1") == digests(tmp_path / "a" / "1")
+        assert sorted(digests(tmp_path / "a" / "1")) == ["documents.json", "meta.json", "postings.bin", "terms.json"]
 
     def test_fixture_snapshot_bytes_are_pinned(self, tmp_path):
-        # any change to term extraction, weighting or the file format that
-        # alters the published bytes must update these digests on purpose
-        CorpusSnapshotStore(tmp_path).publish(build_corpus_index(load_corpus_file(FIXTURES / "corpus.jsonl")))
-        digests = {
-            name: hashlib.sha256((tmp_path / "1" / name).read_bytes()).hexdigest()
-            for name in ("docs.jsonl", "idf.json")
-        }
-        assert digests == {
+        # any change to term extraction or weighting that alters the published
+        # bytes must update these digests on purpose; format 1 is written by
+        # the reference writer, which the product no longer has
+        reference.write_v1(tmp_path, fixture_index())
+        v1 = {name: digest for name, digest in digests(tmp_path).items() if name != "meta.json"}
+        assert v1 == {
             "docs.jsonl": "40c1248fd6b537d89bbb45e77fcec437d9c9dad96009dbc50fca91263a20d964",
             "idf.json": "c7ac17cb8a492c24d3760e960f1a2a13987f371c2380a1890107a4b3a9b99138",
         }
+
+    def test_fixture_snapshot_v2_bytes_are_pinned(self, tmp_path):
+        # postings.bin and meta.json as written on a little-endian machine
+        CorpusSnapshotStore(tmp_path).publish(fixture_index())
+        assert digests(tmp_path / "1") == {
+            "documents.json": "a3eb05de2346c5ca8bb87f68e306d9ed05bc3ade0ad5538f44b0f3a8fb854ba2",
+            "meta.json": "2085bb456d21e04fc36f6497c048eb8f2484a09401c177a92afc871ddd9c8b43",
+            "postings.bin": "34e8e30512c410bfa722233de6220f0579062595a9d1999dda42211084d3bee6",
+            "terms.json": "48299822ba707d2139cd31f4a74b5353cc07d250e0b1887484acf1ac532dde97",
+        }
+
+
+QUERIES = sorted(FIXTURES.glob("*.sol")) + sorted((FIXTURES / "rules").glob("*.sol"))
+
+
+def generated_corpus(n: int, seed: int) -> list[tuple[str, str, tuple[str, ...], str]]:
+    """``n`` documents mixed from the fixture corpus records: one record's
+    lines, some lines of another, a few rare terms, and some exact copies."""
+    records = load_corpus_file(FIXTURES / "corpus.jsonl")
+    rng = random.Random(seed)
+    docs = []
+    for i in range(n):
+        _, label, classes, source = rng.choice(records)
+        if docs and rng.random() < 0.05:
+            source = rng.choice(docs)[3]
+        else:
+            lines = source.splitlines() + rng.choice(records)[3].splitlines()[: rng.randrange(8)]
+            rng.shuffle(lines)
+            source = "\n".join(lines + [f"w{rng.randrange(3000)}" for _ in range(rng.randrange(4))])
+        docs.append((f"gen-{i:05d}", label, classes, source))
+    return docs
+
+
+class TestSameResultsAsFormat1:
+    """A format-1 snapshot, read by the replaced reader and ranked by the
+    replaced ``top_k``, and a format-2 snapshot of the same corpus give the
+    same neighbors and bit-identical document norms."""
+
+    @pytest.mark.parametrize("corpus", ["fixture", "generated"])
+    def test_top_k_and_norms_match(self, tmp_path, corpus):
+        docs = load_corpus_file(FIXTURES / "corpus.jsonl") if corpus == "fixture" else generated_corpus(2_000, seed=5)
+        index = build_corpus_index(docs)
+        store = CorpusSnapshotStore(tmp_path / "v2")
+        store.publish(index)
+        v2 = store.load()
+        v1 = reference.load_v1(reference.publish_v1(tmp_path / "v1", index))
+        assert len(v1.documents) == len(v2.documents) == len(docs) >= (15 if corpus == "fixture" else 2_000)
+        norms = [array("d", (doc.norm for doc in snapshot.documents)).tobytes() for snapshot in (v1, v2)]
+        assert norms[0] == norms[1]
+        assert any(doc.norm != 1.0 for doc in v2.documents)  # so the order of the sum shows
+        queries = [load_file(path, path.stem) for path in QUERIES]
+        queries += [load_source(doc_id, source) for doc_id, _, _, source in docs[:15]]  # ids in the index
+        for query in queries:
+            for k in (5, len(docs)):
+                assert top_k(query, v2, k) == reference.top_k_v1(query, v1, k), (query.id, k)
 
 
 def edit_record(path: Path, lineno: int, edit) -> None:
@@ -173,23 +235,93 @@ def with_field(mutate):
     return edit
 
 
-def first_weight(value):
-    def mutate(rec: dict) -> None:
-        rec["vector"][next(iter(rec["vector"]))] = value
-
-    return with_field(mutate)
-
-
 def truncated(line: str) -> str:
     return line[: len(line) // 2] + "\n"
 
 
+# postings.bin as documented: these arrays back to back, native byte order
+LAYOUT = {"idf": "d", "offsets": "q", "positions": "i", "weights": "d", "norms": "d"}
+
+
+def set_item(name: str, item: int, value):
+    """Overwrite item ``item`` (negative counts from the end) of one array in
+    a version's postings.bin."""
+
+    def edit(version: Path) -> None:
+        meta = json.loads((version / "meta.json").read_text(encoding="utf-8"))
+        terms, postings, documents = meta["terms"], meta["postings"], meta["documents"]
+        lengths = {"idf": terms, "offsets": terms + 1, "positions": postings, "weights": postings, "norms": documents}
+        names = list(LAYOUT)
+        start = sum(struct.calcsize("=" + LAYOUT[n]) * lengths[n] for n in names[: names.index(name)])
+        start += struct.calcsize("=" + LAYOUT[name]) * (item % lengths[name])
+        data = bytearray((version / "postings.bin").read_bytes())
+        struct.pack_into("=" + LAYOUT[name], data, start, value)
+        (version / "postings.bin").write_bytes(bytes(data))
+
+    return edit
+
+
+def edit_json(name: str, edit):
+    def apply(version: Path) -> None:
+        path = version / name
+        path.write_text(json.dumps(edit(json.loads(path.read_text(encoding="utf-8")))), encoding="utf-8")
+
+    return apply
+
+
+def edit_bytes(name: str, edit):
+    def apply(version: Path) -> None:
+        (version / name).write_bytes(edit((version / name).read_bytes()))
+
+    return apply
+
+
+def meta_with(**changes):
+    return edit_json("meta.json", lambda meta: {**meta, **changes})
+
+
+def rows_with(edit_row):
+    return edit_json("documents.json", lambda rows: [edit_row(row) for row in rows])
+
+
+# fault -> (edit of a published corpus_for(1) version directory, the file the
+# error must name); corpus_for(1) has 7 terms, 16 postings and 4 documents
 CORPUS_FAULTS = {
-    "truncated line": truncated,
-    "missing key": with_field(lambda rec: rec.pop("vector")),
-    "vector not an object": with_field(lambda rec: rec.update(vector=[0.5])),
-    "negative weight": first_weight(-0.5),
-    "non-numeric weight": first_weight("heavy"),
+    "postings.bin truncated": (edit_bytes("postings.bin", lambda data: data[:-1]), "postings.bin"),
+    "postings.bin with trailing bytes": (edit_bytes("postings.bin", lambda data: data + bytes(8)), "postings.bin"),
+    "meta.json counts a posting too many": (meta_with(postings=17), "postings.bin"),
+    "meta.json counts a term too few": (meta_with(terms=6), "terms.json"),
+    "meta.json counts a document too many": (meta_with(documents=5), "documents.json"),
+    "meta.json without a count": (edit_json("meta.json", lambda meta: {k: v for k, v in meta.items() if k != "terms"}), "meta.json"),
+    "meta.json count not a number": (meta_with(postings="heavy"), "meta.json"),
+    "meta.json count a boolean": (meta_with(documents=True), "meta.json"),
+    "meta.json count negative": (meta_with(documents=-1), "meta.json"),
+    "meta.json item sizes": (meta_with(itemsize=dict.fromkeys(LAYOUT, 8)), "meta.json"),
+    "meta.json byte order": (meta_with(byteorder="big" if sys.byteorder == "little" else "little"), "meta.json"),
+    "meta.json format version 3": (meta_with(format_version=3), "meta.json"),
+    "meta.json format version a string": (meta_with(format_version="2"), "meta.json"),
+    "idf NaN": (set_item("idf", 0, math.nan), "postings.bin"),
+    "idf negative": (set_item("idf", -1, -0.5), "postings.bin"),
+    "weight NaN": (set_item("weights", 3, math.nan), "postings.bin"),
+    "weight negative": (set_item("weights", -1, -0.5), "postings.bin"),
+    "weight infinite": (set_item("weights", 0, math.inf), "postings.bin"),
+    "norm NaN": (set_item("norms", 0, math.nan), "postings.bin"),
+    "norm negative": (set_item("norms", 2, -1.0), "postings.bin"),
+    "position past the documents": (set_item("positions", 5, 4), "postings.bin"),
+    "position negative": (set_item("positions", 0, -1), "postings.bin"),
+    "offsets decreasing": (set_item("offsets", 4, 9), "postings.bin"),
+    "offsets not from 0": (set_item("offsets", 0, 1), "postings.bin"),
+    "terms.json one term short": (edit_json("terms.json", lambda terms: terms[:-1]), "terms.json"),
+    "terms.json repeating a term": (edit_json("terms.json", lambda terms: terms[:-1] + terms[:1]), "terms.json"),
+    "terms.json not an array": (edit_json("terms.json", lambda terms: dict.fromkeys(terms, 1)), "terms.json"),
+    "terms.json truncated": (edit_bytes("terms.json", lambda data: data[: len(data) // 2]), "terms.json"),
+    "documents.json one row short": (edit_json("documents.json", lambda rows: rows[:-1]), "documents.json"),
+    "documents.json row without classes": (rows_with(lambda row: row[:2]), "documents.json"),
+    "documents.json classes a string": (rows_with(lambda row: [*row[:2], "tag1"]), "documents.json"),
+    "documents.json id a number": (rows_with(lambda row: [7, *row[1:]]), "documents.json"),
+    "documents.json row not an array": (rows_with(lambda row: dict(zip(("id", "label", "classes"), row))), "documents.json"),
+    "documents.json not an array": (edit_json("documents.json", lambda rows: {"rows": rows}), "documents.json"),
+    "documents.json truncated": (edit_bytes("documents.json", lambda data: data[: len(data) // 2]), "documents.json"),
 }
 
 KB_FAULTS = {
@@ -202,12 +334,30 @@ KB_FAULTS = {
 
 class TestCorruptRecords:
     @pytest.mark.parametrize("fault", sorted(CORPUS_FAULTS))
-    def test_corpus_line_fault_names_file_and_line(self, tmp_path, fault):
+    def test_corpus_file_fault_names_the_file(self, tmp_path, fault):
         store = CorpusSnapshotStore(tmp_path)
         store.publish(corpus_for(1))
-        edit_record(tmp_path / "1" / "docs.jsonl", 3, CORPUS_FAULTS[fault])
-        with pytest.raises(SnapshotError, match=r"docs\.jsonl:3: "):
+        edit, name = CORPUS_FAULTS[fault]
+        edit(tmp_path / "1")
+        with pytest.raises(SnapshotError, match=re.escape(f"snapshot file {tmp_path / '1' / name} ")):
             store.load()
+
+    def test_published_corpus_matches_the_fault_table(self, tmp_path):
+        CorpusSnapshotStore(tmp_path).publish(corpus_for(1))
+        meta = json.loads((tmp_path / "1" / "meta.json").read_text(encoding="utf-8"))
+        assert (meta["terms"], meta["postings"], meta["documents"]) == (7, 16, 4)
+        offsets = struct.unpack_from("=8q", (tmp_path / "1" / "postings.bin").read_bytes(), 7 * 8)
+        assert offsets == (0, 1, 2, 3, 4, 8, 12, 16)  # so offsets[4] = 9 decreases
+
+    def test_format1_version_asks_for_kb_update(self, tmp_path):
+        version = reference.publish_v1(tmp_path, corpus_for(1))
+        store = CorpusSnapshotStore(tmp_path)
+        with pytest.raises(
+            SnapshotError, match=re.escape(f"snapshot file {version / 'meta.json'} names format 1, not 2: ") + ".*kb update"
+        ):
+            store.load()
+        assert store.publish(corpus_for(2)) == 2  # what `kb update` does
+        assert store.load().documents[0].classes == ("tag2",)
 
     @pytest.mark.parametrize("fault", sorted(KB_FAULTS))
     def test_kb_line_fault_names_file_and_line(self, tmp_path, fault):
@@ -243,26 +393,6 @@ class TestCorruptMeta:
         meta = tmp_path / "1" / "meta.json"
         meta.write_text(payload, encoding="utf-8")
         with pytest.raises(SnapshotError, match=f"{meta}.*not a JSON object"):
-            store.load()
-
-    def test_non_object_idf_names_file(self, tmp_path):
-        store = CorpusSnapshotStore(tmp_path)
-        store.publish(corpus_for(1))
-        idf = tmp_path / "1" / "idf.json"
-        idf.write_text("[0.5]", encoding="utf-8")
-        with pytest.raises(SnapshotError, match=f"{idf}.*not a JSON object"):
-            store.load()
-
-    # a weight the loader let through used to fail only later, inside top_k
-    @pytest.mark.parametrize("weight", ["heavy", -0.5, float("nan"), True])
-    def test_idf_weight_that_is_not_a_finite_number_at_least_zero_names_file(self, tmp_path, weight):
-        store = CorpusSnapshotStore(tmp_path)
-        store.publish(corpus_for(1))
-        idf_path = tmp_path / "1" / "idf.json"
-        idf = json.loads(idf_path.read_text(encoding="utf-8"))
-        idf[next(iter(idf))] = weight
-        idf_path.write_text(json.dumps(idf), encoding="utf-8")
-        with pytest.raises(SnapshotError, match=f"{idf_path} is corrupt: term weights"):
             store.load()
 
     def test_kb_embedding_dimension_other_than_the_embedder_names_first_line(self, tmp_path):
@@ -307,7 +437,7 @@ class TestCorruptMeta:
 
 
 class TestUnreadableFiles:
-    @pytest.mark.parametrize("name", ["meta.json", "idf.json", "docs.jsonl"])
+    @pytest.mark.parametrize("name", ["meta.json", "terms.json", "documents.json", "postings.bin"])
     def test_directory_in_place_of_a_snapshot_file_names_it(self, tmp_path, name):
         store = CorpusSnapshotStore(tmp_path)
         store.publish(corpus_for(1))
