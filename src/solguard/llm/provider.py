@@ -17,8 +17,7 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Protocol
-
-import requests
+from urllib.parse import urlsplit
 
 from solguard.errors import CompletionTimeout, ConfigError, TransportError
 
@@ -61,6 +60,16 @@ class ProviderConfig:
         elif self.kind == "http-endpoint":
             if not self.endpoint:
                 raise ConfigError(f"http provider {self.model_id!r} requires an endpoint")
+            try:
+                parts = urlsplit(self.endpoint)
+                parts.port  # ValueError unless absent or a number from 0 to 65535
+            except ValueError:
+                parts = None
+            if parts is None or parts.scheme not in ("http", "https") or not parts.hostname:
+                raise ConfigError(
+                    f"http provider {self.model_id!r} endpoint {self.endpoint!r} "
+                    "must be an http:// or https:// URL with a host and, if any, a numeric port"
+                )
         else:
             raise ConfigError(f"unknown provider kind {self.kind!r}")
 
@@ -129,14 +138,28 @@ class HttpProvider:
     "max_tokens"}``. The response may carry the text either as a top-level
     ``content`` string or under ``choices[0].message.content``.
 
-    Timeouts, connection failures, 5xx and 429 replies are retried up to
-    ``retry_count`` times, after the reply's ``Retry-After`` seconds (capped
-    at ``timeout_s``) or else a backoff of 50 ms times the attempt number.
+    Each call opens one connection through :mod:`urllib.request`, which takes
+    proxies from ``HTTP(S)_PROXY``/``NO_PROXY`` and verifies HTTPS against the
+    system trust store. Timeouts, connection failures, 5xx and 429 replies are
+    retried up to ``retry_count`` times, after the reply's ``Retry-After``
+    seconds (capped at ``timeout_s``) or else a backoff of 50 ms times the
+    attempt number.
     """
 
     def __init__(self, config: ProviderConfig, exchange_log: ExchangeLog | None = None):
+        # the HTTP stack is imported here, not with this module, so that runs
+        # making no HTTP call (mock audits, kb, eval) never load it
+        import http.client
+        import urllib.error
+        import urllib.request
+
         self.config = config
         self._log = exchange_log
+        self._request = urllib.request.Request
+        self._open = urllib.request.build_opener().open
+        self._status_error = urllib.error.HTTPError
+        # ValueError: a header value http.client refuses, such as a key with a line break
+        self._transport_errors = (OSError, http.client.HTTPException, ValueError)
 
     @property
     def provider_id(self) -> str:
@@ -154,6 +177,12 @@ class HttpProvider:
             "temperature": self.config.temperature,
             "max_tokens": self.config.max_output_tokens,
         }
+        request = self._request(
+            self.config.endpoint,
+            data=json.dumps(body, allow_nan=False).encode("utf-8"),
+            headers=headers,
+            method="POST",
+        )
         started = time.perf_counter()
         last_error: Exception | None = None
         retry_after: float | None = None
@@ -162,30 +191,30 @@ class HttpProvider:
                 time.sleep(0.05 * attempt if retry_after is None else retry_after)
                 retry_after = None
             try:
-                resp = requests.post(
-                    self.config.endpoint,
-                    json=body,
-                    headers=headers,
-                    timeout=self.config.timeout_s,
-                )
-            except requests.Timeout as exc:
-                last_error = CompletionTimeout(f"{self.provider_id}: request timed out")
-                log.warning("completion timeout (attempt %d): %s", attempt + 1, exc)
+                with self._open(request, timeout=self.config.timeout_s) as resp:
+                    status, reply_headers, raw = resp.status, resp.headers, resp.read()
+            except self._status_error as exc:  # any status outside 2xx
+                status, reply_headers, raw = exc.code, exc.headers, b""
+                exc.close()
+            except self._transport_errors as exc:
+                # a timeout comes bare from the reply, wrapped in URLError from the connect
+                if isinstance(exc, TimeoutError) or isinstance(getattr(exc, "reason", None), TimeoutError):
+                    last_error = CompletionTimeout(f"{self.provider_id}: request timed out")
+                    log.warning("completion timeout (attempt %d): %s", attempt + 1, exc)
+                else:
+                    last_error = TransportError(f"{self.provider_id}: {exc}")
+                    log.warning("completion transport failure (attempt %d): %s", attempt + 1, exc)
                 continue
-            except requests.RequestException as exc:
-                last_error = TransportError(f"{self.provider_id}: {exc}")
-                log.warning("completion transport failure (attempt %d): %s", attempt + 1, exc)
+            if status >= 500 or status == 429:
+                reason = "rate limited" if status == 429 else "server error"
+                last_error = TransportError(f"{self.provider_id}: {reason} {status}")
+                retry_after = _retry_after_s(reply_headers.get("Retry-After"), self.config.timeout_s)
                 continue
-            if resp.status_code >= 500 or resp.status_code == 429:
-                reason = "rate limited" if resp.status_code == 429 else "server error"
-                last_error = TransportError(f"{self.provider_id}: {reason} {resp.status_code}")
-                retry_after = _retry_after_s(resp.headers.get("Retry-After"), self.config.timeout_s)
-                continue
-            if resp.status_code != 200:
-                raise TransportError(f"{self.provider_id}: unexpected status {resp.status_code}")
+            if status != 200:
+                raise TransportError(f"{self.provider_id}: unexpected status {status}")
             try:
-                payload = resp.json()
-            except ValueError as exc:
+                payload = json.loads(raw.decode("utf-8"))
+            except ValueError as exc:  # UnicodeDecodeError included
                 raise TransportError(f"{self.provider_id}: response body is not JSON") from exc
             text = _response_text(payload, self.provider_id)
             exchange = ChatExchange(

@@ -12,6 +12,7 @@ from solguard.cli import EXIT_PROCESSING, main
 from solguard.retrieval.tfidf import build_corpus_index, load_corpus_file
 from conftest import write_pipeline_config
 import presign_fixture
+from chat_stub import ChatStub, Reply
 import reference_corpus_snapshot_v1
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -73,36 +74,25 @@ class TestAudit:
         ["<html>gateway hiccup</html>", "[1, 2]", '{"choices": [{"message": {"content": null}}]}'],
     )
     def test_malformed_provider_reply_fails_one_contract_not_the_batch(
-        self, runner, built_index_root, tmp_path, monkeypatch, bad_body
+        self, runner, built_index_root, tmp_path, bad_body
     ):
-        class Reply:
-            status_code = 200
+        def answer(request):
+            if "preSign" in request["messages"][0]["content"]:
+                return Reply(body=bad_body.encode("utf-8"))
+            return Reply(body={"content": presign_fixture.safe_detector_response()})
 
-            def __init__(self, body: str):
-                self.body = body
-
-            def json(self):
-                return json.loads(self.body)
-
-        def post(url, **kwargs):
-            prompt = kwargs["json"]["messages"][0]["content"]
-            if "preSign" in prompt:
-                return Reply(bad_body)
-            return Reply(json.dumps({"content": presign_fixture.safe_detector_response()}))
-
-        monkeypatch.setattr("solguard.llm.provider.requests.post", post)
-        endpoint = "http://127.0.0.1:9/v1/chat"  # never contacted: requests.post is replaced
-        providers = {
-            role: {"kind": "http-endpoint", "model_id": f"{role}-model", "endpoint": endpoint}
-            for role in ("base", "verifier")
-        }
-        config = write_pipeline_config(
-            tmp_path / "cfg.yaml", built_index_root, tmp_path / "out", TRANSCRIPT, providers=providers
-        )
-        result = runner.invoke(
-            main,
-            ["audit", str(FIXTURES / "presign.sol"), str(FIXTURES / "safe.sol"), "-c", str(config), "--jobs", "2"],
-        )
+        with ChatStub(answer) as stub:
+            providers = {
+                role: {"kind": "http-endpoint", "model_id": f"{role}-model", "endpoint": stub.endpoint}
+                for role in ("base", "verifier")
+            }
+            config = write_pipeline_config(
+                tmp_path / "cfg.yaml", built_index_root, tmp_path / "out", TRANSCRIPT, providers=providers
+            )
+            result = runner.invoke(
+                main,
+                ["audit", str(FIXTURES / "presign.sol"), str(FIXTURES / "safe.sol"), "-c", str(config), "--jobs", "2"],
+            )
         assert result.exit_code == 1
         assert "processed 2/2 contracts" in result.output
         assert "presign: " in result.output and "failed stages: detect" in result.output
@@ -592,6 +582,16 @@ class TestConfigValidationExitCodes:
         config = self._write_config(tmp_path, mutate)
         result = runner.invoke(main, ["detect", str(FIXTURES / "presign.sol"), "-c", str(config)])
         assert_clean_error(result, 2, key)
+
+    # each of these used to load, then spend every retry of every call on it
+    @pytest.mark.parametrize("endpoint", ["localhost:8080/v1", "ftp://models.example/v1", "http:///v1"])
+    def test_endpoint_that_is_not_an_http_url_rejected_exit_2(self, runner, tmp_path, endpoint):
+        def mutate(p):
+            p["providers"]["base"] = {"kind": "http-endpoint", "model_id": "b", "endpoint": endpoint}
+
+        config = self._write_config(tmp_path, mutate)
+        result = runner.invoke(main, ["audit", str(FIXTURES / "presign.sol"), "-c", str(config)])
+        assert_clean_error(result, 2, f"http provider 'b' endpoint {endpoint!r}")
 
     def test_zero_k_rejected_exit_2(self, runner, tmp_path):
         def mutate(p):

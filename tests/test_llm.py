@@ -1,14 +1,19 @@
 from __future__ import annotations
 
+import contextlib
 import json
-import threading
-from http.server import BaseHTTPRequestHandler, HTTPServer
+import os
+import socket
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from solguard.errors import (
+    CompletionTimeout,
     ConfigError,
     ExtractionError,
     SchemaError,
@@ -22,6 +27,7 @@ from solguard.llm.template import PromptTemplate, TemplateError, render_prompt
 from solguard.llm.prompts import DETECTOR_TEMPLATE
 from solguard.agents.detect import ask_structured
 import reference_reply_reader
+from chat_stub import ChatStub, Reply
 
 
 class TestRenderPrompt:
@@ -208,132 +214,197 @@ def test_reply_reader_matches_reference(response):
     assert reply_outcome(extract_structured, response[: unclosed[0]]) is None
 
 
-class _StubHandler(BaseHTTPRequestHandler):
-    failures_left = 0
-    canned = {"content": "stub says hi"}
-
-    def do_POST(self):  # noqa: N802 (http.server API)
-        length = int(self.headers.get("Content-Length", 0))
-        _ = self.rfile.read(length)
-        if _StubHandler.failures_left > 0:
-            _StubHandler.failures_left -= 1
-            self.send_response(503)
-            self.end_headers()
-            return
-        body = json.dumps(_StubHandler.canned).encode("utf-8")
-        self.send_response(200)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def log_message(self, *args):
-        pass
+@pytest.fixture
+def sleeps(monkeypatch) -> list[float]:
+    """The provider's backoff sleeps, recorded instead of slept."""
+    recorded: list[float] = []
+    monkeypatch.setattr("solguard.llm.provider.time.sleep", recorded.append)
+    return recorded
 
 
 @pytest.fixture
-def stub_server():
-    server = HTTPServer(("127.0.0.1", 0), _StubHandler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    yield f"http://127.0.0.1:{server.server_port}/v1/chat"
-    server.shutdown()
-    thread.join()
+def scripted_http(sleeps):
+    """A started ``ChatStub`` and the recorded sleeps: yields (stub, sleeps)."""
+    with ChatStub() as stub:
+        yield stub, sleeps
+
+
+def http_provider(endpoint: str, **config) -> HttpProvider:
+    return HttpProvider(ProviderConfig(kind="http-endpoint", model_id="remote", endpoint=endpoint, **config))
+
+
+def closed_port_endpoint() -> str:
+    """An endpoint on a loopback port that nothing listens on."""
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        port = sock.getsockname()[1]
+    return f"http://127.0.0.1:{port}/v1/chat"
+
+
+@contextlib.contextmanager
+def stalled_connect_endpoint():
+    """An endpoint whose listener never accepts and has a full accept queue,
+    so that a connect to it stalls."""
+    with socket.socket() as listener:
+        listener.bind(("127.0.0.1", 0))
+        listener.listen(0)
+        fillers: list[socket.socket] = []
+        try:
+            for _ in range(8):
+                filler = socket.socket()
+                fillers.append(filler)
+                filler.settimeout(0.2)
+                try:
+                    filler.connect(listener.getsockname())
+                except TimeoutError:
+                    break
+            else:
+                raise AssertionError("the accept queue never filled")
+            yield f"http://127.0.0.1:{listener.getsockname()[1]}/v1/chat"
+        finally:
+            for filler in fillers:
+                filler.close()
 
 
 class TestHttpProvider:
-    def test_returns_canned_body(self, stub_server):
-        _StubHandler.failures_left = 0
-        cfg = ProviderConfig(kind="http-endpoint", model_id="remote", endpoint=stub_server)
-        exchange = HttpProvider(cfg).complete("hello", role="detector")
+    def test_returns_canned_body(self, scripted_http):
+        stub, _ = scripted_http
+        stub.replies.append(Reply(body={"content": "stub says hi"}))
+        exchange = http_provider(stub.endpoint).complete("hello", role="detector")
         assert exchange.response == "stub says hi"
         assert exchange.provider_id == "http:remote"
+        [(headers, request)] = stub.received
+        assert headers["Content-Type"] == "application/json"
+        assert request == {
+            "model": "remote",
+            "messages": [{"role": "user", "content": "hello"}],
+            "temperature": 0.0,
+            "max_tokens": 2048,
+        }
 
-    def test_retries_through_server_errors(self, stub_server):
-        _StubHandler.failures_left = 2
-        cfg = ProviderConfig(kind="http-endpoint", model_id="remote", endpoint=stub_server, retry_count=2)
-        assert HttpProvider(cfg).complete("hello", role="detector").response == "stub says hi"
+    @pytest.mark.parametrize("failures", [1, 2])
+    def test_retries_through_server_errors(self, scripted_http, failures):
+        stub, sleeps = scripted_http
+        stub.replies += [Reply(503)] * failures + [Reply(body={"content": "stub says hi"})]
+        assert http_provider(stub.endpoint, retry_count=2).complete("hello", role="detector").response == "stub says hi"
+        assert len(stub.received) == failures + 1
+        assert sleeps == [0.05, 0.1][:failures]
 
-    def test_exhausted_retries_raise_transport_error(self, stub_server):
-        _StubHandler.failures_left = 99
-        cfg = ProviderConfig(kind="http-endpoint", model_id="remote", endpoint=stub_server, retry_count=1)
-        with pytest.raises(TransportError):
-            HttpProvider(cfg).complete("hello", role="detector")
-        _StubHandler.failures_left = 0
+    def test_exhausted_retries_raise_transport_error(self, scripted_http):
+        stub, _ = scripted_http
+        stub.replies.append(Reply(503))
+        with pytest.raises(TransportError, match="server error 503"):
+            http_provider(stub.endpoint, retry_count=1).complete("hello", role="detector")
+        assert len(stub.received) == 2
 
-    def test_openai_style_response_shape_accepted(self, stub_server):
-        _StubHandler.failures_left = 0
-        old = _StubHandler.canned
-        _StubHandler.canned = {"choices": [{"message": {"content": "nested style"}}]}
-        try:
-            cfg = ProviderConfig(kind="http-endpoint", model_id="remote", endpoint=stub_server)
-            assert HttpProvider(cfg).complete("x", role="detector").response == "nested style"
-        finally:
-            _StubHandler.canned = old
+    def test_openai_style_response_shape_accepted(self, scripted_http):
+        stub, _ = scripted_http
+        stub.replies.append(Reply(body={"choices": [{"message": {"content": "nested style"}}]}))
+        assert http_provider(stub.endpoint).complete("x", role="detector").response == "nested style"
+
+    def test_closed_port_is_a_transport_error_after_every_attempt(self, sleeps, caplog):
+        with pytest.raises(TransportError) as excinfo:
+            http_provider(closed_port_endpoint(), retry_count=2).complete("hello", role="detector")
+        assert type(excinfo.value) is TransportError
+        assert sum("transport failure" in r.getMessage() for r in caplog.records) == 3
+        assert sleeps == [0.05, 0.1]
+
+    def test_stalled_reply_is_a_completion_timeout(self, scripted_http):
+        stub, sleeps = scripted_http
+        stub.replies.append(Reply(stall=True))
+        with pytest.raises(CompletionTimeout, match="request timed out"):
+            http_provider(stub.endpoint, timeout_s=0.2, retry_count=1).complete("hello", role="detector")
+        assert len(stub.received) == 2
+        assert sleeps == [0.05]
+
+    def test_stalled_connect_is_a_completion_timeout(self, sleeps):
+        with stalled_connect_endpoint() as endpoint:
+            with pytest.raises(CompletionTimeout, match="request timed out"):
+                http_provider(endpoint, timeout_s=0.2, retry_count=1).complete("hello", role="detector")
+        assert sleeps == [0.05]
+
+    @pytest.mark.parametrize("status", [201, 404])
+    def test_unexpected_status_is_not_retried(self, scripted_http, status):
+        stub, sleeps = scripted_http
+        stub.replies.append(Reply(status))
+        with pytest.raises(TransportError, match=f"unexpected status {status}"):
+            http_provider(stub.endpoint).complete("hello", role="detector")
+        assert len(stub.received) == 1
+        assert sleeps == []
+
+    @pytest.mark.parametrize("body", [b"<html>gateway hiccup</html>", b'{"content": "caf\xe9"}'])
+    def test_body_that_is_not_utf8_json_is_not_retried(self, scripted_http, body):
+        stub, sleeps = scripted_http
+        stub.replies.append(Reply(body=body))
+        with pytest.raises(TransportError, match="response body is not JSON"):
+            http_provider(stub.endpoint).complete("hello", role="detector")
+        assert len(stub.received) == 1
+        assert sleeps == []
 
     def test_endpoint_required(self):
         with pytest.raises(ConfigError, match="endpoint"):
             ProviderConfig(kind="http-endpoint", model_id="remote")
 
+    @pytest.mark.parametrize(
+        "endpoint",
+        ["localhost:8080/v1", "ftp://models.example/v1", "http:///v1", "http://models.example:port/v1", "http://[::1/v1"],
+    )
+    def test_endpoint_that_is_not_an_http_url_rejected(self, endpoint):
+        with pytest.raises(ConfigError, match="http provider 'remote' endpoint"):
+            ProviderConfig(kind="http-endpoint", model_id="remote", endpoint=endpoint)
 
-class _Reply:
-    def __init__(self, status_code: int, headers: dict[str, str] | None = None):
-        self.status_code = status_code
-        self.headers = headers or {}
 
-    def json(self):
-        return {"content": "after the wait"}
-
-
-@pytest.fixture
-def scripted_http(monkeypatch):
-    """Replaces ``requests.post`` with a queue of replies and ``time.sleep``
-    with a recorder; yields (replies, posts, sleeps)."""
-    replies: list[_Reply] = []
-    posts: list[str] = []
-    sleeps: list[float] = []
-
-    def post(url, **kwargs):
-        posts.append(url)
-        return replies.pop(0) if len(replies) > 1 else replies[0]
-
-    monkeypatch.setattr("solguard.llm.provider.requests.post", post)
-    monkeypatch.setattr("solguard.llm.provider.time.sleep", sleeps.append)
-    return replies, posts, sleeps
+def test_only_an_http_provider_loads_the_http_stack():
+    # every command starts as a fresh process: mock audits, kb, eval and
+    # calibrate make no HTTP call and should not pay for importing one
+    repo = Path(__file__).resolve().parent.parent
+    script = f"""
+import sys
+import solguard.cli
+from solguard.llm import ProviderConfig, build_provider
+def loaded():
+    return sorted(m for m in ("requests", "urllib.request", "http.client") if m in sys.modules)
+build_provider(ProviderConfig(kind="mock", model_id="m", transcript={str(repo / "fixtures" / "presign_transcript.jsonl")!r}))
+print(loaded())
+build_provider(ProviderConfig(kind="http-endpoint", model_id="m", endpoint="http://127.0.0.1:9/v1"))
+print(loaded())
+"""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(repo / "src"), os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == ["[]", "['http.client', 'urllib.request']"]
 
 
 class TestRateLimit:
-    def complete(self, **config):
-        # never contacted: requests.post is replaced
-        cfg = ProviderConfig(kind="http-endpoint", model_id="remote", endpoint="http://127.0.0.1:9/v1", **config)
-        return HttpProvider(cfg).complete("hello", role="detector")
+    def complete(self, stub, **config):
+        return http_provider(stub.endpoint, **config).complete("hello", role="detector")
 
     def test_429_is_retried_after_its_retry_after_seconds(self, scripted_http):
-        replies, posts, sleeps = scripted_http
-        replies += [_Reply(429, {"Retry-After": "3"}), _Reply(200)]
-        assert self.complete().response == "after the wait"
-        assert len(posts) == 2
+        stub, sleeps = scripted_http
+        stub.replies += [Reply(429, {"Retry-After": "3"}), Reply(200)]
+        assert self.complete(stub).response == "after the wait"
+        assert len(stub.received) == 2
         assert sleeps == [3.0]
 
     def test_retry_after_is_capped_at_the_timeout(self, scripted_http):
-        replies, _, sleeps = scripted_http
-        replies += [_Reply(429, {"Retry-After": "120"}), _Reply(200)]
-        assert self.complete(timeout_s=5.0).response == "after the wait"
+        stub, sleeps = scripted_http
+        stub.replies += [Reply(429, {"Retry-After": "120"}), Reply(200)]
+        assert self.complete(stub, timeout_s=5.0).response == "after the wait"
         assert sleeps == [5.0]
 
     @pytest.mark.parametrize("headers", [{}, {"Retry-After": "Wed, 21 Oct 2015 07:28:00 GMT"}, {"Retry-After": "-1"}])
     def test_429_without_seconds_backs_off_as_for_server_errors(self, scripted_http, headers):
-        replies, _, sleeps = scripted_http
-        replies += [_Reply(429, headers), _Reply(200)]
-        assert self.complete().response == "after the wait"
+        stub, sleeps = scripted_http
+        stub.replies += [Reply(429, headers), Reply(200)]
+        assert self.complete(stub).response == "after the wait"
         assert sleeps == [0.05]
 
     def test_429_counts_against_retry_count(self, scripted_http):
-        replies, posts, sleeps = scripted_http
-        replies.append(_Reply(429, {"Retry-After": "1"}))
+        stub, sleeps = scripted_http
+        stub.replies.append(Reply(429, {"Retry-After": "1"}))
         with pytest.raises(TransportError, match="429"):
-            self.complete(retry_count=1)
-        assert len(posts) == 2
+            self.complete(stub, retry_count=1)
+        assert len(stub.received) == 2
         assert sleeps == [1.0]
 
 
@@ -405,38 +476,18 @@ class TestExchangeLog:
 
 class TestCredentials:
     def test_bearer_header_sent_from_env(self, monkeypatch):
-        captured = {}
+        monkeypatch.setenv("TEST_PROVIDER_KEY", "s3cret")
+        with ChatStub() as stub:
+            stub.replies.append(Reply(body={"content": "ok"}))
+            http_provider(stub.endpoint, api_key_env="TEST_PROVIDER_KEY").complete("hello", role="detector")
+        assert stub.received[0][0]["Authorization"] == "Bearer s3cret"
 
-        class CapturingHandler(BaseHTTPRequestHandler):
-            def do_POST(self):  # noqa: N802
-                captured["auth"] = self.headers.get("Authorization")
-                length = int(self.headers.get("Content-Length", 0))
-                self.rfile.read(length)
-                body = json.dumps({"content": "ok"}).encode("utf-8")
-                self.send_response(200)
-                self.send_header("Content-Length", str(len(body)))
-                self.end_headers()
-                self.wfile.write(body)
-
-            def log_message(self, *args):
-                pass
-
-        server = HTTPServer(("127.0.0.1", 0), CapturingHandler)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        try:
-            monkeypatch.setenv("TEST_PROVIDER_KEY", "s3cret")
-            cfg = ProviderConfig(
-                kind="http-endpoint",
-                model_id="remote",
-                endpoint=f"http://127.0.0.1:{server.server_port}/chat",
-                api_key_env="TEST_PROVIDER_KEY",
-            )
-            HttpProvider(cfg).complete("hello", role="detector")
-            assert captured["auth"] == "Bearer s3cret"
-        finally:
-            server.shutdown()
-            thread.join()
+    def test_key_with_a_line_break_is_a_transport_error(self, scripted_http, monkeypatch):
+        stub, _ = scripted_http
+        monkeypatch.setenv("TEST_PROVIDER_KEY", "s3cret\r\nX-Injected: 1")
+        with pytest.raises(TransportError):
+            http_provider(stub.endpoint, api_key_env="TEST_PROVIDER_KEY").complete("hello", role="detector")
+        assert stub.received == []
 
 
 class TestProviderConfigPayload:
