@@ -65,10 +65,16 @@ class ProviderConfig:
                 parts.port  # ValueError unless absent or a number from 0 to 65535
             except ValueError:
                 parts = None
-            if parts is None or parts.scheme not in ("http", "https") or not parts.hostname:
+            if (
+                parts is None
+                or parts.scheme not in ("http", "https")
+                or not parts.hostname
+                or parts.username is not None
+                or parts.password is not None
+            ):
                 raise ConfigError(
-                    f"http provider {self.model_id!r} endpoint {self.endpoint!r} "
-                    "must be an http:// or https:// URL with a host and, if any, a numeric port"
+                    f"http provider {self.model_id!r} endpoint {self.endpoint!r} must be an "
+                    "http:// or https:// URL with a host, no user or password, and, if any, a numeric port"
                 )
         else:
             raise ConfigError(f"unknown provider kind {self.kind!r}")
@@ -147,26 +153,23 @@ class HttpProvider:
     """
 
     def __init__(self, config: ProviderConfig, exchange_log: ExchangeLog | None = None):
-        # the HTTP stack is imported here, not with this module, so that runs
-        # making no HTTP call (mock audits, kb, eval) never load it
-        import http.client
-        import urllib.error
-        import urllib.request
-
         self.config = config
         self._log = exchange_log
-        self._request = urllib.request.Request
-        self._open = urllib.request.build_opener().open
-        self._status_error = urllib.error.HTTPError
-        # ValueError: a header value http.client refuses, such as a key with a line break
-        self._transport_errors = (OSError, http.client.HTTPException, ValueError)
 
     @property
     def provider_id(self) -> str:
         return f"http:{self.config.model_id}"
 
     def complete(self, prompt: str, *, role: str) -> ChatExchange:
-        headers = {"Content-Type": "application/json"}
+        # the HTTP stack is imported here, not with this module, so that runs
+        # making no HTTP call (mock audits, kb, eval) never load it
+        import http.client
+        import urllib.error
+        import urllib.request
+
+        from solguard import __version__
+
+        headers = {"Content-Type": "application/json", "User-Agent": f"solguard/{__version__}"}
         if self.config.api_key_env:
             key = os.environ.get(self.config.api_key_env)
             if key:
@@ -177,12 +180,9 @@ class HttpProvider:
             "temperature": self.config.temperature,
             "max_tokens": self.config.max_output_tokens,
         }
-        request = self._request(
-            self.config.endpoint,
-            data=json.dumps(body, allow_nan=False).encode("utf-8"),
-            headers=headers,
-            method="POST",
-        )
+        data = json.dumps(body, allow_nan=False).encode("utf-8")
+        # a new opener reads the proxy variables as they are now
+        opener = urllib.request.build_opener()
         started = time.perf_counter()
         last_error: Exception | None = None
         retry_after: float | None = None
@@ -190,13 +190,17 @@ class HttpProvider:
             if attempt:
                 time.sleep(0.05 * attempt if retry_after is None else retry_after)
                 retry_after = None
+            # a new Request for each attempt: opening one through a proxy
+            # changes it in place, and a reused one goes out as plain http
+            request = urllib.request.Request(self.config.endpoint, data=data, headers=headers, method="POST")
             try:
-                with self._open(request, timeout=self.config.timeout_s) as resp:
+                with opener.open(request, timeout=self.config.timeout_s) as resp:
                     status, reply_headers, raw = resp.status, resp.headers, resp.read()
-            except self._status_error as exc:  # any status outside 2xx
+            except urllib.error.HTTPError as exc:  # any status outside 2xx
                 status, reply_headers, raw = exc.code, exc.headers, b""
                 exc.close()
-            except self._transport_errors as exc:
+            # ValueError: a header value http.client refuses, such as a key with a line break
+            except (OSError, http.client.HTTPException, ValueError) as exc:
                 # a timeout comes bare from the reply, wrapped in URLError from the connect
                 if isinstance(exc, TimeoutError) or isinstance(getattr(exc, "reason", None), TimeoutError):
                     last_error = CompletionTimeout(f"{self.provider_id}: request timed out")

@@ -4,7 +4,8 @@
 wire path runs: connect, POST, status line, headers and body. Each request
 is recorded and answered with a scripted :class:`Reply`, either from a
 queue (the last reply repeats) or from an ``answer`` function of the
-decoded request body.
+decoded request body. As an HTTP proxy it records each ``CONNECT`` target
+and refuses the tunnel with 502.
 """
 
 from __future__ import annotations
@@ -44,6 +45,11 @@ class _Handler(BaseHTTPRequestHandler):
         self.end_headers()
         self.wfile.write(payload)
 
+    def do_CONNECT(self):  # noqa: N802 (http.server API)
+        with self.server._lock:
+            self.server.tunnels.append(self.path)
+        self.send_error(502)
+
     def log_message(self, *args):
         pass
 
@@ -58,6 +64,8 @@ class ChatStub(ThreadingHTTPServer):
         self.replies: list[Reply] = []
         # (request headers, decoded JSON body), one per POST
         self.received: list[tuple[Message, dict]] = []
+        # "host:port", one per CONNECT
+        self.tunnels: list[str] = []
         self.closing = threading.Event()
         self._answer = answer
         self._lock = threading.Lock()
