@@ -2,15 +2,15 @@
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Any
 
 import yaml
 
 from solguard.errors import ConfigError
-from solguard.llm.provider import ProviderConfig
+from solguard.llm.provider import PROVIDER, ProviderConfig
+from solguard.records import Record, number, one_of, path, whole
 
 MODES = ("weighted", "voting", "enriched")
 ROLES = ("detector", "advisor", "assessor", "fixer", "verifier")
@@ -24,19 +24,13 @@ class FusionWeights:
     retrieval: float = 0.2
 
     def __post_init__(self) -> None:
-        for name, value in self.as_dict().items():
-            if isinstance(value, bool) or not (math.isfinite(value) and value >= 0):
-                raise ConfigError(f"fusion weight {name} must be a finite number >= 0, got {value}")
         total = self.model + self.static + self.retrieval
-        if abs(total - 1.0) > _WEIGHT_TOLERANCE:
+        if not abs(total - 1.0) <= _WEIGHT_TOLERANCE:
             raise ConfigError(f"fusion weights must sum to 1, got {total}")
-
-    def as_dict(self) -> dict[str, float]:
-        return {"model": self.model, "static": self.static, "retrieval": self.retrieval}
 
     def without(self, dropped: str) -> "FusionWeights":
         """Remove one channel and renormalize the rest proportionally."""
-        weights = self.as_dict()
+        weights = asdict(self)
         if dropped not in weights:
             raise ConfigError(f"unknown channel {dropped!r}")
         weights[dropped] = 0.0
@@ -60,17 +54,6 @@ class PipelineConfig:
     exchange_log: str | None = None
 
     def __post_init__(self) -> None:
-        if self.mode not in MODES:
-            raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
-        for name in ("threshold", "channel_threshold"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ConfigError(f"{name} must lie in [0, 1], got {value}")
-        if self.k < 1:
-            raise ConfigError(f"k must be >= 1, got {self.k}")
-        unknown = set(self.providers) - set(ROLES) - {"base"}
-        if unknown:
-            raise ConfigError(f"unknown provider roles: {sorted(unknown)}")
         fixer = self.provider_for("fixer")
         verifier = self.provider_for("verifier")
         if fixer and verifier and fixer.model_id == verifier.model_id:
@@ -90,74 +73,32 @@ class PipelineConfig:
         return cfg
 
 
-def parse_config(payload: dict[str, Any], base_dir: Path | None = None) -> PipelineConfig:
-    """Build a validated config from a parsed mapping.
+# the records of the configuration file; each default is the dataclass's own
+WEIGHTS = Record(
+    {name: number("[0, 1]", getattr(FusionWeights, name)) for name in ("model", "static", "retrieval")}, noun="channel"
+)
+CONFIG = Record({
+    "mode": one_of(MODES, PipelineConfig.mode),
+    "weights": WEIGHTS.field({}),
+    "threshold": number("[0, 1]", PipelineConfig.threshold),
+    "channel_threshold": number("[0, 1]", PipelineConfig.channel_threshold),
+    "k": whole(1, PipelineConfig.k),
+    "ruleset": path(None),
+    "index_root": path(PipelineConfig.index_root),
+    "output_dir": path(PipelineConfig.output_dir),
+    "providers": Record({role: PROVIDER.field(None) for role in (*ROLES, "base")}, noun="role").field(None),
+    "exchange_log": path(None),
+})
 
-    Relative transcript/ruleset/index/output paths resolve against
-    ``base_dir`` (the config file's directory) when given.
-    """
-    if not isinstance(payload, dict):
-        raise ConfigError("configuration must be a mapping")
-    known = {
-        "mode", "weights", "threshold", "channel_threshold", "k", "ruleset",
-        "index_root", "output_dir", "providers", "exchange_log",
-    }
-    unknown = set(payload) - known
-    if unknown:
-        raise ConfigError(f"unknown configuration keys: {sorted(unknown)}")
 
-    def _path(name: str, value: object, required: bool = False) -> str | None:
-        if value is None and not required:
-            return None
-        if not isinstance(value, str):
-            raise ConfigError(f"{name} must be a path, got {value!r}")
-        return str((base_dir / value).resolve()) if base_dir and not Path(value).is_absolute() else value
-
-    weights_payload = payload.get("weights", {})
-    if not isinstance(weights_payload, dict):
-        raise ConfigError("weights must be a mapping of channel -> weight")
-    try:
-        weights = FusionWeights(**weights_payload) if weights_payload else FusionWeights()
-    except TypeError as exc:
-        raise ConfigError(f"bad weights: {exc}") from exc
-
-    records = payload.get("providers") or {}
-    if not isinstance(records, dict):
-        raise ConfigError("providers must be a mapping of role -> provider")
-    providers: dict[str, ProviderConfig] = {}
-    for role, record in records.items():
-        if not isinstance(record, dict):
-            raise ConfigError(f"provider entry for {role!r} must be a mapping")
-        record = dict(record)
-        if record.get("transcript"):
-            record["transcript"] = _path("transcript", record["transcript"])
-        providers[role] = ProviderConfig.from_payload(record)
-
-    def _number(name: str, default: float) -> float:
-        value = payload.get(name, default)
-        if not isinstance(value, bool):  # YAML true/false are not numbers here
-            try:
-                return float(value)
-            except (TypeError, ValueError):
-                pass
-        raise ConfigError(f"{name} must be a number, got {value!r}")
-
-    k = _number("k", 5)
-    if not k.is_integer():
-        raise ConfigError(f"k must be a whole number, got {payload['k']!r}")
-
-    return PipelineConfig(
-        mode=payload.get("mode", "weighted"),
-        weights=weights,
-        threshold=_number("threshold", 0.5),
-        channel_threshold=_number("channel_threshold", 0.5),
-        k=int(k),
-        ruleset_path=_path("ruleset", payload.get("ruleset")),
-        index_root=_path("index_root", payload.get("index_root", "index"), required=True),
-        output_dir=_path("output_dir", payload.get("output_dir", "out"), required=True),
-        providers=providers,
-        exchange_log=_path("exchange_log", payload.get("exchange_log")),
-    )
+def parse_config(payload: Any, base_dir: Path | None = None, where: str = "configuration") -> PipelineConfig:
+    """Build a config from a :data:`CONFIG` mapping read from ``where``;
+    relative paths resolve against ``base_dir``, the config file's directory."""
+    values = CONFIG.parse(payload, ConfigError, where, "configuration", base_dir)
+    roles = values.pop("providers") or {}
+    providers = {role: ProviderConfig(**record) for role, record in roles.items() if record is not None}
+    weights = FusionWeights(**values.pop("weights"))
+    return PipelineConfig(ruleset_path=values.pop("ruleset"), weights=weights, providers=providers, **values)
 
 
 def load_config(path: str | Path) -> PipelineConfig:
@@ -168,28 +109,14 @@ def load_config(path: str | Path) -> PipelineConfig:
         raise ConfigError(f"cannot read configuration {p}: {exc}") from exc
     except yaml.YAMLError as exc:
         raise ConfigError(f"configuration {p} is not valid YAML: {exc}") from exc
-    return parse_config(payload or {}, base_dir=p.parent)
+    return parse_config(payload or {}, base_dir=p.parent, where=str(p))
 
 
-def apply_overrides(
-    config: PipelineConfig,
-    *,
-    mode: str | None = None,
-    weights: tuple[float, float, float] | None = None,
-    threshold: float | None = None,
-    k: int | None = None,
-    output_dir: str | None = None,
-) -> PipelineConfig:
-    """Apply CLI overrides; the result re-runs the same validation."""
-    changes: dict[str, Any] = {}
-    if mode is not None:
-        changes["mode"] = mode
-    if weights is not None:
-        changes["weights"] = FusionWeights(model=weights[0], static=weights[1], retrieval=weights[2])
-    if threshold is not None:
-        changes["threshold"] = threshold
-    if k is not None:
-        changes["k"] = k
-    if output_dir is not None:
-        changes["output_dir"] = output_dir
+def apply_overrides(config: PipelineConfig, **overrides: Any) -> PipelineConfig:
+    """Apply the CLI overrides that are not None, each given as the config
+    file gives it and parsed by its key's :data:`CONFIG` field."""
+    given = {key: value for key, value in overrides.items() if value is not None}
+    changes = {key: CONFIG.value(key, v, ConfigError, "command line", "configuration") for key, v in given.items()}
+    if "weights" in changes:
+        changes["weights"] = FusionWeights(**changes["weights"])
     return replace(config, **changes) if changes else config

@@ -23,7 +23,7 @@ from typing import Callable, NoReturn, TypeVar
 import click
 import yaml
 
-from solguard.agents.config import MODES, PipelineConfig, apply_overrides, load_config
+from solguard.agents.config import MODES, WEIGHTS, PipelineConfig, apply_overrides, load_config
 from solguard.agents.detect import detect as run_detect
 from solguard.agents.pipeline import PipelineContext, PipelineRun, build_context, run_pipeline
 from solguard.core import SourceContract, Verdict
@@ -73,7 +73,7 @@ def _config(config_path: str, weights: str | None = None, **overrides) -> Pipeli
         if len(parts) != 3:
             _fail(EXIT_USAGE, "--weights expects model,static,retrieval")
         try:
-            overrides["weights"] = tuple(float(x) for x in parts)
+            overrides["weights"] = dict(zip(WEIGHTS.fields, (float(x) for x in parts)))
         except ValueError:
             _fail(EXIT_USAGE, f"--weights values must be numbers, got {weights!r}")
     try:

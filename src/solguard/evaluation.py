@@ -54,7 +54,7 @@ class LabeledDataset:
 
 
 def load_dataset(path: str | Path) -> LabeledDataset:
-    """Read a line-delimited dataset: {id, label, source|source_path, classes?, split?}."""
+    """Read a dataset file of :data:`~solguard.jsonl.LABELED_RECORD` lines."""
     return LabeledDataset(tuple(load_labeled_records(path)))
 
 

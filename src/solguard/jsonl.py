@@ -10,26 +10,23 @@ from pathlib import Path
 from typing import Any, Callable
 
 from solguard.errors import DatasetError, SolguardError
+from solguard.records import Record, one_of, path, string, strings
 
 
-def read_jsonl(path: str | Path, read: Callable[[Any], None], error: type[SolguardError]) -> None:
-    """Call ``read`` on the JSON value of each non-blank line of ``path``.
-
-    The file is streamed line by line, never held whole. A file that cannot
-    be opened is an ``error`` naming it; any fault in a line (bad JSON or
-    UTF-8, a missing field, a wrong type or value, an unreadable file the
-    record names) is an ``error`` naming ``<file>:<line>``.
-    """
+def read_jsonl(path: str | Path, read: Callable[[dict], None], error: type[SolguardError], record: Record) -> None:
+    """Call ``read`` on each non-blank line of ``path``, streamed, parsed as a
+    ``record`` with paths relative to the file's directory. An unopenable file
+    is an ``error`` naming it; a fault in a line, a ``ValueError`` from ``read``
+    included, is an ``error`` naming ``<file>:<line>``."""
     lineno = 0
+    base, decode = Path(path).parent, json.JSONDecoder().decode
     try:
         # bytes, decoded line by line, so a bad byte is charged to its own line
         with open(path, "rb") as fh:
             for lineno, line in enumerate(fh, start=1):
                 if line.strip():
-                    read(json.loads(line.decode("utf-8")))
-    except KeyError as exc:
-        raise error(f"{path}:{lineno}: malformed record: no {exc} field") from exc
-    except (TypeError, ValueError) as exc:
+                    read(record.parse(decode(line.decode("utf-8")), error, f"{path}:{lineno}", "record", base))
+    except ValueError as exc:
         raise error(f"{path}:{lineno}: malformed record: {exc}") from exc
     except OSError as exc:
         raise error(f"{path}:{lineno}: {exc}" if lineno else f"cannot read {path}: {exc}") from exc
@@ -44,37 +41,29 @@ class DatasetEntry:
     split: str = ""
 
 
+LABELED_RECORD = Record({
+    "id": string(), "label": one_of(("safe", "vulnerable")), "source": string(None), "source_path": path(None),
+    "classes": strings([]), "split": string(""),
+})
+
+
 def load_labeled_records(path: str | Path) -> list[DatasetEntry]:
-    """Read labelled contracts, one ``{id, label, source | source_path,
-    classes?, split?}`` record per line; ``source_path`` is resolved relative
-    to the file.
+    """Read labelled contracts, one :data:`LABELED_RECORD` per line. A record
+    without a readable source, a repeated id, or a file without records is a
+    :class:`DatasetError`."""
+    entries: dict[str, DatasetEntry] = {}
 
-    A bad label, a repeated id, a record without a readable source, or a
-    file without records is a :class:`DatasetError`.
-    """
-    p = Path(path)
-    entries: list[DatasetEntry] = []
-    seen: set[str] = set()
-
-    def read(rec: dict) -> None:
-        contract_id, label = rec["id"], rec["label"]
-        if label not in ("safe", "vulnerable"):
-            raise ValueError(f"label must be safe|vulnerable, got {label!r}")
-        if contract_id in seen:
+    def read(rec: dict[str, Any]) -> None:
+        contract_id, source = rec["id"], rec["source"]
+        if contract_id in entries:
             raise ValueError(f"duplicate contract id {contract_id!r}")
-        seen.add(contract_id)
-        if "source" in rec:
-            source = rec["source"]
-        elif "source_path" in rec:
-            source = (p.parent / rec["source_path"]).read_text(encoding="utf-8")
-        else:
-            raise ValueError("record needs source or source_path")
-        classes = rec.get("classes", [])
-        if not isinstance(classes, list) or not all(isinstance(name, str) for name in classes):
-            raise ValueError(f"classes must be a list of strings, got {classes!r}")
-        entries.append(DatasetEntry(contract_id, source, label, tuple(classes), rec.get("split", "")))
+        if source is None:
+            if rec["source_path"] is None:
+                raise ValueError("record needs source or source_path")
+            source = Path(rec["source_path"]).read_text(encoding="utf-8")
+        entries[contract_id] = DatasetEntry(contract_id, source, rec["label"], tuple(rec["classes"]), rec["split"])
 
-    read_jsonl(p, read, DatasetError)
+    read_jsonl(path, read, DatasetError, LABELED_RECORD)
     if not entries:
-        raise DatasetError(f"{p}: file holds no records")
-    return entries
+        raise DatasetError(f"{path}: file holds no records")
+    return list(entries.values())

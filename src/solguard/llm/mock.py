@@ -16,6 +16,7 @@ from typing import Callable
 from solguard.errors import TranscriptError
 from solguard.jsonl import read_jsonl
 from solguard.llm.provider import ChatExchange, ExchangeLog, ProviderConfig
+from solguard.records import Record, string
 
 UNKNOWN_RESPONSE = "UNKNOWN"
 
@@ -26,17 +27,17 @@ def prompt_fingerprint(prompt: str) -> str:
     return hashlib.sha256(normalized.encode("utf-8")).hexdigest()[:16]
 
 
+TRANSCRIPT_RECORD = Record({"role": string(), "fingerprint": string(), "response": string()})
+
+
 def load_transcript(path: str | Path) -> dict[tuple[str, str], str]:
     """Map (role, fingerprint) -> response from a transcript file."""
     entries: dict[tuple[str, str], str] = {}
 
     def read(rec: dict) -> None:
-        key, response = (rec["role"], rec["fingerprint"]), rec["response"]
-        if not isinstance(response, str):
-            raise ValueError("response must be a string")
-        entries[key] = response
+        entries[rec["role"], rec["fingerprint"]] = rec["response"]
 
-    read_jsonl(path, read, TranscriptError)
+    read_jsonl(path, read, TranscriptError, TRANSCRIPT_RECORD)
     return entries
 
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import logging
-import math
 import os
 import threading
 import time
@@ -20,6 +19,7 @@ from typing import Any, Protocol
 from urllib.parse import urlsplit
 
 from solguard.errors import CompletionTimeout, ConfigError, TransportError
+from solguard.records import Record, number, path, string, whole
 
 log = logging.getLogger(__name__)
 
@@ -37,23 +37,6 @@ class ProviderConfig:
     retry_count: int = 2
 
     def __post_init__(self) -> None:
-        for name in ("kind", "model_id", "endpoint", "api_key_env", "transcript"):
-            value = getattr(self, name)
-            if value is not None and not isinstance(value, str):
-                raise ConfigError(f"provider {name} must be a string, got {value!r}")
-        # number field -> (accepted types, whether 0 is allowed)
-        for name, kinds, zero_ok in (
-            ("temperature", (int, float), True),
-            ("max_output_tokens", (int,), False),
-            ("timeout_s", (int, float), False),
-            ("retry_count", (int,), True),
-        ):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, kinds) or not (
-                math.isfinite(value) and (value >= 0 if zero_ok else value > 0)
-            ):
-                number = "a whole number" if kinds == (int,) else "a number"
-                raise ConfigError(f"provider {name} must be {number} {'>=' if zero_ok else '>'} 0, got {value!r}")
         if self.kind == "mock":
             if not self.transcript:
                 raise ConfigError(f"mock provider {self.model_id!r} requires a transcript path")
@@ -79,19 +62,19 @@ class ProviderConfig:
         else:
             raise ConfigError(f"unknown provider kind {self.kind!r}")
 
-    @classmethod
-    def from_payload(cls, payload: dict[str, Any]) -> "ProviderConfig":
-        known = {
-            "kind", "model_id", "endpoint", "api_key_env", "transcript",
-            "temperature", "max_output_tokens", "timeout_s", "retry_count",
-        }
-        unknown = set(payload) - known
-        if unknown:
-            raise ConfigError(f"unknown provider config keys: {sorted(unknown)}")
-        try:
-            return cls(**payload)
-        except TypeError as exc:
-            raise ConfigError(f"bad provider config: {exc}") from exc
+
+# a provider record of the configuration; each default is the dataclass's own
+PROVIDER = Record({
+    "kind": string(),
+    "model_id": string(),
+    "endpoint": string(None),
+    "api_key_env": string(None),
+    "transcript": path(None),
+    "temperature": number("[0, inf)", ProviderConfig.temperature),
+    "max_output_tokens": whole(1, ProviderConfig.max_output_tokens),
+    "timeout_s": number("(0, inf)", ProviderConfig.timeout_s),
+    "retry_count": whole(0, ProviderConfig.retry_count),
+}, noun="provider key")
 
 
 @dataclass(frozen=True)

@@ -58,9 +58,9 @@ class HashingEmbedder:
         return vec
 
 
-def get_embedder(embedder_id: object) -> Embedder:
+def get_embedder(embedder_id: str) -> Embedder:
     """The embedder a snapshot's ``embedder`` id names."""
-    m = re.fullmatch(r"hash-bow-([1-9]\d*)-v1", embedder_id) if isinstance(embedder_id, str) else None
+    m = re.fullmatch(r"hash-bow-([1-9]\d*)-v1", embedder_id)
     if m:
         return HashingEmbedder(int(m.group(1)))
     raise SolguardError(f"unknown embedder {embedder_id!r}")

@@ -27,6 +27,7 @@ from typing import Generic, TypeVar
 
 from solguard.errors import SnapshotError, SolguardError
 from solguard.jsonl import read_jsonl
+from solguard.records import Field, Record, mapping, one_of, string, whole
 from solguard.retrieval.kb import KbChunk, KbIndex, get_embedder
 from solguard.retrieval.tfidf import CorpusDocument, CorpusIndex
 
@@ -36,12 +37,15 @@ POINTER_NAME = "CURRENT"
 FORMAT_VERSION = 2  # of corpus snapshots
 POSTINGS = {"idf": "d", "offsets": "q", "positions": "i", "weights": "d", "norms": "d"}  # array -> typecode
 ITEMSIZE = {name: array(typecode).itemsize for name, typecode in POSTINGS.items()}
+_META = {"kind": string(), "version": whole(1), "documents": whole(0)}  # the meta.json keys of every store
 
 
 class SnapshotStore(Generic[T]):
     """Base store; subclasses serialize one index type."""
 
     kind = "index"
+    meta: Record
+    format_version, republish = 1, "republish it with `solguard kb update`"  # format 1 names no format_version
 
     def __init__(self, root: str | Path):
         self.root = Path(root)
@@ -77,12 +81,16 @@ class SnapshotStore(Generic[T]):
         target = self.root / str(version)
         if not target.is_dir():
             raise SnapshotError(f"snapshot directory {target} is missing")
-        meta = _read_json(target / "meta.json")
-        if meta.get("version") != version:
+        path = target / "meta.json"
+        payload = _read_json(path)
+        found = payload.get("format_version", 1)  # before any other key, so an older index is republished
+        if found != self.format_version:
             raise SnapshotError(
-                f"snapshot {target} is internally inconsistent: "
-                f"meta names version {meta.get('version')}"
+                f"snapshot file {path} names format {found!r}, not {self.format_version}: {self.republish}"
             )
+        meta = self.meta.parse(payload, SnapshotError, f"snapshot file {path} is corrupt", "meta")
+        if meta["version"] != version:
+            raise SnapshotError(f"snapshot {target} is internally inconsistent: meta names version {meta['version']}")
         return self._read_files(target, meta)
 
     def versions(self) -> list[int]:
@@ -118,6 +126,11 @@ class CorpusSnapshotStore(SnapshotStore[CorpusIndex]):
     order and item sizes that ``meta.json`` records with the counts."""
 
     kind = "corpus"
+    format_version, republish = FORMAT_VERSION, "republish the corpus with `solguard kb update --corpus <file>`"
+    meta = Record({
+        **_META, "format_version": whole(1), "byteorder": one_of(("little", "big")), "itemsize": mapping(),
+        "terms": whole(0), "postings": whole(0),
+    })
 
     def _write_files(self, target: Path, index: CorpusIndex) -> None:
         norms = array("d", (doc.norm for doc in index.documents))
@@ -135,17 +148,9 @@ class CorpusSnapshotStore(SnapshotStore[CorpusIndex]):
         meta_path, terms_path, rows_path, path = (
             target / name for name in ("meta.json", "terms.json", "documents.json", "postings.bin")
         )
-        if meta.get("format_version", 1) != FORMAT_VERSION:
-            raise SnapshotError(
-                f"snapshot file {meta_path} names format {meta.get('format_version', 1)!r}, not {FORMAT_VERSION}: "
-                "republish the corpus with `solguard kb update --corpus <file>`"
-            )
-        counts = [meta.get(name) for name in ("terms", "postings", "documents")]
-        if not all(type(count) is int and count >= 0 for count in counts):
-            raise _corrupt(meta_path, "terms, postings and documents must be counts")
-        if meta.get("byteorder") != sys.byteorder or meta.get("itemsize") != ITEMSIZE:
+        if meta["byteorder"] != sys.byteorder or meta["itemsize"] != ITEMSIZE:
             raise _corrupt(meta_path, f"this machine reads byte order {sys.byteorder!r} with item sizes {ITEMSIZE}")
-        n_terms, n_postings, n_documents = counts
+        n_terms, n_postings, n_documents = meta["terms"], meta["postings"], meta["documents"]
         term_ids = {term: t for t, term in enumerate(_read_json(terms_path, list))}
         if len(term_ids) != n_terms:
             raise _corrupt(terms_path, f"it holds {len(term_ids)} distinct terms, but meta.json counts {n_terms}")
@@ -174,11 +179,12 @@ class CorpusSnapshotStore(SnapshotStore[CorpusIndex]):
         if positions and max(array("I", positions.tobytes())) >= n_documents:  # unsigned, a negative is >= 2**31
             raise _corrupt(path, f"every position must lie in [0, {n_documents})")
         documents = tuple(map(CorpusDocument, ids, labels, map(tuple, classes), norms))
-        return CorpusIndex(documents, term_ids, idf, offsets, positions, weights, int(meta["version"]))
+        return CorpusIndex(documents, term_ids, idf, offsets, positions, weights, meta["version"])
 
 
 class KbSnapshotStore(SnapshotStore[KbIndex]):
     kind = "kb"
+    meta = Record({**_META, "embedder": string(), "chunks": whole(0)})
 
     def _write_files(self, target: Path, index: KbIndex) -> None:
         with open(target / "chunks.jsonl", "w", encoding="utf-8") as fh:
@@ -196,19 +202,24 @@ class KbSnapshotStore(SnapshotStore[KbIndex]):
 
     def _read_files(self, target: Path, meta: dict) -> KbIndex:
         try:
-            embedder = get_embedder(meta.get("embedder"))
+            embedder = get_embedder(meta["embedder"])
         except SolguardError as exc:
             raise SnapshotError(f"snapshot file {target / 'meta.json'} cannot be loaded: {exc}") from exc
         chunks: list[KbChunk] = []
 
         def read(rec: dict) -> None:
-            embedding = tuple(rec["embedding"])
-            if len(embedding) != embedder.dim or not all(isinstance(x, (int, float)) for x in embedding):
+            if len(rec["embedding"]) != embedder.dim:
                 raise ValueError(f"embedding must be a list of {embedder.dim} numbers for {embedder.embedder_id}")
-            chunks.append(KbChunk(rec["doc_id"], rec["chunk_index"], rec["text"], rec["metadata"], embedding))
+            chunks.append(KbChunk(**{**rec, "embedding": tuple(rec["embedding"])}))
 
-        read_jsonl(target / "chunks.jsonl", read, SnapshotError)
-        return KbIndex(tuple(chunks), embedder, snapshot_version=int(meta["version"]))
+        read_jsonl(target / "chunks.jsonl", read, SnapshotError, CHUNK)
+        return KbIndex(tuple(chunks), embedder, snapshot_version=meta["version"])
+
+
+_NUMBERS = Field("a list of numbers", lambda v: type(v) is list and all(type(x) in (int, float) for x in v))
+CHUNK = Record({
+    "doc_id": string(), "chunk_index": whole(0), "text": string(), "metadata": mapping(), "embedding": _NUMBERS,
+})
 
 
 def _write_json(path: Path, payload: object) -> None:

@@ -208,9 +208,6 @@ def retrieval_channel(
 
 
 def load_corpus_file(path: str | Path) -> list[tuple[str, str, tuple[str, ...], str]]:
-    """Read a line-delimited corpus file as (id, label, classes, source) tuples.
-
-    Each line is a JSON record {id, label, classes?, source | source_path};
-    source_path is resolved relative to the corpus file.
-    """
+    """Read a corpus file of :data:`~solguard.jsonl.LABELED_RECORD` lines as
+    (id, label, classes, source) tuples."""
     return [(e.contract_id, e.label, e.classes, e.source) for e in load_labeled_records(path)]

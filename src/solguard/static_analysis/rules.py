@@ -7,6 +7,7 @@ so the shipped set can be extended or re-tuned without code changes.
 
 from __future__ import annotations
 
+import copy
 import re
 from dataclasses import dataclass
 from importlib import resources
@@ -17,6 +18,7 @@ import yaml
 
 from solguard.core import Token, TokenKind, VulnerabilityClass
 from solguard.errors import RulesetError
+from solguard.records import Field, Record, mapping, number, string, strings
 from solguard.static_analysis.structure import ASSIGNMENT_OPS, ContractView, FunctionSpan, assignment_roots
 
 _CONDITION_OPENERS = frozenset({"require", "if", "while"})
@@ -27,28 +29,9 @@ _ARITHMETIC_OPS = frozenset({"+", "-", "*", "+=", "-=", "*=", "++", "--"})
 class PatternRule:
     rule_id: str
     vuln_class: VulnerabilityClass
-    matcher: dict[str, Any]
+    matcher: dict[str, Any]  # the type and every parameter of its record, defaults filled in
     description: str
     default_confidence: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.default_confidence <= 1.0:
-            raise RulesetError(f"rule {self.rule_id}: confidence outside [0, 1]")
-        if not isinstance(self.matcher, dict):
-            raise RulesetError(f"rule {self.rule_id}: matcher must be a mapping")
-        mtype = self.matcher.get("type")
-        if mtype not in _MATCHERS:
-            raise RulesetError(f"rule {self.rule_id}: unknown matcher type {mtype!r}")
-        for name in _MATCHERS[mtype][1]:
-            if name not in self.matcher:
-                raise RulesetError(f"rule {self.rule_id}: matcher {mtype} needs a {name} parameter")
-        for name, value in self.matcher.items():
-            if name != "type" and name not in _PARAMETERS:
-                raise RulesetError(f"rule {self.rule_id}: unknown matcher parameter {name!r}")
-            if name in _PARAMETERS and not _PARAMETERS[name][1](value):
-                raise RulesetError(
-                    f"rule {self.rule_id}: matcher parameter {name} must be {_PARAMETERS[name][0]}, got {value!r}"
-                )
 
 
 def evaluate_rule(rule: PatternRule, fn: FunctionSpan, view: ContractView) -> int | None:
@@ -58,6 +41,23 @@ def evaluate_rule(rule: PatternRule, fn: FunctionSpan, view: ContractView) -> in
 
 
 # --- matcher predicates ----------------------------------------------------
+
+# matcher type -> (predicate, the record of its parameters), filled by @_matcher; a rule's
+# matcher is parsed by that record when the file is read, so each predicate finds its parameters
+_MATCHERS: dict[str, tuple[Callable[[dict[str, Any], FunctionSpan, ContractView], int | None], Record]] = {}
+_TOKENS = strings().accepts
+_SEQUENCES = Field("a list of token lists", lambda v: type(v) is list and all(q and _TOKENS(q) for q in v))
+_VERSION = Field(
+    'a version in quotes, like "0.8"', lambda v: type(v) is str and re.fullmatch(r"\d+\.\d+", v) is not None, "0.8"
+)
+
+
+def _matcher(mtype: str, **parameters: Field) -> Callable:
+    def register(predicate: Callable) -> Callable:
+        _MATCHERS[mtype] = predicate, Record({"type": string(), **parameters}, noun="parameter")
+        return predicate
+
+    return register
 
 
 def _condition_indices(body: tuple[Token, ...]) -> set[int]:
@@ -111,10 +111,11 @@ def _statement_start(body: tuple[Token, ...], idx: int) -> int:
     return 0
 
 
+@_matcher("external_call_before_state_write", call_members=strings(["call", "send", "transfer"]))
 def _match_external_call_before_state_write(
     spec: dict[str, Any], fn: FunctionSpan, view: ContractView
 ) -> int | None:
-    members = frozenset(spec.get("call_members", ["call", "send", "transfer"]))
+    members = frozenset(spec["call_members"])
     body = fn.body_tokens
     sites = _member_call_sites(body, members)
     if not sites:
@@ -125,6 +126,7 @@ def _match_external_call_before_state_write(
     return None
 
 
+@_matcher("unguarded_state_mutator", allowed_modifiers=strings([]))
 def _match_unguarded_state_mutator(
     spec: dict[str, Any], fn: FunctionSpan, view: ContractView
 ) -> int | None:
@@ -133,20 +135,21 @@ def _match_unguarded_state_mutator(
     externally_callable = fn.visibility in ("public", "external") or fn.kind in ("fallback", "receive")
     if not externally_callable or not fn.mutates_state:
         return None
-    if _has_allowed_modifier(fn, spec.get("allowed_modifiers", [])):
+    if _has_allowed_modifier(fn, spec["allowed_modifiers"]):
         return None
     if _has_sender_guard(fn.body_tokens):
         return None
     return 0
 
 
+@_matcher("unchecked_arithmetic", flag_below=_VERSION, guard_markers=strings(["SafeMath"]))
 def _match_unchecked_arithmetic(
     spec: dict[str, Any], fn: FunctionSpan, view: ContractView
 ) -> int | None:
-    major, minor = (int(p) for p in str(spec.get("flag_below", "0.8")).split("."))
+    major, minor = (int(p) for p in spec["flag_below"].split("."))
     if not view.pragma_below(major, minor):
         return None
-    if any(marker in view.lexemes for marker in spec.get("guard_markers", ["SafeMath"])):
+    if any(marker in view.lexemes for marker in spec["guard_markers"]):
         return None
     for idx, tok in enumerate(fn.body_tokens):
         if tok.kind is TokenKind.PUNCT and tok.lexeme in _ARITHMETIC_OPS:
@@ -154,6 +157,7 @@ def _match_unchecked_arithmetic(
     return None
 
 
+@_matcher("token_sequence_in_condition", sequences=_SEQUENCES)
 def _match_token_sequence_in_condition(
     spec: dict[str, Any], fn: FunctionSpan, view: ContractView
 ) -> int | None:
@@ -167,10 +171,11 @@ def _match_token_sequence_in_condition(
     return None
 
 
+@_matcher("unchecked_call_result", call_members=strings(["call", "delegatecall", "staticcall", "send"]))
 def _match_unchecked_call_result(
     spec: dict[str, Any], fn: FunctionSpan, view: ContractView
 ) -> int | None:
-    members = frozenset(spec.get("call_members", ["call", "delegatecall", "staticcall", "send"]))
+    members = frozenset(spec["call_members"])
     body = fn.body_tokens
     inside = _condition_indices(body)
     for k in _member_call_sites(body, members):
@@ -186,13 +191,14 @@ def _match_unchecked_call_result(
     return None
 
 
+@_matcher("unguarded_token", token=string(), allowed_modifiers=strings([]))
 def _match_unguarded_token(spec: dict[str, Any], fn: FunctionSpan, view: ContractView) -> int | None:
     if fn.kind == "constructor":
         return None
     wanted = spec["token"]
     for idx, tok in enumerate(fn.body_tokens):
         if tok.lexeme == wanted:
-            if _has_allowed_modifier(fn, spec.get("allowed_modifiers", [])):
+            if _has_allowed_modifier(fn, spec["allowed_modifiers"]):
                 return None
             if _has_sender_guard(fn.body_tokens):
                 return None
@@ -200,6 +206,7 @@ def _match_unguarded_token(spec: dict[str, Any], fn: FunctionSpan, view: Contrac
     return None
 
 
+@_matcher("member_call_on_parameter", member=string())
 def _match_member_call_on_parameter(
     spec: dict[str, Any], fn: FunctionSpan, view: ContractView
 ) -> int | None:
@@ -211,32 +218,10 @@ def _match_member_call_on_parameter(
     return None
 
 
-def _strings(value: Any) -> bool:
-    return isinstance(value, list) and all(isinstance(v, str) for v in value)
-
-
-# matcher type -> (predicate, the parameters it has no default for). Rule
-# parameters are checked against both tables when the rule file is read, so
-# no predicate meets a missing or malformed one.
-_MATCHERS: dict[str, tuple[Callable[[dict[str, Any], FunctionSpan, ContractView], int | None], tuple[str, ...]]] = {
-    "external_call_before_state_write": (_match_external_call_before_state_write, ()),
-    "unguarded_state_mutator": (_match_unguarded_state_mutator, ()),
-    "unchecked_arithmetic": (_match_unchecked_arithmetic, ()),
-    "token_sequence_in_condition": (_match_token_sequence_in_condition, ("sequences",)),
-    "unchecked_call_result": (_match_unchecked_call_result, ()),
-    "unguarded_token": (_match_unguarded_token, ("token",)),
-    "member_call_on_parameter": (_match_member_call_on_parameter, ("member",)),
-}
-# matcher parameter -> (what it must be, its check)
-_PARAMETERS: dict[str, tuple[str, Callable[[Any], bool]]] = {
-    "call_members": ("a list of strings", _strings),
-    "allowed_modifiers": ("a list of strings", _strings),
-    "guard_markers": ("a list of strings", _strings),
-    "sequences": ("a list of token lists", lambda v: isinstance(v, list) and all(_strings(q) and q for q in v)),
-    "token": ("a string", lambda v: isinstance(v, str)),
-    "member": ("a string", lambda v: isinstance(v, str)),
-    "flag_below": ("a version like 0.8", lambda v: re.fullmatch(r"\d+\.\d+", str(v)) is not None),
-}
+RULE = Record({
+    "rule_id": string(), "class": string(), "swc_id": string(None), "matcher": mapping(), "description": string(""),
+    "confidence": number("[0, 1]"),
+})
 
 
 # --- rule file I/O ----------------------------------------------------------
@@ -261,17 +246,15 @@ def parse_ruleset(text: str) -> list[PatternRule]:
     rules: list[PatternRule] = []
     seen_ids: set[str] = set()
     seen_classes: set[str] = set()
-    for rec in records:
-        try:
-            rule = PatternRule(
-                rule_id=rec["rule_id"],
-                vuln_class=VulnerabilityClass(name=rec["class"], swc_id=rec.get("swc_id")),
-                matcher=rec["matcher"],
-                description=rec.get("description", ""),
-                default_confidence=float(rec["confidence"]),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise RulesetError(f"malformed rule record {rec!r}: {exc}") from exc
+    for n, rec in enumerate(records, start=1):
+        rule_id = rec.get("rule_id") if type(rec) is dict else None
+        where = f"rule {rule_id}" if type(rule_id) is str else f"rule #{n}"
+        values = RULE.parse(rec, RulesetError, where, "record")
+        matcher, vuln_class = values["matcher"], VulnerabilityClass(values["class"], values["swc_id"])
+        if matcher.get("type") not in tuple(_MATCHERS):  # a tuple takes a type that is no dict key, such as a list
+            raise RulesetError(f"{where}: unknown matcher type {matcher.get('type')!r}")
+        spec = _MATCHERS[matcher["type"]][1].parse(matcher, RulesetError, where, "matcher")
+        rule = PatternRule(values["rule_id"], vuln_class, spec, values["description"], values["confidence"])
         if rule.rule_id in seen_ids:
             raise RulesetError(f"duplicate rule_id {rule.rule_id!r}")
         if rule.vuln_class.name in seen_classes:
@@ -288,7 +271,7 @@ def dump_ruleset(rules: list[PatternRule]) -> str:
             "rule_id": r.rule_id,
             "class": r.vuln_class.name,
             "swc_id": r.vuln_class.swc_id,
-            "matcher": r.matcher,
+            "matcher": copy.deepcopy(r.matcher),  # else a default list rules share dumps as a YAML alias
             "description": r.description,
             "confidence": r.default_confidence,
         }

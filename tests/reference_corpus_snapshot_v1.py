@@ -31,6 +31,7 @@ from pathlib import Path
 from solguard.core import SourceContract
 from solguard.errors import SnapshotError
 from solguard.jsonl import read_jsonl
+from solguard.records import Record, mapping, string, strings
 from solguard.retrieval.terms import tokenize_for_tfidf
 from solguard.retrieval.tfidf import CorpusDocument, CorpusIndex, Neighbor
 
@@ -129,6 +130,9 @@ def _checked_norm(weights: object) -> float:
     raise ValueError("term weights must be finite numbers >= 0")
 
 
+DOC_RECORD = Record({"id": string(), "label": string(), "classes": strings(), "vector": mapping()})
+
+
 def load_v1(target: Path) -> V1CorpusIndex:
     """Read the format-1 version directory ``target``."""
     meta = json.loads((target / "meta.json").read_text(encoding="utf-8"))
@@ -148,7 +152,7 @@ def load_v1(target: Path) -> V1CorpusIndex:
         add_postings(postings, len(documents), vector)
         documents.append(doc)
 
-    read_jsonl(target / "docs.jsonl", read, SnapshotError)
+    read_jsonl(target / "docs.jsonl", read, SnapshotError, DOC_RECORD)
     return V1CorpusIndex(tuple(documents), idf, postings, snapshot_version=int(meta["version"]))
 
 

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from solguard.agents.config import FusionWeights, parse_config
+from solguard.agents.config import FusionWeights, PipelineConfig, apply_overrides, load_config, parse_config
 from solguard.agents.detect import (
     build_detection_prompt,
     fuse_channels,
@@ -41,6 +41,7 @@ from solguard.core import (
 )
 from solguard.errors import ConfigError, PipelineError, TransportError
 from solguard.llm.mock import TranscriptRecorder
+from solguard.llm.provider import ProviderConfig
 from solguard.retrieval.tfidf import top_k
 from solguard.static_analysis.rules import default_ruleset
 from solguard.static_analysis.scanner import load_file, load_source
@@ -127,13 +128,13 @@ class TestFusionWeights:
             FusionWeights(model=0.7, static=0.2, retrieval=0.2)
 
     def test_negative_rejected(self):
-        with pytest.raises(ConfigError):
-            FusionWeights(model=1.2, static=-0.4, retrieval=0.2)
+        with pytest.raises(ConfigError, match=r"weights channel static must be a number in \[0, 1\]"):
+            parse_config({"weights": {"model": 1.0, "static": -0.4, "retrieval": 0.4}})
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_non_finite_rejected(self, value):
-        with pytest.raises(ConfigError, match="finite"):
-            FusionWeights(model=value, static=0.1, retrieval=0.2)
+        with pytest.raises(ConfigError, match=r"weights channel model must be a number in \[0, 1\]"):
+            parse_config({"weights": {"model": value, "static": 0.1, "retrieval": 0.2}})
 
     def test_proportional_renormalization_without_static(self):
         w = FusionWeights().without("static")
@@ -386,13 +387,13 @@ class TestConfigValidation:
             parse_config(self._payload(providers=providers))
 
     def test_k_must_be_positive(self):
-        with pytest.raises(ConfigError, match="k must be >= 1"):
+        with pytest.raises(ConfigError, match="configuration key k must be a whole number >= 1, got 0"):
             parse_config(self._payload(k=0))
 
     @pytest.mark.parametrize("key", ["threshold", "channel_threshold"])
     @pytest.mark.parametrize("value", [7, -0.1, float("nan")])
     def test_thresholds_outside_unit_interval_rejected(self, key, value):
-        with pytest.raises(ConfigError, match=f"{key} must lie in"):
+        with pytest.raises(ConfigError, match=rf"configuration key {key} must be a number in \[0, 1\]"):
             parse_config(self._payload(**{key: value}))
 
     @pytest.mark.parametrize("k", [2.5, True, float("nan")])
@@ -406,7 +407,7 @@ class TestConfigValidation:
             parse_config(self._payload(**{key: True}))
 
     def test_boolean_weight_rejected(self):
-        with pytest.raises(ConfigError, match="fusion weight model"):
+        with pytest.raises(ConfigError, match="weights channel model must be a number"):
             parse_config(self._payload(weights={"model": True, "static": 0, "retrieval": 0}))
 
     def test_unknown_mode_rejected(self):
@@ -414,8 +415,63 @@ class TestConfigValidation:
             parse_config(self._payload(mode="psychic"))
 
     def test_unknown_keys_rejected(self):
-        with pytest.raises(ConfigError, match="unknown configuration keys"):
+        with pytest.raises(ConfigError, match="unknown configuration key 'surprise'"):
             parse_config(self._payload(surprise=1))
+
+    # sorting the unknown keys of a mapping that mixes int and str keys used
+    # to raise a TypeError instead of naming the key
+    def test_int_key_beside_str_keys_is_named_at_the_top_level(self):
+        with pytest.raises(ConfigError, match="unknown configuration key 1$"):
+            parse_config({**self._payload(), 1: "a", "foo": "b"})
+
+    def test_int_key_beside_str_keys_is_named_as_a_provider_role(self):
+        payload = self._payload()
+        payload["providers"].update({1: {"kind": "mock"}, "foo": {"kind": "mock"}})
+        with pytest.raises(ConfigError, match="unknown providers role 1$"):
+            parse_config(payload)
+
+    def test_int_key_beside_str_keys_is_named_inside_a_provider(self):
+        payload = self._payload()
+        payload["providers"]["detector"].update({1: "a", "foo": "b"})
+        with pytest.raises(ConfigError, match="unknown detector provider key 1$"):
+            parse_config(payload)
+
+    def test_file_config_errors_name_the_file(self, tmp_path):
+        path = tmp_path / "config.yaml"
+        path.write_text("threshold: '0.5'\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match=re.escape(f"{path}: configuration key threshold must be a number")):
+            load_config(path)
+
+    def test_absent_keys_take_the_dataclass_defaults(self):
+        assert parse_config({}) == PipelineConfig()
+        provider = {"kind": "mock", "model_id": "m", "transcript": "t.jsonl"}
+        assert parse_config({"providers": {"detector": provider}}).providers["detector"] == ProviderConfig(**provider)
+
+    @pytest.mark.parametrize(
+        "overrides, complaint",
+        [
+            ({"threshold": 1.5}, "configuration key threshold must be a number in [0, 1], got 1.5"),
+            ({"k": 0}, "configuration key k must be a whole number >= 1, got 0"),
+            ({"mode": "psychic"}, "configuration key mode must be weighted|voting|enriched, got 'psychic'"),
+            (
+                {"weights": {"model": 0.5, "static": True, "retrieval": 0.5}},
+                "weights channel static must be a number in [0, 1], got True",
+            ),
+            ({"weights": {"model": 0.5, "static": 0.1, "retrieval": 0.2}}, "fusion weights must sum to 1"),
+        ],
+    )
+    def test_overrides_parse_through_the_same_fields(self, overrides, complaint):
+        with pytest.raises(ConfigError, match=re.escape(complaint)):
+            apply_overrides(parse_config(self._payload()), **overrides)
+
+    def test_overrides_replace_only_the_given_keys(self):
+        config = parse_config(self._payload())
+        weights = {"model": 1, "static": 0, "retrieval": 0}
+        changed = apply_overrides(config, threshold=1, k=3, weights=weights, output_dir="rel/out")
+        assert changed == replace(
+            config, threshold=1.0, k=3, weights=FusionWeights(1.0, 0.0, 0.0), output_dir="rel/out"
+        )
+        assert apply_overrides(config) is config
 
 
 class TestPipeline:

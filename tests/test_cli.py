@@ -193,13 +193,22 @@ class TestDetect:
         assert result.exit_code == 2
         assert "sum to 1" in result.output
 
+    # the range checks of the command-line overrides are the configuration's own
+    @pytest.mark.parametrize("option, value, key", [("--threshold", "1.5", "threshold"), ("--k", "0", "k")])
+    def test_out_of_range_override_is_usage_error_naming_the_key(self, runner, presign_config, option, value, key):
+        result = runner.invoke(
+            main, ["detect", str(FIXTURES / "presign.sol"), "-c", str(presign_config), option, value]
+        )
+        assert result.exit_code == 2
+        assert "error: " in result.output and f" {key} must " in result.output
+
     def test_nan_weight_is_usage_error(self, runner, presign_config):
         result = runner.invoke(
             main,
             ["audit", str(FIXTURES / "presign.sol"), "-c", str(presign_config), "--weights", "nan,0.5,0.5"],
         )
         assert result.exit_code == 2
-        assert "finite" in result.output
+        assert "weights channel model must be a number in [0, 1], got nan" in result.output
 
 
 class TestKb:
@@ -218,6 +227,22 @@ class TestKb:
         status = runner.invoke(main, ["kb", "status", "--index-root", str(index_root)])
         assert "corpus: version 1, 15 documents" in status.output
         assert "kb: version 1, 6 documents" in status.output
+
+    def test_corpus_record_of_the_wrong_type_publishes_nothing(self, runner, tmp_path):
+        # an int id used to publish a snapshot that kb status then rejected as corrupt
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text(
+            FIXTURES.joinpath("corpus.jsonl").read_text(encoding="utf-8").splitlines()[0]
+            + '\n{"id": 5, "label": "safe", "source": "contract A {}"}\n',
+            encoding="utf-8",
+        )
+        index_root = tmp_path / "idx"
+        result = runner.invoke(main, ["kb", "build", "--corpus", str(corpus), "--index-root", str(index_root)])
+        assert result.exit_code == EXIT_PROCESSING
+        assert f"error: {corpus}:2: record key id must be a string, got 5" in result.output
+        status = runner.invoke(main, ["kb", "status", "--index-root", str(index_root)])
+        assert status.exit_code == 0, status.output
+        assert "corpus: no snapshot published" in status.output
 
     def test_update_bumps_version(self, runner, tmp_path):
         index_root = tmp_path / "idx"
@@ -537,7 +562,36 @@ class TestConfigValidationExitCodes:
         config = self._write_config(tmp_path, mutate)
         result = runner.invoke(main, ["audit", str(FIXTURES / "presign.sol"), "-c", str(config)])
         assert result.exit_code == 2
-        assert "channel_threshold must lie in [0, 1]" in result.output
+        assert "channel_threshold must be a number in [0, 1]" in result.output
+
+    def test_int_key_beside_str_keys_rejected_exit_2(self, runner, tmp_path):
+        config = self._write_config(tmp_path, lambda p: None)
+        config.write_text(config.read_text(encoding="utf-8") + "1: a\nfoo: b\n", encoding="utf-8")
+        result = runner.invoke(main, ["audit", str(FIXTURES / "presign.sol"), "-c", str(config)])
+        assert result.exit_code == 2
+        assert f"error: {config}: unknown configuration key 1" in result.output
+
+    @pytest.mark.parametrize(
+        "fields, complaint",
+        [
+            ("class: [a]", "rule odd: record key class must be a string, got ['a']"),
+            ("class: X, descripton: typo", "rule odd: unknown record key 'descripton'"),
+        ],
+    )
+    def test_malformed_rule_record_rejected_exit_2(self, runner, tmp_path, fields, complaint):
+        rules = tmp_path / "rules.yaml"
+        rules.write_text(
+            f"- {{rule_id: odd, {fields}, matcher: {{type: unguarded_token, token: t}}, confidence: 0.5}}\n",
+            encoding="utf-8",
+        )
+
+        def mutate(p):
+            p["ruleset"] = str(rules)
+
+        config = self._write_config(tmp_path, mutate)
+        result = runner.invoke(main, ["detect", str(FIXTURES / "presign.sol"), "-c", str(config)])
+        assert result.exit_code == 2
+        assert complaint in result.output
 
     def test_missing_ruleset_file_rejected_exit_2(self, runner, tmp_path):
         def mutate(p):

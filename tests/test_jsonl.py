@@ -71,3 +71,37 @@ def test_blank_lines_are_skipped(tmp_path):
     path.write_bytes(b"\n  \n")
     with pytest.raises(DatasetError, match=re.escape(str(path))):
         load_corpus_file(path)
+
+
+# each of these used to load (an int id even published a corpus snapshot that
+# no later load accepts), to fail with a TypeError, or to be dropped unread
+@pytest.mark.parametrize("kind", ["corpus", "dataset"])
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        (b'{"id": 5, "label": "safe", "source": "x"}\n', "record key id must be a string, got 5"),
+        (b'{"id": "b", "label": "safe", "source": 5}\n', "record key source must be a string, got 5"),
+        (b'{"id": "b", "label": "safe", "source": "x", "clases": ["R"]}\n', "unknown record key 'clases'"),
+        (b'{"id": "b", "label": "safe", "source": "x", "split": 1}\n', "record key split must be a string, got 1"),
+    ],
+)
+def test_labeled_record_of_the_wrong_shape_names_line_and_key(tmp_path, kind, line, message):
+    load, error, _ = LOADERS[kind]
+    path = tmp_path / "input.jsonl"
+    path.write_bytes(GOOD_CONTRACT + line)
+    with pytest.raises(error, match=re.escape(f"{path}:2: {message}")):
+        load(path)
+
+
+def test_null_source_counts_as_absent(tmp_path):
+    path = tmp_path / "input.jsonl"
+    path.write_bytes(b'{"id": "b", "label": "safe", "source": null}\n')
+    with pytest.raises(DatasetError, match="record needs source or source_path"):
+        load_corpus_file(path)
+
+
+def test_transcript_record_fields_are_strings(tmp_path):
+    path = tmp_path / "t.jsonl"
+    path.write_bytes(b'{"role": "detector", "fingerprint": 7, "response": "r"}\n')
+    with pytest.raises(TranscriptError, match=re.escape(f"{path}:1: record key fingerprint must be a string, got 7")):
+        load_transcript(path)

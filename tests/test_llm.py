@@ -3,6 +3,7 @@ from __future__ import annotations
 import contextlib
 import json
 import os
+import re
 import socket
 import subprocess
 import sys
@@ -21,6 +22,7 @@ from solguard.errors import (
     TranscriptError,
     TransportError,
 )
+from solguard.agents.config import parse_config
 from solguard.llm.mock import MockProvider, TranscriptRecorder, prompt_fingerprint
 from solguard.llm.provider import ChatExchange, HttpProvider, ProviderConfig
 from solguard.llm.structured import DETECTOR_SCHEMA, StructuredSchema, extract_structured
@@ -118,7 +120,7 @@ class TestMockProvider:
     def test_malformed_transcript_rejected(self, tmp_path):
         path = tmp_path / "broken.jsonl"
         path.write_text('{"role": "detector"}\n', encoding="utf-8")
-        with pytest.raises(TranscriptError, match="malformed"):
+        with pytest.raises(TranscriptError, match=re.escape(f"{path}:1: record needs a fingerprint key")):
             MockProvider(ProviderConfig(kind="mock", model_id="m", transcript=str(path)))
 
     def test_missing_transcript_path_rejected_at_config(self):
@@ -530,10 +532,9 @@ class TestCredentials:
 
 class TestProviderConfigPayload:
     def test_unknown_keys_rejected(self):
-        with pytest.raises(ConfigError, match="unknown provider config keys"):
-            ProviderConfig.from_payload(
-                {"kind": "mock", "model_id": "m", "transcript": "t", "api_key": "nope"}
-            )
+        with pytest.raises(ConfigError, match="unknown base provider key 'api_key'"):
+            provider = {"kind": "mock", "model_id": "m", "transcript": "t", "api_key": "nope"}
+            parse_config({"providers": {"base": provider}})
 
     # each of these used to load, then fail the first HTTP call (or a mock
     # build) with a TypeError or ValueError outside the error hierarchy
@@ -557,18 +558,22 @@ class TestProviderConfigPayload:
     )
     def test_field_of_the_wrong_type_or_range_rejected(self, field, value):
         payload = {"kind": "http-endpoint", "model_id": "m", "endpoint": "http://x/v1", field: value}
-        with pytest.raises(ConfigError, match=f"provider {field} must be"):
-            ProviderConfig.from_payload(payload)
+        with pytest.raises(ConfigError, match=f"base provider key {field} must be"):
+            parse_config({"providers": {"base": payload}})
 
     def test_round_trip_fields(self):
-        cfg = ProviderConfig.from_payload(
+        cfg = parse_config(
             {
-                "kind": "http-endpoint",
-                "model_id": "m",
-                "endpoint": "http://x/v1",
-                "temperature": 0.2,
-                "retry_count": 5,
+                "providers": {
+                    "detector": {
+                        "kind": "http-endpoint",
+                        "model_id": "m",
+                        "endpoint": "http://x/v1",
+                        "temperature": 0.2,
+                        "retry_count": 5,
+                    }
+                }
             }
-        )
+        ).providers["detector"]
         assert cfg.retry_count == 5
         assert cfg.temperature == 0.2

@@ -142,6 +142,10 @@ class TestStaticChannel:
             assert (result.verdict is Verdict.SAFE) == (result.score == 0.0)
 
 
+ODD = {"rule_id": "odd", "class": "X", "matcher": {"type": "unguarded_token", "token": "t"}, "confidence": 0.5}
+ABSENT = object()
+
+
 class TestRulesetFile:
     def test_round_trip_is_lossless(self, ruleset, tmp_path):
         path = tmp_path / "rules.yaml"
@@ -189,8 +193,53 @@ class TestRulesetFile:
         with pytest.raises(RulesetError, match=f"rule odd: .*{complaint}"):
             parse_ruleset(f"- {{rule_id: odd, class: X, matcher: {matcher}, confidence: 0.5}}")
 
+    # each of these used to load, or to fail with a TypeError traceback
+    @pytest.mark.parametrize(
+        "changes, complaint",
+        [
+            ({"class": ["a"]}, "rule odd: record key class must be a string, got ['a']"),
+            ({"rule_id": ["r"]}, "rule #1: record key rule_id must be a string, got ['r']"),
+            ({"rule_id": 5}, "rule #1: record key rule_id must be a string, got 5"),
+            ({"class": 5}, "rule odd: record key class must be a string, got 5"),
+            ({"swc_id": 107}, "rule odd: record key swc_id must be a string, got 107"),
+            ({"description": 5}, "rule odd: record key description must be a string, got 5"),
+            ({"confidence": True}, "rule odd: record key confidence must be a number in [0, 1], got True"),
+            ({"confidence": "0.5"}, "rule odd: record key confidence must be a number in [0, 1], got '0.5'"),
+            ({"descripton": "x"}, "rule odd: unknown record key 'descripton'"),
+            ({"confidence": ABSENT}, "rule odd: record needs a confidence key"),
+            ({"matcher": {"type": ["a"]}}, "rule odd: unknown matcher type ['a']"),
+            # YAML reads an unquoted 0.10 as the number 0.1, which used to load as version 0.1
+            (
+                {"matcher": {"type": "unchecked_arithmetic", "flag_below": 0.1}},
+                'rule odd: matcher parameter flag_below must be a version in quotes, like "0.8", got 0.1',
+            ),
+            # a parameter of another matcher type is not this one's
+            (
+                {"matcher": {**ODD["matcher"], "call_members": ["call"]}},
+                "rule odd: unknown matcher parameter 'call_members'",
+            ),
+        ],
+    )
+    def test_malformed_rule_record_names_the_rule_and_key(self, changes, complaint):
+        record = {key: value for key, value in {**ODD, **changes}.items() if value is not ABSENT}
+        with pytest.raises(RulesetError, match=re.escape(complaint)):
+            parse_ruleset(yaml.safe_dump([record]))
+
+    def test_absent_matcher_parameters_take_their_declared_defaults(self):
+        (rule,) = parse_ruleset("- {rule_id: x, class: X, matcher: {type: unchecked_arithmetic}, confidence: 1}")
+        assert rule.matcher == {"type": "unchecked_arithmetic", "flag_below": "0.8", "guard_markers": ["SafeMath"]}
+        assert rule.default_confidence == 1.0 and rule.description == "" and rule.vuln_class.swc_id is None
+
+    def test_rules_sharing_a_default_dump_without_yaml_aliases(self):
+        rules = [{**ODD, "rule_id": f"r{n}", "class": f"C{n}", "matcher": {"type": "unguarded_state_mutator"}} for n in (1, 2)]
+        text = yaml.safe_dump(rules)
+        dumped = dump_ruleset(parse_ruleset(text))
+        assert "&" not in dumped and "*" not in dumped
+        assert parse_ruleset(dumped) == parse_ruleset(text)
+
     def test_non_numeric_confidence_rejected(self):
-        with pytest.raises(RulesetError, match="malformed rule record"):
+        complaint = "rule x: record key confidence must be a number in [0, 1], got 'high'"
+        with pytest.raises(RulesetError, match=re.escape(complaint)):
             parse_ruleset("- {rule_id: x, class: X, matcher: {type: unguarded_token, token: t}, confidence: high}")
 
     def test_not_yaml_rejected(self, tmp_path):
