@@ -9,8 +9,9 @@ from typing import Any
 import yaml
 
 from solguard.errors import ConfigError
+from solguard.jsonl import read_text
 from solguard.llm.provider import PROVIDER, ProviderConfig
-from solguard.records import Record, number, one_of, path, whole
+from solguard.records import Record, naming, number, one_of, path, whole
 
 MODES = ("weighted", "voting", "enriched")
 ROLES = ("detector", "advisor", "assessor", "fixer", "verifier")
@@ -75,7 +76,8 @@ class PipelineConfig:
 
 # the records of the configuration file; each default is the dataclass's own
 WEIGHTS = Record(
-    {name: number("[0, 1]", getattr(FusionWeights, name)) for name in ("model", "static", "retrieval")}, noun="channel"
+    {name: number("[0, 1]", getattr(FusionWeights, name)) for name in ("model", "static", "retrieval")},
+    noun="channel", make=FusionWeights,
 )
 CONFIG = Record({
     "mode": one_of(MODES, PipelineConfig.mode),
@@ -93,20 +95,18 @@ CONFIG = Record({
 
 def parse_config(payload: Any, base_dir: Path | None = None, where: str = "configuration") -> PipelineConfig:
     """Build a config from a :data:`CONFIG` mapping read from ``where``;
-    relative paths resolve against ``base_dir``, the config file's directory."""
+    relative paths resolve against ``base_dir``, the config file's directory.
+    Every fault names ``where``."""
     values = CONFIG.parse(payload, ConfigError, where, "configuration", base_dir)
-    roles = values.pop("providers") or {}
-    providers = {role: ProviderConfig(**record) for role, record in roles.items() if record is not None}
-    weights = FusionWeights(**values.pop("weights"))
-    return PipelineConfig(ruleset_path=values.pop("ruleset"), weights=weights, providers=providers, **values)
+    providers = {role: provider for role, provider in (values.pop("providers") or {}).items() if provider is not None}
+    with naming(where, ConfigError):
+        return PipelineConfig(ruleset_path=values.pop("ruleset"), providers=providers, **values)
 
 
 def load_config(path: str | Path) -> PipelineConfig:
     p = Path(path)
     try:
-        payload = yaml.safe_load(p.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ConfigError(f"cannot read configuration {p}: {exc}") from exc
+        payload = yaml.safe_load(read_text(p, ConfigError, "configuration"))
     except yaml.YAMLError as exc:
         raise ConfigError(f"configuration {p} is not valid YAML: {exc}") from exc
     return parse_config(payload or {}, base_dir=p.parent, where=str(p))
@@ -117,6 +117,4 @@ def apply_overrides(config: PipelineConfig, **overrides: Any) -> PipelineConfig:
     file gives it and parsed by its key's :data:`CONFIG` field."""
     given = {key: value for key, value in overrides.items() if value is not None}
     changes = {key: CONFIG.value(key, v, ConfigError, "command line", "configuration") for key, v in given.items()}
-    if "weights" in changes:
-        changes["weights"] = FusionWeights(**changes["weights"])
     return replace(config, **changes) if changes else config

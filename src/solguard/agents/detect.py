@@ -23,6 +23,7 @@ from solguard.core import (
     Verdict,
     VulnerabilityClass,
     byte_length,
+    merge_findings,
 )
 from solguard.errors import ExtractionError, ModelChannelError, SolguardError
 from solguard.llm.prompts import (
@@ -243,8 +244,6 @@ def actionable_findings(fused: FusedVerdict, contract: SourceContract) -> list[F
     function); unlocalized retrieval hints step in only when the localized
     channels found nothing despite a vulnerable verdict.
     """
-    from solguard.core import merge_findings
-
     localized = merge_findings(
         c.findings for c in fused.channel_results if c.channel is not Channel.RETRIEVAL
     )

@@ -50,11 +50,7 @@ Outcome = tuple[str, T | None, str | None]  # (contract id, result, error messag
 
 
 def _setup_logging(verbose: int) -> None:
-    level = logging.WARNING
-    if verbose == 1:
-        level = logging.INFO
-    elif verbose >= 2:
-        level = logging.DEBUG
+    level = (logging.WARNING, logging.INFO, logging.DEBUG)[min(verbose, 2)]
     logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
 
 
@@ -373,9 +369,12 @@ def cmd_calibrate(dataset_path, config_path, split, write, verbose):
     click.echo(f"calibrated threshold: {threshold}")
     if write:
         path = Path(config_path)
-        payload = yaml.safe_load(path.read_text(encoding="utf-8")) or {}
-        payload["threshold"] = threshold
-        path.write_text(yaml.safe_dump(payload, sort_keys=False), encoding="utf-8")
+        try:
+            payload = yaml.safe_load(path.read_text(encoding="utf-8")) or {}
+            payload["threshold"] = threshold
+            path.write_text(yaml.safe_dump(payload, sort_keys=False), encoding="utf-8")
+        except OSError as exc:
+            _fail(EXIT_PROCESSING, f"cannot write threshold to {path}: {exc}")
         click.echo(f"threshold written to {path}")
 
 

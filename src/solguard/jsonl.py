@@ -1,6 +1,6 @@
-"""Line-delimited JSON input: the one reader every ``.jsonl`` file goes
-through, and the labelled-contract records that corpus and dataset files
-share."""
+"""Input files: the one reader every whole text input and every ``.jsonl``
+file goes through, and the labelled-contract records that corpus and dataset
+files share."""
 
 from __future__ import annotations
 
@@ -11,6 +11,14 @@ from typing import Any, Callable
 
 from solguard.errors import DatasetError, SolguardError
 from solguard.records import Record, one_of, path, string, strings
+
+
+def read_text(path: str | Path, error: type[SolguardError], what: str) -> str:
+    """The text of the UTF-8 file ``path``; a read or decode fault is an ``error`` naming it as ``what``."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise error(f"cannot read {what} {path}: {exc}") from exc
 
 
 def read_jsonl(path: str | Path, read: Callable[[dict], None], error: type[SolguardError], record: Record) -> None:

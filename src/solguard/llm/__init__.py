@@ -1,12 +1,13 @@
 """Provider abstraction, prompt templates, and structured-output extraction."""
 
-from solguard.llm.mock import MockProvider, TranscriptRecorder, load_transcript, prompt_fingerprint
+from solguard.llm.mock import MockProvider, TranscriptRecorder, load_transcript
 from solguard.llm.provider import (
     ChatExchange,
     ExchangeLog,
     HttpProvider,
     Provider,
     ProviderConfig,
+    prompt_fingerprint,
 )
 from solguard.llm.structured import (
     ADVISOR_SCHEMA,

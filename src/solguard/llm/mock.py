@@ -8,23 +8,16 @@ response. Prompts absent from the transcript yield the ``UNKNOWN`` sentinel.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from pathlib import Path
 from typing import Callable
 
 from solguard.errors import TranscriptError
 from solguard.jsonl import read_jsonl
-from solguard.llm.provider import ChatExchange, ExchangeLog, ProviderConfig
+from solguard.llm.provider import ChatExchange, ExchangeLog, ProviderConfig, prompt_fingerprint
 from solguard.records import Record, string
 
 UNKNOWN_RESPONSE = "UNKNOWN"
-
-
-def prompt_fingerprint(prompt: str) -> str:
-    """Stable 16-hex-digit fingerprint of a prompt's normalized text."""
-    normalized = " ".join(prompt.split())
-    return hashlib.sha256(normalized.encode("utf-8")).hexdigest()[:16]
 
 
 TRANSCRIPT_RECORD = Record({"role": string(), "fingerprint": string(), "response": string()})

@@ -14,7 +14,6 @@ from solguard.llm.template import PromptTemplate
 _JSON_ONLY = "Reply with exactly one JSON object and no other text around it."
 
 DETECTOR_TEMPLATE = PromptTemplate(
-    name="detector",
     role_playing=(
         "You are a senior smart contract security auditor specializing in Solidity."
     ),
@@ -38,7 +37,6 @@ DETECTOR_TEMPLATE = PromptTemplate(
 )
 
 DETECTOR_ENRICHED_TEMPLATE = PromptTemplate(
-    name="detector-enriched",
     role_playing=DETECTOR_TEMPLATE.role_playing,
     task_description=DETECTOR_TEMPLATE.task_description,
     expected_output=DETECTOR_TEMPLATE.expected_output,
@@ -51,7 +49,6 @@ DETECTOR_ENRICHED_TEMPLATE = PromptTemplate(
 )
 
 ADVISOR_TEMPLATE = PromptTemplate(
-    name="advisor",
     role_playing=(
         "You are a smart contract security consultant who writes actionable "
         "remediation guidance."
@@ -76,7 +73,6 @@ ADVISOR_TEMPLATE = PromptTemplate(
 )
 
 ASSESSOR_TEMPLATE = PromptTemplate(
-    name="assessor",
     role_playing=(
         "You are a risk analyst who grades smart contract vulnerabilities on a "
         "four-level scale."
@@ -101,7 +97,6 @@ ASSESSOR_TEMPLATE = PromptTemplate(
 )
 
 FIXER_TEMPLATE = PromptTemplate(
-    name="fixer",
     role_playing="You are a Solidity engineer repairing audited contracts.",
     task_description=(
         "Rewrite the contract to fix the vulnerabilities listed below, in the "
@@ -123,7 +118,6 @@ FIXER_TEMPLATE = PromptTemplate(
 )
 
 VERIFIER_TEMPLATE = PromptTemplate(
-    name="verifier",
     role_playing=(
         "You are an independent reviewer judging whether a patch is safe to ship. "
         "You were not involved in writing it."

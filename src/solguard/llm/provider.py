@@ -8,6 +8,7 @@ credentials come from the environment and are never logged.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import logging
 import os
@@ -19,7 +20,7 @@ from typing import Any, Protocol
 from urllib.parse import urlsplit
 
 from solguard.errors import CompletionTimeout, ConfigError, TransportError
-from solguard.records import Record, number, path, string, whole
+from solguard.records import Field, Record, number, one_of, path, string, whole
 
 log = logging.getLogger(__name__)
 
@@ -37,44 +38,35 @@ class ProviderConfig:
     retry_count: int = 2
 
     def __post_init__(self) -> None:
-        if self.kind == "mock":
-            if not self.transcript:
-                raise ConfigError(f"mock provider {self.model_id!r} requires a transcript path")
-        elif self.kind == "http-endpoint":
-            if not self.endpoint:
-                raise ConfigError(f"http provider {self.model_id!r} requires an endpoint")
-            try:
-                parts = urlsplit(self.endpoint)
-                parts.port  # ValueError unless absent or a number from 0 to 65535
-            except ValueError:
-                parts = None
-            if (
-                parts is None
-                or parts.scheme not in ("http", "https")
-                or not parts.hostname
-                or parts.username is not None
-                or parts.password is not None
-            ):
-                raise ConfigError(
-                    f"http provider {self.model_id!r} endpoint {self.endpoint!r} must be an "
-                    "http:// or https:// URL with a host, no user or password, and, if any, a numeric port"
-                )
-        else:
-            raise ConfigError(f"unknown provider kind {self.kind!r}")
+        if self.kind == "mock" and not self.transcript:
+            raise ConfigError("a mock provider needs a transcript key")
+        if self.kind == "http-endpoint" and not self.endpoint:
+            raise ConfigError("an http-endpoint provider needs an endpoint key")
+
+
+def _is_http_url(value: Any) -> bool:
+    if type(value) is not str:
+        return False
+    try:
+        parts = urlsplit(value)
+        parts.port  # ValueError unless absent or a number from 0 to 65535
+    except ValueError:
+        return False
+    return parts.scheme in ("http", "https") and bool(parts.hostname) and (parts.username, parts.password) == (None, None)
 
 
 # a provider record of the configuration; each default is the dataclass's own
 PROVIDER = Record({
-    "kind": string(),
+    "kind": one_of(("http-endpoint", "mock")),
     "model_id": string(),
-    "endpoint": string(None),
+    "endpoint": Field("an http(s) URL with a host, no user or password, and a numeric port if any", _is_http_url, None),
     "api_key_env": string(None),
     "transcript": path(None),
     "temperature": number("[0, inf)", ProviderConfig.temperature),
     "max_output_tokens": whole(1, ProviderConfig.max_output_tokens),
     "timeout_s": number("(0, inf)", ProviderConfig.timeout_s),
     "retry_count": whole(0, ProviderConfig.retry_count),
-}, noun="provider key")
+}, noun="provider key", make=ProviderConfig)
 
 
 @dataclass(frozen=True)
@@ -94,6 +86,12 @@ class Provider(Protocol):
     def complete(self, prompt: str, *, role: str) -> ChatExchange: ...
 
 
+def prompt_fingerprint(prompt: str) -> str:
+    """Stable 16-hex-digit fingerprint of a prompt's normalized text."""
+    normalized = " ".join(prompt.split())
+    return hashlib.sha256(normalized.encode("utf-8")).hexdigest()[:16]
+
+
 class ExchangeLog:
     """Append-only line-delimited exchange log with serialized writes."""
 
@@ -104,8 +102,6 @@ class ExchangeLog:
     def append(self, exchange: ChatExchange) -> None:
         # the response is kept verbatim for audit; the (potentially huge)
         # request is identified by fingerprint and size only
-        from solguard.llm.mock import prompt_fingerprint
-
         record = {
             "role": exchange.role,
             "provider": exchange.provider_id,

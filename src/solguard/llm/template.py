@@ -24,7 +24,6 @@ class PromptTemplate:
     included where the template targets contract source.
     """
 
-    name: str
     role_playing: str
     task_description: str
     expected_output: str

@@ -4,20 +4,31 @@ A :class:`Record` is a set of named fields, each of a type and either
 required or with a default. A key it does not declare, or a value of the
 wrong type, is the caller's error naming where the record came from and the
 key. ``bool`` is not a number, a number is finite, and a field whose default
-is ``None`` also takes ``null``.
+is ``None`` also takes ``null``. A record can parse into the object it
+describes, whose own faults then name the record and where it came from too.
 """
 
 from __future__ import annotations
 
 import sys
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Callable, NamedTuple
+from typing import Any, Callable, Iterator, NamedTuple
 
 from solguard.errors import SolguardError
 
 REQUIRED = object()  # the default of a field that must be given
 _ABSENT = object()
 _MAX = sys.float_info.max
+
+
+@contextmanager
+def naming(where: str, error: type[SolguardError]) -> Iterator[None]:
+    """Prefix ``where`` to an ``error`` raised inside, so that an object's faults name the input it came from."""
+    try:
+        yield
+    except error as exc:
+        raise error(f"{where}: {exc}") from exc
 
 
 class Field(NamedTuple):
@@ -64,10 +75,11 @@ def number(interval: str, default: Any = REQUIRED) -> Field:
 
 class Record:
     """A closed set of fields, whose keys messages call ``noun``. Nested
-    under a key, the record is named by that key."""
+    under a key, the record is named by that key. With ``make``, a parse
+    returns ``make(**values)`` rather than the values."""
 
-    def __init__(self, fields: dict[str, Field], noun: str = "key"):
-        self.fields, self.noun = fields, noun
+    def __init__(self, fields: dict[str, Field], noun: str = "key", make: Callable[..., Any] | None = None):
+        self.fields, self.noun, self.make = fields, noun, make
         self._defaults = {key: f.default for key, f in fields.items()}  # in declaration order
         self._plain = {key: f.accepts for key, f in fields.items() if f.convert is None}
         # the keys that, when absent, raise or take a default that is converted
@@ -78,8 +90,9 @@ class Record:
     def field(self, default: Any = REQUIRED) -> Field:  # this record as the type of another's field
         return Field("a mapping", lambda v: type(v) is dict, default, self.parse)
 
-    def parse(self, value: Any, error: type[SolguardError], where: str, name: str, base: Path | None = None) -> dict:
-        """The plain values of the record ``name`` read from ``where``, its paths resolved against ``base``."""
+    def parse(self, value: Any, error: type[SolguardError], where: str, name: str, base: Path | None = None) -> Any:
+        """The plain values of the record ``name`` read from ``where``, its
+        paths resolved against ``base``, or what ``make`` makes of them."""
         if type(value) is not dict:
             raise error(f"{where}: {name} must be a mapping, got {value!r}")
         values = dict(self._defaults)
@@ -89,7 +102,10 @@ class Record:
         for key in self._absent:
             if key not in value:
                 values[key] = self.value(key, _ABSENT, error, where, name, base)
-        return values
+        if self.make is None:
+            return values
+        with naming(f"{where}: {name}", error):
+            return self.make(**values)
 
     def value(self, key: Any, value: Any, error: type[SolguardError], where: str, name: str, base: Path | None = None):
         """The plain value of one key of the record ``name``."""

@@ -18,6 +18,7 @@ from typing import Iterable, Protocol
 import yaml
 
 from solguard.errors import DatasetError, SolguardError
+from solguard.jsonl import read_text
 
 CHUNK_TOKENS = 512
 CHUNK_OVERLAP = 64
@@ -164,23 +165,18 @@ def load_kb_documents(directory: str | Path) -> list[KbDocument]:
     for path in sorted(root.iterdir()):
         if path.suffix.lower() not in (".md", ".txt"):
             continue
-        try:
-            raw = path.read_text(encoding="utf-8")
-        except (OSError, UnicodeDecodeError) as exc:
-            raise DatasetError(f"{path}: cannot read knowledge document: {exc}") from exc
-        metadata: dict[str, object] = {}
-        body = raw
+        raw = read_text(path, DatasetError, "knowledge document")
+        metadata, body = {}, raw
         if raw.startswith("---\n"):
             closing = raw.find("\n---\n", 4)
             if closing == -1:
                 raise DatasetError(f"{path}: unterminated metadata preamble")
             try:
-                loaded = yaml.safe_load(raw[4:closing])
+                metadata = yaml.safe_load(raw[4:closing])
             except yaml.YAMLError as exc:
                 raise DatasetError(f"{path}: bad metadata preamble: {exc}") from exc
-            if not isinstance(loaded, dict):
+            if not isinstance(metadata, dict):
                 raise DatasetError(f"{path}: metadata preamble must be a mapping")
-            metadata = loaded
             body = raw[closing + 5 :]
         docs.append(KbDocument(doc_id=path.stem, text=body.strip(), metadata=metadata))
     return docs

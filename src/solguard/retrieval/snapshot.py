@@ -62,11 +62,15 @@ class SnapshotStore(Generic[T]):
             raise SnapshotError(f"corrupt pointer file {pointer}: {exc}") from exc
 
     def publish(self, index: T) -> int:
-        """Write a new snapshot and swap the pointer; returns the version."""
+        """Write a new snapshot and swap the pointer; returns the version. A
+        write fault is a ``SnapshotError`` naming the directory; the pointer stays."""
         version = self._next_version()
         target = self.root / str(version)
-        target.mkdir(parents=True, exist_ok=False)
-        self._write_files(target, dataclasses.replace(index, snapshot_version=version))
+        try:
+            target.mkdir(parents=True, exist_ok=False)
+            self._write_files(target, dataclasses.replace(index, snapshot_version=version))
+        except OSError as exc:
+            raise SnapshotError(f"cannot write snapshot {target}: {exc}") from exc
         self._activate(version)
         return version
 
@@ -101,9 +105,7 @@ class SnapshotStore(Generic[T]):
     # -- internals -------------------------------------------------------
 
     def _next_version(self) -> int:
-        current = self.current_version() or 0
-        existing = self.versions()
-        return max([current, *existing]) + 1 if existing or current else 1
+        return max([self.current_version() or 0, *self.versions()]) + 1
 
     def _activate(self, version: int) -> None:
         """Atomically repoint CURRENT at ``version``."""

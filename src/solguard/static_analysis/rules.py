@@ -18,7 +18,8 @@ import yaml
 
 from solguard.core import Token, TokenKind, VulnerabilityClass
 from solguard.errors import RulesetError
-from solguard.records import Field, Record, mapping, number, string, strings
+from solguard.jsonl import read_text
+from solguard.records import Field, Record, mapping, naming, number, string, strings
 from solguard.static_analysis.structure import ASSIGNMENT_OPS, ContractView, FunctionSpan, assignment_roots
 
 _CONDITION_OPENERS = frozenset({"require", "if", "while"})
@@ -228,12 +229,11 @@ RULE = Record({
 
 
 def load_ruleset(path: str | Path) -> list[PatternRule]:
-    """Load rules from a YAML file; see data/rules.yaml for the shipped set."""
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise RulesetError(f"cannot read rule file {path}: {exc}") from exc
-    return parse_ruleset(text)
+    """Load rules from a YAML file, any fault naming it; see data/rules.yaml
+    for the shipped set."""
+    text = read_text(path, RulesetError, "rule file")
+    with naming(str(path), RulesetError):
+        return parse_ruleset(text)
 
 
 def parse_ruleset(text: str) -> list[PatternRule]:

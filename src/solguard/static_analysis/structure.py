@@ -15,7 +15,6 @@ from solguard.core import Span, Token, TokenKind
 from solguard.errors import StructuralError
 
 VISIBILITY_KEYWORDS = ("public", "external", "internal", "private")
-_MUTABILITY_KEYWORDS = frozenset({"pure", "view", "payable", "constant"})
 _DECLARATION_KEYWORDS = frozenset({"function", "constructor", "fallback", "receive"})
 _CONTAINER_KEYWORDS = frozenset({"contract", "interface", "library"})
 ASSIGNMENT_OPS = frozenset({"=", "+=", "-=", "*=", "/=", "%=", "|=", "&=", "^=", "<<=", ">>="})

@@ -363,7 +363,7 @@ class TestInputFileErrors:
         else:
             bad.mkdir()  # listed as a document, but reading it fails
         result = runner.invoke(main, ["kb", command, "--docs", str(docs), "--index-root", str(tmp_path / "idx")])
-        assert_clean_error(result, EXIT_PROCESSING, f"error: {bad}: ")
+        assert_clean_error(result, EXIT_PROCESSING, f"error: cannot read knowledge document {bad}: ")
         assert not (tmp_path / "idx" / "kb" / "CURRENT").exists()
 
     @pytest.mark.parametrize("command", ["eval", "calibrate"])
@@ -645,7 +645,7 @@ class TestConfigValidationExitCodes:
 
         config = self._write_config(tmp_path, mutate)
         result = runner.invoke(main, ["audit", str(FIXTURES / "presign.sol"), "-c", str(config)])
-        assert_clean_error(result, 2, f"http provider 'b' endpoint {endpoint!r}")
+        assert_clean_error(result, 2, f"{config}: base provider key endpoint must be ", repr(endpoint))
 
     def test_zero_k_rejected_exit_2(self, runner, tmp_path):
         def mutate(p):
@@ -700,3 +700,134 @@ def test_audit_sequential_jobs_one(runner, presign_config, tmp_path):
     assert (tmp_path / "out" / "presign.report.md").exists()
     assert (tmp_path / "out" / "safe.report.md").exists()
     assert "patch verification passed: 1/1 patched (1/2 of all processed)" in result.output
+
+
+# --- every input fault names its file ----------------------------------------
+
+
+def _detect(config: Path, *extra: str) -> list[str]:
+    return ["detect", str(FIXTURES / "presign.sol"), "-c", str(config), *extra]
+
+
+def _edited(mutate):
+    """The fault is an edit of the (otherwise valid) config file."""
+
+    def write(tmp_path: Path, config: Path) -> tuple[list[str], str]:
+        payload = yaml.safe_load(config.read_text(encoding="utf-8"))
+        mutate(payload)
+        config.write_text(yaml.safe_dump(payload), encoding="utf-8")
+        return _detect(config), str(config)
+
+    return write
+
+
+def _detector(**entry):
+    return _edited(lambda p: p["providers"].update(detector={"model_id": "detector-sim", **entry}))
+
+
+def _config_file(make):
+    """The config file is one that ``make`` leaves at its path."""
+
+    def write(tmp_path: Path, config: Path) -> tuple[list[str], str]:
+        bad = tmp_path / "bad.yaml"
+        make(bad)
+        return _detect(bad), str(bad)
+
+    return write
+
+
+def _rule_file(text: str):
+    def write(tmp_path: Path, config: Path) -> tuple[list[str], str]:
+        rules = tmp_path / "rules.yaml"
+        rules.write_text(text, encoding="utf-8")
+        args, _ = _edited(lambda p: p.update(ruleset=str(rules)))(tmp_path, config)
+        return args, str(rules)
+
+    return write
+
+
+def _weights_option(tmp_path: Path, config: Path) -> tuple[list[str], str]:
+    return _detect(config, "--weights", "0.4,0.1,0.2"), "command line"
+
+
+def _contract(tmp_path: Path, config: Path) -> tuple[list[str], str]:
+    bad = tmp_path / "bad.sol"
+    bad.write_bytes(b"contract C { // caf\xe9\n}\n")
+    return ["detect", str(bad), "-c", str(config)], str(bad)
+
+
+def _knowledge_document(tmp_path: Path, config: Path) -> tuple[list[str], str]:
+    docs = tmp_path / "docs"
+    shutil.copytree(FIXTURES / "kb_docs", docs)
+    (docs / "x.md").write_bytes(b"caf\xe9\n")
+    return ["kb", "build", "--docs", str(docs), "--index-root", str(tmp_path / "idx")], str(docs / "x.md")
+
+
+INPUT_FAULTS = [
+    pytest.param(_config_file(lambda path: None), 2, ["cannot read configuration"], id="config-missing"),
+    pytest.param(_config_file(Path.mkdir), 2, ["cannot read configuration"], id="config-directory"),
+    pytest.param(
+        _config_file(lambda path: path.write_bytes(b"k: 5  # caf\xe9\n")), 2, ["cannot read configuration", "utf-8"],
+        id="config-not-utf-8",
+    ),
+    pytest.param(_detector(kind="mockk"), 2, ["detector provider key kind", "'mockk'"], id="provider-kind"),
+    pytest.param(
+        _detector(kind="http-endpoint", endpoint="localhost:8080/v1"), 2,
+        ["detector provider key endpoint", "'localhost:8080/v1'"], id="provider-endpoint",
+    ),
+    pytest.param(_detector(kind="mock"), 2, ["detector: ", "transcript"], id="mock-without-transcript"),
+    pytest.param(
+        _edited(lambda p: p.update(weights={"model": 0.4, "static": 0.1, "retrieval": 0.2})), 2,
+        ["weights must sum to 1"], id="weights-in-file",
+    ),
+    pytest.param(_weights_option, 2, ["weights must sum to 1"], id="weights-option"),
+    pytest.param(
+        _edited(lambda p: p["providers"].update(fixer={**p["providers"]["verifier"], "model_id": "verifier-sim"})), 2,
+        ["verifier must use a different model than the fixer"], id="fixer-is-verifier",
+    ),
+    pytest.param(_rule_file("- {rule_id: [\n"), 2, ["not valid YAML"], id="rules-bad-yaml"),
+    pytest.param(
+        _rule_file("- {rule_id: r, class: X, matcher: {type: nope}, confidence: 0.5}\n"), 2,
+        ["rule r: ", "matcher type 'nope'"], id="rules-bad-record",
+    ),
+    pytest.param(_contract, EXIT_PROCESSING, ["cannot read contract", "utf-8"], id="contract-not-utf-8"),
+    pytest.param(
+        _knowledge_document, EXIT_PROCESSING, ["cannot read knowledge document", "utf-8"],
+        id="knowledge-document-not-utf-8",
+    ),
+]
+
+
+@pytest.mark.parametrize("case, exit_code, fragments", INPUT_FAULTS)
+def test_input_fault_names_its_file(runner, presign_config, tmp_path, case, exit_code, fragments):
+    args, named = case(tmp_path, presign_config)
+    result = runner.invoke(main, args)
+    assert_clean_error(result, exit_code, named, *fragments)
+
+
+def test_index_root_that_cannot_be_created_is_processing_error(runner, tmp_path, monkeypatch):
+    def refuse(self, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", str(self))
+
+    monkeypatch.setattr(Path, "mkdir", refuse)
+    root = tmp_path / "idx"
+    result = runner.invoke(
+        main, ["kb", "build", "--corpus", str(FIXTURES / "corpus.jsonl"), "--index-root", str(root)]
+    )
+    monkeypatch.undo()
+    assert_clean_error(result, EXIT_PROCESSING, f"cannot write snapshot {root / 'corpus' / '1'}: ")
+    assert not (root / "corpus" / "CURRENT").exists()
+
+
+def test_calibrate_write_that_fails_is_processing_error(runner, eval_env, tmp_path, monkeypatch):
+    config = tmp_path / "config.yaml"
+    config.write_text(Path(eval_env["config"]).read_text(encoding="utf-8"), encoding="utf-8")
+
+    def refuse(self, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", str(self))
+
+    monkeypatch.setattr(Path, "write_text", refuse)
+    result = runner.invoke(main, ["calibrate", str(eval_env["dataset"]), "-c", str(config), "--write"])
+    monkeypatch.undo()
+    assert_clean_error(result, EXIT_PROCESSING, f"cannot write threshold to {config}: ", "Permission denied")
+    assert "calibrated threshold:" in result.output

@@ -45,7 +45,7 @@ class TestRenderPrompt:
 
     def test_template_without_placeholders_is_identity_on_body(self):
         template = PromptTemplate(
-            name="t", role_playing="r", task_description="t", expected_output="e",
+            role_playing="r", task_description="t", expected_output="e",
             background_information="b", body="fixed body, no slots",
         )
         rendered = render_prompt(template, {})
@@ -362,8 +362,9 @@ class TestHttpProvider:
         ],
     )
     def test_endpoint_that_is_not_an_http_url_rejected(self, endpoint):
-        with pytest.raises(ConfigError, match="http provider 'remote' endpoint"):
-            ProviderConfig(kind="http-endpoint", model_id="remote", endpoint=endpoint)
+        provider = {"kind": "http-endpoint", "model_id": "remote", "endpoint": endpoint}
+        with pytest.raises(ConfigError, match=f"detector provider key endpoint must be .*, got {re.escape(repr(endpoint))}"):
+            parse_config({"providers": {"detector": provider}})
 
 
 def test_only_an_http_call_loads_the_http_stack():
@@ -387,7 +388,7 @@ except TransportError:
 print(loaded())
 """
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(repo / "src"), os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60)
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, encoding="utf-8", env=env, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines() == ["[]", "['http.client', 'urllib.request']"]
 

@@ -120,3 +120,15 @@ def test_one_value_parses_through_its_field():
     assert RECORD.value("count", 4, ConfigError, "command line", "thing") == 4
     with pytest.raises(ConfigError, match="^command line: thing key count must be a whole number >= 0, got -4$"):
         RECORD.value("count", -4, ConfigError, "command line", "thing")
+
+
+def test_a_record_with_make_parses_into_its_object_whose_faults_name_where_it_came_from():
+    def pair(low: int, high: int) -> tuple[int, int]:
+        if low > high:
+            raise ConfigError(f"low {low} exceeds high {high}")
+        return low, high
+
+    nested = Record({"range": Record({"low": whole(0), "high": whole(0)}, make=pair).field()})
+    assert nested.parse({"range": {"low": 1, "high": 2}}, ConfigError, "cfg.yaml", "thing") == {"range": (1, 2)}
+    with pytest.raises(ConfigError, match="^cfg.yaml: range: low 3 exceeds high 2$"):
+        nested.parse({"range": {"low": 3, "high": 2}}, ConfigError, "cfg.yaml", "thing")

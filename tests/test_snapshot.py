@@ -102,7 +102,7 @@ class TestCrashSafety:
             raise OSError("simulated crash mid-write")
 
         monkeypatch.setattr(store, "_write_files", explode)
-        with pytest.raises(OSError):
+        with pytest.raises(SnapshotError, match=re.escape(f"cannot write snapshot {tmp_path / '2'}: simulated crash")):
             store.publish(corpus_for(2))
         monkeypatch.undo()
         assert store.current_version() == 1
