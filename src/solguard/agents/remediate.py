@@ -20,7 +20,7 @@ from solguard.core import (
     VulnerabilityClass,
     byte_length,
 )
-from solguard.errors import ExtractionError, LexicalError, PipelineError, StructuralError
+from solguard.errors import ExtractionError, LexicalError, PipelineError, SolguardError, StructuralError
 from solguard.llm.prompts import (
     ADVISOR_TEMPLATE,
     ASSESSOR_TEMPLATE,
@@ -50,18 +50,33 @@ T = TypeVar("T")
 R = TypeVar("R")
 
 
-def _per_finding(call: Callable[[T], R], items: Sequence[T]) -> list[R]:
+def _per_finding(call: Callable[[T], R], items: Sequence[T], fallback: Callable[[T], R], what: str) -> list[R]:
     """``[call(item) for item in items]`` with the calls overlapped on up to
     :data:`FINDING_CALLS_IN_FLIGHT` threads when there are two or more.
 
-    Results keep the items' order. If calls raise, the exception of the
-    earliest failing item propagates, as in the sequential loop; calls not
-    yet started are cancelled and those already running finish first.
+    Results keep the items' order. An item whose call raises a
+    :class:`SolguardError`, such as a transport fault, gets
+    ``fallback(item)`` instead, so one finding's failure costs only its own
+    answer. Only when every item's call raised does the exception of the
+    first item propagate, failing the stage.
     """
+
+    def attempt(item: T) -> R | SolguardError:
+        try:
+            return call(item)
+        except SolguardError as exc:
+            log.warning("%s call failed for one finding: %s", what, exc)
+            return exc
+
     if len(items) < 2:
-        return [call(item) for item in items]
-    with ThreadPoolExecutor(max_workers=min(len(items), FINDING_CALLS_IN_FLIGHT)) as pool:
-        return list(pool.map(call, items))
+        outcomes = [attempt(item) for item in items]
+    else:
+        with ThreadPoolExecutor(max_workers=min(len(items), FINDING_CALLS_IN_FLIGHT)) as pool:
+            outcomes = list(pool.map(attempt, items))
+    failed = [outcome for outcome in outcomes if isinstance(outcome, SolguardError)]
+    if failed and len(failed) == len(outcomes):
+        raise failed[0]
+    return [fallback(item) if isinstance(outcome, SolguardError) else outcome for item, outcome in zip(items, outcomes)]
 
 
 def build_advisor_prompt(
@@ -90,12 +105,23 @@ def advise(
     """One repair suggestion per finding, grounded in retrieved knowledge,
     in findings order; the per-finding calls overlap.
 
-    A suggestion that cannot be extracted even after the repair retry, or
-    that leaves a field empty, is recorded as incomplete; the pipeline
-    carries on.
+    A suggestion that cannot be extracted even after the repair retry, that
+    leaves a field empty, or whose call fails is recorded as incomplete; the
+    pipeline carries on. The stage fails only when every call failed.
     """
     if not findings:
         raise PipelineError(f"{contract.id}: advise requires at least one finding")
+
+    def incomplete(finding: Finding) -> RepairSuggestion:
+        return RepairSuggestion(
+            vulnerability_name=finding.vuln_class.name,
+            cause_analysis="",
+            impact_assessment="",
+            repair_steps=(),
+            preventive_measures=(),
+            finding=finding,
+            complete=False,
+        )
 
     def suggest(finding: Finding) -> RepairSuggestion:
         prompt = build_advisor_prompt(contract, finding, kb_index, k)
@@ -111,17 +137,9 @@ def advise(
             )
         except (ExtractionError, ValueError) as exc:  # ValueError: a field left empty
             log.warning("%s: advisor output unusable for %s: %s", contract.id, finding.vuln_class.name, exc)
-            return RepairSuggestion(
-                vulnerability_name=finding.vuln_class.name,
-                cause_analysis="",
-                impact_assessment="",
-                repair_steps=(),
-                preventive_measures=(),
-                finding=finding,
-                complete=False,
-            )
+            return incomplete(finding)
 
-    return _per_finding(suggest, findings)
+    return _per_finding(suggest, findings, incomplete, f"{contract.id}: advisor")
 
 
 @dataclass(frozen=True)
@@ -174,9 +192,13 @@ def assess(
 
     ``suggestions`` is empty or holds one entry per finding, in order; the
     per-finding calls overlap and the levels come back in that order. An
-    unusable model answer falls back to High, flagged, erring toward caution
-    rather than silence.
+    unusable model answer or a failed call falls back to High, flagged,
+    erring toward caution rather than silence. The stage fails only when
+    every call failed.
     """
+
+    def high(pair: tuple[Finding, RepairSuggestion | None]) -> RiskAssignment:
+        return RiskAssignment(finding=pair[0], level=RiskLevel.HIGH, defaulted=True)
 
     def rate(pair: tuple[Finding, RepairSuggestion | None]) -> RiskAssignment:
         finding, suggestion = pair
@@ -187,10 +209,10 @@ def assess(
             return RiskAssignment(finding=finding, level=RiskLevel(raw))
         except (ExtractionError, ValueError) as exc:
             log.warning("%s: assessor output unusable for %s: %s", contract.id, finding.vuln_class.name, exc)
-            return RiskAssignment(finding=finding, level=RiskLevel.HIGH, defaulted=True)
+            return high(pair)
 
     paired = list(zip(findings, suggestions or [None] * len(findings), strict=True))
-    assignments = _per_finding(rate, paired)
+    assignments = _per_finding(rate, paired, high, f"{contract.id}: assessor")
     distribution = {lvl.value: 0 for lvl in RiskLevel}
     for a in assignments:
         distribution[a.level.value] += 1

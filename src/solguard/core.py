@@ -9,10 +9,12 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from typing import TYPE_CHECKING, Any, Iterable, NamedTuple
 
 if TYPE_CHECKING:
     from solguard.static_analysis.structure import ContractView
+    from solguard.static_analysis.tokenizer import TokenTable
 
 
 class Span(NamedTuple):
@@ -86,17 +88,16 @@ class SourceContract:
 
     id: str
     source: str
-    token_stream: tuple[Token, ...] = ()
+    token_stream: TokenTable
 
     def __post_init__(self) -> None:
+        tokens = self.token_stream
         limit = byte_length(self.source)
-        prev_end = 0
-        for tok in self.token_stream:
-            if not (0 <= tok.span.start < tok.span.end <= limit):
-                raise ValueError(f"token span {tok.span} outside source bounds 0..{limit}")
-            if tok.span.start < prev_end:
-                raise ValueError(f"token spans overlap or descend at {tok.span}")
-            prev_end = tok.span.end
+        for start, end, prev_end in zip(tokens.starts, tokens.ends, chain((0,), tokens.ends)):
+            if not (0 <= start < end <= limit):
+                raise ValueError(f"token span {Span(start, end)} outside source bounds 0..{limit}")
+            if start < prev_end:
+                raise ValueError(f"token spans overlap or descend at {Span(start, end)}")
 
     @cached_property
     def view(self) -> ContractView:

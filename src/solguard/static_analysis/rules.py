@@ -1,4 +1,4 @@
-"""Declarative pattern rules evaluated over function-scoped token windows.
+"""Declarative pattern rules evaluated over function-scoped token ranges.
 
 Each rule binds a vulnerability class to a matcher: a named predicate with
 parameters, evaluated independently per function. Rules live in a YAML file
@@ -16,13 +16,19 @@ from typing import Any, Callable
 
 import yaml
 
-from solguard.core import Token, TokenKind, VulnerabilityClass
+from solguard.core import VulnerabilityClass
 from solguard.errors import RulesetError
 from solguard.jsonl import read_text
 from solguard.records import Field, Record, mapping, naming, number, string, strings
-from solguard.static_analysis.structure import ASSIGNMENT_OPS, ContractView, FunctionSpan, assignment_roots
+from solguard.static_analysis.structure import (
+    ASSIGNMENT_OPS,
+    ContractView,
+    FunctionSpan,
+    TokenIndex,
+    assignment_roots,
+    statement_start,
+)
 
-_CONDITION_OPENERS = frozenset({"require", "if", "while"})
 _ARITHMETIC_OPS = frozenset({"+", "-", "*", "+=", "-=", "*=", "++", "--"})
 
 
@@ -37,7 +43,7 @@ class PatternRule:
 
 def evaluate_rule(rule: PatternRule, fn: FunctionSpan, view: ContractView) -> int | None:
     """Deterministically evaluate one rule against one function scope: the
-    index into the function's body tokens where it fired, or None."""
+    token table row where it fired, or None."""
     return _MATCHERS[rule.matcher["type"]][0](rule.matcher, fn, view)
 
 
@@ -45,7 +51,8 @@ def evaluate_rule(rule: PatternRule, fn: FunctionSpan, view: ContractView) -> in
 
 # matcher type -> (predicate, the record of its parameters), filled by @_matcher; a rule's
 # matcher is parsed by that record when the file is read, so each predicate finds its parameters
-_MATCHERS: dict[str, tuple[Callable[[dict[str, Any], FunctionSpan, ContractView], int | None], Record]] = {}
+Spec = dict[str, Any]
+_MATCHERS: dict[str, tuple[Callable[[Spec, FunctionSpan, ContractView], int | None], Record]] = {}
 _TOKENS = strings().accepts
 _SEQUENCES = Field("a list of token lists", lambda v: type(v) is list and all(q and _TOKENS(q) for q in v))
 _VERSION = Field(
@@ -61,160 +68,92 @@ def _matcher(mtype: str, **parameters: Field) -> Callable:
     return register
 
 
-def _condition_indices(body: tuple[Token, ...]) -> set[int]:
-    """Token indices lying inside a require(...)/if(...)/while(...) group."""
-    inside: set[int] = set()
-    stack = [False]
-    for idx, tok in enumerate(body):
-        if tok.lexeme == ")" and len(stack) > 1:
-            stack.pop()
-        if stack[-1]:
-            inside.add(idx)
-        if tok.lexeme == "(":
-            opener = body[idx - 1].lexeme if idx > 0 else ""
-            stack.append(opener in _CONDITION_OPENERS or stack[-1])
-    return inside
+def _member_call_sites(index: TokenIndex, body: range, members: frozenset[str]) -> list[int]:
+    """Rows of member tokens in ``<expr>.member(`` / ``<expr>.member{`` form."""
+    rows = index.find(members, range(body.start + 1, body.stop - 1))
+    return [k for k in rows if index.lexemes[k - 1] == "." and index.is_ident(k) and index.lexemes[k + 1] in ("(", "{")]
 
 
-def _member_call_sites(body: tuple[Token, ...], members: frozenset[str]) -> list[int]:
-    """Indices of member tokens in ``<expr>.member(`` / ``<expr>.member{`` form."""
-    sites: list[int] = []
-    for k in range(1, len(body) - 1):
-        if (
-            body[k - 1].lexeme == "."
-            and body[k].kind is TokenKind.IDENT
-            and body[k].lexeme in members
-            and body[k + 1].lexeme in ("(", "{")
-        ):
-            sites.append(k)
-    return sites
-
-
-def _has_sender_guard(body: tuple[Token, ...]) -> bool:
+def _has_sender_guard(index: TokenIndex, body: range) -> bool:
     """A ``msg.sender ==`` (or ``== msg.sender``) comparison anywhere in the body."""
-    for k in range(len(body) - 2):
-        if body[k].lexeme == "msg" and body[k + 1].lexeme == "." and body[k + 2].lexeme == "sender":
-            before = body[k - 1].lexeme if k > 0 else ""
-            after = body[k + 3].lexeme if k + 3 < len(body) else ""
+    lexemes = index.lexemes
+    for k in index.find("msg", range(body.start, body.stop - 2)):
+        if lexemes[k + 1] == "." and lexemes[k + 2] == "sender":
+            before = lexemes[k - 1] if k > body.start else ""
+            after = lexemes[k + 3] if k + 3 < body.stop else ""
             if before == "==" or after == "==":
                 return True
     return False
 
 
-def _has_allowed_modifier(fn: FunctionSpan, allowed: list[str]) -> bool:
-    return any(m in allowed for m in fn.modifiers)
-
-
-def _statement_start(body: tuple[Token, ...], idx: int) -> int:
-    for k in range(idx - 1, -1, -1):
-        if body[k].lexeme in (";", "{", "}"):
-            return k + 1
-    return 0
+def _guarded(spec: Spec, fn: FunctionSpan, view: ContractView) -> bool:
+    """An allowed modifier on the function, or a sender guard in its body."""
+    return any(m in spec["allowed_modifiers"] for m in fn.modifiers) or _has_sender_guard(view.index, fn.body)
 
 
 @_matcher("external_call_before_state_write", call_members=strings(["call", "send", "transfer"]))
-def _match_external_call_before_state_write(
-    spec: dict[str, Any], fn: FunctionSpan, view: ContractView
-) -> int | None:
-    members = frozenset(spec["call_members"])
-    body = fn.body_tokens
-    sites = _member_call_sites(body, members)
+def _match_external_call_before_state_write(spec: Spec, fn: FunctionSpan, view: ContractView) -> int | None:
+    sites = _member_call_sites(view.index, fn.body, frozenset(spec["call_members"]))
     if not sites:
         return None
-    first_call = sites[0]
-    if any(idx > first_call and root in view.state_variables for idx, root in assignment_roots(body)):
-        return first_call
-    return None
+    later = range(sites[0] + 1, fn.body.stop)
+    return sites[0] if any(root in view.state_variables for _, root in assignment_roots(view.index, later)) else None
 
 
 @_matcher("unguarded_state_mutator", allowed_modifiers=strings([]))
-def _match_unguarded_state_mutator(
-    spec: dict[str, Any], fn: FunctionSpan, view: ContractView
-) -> int | None:
-    if fn.kind == "constructor":
-        return None
+def _match_unguarded_state_mutator(spec: Spec, fn: FunctionSpan, view: ContractView) -> int | None:
     externally_callable = fn.visibility in ("public", "external") or fn.kind in ("fallback", "receive")
-    if not externally_callable or not fn.mutates_state:
+    if fn.kind == "constructor" or not externally_callable or not fn.mutates_state or _guarded(spec, fn, view):
         return None
-    if _has_allowed_modifier(fn, spec["allowed_modifiers"]):
-        return None
-    if _has_sender_guard(fn.body_tokens):
-        return None
-    return 0
+    return fn.body.start
 
 
 @_matcher("unchecked_arithmetic", flag_below=_VERSION, guard_markers=strings(["SafeMath"]))
-def _match_unchecked_arithmetic(
-    spec: dict[str, Any], fn: FunctionSpan, view: ContractView
-) -> int | None:
+def _match_unchecked_arithmetic(spec: Spec, fn: FunctionSpan, view: ContractView) -> int | None:
     major, minor = (int(p) for p in spec["flag_below"].split("."))
-    if not view.pragma_below(major, minor):
+    if not view.pragma_below(major, minor) or any(marker in view.lexemes for marker in spec["guard_markers"]):
         return None
-    if any(marker in view.lexemes for marker in spec["guard_markers"]):
-        return None
-    for idx, tok in enumerate(fn.body_tokens):
-        if tok.kind is TokenKind.PUNCT and tok.lexeme in _ARITHMETIC_OPS:
-            return idx
-    return None
+    rows = view.index.find(_ARITHMETIC_OPS, fn.body)
+    return rows[0] if rows else None
 
 
 @_matcher("token_sequence_in_condition", sequences=_SEQUENCES)
-def _match_token_sequence_in_condition(
-    spec: dict[str, Any], fn: FunctionSpan, view: ContractView
-) -> int | None:
-    body = fn.body_tokens
-    inside = _condition_indices(body)
+def _match_token_sequence_in_condition(spec: Spec, fn: FunctionSpan, view: ContractView) -> int | None:
+    lexemes = view.index.lexemes
     for seq in spec["sequences"]:
-        m = len(seq)
-        for k in range(len(body) - m + 1):
-            if all(body[k + o].lexeme == seq[o] for o in range(m)) and k in inside:
+        for k in view.index.find(seq[0], range(fn.body.start, fn.body.stop - len(seq) + 1)):
+            if lexemes[k : k + len(seq)] == seq and fn.in_condition(k):
                 return k
     return None
 
 
 @_matcher("unchecked_call_result", call_members=strings(["call", "delegatecall", "staticcall", "send"]))
-def _match_unchecked_call_result(
-    spec: dict[str, Any], fn: FunctionSpan, view: ContractView
-) -> int | None:
-    members = frozenset(spec["call_members"])
-    body = fn.body_tokens
-    inside = _condition_indices(body)
-    for k in _member_call_sites(body, members):
-        if k in inside:
+def _match_unchecked_call_result(spec: Spec, fn: FunctionSpan, view: ContractView) -> int | None:
+    for k in _member_call_sites(view.index, fn.body, frozenset(spec["call_members"])):
+        if fn.in_condition(k):
             continue  # checked inline, e.g. require(addr.send(x))
-        start = _statement_start(body, k)
-        stmt_before = body[start:k]
-        if any(t.lexeme in ASSIGNMENT_OPS and t.kind is TokenKind.PUNCT for t in stmt_before):
+        stmt_before = view.index.lexemes[statement_start(view.index, k) : k]
+        if any(lexeme in ASSIGNMENT_OPS for lexeme in stmt_before):
             continue  # return value captured
-        if stmt_before and stmt_before[0].lexeme in ("require", "if", "return", "assert", "while"):
+        if stmt_before and stmt_before[0] in ("require", "if", "return", "assert", "while"):
             continue
         return k
     return None
 
 
 @_matcher("unguarded_token", token=string(), allowed_modifiers=strings([]))
-def _match_unguarded_token(spec: dict[str, Any], fn: FunctionSpan, view: ContractView) -> int | None:
-    if fn.kind == "constructor":
+def _match_unguarded_token(spec: Spec, fn: FunctionSpan, view: ContractView) -> int | None:
+    rows = view.index.find(spec["token"], fn.body)
+    if fn.kind == "constructor" or not rows or _guarded(spec, fn, view):
         return None
-    wanted = spec["token"]
-    for idx, tok in enumerate(fn.body_tokens):
-        if tok.lexeme == wanted:
-            if _has_allowed_modifier(fn, spec["allowed_modifiers"]):
-                return None
-            if _has_sender_guard(fn.body_tokens):
-                return None
-            return idx
-    return None
+    return rows[0]
 
 
 @_matcher("member_call_on_parameter", member=string())
-def _match_member_call_on_parameter(
-    spec: dict[str, Any], fn: FunctionSpan, view: ContractView
-) -> int | None:
-    member = spec["member"]
-    body = fn.body_tokens
-    for k in _member_call_sites(body, frozenset({member})):
-        if k >= 2 and body[k - 2].kind is TokenKind.IDENT and body[k - 2].lexeme in fn.params:
+def _match_member_call_on_parameter(spec: Spec, fn: FunctionSpan, view: ContractView) -> int | None:
+    index = view.index
+    for k in _member_call_sites(index, fn.body, frozenset({spec["member"]})):
+        if index.is_ident(k - 2) and index.lexemes[k - 2] in fn.params:  # `.` is never a body's first row
             return k
     return None
 

@@ -32,9 +32,8 @@ def load_file(path: str | Path, contract_id: str | None = None) -> SourceContrac
     return load_source(contract_id or Path(path).stem, read_text(path, SolguardError, "contract"))
 
 
-def evidence_line(source: str, byte_offset: int) -> str:
-    """The trimmed source line containing ``byte_offset``."""
-    data = source.encode("utf-8")
+def evidence_line(data: bytes, byte_offset: int) -> str:
+    """The trimmed line of the UTF-8 source ``data`` containing ``byte_offset``."""
     start = data.rfind(b"\n", 0, byte_offset) + 1
     end = data.find(b"\n", byte_offset)
     end = len(data) if end == -1 else end
@@ -50,19 +49,19 @@ def scan(contract: SourceContract, ruleset: list[PatternRule]) -> list[Finding]:
     if not ruleset:
         raise ValueError("ruleset must not be empty")
     view = contract.view
+    tokens = view.index.tokens
     findings: list[Finding] = []
     for fn in view.functions:
         for rule in ruleset:
             fired = evaluate_rule(rule, fn, view)
             if fired is None:
                 continue
-            tok = fn.body_tokens[fired]
             findings.append(
                 Finding(
                     contract_id=contract.id,
                     vuln_class=rule.vuln_class,
                     location=Location(span=fn.body_span, function=fn.name),
-                    evidence=evidence_line(contract.source, tok.span.start),
+                    evidence=evidence_line(tokens.data, tokens.starts[fired]),
                     channel=Channel.STATIC,
                     confidence=rule.default_confidence,
                 )

@@ -1,24 +1,87 @@
-"""Function segmentation and contract-level structure over the token stream.
+"""Function segmentation and contract-level structure over the token table.
 
 No AST is built; functions are located by their declaration keywords and a
-brace-matched body span, which keeps the view tolerant of grammar-version
-differences.
+brace-matched body, which keeps the view tolerant of grammar-version
+differences. :func:`build_view` indexes the table once (:class:`TokenIndex`):
+each lexeme's ascending rows, and the closing row of every bracket. A walk
+then finds a lexeme's rows in a range by bisection and a closer by lookup,
+instead of stepping token by token. A function body is a range of rows.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
-from typing import Iterator
+from bisect import bisect_left
+from collections import defaultdict
+from dataclasses import dataclass
+from itertools import chain
+from typing import Collection, Iterator
 
-from solguard.core import Span, Token, TokenKind
+from solguard.core import Span, TokenKind
 from solguard.errors import StructuralError
+from solguard.static_analysis.tokenizer import TokenTable
 
 VISIBILITY_KEYWORDS = ("public", "external", "internal", "private")
 _DECLARATION_KEYWORDS = frozenset({"function", "constructor", "fallback", "receive"})
+_MEMBER_KEYWORDS = _DECLARATION_KEYWORDS | {"modifier", "struct", "enum", "event", "error", "using", "import"}
 _CONTAINER_KEYWORDS = frozenset({"contract", "interface", "library"})
+_CONDITION_OPENERS = frozenset({"require", "if", "while"})
 ASSIGNMENT_OPS = frozenset({"=", "+=", "-=", "*=", "/=", "%=", "|=", "&=", "^=", "<<=", ">>="})
+_ASSIGNING = ASSIGNMENT_OPS | {"++", "--"}
+_STATEMENT_BOUNDS = frozenset({";", "{", "}"})
+_VALUE_MOVERS = frozenset({"transfer", "send"})
 _VERSION_RE = re.compile(r"\d+\.\d+(\.\d+)?")
+
+
+class TokenIndex:
+    """A token table with each lexeme's ascending rows and the closing row of
+    every matched bracket; :class:`StructuralError` if the braces do not balance."""
+
+    def __init__(self, tokens: TokenTable):
+        self.tokens = tokens
+        self.lexemes = tokens.lexemes
+        positions: defaultdict[str, list[int]] = defaultdict(list)
+        for i, lexeme in enumerate(self.lexemes):
+            positions[lexeme].append(i)
+        self.positions: dict[str, list[int]] = dict(positions)
+        self.closes: dict[int, int] = {}  # opening bracket row -> its closer's row
+        stray, unclosed = self._pair("{", "}")
+        if stray or unclosed:
+            fault, row = ("unmatched closing brace", stray[0]) if stray else ("unbalanced braces", unclosed[-1])
+            raise StructuralError(fault, tokens.token(row).span)
+        self._pair("(", ")")
+        self._rows_of_any: dict[frozenset[str], list[int]] = {}
+
+    def _pair(self, opener: str, closer: str) -> tuple[list[int], list[int]]:
+        """Pair brackets: the closers that match nothing and the openers left open."""
+        stray: list[int] = []
+        stack: list[int] = []
+        for i in sorted(self.positions.get(opener, []) + self.positions.get(closer, [])):
+            if self.lexemes[i] == opener:
+                stack.append(i)
+            elif stack:
+                self.closes[stack.pop()] = i
+            else:
+                stray.append(i)
+        return stray, stack
+
+    def close(self, i: int) -> int:
+        """The row of the ``}`` or ``)`` that matches the bracket at row ``i``."""
+        if i not in self.closes:
+            raise StructuralError("unclosed parenthesis", self.tokens.token(i).span)
+        return self.closes[i]
+
+    def find(self, lexemes: str | frozenset[str], within: range) -> list[int]:
+        """The ascending rows in ``within`` of a lexeme, or of any lexeme of a
+        set; a set's merged rows are kept for the next function."""
+        if isinstance(lexemes, str):
+            rows = self.positions.get(lexemes, [])
+        elif (rows := self._rows_of_any.get(lexemes)) is None:
+            rows = self._rows_of_any[lexemes] = sorted(chain.from_iterable(self.positions.get(x, []) for x in lexemes))
+        return rows[bisect_left(rows, within.start) : bisect_left(rows, within.stop)]
+
+    def is_ident(self, i: int) -> bool:
+        return self.tokens.kind(i) is TokenKind.IDENT
 
 
 @dataclass(frozen=True)
@@ -32,185 +95,148 @@ class FunctionSpan:
     mutates_state: bool
     kind: str = "function"  # function | constructor | fallback | receive
     params: tuple[str, ...] = ()
-    body_tokens: tuple[Token, ...] = ()
+    body: range = range(0)  # table rows, `{` to `}`
+    # (open, close) rows of each require(...)/if(...)/while(...) group; a
+    # group left open closes at the body's end
+    conditions: tuple[tuple[int, int], ...] = ()
+
+    def in_condition(self, i: int) -> bool:
+        """Whether row ``i`` lies inside one of the body's condition groups."""
+        return any(open_ < i < close for open_, close in self.conditions)
 
 
 @dataclass(frozen=True)
 class ContractView:
     """Everything the pattern rules need to evaluate one source unit."""
 
+    index: TokenIndex
     functions: tuple[FunctionSpan, ...]
     state_variables: frozenset[str]
     pragma_version: str | None
-    lexemes: frozenset[str] = field(default_factory=frozenset)
+    lexemes: Collection[str]  # every distinct lexeme: the keys of the index
 
     def pragma_below(self, major: int, minor: int) -> bool:
         """True when the pragma's first version literal is below major.minor."""
-        if not self.pragma_version:
-            return False
-        m = _VERSION_RE.search(self.pragma_version)
-        if not m:
-            return False
-        parts = [int(p) for p in m.group(0).split(".")]
-        return (parts[0], parts[1]) < (major, minor)
+        m = _VERSION_RE.search(self.pragma_version or "")
+        return m is not None and tuple(int(p) for p in m.group(0).split(".")[:2]) < (major, minor)
 
 
-def _check_balanced(tokens: tuple[Token, ...]) -> None:
-    stack: list[Token] = []
-    for tok in tokens:
-        if tok.lexeme == "{":
-            stack.append(tok)
-        elif tok.lexeme == "}":
-            if not stack:
-                raise StructuralError("unmatched closing brace", tok.span)
-            stack.pop()
-    if stack:
-        raise StructuralError("unbalanced braces", stack[-1].span)
-
-
-# opening bracket -> (its closer, the fault when none matches)
-_CLOSERS = {"{": ("}", "unbalanced braces"), "(": (")", "unclosed parenthesis")}
-
-
-def _match_close(tokens: tuple[Token, ...], open_idx: int) -> int:
-    """Index of the ``}`` or ``)`` matching the bracket at ``open_idx``."""
-    opener = tokens[open_idx].lexeme
-    closer, fault = _CLOSERS[opener]
-    depth = 0
-    for i in range(open_idx, len(tokens)):
-        lex = tokens[i].lexeme
-        if lex == opener:
-            depth += 1
-        elif lex == closer:
-            depth -= 1
-            if depth == 0:
-                return i
-    raise StructuralError(fault, tokens[open_idx].span)
-
-
-def _param_names(tokens: tuple[Token, ...], open_idx: int, close_idx: int) -> tuple[str, ...]:
+def _param_names(index: TokenIndex, open_idx: int, close_idx: int) -> tuple[str, ...]:
     """Parameter names: the trailing identifier of each comma slot, if any."""
-    names: list[str] = []
-    slot: list[Token] = []
+    names: list[str | None] = [None]
     depth = 0
-    for tok in tokens[open_idx + 1 : close_idx]:
-        if tok.lexeme in "([":
-            depth += 1
-        elif tok.lexeme in ")]":
-            depth -= 1
-        if tok.lexeme == "," and depth == 0:
-            names.extend(_slot_name(slot))
-            slot = []
-        else:
-            slot.append(tok)
-    names.extend(_slot_name(slot))
-    return tuple(names)
+    for k in range(open_idx + 1, close_idx):
+        lexeme = index.lexemes[k]
+        depth += (lexeme in "([") - (lexeme in ")]")
+        if lexeme == "," and depth == 0:
+            names.append(None)
+        elif index.is_ident(k):
+            names[-1] = lexeme
+    return tuple(filter(None, names))
 
 
-def _slot_name(slot: list[Token]) -> list[str]:
-    idents = [t.lexeme for t in slot if t.kind is TokenKind.IDENT]
-    return [idents[-1]] if idents else []
-
-
-def _function_spans(tokens: tuple[Token, ...], state_vars: frozenset[str]) -> list[FunctionSpan]:
+def _function_spans(index: TokenIndex, state_vars: frozenset[str]) -> list[FunctionSpan]:
+    lexemes = index.lexemes
+    n = len(lexemes)
     spans: list[FunctionSpan] = []
     i = 0
-    n = len(tokens)
-    while i < n:
-        tok = tokens[i]
-        if tok.kind is not TokenKind.KEYWORD or tok.lexeme not in _DECLARATION_KEYWORDS:
-            i += 1
-            continue
-        kind = tok.lexeme
-        j = i + 1
-        if kind == "function" and j < n and tokens[j].kind is TokenKind.IDENT:
-            name = tokens[j].lexeme
-            j += 1
-        else:
-            name = kind
+    for start in index.find(_DECLARATION_KEYWORDS, range(n)):
+        if start < i:
+            continue  # inside the body of the function before
+        kind = lexemes[start]
+        j = start + 1
+        named = kind == "function" and j < n and index.is_ident(j)
+        name, j = (lexemes[j], j + 1) if named else (kind, j)
         # parameter list
         params: tuple[str, ...] = ()
-        if j < n and tokens[j].lexeme == "(":
-            close = _match_close(tokens, j)
-            params = _param_names(tokens, j, close)
+        if j < n and lexemes[j] == "(":
+            close = index.close(j)
+            params = _param_names(index, j, close)
             j = close + 1
         # header up to the body brace or a bodyless `;`
         visibility = "unspecified"
         modifiers: list[str] = []
-        while j < n and tokens[j].lexeme not in ("{", ";"):
-            h = tokens[j]
-            if h.kind is TokenKind.KEYWORD:
-                if h.lexeme in VISIBILITY_KEYWORDS:
-                    visibility = h.lexeme
-                elif h.lexeme in ("returns", "override") and j + 1 < n and tokens[j + 1].lexeme == "(":
-                    j = _match_close(tokens, j + 1)
-            elif h.kind is TokenKind.IDENT:
-                modifiers.append(h.lexeme)
-                if j + 1 < n and tokens[j + 1].lexeme == "(":  # modifier arguments
-                    j = _match_close(tokens, j + 1)
+        while j < n and lexemes[j] not in ("{", ";"):
+            ident = index.is_ident(j)
+            if ident:
+                modifiers.append(lexemes[j])
+            elif lexemes[j] in VISIBILITY_KEYWORDS:
+                visibility = lexemes[j]
+            if (ident or lexemes[j] in ("returns", "override")) and lexemes[j + 1 : j + 2] == ["("]:
+                j = index.close(j + 1)  # modifier arguments, or a returns or override list
             j += 1
-        if j >= n or tokens[j].lexeme == ";":
+        if j >= n or lexemes[j] == ";":
             i = j + 1
             continue
-        close = _match_close(tokens, j)
-        body = tokens[j : close + 1]
+        close = index.close(j)
+        body = range(j, close + 1)
         spans.append(
             FunctionSpan(
                 name=name,
                 visibility=visibility,
                 modifiers=tuple(modifiers),
-                body_span=Span(tokens[j].span.start, tokens[close].span.end),
-                mutates_state=_mutates_state(body, state_vars),
+                body_span=Span(index.tokens.starts[j], index.tokens.ends[close]),
+                mutates_state=_mutates_state(index, body, state_vars),
                 kind=kind,
                 params=params,
-                body_tokens=body,
+                body=body,
+                conditions=_conditions(index, body),
             )
         )
         i = close + 1
     return spans
 
 
-def _mutates_state(body: tuple[Token, ...], state_vars: frozenset[str]) -> bool:
+def _conditions(index: TokenIndex, body: range) -> tuple[tuple[int, int], ...]:
+    return tuple(
+        (k + 1, index.closes.get(k + 1, body.stop))
+        for k in index.find(_CONDITION_OPENERS, body)
+        if index.lexemes[k + 1] == "("  # a body ends in `}`, so row k + 1 is in it
+    )
+
+
+def _mutates_state(index: TokenIndex, body: range, state_vars: frozenset[str]) -> bool:
     """Writes to a storage variable, or moves value out via a call."""
-    if any(root in state_vars for _, root in assignment_roots(body)):
-        return True
-    for k in range(len(body) - 1):
-        if body[k].lexeme == "." and body[k + 1].lexeme in ("transfer", "send"):
-            return True
-        if (
-            body[k].lexeme == "call"
-            and body[k + 1].lexeme == "{"
-            and any(t.lexeme == "value" for t in body[k + 1 : k + 6])
-        ):
-            return True
-        if body[k].lexeme == "delete" and k + 1 < len(body) and body[k + 1].lexeme in state_vars:
-            return True
-    return False
+    lexemes = index.lexemes
+    before_last = range(body.start, body.stop - 1)
+    return (
+        any(root in state_vars for _, root in assignment_roots(index, body))
+        or any(lexemes[k - 1] == "." for k in index.find(_VALUE_MOVERS, range(body.start + 1, body.stop)))
+        or any(lexemes[k + 1] == "{" and "value" in lexemes[k + 1 : min(k + 6, body.stop)]
+               for k in index.find("call", before_last))
+        or any(lexemes[k + 1] in state_vars for k in index.find("delete", before_last))
+    )
 
 
-def assignment_roots(body: tuple[Token, ...]) -> Iterator[tuple[int, str]]:
-    """``(index, root)`` for each assigning token of ``body``, where root is
-    the root identifier of the statement it assigns in.
+def statement_start(index: TokenIndex, i: int) -> int:
+    """The row after the last ``;``, ``{`` or ``}`` before row ``i`` of a
+    function body: its statement's first row (a body opens with ``{``)."""
+    k = i - 1
+    while index.lexemes[k] not in _STATEMENT_BOUNDS:
+        k -= 1
+    return k + 1
+
+
+def assignment_roots(index: TokenIndex, within: range) -> Iterator[tuple[int, str]]:
+    """``(row, root)`` for each assigning token in ``within``, rows of one
+    function body, where root is the root identifier of the statement it
+    assigns in.
 
     For ``balances[msg.sender] -= x;`` the root is ``balances``. Compound
     ops (``++``/``--``) count as assignments to the preceding identifier
     chain's root. Local declarations and tuple assignments have no root.
     """
-    stmt_start = 0
-    for idx, tok in enumerate(body):
-        if tok.lexeme in (";", "{", "}"):
-            stmt_start = idx + 1
-            continue
-        if (tok.kind is TokenKind.PUNCT and tok.lexeme in ASSIGNMENT_OPS) or tok.lexeme in ("++", "--"):
-            for t in body[stmt_start:idx]:
-                if t.kind is TokenKind.IDENT:
-                    yield idx, t.lexeme
-                    break
-                if t.kind is TokenKind.KEYWORD or t.lexeme == "(":
-                    break  # local declaration or tuple assignment
+    for row in index.find(_ASSIGNING, within):
+        for k in range(statement_start(index, row), row):
+            kind = index.tokens.kind(k)
+            if kind is TokenKind.IDENT:
+                yield row, index.lexemes[k]
+                break
+            if kind is TokenKind.KEYWORD or index.lexemes[k] == "(":
+                break  # local declaration or tuple assignment
 
 
-def collect_state_variables(tokens: tuple[Token, ...]) -> frozenset[str]:
+def collect_state_variables(index: TokenIndex) -> frozenset[str]:
     """Names of contract-level variable declarations.
 
     Walks statements that sit at contract depth (directly inside a
@@ -218,34 +244,27 @@ def collect_state_variables(tokens: tuple[Token, ...]) -> frozenset[str]:
     identifier before ``=`` or ``;``.
     """
     names: set[str] = set()
-    n = len(tokens)
+    n = len(index.lexemes)
     i = 0
-    while i < n:
-        tok = tokens[i]
-        if tok.kind is TokenKind.KEYWORD and tok.lexeme in _CONTAINER_KEYWORDS:
-            # skip to the contract body brace
-            j = i + 1
-            while j < n and tokens[j].lexeme != "{":
-                j += 1
-            if j >= n:
-                break
-            end = _match_close(tokens, j)
-            names |= _state_vars_in_block(tokens, j + 1, end)
-            i = end + 1
-        else:
-            i += 1
+    for start in index.find(_CONTAINER_KEYWORDS, range(n)):
+        if start < i:
+            continue  # inside the container before
+        j = next((k for k in range(start + 1, n) if index.lexemes[k] == "{"), n)  # the body brace
+        if j >= n:
+            break
+        end = index.close(j)
+        names |= _state_vars_in_block(index, j + 1, end)
+        i = end + 1
     return frozenset(names)
 
 
-def _state_vars_in_block(tokens: tuple[Token, ...], start: int, end: int) -> set[str]:
+def _state_vars_in_block(index: TokenIndex, start: int, end: int) -> set[str]:
+    lexemes = index.lexemes
     names: set[str] = set()
     i = start
     while i < end:
-        tok = tokens[i]
-        if tok.kind is TokenKind.KEYWORD and tok.lexeme in (
-            _DECLARATION_KEYWORDS | {"modifier", "struct", "enum", "event", "error", "using", "import"}
-        ):
-            i = _skip_member(tokens, i, end)
+        if lexemes[i] in _MEMBER_KEYWORDS:
+            i = _skip_member(index, i, end)
             continue
         # a candidate declaration statement: scan to `;`, note last ident before `=`/`;`
         stmt_end = i
@@ -253,19 +272,16 @@ def _state_vars_in_block(tokens: tuple[Token, ...], start: int, end: int) -> set
         last_ident: str | None = None
         saw_assign = False
         while stmt_end < end:
-            t = tokens[stmt_end]
-            if t.lexeme in "([":
-                depth += 1
-            elif t.lexeme in ")]":
-                depth -= 1
-            elif depth == 0 and t.lexeme == "=" and not saw_assign:
-                saw_assign = True
-            elif depth == 0 and t.kind is TokenKind.IDENT and not saw_assign:
-                last_ident = t.lexeme
-            if t.lexeme == ";" and depth == 0:
+            lexeme = lexemes[stmt_end]
+            if lexeme in "([)]":
+                depth += 1 if lexeme in "([" else -1
+            elif depth == 0 and not saw_assign:
+                saw_assign = lexeme == "="
+                last_ident = lexeme if index.is_ident(stmt_end) else last_ident
+            if lexeme == ";" and depth == 0:
                 break
-            if t.lexeme == "{":  # unexpected block: bail to its end
-                stmt_end = _match_close(tokens, stmt_end)
+            if lexeme == "{":  # unexpected block: bail to its end
+                stmt_end = index.close(stmt_end)
                 last_ident = None
                 break
             stmt_end += 1
@@ -275,38 +291,31 @@ def _state_vars_in_block(tokens: tuple[Token, ...], start: int, end: int) -> set
     return names
 
 
-def _skip_member(tokens: tuple[Token, ...], i: int, end: int) -> int:
+def _skip_member(index: TokenIndex, i: int, end: int) -> int:
     """Skip a function/modifier/struct/... member: to its body's ``}`` or ``;``."""
-    j = i
-    while j < end:
-        lex = tokens[j].lexeme
-        if lex == ";":
-            return j + 1
-        if lex == "{":
-            return _match_close(tokens, j) + 1
-        j += 1
+    for j in range(i, end):
+        if index.lexemes[j] in (";", "{"):
+            return j + 1 if index.lexemes[j] == ";" else index.close(j) + 1
     return end
 
 
-def parse_pragma(tokens: tuple[Token, ...]) -> str | None:
+def parse_pragma(index: TokenIndex) -> str | None:
     """The raw text of the first ``pragma solidity`` directive, if any."""
-    for i, tok in enumerate(tokens):
-        if tok.lexeme == "pragma" and i + 1 < len(tokens) and tokens[i + 1].lexeme == "solidity":
-            parts: list[str] = []
-            j = i + 2
-            while j < len(tokens) and tokens[j].lexeme != ";":
-                parts.append(tokens[j].lexeme)
-                j += 1
-            return "".join(parts) or None
+    n = len(index.lexemes)
+    for i in index.positions.get("pragma", []):
+        if index.lexemes[i + 1 : i + 2] == ["solidity"]:
+            semicolons = index.find(";", range(i + 2, n))
+            return "".join(index.lexemes[i + 2 : semicolons[0] if semicolons else n]) or None
     return None
 
 
-def build_view(tokens: tuple[Token, ...]) -> ContractView:
-    _check_balanced(tokens)
-    state_variables = collect_state_variables(tokens)
+def build_view(tokens: TokenTable) -> ContractView:
+    index = TokenIndex(tokens)
+    state_variables = collect_state_variables(index)
     return ContractView(
-        functions=tuple(_function_spans(tokens, state_variables)),
+        index=index,
+        functions=tuple(_function_spans(index, state_variables)),
         state_variables=state_variables,
-        pragma_version=parse_pragma(tokens),
-        lexemes=frozenset(t.lexeme for t in tokens),
+        pragma_version=parse_pragma(index),
+        lexemes=index.positions.keys(),
     )

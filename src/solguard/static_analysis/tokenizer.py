@@ -21,11 +21,22 @@ rest of the input for an unterminated block comment; for an unterminated
 string, up to the newline or input end that stopped it (a trailing lone
 backslash included); and for an unexpected byte, that byte, which the
 message names.
+
+The result is a :class:`TokenTable`, cut with no Python step per token from
+one ``findall`` of (skipped text, token) pairs: spans are running sums of
+lengths, and a kind code follows from the first byte. A word's keyword-ness
+is decided when asked, and ``Token`` objects are built when iterated.
 """
 
 from __future__ import annotations
 
 import re
+import string
+from dataclasses import dataclass
+from functools import lru_cache
+from itertools import accumulate, chain
+from operator import itemgetter
+from typing import Iterator
 
 from solguard.core import Span, Token, TokenKind
 from solguard.errors import LexicalError
@@ -44,57 +55,97 @@ KEYWORDS = frozenset(
 
 # uint8..uint256 / int / bytes1..bytes32 and friends
 _SIZED_TYPE = re.compile(r"^(u?int(\d+)?|bytes(\d+)?|fixed|ufixed)$")
+_LETTERS = (string.ascii_letters + "_$").encode()
 
 # longest first so maximal munch picks compound operators
-_OPERATORS = [
-    b">>=", b"<<=", b"**=",
-    b"==", b"!=", b"<=", b">=", b"&&", b"||", b"+=", b"-=", b"*=", b"/=",
-    b"%=", b"|=", b"&=", b"^=", b"++", b"--", b"**", b"<<", b">>", b"=>", b"->",
-    b"{", b"}", b"(", b")", b"[", b"]", b";", b",", b".", b"?", b":",
-    b"=", b"+", b"-", b"*", b"/", b"%", b"!", b"&", b"|", b"^", b"~", b"<", b">",
-]
+_OPERATORS = b""">>= <<= **= == != <= >= && || += -= *= /= %= |= &= ^= ++ -- ** << >> => ->
+    { } ( ) [ ] ; , . ? : = + - * / % ! & | ^ ~ < >""".split()
 
-# group names that are token kinds are emitted as such; see the module docstring
-_GRAMMAR = re.compile(
-    rb"""(?P<space>[ \t\n\f\v]+)
-    | (?P<comment>//[^\n]*|/\*.*?\*/)
-    | (?P<string>"(?:\\.|[^"\\\n])*"|'(?:\\.|[^'\\\n])*')
-    | (?P<unterminated>/\*|"(?:\\.|[^"\\\n])*\\?|'(?:\\.|[^'\\\n])*\\?)
-    | (?P<number>0[xX][0-9a-fA-F_]*|[0-9][0-9_]*(?:\.[0-9]+)?(?:[eE][0-9]+)?)
-    | (?P<word>[A-Za-z_$][A-Za-z_$0-9]*)
-    | (?P<punct>%s)
-    | (?P<unexpected>.)"""
-    % b"|".join(re.escape(op) for op in _OPERATORS),
-    re.DOTALL | re.VERBOSE,
+_SKIPPED = rb"[ \t\n\f\v]+|//[^\n]*|/\*.*?\*/"
+_STRING = rb""""(?:\\.|[^"\\\n])*"|'(?:\\.|[^'\\\n])*'"""
+_OPEN_STRING = rb""""(?:\\.|[^"\\\n])*\\?|'(?:\\.|[^'\\\n])*\\?"""
+_NUMBER = rb"0[xX][0-9a-fA-F_]*|[0-9][0-9_]*(?:\.[0-9]+)?(?:[eE][0-9]+)?"
+_WORD = rb"[A-Za-z_$][A-Za-z_$0-9]*"
+_OPERATOR = b"|".join(re.escape(op) for op in _OPERATORS)
+
+# (skipped text, token) per match. A fault (an unterminated block comment or
+# string, an unexpected byte) matches in neither group, so its bytes go
+# missing from the running sum. A `/*` left after skipping never closes; the
+# lookahead keeps it from lexing as `/`. `\Z` ends the input with no token.
+_PIECES = re.compile(
+    rb"((?:%s)*)(?:(%s|%s|%s|(?!/\*)(?:%s))|/\*|%s|.|\Z)"
+    % (_SKIPPED, _STRING, _NUMBER, _WORD, _OPERATOR, _OPEN_STRING),
+    re.DOTALL,
 )
+# what stands where no token starts
+_FAULT = re.compile(rb"(/\*)|(%s)|." % _OPEN_STRING, re.DOTALL)
+
+# a token's kind code, from its first byte
+WORD, NUMBER, STRING, PUNCT = b"wnsp"
+_KIND_OF_FIRST_BYTE = bytes(
+    WORD if b in _LETTERS else NUMBER if b in b"0123456789" else STRING if b in b"\"'" else PUNCT
+    for b in range(256)
+)
+_KINDS = {NUMBER: TokenKind.NUMBER, STRING: TokenKind.STRING, PUNCT: TokenKind.PUNCT}
 
 
-def _classify_word(word: str) -> TokenKind:
-    if word in KEYWORDS or _SIZED_TYPE.match(word):
-        return TokenKind.KEYWORD
-    return TokenKind.IDENT
+@lru_cache(maxsize=4096)
+def _word_kind(word: str) -> TokenKind:
+    return TokenKind.KEYWORD if word in KEYWORDS or _SIZED_TYPE.match(word) else TokenKind.IDENT
 
 
-def tokenize_solidity(source: str) -> tuple[Token, ...]:
+@dataclass(frozen=True)
+class TokenTable:
+    """The tokens of one source as parallel columns: row ``i`` is the token
+    ``lexemes[i]`` at bytes ``starts[i]..ends[i]`` of ``data``, of kind code
+    ``kinds[i]`` (``WORD``, ``NUMBER``, ``STRING`` or ``PUNCT``)."""
+
+    data: bytes  # the UTF-8 source that was lexed
+    kinds: bytes
+    starts: list[int]
+    ends: list[int]
+    lexemes: list[str]
+
+    def kind(self, i: int) -> TokenKind:
+        code = self.kinds[i]
+        return _word_kind(self.lexemes[i]) if code == WORD else _KINDS[code]
+
+    def token(self, i: int) -> Token:
+        return Token(self.kind(i), self.lexemes[i], Span(self.starts[i], self.ends[i]))
+
+    def __iter__(self) -> Iterator[Token]:
+        return map(self.token, range(len(self.lexemes)))
+
+
+def tokenize_solidity(source: str) -> TokenTable:
     """Tokenize Solidity source text, comments and whitespace dropped.
 
     Raises :class:`LexicalError` on unterminated strings or block comments
     and on bytes that do not start any token.
     """
     data = source.encode("utf-8")
-    tokens: list[Token] = []
-    for m in _GRAMMAR.finditer(data):
-        group = m.lastgroup
-        if group == "space" or group == "comment":
-            continue
-        start, end = m.span()
-        if group == "unexpected":
-            raise LexicalError(f"unexpected byte {m.group()!r}", (start, end))
-        if group == "unterminated":
-            if m.group() == b"/*":
-                raise LexicalError("unterminated block comment", (start, len(data)))
-            raise LexicalError("unterminated string literal", (start, end))
-        lexeme = m.group().decode("utf-8")
-        kind = _classify_word(lexeme) if group == "word" else TokenKind(group)
-        tokens.append(Token(kind, lexeme, Span(start, end)))
-    return tuple(tokens)
+    pieces = list(chain.from_iterable(_PIECES.findall(data)))
+    bounds = list(accumulate(map(len, pieces)))
+    tokens = pieces[1::2]
+    if bounds[-1] != len(data):  # the first empty token is the first fault
+        raise _fault(data, bounds[2 * tokens.index(b"")])
+    while tokens and not tokens[-1]:  # the pairs that \Z matched
+        tokens.pop()
+    del bounds[2 * len(tokens) :]
+    lexeme_of = {raw: raw.decode("utf-8") for raw in set(tokens)}
+    return TokenTable(
+        data=data,
+        kinds=bytes(map(itemgetter(0), tokens)).translate(_KIND_OF_FIRST_BYTE),
+        starts=bounds[0::2],
+        ends=bounds[1::2],
+        lexemes=list(map(lexeme_of.__getitem__, tokens)),
+    )
+
+
+def _fault(data: bytes, at: int) -> LexicalError:
+    m = _FAULT.match(data, at)
+    if m.group(1):
+        return LexicalError("unterminated block comment", (at, len(data)))
+    if m.group(2):
+        return LexicalError("unterminated string literal", m.span())
+    return LexicalError(f"unexpected byte {m.group()!r}", m.span())

@@ -607,10 +607,11 @@ class TestPipeline:
         original_source = (FIXTURES / "presign.sol").read_text(encoding="utf-8")
         assert calls["tokenize_solidity"] == [original_source, run.patch.repaired_source]
         assert len(calls["build_view"]) == 2
-        # one state-variable pass and one pragma read per view
-        streams = [contract.token_stream, run.patch.repaired.token_stream]
-        assert calls["collect_state_variables"] == streams
-        assert calls["parse_pragma"] == streams
+        # one state-variable pass and one pragma read per view, over its token index
+        indexes = [contract.view.index, run.patch.repaired.view.index]
+        assert [index.tokens for index in indexes] == [contract.token_stream, run.patch.repaired.token_stream]
+        assert calls["collect_state_variables"] == indexes
+        assert calls["parse_pragma"] == indexes
 
     def test_deterministic_output_across_runs(self):
         ctx, _ = presign_fixture.recording_context()

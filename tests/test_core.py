@@ -17,12 +17,11 @@ from solguard.core import (
     RiskLevel,
     SourceContract,
     Span,
-    Token,
-    TokenKind,
     VerificationResult,
     VulnerabilityClass,
     merge_findings,
 )
+from solguard.static_analysis.tokenizer import WORD, TokenTable
 
 LEVELS = [RiskLevel.CRITICAL, RiskLevel.HIGH, RiskLevel.MEDIUM, RiskLevel.LOW]
 
@@ -135,17 +134,32 @@ class TestDomainTypes:
             _finding(confidence=-0.1)
 
     def test_source_contract_rejects_overlapping_spans(self):
-        tokens = (
-            Token(TokenKind.IDENT, "ab", Span(0, 2)),
-            Token(TokenKind.IDENT, "bc", Span(1, 3)),
-        )
-        with pytest.raises(ValueError, match="overlap"):
+        tokens = TokenTable(b"abcd", bytes([WORD, WORD]), [0, 1], [2, 3], ["ab", "bc"])
+        with pytest.raises(ValueError, match=r"overlap or descend at Span\(start=1, end=3\)"):
             SourceContract(id="x", source="abcd", token_stream=tokens)
 
     def test_source_contract_rejects_out_of_bounds_span(self):
-        tokens = (Token(TokenKind.IDENT, "abcd", Span(0, 99)),)
+        tokens = TokenTable(b"ab", bytes([WORD]), [0], [99], ["abcd"])
         with pytest.raises(ValueError, match="bounds"):
             SourceContract(id="x", source="ab", token_stream=tokens)
+
+    @pytest.mark.parametrize(
+        "starts, ends, fault",
+        [
+            ([0, 2, 2], [1, 3, 2], r"Span\(start=2, end=2\) outside source bounds"),  # empty
+            ([-1], [1], r"Span\(start=-1, end=1\) outside"),
+            ([2, 0], [3, 1], r"descend at Span\(start=0, end=1\)"),
+            ([0, 3], [1, 5], r"Span\(start=3, end=5\) outside source bounds 0..4"),
+        ],
+    )
+    def test_source_contract_names_the_first_bad_span(self, starts, ends, fault):
+        tokens = TokenTable(b"abcd", bytes([WORD]) * len(starts), starts, ends, ["a"] * len(starts))
+        with pytest.raises(ValueError, match=fault):
+            SourceContract(id="x", source="abcd", token_stream=tokens)
+
+    def test_source_contract_accepts_adjacent_spans(self):
+        tokens = TokenTable(b"abcd", bytes([WORD, WORD]), [0, 2], [2, 4], ["ab", "cd"])
+        assert SourceContract(id="x", source="abcd", token_stream=tokens).token_stream is tokens
 
     def test_verification_cannot_pass_with_new_issues(self):
         with pytest.raises(ValueError):

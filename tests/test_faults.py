@@ -14,9 +14,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from solguard.agents.pipeline import PipelineRun, run_pipeline
+from solguard.agents.remediate import RiskAssignment, advise, assess
 from solguard.cli import main
+from solguard.core import RepairSuggestion, RiskLevel
+from solguard.errors import SolguardError
 from solguard.llm.mock import TranscriptRecorder
-from solguard.static_analysis.scanner import load_file
+from solguard.static_analysis.rules import default_ruleset
+from solguard.static_analysis.scanner import load_file, scan
 
 import presign_fixture
 from conftest import write_pipeline_config
@@ -111,3 +115,44 @@ def test_every_contract_ends_with_a_recorded_outcome(seed, runner, built_index_r
         again = audit_outcome(runner, config, out_dir, jobs=2)
     assert parallel == sequential
     assert again == parallel
+
+
+MULTI = load_file(CONTRACTS["multi"], "multi")
+MULTI_FINDINGS = scan(MULTI, default_ruleset())
+
+
+def stage_outcome(call):
+    """A stage's results, or the error that failed it."""
+    try:
+        return call()
+    except SolguardError as exc:
+        return exc
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_a_failed_call_degrades_only_its_own_finding(seed):
+    """Advise and assess answer each finding as they would for it alone; a
+    finding whose call fails gets the incomplete suggestion or the defaulted
+    High level, and the stage fails only when every finding's call failed."""
+    assert len(MULTI_FINDINGS) >= 3
+    provider = faulty(seed, "remediation")
+    stages = {
+        "advise": (
+            lambda findings: advise(MULTI, findings, None, provider),
+            lambda f: RepairSuggestion(f.vuln_class.name, "", "", (), (), f, complete=False),
+        ),
+        "assess": (
+            lambda findings: assess(MULTI, findings, [], None, provider)[0],
+            lambda f: RiskAssignment(f, RiskLevel.HIGH, defaulted=True),
+        ),
+    }
+    for stage, (run, fallback) in stages.items():
+        alone = [stage_outcome(lambda: run([f])) for f in MULTI_FINDINGS]
+        together = stage_outcome(lambda: run(MULTI_FINDINGS))
+        if all(isinstance(a, SolguardError) for a in alone):
+            assert isinstance(together, SolguardError), stage
+            assert str(together) == str(alone[0]), stage
+        else:
+            expected = [fallback(f) if isinstance(a, SolguardError) else a[0] for f, a in zip(MULTI_FINDINGS, alone)]
+            assert together == expected, stage

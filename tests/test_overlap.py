@@ -121,13 +121,25 @@ class TestFindingOverlap:
     @pytest.mark.parametrize("stage", ["advise", "assess"])
     def test_earliest_failing_finding_error_is_raised(self, stage):
         findings = findings_for()
-        # the third finding fails first in time, the second one later
-        provider = SlowProvider({"fnAlpha": 0.1, "fnBravo": 0.06, "fnCharlie": 0.0}, frozenset({"fnBravo", "fnCharlie"}))
-        with pytest.raises(TransportError, match="fnBravo"):
+        # every call fails, the third first in time and the first last
+        provider = SlowProvider({"fnAlpha": 0.1, "fnBravo": 0.06, "fnCharlie": 0.0}, frozenset(FUNCTIONS))
+        with pytest.raises(TransportError, match="fnAlpha"):
             if stage == "advise":
                 advise(CONTRACT, findings, None, provider)
             else:
                 assess(CONTRACT, findings, [], None, provider)
+
+    def test_a_failed_call_degrades_only_its_own_finding(self):
+        findings = findings_for()
+        provider = SlowProvider({"fnAlpha": 0.1, "fnBravo": 0.06, "fnCharlie": 0.0}, frozenset({"fnBravo", "fnCharlie"}))
+        suggestions = advise(CONTRACT, findings, None, provider)
+        assignments, distribution = assess(CONTRACT, findings, suggestions, None, provider)
+        assert [s.complete for s in suggestions] == [True, False, False]
+        assert [s.vulnerability_name for s in suggestions] == ["fnAlpha", "Class1", "Class2"]
+        assert [(a.level.value, a.defaulted) for a in assignments] == [
+            ("Critical", False), ("High", True), ("High", True)
+        ]
+        assert distribution == {"Critical": 1, "High": 2, "Medium": 0, "Low": 0}
 
     def test_single_finding_runs_on_the_calling_thread(self):
         (finding,) = findings_for(FUNCTIONS[:1])

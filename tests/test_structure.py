@@ -6,6 +6,7 @@ import pytest
 
 from solguard.errors import StructuralError
 from solguard.static_analysis.structure import (
+    TokenIndex,
     build_view,
     collect_state_variables,
     parse_pragma,
@@ -131,8 +132,8 @@ def test_state_variables_collected():
         function f() external { owner = msg.sender; }
     }
     """
-    tokens = tokenize_solidity(source)
-    assert collect_state_variables(tokens) == {"owner", "preSignatures", "FEE"}
+    index = TokenIndex(tokenize_solidity(source))
+    assert collect_state_variables(index) == {"owner", "preSignatures", "FEE"}
 
 
 def test_mutates_state_detection():
@@ -158,14 +159,14 @@ def test_mutates_state_detection():
 
 def test_pragma_parsing_and_comparison():
     tokens = tokenize_solidity("pragma solidity >=0.6.0 <0.8.0;\ncontract C {}")
-    assert parse_pragma(tokens) == ">=0.6.0<0.8.0"
+    assert parse_pragma(TokenIndex(tokens)) == ">=0.6.0<0.8.0"
     view = build_view(tokens)
     assert view.pragma_below(0, 8)
 
     tokens = tokenize_solidity("pragma solidity ^0.8.10;\ncontract C {}")
     assert not build_view(tokens).pragma_below(0, 8)
 
-    assert parse_pragma(tokenize_solidity("contract C {}")) is None
+    assert parse_pragma(TokenIndex(tokenize_solidity("contract C {}"))) is None
 
 
 def test_fixture_corpus_functions_match_manifest():

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_lexer
+import reference_static_analysis
 from solguard.core import TokenKind, byte_length
 from solguard.errors import LexicalError
 from solguard.static_analysis.tokenizer import tokenize_solidity
@@ -31,7 +32,7 @@ def test_simple_function_declaration():
 
 
 def test_empty_source_yields_empty_stream():
-    assert tokenize_solidity("") == ()
+    assert tuple(tokenize_solidity("")) == ()
 
 
 def test_line_comment_goes_to_discard_channel():
@@ -110,6 +111,19 @@ def test_tokenization_is_deterministic():
     assert tokenize_solidity(source) == tokenize_solidity(source)
 
 
+def test_table_columns_agree_with_its_tokens():
+    source = 'pragma solidity ^0.8.0; uint256 x = 0x1F + y; string s = "a";'
+    table = tokenize_solidity(source)
+    assert table.data == source.encode("utf-8")
+    tokens = list(table)
+    assert len(tokens) == len(table.lexemes) == 19
+    for i, tok in enumerate(tokens):
+        assert tok == table.token(i)
+        assert (tok.kind, tok.lexeme, tok.span) == (table.kind(i), table.lexemes[i], (table.starts[i], table.ends[i]))
+    semicolons = [lexeme for lexeme in table.lexemes if lexeme == ";"]
+    assert len(semicolons) == 3 and semicolons[0] is semicolons[1] is semicolons[2]
+
+
 def test_non_ascii_content_keeps_byte_spans_consistent():
     source = '// naïve café comment\nstring s = "héllo"; uint z;'
     tokens = tokenize_solidity(source)
@@ -158,11 +172,15 @@ def test_error_edges(source, message, span):
 
 
 def lex_outcome(lex, source):
-    """Tokens, or the error's message and span: what the two lexers must share."""
+    """Tokens, or the error's message and span: what the lexers must share."""
     try:
-        return lex(source)
+        return tuple(lex(source))
     except LexicalError as exc:
         return (str(exc), exc.span)
+
+
+# the replaced lexers: the byte walker, then the tuple-building regex lexer
+ORACLES = (lambda s: reference_lexer.tokenize_solidity(s).tokens, reference_static_analysis.tokenize_solidity)
 
 
 def test_matches_reference_lexer_on_fixtures():
@@ -170,7 +188,8 @@ def test_matches_reference_lexer_on_fixtures():
     assert paths
     for path in paths:
         source = path.read_text(encoding="utf-8")
-        assert tokenize_solidity(source) == reference_lexer.tokenize_solidity(source).tokens, path.name
+        for oracle in ORACLES:
+            assert tuple(tokenize_solidity(source)) == oracle(source), path.name
 
 
 # every byte class that decides a token boundary, plus the compound operators
@@ -183,5 +202,6 @@ LEXER_ALPHABET = st.sampled_from(
 @settings(max_examples=2000, deadline=None)
 @given(st.lists(LEXER_ALPHABET, max_size=24).map("".join))
 def test_matches_reference_lexer(source):
-    expected = lex_outcome(lambda s: reference_lexer.tokenize_solidity(s).tokens, source)
-    assert lex_outcome(tokenize_solidity, source) == expected
+    got = lex_outcome(tokenize_solidity, source)
+    for oracle in ORACLES:
+        assert got == lex_outcome(oracle, source)
