@@ -8,8 +8,9 @@ fail only when every finding's call did. Advise and assess need detect (assess
 runs without suggestions if advise failed), fix needs advise and assess,
 verify needs fix, and the report always renders. A failed model channel is a ``detect`` error
 that keeps a verdict, fused from the static and retrieval channels with their
-weights renormalized, and skips the repair chain. ``solguard audit`` exits 1
-on any recorded stage error.
+weights renormalized, and skips the repair chain; when neither of them has
+weight, the verdict is undetermined. ``solguard audit`` exits 1 on any
+recorded stage error.
 """
 
 from __future__ import annotations
@@ -173,10 +174,13 @@ def run_pipeline(contract: SourceContract, ctx: PipelineContext) -> PipelineRun:
     fused = run_stage("detect", (), lambda: detect(contract, ctx))
     if fused is None:
         failure = failures["detect"]
-        if not isinstance(failure, ModelChannelError) or not (cfg.weights.static or cfg.weights.retrieval):
-            raise failure  # not the model channel, or no other channel has weight: no verdict
-        fused = fuse_channels(failure.channels, cfg.mode, cfg.weights.without("model"), cfg.threshold)
-    findings = actionable_findings(fused, contract)
+        if not isinstance(failure, ModelChannelError):
+            raise failure  # no channel results at all
+        if cfg.weights.static or cfg.weights.retrieval:
+            fused = fuse_channels(failure.channels, cfg.mode, cfg.weights.without("model"), cfg.threshold)
+        else:  # only the failed channel had weight: the other channels are recorded, with no verdict
+            fused = FusedVerdict(Verdict.UNDETERMINED, 0.0, cfg.mode, tuple(failure.channels.values()), cfg.threshold)
+    findings = actionable_findings(fused, contract) if fused.verdict is not Verdict.UNDETERMINED else []
 
     suggestions: list[RepairSuggestion] = []
     assignments: list[RiskAssignment] = []

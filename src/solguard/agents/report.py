@@ -22,7 +22,10 @@ from solguard.core import (
 if TYPE_CHECKING:
     from solguard.agents.pipeline import PipelineRun
 
-_NOT_PERFORMED = "Not performed: the contract was judged safe during detection."
+_NOT_PERFORMED = {  # the sections that follow a vulnerable verdict, under any other
+    Verdict.SAFE: "Not performed: the contract was judged safe during detection.",
+    Verdict.UNDETERMINED: "Not performed: detection failed, so no verdict was reached.",
+}
 
 _DISCLAIMER = (
     "This report was produced by automated analysis: a pattern-based static "
@@ -49,13 +52,16 @@ def _basic_information(contract: SourceContract) -> str:
 
 def _executive_summary(run: "PipelineRun") -> str:
     fused = run.fused
-    lines = [
-        f"Overall verdict: **{fused.verdict.value}** "
-        f"(fused score {fused.score:.4f}, mode {fused.mode}, threshold {fused.threshold:.2f})."
-    ]
+    if fused.verdict is Verdict.UNDETERMINED:
+        lines = ["Overall verdict: **undetermined**: detection failed, and no other channel carries fusion weight."]
+    else:
+        lines = [
+            f"Overall verdict: **{fused.verdict.value}** "
+            f"(fused score {fused.score:.4f}, mode {fused.mode}, threshold {fused.threshold:.2f})."
+        ]
     if fused.verdict is Verdict.SAFE:
         lines.append("No actionable vulnerabilities were identified.")
-    else:
+    elif fused.verdict is Verdict.VULNERABLE:
         lines.append(f"Actionable findings: {len(run.findings)}.")
         if run.risk_distribution:
             parts = [
@@ -98,6 +104,8 @@ def _methodology(run: "PipelineRun") -> str:
 
 
 def _discovery_summary(run: "PipelineRun") -> str:
+    if run.fused.verdict is Verdict.UNDETERMINED:
+        return _NOT_PERFORMED[Verdict.UNDETERMINED]
     if not run.findings:
         retrieval_hints = [
             f"- corpus neighbors suggest: {f.vuln_class.name}"
@@ -120,8 +128,8 @@ def _discovery_summary(run: "PipelineRun") -> str:
 
 
 def _in_depth(run: "PipelineRun") -> str:
-    if run.fused.verdict is Verdict.SAFE:
-        return _NOT_PERFORMED
+    if run.fused.verdict in _NOT_PERFORMED:
+        return _NOT_PERFORMED[run.fused.verdict]
     if not run.findings:
         return "No localized findings to analyze."
     blocks: list[str] = []
@@ -143,8 +151,8 @@ def _in_depth(run: "PipelineRun") -> str:
 
 
 def _improvements(run: "PipelineRun") -> str:
-    if run.fused.verdict is Verdict.SAFE:
-        return _NOT_PERFORMED
+    if run.fused.verdict in _NOT_PERFORMED:
+        return _NOT_PERFORMED[run.fused.verdict]
     blocks: list[str] = []
     for suggestion in run.suggestions:
         if not suggestion.complete:

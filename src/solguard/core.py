@@ -47,6 +47,7 @@ class Channel(str, enum.Enum):
 class Verdict(str, enum.Enum):
     SAFE = "safe"
     VULNERABLE = "vulnerable"
+    UNDETERMINED = "undetermined"  # detection failed and no channel with fusion weight was left
 
 
 class RiskLevel(str, enum.Enum):

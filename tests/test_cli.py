@@ -100,6 +100,34 @@ class TestAudit:
         presign = json.loads((tmp_path / "out" / "presign.run.json").read_text(encoding="utf-8"))
         assert "model channel failed" in presign["errors"]["detect"]
 
+    def test_failed_detector_with_model_only_weights_still_writes_every_record(self, runner, built_index_root, tmp_path):
+        # no other channel has weight to fall back on, so no verdict can be fused
+        with ChatStub(lambda request: Reply(body=b"<html>gateway hiccup</html>")) as stub:
+            providers = {
+                role: {"kind": "http-endpoint", "model_id": f"{role}-model", "endpoint": stub.endpoint}
+                for role in ("base", "verifier")
+            }
+            config = write_pipeline_config(
+                tmp_path / "cfg.yaml", built_index_root, tmp_path / "out", TRANSCRIPT, providers=providers,
+                weights={"model": 1.0, "static": 0.0, "retrieval": 0.0},
+            )
+            result = runner.invoke(
+                main,
+                ["audit", str(FIXTURES / "presign.sol"), str(FIXTURES / "safe.sol"), "-c", str(config), "--jobs", "2"],
+            )
+        assert result.exit_code == EXIT_PROCESSING, result.output
+        assert "processed 2/2 contracts, 0 vulnerable" in result.output
+        for name in ("presign", "safe"):
+            assert f"{name}: undetermined (report written to {tmp_path / 'out'}; failed stages: detect)" in result.output
+            record = json.loads((tmp_path / "out" / f"{name}.run.json").read_text(encoding="utf-8"))
+            assert record["verdict"]["verdict"] == "undetermined"
+            assert [c["channel"] for c in record["verdict"]["channels"]] == ["static", "retrieval"]
+            assert "model channel failed" in record["errors"]["detect"]
+            assert (record["stages"], record["findings"], record["patch"]) == (["report"], [], None)
+            report = (tmp_path / "out" / f"{name}.report.md").read_text(encoding="utf-8")
+            assert "Overall verdict: **undetermined**: detection failed" in report
+            assert "Stages with errors: detect" in report
+
     def test_missing_config_file_is_usage_error(self, runner, tmp_path):
         result = runner.invoke(
             main, ["audit", str(FIXTURES / "presign.sol"), "-c", str(tmp_path / "none.yaml")]

@@ -29,7 +29,7 @@ from solguard.static_analysis.scanner import load_source
 from reference_corpus_snapshot_v1 import document_weights, idf_map
 
 # no documents and no terms
-EMPTY_INDEX = CorpusIndex((), {}, array("d"), array("q", [0]), array("i"), array("d"))
+EMPTY_INDEX = CorpusIndex((), {}, array("d"), array("q", [0]), array("i"), array("d"), array("d"))
 
 
 # --- independent oracle implementations -------------------------------------
@@ -244,6 +244,16 @@ class TestBuildCorpusIndex:
             assert set(weights) == set(expected)
             for term, w in expected.items():
                 assert weights[term] == pytest.approx(w, abs=1e-9)
+
+    def test_common_norms_match_brute_force_oracle(self):
+        # a term is common when at least half the documents hold it
+        docs = synthetic_corpus(10, seed=7)
+        index = build_corpus_index(docs)
+        df = Counter(term for doc in docs for term in set(oracle_terms(doc[3])))
+        for weights, common_norm in zip(document_weights(index), index.common_norms):
+            expected = math.sqrt(sum(w * w for term, w in weights.items() if 2 * df[term] >= len(docs)))
+            assert common_norm == pytest.approx(expected, abs=1e-12)
+        assert any(0 < common < doc.norm for common, doc in zip(index.common_norms, index.documents))  # both kinds
 
     def test_empty_document_kept_as_zero_vector_with_warning(self, caplog):
         with caplog.at_level(logging.WARNING):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 import hashlib
 import json
 import math
@@ -163,15 +164,20 @@ class TestRoundTrip:
             "idf.json": "c7ac17cb8a492c24d3760e960f1a2a13987f371c2380a1890107a4b3a9b99138",
         }
 
-    def test_fixture_snapshot_v2_bytes_are_pinned(self, tmp_path):
+    def test_fixture_snapshot_v3_bytes_are_pinned(self, tmp_path):
         # postings.bin and meta.json as written on a little-endian machine
         CorpusSnapshotStore(tmp_path).publish(fixture_index())
         assert digests(tmp_path / "1") == {
             "documents.json": "a3eb05de2346c5ca8bb87f68e306d9ed05bc3ade0ad5538f44b0f3a8fb854ba2",
-            "meta.json": "2085bb456d21e04fc36f6497c048eb8f2484a09401c177a92afc871ddd9c8b43",
-            "postings.bin": "34e8e30512c410bfa722233de6220f0579062595a9d1999dda42211084d3bee6",
+            "meta.json": "ab486d6735d87c0da529c468c330cd8d567e09d4c46bb9742b4ca1aba6cce582",
+            "postings.bin": "16a2343daf624efd85ac7357d0a5d4d26aef3f58dd7af8985ceb8311b7ec62ae",
             "terms.json": "48299822ba707d2139cd31f4a74b5353cc07d250e0b1887484acf1ac532dde97",
         }
+        # format 3 appends one float64 per document to format 2's postings.bin,
+        # whose bytes stay what format 2 wrote
+        postings = (tmp_path / "1" / "postings.bin").read_bytes()
+        format2 = postings[: -8 * len(fixture_index().documents)]
+        assert hashlib.sha256(format2).hexdigest() == "34e8e30512c410bfa722233de6220f0579062595a9d1999dda42211084d3bee6"
 
 
 QUERIES = sorted(FIXTURES.glob("*.sol")) + sorted((FIXTURES / "rules").glob("*.sol"))
@@ -240,7 +246,7 @@ def truncated(line: str) -> str:
 
 
 # postings.bin as documented: these arrays back to back, native byte order
-LAYOUT = {"idf": "d", "offsets": "q", "positions": "i", "weights": "d", "norms": "d"}
+LAYOUT = {"idf": "d", "offsets": "q", "positions": "i", "weights": "d", "norms": "d", "common_norms": "d"}
 
 
 def set_item(name: str, item: int, value):
@@ -250,7 +256,10 @@ def set_item(name: str, item: int, value):
     def edit(version: Path) -> None:
         meta = json.loads((version / "meta.json").read_text(encoding="utf-8"))
         terms, postings, documents = meta["terms"], meta["postings"], meta["documents"]
-        lengths = {"idf": terms, "offsets": terms + 1, "positions": postings, "weights": postings, "norms": documents}
+        lengths = {
+            "idf": terms, "offsets": terms + 1, "positions": postings, "weights": postings,
+            "norms": documents, "common_norms": documents,
+        }
         names = list(LAYOUT)
         start = sum(struct.calcsize("=" + LAYOUT[n]) * lengths[n] for n in names[: names.index(name)])
         start += struct.calcsize("=" + LAYOUT[name]) * (item % lengths[name])
@@ -298,8 +307,9 @@ CORPUS_FAULTS = {
     "meta.json count negative": (meta_with(documents=-1), "meta.json"),
     "meta.json item sizes": (meta_with(itemsize=dict.fromkeys(LAYOUT, 8)), "meta.json"),
     "meta.json byte order": (meta_with(byteorder="big" if sys.byteorder == "little" else "little"), "meta.json"),
-    "meta.json format version 3": (meta_with(format_version=3), "meta.json"),
-    "meta.json format version a string": (meta_with(format_version="2"), "meta.json"),
+    "meta.json format version 2": (meta_with(format_version=2), "meta.json"),
+    "meta.json format version 4": (meta_with(format_version=4), "meta.json"),
+    "meta.json format version a string": (meta_with(format_version="3"), "meta.json"),
     "idf NaN": (set_item("idf", 0, math.nan), "postings.bin"),
     "idf negative": (set_item("idf", -1, -0.5), "postings.bin"),
     "weight NaN": (set_item("weights", 3, math.nan), "postings.bin"),
@@ -307,6 +317,8 @@ CORPUS_FAULTS = {
     "weight infinite": (set_item("weights", 0, math.inf), "postings.bin"),
     "norm NaN": (set_item("norms", 0, math.nan), "postings.bin"),
     "norm negative": (set_item("norms", 2, -1.0), "postings.bin"),
+    "common norm NaN": (set_item("common_norms", 1, math.nan), "postings.bin"),
+    "common norm negative": (set_item("common_norms", -1, -1.0), "postings.bin"),
     "position past the documents": (set_item("positions", 5, 4), "postings.bin"),
     "position negative": (set_item("positions", 0, -1), "postings.bin"),
     "offsets decreasing": (set_item("offsets", 4, 9), "postings.bin"),
@@ -353,10 +365,23 @@ class TestCorruptRecords:
         version = reference.publish_v1(tmp_path, corpus_for(1))
         store = CorpusSnapshotStore(tmp_path)
         with pytest.raises(
-            SnapshotError, match=re.escape(f"snapshot file {version / 'meta.json'} names format 1, not 2: ") + ".*kb update"
+            SnapshotError, match=re.escape(f"snapshot file {version / 'meta.json'} names format 1, not 3: ") + ".*kb update"
         ):
             store.load()
         assert store.publish(corpus_for(2)) == 2  # what `kb update` does
+        assert store.load().documents[0].classes == ("tag2",)
+
+    def test_format2_version_asks_for_kb_update(self, tmp_path):
+        store = CorpusSnapshotStore(tmp_path)
+        store.publish(corpus_for(1))
+        version = tmp_path / "1"
+        # format 2 is format 3 without the trailing common_norms, one float64 per document
+        edit_bytes("postings.bin", lambda data: data[: -8 * 4])(version)
+        meta_with(format_version=2)(version)
+        message = f"snapshot file {version / 'meta.json'} names format 2, not 3: "
+        with pytest.raises(SnapshotError, match=re.escape(message + "republish the corpus with `solguard kb update --corpus <file>`")):
+            store.load()
+        assert store.publish(corpus_for(2)) == 2
         assert store.load().documents[0].classes == ("tag2",)
 
     @pytest.mark.parametrize("fault", sorted(KB_FAULTS))
@@ -367,6 +392,41 @@ class TestCorruptRecords:
         edit_record(tmp_path / "1" / "chunks.jsonl", 2, KB_FAULTS[fault])
         with pytest.raises(SnapshotError, match=r"chunks\.jsonl:2: "):
             store.load()
+
+
+class TestGarbageCollector:
+    """A load pauses the cyclic collector and gives the caller back its setting."""
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_setting_survives_a_good_and_a_corrupt_load(self, tmp_path, enabled):
+        store = CorpusSnapshotStore(tmp_path)
+        store.publish(corpus_for(1))
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            assert store.load().snapshot_version == 1
+            assert gc.isenabled() is enabled
+            set_item("norms", 0, math.nan)(tmp_path / "1")
+            with pytest.raises(SnapshotError, match="norms must be finite"):
+                store.load()
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
+
+    def test_the_collector_is_paused_while_the_files_are_read(self, tmp_path, monkeypatch):
+        store = CorpusSnapshotStore(tmp_path)
+        store.publish(corpus_for(1))
+        seen: list[bool] = []
+        read = CorpusSnapshotStore._read_files
+
+        def spy(self, target, meta):
+            seen.append(gc.isenabled())
+            return read(self, target, meta)
+
+        monkeypatch.setattr(CorpusSnapshotStore, "_read_files", spy)
+        assert gc.isenabled()
+        store.load()
+        assert seen == [False] and gc.isenabled()
 
 
 def kb_store_with_docs(root: Path) -> KbSnapshotStore:
