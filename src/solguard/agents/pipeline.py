@@ -30,8 +30,8 @@ from solguard.core import (
     VerificationResult,
 )
 from solguard.errors import ConfigError, ModelChannelError, SolguardError
-from solguard.llm import build_provider
-from solguard.llm.provider import ExchangeLog, Provider
+from solguard.llm.mock import MockProvider
+from solguard.llm.provider import ExchangeLog, HttpProvider, Provider, ProviderConfig
 from solguard.retrieval.kb import KbIndex
 from solguard.retrieval.snapshot import CorpusSnapshotStore, KbSnapshotStore
 from solguard.retrieval.tfidf import CorpusIndex
@@ -116,6 +116,13 @@ class PipelineContext:
         if role not in self.providers:
             raise ConfigError(f"no provider configured for role {role!r}")
         return self.providers[role]
+
+
+def build_provider(config: ProviderConfig, exchange_log: ExchangeLog | None = None) -> Provider:
+    """Instantiate the provider named by a config record."""
+    if config.kind == "mock":
+        return MockProvider(config, exchange_log)
+    return HttpProvider(config, exchange_log)
 
 
 def build_context(config: PipelineConfig, roles: tuple[str, ...] | None = None) -> PipelineContext:

@@ -101,6 +101,13 @@ def _dataset_split(
     return dataset, _context(config, roles=("detector",))
 
 
+def _exit_if_detection_failed(failures: int, total: int) -> None:
+    """Exit 1 when some contract failed detection: figures over the rest must
+    not pass for figures over the whole dataset."""
+    if failures:
+        _fail(EXIT_PROCESSING, f"{failures} of {total} contracts failed detection")
+
+
 def _contracts(paths: tuple[str, ...]) -> list[tuple[str, Path]]:
     """(id, path) per contract in argument order. Files stay, directories
     recurse over *.sol; ids are file stems, suffixed ``_2``, ``_3``... where
@@ -142,7 +149,7 @@ def _each_contract(
         except (SolguardError, OSError) as exc:
             return contract_id, None, str(exc)
 
-    with ThreadPoolExecutor(max_workers=max(jobs, 1)) as pool:
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(one, items))
 
 
@@ -160,7 +167,7 @@ def main() -> None:
 @click.option("--weights", default=None, help="Fusion weights as model,static,retrieval.")
 @click.option("--threshold", type=float, default=None)
 @click.option("--k", type=int, default=None, help="Neighbors for similarity retrieval.")
-@click.option("--jobs", type=int, default=None, help="Parallel contracts (default: logical CPUs).")
+@click.option("--jobs", type=click.IntRange(min=1), default=None, help="Parallel contracts (default: logical CPUs).")
 @click.option("--fail-on-vulnerable", is_flag=True, help="Exit 1 when any contract is vulnerable.")
 @click.option("-v", "--verbose", count=True)
 def cmd_audit(paths, config_path, output_dir, mode, weights, threshold, k, jobs, fail_on_vulnerable, verbose):
@@ -349,6 +356,7 @@ def cmd_eval(dataset_path, config_path, variants, split, out, verbose):
     except OSError as exc:
         _fail(EXIT_PROCESSING, f"cannot write results to {out_path}: {exc}")
     click.echo(f"results written to {out_path}")
+    _exit_if_detection_failed(reports[0].failures if reports else 0, len(dataset.entries))
 
 
 @main.command("calibrate")
@@ -363,7 +371,9 @@ def cmd_calibrate(dataset_path, config_path, split, write, verbose):
     config = _config(config_path)
     try:
         dataset, ctx = _dataset_split(dataset_path, split, config)
-        threshold = calibrate_threshold(fused_scores(dataset, ctx))
+        scores, failures = fused_scores(dataset, ctx)
+        _exit_if_detection_failed(failures, len(dataset.entries))
+        threshold = calibrate_threshold(scores)
     except SolguardError as exc:
         _fail(EXIT_USAGE, str(exc))
     click.echo(f"calibrated threshold: {threshold}")

@@ -82,9 +82,9 @@ def byte_length(text: str) -> int:
 class SourceContract:
     """One Solidity source unit with its tokenized view.
 
-    Construct through :func:`solguard.static_analysis.load_source`, which
-    normalizes line endings and tokenizes; the raw constructor only checks
-    span sanity.
+    Construct through :func:`solguard.static_analysis.scanner.load_source`,
+    which normalizes line endings and tokenizes; the raw constructor only
+    checks span sanity.
     """
 
     id: str

@@ -243,15 +243,16 @@ def calibrate_threshold(scores: list[tuple[float, str]]) -> float:
     return best_threshold
 
 
-def fused_scores(dataset: LabeledDataset, ctx: PipelineContext) -> list[tuple[float, str]]:
-    """(weighted fused score, gold label) per contract, for calibration.
+def fused_scores(dataset: LabeledDataset, ctx: PipelineContext) -> tuple[list[tuple[float, str]], int]:
+    """(weighted fused score, gold label) per contract, for calibration, and
+    the number of contracts that failed detection.
 
-    Contracts that fail detection are excluded and logged, as in
-    :func:`run_variants`.
+    Failed contracts are excluded and logged, as in :func:`run_variants`.
     """
     config = ctx.config
     cache = channel_cache(dataset, ctx, ("weighted",))
-    return [
+    scores = [
         (fuse_channels(by_mode["weighted"], "weighted", config.weights, config.threshold).score, cache.labels[cid])
         for cid, by_mode in cache.channels.items()
     ]
+    return scores, cache.failures

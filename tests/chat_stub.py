@@ -5,17 +5,27 @@ wire path runs: connect, POST, status line, headers and body. Each request
 is recorded and answered with a scripted :class:`Reply`, either from a
 queue (the last reply repeats) or from an ``answer`` function of the
 decoded request body. As an HTTP proxy it records each ``CONNECT`` target
-and refuses the tunnel with 502.
+and refuses the tunnel with 502. ``closed_port_endpoint`` names a loopback
+endpoint that nothing listens on.
 """
 
 from __future__ import annotations
 
 import json
+import socket
 import threading
 from dataclasses import dataclass, field
 from email.message import Message
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Callable
+
+
+def closed_port_endpoint() -> str:
+    """An endpoint on a loopback port that nothing listens on."""
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        port = sock.getsockname()[1]
+    return f"http://127.0.0.1:{port}/v1/chat"
 
 
 @dataclass

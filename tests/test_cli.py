@@ -12,7 +12,7 @@ from solguard.cli import EXIT_PROCESSING, main
 from solguard.retrieval.tfidf import build_corpus_index, load_corpus_file
 from conftest import write_pipeline_config
 import presign_fixture
-from chat_stub import ChatStub, Reply
+from chat_stub import ChatStub, Reply, closed_port_endpoint
 import reference_corpus_snapshot_v1
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -705,6 +705,63 @@ class TestCalibrate:
         assert result.exit_code == 2
 
 
+class TestDetectionFailures:
+    """A contract that fails detection makes eval and calibrate exit 1 with
+    the count, so a provider outage cannot pass a gate on their figures."""
+
+    def with_unscripted_contract(self, eval_env, tmp_path) -> Path:
+        dataset = tmp_path / "ds.jsonl"
+        extra = {
+            "id": "zz-unscripted",
+            "label": "vulnerable",
+            "split": "validation",
+            "source": "pragma solidity ^0.8.0;\ncontract Mystery { function x() external view returns (uint256) { return 1; } }",
+        }
+        dataset.write_text(Path(eval_env["dataset"]).read_text(encoding="utf-8") + json.dumps(extra) + "\n", encoding="utf-8")
+        return dataset
+
+    def with_detector_down(self, eval_env, tmp_path) -> Path:
+        """The eval config with its detector at a loopback port nothing listens on."""
+        payload = yaml.safe_load(Path(eval_env["config"]).read_text(encoding="utf-8"))
+        payload["providers"]["detector"] = {
+            "kind": "http-endpoint", "model_id": "down", "endpoint": closed_port_endpoint(), "retry_count": 0,
+        }
+        config = tmp_path / "down.yaml"
+        config.write_text(yaml.safe_dump(payload), encoding="utf-8")
+        return config
+
+    def test_eval_writes_results_then_exits_1(self, runner, eval_env, tmp_path):
+        out = tmp_path / "results.json"
+        dataset = self.with_unscripted_contract(eval_env, tmp_path)
+        result = runner.invoke(main, ["eval", str(dataset), "-c", str(eval_env["config"]), "--out", str(out)])
+        assert_clean_error(result, EXIT_PROCESSING, "error: 1 of 41 contracts failed detection")
+        assert "weighted" in result.output
+        assert f"results written to {out}" in result.output
+        results = json.loads(out.read_text(encoding="utf-8"))["results"]
+        assert (results[0]["failures"], results[0]["evaluated"]) == (1, 40)
+
+    def test_eval_with_every_contract_failing_exits_1(self, runner, eval_env, tmp_path):
+        out = tmp_path / "results.json"
+        config = self.with_detector_down(eval_env, tmp_path)
+        result = runner.invoke(main, ["eval", str(eval_env["dataset"]), "-c", str(config), "--out", str(out)])
+        assert_clean_error(result, EXIT_PROCESSING, "error: 40 of 40 contracts failed detection")
+        assert json.loads(out.read_text(encoding="utf-8"))["results"][0]["evaluated"] == 0
+
+    @pytest.mark.parametrize("fault", ["unscripted", "detector down"])
+    def test_calibrate_exits_1_and_writes_nothing(self, runner, eval_env, tmp_path, fault):
+        if fault == "unscripted":
+            dataset, expected = self.with_unscripted_contract(eval_env, tmp_path), "1 of 41"
+            config = tmp_path / "config.yaml"
+            config.write_bytes(Path(eval_env["config"]).read_bytes())
+        else:
+            dataset, config, expected = eval_env["dataset"], self.with_detector_down(eval_env, tmp_path), "40 of 40"
+        before = config.read_bytes()
+        result = runner.invoke(main, ["calibrate", str(dataset), "-c", str(config), "--write"])
+        assert_clean_error(result, EXIT_PROCESSING, f"error: {expected} contracts failed detection")
+        assert "calibrated threshold:" not in result.output
+        assert config.read_bytes() == before
+
+
 class TestHelp:
     @pytest.mark.parametrize(
         "args",
@@ -728,6 +785,14 @@ def test_audit_sequential_jobs_one(runner, presign_config, tmp_path):
     assert (tmp_path / "out" / "presign.report.md").exists()
     assert (tmp_path / "out" / "safe.report.md").exists()
     assert "patch verification passed: 1/1 patched (1/2 of all processed)" in result.output
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_audit_jobs_below_one_is_usage_error(runner, presign_config, tmp_path, jobs):
+    result = runner.invoke(main, ["audit", str(FIXTURES / "presign.sol"), "-c", str(presign_config), "--jobs", jobs])
+    assert result.exit_code == 2
+    assert "--jobs" in result.output
+    assert not (tmp_path / "out").exists()
 
 
 # --- every input fault names its file ----------------------------------------

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from solguard.agents import build_context, load_config
+from solguard.agents.config import load_config
+from solguard.agents.pipeline import build_context
 from solguard.errors import DatasetError
 from solguard.evaluation import (
     ConfusionMatrix,
@@ -274,4 +275,5 @@ class TestFailureCounting:
         reports = run_variants(load_dataset(dataset_path), ["weighted"], ctx)
         assert reports[0].failures == 1
         assert reports[0].evaluated == 40
-        assert len(fused_scores(load_dataset(dataset_path), ctx)) == 40  # calibrate excludes it too
+        scores, failures = fused_scores(load_dataset(dataset_path), ctx)
+        assert (len(scores), failures) == (40, 1)  # calibrate excludes it too, and counts it

@@ -30,7 +30,7 @@ from solguard.llm.template import PromptTemplate, TemplateError, render_prompt
 from solguard.llm.prompts import DETECTOR_TEMPLATE
 from solguard.agents.detect import ask_structured
 import reference_reply_reader
-from chat_stub import ChatStub, Reply
+from chat_stub import ChatStub, Reply, closed_port_endpoint
 
 
 class TestRenderPrompt:
@@ -236,14 +236,6 @@ def http_provider(endpoint: str, **config) -> HttpProvider:
     return HttpProvider(ProviderConfig(kind="http-endpoint", model_id="remote", endpoint=endpoint, **config))
 
 
-def closed_port_endpoint() -> str:
-    """An endpoint on a loopback port that nothing listens on."""
-    with socket.socket() as sock:
-        sock.bind(("127.0.0.1", 0))
-        port = sock.getsockname()[1]
-    return f"http://127.0.0.1:{port}/v1/chat"
-
-
 @contextlib.contextmanager
 def stalled_connect_endpoint():
     """An endpoint whose listener never accepts and has a full accept queue,
@@ -375,7 +367,8 @@ def test_only_an_http_call_loads_the_http_stack():
 import sys
 import solguard.cli
 from solguard.errors import TransportError
-from solguard.llm import ProviderConfig, build_provider
+from solguard.agents.pipeline import build_provider
+from solguard.llm.provider import ProviderConfig
 def loaded():
     return sorted(m for m in ("requests", "urllib.request", "http.client") if m in sys.modules)
 build_provider(ProviderConfig(kind="mock", model_id="m", transcript={str(repo / "fixtures" / "presign_transcript.jsonl")!r}))

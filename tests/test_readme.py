@@ -3,6 +3,7 @@ declarations, so the docs cannot drift from what the readers accept."""
 
 from __future__ import annotations
 
+import importlib
 import json
 import re
 from pathlib import Path
@@ -66,3 +67,33 @@ def test_configuration_example_parses():
     assert config.provider_for("fixer").model_id == "base-model"
     assert config.providers["detector"].endpoint == "https://models.internal/v1/chat"
     assert config.providers["verifier"].transcript == str(TRANSCRIPT)
+
+
+def resolve(dotted: str) -> object:
+    """The object a dotted name names: its longest importable module prefix,
+    then attribute lookups for the rest."""
+    parts = dotted.split(".")
+    for cut in range(len(parts), 0, -1):
+        module_name = ".".join(parts[:cut])
+        try:
+            target = importlib.import_module(module_name)
+        except ModuleNotFoundError as exc:
+            if exc.name != module_name:
+                raise
+            continue
+        for attr in parts[cut:]:
+            target = getattr(target, attr)
+        return target
+    raise ModuleNotFoundError(dotted)
+
+
+@pytest.mark.parametrize("dotted", sorted(set(re.findall(r"\bsolguard(?:\.[A-Za-z_]\w*)+", README))))
+def test_every_dotted_name_resolves(dotted: str):
+    resolve(dotted)
+
+
+def test_library_use_imports_run():
+    block = re.search(r"## Library use\n\n```python\n(.*?)```", README, re.DOTALL).group(1)
+    imports = [line for line in block.splitlines() if line.startswith(("from ", "import "))]
+    assert imports
+    exec("\n".join(imports), {})

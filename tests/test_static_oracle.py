@@ -19,7 +19,8 @@ from hypothesis import strategies as st
 import reference_static_analysis as reference
 from solguard.core import normalize_text
 from solguard.errors import SolguardError
-from solguard.static_analysis import default_ruleset, load_source, scan
+from solguard.static_analysis.rules import default_ruleset
+from solguard.static_analysis.scanner import load_source, scan
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
