@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any
 
@@ -28,17 +28,6 @@ class FusionWeights:
         total = self.model + self.static + self.retrieval
         if not abs(total - 1.0) <= _WEIGHT_TOLERANCE:
             raise ConfigError(f"fusion weights must sum to 1, got {total}")
-
-    def without(self, dropped: str) -> "FusionWeights":
-        """Remove one channel and renormalize the rest proportionally."""
-        weights = asdict(self)
-        if dropped not in weights:
-            raise ConfigError(f"unknown channel {dropped!r}")
-        weights[dropped] = 0.0
-        remaining = sum(weights.values())
-        if remaining <= 0:
-            raise ConfigError(f"cannot drop {dropped}: no weight would remain")
-        return FusionWeights(**{k: v / remaining for k, v in weights.items()})
 
 
 @dataclass(frozen=True)

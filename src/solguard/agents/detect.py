@@ -81,12 +81,24 @@ def fuse_channels(
     weights: FusionWeights,
     threshold: float,
 ) -> FusedVerdict:
-    """Combine channel results into one verdict.
+    """Combine the results of any subset of the three channels into one verdict.
 
     Weighted (and enriched) modes threshold the weighted score; voting takes
-    the majority of the three channel verdicts. Channels absent from
-    ``channels`` (ablations) contribute nothing and must carry zero weight.
+    the majority of the present channels' verdicts. When a channel is absent
+    (an ablation, or a failed model channel), each present weight is divided
+    by the present weights' sum; when that sum is 0, the verdict is
+    undetermined with score 0.
     """
+    ordered = tuple(
+        channels[ch] for ch in (Channel.STATIC, Channel.RETRIEVAL, Channel.MODEL) if ch in channels
+    )
+    if len(channels) < len(Channel):
+        present = {ch.value: getattr(weights, ch.value) for ch in channels}
+        total = sum(present.values())
+        if total <= 0:
+            return FusedVerdict(Verdict.UNDETERMINED, 0.0, mode, ordered, threshold)
+        weights = FusionWeights(**{ch.value: present.get(ch.value, 0.0) / total for ch in Channel})
+
     def score_of(ch: Channel) -> float:
         return channels[ch].score if ch in channels else 0.0
 
@@ -98,9 +110,6 @@ def fuse_channels(
         verdict = Verdict.VULNERABLE if votes * 2 > len(channels) else Verdict.SAFE
     else:
         verdict = Verdict.VULNERABLE if score >= threshold else Verdict.SAFE
-    ordered = tuple(
-        channels[ch] for ch in (Channel.STATIC, Channel.RETRIEVAL, Channel.MODEL) if ch in channels
-    )
     return FusedVerdict(
         verdict=verdict, score=score, mode=mode, channel_results=ordered, threshold=threshold
     )
@@ -111,12 +120,10 @@ def ask_structured(
 ) -> dict[str, Any]:
     """Complete and extract; on a parse failure, retry once with a repair
     instruction appended."""
-    exchange = provider.complete(prompt, role=role)
     try:
-        return extract_structured(exchange.response, schema)
+        return extract_structured(provider.complete(prompt, role=role), schema)
     except ExtractionError:
-        retry = provider.complete(f"{prompt}\n\n{REPAIR_INSTRUCTION}", role=role)
-        return extract_structured(retry.response, schema)
+        return extract_structured(provider.complete(f"{prompt}\n\n{REPAIR_INSTRUCTION}", role=role), schema)
 
 
 def reference_notes(kb_index: KbIndex | None, query: str, k: int) -> str:

@@ -183,10 +183,7 @@ def run_pipeline(contract: SourceContract, ctx: PipelineContext) -> PipelineRun:
         failure = failures["detect"]
         if not isinstance(failure, ModelChannelError):
             raise failure  # no channel results at all
-        if cfg.weights.static or cfg.weights.retrieval:
-            fused = fuse_channels(failure.channels, cfg.mode, cfg.weights.without("model"), cfg.threshold)
-        else:  # only the failed channel had weight: the other channels are recorded, with no verdict
-            fused = FusedVerdict(Verdict.UNDETERMINED, 0.0, cfg.mode, tuple(failure.channels.values()), cfg.threshold)
+        fused = fuse_channels(failure.channels, cfg.mode, cfg.weights, cfg.threshold)
     findings = actionable_findings(fused, contract) if fused.verdict is not Verdict.UNDETERMINED else []
 
     suggestions: list[RepairSuggestion] = []

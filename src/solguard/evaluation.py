@@ -14,15 +14,15 @@ from typing import Any
 from solguard.agents.detect import fuse_channels, run_channels
 from solguard.agents.pipeline import PipelineContext
 from solguard.core import Channel, ChannelResult
-from solguard.errors import DatasetError, SolguardError
+from solguard.errors import ConfigError, DatasetError, SolguardError
 from solguard.jsonl import DatasetEntry, load_labeled_records
 from solguard.static_analysis.scanner import load_source
 
 log = logging.getLogger(__name__)
 
 # name: (detect mode, channel dropped from fusion, other accepted spellings).
-# The mode picks both the channel results and the fusion rule; dropping a
-# channel renormalizes the remaining weights proportionally.
+# The mode picks both the channel results and the fusion rule; fusion
+# renormalizes the remaining weights when a channel is dropped.
 VARIANTS: dict[str, tuple[str, Channel | None, tuple[str, ...]]] = {
     "weighted": ("weighted", None, ("w",)),
     "voting": ("voting", None, ("v",)),
@@ -187,22 +187,29 @@ def run_variants(
     the model is asked once per distinct prompt, so only an enriched variant
     adds a call. Fusion is then re-applied per variant, so ablations cannot
     disturb the surviving channels' raw scores. Contracts that fail
-    detection are excluded from every variant and counted.
+    detection are excluded from every variant and counted. An empty or
+    repeated variant list, or an ablation that would leave no fusion
+    weight, is refused before any channel runs.
     """
     names = [normalize_variant(v) for v in variants]
+    if not names:
+        raise DatasetError("no variants requested")
     if len(set(names)) != len(names):
         raise DatasetError(f"duplicate variants requested: {variants}")
     config = ctx.config
+    for name in names:
+        dropped = VARIANTS[name][1]
+        if dropped and not any(getattr(config.weights, ch.value) for ch in Channel if ch is not dropped):
+            raise ConfigError(f"cannot drop {dropped.value}: no weight would remain")
     cache = channel_cache(dataset, ctx, tuple(dict.fromkeys(VARIANTS[name][0] for name in names)))
 
     reports: list[MetricsReport] = []
     for name in names:
         mode, dropped, _ = VARIANTS[name]
-        weights = config.weights.without(dropped.value) if dropped else config.weights
         predictions: dict[str, str] = {}
         for cid, by_mode in cache.channels.items():
             channels = {ch: res for ch, res in by_mode[mode].items() if ch is not dropped}
-            predictions[cid] = fuse_channels(channels, mode, weights, config.threshold).verdict.value
+            predictions[cid] = fuse_channels(channels, mode, config.weights, config.threshold).verdict.value
         reports.append(metrics(confusion(predictions, cache.labels), variant=name, failures=cache.failures))
     return reports
 

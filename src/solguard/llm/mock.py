@@ -14,7 +14,7 @@ from typing import Callable
 
 from solguard.errors import TranscriptError
 from solguard.jsonl import read_jsonl
-from solguard.llm.provider import ChatExchange, ExchangeLog, ProviderConfig, prompt_fingerprint
+from solguard.llm.provider import ExchangeLog, ProviderConfig, prompt_fingerprint
 from solguard.records import Record, string
 
 UNKNOWN_RESPONSE = "UNKNOWN"
@@ -46,18 +46,11 @@ class MockProvider:
     def provider_id(self) -> str:
         return f"mock:{self.config.model_id}"
 
-    def complete(self, prompt: str, *, role: str) -> ChatExchange:
+    def complete(self, prompt: str, *, role: str) -> str:
         response = self._entries.get((role, prompt_fingerprint(prompt)), UNKNOWN_RESPONSE)
-        exchange = ChatExchange(
-            role=role,
-            request=prompt,
-            response=response,
-            provider_id=self.provider_id,
-            latency_s=0.0,
-        )
         if self._log:
-            self._log.append(exchange)
-        return exchange
+            self._log.append(role, self.provider_id, 0.0, prompt, response)
+        return response
 
 
 class TranscriptRecorder:
@@ -73,18 +66,12 @@ class TranscriptRecorder:
         self._responder = responder
         self.entries: list[dict[str, str]] = []
 
-    def complete(self, prompt: str, *, role: str) -> ChatExchange:
+    def complete(self, prompt: str, *, role: str) -> str:
         response = self._responder(role, prompt)
         self.entries.append(
             {"role": role, "fingerprint": prompt_fingerprint(prompt), "response": response}
         )
-        return ChatExchange(
-            role=role,
-            request=prompt,
-            response=response,
-            provider_id=f"mock:{self.config.model_id}",
-            latency_s=0.0,
-        )
+        return response
 
     def dump(self) -> str:
         """The distinct entries as sorted JSON lines, so the text does not

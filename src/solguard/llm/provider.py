@@ -69,21 +69,10 @@ PROVIDER = Record({
 }, noun="provider key", make=ProviderConfig)
 
 
-@dataclass(frozen=True)
-class ChatExchange:
-    """One request/response pair, recorded verbatim for auditability."""
-
-    role: str
-    request: str
-    response: str
-    provider_id: str
-    latency_s: float
-
-
 class Provider(Protocol):
     config: ProviderConfig
 
-    def complete(self, prompt: str, *, role: str) -> ChatExchange: ...
+    def complete(self, prompt: str, *, role: str) -> str: ...  # the reply text
 
 
 def prompt_fingerprint(prompt: str) -> str:
@@ -99,16 +88,16 @@ class ExchangeLog:
         self.path = Path(path)
         self._lock = threading.Lock()
 
-    def append(self, exchange: ChatExchange) -> None:
+    def append(self, role: str, provider_id: str, latency_s: float, request: str, response: str) -> None:
         # the response is kept verbatim for audit; the (potentially huge)
         # request is identified by fingerprint and size only
         record = {
-            "role": exchange.role,
-            "provider": exchange.provider_id,
-            "latency_s": round(exchange.latency_s, 6),
-            "request_fingerprint": prompt_fingerprint(exchange.request),
-            "request_chars": len(exchange.request),
-            "response": exchange.response,
+            "role": role,
+            "provider": provider_id,
+            "latency_s": round(latency_s, 6),
+            "request_fingerprint": prompt_fingerprint(request),
+            "request_chars": len(request),
+            "response": response,
         }
         line = json.dumps(record, sort_keys=True) + "\n"
         with self._lock:
@@ -139,7 +128,7 @@ class HttpProvider:
     def provider_id(self) -> str:
         return f"http:{self.config.model_id}"
 
-    def complete(self, prompt: str, *, role: str) -> ChatExchange:
+    def complete(self, prompt: str, *, role: str) -> str:
         # the HTTP stack is imported here, not with this module, so that runs
         # making no HTTP call (mock audits, kb, eval) never load it
         import http.client
@@ -200,16 +189,9 @@ class HttpProvider:
             except ValueError as exc:  # UnicodeDecodeError included
                 raise TransportError(f"{self.provider_id}: response body is not JSON") from exc
             text = _response_text(payload, self.provider_id)
-            exchange = ChatExchange(
-                role=role,
-                request=prompt,
-                response=text,
-                provider_id=self.provider_id,
-                latency_s=time.perf_counter() - started,
-            )
             if self._log:
-                self._log.append(exchange)
-            return exchange
+                self._log.append(role, self.provider_id, time.perf_counter() - started, prompt, text)
+            return text
         raise last_error or TransportError(f"{self.provider_id}: no attempts made")
 
 

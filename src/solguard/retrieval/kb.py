@@ -9,6 +9,7 @@ remote embedders can be plugged in through the same interface.
 from __future__ import annotations
 
 import hashlib
+import json
 import math
 import re
 from dataclasses import dataclass, field
@@ -156,15 +157,20 @@ def load_kb_documents(directory: str | Path) -> list[KbDocument]:
     """Read knowledge documents from a directory of text/markdown files.
 
     Each file may start with a YAML preamble fenced by ``---`` lines carrying
-    metadata (source, swc_tags); the remainder is the document body.
+    metadata (source, swc_tags) as JSON values; the remainder is the document
+    body. A document's id is its file stem, and no id may repeat.
     """
     root = Path(directory)
     if not root.is_dir():
         raise DatasetError(f"knowledge base source {root} is not a directory")
     docs: list[KbDocument] = []
+    paths: dict[str, Path] = {}  # document id -> its file
     for path in sorted(root.iterdir()):
         if path.suffix.lower() not in (".md", ".txt"):
             continue
+        if path.stem in paths:
+            raise DatasetError(f"{paths[path.stem]} and {path}: duplicate document id {path.stem!r}")
+        paths[path.stem] = path
         raw = read_text(path, DatasetError, "knowledge document")
         metadata, body = {}, raw
         if raw.startswith("---\n"):
@@ -177,6 +183,12 @@ def load_kb_documents(directory: str | Path) -> list[KbDocument]:
                 raise DatasetError(f"{path}: bad metadata preamble: {exc}") from exc
             if not isinstance(metadata, dict):
                 raise DatasetError(f"{path}: metadata preamble must be a mapping")
+            try:  # the snapshot keeps metadata as JSON, so it must come back unchanged
+                portable = json.loads(json.dumps(metadata)) == metadata
+            except (TypeError, ValueError):  # a date or a set
+                portable = False
+            if not portable:
+                raise DatasetError(f"{path}: metadata preamble must hold JSON values only (no dates, non-text keys or NaN)")
             body = raw[closing + 5 :]
         docs.append(KbDocument(doc_id=path.stem, text=body.strip(), metadata=metadata))
     return docs

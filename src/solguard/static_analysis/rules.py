@@ -7,7 +7,6 @@ so the shipped set can be extended or re-tuned without code changes.
 
 from __future__ import annotations
 
-import copy
 import re
 from dataclasses import dataclass
 from importlib import resources
@@ -202,25 +201,6 @@ def parse_ruleset(text: str) -> list[PatternRule]:
         seen_classes.add(rule.vuln_class.name)
         rules.append(rule)
     return rules
-
-
-def dump_ruleset(rules: list[PatternRule]) -> str:
-    records = [
-        {
-            "rule_id": r.rule_id,
-            "class": r.vuln_class.name,
-            "swc_id": r.vuln_class.swc_id,
-            "matcher": copy.deepcopy(r.matcher),  # else a default list rules share dumps as a YAML alias
-            "description": r.description,
-            "confidence": r.default_confidence,
-        }
-        for r in rules
-    ]
-    return yaml.safe_dump(records, sort_keys=False)
-
-
-def save_ruleset(rules: list[PatternRule], path: str | Path) -> None:
-    Path(path).write_text(dump_ruleset(rules), encoding="utf-8")
 
 
 def default_ruleset() -> list[PatternRule]:

@@ -11,11 +11,10 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import replace
 
 from solguard.errors import CompletionTimeout, TransportError
 from solguard.llm.mock import prompt_fingerprint
-from solguard.llm.provider import ChatExchange, Provider
+from solguard.llm.provider import Provider
 
 FAULTS = ("timeout", "server-error", "truncated-json", "wrong-type")
 PASS_THROUGH_WEIGHT = 12  # clean calls per round of the four faults
@@ -50,18 +49,16 @@ class FaultInjectingProvider:
         self.seed = seed
         self.config = inner.config
 
-    def complete(self, prompt: str, *, role: str) -> ChatExchange:
+    def complete(self, prompt: str, *, role: str) -> str:
         fault, field_pick, delay_s = fault_for(self.seed, role, prompt)
         time.sleep(delay_s)  # lets overlapped calls finish out of order
         if fault == "timeout":
             raise CompletionTimeout(f"injected: {role} request timed out")
         if fault == "server-error":
             raise TransportError(f"injected: {role} server error 503")
-        exchange = self.inner.complete(prompt, role=role)
+        response = self.inner.complete(prompt, role=role)
         if fault == "truncated-json":
-            response = exchange.response[: len(exchange.response) // 2]
-        elif fault == "wrong-type":
-            response = _wrong_type(exchange.response, field_pick)
-        else:
-            return exchange
-        return replace(exchange, response=response)
+            return response[: len(response) // 2]
+        if fault == "wrong-type":
+            return _wrong_type(response, field_pick)
+        return response

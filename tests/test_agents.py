@@ -10,9 +10,12 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from solguard.agents.config import FusionWeights, PipelineConfig, apply_overrides, load_config, parse_config
+from solguard.agents.config import MODES, FusionWeights, PipelineConfig, apply_overrides, load_config, parse_config
 from solguard.agents.detect import (
+    FusedVerdict,
     build_detection_prompt,
     fuse_channels,
     model_channel,
@@ -136,16 +139,81 @@ class TestFusionWeights:
         with pytest.raises(ConfigError, match=r"weights channel model must be a number in \[0, 1\]"):
             parse_config({"weights": {"model": value, "static": 0.1, "retrieval": 0.2}})
 
-    def test_proportional_renormalization_without_static(self):
-        w = FusionWeights().without("static")
-        assert w.model == pytest.approx(0.7 / 0.9, abs=1e-12)
-        assert w.static == 0.0
-        assert w.retrieval == pytest.approx(0.2 / 0.9, abs=1e-12)
 
-    def test_renormalization_without_retrieval(self):
-        w = FusionWeights().without("retrieval")
-        assert w.model == pytest.approx(0.7 / 0.8, abs=1e-12)
-        assert w.static == pytest.approx(0.1 / 0.8, abs=1e-12)
+def _renormalized_without(weights: FusionWeights, dropped: str) -> FusionWeights:
+    """The oracle for an absent channel: the weights that were renormalized
+    by hand before fusion, with the dropped channel's weight set to 0."""
+    values = {"model": weights.model, "static": weights.static, "retrieval": weights.retrieval}
+    values[dropped] = 0.0
+    remaining = sum(values.values())
+    if remaining <= 0:
+        raise ConfigError(f"cannot drop {dropped}: no weight would remain")
+    return FusionWeights(**{k: v / remaining for k, v in values.items()})
+
+
+def _oracle_fusion(channels: dict[Channel, ChannelResult], mode: str, weights: FusionWeights, threshold: float):
+    """The verdict each channel set the product makes was given before fusion
+    took over absent channels: all three fused as given; a failed model
+    channel fused with renormalized weights, or undetermined when the others
+    had no weight; a dropped static or retrieval channel fused with
+    renormalized weights (an ablation that leaves no weight is refused)."""
+    absent = [ch for ch in Channel if ch not in channels]
+    if absent == [Channel.MODEL] and not (weights.static or weights.retrieval):
+        return FusedVerdict(Verdict.UNDETERMINED, 0.0, mode, tuple(channels.values()), threshold)
+    if absent:
+        [dropped] = absent
+        weights = _renormalized_without(weights, dropped.value)
+
+    def score_of(ch: Channel) -> float:
+        return channels[ch].score if ch in channels else 0.0
+
+    score = weighted_score(weights, score_of(Channel.MODEL), score_of(Channel.STATIC), score_of(Channel.RETRIEVAL))
+    if mode == "voting":
+        votes = sum(1 for c in channels.values() if c.verdict is Verdict.VULNERABLE)
+        verdict = Verdict.VULNERABLE if votes * 2 > len(channels) else Verdict.SAFE
+    else:
+        verdict = Verdict.VULNERABLE if score >= threshold else Verdict.SAFE
+    ordered = tuple(channels[ch] for ch in (Channel.STATIC, Channel.RETRIEVAL, Channel.MODEL) if ch in channels)
+    return FusedVerdict(verdict=verdict, score=score, mode=mode, channel_results=ordered, threshold=threshold)
+
+
+_UNIT = st.floats(0.0, 1.0)
+
+
+@st.composite
+def _weights(draw) -> FusionWeights:
+    raw = draw(st.tuples(*[st.one_of(st.just(0.0), _UNIT)] * 3).filter(lambda t: sum(t) > 0))
+    total = sum(raw)
+    return FusionWeights(*(x / total for x in raw))
+
+
+class TestFusionOfAbsentChannels:
+    @settings(max_examples=400, deadline=None)
+    @given(
+        weights=_weights(),
+        scores=st.tuples(_UNIT, _UNIT, _UNIT),
+        verdicts=st.tuples(*[st.sampled_from([Verdict.SAFE, Verdict.VULNERABLE])] * 3),
+        mode=st.sampled_from(MODES),
+        threshold=_UNIT,
+    )
+    def test_every_channel_set_fuses_bit_identically_to_renormalizing_first(
+        self, weights, scores, verdicts, mode, threshold
+    ):
+        # the channel sets the product makes: all three (detect), model absent
+        # (a failed detector), static or retrieval absent (the eval ablations)
+        everything = {
+            ch: ChannelResult(ch, verdict, score)
+            for ch, verdict, score in zip((Channel.STATIC, Channel.RETRIEVAL, Channel.MODEL), verdicts, scores)
+        }
+        for absent in (None, Channel.MODEL, Channel.STATIC, Channel.RETRIEVAL):
+            channels = {ch: res for ch, res in everything.items() if ch is not absent}
+            try:
+                expected = _oracle_fusion(channels, mode, weights, threshold)
+            except ConfigError:  # run_variants refuses this ablation before fusing
+                continue
+            fused = fuse_channels(channels, mode, weights, threshold)
+            assert fused == expected
+            assert fused.score.hex() == expected.score.hex()
 
 
 class TestDetectionPrompt:
@@ -555,7 +623,9 @@ class TestPipeline:
             channels = [c["channel"] for c in run.to_payload()["verdict"]["channels"]]
             assert channels == ["static", "retrieval"]
             static, retrieval = run.fused.channel_results
-            renormalized = ctx.config.weights.without("model")
+            w = ctx.config.weights
+            total = w.static + w.retrieval
+            renormalized = FusionWeights(model=0.0, static=w.static / total, retrieval=w.retrieval / total)
             assert run.fused.score == weighted_score(renormalized, 0.0, static.score, retrieval.score)
 
     def test_stage_timings_recorded_in_memory_but_not_serialized(self):

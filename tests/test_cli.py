@@ -394,6 +394,25 @@ class TestInputFileErrors:
         assert_clean_error(result, EXIT_PROCESSING, f"error: cannot read knowledge document {bad}: ")
         assert not (tmp_path / "idx" / "kb" / "CURRENT").exists()
 
+    @pytest.mark.parametrize("value", ["2024-05-01", "{1: one}", ".nan"])
+    def test_knowledge_document_preamble_value_that_is_not_json_names_file(self, runner, tmp_path, value):
+        docs = tmp_path / "docs"
+        shutil.copytree(FIXTURES / "kb_docs", docs)
+        bad = docs / "x.md"
+        bad.write_text(f"---\nupdated: {value}\n---\nbody\n", encoding="utf-8")
+        result = runner.invoke(main, ["kb", "build", "--docs", str(docs), "--index-root", str(tmp_path / "idx")])
+        assert_clean_error(result, EXIT_PROCESSING, f"error: {bad}: metadata preamble must hold JSON values only")
+        assert not (tmp_path / "idx").exists()  # nothing written, not even a half chunk file
+
+    def test_knowledge_documents_sharing_a_stem_name_both_files(self, runner, tmp_path):
+        docs = tmp_path / "docs"
+        docs.mkdir()
+        (docs / "a.md").write_text("alpha words\n", encoding="utf-8")
+        (docs / "a.txt").write_text("beta words\n", encoding="utf-8")
+        result = runner.invoke(main, ["kb", "build", "--docs", str(docs), "--index-root", str(tmp_path / "idx")])
+        assert_clean_error(result, EXIT_PROCESSING, str(docs / "a.md"), str(docs / "a.txt"), "duplicate document id 'a'")
+        assert not (tmp_path / "idx").exists()
+
     @pytest.mark.parametrize("command", ["eval", "calibrate"])
     def test_dataset_record_with_missing_source_path_names_file_and_line(self, runner, eval_env, tmp_path, command):
         dataset = write_corpus_with_missing_source(tmp_path / "ds.jsonl")
@@ -537,6 +556,34 @@ class TestEval:
             assert result.exit_code == 0, result.output
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
+
+    def test_empty_variant_list_is_usage_error_before_any_channel_runs(self, runner, eval_env, tmp_path, monkeypatch):
+        import solguard.evaluation
+        from solguard.llm.mock import MockProvider
+
+        calls: list[str] = []
+        run_channels, complete = solguard.evaluation.run_channels, MockProvider.complete
+        monkeypatch.setattr(solguard.evaluation, "run_channels", lambda *a: calls.append("channels") or run_channels(*a))
+        monkeypatch.setattr(MockProvider, "complete", lambda *a, **kw: calls.append("model") or complete(*a, **kw))
+        out = tmp_path / "results.json"
+        result = runner.invoke(
+            main, ["eval", str(eval_env["dataset"]), "-c", str(eval_env["config"]), "--variants", ",", "--out", str(out)]
+        )
+        assert_clean_error(result, 2, "error: no variants requested")
+        assert not out.exists()
+        assert calls == []
+
+    def test_ablation_that_leaves_no_weight_is_usage_error(self, runner, eval_env, tmp_path):
+        payload = yaml.safe_load(Path(eval_env["config"]).read_text(encoding="utf-8"))
+        payload["weights"] = {"model": 0.0, "static": 1.0, "retrieval": 0.0}
+        config = tmp_path / "static-only.yaml"
+        config.write_text(yaml.safe_dump(payload), encoding="utf-8")
+        out = tmp_path / "results.json"
+        result = runner.invoke(
+            main, ["eval", str(eval_env["dataset"]), "-c", str(config), "--variants", "no-static", "--out", str(out)]
+        )
+        assert_clean_error(result, 2, "error: cannot drop static: no weight would remain")
+        assert not out.exists()
 
     def test_dataset_parse_error_nonzero_exit(self, runner, eval_env, tmp_path):
         bad = tmp_path / "bad.jsonl"

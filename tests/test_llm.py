@@ -24,7 +24,7 @@ from solguard.errors import (
 )
 from solguard.agents.config import parse_config
 from solguard.llm.mock import MockProvider, TranscriptRecorder, prompt_fingerprint
-from solguard.llm.provider import ChatExchange, HttpProvider, ProviderConfig
+from solguard.llm.provider import HttpProvider, ProviderConfig
 from solguard.llm.structured import DETECTOR_SCHEMA, StructuredSchema, extract_structured
 from solguard.llm.template import PromptTemplate, TemplateError, render_prompt
 from solguard.llm.prompts import DETECTOR_TEMPLATE
@@ -93,12 +93,11 @@ class TestMockProvider:
             tmp_path,
             [{"role": "detector", "fingerprint": prompt_fingerprint("hello  world"), "response": response}],
         )
-        exchange = provider.complete("hello world", role="detector")
-        assert exchange.response == response
+        assert provider.complete("hello world", role="detector") == response
 
     def test_unknown_key_sentinel(self, tmp_path):
         provider = self._provider(tmp_path, [])
-        assert provider.complete("anything", role="detector").response == "UNKNOWN"
+        assert provider.complete("anything", role="detector") == "UNKNOWN"
 
     def test_same_prompt_twice_identical(self, tmp_path):
         provider = self._provider(
@@ -107,15 +106,15 @@ class TestMockProvider:
         )
         first = provider.complete("p", role="detector")
         second = provider.complete("p", role="detector")
-        assert first.response == second.response == "r"
+        assert first == second == "r"
 
     def test_role_scopes_the_lookup(self, tmp_path):
         provider = self._provider(
             tmp_path,
             [{"role": "fixer", "fingerprint": prompt_fingerprint("p"), "response": "fix it"}],
         )
-        assert provider.complete("p", role="fixer").response == "fix it"
-        assert provider.complete("p", role="detector").response == "UNKNOWN"
+        assert provider.complete("p", role="fixer") == "fix it"
+        assert provider.complete("p", role="detector") == "UNKNOWN"
 
     def test_malformed_transcript_rejected(self, tmp_path):
         path = tmp_path / "broken.jsonl"
@@ -133,7 +132,7 @@ class TestMockProvider:
         path = tmp_path / "rec.jsonl"
         recorder.write(path)
         provider = MockProvider(ProviderConfig(kind="mock", model_id="m", transcript=str(path)))
-        assert provider.complete("some  prompt", role="detector").response == "answer for detector"
+        assert provider.complete("some  prompt", role="detector") == "answer for detector"
 
 
 class TestExtractStructured:
@@ -265,9 +264,9 @@ class TestHttpProvider:
     def test_returns_canned_body(self, scripted_http):
         stub, _ = scripted_http
         stub.replies.append(Reply(body={"content": "stub says hi"}))
-        exchange = http_provider(stub.endpoint).complete("hello", role="detector")
-        assert exchange.response == "stub says hi"
-        assert exchange.provider_id == "http:remote"
+        provider = http_provider(stub.endpoint)
+        assert provider.complete("hello", role="detector") == "stub says hi"
+        assert provider.provider_id == "http:remote"
         [(headers, request)] = stub.received
         assert headers["Content-Type"] == "application/json"
         assert headers["User-Agent"] == f"solguard/{solguard.__version__}"
@@ -282,7 +281,7 @@ class TestHttpProvider:
     def test_retries_through_server_errors(self, scripted_http, failures):
         stub, sleeps = scripted_http
         stub.replies += [Reply(503)] * failures + [Reply(body={"content": "stub says hi"})]
-        assert http_provider(stub.endpoint, retry_count=2).complete("hello", role="detector").response == "stub says hi"
+        assert http_provider(stub.endpoint, retry_count=2).complete("hello", role="detector") == "stub says hi"
         assert len(stub.received) == failures + 1
         assert sleeps == [0.05, 0.1][:failures]
 
@@ -296,7 +295,7 @@ class TestHttpProvider:
     def test_openai_style_response_shape_accepted(self, scripted_http):
         stub, _ = scripted_http
         stub.replies.append(Reply(body={"choices": [{"message": {"content": "nested style"}}]}))
-        assert http_provider(stub.endpoint).complete("x", role="detector").response == "nested style"
+        assert http_provider(stub.endpoint).complete("x", role="detector") == "nested style"
 
     def test_closed_port_is_a_transport_error_after_every_attempt(self, sleeps, caplog):
         with pytest.raises(TransportError) as excinfo:
@@ -393,21 +392,21 @@ class TestRateLimit:
     def test_429_is_retried_after_its_retry_after_seconds(self, scripted_http):
         stub, sleeps = scripted_http
         stub.replies += [Reply(429, {"Retry-After": "3"}), Reply(200)]
-        assert self.complete(stub).response == "after the wait"
+        assert self.complete(stub) == "after the wait"
         assert len(stub.received) == 2
         assert sleeps == [3.0]
 
     def test_retry_after_is_capped_at_the_timeout(self, scripted_http):
         stub, sleeps = scripted_http
         stub.replies += [Reply(429, {"Retry-After": "120"}), Reply(200)]
-        assert self.complete(stub, timeout_s=5.0).response == "after the wait"
+        assert self.complete(stub, timeout_s=5.0) == "after the wait"
         assert sleeps == [5.0]
 
     @pytest.mark.parametrize("headers", [{}, {"Retry-After": "Wed, 21 Oct 2015 07:28:00 GMT"}, {"Retry-After": "-1"}])
     def test_429_without_seconds_backs_off_as_for_server_errors(self, scripted_http, headers):
         stub, sleeps = scripted_http
         stub.replies += [Reply(429, headers), Reply(200)]
-        assert self.complete(stub).response == "after the wait"
+        assert self.complete(stub) == "after the wait"
         assert sleeps == [0.05]
 
     def test_429_counts_against_retry_count(self, scripted_http):
@@ -427,9 +426,9 @@ class _ScriptedProvider:
         self._responses = list(responses)
         self.prompts: list[str] = []
 
-    def complete(self, prompt: str, *, role: str) -> ChatExchange:
+    def complete(self, prompt: str, *, role: str) -> str:
         self.prompts.append(prompt)
-        return ChatExchange(role, prompt, self._responses.pop(0), "mock:scripted", 0.0)
+        return self._responses.pop(0)
 
 
 class TestAskStructured:
@@ -453,8 +452,8 @@ class TestExchangeLog:
         log_path = tmp_path / "exchanges.jsonl"
         log = ExchangeLog(log_path)
         recorder_cfg = ProviderConfig(kind="mock", model_id="m", transcript="<x>")
-        log.append(ChatExchange("detector", "secret prompt body", "resp", "mock:m", 0.01))
-        log.append(ChatExchange("fixer", "another prompt", "resp2", "mock:m", 0.02))
+        log.append("detector", "mock:m", 0.01, "secret prompt body", "resp")
+        log.append("fixer", "mock:m", 0.02, "another prompt", "resp2")
         lines = log_path.read_text(encoding="utf-8").splitlines()
         assert len(lines) == 2
         first = json.loads(lines[0])

@@ -16,7 +16,7 @@ from solguard.agents.remediate import FINDING_CALLS_IN_FLIGHT, advise, assess
 from solguard.core import Channel, Finding, Location, Span, VulnerabilityClass
 from solguard.errors import TransportError
 from solguard.llm.mock import TranscriptRecorder
-from solguard.llm.provider import ChatExchange, ProviderConfig
+from solguard.llm.provider import ProviderConfig
 from solguard.static_analysis.scanner import load_source
 
 FUNCTIONS = ("fnAlpha", "fnBravo", "fnCharlie")
@@ -70,7 +70,7 @@ class SlowProvider:
         self.peak: Counter[str] = Counter()
         self.threads: set[int] = set()
 
-    def complete(self, prompt: str, *, role: str) -> ChatExchange:
+    def complete(self, prompt: str, *, role: str) -> str:
         name = function_in(prompt)
         with self.lock:
             self.in_flight[role] += 1
@@ -84,7 +84,7 @@ class SlowProvider:
         finally:
             with self.lock:
                 self.in_flight[role] -= 1
-        return ChatExchange(role=role, request=prompt, response=response, provider_id="mock:slow", latency_s=0.0)
+        return response
 
 
 REVERSED = {"fnAlpha": 0.12, "fnBravo": 0.08, "fnCharlie": 0.04}
