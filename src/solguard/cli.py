@@ -37,7 +37,7 @@ from solguard.evaluation import (
     normalize_variant,
     run_variants,
 )
-from solguard.retrieval.kb import HashingEmbedder, build_kb_index, load_kb_documents
+from solguard.retrieval.kb import build_kb_index, load_kb_documents
 from solguard.retrieval.snapshot import CorpusSnapshotStore, KbSnapshotStore
 from solguard.retrieval.tfidf import build_corpus_index, load_corpus_file
 from solguard.static_analysis.scanner import load_file
@@ -274,7 +274,7 @@ def _publish_snapshots(
             version = corpus_store.publish(build_corpus_index(load_corpus_file(corpus)))
             published.append(f"corpus: published version {version}")
         if docs:
-            version = kb_store.publish(build_kb_index(load_kb_documents(docs), HashingEmbedder()))
+            version = kb_store.publish(build_kb_index(load_kb_documents(docs)))
             published.append(f"kb: published version {version}")
     except SolguardError as exc:
         _fail(EXIT_PROCESSING, str(exc))

@@ -1,9 +1,8 @@
 """Vulnerability knowledge base: chunked documents with dense embeddings.
 
-Documents are split into overlapping windows of whitespace tokens and
-embedded. The default embedder is a deterministic feature-hashing
-bag-of-words model so tests and offline runs need no external service;
-remote embedders can be plugged in through the same interface.
+Documents are split into overlapping windows of whitespace tokens, and
+every chunk and every query is embedded by :func:`embed`, a deterministic
+feature-hashing bag-of-words model, so runs need no external service.
 """
 
 from __future__ import annotations
@@ -14,58 +13,32 @@ import math
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Protocol
+from typing import Iterable
 
 import yaml
 
-from solguard.errors import DatasetError, SolguardError
+from solguard.errors import DatasetError
 from solguard.jsonl import read_text
 
 CHUNK_TOKENS = 512
 CHUNK_OVERLAP = 64
+EMBEDDING_DIM = 256
+EMBEDDER_ID = "hash-bow-256-v1"  # what a snapshot's meta.json names
 
 _WORD_RE = re.compile(r"[a-z0-9]+")
 
 
-class Embedder(Protocol):
-    """Anything that can map text to a fixed-dimension dense vector."""
-
-    @property
-    def embedder_id(self) -> str: ...
-
-    @property
-    def dim(self) -> int: ...
-
-    def embed(self, text: str) -> list[float]: ...
-
-
-@dataclass(frozen=True)
-class HashingEmbedder:
-    """Feature-hashing bag-of-words embedder; deterministic across platforms."""
-
-    dim: int = 256
-
-    @property
-    def embedder_id(self) -> str:
-        return f"hash-bow-{self.dim}-v1"
-
-    def embed(self, text: str) -> list[float]:
-        vec = [0.0] * self.dim
-        for word in _WORD_RE.findall(text.lower()):
-            digest = hashlib.md5(word.encode("utf-8")).digest()
-            vec[int.from_bytes(digest[:4], "big") % self.dim] += 1.0
-        norm = math.sqrt(sum(x * x for x in vec))
-        if norm > 0:
-            vec = [x / norm for x in vec]
-        return vec
-
-
-def get_embedder(embedder_id: str) -> Embedder:
-    """The embedder a snapshot's ``embedder`` id names."""
-    m = re.fullmatch(r"hash-bow-([1-9]\d*)-v1", embedder_id)
-    if m:
-        return HashingEmbedder(int(m.group(1)))
-    raise SolguardError(f"unknown embedder {embedder_id!r}")
+def embed(text: str) -> list[float]:
+    """The L2-normalized counts of ``text``'s words hashed into ``EMBEDDING_DIM``
+    buckets; the same numbers on every platform."""
+    vec = [0.0] * EMBEDDING_DIM
+    for word in _WORD_RE.findall(text.lower()):
+        digest = hashlib.md5(word.encode("utf-8")).digest()
+        vec[int.from_bytes(digest[:4], "big") % EMBEDDING_DIM] += 1.0
+    norm = math.sqrt(sum(x * x for x in vec))
+    if norm > 0:
+        vec = [x / norm for x in vec]
+    return vec
 
 
 @dataclass(frozen=True)
@@ -86,31 +59,23 @@ class KbChunk:
 
 @dataclass(frozen=True)
 class KbIndex:
-    """Embedded chunks and the embedder that made them, which also embeds
-    every query; each chunk has exactly ``embedder.dim`` numbers."""
+    """Embedded chunks, each of ``EMBEDDING_DIM`` numbers; a snapshot store's
+    publish or load sets the version."""
 
     chunks: tuple[KbChunk, ...]
-    embedder: Embedder
     snapshot_version: int = 0
 
-    def __post_init__(self) -> None:
-        for c in self.chunks:
-            if len(c.embedding) != self.embedder.dim:
-                raise SolguardError(
-                    f"chunk {c.doc_id}#{c.chunk_index} has embedding dimension {len(c.embedding)}, "
-                    f"embedder {self.embedder.embedder_id} gives {self.embedder.dim}"
-                )
 
-
-def chunk_spans(n_tokens: int, size: int = CHUNK_TOKENS, overlap: int = CHUNK_OVERLAP) -> list[tuple[int, int]]:
-    """Token-index windows [start, end) covering ``n_tokens`` with overlap."""
+def chunk_spans(n_tokens: int) -> list[tuple[int, int]]:
+    """Token-index windows [start, end) of ``CHUNK_TOKENS`` covering ``n_tokens``,
+    each overlapping the one before by ``CHUNK_OVERLAP``."""
     if n_tokens <= 0:
         return []
     spans: list[tuple[int, int]] = []
-    stride = size - overlap
+    stride = CHUNK_TOKENS - CHUNK_OVERLAP
     start = 0
     while True:
-        end = min(start + size, n_tokens)
+        end = min(start + CHUNK_TOKENS, n_tokens)
         spans.append((start, end))
         if end == n_tokens:
             return spans
@@ -122,15 +87,13 @@ def split_chunks(doc: KbDocument) -> list[tuple[int, str]]:
     return [(i, " ".join(tokens[s:e])) for i, (s, e) in enumerate(chunk_spans(len(tokens)))]
 
 
-def build_kb_index(
-    docs: Iterable[KbDocument], embedder: Embedder, snapshot_version: int = 0
-) -> KbIndex:
-    """Chunk and embed every document; any embedder failure aborts the build."""
+def build_kb_index(docs: Iterable[KbDocument]) -> KbIndex:
+    """Chunk and embed every document."""
     chunks: list[KbChunk] = []
     for doc in docs:
         for chunk_index, text in split_chunks(doc):
-            chunks.append(KbChunk(doc.doc_id, chunk_index, text, dict(doc.metadata), tuple(embedder.embed(text))))
-    return KbIndex(tuple(chunks), embedder, snapshot_version)
+            chunks.append(KbChunk(doc.doc_id, chunk_index, text, dict(doc.metadata), tuple(embed(text))))
+    return KbIndex(tuple(chunks))
 
 
 def _dense_cosine(a: tuple[float, ...] | list[float], b: tuple[float, ...] | list[float]) -> float:
@@ -143,9 +106,9 @@ def _dense_cosine(a: tuple[float, ...] | list[float], b: tuple[float, ...] | lis
 
 
 def kb_search(query: str, index: KbIndex, k: int) -> list[KbChunk]:
-    """Top-k chunks by cosine similarity to the query as the index's
-    embedder embeds it; ties break on (doc id, chunk index)."""
-    qvec = index.embedder.embed(query)
+    """Top-k chunks by cosine similarity to the embedded query; ties break
+    on (doc id, chunk index)."""
+    qvec = embed(query)
     scored = sorted(
         ((chunk, _dense_cosine(qvec, chunk.embedding)) for chunk in index.chunks),
         key=lambda pair: (-pair[1], pair[0].doc_id, pair[0].chunk_index),

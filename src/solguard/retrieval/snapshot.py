@@ -27,10 +27,10 @@ from operator import gt, mul
 from pathlib import Path
 from typing import Generic, Iterator, TypeVar
 
-from solguard.errors import SnapshotError, SolguardError
+from solguard.errors import SnapshotError
 from solguard.jsonl import read_jsonl
-from solguard.records import Field, Record, mapping, one_of, string, whole
-from solguard.retrieval.kb import KbChunk, KbIndex, get_embedder
+from solguard.records import Field, Record, mapping, number, one_of, string, whole
+from solguard.retrieval.kb import EMBEDDER_ID, EMBEDDING_DIM, KbChunk, KbIndex
 from solguard.retrieval.tfidf import CorpusDocument, CorpusIndex
 
 T = TypeVar("T")
@@ -201,31 +201,34 @@ class KbSnapshotStore(SnapshotStore[KbIndex]):
             {
                 "kind": self.kind,
                 "version": index.snapshot_version,
-                "embedder": index.embedder.embedder_id,
+                "embedder": EMBEDDER_ID,
                 "documents": len({c.doc_id for c in index.chunks}),
                 "chunks": len(index.chunks),
             },
         )
 
     def _read_files(self, target: Path, meta: dict) -> KbIndex:
-        try:
-            embedder = get_embedder(meta["embedder"])
-        except SolguardError as exc:
-            raise SnapshotError(f"snapshot file {target / 'meta.json'} cannot be loaded: {exc}") from exc
-        chunks: list[KbChunk] = []
+        if meta["embedder"] != EMBEDDER_ID:
+            raise SnapshotError(
+                f"snapshot file {target / 'meta.json'} cannot be loaded: unknown embedder {meta['embedder']!r}"
+            )
+        path, chunks = target / "chunks.jsonl", []
+        read_jsonl(path, lambda rec: chunks.append(KbChunk(**{**rec, "embedding": tuple(rec["embedding"])})),
+                   SnapshotError, CHUNK)
+        n_chunks, n_documents = len(chunks), len({c.doc_id for c in chunks})
+        if (n_chunks, n_documents) != (meta["chunks"], meta["documents"]):
+            raise _corrupt(path, f"it holds {n_chunks} chunks of {n_documents} documents, "
+                           f"but meta.json counts {meta['chunks']} of {meta['documents']}")
+        return KbIndex(tuple(chunks), meta["version"])
 
-        def read(rec: dict) -> None:
-            if len(rec["embedding"]) != embedder.dim:
-                raise ValueError(f"embedding must be a list of {embedder.dim} numbers for {embedder.embedder_id}")
-            chunks.append(KbChunk(**{**rec, "embedding": tuple(rec["embedding"])}))
 
-        read_jsonl(target / "chunks.jsonl", read, SnapshotError, CHUNK)
-        return KbIndex(tuple(chunks), embedder, snapshot_version=meta["version"])
-
-
-_NUMBERS = Field("a list of numbers", lambda v: type(v) is list and all(type(x) in (int, float) for x in v))
+_finite = number("(-inf, inf)").accepts  # within the float range, so neither NaN nor infinite
+_EMBEDDING = Field(
+    f"a list of {EMBEDDING_DIM} numbers, each finite",
+    lambda v: type(v) is list and len(v) == EMBEDDING_DIM and all(map(_finite, v)),
+)
 CHUNK = Record({
-    "doc_id": string(), "chunk_index": whole(0), "text": string(), "metadata": mapping(), "embedding": _NUMBERS,
+    "doc_id": string(), "chunk_index": whole(0), "text": string(), "metadata": mapping(), "embedding": _EMBEDDING,
 })
 
 

@@ -113,10 +113,7 @@ def _tfidf_vector(terms: list[str], term_ids: dict[str, int], idf: array) -> tup
     return {t: w / norm for t, w in raw.items()}, 1.0
 
 
-def build_corpus_index(
-    docs: list[tuple[str, str, tuple[str, ...], str]],
-    snapshot_version: int = 0,
-) -> CorpusIndex:
+def build_corpus_index(docs: list[tuple[str, str, tuple[str, ...], str]]) -> CorpusIndex:
     """Index labeled contracts given as (id, label, classes, source) tuples."""
     if not docs:
         raise ValueError("corpus must contain at least one document")
@@ -146,7 +143,7 @@ def build_corpus_index(
         CorpusDocument(doc_id, label, tuple(classes), norm)
         for (doc_id, label, classes, _), norm in zip(docs, _norms(n, positions, weights))
     )
-    return CorpusIndex(tuple(documents), term_ids, idf, offsets, positions, weights, common_norms, snapshot_version)
+    return CorpusIndex(tuple(documents), term_ids, idf, offsets, positions, weights, common_norms)
 
 
 def _norms(n: int, positions: Iterable[int], weights: Iterable[float]) -> array:

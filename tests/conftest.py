@@ -6,7 +6,7 @@ import pytest
 import yaml
 from click.testing import CliRunner
 
-from solguard.retrieval.kb import HashingEmbedder, build_kb_index, load_kb_documents
+from solguard.retrieval.kb import build_kb_index, load_kb_documents
 from solguard.retrieval.snapshot import CorpusSnapshotStore, KbSnapshotStore
 from solguard.retrieval.tfidf import build_corpus_index, load_corpus_file
 
@@ -24,7 +24,7 @@ def built_index_root(tmp_path_factory) -> Path:
     root = tmp_path_factory.mktemp("index")
     corpus = build_corpus_index(load_corpus_file(FIXTURES / "corpus.jsonl"))
     CorpusSnapshotStore(root / "corpus").publish(corpus)
-    kb = build_kb_index(load_kb_documents(FIXTURES / "kb_docs"), HashingEmbedder())
+    kb = build_kb_index(load_kb_documents(FIXTURES / "kb_docs"))
     KbSnapshotStore(root / "kb").publish(kb)
     return root
 

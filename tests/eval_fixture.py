@@ -25,7 +25,7 @@ import yaml
 
 from solguard.agents.detect import build_detection_prompt
 from solguard.llm.mock import prompt_fingerprint
-from solguard.retrieval.kb import HashingEmbedder, build_kb_index, load_kb_documents
+from solguard.retrieval.kb import build_kb_index, load_kb_documents
 from solguard.retrieval.snapshot import CorpusSnapshotStore, KbSnapshotStore
 from solguard.retrieval.tfidf import build_corpus_index, load_corpus_file, top_k
 from solguard.static_analysis.scanner import load_source
@@ -149,7 +149,7 @@ def build_eval_fixture(root: Path) -> dict[str, Path]:
     index_root = root / "index"
     corpus_index = build_corpus_index(load_corpus_file(corpus_path))
     CorpusSnapshotStore(index_root / "corpus").publish(corpus_index)
-    kb_index = build_kb_index(load_kb_documents(FIXTURES / "kb_docs"), HashingEmbedder())
+    kb_index = build_kb_index(load_kb_documents(FIXTURES / "kb_docs"))
     KbSnapshotStore(index_root / "kb").publish(kb_index)
 
     transcript_path = root / "transcript.jsonl"

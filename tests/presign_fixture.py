@@ -16,7 +16,7 @@ from solguard.agents.config import FusionWeights, PipelineConfig
 from solguard.agents.pipeline import PipelineContext, PipelineRun, run_pipeline
 from solguard.llm.mock import TranscriptRecorder
 from solguard.llm.provider import ProviderConfig
-from solguard.retrieval.kb import HashingEmbedder, build_kb_index, load_kb_documents
+from solguard.retrieval.kb import build_kb_index, load_kb_documents
 from solguard.retrieval.tfidf import build_corpus_index, load_corpus_file
 from solguard.static_analysis.rules import default_ruleset
 from solguard.static_analysis.scanner import load_file
@@ -127,7 +127,7 @@ def recording_context(
         for role, model in ROLE_MODELS.items()
     }
     corpus_index = build_corpus_index(load_corpus_file(FIXTURES / "corpus.jsonl"))
-    kb_index = build_kb_index(load_kb_documents(FIXTURES / "kb_docs"), HashingEmbedder())
+    kb_index = build_kb_index(load_kb_documents(FIXTURES / "kb_docs"))
     config = PipelineConfig(providers={
         "detector": ProviderConfig(kind="mock", model_id="detector-sim", transcript="<recording>"),
         "base": ProviderConfig(kind="mock", model_id="base-sim", transcript="<recording>"),

@@ -4,15 +4,15 @@ import math
 
 import pytest
 
-from solguard.errors import DatasetError, SolguardError
+from solguard.errors import DatasetError
 from solguard.retrieval.kb import (
-    HashingEmbedder,
-    KbChunk,
+    EMBEDDER_ID,
+    EMBEDDING_DIM,
     KbDocument,
     KbIndex,
     build_kb_index,
     chunk_spans,
-    get_embedder,
+    embed,
     kb_search,
     load_kb_documents,
     split_chunks,
@@ -51,72 +51,45 @@ class TestChunking:
 
 class TestEmbedder:
     def test_dimension_and_determinism(self):
-        emb = HashingEmbedder(dim=256)
-        v1 = emb.embed("reentrancy guard for withdraw")
-        v2 = emb.embed("reentrancy guard for withdraw")
+        v1 = embed("reentrancy guard for withdraw")
+        v2 = embed("reentrancy guard for withdraw")
         assert len(v1) == 256
         assert v1 == v2
 
     def test_unit_norm_for_non_empty_text(self):
-        v = HashingEmbedder().embed("some words here")
+        v = embed("some words here")
         assert math.sqrt(sum(x * x for x in v)) == pytest.approx(1.0)
 
     def test_empty_text_zero_vector(self):
-        assert all(x == 0.0 for x in HashingEmbedder().embed(""))
+        assert all(x == 0.0 for x in embed(""))
 
-    def test_registry_round_trip(self):
-        emb = HashingEmbedder(dim=64)
-        resolved = get_embedder(emb.embedder_id)
-        assert resolved.dim == 64
-        with pytest.raises(SolguardError):
-            get_embedder("unheard-of-embedder")
+    def test_embedder_id_names_the_dimension(self):
+        # a snapshot's meta names EMBEDDER_ID, so a new dimension must come with a new id
+        assert len(embed("alpha")) == EMBEDDING_DIM
+        assert EMBEDDER_ID == f"hash-bow-{EMBEDDING_DIM}-v1"
 
 
 class TestBuildIndex:
     def test_empty_doc_set(self):
-        index = build_kb_index([], HashingEmbedder())
+        index = build_kb_index([])
         assert index.chunks == ()
 
     def test_chunks_carry_metadata_and_embeddings(self):
         docs = [KbDocument("d1", words(1000), {"source": "registry"})]
-        index = build_kb_index(docs, HashingEmbedder())
+        index = build_kb_index(docs)
         assert len(index.chunks) == 3
         assert all(c.metadata == {"source": "registry"} for c in index.chunks)
         assert all(len(c.embedding) == 256 for c in index.chunks)
 
-    def test_embedder_failure_aborts_build(self):
-        class Exploding:
-            embedder_id = "boom-v1"
-            dim = 4
-
-            def embed(self, text: str):
-                raise SolguardError("remote embedder unavailable")
-
-        with pytest.raises(SolguardError, match="unavailable"):
-            build_kb_index([KbDocument("d", "text")], Exploding())
-
-    def test_mixed_dimensions_rejected(self):
-        c1 = KbChunk("a", 0, "t", {}, (1.0, 0.0))
-        c2 = KbChunk("b", 0, "t", {}, (1.0, 0.0, 0.0))
-        with pytest.raises(SolguardError, match="b#0 has embedding dimension 3"):
-            KbIndex(chunks=(c1, c2), embedder=HashingEmbedder(dim=2))
-
-    def test_embedder_of_the_wrong_dimension_aborts_build(self):
-        class Short:
-            embedder_id = "short-v1"
-            dim = 4
-
-            def embed(self, text: str):
-                return [1.0, 0.0]
-
-        with pytest.raises(SolguardError, match="dimension 2, embedder short-v1 gives 4"):
-            build_kb_index([KbDocument("d", "text")], Short())
+    def test_build_assigns_no_snapshot_version(self):
+        # only a snapshot store's publish or load sets the version
+        assert build_kb_index([KbDocument("d", "alpha beta")]).snapshot_version == 0
 
 
 class TestSearch:
     def _index(self, texts: dict[str, str]) -> KbIndex:
         docs = [KbDocument(doc_id, text) for doc_id, text in sorted(texts.items())]
-        return build_kb_index(docs, HashingEmbedder())
+        return build_kb_index(docs)
 
     def test_identical_text_ranks_first(self):
         index = self._index(
@@ -137,9 +110,8 @@ class TestSearch:
         texts = {f"doc{i:02d}": words(30, prefix=f"t{i}x") + " shared token" for i in range(20)}
         index = self._index(texts)
         assert len(index.chunks) == 20
-        emb = HashingEmbedder()
         query = "shared token t07x1 t07x2"
-        qvec = emb.embed(query)
+        qvec = embed(query)
 
         def dense_cos(a, b):
             dot = sum(x * y for x, y in zip(a, b))
@@ -156,27 +128,14 @@ class TestSearch:
             (c.doc_id, c.chunk_index) for c in expected
         ]
 
-    def test_dimension_mismatch_rejected(self):
-        # queries are embedded by the index's own embedder, so an index whose
-        # embedder disagrees with its chunks must not exist
-        index = self._index({"a": "alpha"})
-        with pytest.raises(SolguardError, match="dimension"):
-            KbIndex(index.chunks, HashingEmbedder(dim=16))
-
-    def test_custom_embedder_builds_and_searches_in_process(self):
-        class Letters:
-            embedder_id = "letters-v1"
-            dim = 2
-
-            def embed(self, text: str):
-                return [text.count("a") + 0.0, text.count("b") + 0.0]
-
-        docs = [KbDocument("as", "aaa a"), KbDocument("bs", "bbb b")]
-        index = build_kb_index(docs, Letters())
-        assert [c.doc_id for c in kb_search("b b", index, k=2)] == ["bs", "as"]
+    def test_query_without_words_ties_break_on_doc_id(self):
+        # a query of no words embeds to zeros and scores 0 against every chunk
+        index = self._index({"b": "beta", "a": words(600), "c": "!!!"})
+        got = kb_search("?? --", index, k=4)
+        assert [(c.doc_id, c.chunk_index) for c in got] == [("a", 0), ("a", 1), ("b", 0), ("c", 0)]
 
     def test_empty_index(self):
-        index = KbIndex(chunks=(), embedder=HashingEmbedder())
+        index = KbIndex(chunks=())
         assert kb_search("anything", index, k=3) == []
 
 

@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 from solguard.errors import SnapshotError
-from solguard.retrieval.kb import HashingEmbedder, KbDocument, build_kb_index
+from solguard.retrieval.kb import KbDocument, build_kb_index, load_kb_documents
 from solguard.retrieval.snapshot import CorpusSnapshotStore, KbSnapshotStore
 from solguard.retrieval.tfidf import build_corpus_index, load_corpus_file, top_k
 from solguard.static_analysis.scanner import load_file, load_source
@@ -47,9 +47,7 @@ class TestPublishLoad:
 
     def test_kb_round_trip(self, tmp_path):
         store = KbSnapshotStore(tmp_path)
-        index = build_kb_index(
-            [KbDocument("d", "alpha beta gamma", {"source": "x"})], HashingEmbedder()
-        )
+        index = build_kb_index([KbDocument("d", "alpha beta gamma", {"source": "x"})])
         store.publish(index)
         loaded = store.load()
         assert loaded == dataclasses.replace(index, snapshot_version=1)
@@ -178,6 +176,13 @@ class TestRoundTrip:
         postings = (tmp_path / "1" / "postings.bin").read_bytes()
         format2 = postings[: -8 * len(fixture_index().documents)]
         assert hashlib.sha256(format2).hexdigest() == "34e8e30512c410bfa722233de6220f0579062595a9d1999dda42211084d3bee6"
+
+    def test_fixture_kb_snapshot_bytes_are_pinned(self, tmp_path):
+        KbSnapshotStore(tmp_path).publish(build_kb_index(load_kb_documents(FIXTURES / "kb_docs")))
+        assert digests(tmp_path / "1") == {
+            "chunks.jsonl": "4dca9a9ad28dcf17355aee8cb5a9a76975a6499e9022f600c4c04e6e144d719d",
+            "meta.json": "36c05b72ea819a60e12a8f60a20ce153f4bea769493a8e028ddca13f55572635",
+        }
 
 
 QUERIES = sorted(FIXTURES.glob("*.sol")) + sorted((FIXTURES / "rules").glob("*.sol"))
@@ -341,6 +346,10 @@ KB_FAULTS = {
     "missing key": with_field(lambda rec: rec.pop("text")),
     "non-numeric embedding": with_field(lambda rec: rec.update(embedding=["x"] * len(rec["embedding"]))),
     "embedding one number short": with_field(lambda rec: rec.update(embedding=rec["embedding"][:-1])),
+    # a NaN ranked its chunk first for every query, and 10**400 overflowed the cosine
+    "embedding NaN": with_field(lambda rec: rec["embedding"].__setitem__(7, math.nan)),
+    "embedding Infinity": with_field(lambda rec: rec["embedding"].__setitem__(7, math.inf)),
+    "embedding 10**400": with_field(lambda rec: rec["embedding"].__setitem__(7, 10**400)),
 }
 
 
@@ -388,9 +397,19 @@ class TestCorruptRecords:
     def test_kb_line_fault_names_file_and_line(self, tmp_path, fault):
         store = KbSnapshotStore(tmp_path)
         docs = [KbDocument(f"d{i}", f"alpha beta {i}", {}) for i in range(3)]
-        store.publish(build_kb_index(docs, HashingEmbedder()))
+        store.publish(build_kb_index(docs))
         edit_record(tmp_path / "1" / "chunks.jsonl", 2, KB_FAULTS[fault])
         with pytest.raises(SnapshotError, match=r"chunks\.jsonl:2: "):
+            store.load()
+
+    @pytest.mark.parametrize("lines", [[0, 1], [0, 0, 0], [0, 0, 2, 3, 4, 5]], ids=["2 of 6", "3 copies", "a copy"])
+    def test_kb_chunks_other_than_meta_counts_name_the_file(self, tmp_path, lines):
+        store = KbSnapshotStore(tmp_path)
+        store.publish(build_kb_index(load_kb_documents(FIXTURES / "kb_docs")))
+        path = tmp_path / "1" / "chunks.jsonl"
+        records = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        path.write_text("".join(records[i] for i in lines), encoding="utf-8")
+        with pytest.raises(SnapshotError, match=re.escape(f"snapshot file {path} is corrupt: ") + ".* counts 6 of 6"):
             store.load()
 
 
@@ -431,7 +450,7 @@ class TestGarbageCollector:
 
 def kb_store_with_docs(root: Path) -> KbSnapshotStore:
     store = KbSnapshotStore(root)
-    store.publish(build_kb_index([KbDocument("d", "alpha beta", {})], HashingEmbedder()))
+    store.publish(build_kb_index([KbDocument("d", "alpha beta", {})]))
     return store
 
 
@@ -457,29 +476,17 @@ class TestCorruptMeta:
 
     def test_kb_embedding_dimension_other_than_the_embedder_names_first_line(self, tmp_path):
         store = kb_store_with_docs(tmp_path)
-        set_kb_embedder(tmp_path / "1" / "meta.json", "hash-bow-64-v1")
-        with pytest.raises(SnapshotError, match=r"chunks\.jsonl:1: .*64 numbers"):
+        cut = with_field(lambda rec: rec.update(embedding=rec["embedding"][:64]))
+        edit_record(tmp_path / "1" / "chunks.jsonl", 1, cut)
+        with pytest.raises(SnapshotError, match=r"chunks\.jsonl:1: .*256 numbers"):
             store.load()
 
-    @pytest.mark.parametrize("embedder", ["letters-v1", "hash-bow-x-v1", "hash-bow-0-v1"])
+    @pytest.mark.parametrize("embedder", ["letters-v1", "hash-bow-x-v1", "hash-bow-0-v1", "hash-bow-64-v1"])
     def test_kb_meta_naming_an_unknown_embedder_names_file(self, tmp_path, embedder):
         store = kb_store_with_docs(tmp_path)
         meta_path = tmp_path / "1" / "meta.json"
         set_kb_embedder(meta_path, embedder)
         with pytest.raises(SnapshotError, match=f"{meta_path} cannot be loaded: unknown embedder"):
-            store.load()
-
-    def test_snapshot_of_a_custom_embedder_fails_to_load(self, tmp_path):
-        class Letters:
-            embedder_id = "letters-v1"
-            dim = 2
-
-            def embed(self, text: str):
-                return [text.count("a") + 0.0, text.count("b") + 0.0]
-
-        store = KbSnapshotStore(tmp_path)
-        store.publish(build_kb_index([KbDocument("d", "a b", {})], Letters()))
-        with pytest.raises(SnapshotError, match="unknown embedder 'letters-v1'"):
             store.load()
 
     @pytest.mark.parametrize("embedder", [None, 7])
