@@ -10,7 +10,8 @@ model prompt.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+import re
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Any, Sequence
 
 from solguard.core import (
@@ -37,6 +38,7 @@ from solguard.llm.structured import DETECTOR_SCHEMA, StructuredSchema, extract_s
 from solguard.llm.template import render_prompt
 from solguard.retrieval.kb import KbIndex, kb_search
 from solguard.retrieval.tfidf import Neighbor, retrieval_channel, top_k
+from solguard.static_analysis.rules import PatternRule, canonical_class
 from solguard.static_analysis.scanner import static_channel
 
 from solguard.agents.config import FusionWeights
@@ -189,14 +191,16 @@ def _model_findings(
     whole = Span(0, byte_length(contract.source))
     findings: list[Finding] = []
     for item in raw:
-        if not isinstance(item, dict) or "class" not in item:
+        if not isinstance(item, dict) or not isinstance(item.get("class"), str):
             log.warning("%s: ignoring malformed model finding %r", contract.id, item)
             continue
-        function = str(item.get("function", ""))
+        # `foo()` and `foo(uint256)` name the function foo; a null or non-text function is contract level
+        function = item.get("function")
+        function = re.sub(r"\s*\([^()]*\)$", "", function.strip()) if isinstance(function, str) else ""
         findings.append(
             Finding(
                 contract_id=contract.id,
-                vuln_class=VulnerabilityClass(name=str(item["class"])),
+                vuln_class=VulnerabilityClass(name=item["class"]),
                 location=Location(span=spans_by_name.get(function, whole), function=function),
                 evidence=str(item.get("evidence", "")),
                 channel=Channel.MODEL,
@@ -244,15 +248,17 @@ def detect(contract: SourceContract, ctx: PipelineContext) -> FusedVerdict:
     return fuse_channels(channels, cfg.mode, cfg.weights, cfg.threshold)
 
 
-def actionable_findings(fused: FusedVerdict, contract: SourceContract) -> list[Finding]:
+def actionable_findings(fused: FusedVerdict, contract: SourceContract, ruleset: list[PatternRule]) -> list[Finding]:
     """Findings handed to the repair chain.
 
-    Static and model findings (of whichever of the two ran) merge by (class,
-    function); unlocalized retrieval hints step in only when the localized
-    channels found nothing despite a vulnerable verdict.
+    Static and model findings (of whichever of the two ran) take the
+    ruleset's name for their class (:func:`canonical_class`), then merge by
+    (class, function); unlocalized retrieval hints step in only when the
+    localized channels found nothing despite a vulnerable verdict.
     """
     localized = merge_findings(
-        c.findings for c in fused.channel_results if c.channel is not Channel.RETRIEVAL
+        [replace(f, vuln_class=canonical_class(f.vuln_class.name, ruleset)) for f in c.findings]
+        for c in fused.channel_results if c.channel is not Channel.RETRIEVAL
     )
     if localized or fused.verdict is Verdict.SAFE:
         return localized

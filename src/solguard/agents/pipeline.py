@@ -184,7 +184,7 @@ def run_pipeline(contract: SourceContract, ctx: PipelineContext) -> PipelineRun:
         if not isinstance(failure, ModelChannelError):
             raise failure  # no channel results at all
         fused = fuse_channels(failure.channels, cfg.mode, cfg.weights, cfg.threshold)
-    findings = actionable_findings(fused, contract) if fused.verdict is not Verdict.UNDETERMINED else []
+    findings = actionable_findings(fused, contract, ctx.ruleset) if fused.verdict is not Verdict.UNDETERMINED else []
 
     suggestions: list[RepairSuggestion] = []
     assignments: list[RiskAssignment] = []

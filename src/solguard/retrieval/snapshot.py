@@ -219,6 +219,11 @@ class KbSnapshotStore(SnapshotStore[KbIndex]):
         if (n_chunks, n_documents) != (meta["chunks"], meta["documents"]):
             raise _corrupt(path, f"it holds {n_chunks} chunks of {n_documents} documents, "
                            f"but meta.json counts {meta['chunks']} of {meta['documents']}")
+        first: dict[tuple[str, int], int] = {}
+        for line, chunk in enumerate(chunks, start=1):  # publish writes no blank lines
+            key = chunk.doc_id, chunk.chunk_index
+            if first.setdefault(key, line) != line:
+                raise _corrupt(path, f"line {line} repeats doc_id/chunk_index {key[0]!r}/{key[1]} of line {first[key]}")
         return KbIndex(tuple(chunks), meta["version"])
 
 

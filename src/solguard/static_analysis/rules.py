@@ -11,7 +11,7 @@ import re
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, Sequence
 
 import yaml
 
@@ -201,6 +201,30 @@ def parse_ruleset(text: str) -> list[PatternRule]:
         seen_classes.add(rule.vuln_class.name)
         rules.append(rule)
     return rules
+
+
+def canonical_class(name: str, ruleset: Sequence[PatternRule]) -> VulnerabilityClass:
+    """The class of ``ruleset`` that ``name`` spells: a class's exact name is
+    that class; else case and punctuation fold away before ``name`` is
+    compared with each class name and rule id; else a single SWC number in
+    ``name`` picks the class with that ``swc_id``. A name that spells no
+    class, or more than one, comes back unchanged as a class of its own."""
+    for rule in ruleset:
+        if rule.vuln_class.name == name:
+            return rule.vuln_class
+    folded, numbers = _fold(name), _swc_numbers(name)
+    spelled = {r.vuln_class for r in ruleset if folded and folded in (_fold(r.vuln_class.name), _fold(r.rule_id))}
+    if not spelled and len(numbers) == 1:
+        spelled = {r.vuln_class for r in ruleset if _swc_numbers(r.vuln_class.swc_id or "") == numbers}
+    return spelled.pop() if len(spelled) == 1 else VulnerabilityClass(name)
+
+
+def _fold(name: str) -> str:
+    return re.sub(r"[^a-z0-9]+", "", name.lower())
+
+
+def _swc_numbers(text: str) -> set[str]:
+    return {n.lstrip("0") for n in re.findall(r"swc\W*(\d+)", text, re.IGNORECASE)}
 
 
 def default_ruleset() -> list[PatternRule]:

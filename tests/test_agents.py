@@ -268,6 +268,31 @@ class TestModelChannel:
         ghost = result.findings[1]
         assert ghost.location.span == Span(0, len(source.encode()))
 
+    @staticmethod
+    def _presign_findings(findings: list) -> tuple[tuple[Finding, ...], Span]:
+        source = (FIXTURES / "presign.sol").read_text(encoding="utf-8")
+        reply = json.dumps({"verdict": "vulnerable", "score": 0.9, "findings": findings})
+        result = model_channel(load_source("presign", source), TranscriptRecorder(lambda role, prompt: reply))
+        return result.findings, Span(0, len(source.encode()))
+
+    def test_parameter_list_and_whitespace_leave_the_function_name(self):
+        findings, whole = self._presign_findings([
+            {"class": "Unprotected Function", "function": name}
+            for name in ("preSign", "preSign()", " preSign(bytes calldata orderUid, bool signed) ")
+        ])
+        assert {f.location.function for f in findings} == {"preSign"}
+        assert len({f.location.span for f in findings}) == 1 and findings[0].location.span != whole
+
+    def test_null_function_is_contract_level_and_null_class_is_skipped(self, caplog):
+        findings, whole = self._presign_findings([
+            {"class": "Reentrancy", "function": None},
+            {"class": "Reentrancy", "function": 7},
+            {"class": None, "function": "preSign"},
+            {"class": 107, "function": "preSign"},
+        ])
+        assert [(f.vuln_class.name, f.location) for f in findings] == [("Reentrancy", Location(whole, ""))] * 2
+        assert caplog.text.count("ignoring malformed model finding") == 2
+
 
 def _finding(cls: str, function: str, start: int = 0, contract_id: str = "presign") -> Finding:
     return Finding(

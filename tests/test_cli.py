@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 import shutil
 import struct
 from pathlib import Path
@@ -8,7 +9,9 @@ from pathlib import Path
 import pytest
 import yaml
 
+from solguard.agents.pipeline import run_pipeline
 from solguard.cli import EXIT_PROCESSING, main
+from solguard.static_analysis.scanner import load_file
 from solguard.retrieval.tfidf import build_corpus_index, load_corpus_file
 from conftest import write_pipeline_config
 import presign_fixture
@@ -29,6 +32,36 @@ class TestAudit:
         run_record = json.loads((tmp_path / "out" / "presign.run.json").read_text(encoding="utf-8"))
         assert run_record["verdict"]["verdict"] == "vulnerable"
         assert "vulnerable" in result.output
+
+    def test_model_spelling_of_a_static_finding_merges_into_one_finding(self, runner, built_index_root, tmp_path):
+        # the detector names the static rule's weakness by its SWC id and a call
+        responses = presign_fixture.scripted_responses()
+        responses["detector"] = json.dumps({"verdict": "vulnerable", "score": 0.9, "findings": [
+            {"class": "SWC-107", "function": "refund()", "evidence": "payee.call{value: amount}"}
+        ]})
+        patched = (FIXTURES / "rules" / "reentrancy_neg.sol").read_text(encoding="utf-8")
+        responses["fixer"] = json.dumps({"repaired_source": patched, "rationale": "write before the call"})
+        ctx, recorders = presign_fixture.recording_context(responses)
+        contract = load_file(FIXTURES / "rules" / "reentrancy_pos.sol", "reentrancy_pos")
+        run_pipeline(contract, ctx)
+        transcript = tmp_path / "transcript.jsonl"
+        transcript.write_text("".join(r.dump() for r in recorders.values()), encoding="utf-8")
+        exchanges = tmp_path / "exchanges.jsonl"
+        config = write_pipeline_config(
+            tmp_path / "cfg.yaml", built_index_root, tmp_path / "out", transcript, exchange_log=str(exchanges)
+        )
+        result = runner.invoke(main, ["audit", str(FIXTURES / "rules" / "reentrancy_pos.sol"), "-c", str(config)])
+        assert result.exit_code == 0, result.output
+        record = json.loads((tmp_path / "out" / "reentrancy_pos.run.json").read_text(encoding="utf-8"))
+        refund = next(fn for fn in contract.view.functions if fn.name == "refund").body_span
+        assert [(f["class"], f["location"]) for f in record["findings"]] == [(
+            {"name": "Reentrancy", "swc_id": "SWC-107"},
+            {"start": refund.start, "end": refund.end, "function": "refund"},
+        )]
+        report = (tmp_path / "out" / "reentrancy_pos.report.md").read_text(encoding="utf-8")
+        assert len(re.findall(r"^\| \d+ \| ", report, re.MULTILINE)) == 1
+        roles = [json.loads(line)["role"] for line in exchanges.read_text(encoding="utf-8").splitlines()]
+        assert (roles.count("advisor"), roles.count("assessor")) == (1, 1)
 
     def test_zero_input_files_is_usage_error(self, runner, presign_config):
         result = runner.invoke(main, ["audit", "-c", str(presign_config)])

@@ -6,10 +6,12 @@ from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
-from solguard.core import Verdict
+from solguard.core import Verdict, VulnerabilityClass
 from solguard.errors import RulesetError
-from solguard.static_analysis.rules import default_ruleset, load_ruleset, parse_ruleset
+from solguard.static_analysis.rules import canonical_class, default_ruleset, load_ruleset, parse_ruleset
 from solguard.static_analysis.scanner import load_file, load_source, scan, static_channel
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -251,6 +253,67 @@ class TestRulesetFile:
         assert swc["delegatecall-to-parameter"] == "SWC-112"
         assert swc["tx-origin-auth"] == "SWC-115"
         assert swc["timestamp-dependence"] == "SWC-116"
+
+
+DEFAULT_RULES = default_ruleset()
+
+
+def fold(name: str) -> str:
+    return re.sub(r"[^a-z0-9]+", "", name.lower())
+
+
+def custom_rules(*classes: tuple[str, str]) -> list:
+    """A ruleset of one rule per (class, swc_id), each with the same matcher."""
+    return parse_ruleset(yaml.safe_dump([
+        {"rule_id": f"r{n}", "class": name, "swc_id": swc, "confidence": 0.5,
+         "matcher": {"type": "unguarded_token", "token": "selfdestruct"}}
+        for n, (name, swc) in enumerate(classes)
+    ]))
+
+
+class TestCanonicalClass:
+    @pytest.mark.parametrize("rule", DEFAULT_RULES, ids=lambda rule: rule.rule_id)
+    def test_every_spelling_of_a_catalog_class_is_that_class(self, rule):
+        name, swc = rule.vuln_class.name, rule.vuln_class.swc_id
+        spellings = [name, name.lower(), name.upper(), rule.rule_id] + ([swc, f"{name} ({swc})"] if swc else [])
+        for spelling in spellings:
+            assert canonical_class(spelling, DEFAULT_RULES) == rule.vuln_class, spelling
+
+    @given(
+        st.sampled_from(DEFAULT_RULES),
+        st.booleans(),
+        st.lists(st.tuples(st.booleans(), st.sampled_from(["", " ", "-", "_", "/", ".", "(", ")"]))),
+    )
+    def test_case_and_punctuation_fold_away(self, rule, by_id, edits):
+        spelling = ""
+        for k, char in enumerate(rule.rule_id if by_id else rule.vuln_class.name):
+            upper, separator = edits[k] if k < len(edits) else (False, "")
+            spelling += (char.upper() if upper else char.lower()) + separator
+        assert canonical_class(spelling, DEFAULT_RULES) == rule.vuln_class
+
+    @given(st.sampled_from(DEFAULT_RULES).filter(lambda rule: rule.vuln_class.swc_id), st.text(max_size=8))
+    def test_an_swc_number_in_any_case_and_wrapping_is_its_class(self, rule, words):
+        assume(not re.search(r"swc\W*\d", words, re.IGNORECASE))
+        spelling = f"{words} {rule.vuln_class.swc_id.lower().replace('-', ' #0')})"  # "... swc #0107)"
+        assert canonical_class(spelling, DEFAULT_RULES) == rule.vuln_class
+
+    @given(st.text())
+    def test_text_spelling_no_class_comes_back_unchanged(self, text):
+        assume(not re.search(r"swc\W*\d", text, re.IGNORECASE))
+        assume(all(fold(text) not in (fold(r.vuln_class.name), fold(r.rule_id)) for r in DEFAULT_RULES))
+        assert canonical_class(text, DEFAULT_RULES) == VulnerabilityClass(text)
+
+    @pytest.mark.parametrize("spelling", ["SWC-107", "swc 107", "Reentrancy (SWC-107)"])
+    def test_an_swc_id_two_classes_share_comes_back_unchanged(self, spelling):
+        rules = custom_rules(("Kind 1", "SWC-107"), ("Kind 2", "SWC-107"))
+        assert canonical_class(spelling, rules) == VulnerabilityClass(spelling)
+        assert canonical_class("kind-2", rules) == rules[1].vuln_class
+
+    def test_two_swc_numbers_or_two_folded_names_come_back_unchanged(self):
+        assert canonical_class("SWC-107 or SWC-101", DEFAULT_RULES) == VulnerabilityClass("SWC-107 or SWC-101")
+        rules = custom_rules(("Foo Bar", "SWC-1"), ("foo-bar", "SWC-2"))
+        assert canonical_class("FOO BAR", rules) == VulnerabilityClass("FOO BAR")
+        assert [canonical_class(rule.vuln_class.name, rules) for rule in rules] == [rule.vuln_class for rule in rules]
 
 
 def test_evidence_is_the_matching_source_line(ruleset):

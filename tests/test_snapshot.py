@@ -413,6 +413,18 @@ class TestCorruptRecords:
             store.load()
 
 
+    def test_kb_chunk_repeating_an_earlier_doc_and_index_names_the_lines(self, tmp_path):
+        store = KbSnapshotStore(tmp_path)
+        store.publish(build_kb_index([KbDocument("d", " ".join(f"w{i}" for i in range(1000)), {})]))
+        path = tmp_path / "1" / "chunks.jsonl"
+        records = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        assert len(records) == 3
+        path.write_text(records[0] * 2 + records[2], encoding="utf-8")  # the counts still agree with meta.json
+        message = f"snapshot file {path} is corrupt: line 2 repeats doc_id/chunk_index 'd'/0 of line 1"
+        with pytest.raises(SnapshotError, match=re.escape(message)):
+            store.load()
+
+
 class TestGarbageCollector:
     """A load pauses the cyclic collector and gives the caller back its setting."""
 
