@@ -10,7 +10,6 @@ model prompt.
 from __future__ import annotations
 
 import logging
-import re
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Any, Sequence
 
@@ -34,8 +33,9 @@ from solguard.llm.prompts import (
     REPAIR_INSTRUCTION,
 )
 from solguard.llm.provider import Provider
-from solguard.llm.structured import DETECTOR_SCHEMA, StructuredSchema, extract_structured
+from solguard.llm.structured import DETECTOR_REPLY, FINDING, extract_structured
 from solguard.llm.template import render_prompt
+from solguard.records import Record
 from solguard.retrieval.kb import KbIndex, kb_search
 from solguard.retrieval.tfidf import Neighbor, retrieval_channel, top_k
 from solguard.static_analysis.rules import PatternRule, canonical_class
@@ -117,15 +117,13 @@ def fuse_channels(
     )
 
 
-def ask_structured(
-    provider: Provider, role: str, prompt: str, schema: StructuredSchema
-) -> dict[str, Any]:
-    """Complete and extract; on a parse failure, retry once with a repair
-    instruction appended."""
+def ask_structured(provider: Provider, role: str, prompt: str, schema: Record) -> dict[str, Any]:
+    """Complete and extract the reply record ``schema``; on a parse failure
+    or a field fault, retry once with a repair instruction appended."""
     try:
-        return extract_structured(provider.complete(prompt, role=role), schema)
+        return extract_structured(provider.complete(prompt, role=role), schema, role)
     except ExtractionError:
-        return extract_structured(provider.complete(f"{prompt}\n\n{REPAIR_INSTRUCTION}", role=role), schema)
+        return extract_structured(provider.complete(f"{prompt}\n\n{REPAIR_INSTRUCTION}", role=role), schema, role)
 
 
 def reference_notes(kb_index: KbIndex | None, query: str, k: int) -> str:
@@ -175,34 +173,29 @@ def model_channel(
 
     ``prompt`` defaults to the plain (non-enriched) detection prompt.
     """
-    record = ask_structured(
-        provider, "detector", prompt or build_detection_prompt(contract), DETECTOR_SCHEMA
-    )
-    score = min(1.0, max(0.0, float(record["score"])))
-    findings = _model_findings(contract, record.get("findings", []), score)
+    record = ask_structured(provider, "detector", prompt or build_detection_prompt(contract), DETECTOR_REPLY)
+    score = min(1.0, max(0.0, record["score"]))
+    findings = _model_findings(contract, record["findings"], score)
     verdict = Verdict.VULNERABLE if score >= channel_threshold else Verdict.SAFE
     return ChannelResult(channel=Channel.MODEL, verdict=verdict, score=score, findings=findings)
 
 
-def _model_findings(
-    contract: SourceContract, raw: list[Any], score: float
-) -> tuple[Finding, ...]:
+def _model_findings(contract: SourceContract, raw: list[Any], score: float) -> tuple[Finding, ...]:
     spans_by_name = {fn.name: fn.body_span for fn in contract.view.functions}
     whole = Span(0, byte_length(contract.source))
     findings: list[Finding] = []
     for item in raw:
-        if not isinstance(item, dict) or not isinstance(item.get("class"), str):
-            log.warning("%s: ignoring malformed model finding %r", contract.id, item)
+        try:
+            item = FINDING.parse(item, SolguardError, "detector", "finding")
+        except SolguardError as exc:
+            log.warning("%s: ignoring malformed model finding %r: %s", contract.id, item, exc)
             continue
-        # `foo()` and `foo(uint256)` name the function foo; a null or non-text function is contract level
-        function = item.get("function")
-        function = re.sub(r"\s*\([^()]*\)$", "", function.strip()) if isinstance(function, str) else ""
         findings.append(
             Finding(
                 contract_id=contract.id,
                 vuln_class=VulnerabilityClass(name=item["class"]),
-                location=Location(span=spans_by_name.get(function, whole), function=function),
-                evidence=str(item.get("evidence", "")),
+                location=Location(span=spans_by_name.get(item["function"], whole), function=item["function"]),
+                evidence=item["evidence"],
                 channel=Channel.MODEL,
                 confidence=score,
             )

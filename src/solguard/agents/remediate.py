@@ -28,12 +28,7 @@ from solguard.llm.prompts import (
     VERIFIER_TEMPLATE,
 )
 from solguard.llm.provider import Provider
-from solguard.llm.structured import (
-    ADVISOR_SCHEMA,
-    ASSESSOR_SCHEMA,
-    FIXER_SCHEMA,
-    VERIFIER_SCHEMA,
-)
+from solguard.llm.structured import ADVISOR_REPLY, ASSESSOR_REPLY, FIXER_REPLY, VERIFIER_REPLY
 from solguard.llm.template import render_prompt
 from solguard.retrieval.kb import KbIndex
 from solguard.static_analysis.rules import PatternRule
@@ -126,13 +121,13 @@ def advise(
     def suggest(finding: Finding) -> RepairSuggestion:
         prompt = build_advisor_prompt(contract, finding, kb_index, k)
         try:
-            record = ask_structured(provider, "advisor", prompt, ADVISOR_SCHEMA)
+            record = ask_structured(provider, "advisor", prompt, ADVISOR_REPLY)
             return RepairSuggestion(
                 vulnerability_name=record["vulnerability_name"],
                 cause_analysis=record["cause_analysis"],
                 impact_assessment=record["impact_assessment"],
-                repair_steps=tuple(str(s) for s in record["repair_steps"]),
-                preventive_measures=tuple(str(s) for s in record["preventive_measures"]),
+                repair_steps=tuple(record["repair_steps"]),
+                preventive_measures=tuple(record["preventive_measures"]),
                 finding=finding,
             )
         except (ExtractionError, ValueError) as exc:  # ValueError: a field left empty
@@ -204,9 +199,8 @@ def assess(
         finding, suggestion = pair
         prompt = build_assessor_prompt(contract, finding, suggestion, kb_index, k)
         try:
-            record = ask_structured(provider, "assessor", prompt, ASSESSOR_SCHEMA)
-            raw = str(record["level"]).strip().title()
-            return RiskAssignment(finding=finding, level=RiskLevel(raw))
+            record = ask_structured(provider, "assessor", prompt, ASSESSOR_REPLY)
+            return RiskAssignment(finding=finding, level=RiskLevel(record["level"].strip().title()))
         except (ExtractionError, ValueError) as exc:
             log.warning("%s: assessor output unusable for %s: %s", contract.id, finding.vuln_class.name, exc)
             return high(pair)
@@ -266,7 +260,7 @@ def fix(
     prompt = build_fixer_prompt(contract, ordered)
 
     def ask(fixer_prompt: str) -> Patch:
-        record = ask_structured(provider, "fixer", fixer_prompt, FIXER_SCHEMA)
+        record = ask_structured(provider, "fixer", fixer_prompt, FIXER_REPLY)
         return Patch(
             original=contract.id,
             repaired_source=record["repaired_source"],
@@ -320,8 +314,7 @@ def verify(
     still fires blocks the pass regardless of the model's opinion.
     """
     prompt = build_verifier_prompt(contract, patch)
-    record = ask_structured(provider, "verifier", prompt, VERIFIER_SCHEMA)
-    model_passed = bool(record["passed"])
+    record = ask_structured(provider, "verifier", prompt, VERIFIER_REPLY)
 
     rescan = scan(patch.repaired, ruleset)
     original_keys = {f.key for f in original_findings}
@@ -329,24 +322,21 @@ def verify(
     new_from_rescan = tuple(f for f in rescan if f.key not in original_keys)
     still_present = {f.key for f in patch.addressed_findings if f.key in rescan_keys}
 
-    whole = Location(span=Span(0, byte_length(patch.repaired_source)), function="")
+    whole = Span(0, byte_length(patch.repaired_source))
     model_new = tuple(
         Finding(
             contract_id=contract.id,
-            vuln_class=VulnerabilityClass(name=str(item.get("class", "Unspecified"))),
-            location=Location(
-                span=whole.span, function=str(item.get("function", ""))
-            ),
-            evidence=str(item.get("evidence", "")),
+            vuln_class=VulnerabilityClass(name=item["class"]),
+            location=Location(span=whole, function=item["function"]),
+            evidence=item["evidence"],
             channel=Channel.MODEL,
             confidence=0.5,
         )
-        for item in record.get("new_issues", [])
-        if isinstance(item, dict)
+        for item in record["new_issues"]
     )
 
     new_issues = new_from_rescan + model_new
-    passed = model_passed and not new_issues and not still_present
+    passed = record["passed"] and not new_issues and not still_present
     eliminated = tuple(f for f in patch.addressed_findings if f.key not in rescan_keys)
     return VerificationResult(
         passed=passed,

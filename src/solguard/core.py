@@ -8,8 +8,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import chain
+from operator import add
 from typing import TYPE_CHECKING, Any, Iterable, NamedTuple
 
 if TYPE_CHECKING:
@@ -76,6 +77,11 @@ def normalize_text(text: str) -> str:
 
 def byte_length(text: str) -> int:
     return len(text.encode("utf-8"))
+
+
+def ordered_sum(values: Iterable[float]) -> float:
+    """``sum`` added left to right, as before Python 3.12's compensated float sums: the same bits on every Python."""
+    return reduce(add, values, 0)
 
 
 @dataclass(frozen=True)

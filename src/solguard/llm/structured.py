@@ -1,72 +1,65 @@
-"""Extraction of structured records from free-form model replies."""
+"""Extraction of structured records from free-form model replies, and the
+reply record of each agent role."""
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import re
+from functools import partial
 
 from solguard.errors import ExtractionError, SchemaError
+from solguard.records import ABSENT, Field, Record, boolean, items, number, string, strings
 
 _DECODER = json.JSONDecoder()
 
 
-@dataclass(frozen=True)
-class StructuredSchema:
-    """Required fields and their accepted Python types for one agent role."""
-
-    name: str
-    fields: dict[str, tuple[type, ...]]
-
-
-def extract_structured(response: str, schema: StructuredSchema) -> dict:
-    """Parse the first well-formed JSON object in ``response`` and validate it.
+def extract_structured(response: str, schema: Record, role: str = "model") -> dict:
+    """Parse the first well-formed JSON object in ``response`` through the
+    reply record ``schema``.
 
     Each ``{`` is tried in turn, so a stray brace before the object (one
-    that never closes included) does not hide it.
+    that never closes included) does not hide it, and neither does one
+    the decoder refuses, such as an integer longer than its digit limit.
 
     Raises :class:`ExtractionError` when no object parses, and
-    :class:`SchemaError` naming the field when the first parsed object is
-    missing or mistypes a required field. The raw response text is carried
-    on the error untouched.
+    :class:`SchemaError` naming the top-level field when the first parsed
+    object lacks or mistypes one; of several, the first in declaration
+    order. The raw response text is carried on the error untouched.
     """
     start = response.find("{")
     while start != -1:
         try:
             record, _ = _DECODER.raw_decode(response, start)
-        except json.JSONDecodeError:
+        except ValueError:
             start = response.find("{", start + 1)
             continue
-        for field_name, types in schema.fields.items():
-            if field_name not in record:
-                raise SchemaError(
-                    f"{schema.name}: missing required field: {field_name}",
-                    response,
-                    field_name,
-                )
-            if not isinstance(record[field_name], types):
-                raise SchemaError(
-                    f"{schema.name}: field {field_name} has wrong type "
-                    f"{type(record[field_name]).__name__}",
-                    response,
-                    field_name,
-                )
+        for key in schema.fields:
+            fault = partial(SchemaError, raw_text=response, field=key)
+            record[key] = schema.value(key, record.get(key, ABSENT), fault, role, "reply")
         return record
-    raise ExtractionError(f"{schema.name}: no structured object found in response", response)
+    raise ExtractionError(f"{role}: no structured object found in response", response)
 
 
-DETECTOR_SCHEMA = StructuredSchema(
-    "detector", {"verdict": (str,), "score": (int, float), "findings": (list,)}
-)
-ADVISOR_SCHEMA = StructuredSchema(
-    "advisor",
-    {
-        "vulnerability_name": (str,),
-        "cause_analysis": (str,),
-        "impact_assessment": (str,),
-        "repair_steps": (list,),
-        "preventive_measures": (list,),
-    },
-)
-ASSESSOR_SCHEMA = StructuredSchema("assessor", {"level": (str,)})
-FIXER_SCHEMA = StructuredSchema("fixer", {"repaired_source": (str,), "rationale": (str,)})
-VERIFIER_SCHEMA = StructuredSchema("verifier", {"passed": (bool,), "new_issues": (list,)})
+def _function_name(value: object, *_: object) -> str:
+    """`foo()` and `foo(uint256)` name the function foo; a non-text function is contract level."""
+    return re.sub(r"\s*\([^()]*\)$", "", value.strip()) if type(value) is str else ""
+
+
+def _reply(fields: dict[str, Field]) -> Record:
+    return Record(fields, noun="field", reply=True)
+
+
+# a finding the detector reports, and a new issue the verifier reports
+FINDING = _reply({"class": string(), "function": Field("a function name", lambda v: True, "", _function_name),
+                  "evidence": string("")})
+NEW_ISSUE = _reply({**FINDING.fields, "class": string("Unspecified")})
+
+# a malformed finding is the detector's to skip, so its reply takes any list
+DETECTOR_REPLY = _reply({"verdict": string(), "score": number("[-inf, inf]"), "findings": items()})
+ADVISOR_REPLY = _reply({
+    "vulnerability_name": string(), "cause_analysis": string(), "impact_assessment": string(),
+    "repair_steps": strings(), "preventive_measures": strings(),
+})
+ASSESSOR_REPLY = _reply({"level": string()})
+FIXER_REPLY = _reply({"repaired_source": string(), "rationale": string()})
+VERIFIER_REPLY = _reply({"passed": boolean(), "new_issues": items(NEW_ISSUE.field())})

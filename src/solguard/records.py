@@ -1,9 +1,9 @@
-"""Closed-world input records, each declared once and parsed where it is read.
+"""Untrusted records, inputs and model replies, each declared once and parsed where it is read.
 
 A :class:`Record` is a set of named fields, each of a type and either
-required or with a default. A key it does not declare, or a value of the
-wrong type, is the caller's error naming where the record came from and the
-key. ``bool`` is not a number, a number is finite, and a field whose default
+required or with a default. A value of the wrong type, or a key an input
+record does not declare, is the caller's error naming where the record came
+from and the key. ``bool`` is not a number, a number is finite, and a field whose default
 is ``None`` also takes ``null``. A record can parse into the object it
 describes, whose own faults then name the record and where it came from too.
 """
@@ -18,7 +18,7 @@ from typing import Any, Callable, Iterator, NamedTuple
 from solguard.errors import SolguardError
 
 REQUIRED = object()  # the default of a field that must be given
-_ABSENT = object()
+ABSENT = object()  # the value of a key the record was not given
 _MAX = sys.float_info.max
 
 
@@ -51,6 +51,16 @@ string = _type("a string", lambda v: type(v) is str)
 path = _type("a path", lambda v: type(v) is str and v != "", _resolve)  # relative to the base directory
 strings = _type("a list of strings", lambda v: type(v) is list and all(type(s) is str for s in v))
 mapping = _type("a mapping", lambda v: type(v) is dict)
+boolean = _type("true or false", lambda v: type(v) is bool)
+
+
+def items(item: Field | None = None, default: Any = REQUIRED) -> Field:
+    """A list; with ``item``, one whose every value is of that type and is converted through it."""
+    if item is None:
+        return Field("a list", lambda v: type(v) is list, default)
+    convert = item.convert and (lambda v, *rest: [item.convert(i, *rest) for i in v])
+    accepts = lambda v: type(v) is list and all(map(item.accepts, v))  # noqa: E731
+    return Field(f"a list, each item {item.expected}", accepts, default, convert)
 
 
 def one_of(choices: tuple[str, ...], default: Any = REQUIRED) -> Field:
@@ -74,45 +84,48 @@ def number(interval: str, default: Any = REQUIRED) -> Field:
 
 
 class Record:
-    """A closed set of fields, whose keys messages call ``noun``. Nested
-    under a key, the record is named by that key. With ``make``, a parse
-    returns ``make(**values)`` rather than the values."""
+    """A set of fields, whose keys messages call ``noun``. Nested under a
+    key, the record is named by that key. With ``make``, a parse returns
+    ``make(**values)`` rather than the values. A ``reply`` record, read from
+    a model, keeps the keys it does not declare as given and takes ``null``
+    for a field's default."""
 
-    def __init__(self, fields: dict[str, Field], noun: str = "key", make: Callable[..., Any] | None = None):
-        self.fields, self.noun, self.make = fields, noun, make
-        self._defaults = {key: f.default for key, f in fields.items()}  # in declaration order
-        self._plain = {key: f.accepts for key, f in fields.items() if f.convert is None}
-        # the keys that, when absent, raise or take a default that is converted
-        self._absent = tuple(
-            key for key, f in fields.items() if f.default is REQUIRED or f.convert and f.default is not None
-        )
+    def __init__(self, fields: dict[str, Field], noun="key", make: Callable[..., Any] | None = None, reply=False):
+        self.fields, self.noun, self.make, self.reply = fields, noun, make, reply
+        # in declaration order, each key with the check that passes a given plain value inline
+        self._inline = tuple((key, f.accepts if f.convert is None else None) for key, f in fields.items())
 
     def field(self, default: Any = REQUIRED) -> Field:  # this record as the type of another's field
         return Field("a mapping", lambda v: type(v) is dict, default, self.parse)
 
     def parse(self, value: Any, error: type[SolguardError], where: str, name: str, base: Path | None = None) -> Any:
         """The plain values of the record ``name`` read from ``where``, its
-        paths resolved against ``base``, or what ``make`` makes of them."""
+        paths resolved against ``base``, or what ``make`` makes of them. Of
+        several faults, an undeclared key of an input record is named first,
+        then the first faulty field in declaration order."""
         if type(value) is not dict:
             raise error(f"{where}: {name} must be a mapping, got {value!r}")
-        values = dict(self._defaults)
-        for key, v in value.items():  # an accepted plain value inline, anything else through value()
-            accepts = self._plain.get(key)
+        if not self.reply and not value.keys() <= self.fields.keys():
+            unknown = next(key for key in value if key not in self.fields)
+            raise error(f"{where}: unknown {name} {self.noun} {unknown!r}")
+        values = dict(value) if self.reply else {}
+        for key, accepts in self._inline:  # an accepted plain value inline, anything else through value()
+            v = value.get(key, ABSENT)
             values[key] = v if accepts is not None and accepts(v) else self.value(key, v, error, where, name, base)
-        for key in self._absent:
-            if key not in value:
-                values[key] = self.value(key, _ABSENT, error, where, name, base)
         if self.make is None:
             return values
         with naming(f"{where}: {name}", error):
             return self.make(**values)
 
     def value(self, key: Any, value: Any, error: type[SolguardError], where: str, name: str, base: Path | None = None):
-        """The plain value of one key of the record ``name``."""
+        """The plain value of one key of the record ``name``; ``value`` is
+        :data:`ABSENT` when the key was not given."""
         field = self.fields.get(key)
         if field is None:
             raise error(f"{where}: unknown {name} {self.noun} {key!r}")
-        if value is _ABSENT:
+        if value is None and self.reply and field.default is not REQUIRED:
+            value = ABSENT
+        if value is ABSENT:
             if field.default is REQUIRED:
                 raise error(f"{where}: {name} needs {'an' if key[0] in 'aeiou' else 'a'} {key} {self.noun}")
             value = field.default

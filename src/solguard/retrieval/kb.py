@@ -17,6 +17,7 @@ from typing import Iterable
 
 import yaml
 
+from solguard.core import ordered_sum
 from solguard.errors import DatasetError
 from solguard.jsonl import read_text
 
@@ -35,7 +36,7 @@ def embed(text: str) -> list[float]:
     for word in _WORD_RE.findall(text.lower()):
         digest = hashlib.md5(word.encode("utf-8")).digest()
         vec[int.from_bytes(digest[:4], "big") % EMBEDDING_DIM] += 1.0
-    norm = math.sqrt(sum(x * x for x in vec))
+    norm = math.sqrt(ordered_sum(x * x for x in vec))
     if norm > 0:
         vec = [x / norm for x in vec]
     return vec
@@ -97,9 +98,9 @@ def build_kb_index(docs: Iterable[KbDocument]) -> KbIndex:
 
 
 def _dense_cosine(a: tuple[float, ...] | list[float], b: tuple[float, ...] | list[float]) -> float:
-    dot = sum(x * y for x, y in zip(a, b))
-    na = math.sqrt(sum(x * x for x in a))
-    nb = math.sqrt(sum(x * x for x in b))
+    dot = ordered_sum(x * y for x, y in zip(a, b))
+    na = math.sqrt(ordered_sum(x * x for x in a))
+    nb = math.sqrt(ordered_sum(x * x for x in b))
     if na == 0.0 or nb == 0.0:
         return 0.0
     return dot / (na * nb)

@@ -43,6 +43,7 @@ from solguard.core import (
     Verdict,
     VulnerabilityClass,
     byte_length,
+    ordered_sum,
 )
 from solguard.jsonl import load_labeled_records
 from solguard.retrieval.terms import tokenize_for_tfidf
@@ -107,7 +108,7 @@ def _tfidf_vector(terms: list[str], term_ids: dict[str, int], idf: array) -> tup
     total = len(terms)
     raw = {term: (count / total) * idf[term_ids[term]] for term, count in Counter(terms).items() if term in term_ids}
     values = raw.values()
-    norm = math.sqrt(sum(map(mul, values, values)))
+    norm = math.sqrt(ordered_sum(map(mul, values, values)))
     if norm == 0.0:
         return raw, 0.0
     return {t: w / norm for t, w in raw.items()}, 1.0
@@ -285,7 +286,7 @@ def rank_weighted_probability(neighbors: list[Neighbor]) -> float:
     if not neighbors:
         return 0.0
     weights = rank_weights(len(neighbors))
-    return sum(w for w, nb in zip(weights, neighbors) if nb.label == "vulnerable")
+    return ordered_sum(w for w, nb in zip(weights, neighbors) if nb.label == "vulnerable")
 
 
 def retrieval_channel(

@@ -26,6 +26,8 @@ import math
 from array import array
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import add
 from pathlib import Path
 
 from solguard.core import SourceContract
@@ -87,7 +89,7 @@ class V1CorpusIndex:
     def vectorize(self, terms: list[str]) -> tuple[dict[str, float], float]:
         total = len(terms)
         raw = {term: (count / total) * self.idf[term] for term, count in Counter(terms).items() if term in self.idf}
-        norm = math.sqrt(sum(w * w for w in raw.values()))
+        norm = math.sqrt(reduce(add, (w * w for w in raw.values()), 0))
         if norm == 0.0:
             return raw, 0.0
         return {t: w / norm for t, w in raw.items()}, 1.0

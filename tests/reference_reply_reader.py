@@ -6,15 +6,25 @@ oracle.
 reader returns a record or raises ``SchemaError``. They may differ only
 behind a ``{`` that never closes: this reader stops there, the new one goes
 on to the next ``{``. The code below is the replaced module as it was.
-Never import this module from ``src/``.
+The schema type it read, ``StructuredSchema``, is kept here with it; the
+package reads replies through ``solguard.records.Record`` now. Never import
+this module from ``src/``.
 """
 
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass
 
 from solguard.errors import ExtractionError, SchemaError
-from solguard.llm.structured import StructuredSchema
+
+
+@dataclass(frozen=True)
+class StructuredSchema:
+    """Required fields and their accepted Python types for one agent role."""
+
+    name: str
+    fields: dict[str, tuple[type, ...]]
 
 
 def candidate_objects(text: str):

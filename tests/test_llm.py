@@ -25,8 +25,9 @@ from solguard.errors import (
 from solguard.agents.config import parse_config
 from solguard.llm.mock import MockProvider, TranscriptRecorder, prompt_fingerprint
 from solguard.llm.provider import HttpProvider, ProviderConfig
-from solguard.llm.structured import DETECTOR_SCHEMA, StructuredSchema, extract_structured
+from solguard.llm.structured import DETECTOR_REPLY, extract_structured
 from solguard.llm.template import PromptTemplate, TemplateError, render_prompt
+from solguard.records import Record, items, string, whole
 from solguard.llm.prompts import DETECTOR_TEMPLATE
 from solguard.agents.detect import ask_structured
 import reference_reply_reader
@@ -138,45 +139,46 @@ class TestMockProvider:
 class TestExtractStructured:
     def test_object_amid_prose(self):
         response = 'Sure! Here is my analysis: {"verdict":"vulnerable","score":0.9,"findings":[]} Hope it helps.'
-        record = extract_structured(response, DETECTOR_SCHEMA)
+        record = extract_structured(response, DETECTOR_REPLY)
         assert record == {"verdict": "vulnerable", "score": 0.9, "findings": []}
 
     def test_pure_prose_raises_extraction_error(self):
         with pytest.raises(ExtractionError):
-            extract_structured("no structure here at all", DETECTOR_SCHEMA)
+            extract_structured("no structure here at all", DETECTOR_REPLY)
 
     def test_missing_field_names_it(self):
         with pytest.raises(SchemaError, match="score") as err:
-            extract_structured('{"verdict": "safe", "findings": []}', DETECTOR_SCHEMA)
+            extract_structured('{"verdict": "safe", "findings": []}', DETECTOR_REPLY)
         assert err.value.field == "score"
 
     def test_error_carries_raw_text_unmutated(self):
         raw = "  weird   response\nwith lines  "
         with pytest.raises(ExtractionError) as err:
-            extract_structured(raw, DETECTOR_SCHEMA)
+            extract_structured(raw, DETECTOR_REPLY)
         assert err.value.raw_text == raw
 
     def test_wrong_type_rejected(self):
-        with pytest.raises(SchemaError, match="wrong type"):
-            extract_structured('{"verdict": "safe", "score": "high", "findings": []}', DETECTOR_SCHEMA)
+        with pytest.raises(SchemaError, match="must be a number"):
+            extract_structured('{"verdict": "safe", "score": "high", "findings": []}', DETECTOR_REPLY)
 
     def test_first_well_formed_object_wins(self):
-        schema = StructuredSchema("t", {"a": (int,)})
+        schema = Record({"a": whole(0)}, reply=True)
         record = extract_structured('{not json} then {"a": 1} then {"a": 2}', schema)
         assert record == {"a": 1}
 
     def test_braces_inside_strings_handled(self):
-        schema = StructuredSchema("t", {"code": (str,)})
+        schema = Record({"code": string()}, reply=True)
         record = extract_structured('{"code": "contract C { uint x; }"}', schema)
         assert record["code"] == "contract C { uint x; }"
 
     def test_object_after_a_brace_that_never_closes(self):
         response = 'Looking at { the code: {"verdict": "safe", "score": 0.1, "findings": []}'
-        record = extract_structured(response, DETECTOR_SCHEMA)
+        record = extract_structured(response, DETECTOR_REPLY)
         assert record == {"verdict": "safe", "score": 0.1, "findings": []}
 
 
-REPLY_SCHEMA = StructuredSchema("t", {"a": (str,), "b": (list,)})
+REPLY_SCHEMA = Record({"a": string(), "b": items()}, reply=True)
+REFERENCE_SCHEMA = reference_reply_reader.StructuredSchema("t", {"a": (str,), "b": (list,)})
 REPLY_ALPHABET = st.sampled_from(
     list('{}"\\:,[]') + ["a", "b", "x", "0", "7", "null", "NaN", "\n", " ", '"a"', '"b"']
 )
@@ -185,6 +187,8 @@ REPLY_ALPHABET = st.sampled_from(
 def reply_outcome(extract, response: str):
     """The record read, the field a ``SchemaError`` names, or None."""
     try:
+        if extract is reference_reply_reader.extract_structured:
+            return extract(response, REFERENCE_SCHEMA)
         return extract(response, REPLY_SCHEMA)
     except SchemaError as exc:
         return ("schema error", exc.field)
@@ -434,7 +438,7 @@ class _ScriptedProvider:
 class TestAskStructured:
     def test_repair_retry_recovers(self):
         provider = _ScriptedProvider(["not parseable", '{"verdict":"safe","score":0.1,"findings":[]}'])
-        record = ask_structured(provider, "detector", "prompt", DETECTOR_SCHEMA)
+        record = ask_structured(provider, "detector", "prompt", DETECTOR_REPLY)
         assert record["verdict"] == "safe"
         assert len(provider.prompts) == 2
         assert "could not be parsed" in provider.prompts[1]
@@ -442,7 +446,7 @@ class TestAskStructured:
     def test_second_failure_propagates(self):
         provider = _ScriptedProvider(["junk", "more junk"])
         with pytest.raises(ExtractionError):
-            ask_structured(provider, "detector", "prompt", DETECTOR_SCHEMA)
+            ask_structured(provider, "detector", "prompt", DETECTOR_REPLY)
 
 
 class TestExchangeLog:

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from solguard.errors import ConfigError
-from solguard.records import Record, mapping, number, one_of, path, string, strings, whole
+from solguard.records import Record, boolean, items, mapping, number, one_of, path, string, strings, whole
 
 INNER = Record({"size": whole(1, 3)}, noun="setting")
 RECORD = Record(
@@ -132,3 +132,53 @@ def test_a_record_with_make_parses_into_its_object_whose_faults_name_where_it_ca
     assert nested.parse({"range": {"low": 1, "high": 2}}, ConfigError, "cfg.yaml", "thing") == {"range": (1, 2)}
     with pytest.raises(ConfigError, match="^cfg.yaml: range: low 3 exceeds high 2$"):
         nested.parse({"range": {"low": 3, "high": 2}}, ConfigError, "cfg.yaml", "thing")
+
+
+def test_of_several_faults_the_first_field_in_declaration_order_is_named():
+    with pytest.raises(ConfigError, match="^cfg.yaml: thing key name must be a string, got 5$"):
+        parse({"count": -1, "name": 5})
+    with pytest.raises(ConfigError, match="^cfg.yaml: thing needs a name key$"):
+        parse({"count": -1})
+
+
+REPLY = Record(
+    {
+        "name": string(), "tag": string("none"), "flag": boolean(False),
+        "sizes": items(INNER.field(), []), "any": items(default=[]),
+    },
+    noun="field",
+    reply=True,
+)
+
+
+def parse_reply(value):
+    return REPLY.parse(value, ConfigError, "detector", "reply")
+
+
+def test_reply_record_keeps_undeclared_keys_and_takes_null_for_a_default():
+    got = parse_reply({"extra": [1], "name": "n", "tag": None, "flag": None, "sizes": [{}, {"size": 2}], "any": [0]})
+    assert got == {
+        "extra": [1], "name": "n", "tag": "none", "flag": False, "sizes": [{"size": 3}, {"size": 2}], "any": [0]
+    }
+    with pytest.raises(ConfigError, match="^detector: reply field name must be a string, got None$"):
+        parse_reply({"name": None})
+
+
+@pytest.mark.parametrize(
+    "key, value, expected",
+    [
+        ("flag", 1, "true or false"),
+        ("sizes", [{}, "big"], "a list, each item a mapping"),
+        ("sizes", {"size": 2}, "a list, each item a mapping"),
+        ("any", "a", "a list"),
+    ],
+)
+def test_reply_field_of_the_wrong_type_is_named(key, value, expected):
+    message = rf"^detector: reply field {key} must be {expected}, got {re.escape(repr(value))}$"
+    with pytest.raises(ConfigError, match=message):
+        parse_reply({"name": "n", key: value})
+
+
+def test_list_item_faults_name_the_list():
+    with pytest.raises(ConfigError, match="^detector: sizes setting size must be a whole number >= 1, got 0$"):
+        parse_reply({"name": "n", "sizes": [{"size": 0}]})
