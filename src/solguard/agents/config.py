@@ -6,10 +6,8 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any
 
-import yaml
-
 from solguard.errors import ConfigError
-from solguard.jsonl import read_text
+from solguard.jsonl import read_text, read_yaml
 from solguard.llm.provider import PROVIDER, ProviderConfig
 from solguard.records import Record, naming, number, one_of, path, whole
 
@@ -94,10 +92,7 @@ def parse_config(payload: Any, base_dir: Path | None = None, where: str = "confi
 
 def load_config(path: str | Path) -> PipelineConfig:
     p = Path(path)
-    try:
-        payload = yaml.safe_load(read_text(p, ConfigError, "configuration"))
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"configuration {p} is not valid YAML: {exc}") from exc
+    payload = read_yaml(read_text(p, ConfigError, "configuration"), ConfigError, f"configuration {p} is not valid YAML")
     return parse_config(payload or {}, base_dir=p.parent, where=str(p))
 
 

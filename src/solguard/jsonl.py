@@ -1,6 +1,6 @@
 """Input files: the one reader every whole text input and every ``.jsonl``
-file goes through, and the labelled-contract records that corpus and dataset
-files share."""
+file goes through, the one YAML parser, and the labelled-contract records
+that corpus and dataset files share."""
 
 from __future__ import annotations
 
@@ -8,6 +8,8 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable
+
+import yaml
 
 from solguard.errors import DatasetError, SolguardError
 from solguard.records import Record, one_of, path, string, strings
@@ -19,6 +21,16 @@ def read_text(path: str | Path, error: type[SolguardError], what: str) -> str:
         return Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise error(f"cannot read {what} {path}: {exc}") from exc
+
+
+def read_yaml(text: str, error: type[SolguardError], what: str) -> Any:
+    """``text`` parsed as YAML; any fault is an ``error`` reading ``<what>: <fault>``.
+    Besides syntax errors, that is an integer longer than Python's digit
+    limit (a ``ValueError``) and nesting deeper than the recursion limit."""
+    try:
+        return yaml.safe_load(text)
+    except (yaml.YAMLError, ValueError, RecursionError) as exc:
+        raise error(f"{what}: {exc}") from exc
 
 
 def read_jsonl(path: str | Path, read: Callable[[dict], None], error: type[SolguardError], record: Record) -> None:
@@ -34,7 +46,7 @@ def read_jsonl(path: str | Path, read: Callable[[dict], None], error: type[Solgu
             for lineno, line in enumerate(fh, start=1):
                 if line.strip():
                     read(record.parse(decode(line.decode("utf-8")), error, f"{path}:{lineno}", "record", base))
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:  # deep nesting exhausts the decoder's recursion
         raise error(f"{path}:{lineno}: malformed record: {exc}") from exc
     except OSError as exc:
         raise error(f"{path}:{lineno}: {exc}" if lineno else f"cannot read {path}: {exc}") from exc

@@ -19,7 +19,8 @@ def extract_structured(response: str, schema: Record, role: str = "model") -> di
 
     Each ``{`` is tried in turn, so a stray brace before the object (one
     that never closes included) does not hide it, and neither does one
-    the decoder refuses, such as an integer longer than its digit limit.
+    the decoder refuses, such as an integer longer than its digit limit or
+    nesting deeper than the recursion limit.
 
     Raises :class:`ExtractionError` when no object parses, and
     :class:`SchemaError` naming the top-level field when the first parsed
@@ -30,7 +31,7 @@ def extract_structured(response: str, schema: Record, role: str = "model") -> di
     while start != -1:
         try:
             record, _ = _DECODER.raw_decode(response, start)
-        except ValueError:
+        except (ValueError, RecursionError):
             start = response.find("{", start + 1)
             continue
         for key in schema.fields:

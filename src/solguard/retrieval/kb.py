@@ -8,23 +8,19 @@ feature-hashing bag-of-words model, so runs need no external service.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
-import yaml
-
 from solguard.core import ordered_sum
 from solguard.errors import DatasetError
-from solguard.jsonl import read_text
+from solguard.jsonl import read_text, read_yaml
 
 CHUNK_TOKENS = 512
 CHUNK_OVERLAP = 64
 EMBEDDING_DIM = 256
-EMBEDDER_ID = "hash-bow-256-v1"  # what a snapshot's meta.json names
 
 _WORD_RE = re.compile(r"[a-z0-9]+")
 
@@ -46,7 +42,6 @@ def embed(text: str) -> list[float]:
 class KbDocument:
     doc_id: str
     text: str
-    metadata: dict[str, object] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -54,7 +49,6 @@ class KbChunk:
     doc_id: str
     chunk_index: int
     text: str
-    metadata: dict[str, object]
     embedding: tuple[float, ...]
 
 
@@ -93,7 +87,7 @@ def build_kb_index(docs: Iterable[KbDocument]) -> KbIndex:
     chunks: list[KbChunk] = []
     for doc in docs:
         for chunk_index, text in split_chunks(doc):
-            chunks.append(KbChunk(doc.doc_id, chunk_index, text, dict(doc.metadata), tuple(embed(text))))
+            chunks.append(KbChunk(doc.doc_id, chunk_index, text, tuple(embed(text))))
     return KbIndex(tuple(chunks))
 
 
@@ -120,9 +114,9 @@ def kb_search(query: str, index: KbIndex, k: int) -> list[KbChunk]:
 def load_kb_documents(directory: str | Path) -> list[KbDocument]:
     """Read knowledge documents from a directory of text/markdown files.
 
-    Each file may start with a YAML preamble fenced by ``---`` lines carrying
-    metadata (source, swc_tags) as JSON values; the remainder is the document
-    body. A document's id is its file stem, and no id may repeat.
+    Each file may start with a YAML preamble fenced by ``---`` lines, which
+    must be a mapping and is not read further; the remainder is the
+    document body. A document's id is its file stem, and no id may repeat.
     """
     root = Path(directory)
     if not root.is_dir():
@@ -135,24 +129,13 @@ def load_kb_documents(directory: str | Path) -> list[KbDocument]:
         if path.stem in paths:
             raise DatasetError(f"{paths[path.stem]} and {path}: duplicate document id {path.stem!r}")
         paths[path.stem] = path
-        raw = read_text(path, DatasetError, "knowledge document")
-        metadata, body = {}, raw
-        if raw.startswith("---\n"):
-            closing = raw.find("\n---\n", 4)
+        body = read_text(path, DatasetError, "knowledge document")
+        if body.startswith("---\n"):
+            closing = body.find("\n---\n", 4)
             if closing == -1:
                 raise DatasetError(f"{path}: unterminated metadata preamble")
-            try:
-                metadata = yaml.safe_load(raw[4:closing])
-            except yaml.YAMLError as exc:
-                raise DatasetError(f"{path}: bad metadata preamble: {exc}") from exc
-            if not isinstance(metadata, dict):
+            if not isinstance(read_yaml(body[4:closing], DatasetError, f"{path}: bad metadata preamble"), dict):
                 raise DatasetError(f"{path}: metadata preamble must be a mapping")
-            try:  # the snapshot keeps metadata as JSON, so it must come back unchanged
-                portable = json.loads(json.dumps(metadata)) == metadata
-            except (TypeError, ValueError):  # a date or a set
-                portable = False
-            if not portable:
-                raise DatasetError(f"{path}: metadata preamble must hold JSON values only (no dates, non-text keys or NaN)")
-            body = raw[closing + 5 :]
-        docs.append(KbDocument(doc_id=path.stem, text=body.strip(), metadata=metadata))
+            body = body[closing + 5 :]
+        docs.append(KbDocument(doc_id=path.stem, text=body.strip()))
     return docs

@@ -29,8 +29,8 @@ from typing import Generic, Iterator, TypeVar
 
 from solguard.errors import SnapshotError
 from solguard.jsonl import read_jsonl
-from solguard.records import Field, Record, mapping, number, one_of, string, whole
-from solguard.retrieval.kb import EMBEDDER_ID, EMBEDDING_DIM, KbChunk, KbIndex
+from solguard.records import Record, mapping, one_of, string, whole
+from solguard.retrieval.kb import KbChunk, KbIndex, embed
 from solguard.retrieval.tfidf import CorpusDocument, CorpusIndex
 
 T = TypeVar("T")
@@ -41,7 +41,7 @@ POSTINGS = {  # array -> typecode
     "idf": "d", "offsets": "q", "positions": "i", "weights": "d", "norms": "d", "common_norms": "d",
 }
 ITEMSIZE = {name: array(typecode).itemsize for name, typecode in POSTINGS.items()}
-_META = {"kind": string(), "version": whole(1), "documents": whole(0)}  # the meta.json keys of every store
+_META = {"kind": string(), "version": whole(1), "format_version": whole(1), "documents": whole(0)}  # of every store
 
 
 class SnapshotStore(Generic[T]):
@@ -49,7 +49,8 @@ class SnapshotStore(Generic[T]):
 
     kind = "index"
     meta: Record
-    format_version, republish = 1, "republish it with `solguard kb update`"  # format 1 names no format_version
+    format_version: int  # the one a load accepts; a meta.json without one is format 1
+    republish: str  # what a load of another format asks for
 
     def __init__(self, root: str | Path):
         self.root = Path(root)
@@ -119,6 +120,10 @@ class SnapshotStore(Generic[T]):
         tmp.write_text(f"{version}\n", encoding="utf-8")
         os.replace(tmp, pointer)
 
+    def _write_meta(self, target: Path, index: T, **fields: object) -> None:
+        header = {"kind": self.kind, "version": index.snapshot_version, "format_version": self.format_version}
+        _write_json(target / "meta.json", {**header, **fields})
+
     def _write_files(self, target: Path, index: T) -> None:
         raise NotImplementedError
 
@@ -135,7 +140,7 @@ class CorpusSnapshotStore(SnapshotStore[CorpusIndex]):
     kind = "corpus"
     format_version, republish = FORMAT_VERSION, "republish the corpus with `solguard kb update --corpus <file>`"
     meta = Record({
-        **_META, "format_version": whole(1), "byteorder": one_of(("little", "big")), "itemsize": mapping(),
+        **_META, "byteorder": one_of(("little", "big")), "itemsize": mapping(),
         "terms": whole(0), "postings": whole(0),
     })
 
@@ -148,8 +153,7 @@ class CorpusSnapshotStore(SnapshotStore[CorpusIndex]):
         rows = [[doc.id, doc.label, list(doc.classes)] for doc in index.documents]
         (target / "documents.json").write_text(json.dumps(rows), encoding="utf-8")
         counts = {"terms": len(index.term_ids), "postings": len(index.positions), "documents": len(norms)}
-        header = {"format_version": FORMAT_VERSION, "byteorder": sys.byteorder, "itemsize": ITEMSIZE, **counts}
-        _write_json(target / "meta.json", {"kind": self.kind, "version": index.snapshot_version, **header})
+        self._write_meta(target, index, byteorder=sys.byteorder, itemsize=ITEMSIZE, **counts)
 
     def _read_files(self, target: Path, meta: dict) -> CorpusIndex:
         meta_path, terms_path, rows_path, path = (
@@ -190,31 +194,25 @@ class CorpusSnapshotStore(SnapshotStore[CorpusIndex]):
 
 
 class KbSnapshotStore(SnapshotStore[KbIndex]):
+    """KB snapshots in format 2: ``chunks.jsonl``, one :data:`CHUNK` line per
+    chunk. A load embeds each chunk's text with :func:`embed`, which embeds
+    every query too, so the two cannot disagree."""
+
     kind = "kb"
-    meta = Record({**_META, "embedder": string(), "chunks": whole(0)})
+    format_version, republish = 2, "republish the knowledge base with `solguard kb update --docs <dir>`"
+    meta = Record({**_META, "chunks": whole(0)})
 
     def _write_files(self, target: Path, index: KbIndex) -> None:
         with open(target / "chunks.jsonl", "w", encoding="utf-8") as fh:
-            fh.writelines(json.dumps(dataclasses.asdict(chunk), sort_keys=True) + "\n" for chunk in index.chunks)
-        _write_json(
-            target / "meta.json",
-            {
-                "kind": self.kind,
-                "version": index.snapshot_version,
-                "embedder": EMBEDDER_ID,
-                "documents": len({c.doc_id for c in index.chunks}),
-                "chunks": len(index.chunks),
-            },
-        )
+            fh.writelines(
+                json.dumps({"chunk_index": c.chunk_index, "doc_id": c.doc_id, "text": c.text}) + "\n"
+                for c in index.chunks
+            )
+        self._write_meta(target, index, documents=len({c.doc_id for c in index.chunks}), chunks=len(index.chunks))
 
     def _read_files(self, target: Path, meta: dict) -> KbIndex:
-        if meta["embedder"] != EMBEDDER_ID:
-            raise SnapshotError(
-                f"snapshot file {target / 'meta.json'} cannot be loaded: unknown embedder {meta['embedder']!r}"
-            )
         path, chunks = target / "chunks.jsonl", []
-        read_jsonl(path, lambda rec: chunks.append(KbChunk(**{**rec, "embedding": tuple(rec["embedding"])})),
-                   SnapshotError, CHUNK)
+        read_jsonl(path, chunks.append, SnapshotError, CHUNK)
         n_chunks, n_documents = len(chunks), len({c.doc_id for c in chunks})
         if (n_chunks, n_documents) != (meta["chunks"], meta["documents"]):
             raise _corrupt(path, f"it holds {n_chunks} chunks of {n_documents} documents, "
@@ -227,14 +225,11 @@ class KbSnapshotStore(SnapshotStore[KbIndex]):
         return KbIndex(tuple(chunks), meta["version"])
 
 
-_finite = number("(-inf, inf)").accepts  # within the float range, so neither NaN nor infinite
-_EMBEDDING = Field(
-    f"a list of {EMBEDDING_DIM} numbers, each finite",
-    lambda v: type(v) is list and len(v) == EMBEDDING_DIM and all(map(_finite, v)),
-)
-CHUNK = Record({
-    "doc_id": string(), "chunk_index": whole(0), "text": string(), "metadata": mapping(), "embedding": _EMBEDDING,
-})
+def _embedded(doc_id: str, chunk_index: int, text: str) -> KbChunk:
+    return KbChunk(doc_id, chunk_index, text, tuple(embed(text)))
+
+
+CHUNK = Record({"doc_id": string(), "chunk_index": whole(0), "text": string()}, make=_embedded)
 
 
 @contextmanager

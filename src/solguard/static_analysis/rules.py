@@ -13,11 +13,9 @@ from importlib import resources
 from pathlib import Path
 from typing import Any, Callable, Sequence
 
-import yaml
-
 from solguard.core import VulnerabilityClass
 from solguard.errors import RulesetError
-from solguard.jsonl import read_text
+from solguard.jsonl import read_text, read_yaml
 from solguard.records import Field, Record, mapping, naming, number, string, strings
 from solguard.static_analysis.structure import (
     ASSIGNMENT_OPS,
@@ -175,10 +173,7 @@ def load_ruleset(path: str | Path) -> list[PatternRule]:
 
 
 def parse_ruleset(text: str) -> list[PatternRule]:
-    try:
-        records = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
-        raise RulesetError(f"rule file is not valid YAML: {exc}") from exc
+    records = read_yaml(text, RulesetError, "rule file is not valid YAML")
     if not isinstance(records, list) or not records:
         raise RulesetError("rule file must contain a non-empty list of rules")
     rules: list[PatternRule] = []

@@ -4,6 +4,7 @@ import json
 import re
 import shutil
 import struct
+import sys
 from pathlib import Path
 
 import pytest
@@ -347,9 +348,7 @@ class TestKb:
         result = runner.invoke(main, ["kb", "build", "--index-root", str(tmp_path / "idx")])
         assert result.exit_code == 2
 
-    @pytest.mark.parametrize(
-        "fault", ["corpus meta not an object", "kb meta without embedder", "kb meta naming an unknown embedder"]
-    )
+    @pytest.mark.parametrize("fault", ["corpus meta not an object", "kb meta without a chunk count"])
     def test_status_on_corrupt_meta_is_processing_error(self, runner, built_index_root, tmp_path, fault):
         index_root = tmp_path / "idx"
         shutil.copytree(built_index_root, index_root)
@@ -359,10 +358,7 @@ class TestKb:
         else:
             meta = index_root / "kb" / "1" / "meta.json"
             payload = json.loads(meta.read_text(encoding="utf-8"))
-            if fault == "kb meta without embedder":
-                del payload["embedder"]
-            else:
-                payload["embedder"] = "remote-embedder-v2"
+            del payload["chunks"]
             meta.write_text(json.dumps(payload), encoding="utf-8")
         status = runner.invoke(main, ["kb", "status", "--index-root", str(index_root)])
         assert status.exit_code == EXIT_PROCESSING
@@ -426,16 +422,6 @@ class TestInputFileErrors:
         result = runner.invoke(main, ["kb", command, "--docs", str(docs), "--index-root", str(tmp_path / "idx")])
         assert_clean_error(result, EXIT_PROCESSING, f"error: cannot read knowledge document {bad}: ")
         assert not (tmp_path / "idx" / "kb" / "CURRENT").exists()
-
-    @pytest.mark.parametrize("value", ["2024-05-01", "{1: one}", ".nan"])
-    def test_knowledge_document_preamble_value_that_is_not_json_names_file(self, runner, tmp_path, value):
-        docs = tmp_path / "docs"
-        shutil.copytree(FIXTURES / "kb_docs", docs)
-        bad = docs / "x.md"
-        bad.write_text(f"---\nupdated: {value}\n---\nbody\n", encoding="utf-8")
-        result = runner.invoke(main, ["kb", "build", "--docs", str(docs), "--index-root", str(tmp_path / "idx")])
-        assert_clean_error(result, EXIT_PROCESSING, f"error: {bad}: metadata preamble must hold JSON values only")
-        assert not (tmp_path / "idx").exists()  # nothing written, not even a half chunk file
 
     def test_knowledge_documents_sharing_a_stem_name_both_files(self, runner, tmp_path):
         docs = tmp_path / "docs"
@@ -509,22 +495,26 @@ class TestSnapshotChecksOnLoad:
         assert result.exit_code == 0
         assert "corpus: version 2, 15 documents" in result.output
 
-    @pytest.mark.parametrize("lines", ["one", "every"])
-    def test_wrong_embedding_dimension_names_the_line(self, runner, built_index_root, tmp_path, lines):
+    def test_format1_kb_stops_status_and_audit_until_kb_update(self, runner, built_index_root, tmp_path):
         index_root = tmp_path / "idx"
         shutil.copytree(built_index_root, index_root)
-        chunks = index_root / "kb" / "1" / "chunks.jsonl"
-        records = [json.loads(line) for line in chunks.read_text(encoding="utf-8").splitlines()]
-        for rec in records if lines == "every" else records[2:3]:
-            rec["embedding"].append(0.0)
-        chunks.write_text("".join(json.dumps(rec) + "\n" for rec in records), encoding="utf-8")
-        where = f"{chunks}:{1 if lines == 'every' else 3}: "
+        meta = index_root / "kb" / "1" / "meta.json"
+        payload = json.loads(meta.read_text(encoding="utf-8"))
+        del payload["format_version"]  # format 1 named no format, but its embedder
+        meta.write_text(json.dumps({**payload, "embedder": "hash-bow-256-v1"}), encoding="utf-8")
         config = write_pipeline_config(tmp_path / "cfg.yaml", index_root, tmp_path / "out", TRANSCRIPT)
         for args in (
             ["kb", "status", "--index-root", str(index_root)],
             ["audit", str(FIXTURES / "presign.sol"), "-c", str(config)],
         ):
-            assert_clean_error(runner.invoke(main, args), EXIT_PROCESSING, where, "256 numbers")
+            result = runner.invoke(main, args)
+            assert_clean_error(result, EXIT_PROCESSING, f"error: snapshot file {meta} names format 1, not 2",
+                               "solguard kb update --docs <dir>")
+        update = ["kb", "update", "--docs", str(FIXTURES / "kb_docs"), "--index-root", str(index_root)]
+        assert runner.invoke(main, update).output == "kb: published version 2\n"
+        result = runner.invoke(main, ["kb", "status", "--index-root", str(index_root)])
+        assert result.exit_code == 0
+        assert "kb: version 2, 6 documents, 6 chunks" in result.output
 
 
 class TestOutputLocations:
@@ -929,11 +919,19 @@ def _contract(tmp_path: Path, config: Path) -> tuple[list[str], str]:
     return ["detect", str(bad), "-c", str(config)], str(bad)
 
 
-def _knowledge_document(tmp_path: Path, config: Path) -> tuple[list[str], str]:
-    docs = tmp_path / "docs"
-    shutil.copytree(FIXTURES / "kb_docs", docs)
-    (docs / "x.md").write_bytes(b"caf\xe9\n")
-    return ["kb", "build", "--docs", str(docs), "--index-root", str(tmp_path / "idx")], str(docs / "x.md")
+def _knowledge_document(content: bytes):
+    def write(tmp_path: Path, config: Path) -> tuple[list[str], str]:
+        docs = tmp_path / "docs"
+        shutil.copytree(FIXTURES / "kb_docs", docs)
+        (docs / "x.md").write_bytes(content)
+        return ["kb", "build", "--docs", str(docs), "--index-root", str(tmp_path / "idx")], str(docs / "x.md")
+
+    return write
+
+
+# YAML values PyYAML refuses with a ValueError or a RecursionError, not a YAMLError
+HUGE, DEEP = "1" * 5001, "[" * 5000 + "]" * 5000
+DIGIT_LIMIT = pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no integer digit limit")
 
 
 INPUT_FAULTS = [
@@ -958,15 +956,39 @@ INPUT_FAULTS = [
         _edited(lambda p: p["providers"].update(fixer={**p["providers"]["verifier"], "model_id": "verifier-sim"})), 2,
         ["verifier must use a different model than the fixer"], id="fixer-is-verifier",
     ),
+    pytest.param(
+        _config_file(lambda path: path.write_text(f"threshold: {HUGE}\n", encoding="utf-8")), 2, ["not valid YAML"],
+        id="config-5001-digits", marks=DIGIT_LIMIT,
+    ),
+    pytest.param(
+        _config_file(lambda path: path.write_text(f"threshold: {DEEP}\n", encoding="utf-8")), 2, ["not valid YAML"],
+        id="config-5000-deep",
+    ),
     pytest.param(_rule_file("- {rule_id: [\n"), 2, ["not valid YAML"], id="rules-bad-yaml"),
+    pytest.param(
+        _rule_file(f"- {{rule_id: r, class: X, matcher: {{type: unguarded_token, token: x}}, confidence: {HUGE}}}\n"),
+        2, ["not valid YAML"], id="rules-5001-digits", marks=DIGIT_LIMIT,
+    ),
+    pytest.param(
+        _rule_file(f"- {{rule_id: r, class: X, matcher: {{type: unguarded_token, token: x}}, confidence: {DEEP}}}\n"),
+        2, ["not valid YAML"], id="rules-5000-deep",
+    ),
     pytest.param(
         _rule_file("- {rule_id: r, class: X, matcher: {type: nope}, confidence: 0.5}\n"), 2,
         ["rule r: ", "matcher type 'nope'"], id="rules-bad-record",
     ),
     pytest.param(_contract, EXIT_PROCESSING, ["cannot read contract", "utf-8"], id="contract-not-utf-8"),
     pytest.param(
-        _knowledge_document, EXIT_PROCESSING, ["cannot read knowledge document", "utf-8"],
+        _knowledge_document(b"caf\xe9\n"), EXIT_PROCESSING, ["cannot read knowledge document", "utf-8"],
         id="knowledge-document-not-utf-8",
+    ),
+    pytest.param(
+        _knowledge_document(f"---\nsource: {HUGE}\n---\nbody\n".encode()), EXIT_PROCESSING, ["bad metadata preamble"],
+        id="knowledge-preamble-5001-digits", marks=DIGIT_LIMIT,
+    ),
+    pytest.param(
+        _knowledge_document(f"---\nswc_tags: {DEEP}\n---\nbody\n".encode()), EXIT_PROCESSING, ["bad metadata preamble"],
+        id="knowledge-preamble-5000-deep",
     ),
 ]
 

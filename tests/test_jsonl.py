@@ -24,6 +24,7 @@ FAULTS = {
     "bad utf-8": b'{"id": "\xff"}\n',
     "missing field": b"{}\n",
     "not an object": b"[1]\n",
+    "100,000 nested [": b"[" * 100_000 + b"]" * 100_000 + b"\n",
 }
 
 

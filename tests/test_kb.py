@@ -6,8 +6,6 @@ import pytest
 
 from solguard.errors import DatasetError
 from solguard.retrieval.kb import (
-    EMBEDDER_ID,
-    EMBEDDING_DIM,
     KbDocument,
     KbIndex,
     build_kb_index,
@@ -63,22 +61,17 @@ class TestEmbedder:
     def test_empty_text_zero_vector(self):
         assert all(x == 0.0 for x in embed(""))
 
-    def test_embedder_id_names_the_dimension(self):
-        # a snapshot's meta names EMBEDDER_ID, so a new dimension must come with a new id
-        assert len(embed("alpha")) == EMBEDDING_DIM
-        assert EMBEDDER_ID == f"hash-bow-{EMBEDDING_DIM}-v1"
-
 
 class TestBuildIndex:
     def test_empty_doc_set(self):
         index = build_kb_index([])
         assert index.chunks == ()
 
-    def test_chunks_carry_metadata_and_embeddings(self):
-        docs = [KbDocument("d1", words(1000), {"source": "registry"})]
+    def test_chunks_carry_their_text_embedded(self):
+        docs = [KbDocument("d1", words(1000))]
         index = build_kb_index(docs)
         assert len(index.chunks) == 3
-        assert all(c.metadata == {"source": "registry"} for c in index.chunks)
+        assert all(c.embedding == tuple(embed(c.text)) for c in index.chunks)
         assert all(len(c.embedding) == 256 for c in index.chunks)
 
     def test_build_assigns_no_snapshot_version(self):
@@ -140,20 +133,18 @@ class TestSearch:
 
 
 class TestDocumentLoading:
-    def test_metadata_preamble_parsed(self, tmp_path):
+    def test_metadata_preamble_stripped_from_the_body(self, tmp_path):
         (tmp_path / "doc.md").write_text(
             "---\nsource: SWC registry\nswc_tags: [SWC-107]\n---\nBody text here.\n",
             encoding="utf-8",
         )
         docs = load_kb_documents(tmp_path)
-        assert docs[0].metadata == {"source": "SWC registry", "swc_tags": ["SWC-107"]}
-        assert docs[0].text == "Body text here."
+        assert docs == [KbDocument("doc", "Body text here.")]
 
     def test_document_without_preamble(self, tmp_path):
         (tmp_path / "plain.txt").write_text("Just words.", encoding="utf-8")
         docs = load_kb_documents(tmp_path)
-        assert docs[0].metadata == {}
-        assert docs[0].text == "Just words."
+        assert docs == [KbDocument("plain", "Just words.")]
 
     def test_unterminated_preamble_rejected(self, tmp_path):
         (tmp_path / "bad.md").write_text("---\nsource: x\nno closing fence", encoding="utf-8")
@@ -167,7 +158,8 @@ class TestDocumentLoading:
     def test_shipped_kb_docs_load(self, fixtures_dir):
         docs = load_kb_documents(fixtures_dir / "kb_docs")
         assert len(docs) == 6
-        assert all(d.metadata.get("swc_tags") for d in docs)
+        # every shipped document has a preamble, and none of it reaches the body
+        assert all(not d.text.startswith("---") and "swc_tags" not in d.text for d in docs)
 
 
 def test_non_mapping_preamble_rejected(tmp_path):

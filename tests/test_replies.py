@@ -54,6 +54,9 @@ def repaired(provider: TranscriptRecorder) -> bool:
     return len(provider.prompts) == 2 and provider.prompts[1].endswith(REPAIR_INSTRUCTION)
 
 
+NESTED = "[" * 100_000 + "]" * 100_000  # deeper than the JSON decoder's recursion limit
+
+
 def detector_reply(score: str = "0.9", evidence: str = '"e"') -> str:
     finding = f'{{"class": "Reentrancy", "function": "preSign", "evidence": {evidence}}}'
     return f'{{"verdict": "vulnerable", "score": {score}, "findings": [{finding}]}}'
@@ -68,8 +71,8 @@ class TestDetectorReply:
 
     @pytest.mark.parametrize(
         "score",
-        ["true", "NaN", "Infinity", "-Infinity", "1" + "0" * 399],
-        ids=["true", "NaN", "inf", "-inf", "400 digits"],
+        ["true", "NaN", "Infinity", "-Infinity", "1" + "0" * 399, NESTED],
+        ids=["true", "NaN", "inf", "-inf", "400 digits", "100,000 nested ["],
     )
     def test_score_that_is_no_finite_number_earns_the_repair_prompt(self, score):
         provider = answering(detector_reply(score), detector_reply("0.2"))
@@ -129,10 +132,15 @@ class TestVerifierReply:
         assert err.value.field == "new_issues" and repaired(provider)
 
 
-def test_audit_records_a_detector_score_beyond_the_float_range_and_goes_on(
-    runner, built_index_root, tmp_path, monkeypatch
+@pytest.mark.parametrize(
+    "score, fault",
+    [("1" + "0" * 399, "score must be a number"), (NESTED, "verdict")],
+    ids=["400 digits", "100,000 nested ["],
+)
+def test_audit_records_a_detector_reply_the_decoder_refuses_and_goes_on(
+    runner, built_index_root, tmp_path, monkeypatch, score, fault
 ):
-    huge = detector_reply("1" + "0" * 399)
+    huge = detector_reply(score)
 
     def reply(role: str, prompt: str) -> str:
         if role == "detector":
@@ -151,7 +159,7 @@ def test_audit_records_a_detector_score_beyond_the_float_range_and_goes_on(
     assert "processed 2/2 contracts" in result.output
     records = {p.name: json.loads(p.read_text(encoding="utf-8")) for p in out_dir.glob("*.run.json")}
     assert set(records) == {"multi_vuln.run.json", "safe.run.json"}
-    assert "score must be a number" in records["multi_vuln.run.json"]["errors"]["detect"]
+    assert fault in records["multi_vuln.run.json"]["errors"]["detect"]
     assert records["safe.run.json"]["errors"] == {}
 
 
@@ -179,6 +187,7 @@ REPLIES = st.fixed_dictionaries({}, optional={key: values | JSON for key, values
 @given(REPLIES)
 @example(detector_reply("1" + "0" * 399))
 @example(detector_reply("1" + "0" * 4999))
+@example(detector_reply(NESTED))
 @example('{"passed": true, "new_issues": ["reentrancy in withdraw"]}')
 def test_every_reply_ends_each_call_with_a_result_or_a_solguard_error(reply):
     suggestion = RepairSuggestion("n", "c", "i", ("s",), ("p",), FINDING)

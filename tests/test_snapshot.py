@@ -47,12 +47,23 @@ class TestPublishLoad:
 
     def test_kb_round_trip(self, tmp_path):
         store = KbSnapshotStore(tmp_path)
-        index = build_kb_index([KbDocument("d", "alpha beta gamma", {"source": "x"})])
+        index = build_kb_index([KbDocument("d", "alpha beta gamma")])
         store.publish(index)
         loaded = store.load()
         assert loaded == dataclasses.replace(index, snapshot_version=1)
         assert loaded.chunks[0].text == "alpha beta gamma"
-        assert loaded.chunks[0].embedding == pytest.approx(index.chunks[0].embedding, abs=1e-12)
+
+    def test_kb_snapshot_stores_text_and_a_load_embeds_it_as_the_build_did(self, tmp_path):
+        store = KbSnapshotStore(tmp_path)
+        index = build_kb_index(load_kb_documents(FIXTURES / "kb_docs"))
+        store.publish(index)
+        lines = (tmp_path / "1" / "chunks.jsonl").read_text(encoding="utf-8").splitlines()
+        assert [sorted(json.loads(line)) for line in lines] == [["chunk_index", "doc_id", "text"]] * len(index.chunks)
+        loaded = store.load()
+        assert [struct.pack(f"{len(c.embedding)}d", *c.embedding) for c in loaded.chunks] == [
+            struct.pack(f"{len(c.embedding)}d", *c.embedding) for c in index.chunks
+        ]  # bit for bit, where == would take -0.0 for 0.0
+        assert loaded == dataclasses.replace(index, snapshot_version=1)
 
     def test_versions_increment_and_old_reader_keeps_its_snapshot(self, tmp_path):
         store = CorpusSnapshotStore(tmp_path)
@@ -180,8 +191,8 @@ class TestRoundTrip:
     def test_fixture_kb_snapshot_bytes_are_pinned(self, tmp_path):
         KbSnapshotStore(tmp_path).publish(build_kb_index(load_kb_documents(FIXTURES / "kb_docs")))
         assert digests(tmp_path / "1") == {
-            "chunks.jsonl": "4dca9a9ad28dcf17355aee8cb5a9a76975a6499e9022f600c4c04e6e144d719d",
-            "meta.json": "36c05b72ea819a60e12a8f60a20ce153f4bea769493a8e028ddca13f55572635",
+            "chunks.jsonl": "6b05870a064a46281559b9726f3344f57b40913e453952410bed2c6057df87c9",
+            "meta.json": "f47bd5c33915ee0ac6437f8f417702ac339f1ee8cf5524b01ba14ee878058909",
         }
 
 
@@ -244,6 +255,21 @@ def with_field(mutate):
         return json.dumps(rec) + "\n"
 
     return edit
+
+
+def write_kb_v1(root: Path, docs: list[KbDocument]) -> Path:
+    """Publish ``docs`` as KB format 1 wrote them: each chunk line with its
+    embedding and the document's preamble metadata, and meta.json naming the
+    embedder but no format; returns the version directory."""
+    version = root / "1"
+    version.mkdir(parents=True)
+    chunks = build_kb_index(docs).chunks
+    rows = [{**dataclasses.asdict(c), "embedding": list(c.embedding), "metadata": {}} for c in chunks]
+    (version / "chunks.jsonl").write_text("".join(json.dumps(r, sort_keys=True) + "\n" for r in rows), encoding="utf-8")
+    meta = {"kind": "kb", "version": 1, "embedder": "hash-bow-256-v1", "documents": len(docs), "chunks": len(chunks)}
+    (version / "meta.json").write_text(json.dumps(meta), encoding="utf-8")
+    (root / "CURRENT").write_text("1\n", encoding="utf-8")
+    return version
 
 
 def truncated(line: str) -> str:
@@ -344,12 +370,9 @@ CORPUS_FAULTS = {
 KB_FAULTS = {
     "truncated line": truncated,
     "missing key": with_field(lambda rec: rec.pop("text")),
-    "non-numeric embedding": with_field(lambda rec: rec.update(embedding=["x"] * len(rec["embedding"]))),
-    "embedding one number short": with_field(lambda rec: rec.update(embedding=rec["embedding"][:-1])),
-    # a NaN ranked its chunk first for every query, and 10**400 overflowed the cosine
-    "embedding NaN": with_field(lambda rec: rec["embedding"].__setitem__(7, math.nan)),
-    "embedding Infinity": with_field(lambda rec: rec["embedding"].__setitem__(7, math.inf)),
-    "embedding 10**400": with_field(lambda rec: rec["embedding"].__setitem__(7, 10**400)),
+    "text a number": with_field(lambda rec: rec.update(text=7)),
+    "chunk_index negative": with_field(lambda rec: rec.update(chunk_index=-1)),
+    "an undeclared key": with_field(lambda rec: rec.update(embedding=[0.0] * 256)),
 }
 
 
@@ -393,10 +416,19 @@ class TestCorruptRecords:
         assert store.publish(corpus_for(2)) == 2
         assert store.load().documents[0].classes == ("tag2",)
 
+    def test_format1_kb_version_asks_for_kb_update(self, tmp_path):
+        store = KbSnapshotStore(tmp_path)
+        version = write_kb_v1(tmp_path, [KbDocument("d", "alpha beta")])
+        message = f"snapshot file {version / 'meta.json'} names format 1, not 2: "
+        with pytest.raises(SnapshotError, match=re.escape(message + "republish the knowledge base with `solguard kb update --docs <dir>`")):
+            store.load()
+        assert store.publish(build_kb_index([KbDocument("e", "gamma")])) == 2  # what `kb update --docs` does
+        assert [c.doc_id for c in store.load().chunks] == ["e"]
+
     @pytest.mark.parametrize("fault", sorted(KB_FAULTS))
     def test_kb_line_fault_names_file_and_line(self, tmp_path, fault):
         store = KbSnapshotStore(tmp_path)
-        docs = [KbDocument(f"d{i}", f"alpha beta {i}", {}) for i in range(3)]
+        docs = [KbDocument(f"d{i}", f"alpha beta {i}") for i in range(3)]
         store.publish(build_kb_index(docs))
         edit_record(tmp_path / "1" / "chunks.jsonl", 2, KB_FAULTS[fault])
         with pytest.raises(SnapshotError, match=r"chunks\.jsonl:2: "):
@@ -415,7 +447,7 @@ class TestCorruptRecords:
 
     def test_kb_chunk_repeating_an_earlier_doc_and_index_names_the_lines(self, tmp_path):
         store = KbSnapshotStore(tmp_path)
-        store.publish(build_kb_index([KbDocument("d", " ".join(f"w{i}" for i in range(1000)), {})]))
+        store.publish(build_kb_index([KbDocument("d", " ".join(f"w{i}" for i in range(1000)))]))
         path = tmp_path / "1" / "chunks.jsonl"
         records = path.read_text(encoding="utf-8").splitlines(keepends=True)
         assert len(records) == 3
@@ -462,14 +494,8 @@ class TestGarbageCollector:
 
 def kb_store_with_docs(root: Path) -> KbSnapshotStore:
     store = KbSnapshotStore(root)
-    store.publish(build_kb_index([KbDocument("d", "alpha beta", {})]))
+    store.publish(build_kb_index([KbDocument("d", "alpha beta")]))
     return store
-
-
-def set_kb_embedder(meta_path: Path, embedder_id: str) -> None:
-    meta = json.loads(meta_path.read_text(encoding="utf-8"))
-    meta["embedder"] = embedder_id
-    meta_path.write_text(json.dumps(meta), encoding="utf-8")
 
 
 class TestCorruptMeta:
@@ -484,34 +510,6 @@ class TestCorruptMeta:
         meta = tmp_path / "1" / "meta.json"
         meta.write_text(payload, encoding="utf-8")
         with pytest.raises(SnapshotError, match=f"{meta}.*not a JSON object"):
-            store.load()
-
-    def test_kb_embedding_dimension_other_than_the_embedder_names_first_line(self, tmp_path):
-        store = kb_store_with_docs(tmp_path)
-        cut = with_field(lambda rec: rec.update(embedding=rec["embedding"][:64]))
-        edit_record(tmp_path / "1" / "chunks.jsonl", 1, cut)
-        with pytest.raises(SnapshotError, match=r"chunks\.jsonl:1: .*256 numbers"):
-            store.load()
-
-    @pytest.mark.parametrize("embedder", ["letters-v1", "hash-bow-x-v1", "hash-bow-0-v1", "hash-bow-64-v1"])
-    def test_kb_meta_naming_an_unknown_embedder_names_file(self, tmp_path, embedder):
-        store = kb_store_with_docs(tmp_path)
-        meta_path = tmp_path / "1" / "meta.json"
-        set_kb_embedder(meta_path, embedder)
-        with pytest.raises(SnapshotError, match=f"{meta_path} cannot be loaded: unknown embedder"):
-            store.load()
-
-    @pytest.mark.parametrize("embedder", [None, 7])
-    def test_kb_meta_without_embedder_name_names_file(self, tmp_path, embedder):
-        store = kb_store_with_docs(tmp_path)
-        meta_path = tmp_path / "1" / "meta.json"
-        meta = json.loads(meta_path.read_text(encoding="utf-8"))
-        if embedder is None:
-            del meta["embedder"]
-        else:
-            meta["embedder"] = embedder
-        meta_path.write_text(json.dumps(meta), encoding="utf-8")
-        with pytest.raises(SnapshotError, match=f"{meta_path}.*embedder"):
             store.load()
 
 
