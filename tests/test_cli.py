@@ -423,6 +423,20 @@ class TestInputFileErrors:
         assert_clean_error(result, EXIT_PROCESSING, f"error: cannot read knowledge document {bad}: ")
         assert not (tmp_path / "idx" / "kb" / "CURRENT").exists()
 
+    @pytest.mark.parametrize("value", ["2024-05-01", "{1: one}", ".nan"])
+    def test_knowledge_document_preamble_value_that_is_not_json_is_stripped(self, runner, tmp_path, value):
+        docs = tmp_path / "docs"
+        shutil.copytree(FIXTURES / "kb_docs", docs)
+        (docs / "x.md").write_text(f"---\nupdated: {value}\n---\nbody\n", encoding="utf-8")
+        index_root = tmp_path / "idx"
+        result = runner.invoke(main, ["kb", "build", "--docs", str(docs), "--index-root", str(index_root)])
+        assert result.exit_code == 0, result.output
+        lines = (index_root / "kb" / "1" / "chunks.jsonl").read_text(encoding="utf-8").splitlines()
+        assert {"chunk_index": 0, "doc_id": "x", "text": "body"} in [json.loads(line) for line in lines]
+        result = runner.invoke(main, ["kb", "status", "--index-root", str(index_root)])
+        assert result.exit_code == 0
+        assert "kb: version 1, 7 documents, 7 chunks" in result.output
+
     def test_knowledge_documents_sharing_a_stem_name_both_files(self, runner, tmp_path):
         docs = tmp_path / "docs"
         docs.mkdir()
@@ -494,6 +508,23 @@ class TestSnapshotChecksOnLoad:
         result = runner.invoke(main, ["kb", "status", "--index-root", str(index_root)])
         assert result.exit_code == 0
         assert "corpus: version 2, 15 documents" in result.output
+
+    @pytest.mark.parametrize("lines", ["one", "every"])
+    def test_chunk_line_carrying_an_embedding_names_the_line(self, runner, built_index_root, tmp_path, lines):
+        index_root = tmp_path / "idx"
+        shutil.copytree(built_index_root, index_root)
+        chunks = index_root / "kb" / "1" / "chunks.jsonl"
+        records = [json.loads(line) for line in chunks.read_text(encoding="utf-8").splitlines()]
+        for rec in records if lines == "every" else records[2:3]:
+            rec["embedding"] = [0.0] * 256  # a format-1 line: format 2 embeds the text on load
+        chunks.write_text("".join(json.dumps(rec) + "\n" for rec in records), encoding="utf-8")
+        where = f"{chunks}:{1 if lines == 'every' else 3}: "
+        config = write_pipeline_config(tmp_path / "cfg.yaml", index_root, tmp_path / "out", TRANSCRIPT)
+        for args in (
+            ["kb", "status", "--index-root", str(index_root)],
+            ["audit", str(FIXTURES / "presign.sol"), "-c", str(config)],
+        ):
+            assert_clean_error(runner.invoke(main, args), EXIT_PROCESSING, where, "embedding")
 
     def test_format1_kb_stops_status_and_audit_until_kb_update(self, runner, built_index_root, tmp_path):
         index_root = tmp_path / "idx"
