@@ -26,7 +26,7 @@ import yaml
 from solguard.agents.config import MODES, WEIGHTS, PipelineConfig, apply_overrides, load_config
 from solguard.agents.detect import detect as run_detect
 from solguard.agents.pipeline import PipelineContext, PipelineRun, build_context, run_pipeline
-from solguard.core import SourceContract, Verdict
+from solguard.core import SourceContract, Verdict, gc_paused
 from solguard.errors import ConfigError, SnapshotError, SolguardError
 from solguard.evaluation import (
     LabeledDataset,
@@ -271,7 +271,8 @@ def _publish_snapshots(
         if command == "build" and (corpus_store.current_version() or kb_store.current_version()):
             _fail(EXIT_USAGE, f"index under {index_root} already exists; use 'kb update'")
         if corpus:
-            version = corpus_store.publish(build_corpus_index(load_corpus_file(corpus)))
+            with gc_paused():
+                version = corpus_store.publish(build_corpus_index(load_corpus_file(corpus)))
             published.append(f"corpus: published version {version}")
         if docs:
             version = kb_store.publish(build_kb_index(load_kb_documents(docs)))

@@ -7,11 +7,13 @@ can be shared across threads and serialized deterministically.
 from __future__ import annotations
 
 import enum
+import gc
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from itertools import chain
 from operator import add
-from typing import TYPE_CHECKING, Any, Iterable, NamedTuple
+from typing import TYPE_CHECKING, Any, Iterable, Iterator, NamedTuple
 
 if TYPE_CHECKING:
     from solguard.static_analysis.structure import ContractView
@@ -82,6 +84,21 @@ def byte_length(text: str) -> int:
 def ordered_sum(values: Iterable[float]) -> float:
     """``sum`` added left to right, as before Python 3.12's compensated float sums: the same bits on every Python."""
     return reduce(add, values, 0)
+
+
+@contextmanager
+def gc_paused() -> Iterator[None]:
+    """Pause cyclic garbage collection, then restore the caller's setting. A
+    corpus read, build or snapshot load allocates tens of thousands of
+    containers (a 20k-document corpus has a few per document) and keeps them
+    all, so the collections they would set off free nothing."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from itertools import starmap
 from pathlib import Path
 from typing import Any
 
@@ -15,7 +16,7 @@ from solguard.agents.detect import fuse_channels, run_channels
 from solguard.agents.pipeline import PipelineContext
 from solguard.core import Channel, ChannelResult
 from solguard.errors import ConfigError, DatasetError, SolguardError
-from solguard.jsonl import DatasetEntry, load_labeled_records
+from solguard.jsonl import load_labeled_records
 from solguard.static_analysis.scanner import load_source
 
 log = logging.getLogger(__name__)
@@ -44,6 +45,15 @@ def normalize_variant(name: str) -> str:
 
 
 @dataclass(frozen=True)
+class DatasetEntry:  # a row of load_labeled_records
+    contract_id: str
+    label: str  # safe | vulnerable
+    classes: tuple[str, ...]
+    source: str
+    split: str
+
+
+@dataclass(frozen=True)
 class LabeledDataset:
     entries: tuple[DatasetEntry, ...]
 
@@ -55,7 +65,7 @@ class LabeledDataset:
 
 def load_dataset(path: str | Path) -> LabeledDataset:
     """Read a dataset file of :data:`~solguard.jsonl.LABELED_RECORD` lines."""
-    return LabeledDataset(tuple(load_labeled_records(path)))
+    return LabeledDataset(tuple(starmap(DatasetEntry, load_labeled_records(path))))
 
 
 @dataclass(frozen=True)

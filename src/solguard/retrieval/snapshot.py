@@ -15,18 +15,17 @@ directory unreferenced.
 from __future__ import annotations
 
 import dataclasses
-import gc
 import json
 import math
 import os
 import sys
 from array import array
-from contextlib import contextmanager
 from itertools import chain
 from operator import gt, mul
 from pathlib import Path
-from typing import Generic, Iterator, TypeVar
+from typing import Generic, TypeVar
 
+from solguard.core import gc_paused
 from solguard.errors import SnapshotError
 from solguard.jsonl import read_jsonl
 from solguard.records import Record, mapping, one_of, string, whole
@@ -100,7 +99,7 @@ class SnapshotStore(Generic[T]):
         meta = self.meta.parse(payload, SnapshotError, f"snapshot file {path} is corrupt", "meta")
         if meta["version"] != version:
             raise SnapshotError(f"snapshot {target} is internally inconsistent: meta names version {meta['version']}")
-        with _gc_paused():
+        with gc_paused():
             return self._read_files(target, meta)
 
     def versions(self) -> list[int]:
@@ -230,21 +229,6 @@ def _embedded(doc_id: str, chunk_index: int, text: str) -> KbChunk:
 
 
 CHUNK = Record({"doc_id": string(), "chunk_index": whole(0), "text": string()}, make=_embedded)
-
-
-@contextmanager
-def _gc_paused() -> Iterator[None]:
-    """Pause cyclic garbage collection, then restore the caller's setting. A
-    load allocates tens of thousands of containers (a 20k-document corpus has
-    two lists and two tuples per document) and keeps them all, so the
-    collections they would set off free nothing: a fifth of the load's time."""
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if enabled:
-            gc.enable()
 
 
 def _write_json(path: Path, payload: object) -> None:

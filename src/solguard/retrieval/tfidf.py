@@ -6,6 +6,10 @@ tf = term count / document term count; idf = ln((1+N)/(1+df)) + 1;
 weight = tf * idf; vectors are L2-normalized. Neighbor ranks are weighted
 linearly, rank 1 heaviest, weights summing to 1.
 
+A build counts each document's terms once: that one count gives the
+document frequencies, then the document's weights, which go straight into
+the postings.
+
 Ranking (``top_k``) is exact but scores only the documents that can win. A
 term is common when at least half the documents hold it (``df >=
 ceil(n/2)``); the index stores each document's common-term norm, and a
@@ -28,8 +32,8 @@ from array import array
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate, chain
-from operator import mul
+from itertools import accumulate, chain, repeat
+from operator import mul, truediv
 from pathlib import Path
 from typing import Iterable, NamedTuple
 
@@ -115,25 +119,28 @@ def _tfidf_vector(terms: list[str], term_ids: dict[str, int], idf: array) -> tup
 
 
 def build_corpus_index(docs: list[tuple[str, str, tuple[str, ...], str]]) -> CorpusIndex:
-    """Index labeled contracts given as (id, label, classes, source) tuples."""
+    """Index labeled contracts given as (id, label, classes, source) tuples.
+    A document's weights are those ``vectorize`` gives its terms, bit for bit."""
     if not docs:
         raise ValueError("corpus must contain at least one document")
-    term_lists = [tokenize_for_tfidf(source) for _, _, _, source in docs]
+    counts = [Counter(tokenize_for_tfidf(source)) for _, _, _, source in docs]
     n = len(docs)
-    df: Counter[str] = Counter()
-    for terms in term_lists:
-        df.update(set(terms))
+    df = Counter(chain.from_iterable(counts))  # a count's keys are its distinct terms
     vocabulary = sorted(df)
     term_ids = {term: t for t, term in enumerate(vocabulary)}
     idf = array("d", (math.log((1 + n) / (1 + df[term])) + 1.0 for term in vocabulary))
     offsets = array("q", accumulate((df[term] for term in vocabulary), initial=0))
     positions, weights = array("i", [0]) * offsets[-1], array("d", [0.0]) * offsets[-1]
     free = offsets.tolist()  # each term's next unfilled posting
-    for position, ((doc_id, _, _, _), terms) in enumerate(zip(docs, term_lists)):
+    for position, ((doc_id, _, _, _), terms) in enumerate(zip(docs, counts)):
         if not terms:
             log.warning("corpus document %s has no terms; indexing a zero vector", doc_id)
-        for term, w in _tfidf_vector(terms, term_ids, idf)[0].items():
-            t = term_ids[term]
+            continue
+        ids = list(map(term_ids.__getitem__, terms))
+        # (count / total) * idf, each step a C-level map
+        raw = list(map(mul, map(truediv, terms.values(), repeat(terms.total())), map(idf.__getitem__, ids)))
+        norm = math.sqrt(ordered_sum(map(mul, raw, raw)))
+        for t, w in zip(ids, map(truediv, raw, repeat(norm))):
             slot = free[t]
             positions[slot], weights[slot], free[t] = position, w, slot + 1
     common = [(offsets[t], offsets[t + 1]) for t, term in enumerate(vocabulary) if is_common(df[term], n)]
@@ -325,4 +332,4 @@ def retrieval_channel(
 def load_corpus_file(path: str | Path) -> list[tuple[str, str, tuple[str, ...], str]]:
     """Read a corpus file of :data:`~solguard.jsonl.LABELED_RECORD` lines as
     (id, label, classes, source) tuples."""
-    return [(e.contract_id, e.label, e.classes, e.source) for e in load_labeled_records(path)]
+    return [row[:4] for row in load_labeled_records(path)]

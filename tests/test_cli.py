@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import json
 import re
 import shutil
@@ -305,6 +306,24 @@ class TestKb:
         status = runner.invoke(main, ["kb", "status", "--index-root", str(index_root)])
         assert status.exit_code == 0, status.output
         assert "corpus: no snapshot published" in status.output
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_build_restores_the_callers_collector(self, runner, tmp_path, enabled):
+        # the build pauses cyclic garbage collection; a caller that had
+        # paused it keeps it paused, whether the build publishes or fails
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text('{"id": "a", "label": "meh", "source": "contract A {}"}\n', encoding="utf-8")
+        faulty = ["kb", "build", "--corpus", str(corpus), "--index-root", str(tmp_path / "idx")]
+        publishing = ["kb", "build", "--corpus", str(FIXTURES / "corpus.jsonl"), "--index-root", str(tmp_path / "idx")]
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            assert runner.invoke(main, faulty).exit_code == EXIT_PROCESSING
+            assert gc.isenabled() is enabled
+            assert runner.invoke(main, publishing).exit_code == 0
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
 
     def test_update_bumps_version(self, runner, tmp_path):
         index_root = tmp_path / "idx"

@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import json
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from solguard import jsonl
 from solguard.errors import DatasetError, TranscriptError
 from solguard.evaluation import load_dataset
+from solguard.jsonl import load_labeled_records
 from solguard.llm.mock import load_transcript
 from solguard.retrieval.tfidf import load_corpus_file
 
@@ -106,3 +111,96 @@ def test_transcript_record_fields_are_strings(tmp_path):
     path.write_bytes(b'{"role": "detector", "fingerprint": 7, "response": "r"}\n')
     with pytest.raises(TranscriptError, match=re.escape(f"{path}:1: record key fingerprint must be a string, got 7")):
         load_transcript(path)
+
+
+# A corpus or dataset file is read whole and its records checked a field at a
+# time; a fault sends it back through the line-by-line read, which names the
+# first faulty line in file order. These pin the line-by-line behaviour.
+def contract(contract_id: str, **fields) -> bytes:
+    return json.dumps({"id": contract_id, "label": "safe", "source": "contract C {}", **fields}).encode() + b"\n"
+
+
+@pytest.mark.parametrize("kind", ["corpus", "dataset"])
+def test_first_faulty_line_in_file_order_is_named(tmp_path, kind):
+    load, error, _ = LOADERS[kind]
+    path = tmp_path / "input.jsonl"
+    wrong_type, undecodable = contract("b", split=1), b"{oops\n"
+    path.write_bytes(contract("a") + wrong_type + contract("c") + undecodable)
+    with pytest.raises(error, match=re.escape(f"{path}:2: record key split must be a string, got 1")):
+        load(path)
+    path.write_bytes(contract("a") + undecodable + contract("c") + wrong_type)
+    with pytest.raises(error, match=re.escape(f"{path}:2: malformed record: ")):
+        load(path)
+
+
+@pytest.mark.parametrize("kind", ["corpus", "dataset"])
+def test_repeated_id_names_its_second_line(tmp_path, kind):
+    load, error, _ = LOADERS[kind]
+    path = tmp_path / "input.jsonl"
+    path.write_bytes(contract("a") + contract("b") + contract("c") + contract("b"))
+    with pytest.raises(error, match=re.escape(f"{path}:4: malformed record: duplicate contract id 'b'")):
+        load(path)
+
+
+@pytest.mark.parametrize("kind", ["corpus", "dataset"])
+def test_source_paths_and_inline_sources_mix(tmp_path, kind):
+    load, _, _ = LOADERS[kind]
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "sub" / "a.sol").write_text("contract A {}", encoding="utf-8")
+    path = tmp_path / "input.jsonl"
+    path.write_bytes(
+        contract("a", source=None, source_path="sub/a.sol", classes=["Reentrancy"], split="test")
+        + contract("b", source="contract B {}")
+        + contract("c", source="inline wins", source_path="gone.sol", label="vulnerable")
+        + contract("d", source_path=str(tmp_path / "sub" / "a.sol"))
+    )
+    expected = [
+        ("a", "safe", ("Reentrancy",), "contract A {}", "test"),
+        ("b", "safe", (), "contract B {}", ""),
+        ("c", "vulnerable", (), "inline wins", ""),
+        ("d", "safe", (), "contract C {}", ""),
+    ]
+    if kind == "corpus":
+        assert load(path) == [row[:4] for row in expected]
+    else:
+        entries = load(path).entries
+        assert [(e.contract_id, e.label, e.classes, e.source, e.split) for e in entries] == expected
+
+
+@pytest.mark.parametrize("kind", ["corpus", "dataset"])
+def test_faulty_last_line_of_a_long_file_is_named(tmp_path, kind):
+    load, error, _ = LOADERS[kind]
+    path = tmp_path / "input.jsonl"
+    path.write_bytes(b"".join(contract(f"c{i}") for i in range(19_999)) + contract("last", label="meh"))
+    with pytest.raises(error, match=re.escape(f"{path}:20000: record key label must be safe|vulnerable")):
+        load(path)
+
+
+LINES = [  # whole lines, each ending in "\n", the last two outside UTF-8 or JSON whitespace
+    *(contract(i) for i in "abc"),
+    contract("d", source=None, source_path="d.sol", classes=["R", "S"], split="test"),
+    contract("e", source=None), contract("f", source=5), contract("g", classes="R"), contract("h", cls=[]),
+    contract("i", source_path="gone.sol"), contract("j", source=None, source_path="gone.sol"),
+    b'{"id": "k", "source": "x"}\n', b'{"id": "l", "label": null, "source": "x"}\n', b"[1]\n", b"7\n",
+    b"\n", b" \x0b\x0c\r\n", b"{oops\n", b"[" * 2000 + b"]" * 2000 + b"\n", b'{"id": "\xff"}\n', b"\xc2\xa0\n",
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(lines=st.lists(st.sampled_from(LINES), max_size=8), last=st.sampled_from([b"", b'{"id": "z"}']))
+def test_whole_file_read_agrees_with_the_line_by_line_read(tmp_path_factory, lines, last):
+    root = tmp_path_factory.mktemp("records")
+    (root / "d.sol").write_text("contract D {}", encoding="utf-8")
+    path = root / "input.jsonl"
+    path.write_bytes(b"".join(lines) + last)  # the last line may lack its newline
+
+    def outcome() -> object:
+        try:
+            return load_labeled_records(path)
+        except DatasetError as exc:
+            return str(exc)
+
+    whole = outcome()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(jsonl, "_checked_rows", lambda path: None)  # every file read line by line
+        assert outcome() == whole

@@ -26,6 +26,8 @@ from solguard.retrieval.tfidf import (
 from solguard.core import Verdict
 from solguard.static_analysis.scanner import load_source
 
+import reference_corpus_build
+from reference_corpus_build import same_index
 from reference_corpus_snapshot_v1 import document_weights, idf_map
 
 # no documents and no terms
@@ -124,10 +126,11 @@ def oracle_strip(text: str) -> str:
 
 oracle_findall = re.compile(r"[a-z0-9]+").findall
 
-# structure characters weighted up against letters, digits, "_" and a
-# non-ASCII letter whose lowercase form holds an ASCII "i"
+# structure characters weighted up against letters, digits, "_", ASCII
+# whitespace, non-ASCII letters (two of whose lowercase forms hold an ASCII
+# letter: "İ" an "i", the Kelvin sign a "k") and a lone surrogate
 STRUCTURE_HEAVY = st.text(
-    alphabet=st.sampled_from(list("/*\"'\\\n") * 3 + list("aZ9_ İ")), max_size=40
+    alphabet=st.sampled_from(list("/*\"'\\\n") * 3 + list("aZ9_ \t\x0bİ\u212aé日\ud800")), max_size=40
 )
 
 
@@ -267,6 +270,57 @@ class TestBuildCorpusIndex:
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError):
             build_corpus_index([])
+
+    @pytest.mark.parametrize("parity", [0, 1])
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_same_index_as_the_two_pass_build(self, parity, data):
+        # n documents, of which exactly ceil(n/2) hold "half", the fewest a
+        # common term needs; each side repeats some of its documents exactly
+        words = ["a", "b", "b2", "Zeta", "straße", "Ünïcode", "\u212a", "İd", "日本", "//", "/*", "*/", "\n"]
+        texts = st.one_of(
+            st.sampled_from(["", "// only a comment", "/* block */"]),
+            st.lists(st.sampled_from(words), max_size=8).map(" ".join),
+        )
+
+        def side(size: int, holds: bool) -> list[tuple[str, str, tuple[str, ...], str]]:
+            distinct = data.draw(st.integers(min(size, 1), size))
+            docs = [
+                (f"{holds:d}.{i}", data.draw(st.sampled_from(["safe", "vulnerable"])), ("C",) * (i % 2),
+                 "half " * holds + data.draw(texts))
+                for i in range(distinct)
+            ]
+            return docs + [data.draw(st.sampled_from(docs)) for _ in range(size - distinct)]
+
+        pairs = data.draw(st.integers(1 - parity, 4))  # n = 2 * pairs + parity
+        docs = data.draw(st.permutations(side(pairs + parity, True) + side(pairs, False)))
+        warned: dict[str, list[str]] = {"solguard.retrieval.tfidf": [], reference_corpus_build.__name__: []}
+
+        class Warnings(logging.Handler):
+            def emit(self, record: logging.LogRecord) -> None:
+                warned[record.name].append(record.getMessage())
+
+        handler = Warnings(logging.WARNING)
+        loggers = [logging.getLogger(name) for name in warned]
+        for logger in loggers:
+            logger.addHandler(handler)
+        try:
+            index, expected = build_corpus_index(docs), reference_corpus_build.build_corpus_index(docs)
+        finally:
+            for logger in loggers:
+                logger.removeHandler(handler)
+        assert same_index(index, expected)
+        assert all(norm > 0 for norm, doc in zip(index.common_norms, docs) if doc[0][0] == "1")  # "half" is common
+        with tempfile.TemporaryDirectory() as root:
+            store = CorpusSnapshotStore(root)
+            store.publish(index)
+            assert same_index(store.load(), expected)
+        # one warning per document without terms, as the two-pass build logs
+        terms_less = [doc_id for doc_id, _, _, source in docs if not tokenize_for_tfidf(source)]
+        assert warned["solguard.retrieval.tfidf"] == warned[reference_corpus_build.__name__]
+        assert warned["solguard.retrieval.tfidf"] == [
+            f"corpus document {doc_id} has no terms; indexing a zero vector" for doc_id in terms_less
+        ]
 
 
 # --- cosine similarity, as top_k reports it -------------------------------------

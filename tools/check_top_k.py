@@ -1,9 +1,14 @@
 #!/usr/bin/env python3
-"""Check the bounded ``top_k`` against the full scan on full-size corpora.
+"""Check the corpus build and the bounded ``top_k`` against the code they
+replaced, on full-size corpora.
 
 For each seed, builds the benchmark's eval-20k corpus (20,000 documents) and
-its 16 query contracts with ``perfbench/generate.py``, publishes the index as
-a corpus snapshot and loads it back, then ranks every query with
+its 16 query contracts with ``perfbench/generate.py``. The index that
+``solguard.retrieval.tfidf.build_corpus_index`` builds must equal the one the
+replaced two-pass build in ``tests/reference_corpus_build.py`` builds: equal
+documents, term ids, offsets and positions, and the same bytes of ``idf``,
+``weights`` and ``common_norms``. The index is then published as a corpus
+snapshot and loaded back, and every query is ranked with
 ``solguard.retrieval.tfidf.top_k`` over the loaded snapshot and with the
 replaced full scan in ``tests/reference_top_k.py`` over the built index. Any
 difference in neighbors, ranks or similarity bits fails the run. It prints
@@ -26,6 +31,8 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT / "perfbench")]
 
 from generate import Fixtures, corpus_records, eval_contracts  # noqa: E402
+from reference_corpus_build import build_corpus_index as two_pass_build  # noqa: E402
+from reference_corpus_build import same_index  # noqa: E402
 from reference_top_k import top_k as full_scan  # noqa: E402
 
 from solguard.retrieval import tfidf  # noqa: E402
@@ -50,15 +57,19 @@ class FullScans(logging.Handler):
 
 
 def check_seed(fx: Fixtures, seed: int, full_scans: FullScans) -> int:
-    """Rank every query of one seed; return the number of mismatches."""
+    """Build one seed's corpus and rank every query; return the number of mismatches."""
     records = corpus_records(fx, seed, CORPUS_DOCUMENTS)
-    index = tfidf.build_corpus_index([(r["id"], r["label"], tuple(r["classes"]), r["source"]) for r in records])
+    docs = [(r["id"], r["label"], tuple(r["classes"]), r["source"]) for r in records]
+    index = tfidf.build_corpus_index(docs)
+    built_alike = same_index(index, two_pass_build(docs))
+    if not built_alike:
+        print(f"seed {seed}: build_corpus_index differs from the two-pass build", file=sys.stderr)
     with tempfile.TemporaryDirectory() as root:
         store = CorpusSnapshotStore(root)
         store.publish(index)
         loaded = store.load()
     queries = [load_source(c.id, c.source) for c in eval_contracts(fx, seed, QUERIES)]
-    mismatches, before, elapsed = 0, full_scans.count, 0.0
+    mismatches, before, elapsed = int(not built_alike), full_scans.count, 0.0
     for query in queries:
         for k in KS:
             expected = full_scan(query, index, k)
@@ -71,7 +82,8 @@ def check_seed(fx: Fixtures, seed: int, full_scans: FullScans) -> int:
                 print(f"seed {seed}: {query.id} k={k}: top_k differs from the full scan", file=sys.stderr)
     calls = len(queries) * len(KS)
     print(
-        f"seed {seed}: {calls} calls over {len(index.documents)} documents, {mismatches} mismatches, "
+        f"seed {seed}: build {'equal to' if built_alike else 'unlike'} the two-pass build; "
+        f"{calls} calls over {len(index.documents)} documents, {mismatches} mismatches, "
         f"{full_scans.count - before} full scans, top_k {elapsed * 1000 / calls:.1f} ms per call"
     )
     return mismatches
@@ -89,7 +101,7 @@ def main() -> None:
     fx = Fixtures(ROOT / "fixtures", catalog)
     mismatches = sum(check_seed(fx, seed, full_scans) for seed in args.seeds)
     if mismatches:
-        sys.exit(f"error: {mismatches} top_k calls differ from the full scan")
+        sys.exit(f"error: {mismatches} builds or top_k calls differ from the code they replaced")
 
 
 if __name__ == "__main__":
