@@ -60,53 +60,20 @@ LABELED_RECORD = Record({
 def load_labeled_records(path: str | Path) -> list[tuple[str, str, tuple[str, ...], str, str]]:
     """Read labelled contracts, one :data:`LABELED_RECORD` per line, as (id,
     label, classes, source, split) rows. A record without a readable source,
-    a repeated id, or a file without records is a :class:`DatasetError`
-    naming the first faulty line in file order.
+    a repeated id, or a file without records is a :class:`DatasetError`."""
+    rows: dict[str, tuple[str, str, tuple[str, ...], str, str]] = {}
 
-    The file is read whole and its records checked a field at a time; only
-    when that finds a fault is it read again line by line, to name it."""
-    rows = _checked_rows(path)
-    if rows is None:
-        rows = []
-        ids: set[str] = set()
+    def read(rec: dict[str, Any]) -> None:
+        contract_id, source = rec["id"], rec["source"]
+        if contract_id in rows:
+            raise ValueError(f"duplicate contract id {contract_id!r}")
+        if source is None:
+            if rec["source_path"] is None:
+                raise ValueError("record needs source or source_path")
+            source = Path(rec["source_path"]).read_text(encoding="utf-8")
+        rows[contract_id] = (contract_id, rec["label"], tuple(rec["classes"]), source, rec["split"])
 
-        def read(rec: dict[str, Any]) -> None:
-            contract_id, source = rec["id"], rec["source"]
-            if contract_id in ids:
-                raise ValueError(f"duplicate contract id {contract_id!r}")
-            if source is None:
-                if rec["source_path"] is None:
-                    raise ValueError("record needs source or source_path")
-                source = Path(rec["source_path"]).read_text(encoding="utf-8")
-            ids.add(contract_id)
-            rows.append((contract_id, rec["label"], tuple(rec["classes"]), source, rec["split"]))
-
-        read_jsonl(path, read, DatasetError, LABELED_RECORD)
+    read_jsonl(path, read, DatasetError, LABELED_RECORD)
     if not rows:
         raise DatasetError(f"{path}: file holds no records")
-    return rows
-
-
-def _checked_rows(path: str | Path) -> list[tuple[str, str, tuple[str, ...], str, str]] | None:
-    """The rows of a labelled-record file without a fault, read whole; None
-    at the first fault of any kind, which :func:`read_jsonl` then names."""
-    try:
-        text = Path(path).read_bytes().decode("utf-8")
-        decode = json.JSONDecoder().decode
-        # the lines and blank lines of read_jsonl: cut at "\n" only, bytes.strip's ASCII whitespace
-        records = [decode(line) for line in text.split("\n") if line.strip(" \t\n\r\x0b\x0c")]
-    except (OSError, ValueError, RecursionError):
-        return None
-    columns = LABELED_RECORD.columns(records, DatasetError, Path(path).parent)
-    if columns is None or len(set(columns["id"])) < len(records):  # a faulty field or a repeated id
-        return None
-    sources = columns["source"]
-    for i, (source, source_path) in enumerate(zip(sources, columns["source_path"])):
-        if source is None:
-            if source_path is None:
-                return None
-            try:
-                sources[i] = Path(source_path).read_text(encoding="utf-8")
-            except (OSError, ValueError):
-                return None
-    return list(zip(columns["id"], columns["label"], map(tuple, columns["classes"]), sources, columns["split"]))
+    return list(rows.values())

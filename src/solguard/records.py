@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import sys
 from contextlib import contextmanager
-from operator import methodcaller
 from pathlib import Path
 from typing import Any, Callable, Iterator, NamedTuple
 
@@ -117,27 +116,6 @@ class Record:
             return values
         with naming(f"{where}: {name}", error):
             return self.make(**values)
-
-    def columns(self, values: list, error: type[SolguardError], base: Path | None = None) -> dict[str, list] | None:
-        """Each field's plain values over the input records ``values``, what
-        ``parse`` gives record by record, checked a field at a time with the
-        same predicates; None when ``parse`` would raise for any record, for
-        it to name the first."""
-        if not {*map(type, values)} <= {dict} or not set().union(*values) <= self.fields.keys():
-            return None
-        columns = {}
-        for key, field in self.fields.items():
-            column = list(map(methodcaller("get", key, field.default), values))  # an absent key reads its default
-            given = column if field.default is not None else [v for v in column if v is not None]
-            if field.default is REQUIRED and REQUIRED in column or not all(map(field.accepts, given)):
-                return None
-            if field.convert is not None and given:
-                try:
-                    column = [v if v is None else field.convert(v, error, "", key, base) for v in column]
-                except error:  # a nested record's fault
-                    return None
-            columns[key] = column
-        return columns
 
     def value(self, key: Any, value: Any, error: type[SolguardError], where: str, name: str, base: Path | None = None):
         """The plain value of one key of the record ``name``; ``value`` is

@@ -3,16 +3,13 @@
 from __future__ import annotations
 
 import json
+import os
 import re
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from solguard import jsonl
 from solguard.errors import DatasetError, TranscriptError
 from solguard.evaluation import load_dataset
-from solguard.jsonl import load_labeled_records
 from solguard.llm.mock import load_transcript
 from solguard.retrieval.tfidf import load_corpus_file
 
@@ -113,9 +110,7 @@ def test_transcript_record_fields_are_strings(tmp_path):
         load_transcript(path)
 
 
-# A corpus or dataset file is read whole and its records checked a field at a
-# time; a fault sends it back through the line-by-line read, which names the
-# first faulty line in file order. These pin the line-by-line behaviour.
+# A corpus or dataset fault names the first faulty line in file order.
 def contract(contract_id: str, **fields) -> bytes:
     return json.dumps({"id": contract_id, "label": "safe", "source": "contract C {}", **fields}).encode() + b"\n"
 
@@ -176,31 +171,16 @@ def test_faulty_last_line_of_a_long_file_is_named(tmp_path, kind):
         load(path)
 
 
-LINES = [  # whole lines, each ending in "\n", the last two outside UTF-8 or JSON whitespace
-    *(contract(i) for i in "abc"),
-    contract("d", source=None, source_path="d.sol", classes=["R", "S"], split="test"),
-    contract("e", source=None), contract("f", source=5), contract("g", classes="R"), contract("h", cls=[]),
-    contract("i", source_path="gone.sol"), contract("j", source=None, source_path="gone.sol"),
-    b'{"id": "k", "source": "x"}\n', b'{"id": "l", "label": null, "source": "x"}\n', b"[1]\n", b"7\n",
-    b"\n", b" \x0b\x0c\r\n", b"{oops\n", b"[" * 2000 + b"]" * 2000 + b"\n", b'{"id": "\xff"}\n', b"\xc2\xa0\n",
-]
-
-
-@settings(max_examples=300, deadline=None)
-@given(lines=st.lists(st.sampled_from(LINES), max_size=8), last=st.sampled_from([b"", b'{"id": "z"}']))
-def test_whole_file_read_agrees_with_the_line_by_line_read(tmp_path_factory, lines, last):
-    root = tmp_path_factory.mktemp("records")
-    (root / "d.sol").write_text("contract D {}", encoding="utf-8")
-    path = root / "input.jsonl"
-    path.write_bytes(b"".join(lines) + last)  # the last line may lack its newline
-
-    def outcome() -> object:
-        try:
-            return load_labeled_records(path)
-        except DatasetError as exc:
-            return str(exc)
-
-    whole = outcome()
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(jsonl, "_checked_rows", lambda path: None)  # every file read line by line
-        assert outcome() == whole
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+@pytest.mark.parametrize("kind", ["corpus", "dataset"])
+def test_faulty_line_of_a_pipe_is_named(kind):
+    load, error, _ = LOADERS[kind]
+    read_end, write_end = os.pipe()
+    try:
+        os.write(write_end, contract("a") + contract("b", label="meh") + contract("c"))
+        os.close(write_end)
+        path = f"/dev/fd/{read_end}"  # a pipe can be read once
+        with pytest.raises(error, match=re.escape(f"{path}:2: record key label must be safe|vulnerable")):
+            load(path)
+    finally:
+        os.close(read_end)
