@@ -29,7 +29,6 @@ from solguard.agents.pipeline import PipelineContext, PipelineRun, build_context
 from solguard.core import SourceContract, Verdict, gc_paused
 from solguard.errors import ConfigError, SnapshotError, SolguardError
 from solguard.evaluation import (
-    LabeledDataset,
     calibrate_threshold,
     format_table,
     fused_scores,
@@ -37,9 +36,10 @@ from solguard.evaluation import (
     normalize_variant,
     run_variants,
 )
+from solguard.jsonl import LabeledRow, load_labeled_records
 from solguard.retrieval.kb import build_kb_index, load_kb_documents
 from solguard.retrieval.snapshot import CorpusSnapshotStore, KbSnapshotStore
-from solguard.retrieval.tfidf import build_corpus_index, load_corpus_file
+from solguard.retrieval.tfidf import build_corpus_index
 from solguard.static_analysis.scanner import load_file
 
 EXIT_PROCESSING = 1
@@ -89,14 +89,17 @@ def _context(config: PipelineConfig, roles: tuple[str, ...] | None = None) -> Pi
 
 def _dataset_split(
     dataset_path: str, split: str | None, config: PipelineConfig
-) -> tuple[LabeledDataset, PipelineContext]:
-    """The ``split`` entries of the dataset and a detector-only context. A
-    dataset file fault exits 1, like any unreadable input; an empty split 2."""
+) -> tuple[list[LabeledRow], PipelineContext]:
+    """The dataset's rows of the ``split`` (all rows when none is given) and a
+    detector-only context. A dataset file fault exits 1, like any unreadable
+    input; an empty split 2."""
     try:
-        dataset = load_dataset(dataset_path).subset(split)
+        dataset = load_dataset(dataset_path)
     except SolguardError as exc:
         _fail(EXIT_PROCESSING, str(exc))
-    if not dataset.entries:
+    if split:
+        dataset = [row for row in dataset if row.split == split]
+    if not dataset:
         _fail(EXIT_USAGE, f"no dataset entries for split {split!r}")
     return dataset, _context(config, roles=("detector",))
 
@@ -272,7 +275,7 @@ def _publish_snapshots(
             _fail(EXIT_USAGE, f"index under {index_root} already exists; use 'kb update'")
         if corpus:
             with gc_paused():
-                version = corpus_store.publish(build_corpus_index(load_corpus_file(corpus)))
+                version = corpus_store.publish(build_corpus_index(load_labeled_records(corpus)))
             published.append(f"corpus: published version {version}")
         if docs:
             version = kb_store.publish(build_kb_index(load_kb_documents(docs)))
@@ -319,7 +322,7 @@ def cmd_kb_status(index_root):
             click.echo("corpus: no snapshot published")
         else:
             index = corpus_store.load()
-            click.echo(f"corpus: version {corpus_version}, {len(index.documents)} documents")
+            click.echo(f"corpus: version {corpus_version}, {len(index.ids)} documents")
         kb_version = kb_store.current_version()
         if kb_version is None:
             click.echo("kb: no snapshot published")
@@ -357,7 +360,7 @@ def cmd_eval(dataset_path, config_path, variants, split, out, verbose):
     except OSError as exc:
         _fail(EXIT_PROCESSING, f"cannot write results to {out_path}: {exc}")
     click.echo(f"results written to {out_path}")
-    _exit_if_detection_failed(reports[0].failures if reports else 0, len(dataset.entries))
+    _exit_if_detection_failed(reports[0].failures if reports else 0, len(dataset))
 
 
 @main.command("calibrate")
@@ -373,7 +376,7 @@ def cmd_calibrate(dataset_path, config_path, split, write, verbose):
     try:
         dataset, ctx = _dataset_split(dataset_path, split, config)
         scores, failures = fused_scores(dataset, ctx)
-        _exit_if_detection_failed(failures, len(dataset.entries))
+        _exit_if_detection_failed(failures, len(dataset))
         threshold = calibrate_threshold(scores)
     except SolguardError as exc:
         _fail(EXIT_USAGE, str(exc))

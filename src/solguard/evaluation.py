@@ -8,15 +8,14 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from itertools import starmap
 from pathlib import Path
-from typing import Any
+from typing import Any, Sequence
 
 from solguard.agents.detect import fuse_channels, run_channels
 from solguard.agents.pipeline import PipelineContext
 from solguard.core import Channel, ChannelResult
 from solguard.errors import ConfigError, DatasetError, SolguardError
-from solguard.jsonl import load_labeled_records
+from solguard.jsonl import LabeledRow, load_labeled_records
 from solguard.static_analysis.scanner import load_source
 
 log = logging.getLogger(__name__)
@@ -44,28 +43,9 @@ def normalize_variant(name: str) -> str:
     return _SPELLINGS[key]
 
 
-@dataclass(frozen=True)
-class DatasetEntry:  # a row of load_labeled_records
-    contract_id: str
-    label: str  # safe | vulnerable
-    classes: tuple[str, ...]
-    source: str
-    split: str
-
-
-@dataclass(frozen=True)
-class LabeledDataset:
-    entries: tuple[DatasetEntry, ...]
-
-    def subset(self, split: str | None) -> "LabeledDataset":
-        if not split:
-            return self
-        return LabeledDataset(tuple(e for e in self.entries if e.split == split))
-
-
-def load_dataset(path: str | Path) -> LabeledDataset:
+def load_dataset(path: str | Path) -> list[LabeledRow]:
     """Read a dataset file of :data:`~solguard.jsonl.LABELED_RECORD` lines."""
-    return LabeledDataset(tuple(starmap(DatasetEntry, load_labeled_records(path))))
+    return load_labeled_records(path)
 
 
 @dataclass(frozen=True)
@@ -167,7 +147,7 @@ class ChannelCache:
     failures: int
 
 
-def channel_cache(dataset: LabeledDataset, ctx: PipelineContext, modes: tuple[str, ...]) -> ChannelCache:
+def channel_cache(dataset: Sequence[LabeledRow], ctx: PipelineContext, modes: tuple[str, ...]) -> ChannelCache:
     """Run the channels once per contract for ``modes``.
 
     A contract whose detection fails is excluded, counted, and logged.
@@ -175,19 +155,18 @@ def channel_cache(dataset: LabeledDataset, ctx: PipelineContext, modes: tuple[st
     labels: dict[str, str] = {}
     channels: dict[str, dict[str, dict[Channel, ChannelResult]]] = {}
     failures = 0
-    for entry in dataset.entries:
+    for row in dataset:
         try:
-            contract = load_source(entry.contract_id, entry.source)
-            channels[entry.contract_id] = run_channels(contract, ctx, modes)
-            labels[entry.contract_id] = entry.label
+            channels[row.id] = run_channels(load_source(row.id, row.source), ctx, modes)
+            labels[row.id] = row.label
         except SolguardError as exc:
             failures += 1
-            log.warning("evaluation: %s failed and is excluded: %s", entry.contract_id, exc)
+            log.warning("evaluation: %s failed and is excluded: %s", row.id, exc)
     return ChannelCache(labels, channels, failures)
 
 
 def run_variants(
-    dataset: LabeledDataset,
+    dataset: Sequence[LabeledRow],
     variants: list[str],
     ctx: PipelineContext,
 ) -> list[MetricsReport]:
@@ -260,7 +239,7 @@ def calibrate_threshold(scores: list[tuple[float, str]]) -> float:
     return best_threshold
 
 
-def fused_scores(dataset: LabeledDataset, ctx: PipelineContext) -> tuple[list[tuple[float, str]], int]:
+def fused_scores(dataset: Sequence[LabeledRow], ctx: PipelineContext) -> tuple[list[tuple[float, str]], int]:
     """(weighted fused score, gold label) per contract, for calibration, and
     the number of contracts that failed detection.
 

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 import yaml
 
@@ -57,11 +57,19 @@ LABELED_RECORD = Record({
 })
 
 
-def load_labeled_records(path: str | Path) -> list[tuple[str, str, tuple[str, ...], str, str]]:
-    """Read labelled contracts, one :data:`LABELED_RECORD` per line, as (id,
-    label, classes, source, split) rows. A record without a readable source,
-    a repeated id, or a file without records is a :class:`DatasetError`."""
-    rows: dict[str, tuple[str, str, tuple[str, ...], str, str]] = {}
+class LabeledRow(NamedTuple):
+    id: str
+    label: str  # safe | vulnerable
+    classes: tuple[str, ...]
+    source: str
+    split: str
+
+
+def load_labeled_records(path: str | Path) -> list[LabeledRow]:
+    """Read labelled contracts, one :data:`LABELED_RECORD` per line, as rows.
+    A record without a readable source, a repeated id, or a file without
+    records is a :class:`DatasetError`."""
+    rows: dict[str, LabeledRow] = {}
 
     def read(rec: dict[str, Any]) -> None:
         contract_id, source = rec["id"], rec["source"]
@@ -71,7 +79,7 @@ def load_labeled_records(path: str | Path) -> list[tuple[str, str, tuple[str, ..
             if rec["source_path"] is None:
                 raise ValueError("record needs source or source_path")
             source = Path(rec["source_path"]).read_text(encoding="utf-8")
-        rows[contract_id] = (contract_id, rec["label"], tuple(rec["classes"]), source, rec["split"])
+        rows[contract_id] = LabeledRow(contract_id, rec["label"], tuple(rec["classes"]), source, rec["split"])
 
     read_jsonl(path, read, DatasetError, LABELED_RECORD)
     if not rows:

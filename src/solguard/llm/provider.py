@@ -112,17 +112,20 @@ class HttpProvider:
     "max_tokens"}``. The response may carry the text either as a top-level
     ``content`` string or under ``choices[0].message.content``.
 
-    Each call opens one connection through :mod:`urllib.request`, which takes
-    proxies from ``HTTP(S)_PROXY``/``NO_PROXY`` and verifies HTTPS against the
-    system trust store. Timeouts, connection failures, 5xx and 429 replies are
-    retried up to ``retry_count`` times, after the reply's ``Retry-After``
-    seconds (capped at ``timeout_s``) or else a backoff of 50 ms times the
-    attempt number.
+    Each call opens one connection through one :mod:`urllib.request` opener,
+    built at the provider's first call, which reads the proxies from
+    ``HTTP(S)_PROXY``/``NO_PROXY`` as they are then and verifies HTTPS
+    against the system trust store. Timeouts, connection failures, 5xx and
+    429 replies are retried up to ``retry_count`` times, after the reply's
+    ``Retry-After`` seconds (capped at ``timeout_s``) or else a backoff of
+    50 ms times the attempt number.
     """
 
     def __init__(self, config: ProviderConfig, exchange_log: ExchangeLog | None = None):
         self.config = config
         self._log = exchange_log
+        self._opener: Any = None  # a urllib.request.OpenerDirector, from the first call on
+        self._opener_lock = threading.Lock()
 
     @property
     def provider_id(self) -> str:
@@ -149,8 +152,10 @@ class HttpProvider:
             "max_tokens": self.config.max_output_tokens,
         }
         data = json.dumps(body, allow_nan=False).encode("utf-8")
-        # a new opener reads the proxy variables as they are now
-        opener = urllib.request.build_opener()
+        with self._opener_lock:
+            if self._opener is None:  # one per provider: building one loads the CA store on Python 3.12+
+                self._opener = urllib.request.build_opener()
+            opener = self._opener
         started = time.perf_counter()
         last_error: Exception | None = None
         retry_after: float | None = None

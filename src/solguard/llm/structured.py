@@ -24,8 +24,9 @@ def extract_structured(response: str, schema: Record, role: str = "model") -> di
 
     Raises :class:`ExtractionError` when no object parses, and
     :class:`SchemaError` naming the top-level field when the first parsed
-    object lacks or mistypes one; of several, the first in declaration
-    order. The raw response text is carried on the error untouched.
+    object lacks or mistypes one, or holds a lone surrogate in it; of
+    several, the first in declaration order. The raw response text is
+    carried on the error untouched.
     """
     start = response.find("{")
     while start != -1:
@@ -34,9 +35,15 @@ def extract_structured(response: str, schema: Record, role: str = "model") -> di
         except (ValueError, RecursionError):
             start = response.find("{", start + 1)
             continue
+        suspect = "\\u" in response or not response.isascii()  # else no string in it is a surrogate
         for key in schema.fields:
             fault = partial(SchemaError, raw_text=response, field=key)
-            record[key] = schema.value(key, record.get(key, ABSENT), fault, role, "reply")
+            record[key] = value = schema.value(key, record.get(key, ABSENT), fault, role, "reply")
+            try:  # a JSON "\ud800" decodes to a lone surrogate, which no report file can hold
+                if suspect:
+                    json.dumps(value, ensure_ascii=False).encode("utf-8")
+            except UnicodeEncodeError:
+                raise fault(f"{role}: reply field {key} holds a lone surrogate, which is not text") from None
         return record
     raise ExtractionError(f"{role}: no structured object found in response", response)
 

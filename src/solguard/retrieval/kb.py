@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
@@ -17,19 +16,18 @@ from typing import Iterable
 from solguard.core import ordered_sum
 from solguard.errors import DatasetError
 from solguard.jsonl import read_text, read_yaml
+from solguard.retrieval.terms import words
 
 CHUNK_TOKENS = 512
 CHUNK_OVERLAP = 64
 EMBEDDING_DIM = 256
 
-_WORD_RE = re.compile(r"[a-z0-9]+")
-
 
 def embed(text: str) -> list[float]:
-    """The L2-normalized counts of ``text``'s words hashed into ``EMBEDDING_DIM``
-    buckets; the same numbers on every platform."""
+    """The L2-normalized counts of ``text``'s :func:`~solguard.retrieval.terms.words`
+    hashed into ``EMBEDDING_DIM`` buckets; the same numbers on every platform."""
     vec = [0.0] * EMBEDDING_DIM
-    for word in _WORD_RE.findall(text.lower()):
+    for word in words(text):
         digest = hashlib.md5(word.encode("utf-8")).digest()
         vec[int.from_bytes(digest[:4], "big") % EMBEDDING_DIM] += 1.0
     norm = math.sqrt(ordered_sum(x * x for x in vec))

@@ -30,7 +30,7 @@ from solguard.errors import SnapshotError
 from solguard.jsonl import read_jsonl
 from solguard.records import Record, mapping, one_of, string, whole
 from solguard.retrieval.kb import KbChunk, KbIndex, embed
-from solguard.retrieval.tfidf import CorpusDocument, CorpusIndex
+from solguard.retrieval.tfidf import CorpusIndex
 
 T = TypeVar("T")
 
@@ -144,14 +144,13 @@ class CorpusSnapshotStore(SnapshotStore[CorpusIndex]):
     })
 
     def _write_files(self, target: Path, index: CorpusIndex) -> None:
-        norms = array("d", (doc.norm for doc in index.documents))
         with open(target / "postings.bin", "wb") as fh:
-            for values in (index.idf, index.offsets, index.positions, index.weights, norms, index.common_norms):
+            for values in (index.idf, index.offsets, index.positions, index.weights, index.norms, index.common_norms):
                 values.tofile(fh)
         (target / "terms.json").write_text(json.dumps(list(index.term_ids)), encoding="utf-8")
-        rows = [[doc.id, doc.label, list(doc.classes)] for doc in index.documents]
+        rows = list(zip(index.ids, index.labels, index.classes))  # tuples write as JSON arrays
         (target / "documents.json").write_text(json.dumps(rows), encoding="utf-8")
-        counts = {"terms": len(index.term_ids), "postings": len(index.positions), "documents": len(norms)}
+        counts = {"terms": len(index.term_ids), "postings": len(index.positions), "documents": len(index.ids)}
         self._write_meta(target, index, byteorder=sys.byteorder, itemsize=ITEMSIZE, **counts)
 
     def _read_files(self, target: Path, meta: dict) -> CorpusIndex:
@@ -188,8 +187,10 @@ class CorpusSnapshotStore(SnapshotStore[CorpusIndex]):
             raise _corrupt(path, f"offsets must rise from 0 to the {n_postings} postings")
         if positions and max(array("I", positions.tobytes())) >= n_documents:  # unsigned, a negative is >= 2**31
             raise _corrupt(path, f"every position must lie in [0, {n_documents})")
-        documents = tuple(map(CorpusDocument, ids, labels, map(tuple, classes), norms))
-        return CorpusIndex(documents, term_ids, idf, offsets, positions, weights, common_norms, meta["version"])
+        return CorpusIndex(
+            ids, labels, tuple(map(tuple, classes)), norms, term_ids, idf, offsets, positions, weights, common_norms,
+            meta["version"],
+        )
 
 
 class KbSnapshotStore(SnapshotStore[KbIndex]):

@@ -1,8 +1,9 @@
 """Term extraction for the contract-similarity index.
 
 Drops comments and string literals, lowercases, and splits the rest into
-runs of ``[a-z0-9]``. Kept independent from the full Solidity lexer so the
-two views cannot drift together.
+runs of ``[a-z0-9]`` with :func:`words`, which also splits the text that
+the knowledge base embeds. Kept independent from the full Solidity lexer so
+the two views cannot drift together.
 
 One regex pass replaces each comment and string literal with a space:
 
@@ -32,10 +33,14 @@ _STRIP_RE = re.compile(
 )
 
 
+def words(text: str) -> list[str]:
+    """The runs of ``[a-z0-9]`` in ``text.lower()``, in order."""
+    # the runs that re.findall would find, at half its cost; a lone surrogate
+    # (a JSON "\ud800" decodes to one) encodes too, to bytes >= 0x80
+    return text.lower().encode("utf-8", "surrogatepass").translate(_TERM_BYTES).decode("ascii").split()
+
+
 def tokenize_for_tfidf(source: str) -> list[str]:
     """Lowercased alphanumeric terms of ``source``, comments and string
     contents excluded."""
-    # the runs of [a-z0-9] that re.findall would find, at half its cost; a lone
-    # surrogate (a JSON "\ud800" decodes to one) encodes too, to bytes >= 0x80
-    stripped = _STRIP_RE.sub(" ", source).lower().encode("utf-8", "surrogatepass")
-    return stripped.translate(_TERM_BYTES).decode("ascii").split()
+    return words(_STRIP_RE.sub(" ", source))

@@ -8,7 +8,7 @@ linearly, rank 1 heaviest, weights summing to 1.
 
 A build counts each document's terms once: that one count gives the
 document frequencies, then the document's weights, which go straight into
-the postings.
+the postings. Documents and queries are weighed by the one :func:`weigh`.
 
 Ranking (``top_k``) is exact but scores only the documents that can win. A
 term is common when at least half the documents hold it (``df >=
@@ -34,8 +34,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate, chain, repeat
 from operator import mul, truediv
-from pathlib import Path
-from typing import Iterable, NamedTuple
+from typing import Iterable, Sequence
 
 from solguard.core import (
     Channel,
@@ -49,7 +48,6 @@ from solguard.core import (
     byte_length,
     ordered_sum,
 )
-from solguard.jsonl import load_labeled_records
 from solguard.retrieval.terms import tokenize_for_tfidf
 
 log = logging.getLogger(__name__)
@@ -62,17 +60,12 @@ SLACK = 1e-9  # relative widening of a bound; a sum of a few thousand products r
 BISECT_COST = 10
 
 
-class CorpusDocument(NamedTuple):
-    id: str
-    label: str  # safe | vulnerable
-    classes: tuple[str, ...]
-    norm: float  # L2 norm of the document's tf-idf weights
-
-
 @dataclass(frozen=True)
 class CorpusIndex:
     """Term-major index over flat arrays, the layout of a published snapshot.
 
+    Documents are columns by position: ``ids``, ``labels`` (safe or
+    vulnerable), ``classes`` and ``norms``, the L2 norms of their weights.
     Term ids follow sorted term order. Term ``t``'s postings are
     ``positions[offsets[t]:offsets[t + 1]]``, ascending document positions,
     and the same slice of ``weights``. A document's norm is the square root
@@ -82,7 +75,10 @@ class CorpusIndex:
     concurrent ``top_k`` calls may share an index.
     """
 
-    documents: tuple[CorpusDocument, ...]
+    ids: tuple[str, ...]
+    labels: tuple[str, ...]
+    classes: tuple[tuple[str, ...], ...]
+    norms: array  # "d"
     term_ids: dict[str, int]
     idf: array  # "d", by term id
     offsets: array  # "q", one more than there are terms
@@ -93,8 +89,12 @@ class CorpusIndex:
 
     def vectorize(self, terms: list[str]) -> tuple[dict[str, float], float]:
         """Project a term list into this index's weighting space: the
-        (term -> weight, L2 norm) pair."""
-        return _tfidf_vector(terms, self.term_ids, self.idf)
+        (term -> weight, L2 norm) pair of the terms it knows, the norm 1, or 0
+        when none is known. Unknown terms still count in the total."""
+        known = Counter(term for term in terms if term in self.term_ids)
+        idfs = map(self.idf.__getitem__, map(self.term_ids.__getitem__, known))
+        weights, norm = weigh(known.values(), len(terms), idfs)
+        return dict(zip(known, weights)), 1.0 if norm else 0.0
 
 
 @dataclass(frozen=True)
@@ -106,24 +106,23 @@ class Neighbor:
     classes: tuple[str, ...] = ()
 
 
-def _tfidf_vector(terms: list[str], term_ids: dict[str, int], idf: array) -> tuple[dict[str, float], float]:
-    """The L2-normalized ``(count / len(terms)) * idf`` weights of the terms
-    that ``term_ids`` knows, and their norm: 1, or 0 when none is known."""
-    total = len(terms)
-    raw = {term: (count / total) * idf[term_ids[term]] for term, count in Counter(terms).items() if term in term_ids}
-    values = raw.values()
-    norm = math.sqrt(ordered_sum(map(mul, values, values)))
-    if norm == 0.0:
-        return raw, 0.0
-    return {t: w / norm for t, w in raw.items()}, 1.0
+def weigh(counts: Iterable[int], total: int, idfs: Iterable[float]) -> tuple[list[float], float]:
+    """The ``(count / total) * idf`` weights of a document's or a query's
+    terms, L2-normalized, and the norm they had before; a zero norm leaves
+    them as they are. Each step is a C-level map."""
+    raw = list(map(mul, map(truediv, counts, repeat(total)), idfs))
+    norm = math.sqrt(ordered_sum(map(mul, raw, raw)))
+    return (list(map(truediv, raw, repeat(norm))) if norm else raw), norm
 
 
-def build_corpus_index(docs: list[tuple[str, str, tuple[str, ...], str]]) -> CorpusIndex:
-    """Index labeled contracts given as (id, label, classes, source) tuples.
+def build_corpus_index(docs: Sequence[Sequence]) -> CorpusIndex:
+    """Index labeled contracts given as rows that start (id, label, classes,
+    source), such as :func:`~solguard.jsonl.load_labeled_records` returns.
     A document's weights are those ``vectorize`` gives its terms, bit for bit."""
     if not docs:
         raise ValueError("corpus must contain at least one document")
-    counts = [Counter(tokenize_for_tfidf(source)) for _, _, _, source in docs]
+    ids, labels, classes, sources = list(zip(*docs))[:4]
+    counts = [Counter(tokenize_for_tfidf(source)) for source in sources]
     n = len(docs)
     df = Counter(chain.from_iterable(counts))  # a count's keys are its distinct terms
     vocabulary = sorted(df)
@@ -132,26 +131,20 @@ def build_corpus_index(docs: list[tuple[str, str, tuple[str, ...], str]]) -> Cor
     offsets = array("q", accumulate((df[term] for term in vocabulary), initial=0))
     positions, weights = array("i", [0]) * offsets[-1], array("d", [0.0]) * offsets[-1]
     free = offsets.tolist()  # each term's next unfilled posting
-    for position, ((doc_id, _, _, _), terms) in enumerate(zip(docs, counts)):
+    for position, (doc_id, terms) in enumerate(zip(ids, counts)):
         if not terms:
             log.warning("corpus document %s has no terms; indexing a zero vector", doc_id)
             continue
-        ids = list(map(term_ids.__getitem__, terms))
-        # (count / total) * idf, each step a C-level map
-        raw = list(map(mul, map(truediv, terms.values(), repeat(terms.total())), map(idf.__getitem__, ids)))
-        norm = math.sqrt(ordered_sum(map(mul, raw, raw)))
-        for t, w in zip(ids, map(truediv, raw, repeat(norm))):
+        doc_term_ids = list(map(term_ids.__getitem__, terms))
+        for t, w in zip(doc_term_ids, weigh(terms.values(), terms.total(), map(idf.__getitem__, doc_term_ids))[0]):
             slot = free[t]
             positions[slot], weights[slot], free[t] = position, w, slot + 1
     common = [(offsets[t], offsets[t + 1]) for t, term in enumerate(vocabulary) if is_common(df[term], n)]
     common_norms = _norms(
         n, chain.from_iterable(positions[s:e] for s, e in common), chain.from_iterable(weights[s:e] for s, e in common)
     )
-    documents = (
-        CorpusDocument(doc_id, label, tuple(classes), norm)
-        for (doc_id, label, classes, _), norm in zip(docs, _norms(n, positions, weights))
-    )
-    return CorpusIndex(tuple(documents), term_ids, idf, offsets, positions, weights, common_norms)
+    norms, classes = _norms(n, positions, weights), tuple(map(tuple, classes))
+    return CorpusIndex(ids, labels, classes, norms, term_ids, idf, offsets, positions, weights, common_norms)
 
 
 def _norms(n: int, positions: Iterable[int], weights: Iterable[float]) -> array:
@@ -194,34 +187,30 @@ def top_k(query: SourceContract, index: CorpusIndex, k: int) -> list[Neighbor]:
     it reads (``BISECT_COST``).
     """
     qweights, qnorm = index.vectorize(tokenize_for_tfidf(query.source))
-    documents, offsets = index.documents, index.offsets
-    ids = map(index.term_ids.__getitem__, qweights)
-    terms = [(offsets[t], offsets[t + 1], qw) for t, qw in zip(ids, qweights.values())]  # query term order
+    offsets = index.offsets
+    term_ids = map(index.term_ids.__getitem__, qweights)
+    terms = [(offsets[t], offsets[t + 1], qw) for t, qw in zip(term_ids, qweights.values())]  # query term order
     sims = _bounded_sims(query.id, index, terms, qnorm, k)
     if sims is None:
         log.debug("top_k for %s: full scan of the query terms' postings", query.id)
         qid = query.id
-        sims = {  # _cosine, inlined: a call per document would cost a third of the scan
-            p: min(1.0, dot / (qnorm * doc.norm)) if dot and doc.norm else 0.0
-            for p, (doc, dot) in enumerate(zip(documents, _dots(index, terms)))
-            if doc.id != qid
+        sims = {  # a call per document would cost a third of the scan
+            p: min(1.0, dot / (qnorm * norm)) if dot and norm else 0.0
+            for p, (doc_id, norm, dot) in enumerate(zip(index.ids, index.norms, _dots(index, terms)))
+            if doc_id != qid
         }
-    return _ranked(documents, sims, k)
+    return _ranked(index, sims, k)
 
 
 def _dots(index: CorpusIndex, terms: list[tuple[int, int, float]]) -> list[float]:
     """Every document's dot product over the given (start, end, query weight)
     posting ranges, products added in their order."""
     positions, weights = index.positions, index.weights
-    dots = [0.0] * len(index.documents)
+    dots = [0.0] * len(index.ids)
     for start, end, qw in terms:
         for position, w in zip(positions[start:end], weights[start:end]):
             dots[position] += qw * w
     return dots
-
-
-def _cosine(dot: float, qnorm: float, norm: float) -> float:
-    return min(1.0, dot / (qnorm * norm)) if dot and norm else 0.0
 
 
 def _bounded_sims(
@@ -230,8 +219,8 @@ def _bounded_sims(
     """Exact similarities of a set of documents that holds every document
     scoring at least the k-th best; None when a full scan is due instead.
     ``terms`` are the query's (start, end, weight) posting ranges."""
-    documents, positions, weights = index.documents, index.positions, index.weights
-    n = len(documents)
+    ids, norms, positions, weights = index.ids, index.norms, index.positions, index.weights
+    n = len(ids)
     common_qweights = [qw for start, end, qw in terms if is_common(end - start, n)]
     if not common_qweights:
         return None  # the scan reads no common postings
@@ -243,8 +232,8 @@ def _bounded_sims(
     qcommon = math.sqrt(sum(qw * qw for qw in common_qweights))
     widen = (1.0 + SLACK) / qnorm
     bounds = [
-        (dot + qcommon * dcommon) * widen / doc.norm if doc.norm else 0.0
-        for dot, dcommon, doc in zip(dots, index.common_norms, documents)
+        (dot + qcommon * dcommon) * widen / norm if norm else 0.0
+        for dot, dcommon, norm in zip(dots, index.common_norms, norms)
     ]
 
     def similarity(p: int) -> float:
@@ -253,31 +242,31 @@ def _bounded_sims(
             i = bisect_left(positions, p, start, end)
             if i < end and positions[i] == p:
                 dot += qw * weights[i]
-        return _cosine(dot, qnorm, documents[p].norm)
+        return min(1.0, dot / (qnorm * norms[p])) if dot and norms[p] else 0.0  # as the full scan
 
     probes = heapq.nlargest(PROBES + k, range(n), key=bounds.__getitem__)
-    sims = {p: similarity(p) for p in probes if documents[p].id != qid}
+    sims = {p: similarity(p) for p in probes if ids[p] != qid}
     # the k-th best of any k documents is at most the k-th best of all
     cut = min(heapq.nlargest(k, sims.values()), default=0.0) if len(sims) >= k else 0.0
     if cut <= 0.0:
         return None  # the zero-fill ranks documents that share no term
-    survivors = [p for p, bound in enumerate(bounds) if bound >= cut and p not in sims and documents[p].id != qid]
+    survivors = [p for p, bound in enumerate(bounds) if bound >= cut and p not in sims and ids[p] != qid]
     if len(sims) + len(survivors) > budget:
         return None
     sims.update(zip(survivors, map(similarity, survivors)))
     return sims
 
 
-def _ranked(documents: tuple[CorpusDocument, ...], sims: dict[int, float], k: int) -> list[Neighbor]:
+def _ranked(index: CorpusIndex, sims: dict[int, float], k: int) -> list[Neighbor]:
     """The first k neighbors among the scored document positions. Every
     document scoring at least the k-th best similarity (0 when fewer than k
     share a term) competes for the k ranks, so ``sims`` may leave out any
     document that scores below it. Repeated ids keep position order."""
     cut = max(0.0, min(heapq.nlargest(k, sims.values()), default=0.0))
     contenders = [p for p, sim in sims.items() if sim >= cut]
-    contenders.sort(key=lambda p: (-sims[p], documents[p].id, p))
+    contenders.sort(key=lambda p: (-sims[p], index.ids[p], p))
     return [
-        Neighbor(documents[p].id, sims[p], rank, documents[p].label, documents[p].classes)
+        Neighbor(index.ids[p], sims[p], rank, index.labels[p], index.classes[p])
         for rank, p in enumerate(contenders[:k], start=1)
     ]
 
@@ -293,7 +282,8 @@ def rank_weighted_probability(neighbors: list[Neighbor]) -> float:
     if not neighbors:
         return 0.0
     weights = rank_weights(len(neighbors))
-    return ordered_sum(w for w, nb in zip(weights, neighbors) if nb.label == "vulnerable")
+    # the weights' sum may round above 1, as for k = 14
+    return min(1.0, ordered_sum(w for w, nb in zip(weights, neighbors) if nb.label == "vulnerable"))
 
 
 def retrieval_channel(
@@ -327,9 +317,3 @@ def retrieval_channel(
         for name in classes
     )
     return ChannelResult(channel=Channel.RETRIEVAL, verdict=verdict, score=score, findings=findings)
-
-
-def load_corpus_file(path: str | Path) -> list[tuple[str, str, tuple[str, ...], str]]:
-    """Read a corpus file of :data:`~solguard.jsonl.LABELED_RECORD` lines as
-    (id, label, classes, source) tuples."""
-    return [row[:4] for row in load_labeled_records(path)]

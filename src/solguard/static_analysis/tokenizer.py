@@ -19,8 +19,9 @@ one regex whose alternatives are tried in this order at each position:
 Comments are dropped with the whitespace. A :class:`LexicalError` spans the
 rest of the input for an unterminated block comment; for an unterminated
 string, up to the newline or input end that stopped it (a trailing lone
-backslash included); and for an unexpected byte, that byte, which the
-message names.
+backslash included); for an unexpected byte, that byte, which the message
+names; and for a lone surrogate, which has no UTF-8 bytes, the three bytes
+it would take, the message naming its character position.
 
 The result is a :class:`TokenTable`, cut with no Python step per token from
 one ``findall`` of (skipped text, token) pairs: spans are running sums of
@@ -120,10 +121,15 @@ class TokenTable:
 def tokenize_solidity(source: str) -> TokenTable:
     """Tokenize Solidity source text, comments and whitespace dropped.
 
-    Raises :class:`LexicalError` on unterminated strings or block comments
-    and on bytes that do not start any token.
+    Raises :class:`LexicalError` on unterminated strings or block comments,
+    on bytes that do not start any token, and on a lone surrogate (a JSON
+    ``"\\ud800"`` decodes to one), which has no UTF-8 bytes.
     """
-    data = source.encode("utf-8")
+    try:
+        data = source.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        at, char = len(source[: exc.start].encode("utf-8")), source[exc.start]
+        raise LexicalError(f"lone surrogate U+{ord(char):04X} (character {exc.start})", (at, at + 3)) from exc
     pieces = list(chain.from_iterable(_PIECES.findall(data)))
     bounds = list(accumulate(map(len, pieces)))
     tokens = pieces[1::2]

@@ -6,9 +6,10 @@ import pytest
 import yaml
 from click.testing import CliRunner
 
+from solguard.jsonl import load_labeled_records
 from solguard.retrieval.kb import build_kb_index, load_kb_documents
 from solguard.retrieval.snapshot import CorpusSnapshotStore, KbSnapshotStore
-from solguard.retrieval.tfidf import build_corpus_index, load_corpus_file
+from solguard.retrieval.tfidf import build_corpus_index
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -22,7 +23,7 @@ def fixtures_dir() -> Path:
 def built_index_root(tmp_path_factory) -> Path:
     """Corpus and KB snapshots built once from the shipped fixtures."""
     root = tmp_path_factory.mktemp("index")
-    corpus = build_corpus_index(load_corpus_file(FIXTURES / "corpus.jsonl"))
+    corpus = build_corpus_index(load_labeled_records(FIXTURES / "corpus.jsonl"))
     CorpusSnapshotStore(root / "corpus").publish(corpus)
     kb = build_kb_index(load_kb_documents(FIXTURES / "kb_docs"))
     KbSnapshotStore(root / "kb").publish(kb)

@@ -24,10 +24,11 @@ from pathlib import Path
 import yaml
 
 from solguard.agents.detect import build_detection_prompt
+from solguard.jsonl import load_labeled_records
 from solguard.llm.mock import prompt_fingerprint
 from solguard.retrieval.kb import build_kb_index, load_kb_documents
 from solguard.retrieval.snapshot import CorpusSnapshotStore, KbSnapshotStore
-from solguard.retrieval.tfidf import build_corpus_index, load_corpus_file, top_k
+from solguard.retrieval.tfidf import build_corpus_index, top_k
 from solguard.static_analysis.scanner import load_source
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -147,7 +148,7 @@ def build_eval_fixture(root: Path) -> dict[str, Path]:
                 )
 
     index_root = root / "index"
-    corpus_index = build_corpus_index(load_corpus_file(corpus_path))
+    corpus_index = build_corpus_index(load_labeled_records(corpus_path))
     CorpusSnapshotStore(index_root / "corpus").publish(corpus_index)
     kb_index = build_kb_index(load_kb_documents(FIXTURES / "kb_docs"))
     KbSnapshotStore(index_root / "kb").publish(kb_index)

@@ -14,10 +14,11 @@ from pathlib import Path
 
 from solguard.agents.config import FusionWeights, PipelineConfig
 from solguard.agents.pipeline import PipelineContext, PipelineRun, run_pipeline
+from solguard.jsonl import load_labeled_records
 from solguard.llm.mock import TranscriptRecorder
 from solguard.llm.provider import ProviderConfig
 from solguard.retrieval.kb import build_kb_index, load_kb_documents
-from solguard.retrieval.tfidf import build_corpus_index, load_corpus_file
+from solguard.retrieval.tfidf import build_corpus_index
 from solguard.static_analysis.rules import default_ruleset
 from solguard.static_analysis.scanner import load_file
 
@@ -126,7 +127,7 @@ def recording_context(
         )
         for role, model in ROLE_MODELS.items()
     }
-    corpus_index = build_corpus_index(load_corpus_file(FIXTURES / "corpus.jsonl"))
+    corpus_index = build_corpus_index(load_labeled_records(FIXTURES / "corpus.jsonl"))
     kb_index = build_kb_index(load_kb_documents(FIXTURES / "kb_docs"))
     config = PipelineConfig(providers={
         "detector": ProviderConfig(kind="mock", model_id="detector-sim", transcript="<recording>"),

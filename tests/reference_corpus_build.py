@@ -5,11 +5,13 @@ test oracle.
 It tokenizes every document with ``re.findall``, takes the document
 frequencies from a ``set`` of each document's terms, then weighs each
 document through ``_tfidf_vector`` and fills the postings from its dict.
-The one-count build must return the same index bit for bit: equal
-documents, term ids, offsets and positions, and the same bytes of ``idf``,
-``weights`` and ``common_norms``; ``tests/test_retrieval.py`` and
-``tools/check_top_k.py`` require that. The code below is the replaced code
-as it was.
+The one-count build must return the same index bit for bit: equal ids,
+labels, classes, term ids, offsets and positions, and the same bytes of
+``norms``, ``idf``, ``weights`` and ``common_norms``;
+``tests/test_retrieval.py`` and ``tools/check_top_k.py`` require that. The
+code below is the replaced code as it was, except that it returns the
+document columns that ``CorpusIndex`` now holds in place of one record per
+document.
 
 Never import this module from ``src/``.
 """
@@ -27,7 +29,7 @@ from typing import Iterable
 
 from solguard.core import ordered_sum
 from solguard.retrieval.terms import _STRIP_RE
-from solguard.retrieval.tfidf import CorpusDocument, CorpusIndex, is_common
+from solguard.retrieval.tfidf import CorpusIndex, is_common
 
 log = logging.getLogger(__name__)
 
@@ -78,11 +80,11 @@ def build_corpus_index(docs: list[tuple[str, str, tuple[str, ...], str]]) -> Cor
     common_norms = _norms(
         n, chain.from_iterable(positions[s:e] for s, e in common), chain.from_iterable(weights[s:e] for s, e in common)
     )
-    documents = (
-        CorpusDocument(doc_id, label, tuple(classes), norm)
-        for (doc_id, label, classes, _), norm in zip(docs, _norms(n, positions, weights))
+    ids, labels, classes = (tuple(doc[i] for doc in docs) for i in range(3))
+    norms = _norms(n, positions, weights)
+    return CorpusIndex(
+        ids, labels, tuple(map(tuple, classes)), norms, term_ids, idf, offsets, positions, weights, common_norms
     )
-    return CorpusIndex(tuple(documents), term_ids, idf, offsets, positions, weights, common_norms)
 
 
 def _norms(n: int, positions: Iterable[int], weights: Iterable[float]) -> array:
@@ -95,11 +97,11 @@ def _norms(n: int, positions: Iterable[int], weights: Iterable[float]) -> array:
 
 
 def same_index(built: CorpusIndex, expected: CorpusIndex) -> bool:
-    """Whether two indexes are the same: equal documents, term ids, offsets
-    and positions, and the same bytes of ``idf``, ``weights`` and
-    ``common_norms``."""
-    exact = ("documents", "term_ids", "offsets", "positions")
-    bits = ("idf", "weights", "common_norms")
+    """Whether two indexes are the same: equal ids, labels, classes, term ids,
+    offsets and positions, and the same bytes of ``norms``, ``idf``,
+    ``weights`` and ``common_norms``."""
+    exact = ("ids", "labels", "classes", "term_ids", "offsets", "positions")
+    bits = ("norms", "idf", "weights", "common_norms")
     return all(getattr(built, name) == getattr(expected, name) for name in exact) and all(
         getattr(built, name).tobytes() == getattr(expected, name).tobytes() for name in bits
     )

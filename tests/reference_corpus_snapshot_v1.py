@@ -9,8 +9,11 @@ the same corpus to give identical ``top_k`` results and bit-identical
 document norms, and pins the format-1 bytes of the fixture corpus. The code
 below is the replaced code as it was, except that:
 
-- ``write_v1`` takes a format-2 ``CorpusIndex`` and regroups its flat
-  postings per document (``document_weights``);
+- ``write_v1`` takes a format-3 ``CorpusIndex``, reads its document
+  columns, and regroups its flat postings per document
+  (``document_weights``);
+- ``CorpusDocument``, the per-document record that the product's index
+  held then, is defined here;
 - a document norm is summed with an explicit loop in the stored (ascending)
   term order, which gives the bits that ``sum()`` gave before Python 3.12.
 
@@ -29,15 +32,23 @@ from dataclasses import dataclass, field
 from functools import reduce
 from operator import add
 from pathlib import Path
+from typing import NamedTuple
 
 from solguard.core import SourceContract
 from solguard.errors import SnapshotError
 from solguard.jsonl import read_jsonl
 from solguard.records import Record, mapping, string, strings
 from solguard.retrieval.terms import tokenize_for_tfidf
-from solguard.retrieval.tfidf import CorpusDocument, CorpusIndex, Neighbor
+from solguard.retrieval.tfidf import CorpusIndex, Neighbor
 
 _NO_POSTINGS: tuple[array, array] = (array("i"), array("d"))
+
+class CorpusDocument(NamedTuple):
+    id: str
+    label: str  # safe | vulnerable
+    classes: tuple[str, ...]
+    norm: float  # L2 norm of the document's tf-idf weights
+
 
 # term -> (ascending document positions, the documents' weights for the term)
 Postings = dict[str, tuple[array, array]]
@@ -51,7 +62,7 @@ def idf_map(index: CorpusIndex) -> dict[str, float]:
 def document_weights(index: CorpusIndex) -> list[dict[str, float]]:
     """Each document's term->weight map, in ascending term order, regrouped
     from a format-2 index's flat postings."""
-    regrouped: list[dict[str, float]] = [{} for _ in index.documents]
+    regrouped: list[dict[str, float]] = [{} for _ in index.ids]
     for term, t in index.term_ids.items():
         for i in range(index.offsets[t], index.offsets[t + 1]):
             regrouped[index.positions[i]][term] = index.weights[i]
@@ -104,12 +115,12 @@ def write_v1(target: Path, index: CorpusIndex) -> None:
     target.mkdir(parents=True, exist_ok=True)
     _write_json(target / "idf.json", idf_map(index))
     with open(target / "docs.jsonl", "w", encoding="utf-8") as fh:
-        for doc, weights in zip(index.documents, document_weights(index)):
-            record = {"id": doc.id, "label": doc.label, "classes": list(doc.classes), "vector": weights}
+        for doc_id, label, classes, weights in zip(index.ids, index.labels, index.classes, document_weights(index)):
+            record = {"id": doc_id, "label": label, "classes": list(classes), "vector": weights}
             fh.write(json.dumps(record, sort_keys=True) + "\n")
     _write_json(
         target / "meta.json",
-        {"kind": "corpus", "version": index.snapshot_version, "documents": len(index.documents)},
+        {"kind": "corpus", "version": index.snapshot_version, "documents": len(index.ids)},
     )
 
 

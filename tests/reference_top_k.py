@@ -5,7 +5,9 @@ It scores every document that shares a query term, adding the products of
 every query term's postings in the query's term order. The bounded search
 must return the same neighbors with bit-identical similarities, ranks and
 tie order; ``tests/test_retrieval.py`` and ``tools/check_top_k.py`` require
-that. The code below is the replaced function as it was.
+that. The code below is the replaced function as it was, except that it
+reads the document columns that ``CorpusIndex`` now holds in place of one
+record per document.
 
 Never import this module from ``src/``.
 """
@@ -28,8 +30,8 @@ def top_k(query: SourceContract, index: CorpusIndex, k: int) -> list[Neighbor]:
     query's own id is excluded when present in the index.
     """
     qweights, qnorm = index.vectorize(tokenize_for_tfidf(query.source))
-    documents, offsets, positions, weights = index.documents, index.offsets, index.positions, index.weights
-    dots = [0.0] * len(documents)
+    ids, norms, offsets, positions, weights = index.ids, index.norms, index.offsets, index.positions, index.weights
+    dots = [0.0] * len(ids)
     for term, qw in qweights.items():
         t = index.term_ids[term]
         start, end = offsets[t], offsets[t + 1]
@@ -37,17 +39,17 @@ def top_k(query: SourceContract, index: CorpusIndex, k: int) -> list[Neighbor]:
             dots[position] += qw * w
     qid = query.id
     sims = [
-        -1.0 if doc.id == qid  # never ranked
-        else min(1.0, dot / (qnorm * doc.norm)) if dot and doc.norm
+        -1.0 if doc_id == qid  # never ranked
+        else min(1.0, dot / (qnorm * norm)) if dot and norm
         else 0.0
-        for doc, dot in zip(documents, dots)
+        for doc_id, norm, dot in zip(ids, norms, dots)
     ]
     # every document scoring at least the k-th best similarity (0 when fewer
     # than k share a term) competes for the k ranks
     cut = max(0.0, min(heapq.nlargest(k, sims), default=0.0))
     contenders = [position for position, sim in enumerate(sims) if sim >= cut]
-    contenders.sort(key=lambda position: (-sims[position], documents[position].id))
+    contenders.sort(key=lambda position: (-sims[position], ids[position]))
     return [
-        Neighbor(documents[p].id, sims[p], rank, documents[p].label, documents[p].classes)
+        Neighbor(ids[p], sims[p], rank, index.labels[p], index.classes[p])
         for rank, p in enumerate(contenders[:k], start=1)
     ]

@@ -287,7 +287,7 @@ def test_criterion_09_hot_swap_safety(tmp_path, monkeypatch):
     def reader() -> None:
         while not stop.is_set():
             index = store.load()
-            tags = {doc.classes[0] for doc in index.documents}
+            tags = {classes[0] for classes in index.classes}
             observed.add(index.snapshot_version)
             if tags != {f"tag{index.snapshot_version - 1}"}:
                 problems.append(f"version {index.snapshot_version} saw tags {tags}")
@@ -316,7 +316,7 @@ def test_criterion_09_hot_swap_safety(tmp_path, monkeypatch):
         store.publish(corpus_for(1000))
     monkeypatch.undo()
     assert store.current_version() == live_before
-    assert {doc.classes[0] for doc in store.load().documents} == {f"tag{live_before - 1}"}
+    assert {classes[0] for classes in store.load().classes} == {f"tag{live_before - 1}"}
     _criterion(
         9,
         f"100 publish cycles, {len(observed)} versions observed consistently; crash left v{live_before} live",

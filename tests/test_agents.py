@@ -737,6 +737,23 @@ class TestPipelineRunAlignment:
         assert run.per_finding() == [(first, None, assignment)]
 
 
+@pytest.mark.parametrize("role, key", [("advisor", "cause_analysis"), ("fixer", "repaired_source")])
+def test_reply_with_a_lone_surrogate_earns_the_repair_prompt(role, key):
+    # a JSON "\ud800" in a reply decodes to a lone surrogate, which has no
+    # UTF-8 bytes: in advice it used to abort the report's write, and in a
+    # patch the fix stage, with a UnicodeEncodeError
+    responses = presign_fixture.scripted_responses()
+    reply = json.loads(responses[role])
+    reply[key] += " \ud800"
+    responses[role] = json.dumps(reply)
+    ctx, recorders = presign_fixture.recording_context(responses)
+    run = run_pipeline(load_file(FIXTURES / "presign.sol", "presign"), ctx)
+    assert len(recorders[role].entries) == 2  # one repair retry
+    assert "\ud800" not in run.report.to_markdown()
+    if role == "fixer":
+        assert run.errors == {"fix": "fixer: reply field repaired_source holds a lone surrogate, which is not text"}
+
+
 class TestFixFailurePaths:
     def test_untokenizable_patch_after_retry_records_fix_error(self):
         responses = presign_fixture.scripted_responses()

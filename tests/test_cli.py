@@ -13,8 +13,9 @@ import yaml
 
 from solguard.agents.pipeline import run_pipeline
 from solguard.cli import EXIT_PROCESSING, main
+from solguard.jsonl import load_labeled_records
 from solguard.static_analysis.scanner import load_file
-from solguard.retrieval.tfidf import build_corpus_index, load_corpus_file
+from solguard.retrieval.tfidf import build_corpus_index
 from conftest import write_pipeline_config
 import presign_fixture
 from chat_stub import ChatStub, Reply, closed_port_endpoint
@@ -211,6 +212,28 @@ class TestDetect:
         assert lines[0].startswith("safe: safe 0.0")
         channel_lines = [l for l in lines[1:4]]
         assert [l.split()[0] for l in channel_lines] == ["static", "retrieval", "model"]
+
+    def test_all_vulnerable_neighbors_at_any_k(self, runner, tmp_path):
+        # at k = 14 the rank weights of 14 vulnerable neighbors sum to
+        # 1.0000000000000002, which used to abort the command
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text("".join(
+            json.dumps({"id": f"v{i:02d}", "label": "vulnerable", "classes": ["Unprotected Function"],
+                        "source": f"contract V{i} {{ function preSign() external {{}} }}"}) + "\n"
+            for i in range(16)
+        ), encoding="utf-8")
+        index_root = tmp_path / "index"
+        built = runner.invoke(main, ["kb", "build", "--corpus", str(corpus), "--docs", str(FIXTURES / "kb_docs"),
+                                     "--index-root", str(index_root)])
+        assert built.exit_code == 0, built.output
+        config = write_pipeline_config(
+            tmp_path / "config.yaml", index_root, tmp_path / "out", FIXTURES / "presign_transcript.jsonl"
+        )
+        for k in ("13", "14"):
+            result = runner.invoke(main, ["detect", str(FIXTURES / "presign.sol"), "-c", str(config), "--k", k])
+            assert result.exit_code == 0, (k, result.output)
+            assert "presign: vulnerable" in result.output
+            assert re.search(r"retrieval +vulnerable +1\.00", result.output), result.output
 
     def test_voting_mode_override(self, runner, presign_config):
         result = runner.invoke(
@@ -513,7 +536,7 @@ class TestSnapshotChecksOnLoad:
     def test_format1_corpus_stops_status_and_audit_until_kb_update(self, runner, built_index_root, tmp_path):
         index_root = tmp_path / "idx"
         shutil.copytree(built_index_root / "kb", index_root / "kb")
-        corpus = build_corpus_index(load_corpus_file(FIXTURES / "corpus.jsonl"))
+        corpus = build_corpus_index(load_labeled_records(FIXTURES / "corpus.jsonl"))
         meta = reference_corpus_snapshot_v1.publish_v1(index_root / "corpus", corpus) / "meta.json"
         config = write_pipeline_config(tmp_path / "cfg.yaml", index_root, tmp_path / "out", TRANSCRIPT)
         for args in (
@@ -583,6 +606,18 @@ class TestOutputLocations:
 
 
 class TestEval:
+    def test_split_keeps_only_its_rows(self, runner, eval_env, tmp_path):
+        # a row of another split is left out, so its missing reply counts nowhere
+        dataset, out = tmp_path / "ds.jsonl", tmp_path / "results.json"
+        extra = {"id": "zz-test", "label": "safe", "split": "test", "source": "contract T { uint x; }"}
+        dataset.write_text(Path(eval_env["dataset"]).read_text(encoding="utf-8") + json.dumps(extra) + "\n", encoding="utf-8")
+        args = ["eval", str(dataset), "-c", str(eval_env["config"]), "--out", str(out)]
+        result = runner.invoke(main, args + ["--split", "validation"])
+        assert result.exit_code == 0, result.output
+        assert json.loads(out.read_text(encoding="utf-8"))["results"][0]["evaluated"] == 40
+        result = runner.invoke(main, args)
+        assert_clean_error(result, EXIT_PROCESSING, "error: 1 of 41 contracts failed detection")
+
     def test_all_variants_five_rows(self, runner, eval_env, tmp_path):
         out = tmp_path / "results.json"
         result = runner.invoke(
@@ -857,6 +892,17 @@ class TestDetectionFailures:
         assert_clean_error(result, EXIT_PROCESSING, "error: 1 of 41 contracts failed detection")
         assert "weighted" in result.output
         assert f"results written to {out}" in result.output
+        results = json.loads(out.read_text(encoding="utf-8"))["results"]
+        assert (results[0]["failures"], results[0]["evaluated"]) == (1, 40)
+
+    def test_eval_excludes_and_counts_a_source_with_a_lone_surrogate(self, runner, eval_env, tmp_path):
+        # the JSON escape "\ud800" decodes to a lone surrogate, which has no
+        # UTF-8 bytes; it used to end the command with a UnicodeEncodeError
+        dataset, out = tmp_path / "ds.jsonl", tmp_path / "results.json"
+        extra = {"id": "zz-surrogate", "label": "safe", "source": "contract S { uint x; \ud800 }"}
+        dataset.write_text(Path(eval_env["dataset"]).read_text(encoding="utf-8") + json.dumps(extra) + "\n", encoding="utf-8")
+        result = runner.invoke(main, ["eval", str(dataset), "-c", str(eval_env["config"]), "--out", str(out)])
+        assert_clean_error(result, EXIT_PROCESSING, "error: 1 of 41 contracts failed detection")
         results = json.loads(out.read_text(encoding="utf-8"))["results"]
         assert (results[0]["failures"], results[0]["evaluated"]) == (1, 40)
 

@@ -213,7 +213,7 @@ class TestRunVariants:
         ctx = build_context(load_config(eval_env["config"]), roles=("detector",))
         dataset = load_dataset(eval_env["dataset"])
         run_variants(dataset, variants, ctx)
-        assert calls == ["detector"] * prompts_per_contract * len(dataset.entries)
+        assert calls == ["detector"] * prompts_per_contract * len(dataset)
 
     def test_deterministic_across_invocations(self, eval_env):
         config = load_config(eval_env["config"])
@@ -256,8 +256,8 @@ class TestDatasetLoading:
             encoding="utf-8",
         )
         dataset = load_dataset(path)
-        assert dataset.entries[0].source == "contract C {}"
-        assert len(dataset.subset("validation").entries) == 1
+        assert dataset[0].source == "contract C {}"
+        assert [row.split for row in dataset] == ["validation", ""]
 
 
 class TestFailureCounting:

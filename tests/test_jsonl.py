@@ -10,14 +10,14 @@ import pytest
 
 from solguard.errors import DatasetError, TranscriptError
 from solguard.evaluation import load_dataset
+from solguard.jsonl import load_labeled_records
 from solguard.llm.mock import load_transcript
-from solguard.retrieval.tfidf import load_corpus_file
 
 GOOD_CONTRACT = b'{"id": "a", "label": "safe", "source": "contract A {}"}\n'
 
 LOADERS = {
     "transcript": (load_transcript, TranscriptError, b'{"role": "detector", "fingerprint": "f", "response": "r"}\n'),
-    "corpus": (load_corpus_file, DatasetError, GOOD_CONTRACT),
+    "corpus": (load_labeled_records, DatasetError, GOOD_CONTRACT),
     "dataset": (load_dataset, DatasetError, GOOD_CONTRACT),
 }
 
@@ -70,10 +70,10 @@ def test_labeled_record_faults_name_the_line(tmp_path, kind):
 def test_blank_lines_are_skipped(tmp_path):
     path = tmp_path / "input.jsonl"
     path.write_bytes(b"\n  \n" + GOOD_CONTRACT + b"\r\n\n")
-    assert [doc[0] for doc in load_corpus_file(path)] == ["a"]
+    assert [doc[0] for doc in load_labeled_records(path)] == ["a"]
     path.write_bytes(b"\n  \n")
     with pytest.raises(DatasetError, match=re.escape(str(path))):
-        load_corpus_file(path)
+        load_labeled_records(path)
 
 
 # each of these used to load (an int id even published a corpus snapshot that
@@ -100,7 +100,7 @@ def test_null_source_counts_as_absent(tmp_path):
     path = tmp_path / "input.jsonl"
     path.write_bytes(b'{"id": "b", "label": "safe", "source": null}\n')
     with pytest.raises(DatasetError, match="record needs source or source_path"):
-        load_corpus_file(path)
+        load_labeled_records(path)
 
 
 def test_transcript_record_fields_are_strings(tmp_path):
@@ -155,11 +155,7 @@ def test_source_paths_and_inline_sources_mix(tmp_path, kind):
         ("c", "vulnerable", (), "inline wins", ""),
         ("d", "safe", (), "contract C {}", ""),
     ]
-    if kind == "corpus":
-        assert load(path) == [row[:4] for row in expected]
-    else:
-        entries = load(path).entries
-        assert [(e.contract_id, e.label, e.classes, e.source, e.split) for e in entries] == expected
+    assert load(path) == expected
 
 
 @pytest.mark.parametrize("kind", ["corpus", "dataset"])

@@ -1,8 +1,12 @@
 from __future__ import annotations
 
+import hashlib
 import math
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from solguard.errors import DatasetError
 from solguard.retrieval.kb import (
@@ -15,6 +19,7 @@ from solguard.retrieval.kb import (
     load_kb_documents,
     split_chunks,
 )
+from solguard.retrieval.terms import words as split_words
 
 
 def words(n: int, prefix: str = "w") -> str:
@@ -60,6 +65,22 @@ class TestEmbedder:
 
     def test_empty_text_zero_vector(self):
         assert all(x == 0.0 for x in embed(""))
+
+    # non-ASCII letters (two of whose lowercase forms hold an ASCII letter:
+    # "İ" an "i", the Kelvin sign a "k"), "ß", a CJK letter, a lone surrogate,
+    # and separators that str.split() splits on but that are not [a-z0-9]
+    @settings(max_examples=500, deadline=None)
+    @given(st.text(alphabet=st.sampled_from(list("aZ9_ -\t\n\x1c\x1f\x85\u2028éİ\u212aß日\ud800"))))
+    def test_words_and_embedding_are_the_regex_ones(self, text):
+        # the word splitter replaced re.findall(r"[a-z0-9]+", text.lower()),
+        # so every embedding keeps its bits
+        found = re.findall(r"[a-z0-9]+", text.lower())
+        assert split_words(text) == found
+        vec = [0.0] * 256
+        for word in found:
+            vec[int.from_bytes(hashlib.md5(word.encode("utf-8")).digest()[:4], "big") % 256] += 1.0
+        norm = math.sqrt(math.fsum(x * x for x in vec))
+        assert [x.hex() for x in embed(text)] == [(x / norm if norm else x).hex() for x in vec]
 
 
 class TestBuildIndex:

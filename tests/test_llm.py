@@ -142,6 +142,16 @@ class TestExtractStructured:
         record = extract_structured(response, DETECTOR_REPLY)
         assert record == {"verdict": "vulnerable", "score": 0.9, "findings": []}
 
+    @pytest.mark.parametrize("evidence", ["\\ud800", "\\udc00\\ud83d", "\ud800"])
+    def test_lone_surrogate_in_a_field_is_a_schema_error(self, evidence):
+        # escaped or raw; a surrogate pair is one character and passes
+        response = '{"verdict": "vulnerable", "score": 1, "findings": [{"class": "X", "evidence": "%s"}]}'
+        with pytest.raises(SchemaError, match="detector: reply field findings holds a lone surrogate") as err:
+            extract_structured(response % evidence, DETECTOR_REPLY, "detector")
+        assert err.value.field == "findings"
+        record = extract_structured(response % "\\ud83d\\ude00", DETECTOR_REPLY, "detector")
+        assert record["findings"][0]["evidence"] == "\U0001f600"
+
     def test_pure_prose_raises_extraction_error(self):
         with pytest.raises(ExtractionError):
             extract_structured("no structure here at all", DETECTOR_REPLY)
@@ -280,6 +290,20 @@ class TestHttpProvider:
             "temperature": 0.0,
             "max_tokens": 2048,
         }
+
+    def test_one_opener_serves_every_call(self, scripted_http, monkeypatch):
+        # building an opener loads the system CA store on Python 3.12 and later,
+        # about 50 ms a call
+        import urllib.request
+
+        stub, _ = scripted_http
+        built = []
+        build_opener = urllib.request.build_opener
+        monkeypatch.setattr(urllib.request, "build_opener", lambda *handlers: built.append(1) or build_opener(*handlers))
+        stub.replies += [Reply(body={"content": f"reply {i}"}) for i in range(3)]
+        provider = http_provider(stub.endpoint)
+        assert [provider.complete("hello", role="detector") for _ in range(3)] == ["reply 0", "reply 1", "reply 2"]
+        assert len(built) == 1
 
     @pytest.mark.parametrize("failures", [1, 2])
     def test_retries_through_server_errors(self, scripted_http, failures):

@@ -31,7 +31,7 @@ from reference_corpus_build import same_index
 from reference_corpus_snapshot_v1 import document_weights, idf_map
 
 # no documents and no terms
-EMPTY_INDEX = CorpusIndex((), {}, array("d"), array("q", [0]), array("i"), array("d"), array("d"))
+EMPTY_INDEX = CorpusIndex((), (), (), array("d"), {}, array("d"), array("q", [0]), array("i"), array("d"), array("d"))
 
 
 # --- independent oracle implementations -------------------------------------
@@ -248,6 +248,18 @@ class TestBuildCorpusIndex:
             for term, w in expected.items():
                 assert weights[term] == pytest.approx(w, abs=1e-9)
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(STRUCTURE_HEAVY | st.lists(st.sampled_from(["a", "b", "B2", "straße", "\u212a", "İd", "日本"]),
+                                                max_size=8).map(" ".join), min_size=1, max_size=8))
+    def test_vectorize_gives_a_document_its_stored_weights(self, sources):
+        # documents and queries share one weighting, so a document read as a
+        # query weighs bit for bit as the index stores it
+        index = build_corpus_index([(f"d{i}", "safe", (), source) for i, source in enumerate(sources)])
+        for source, stored in zip(sources, document_weights(index)):
+            weights, norm = index.vectorize(tokenize_for_tfidf(source))
+            assert {t: w.hex() for t, w in weights.items()} == {t: w.hex() for t, w in stored.items()}
+            assert norm == (1.0 if stored else 0.0)
+
     def test_common_norms_match_brute_force_oracle(self):
         # a term is common when at least half the documents hold it
         docs = synthetic_corpus(10, seed=7)
@@ -256,7 +268,7 @@ class TestBuildCorpusIndex:
         for weights, common_norm in zip(document_weights(index), index.common_norms):
             expected = math.sqrt(sum(w * w for term, w in weights.items() if 2 * df[term] >= len(docs)))
             assert common_norm == pytest.approx(expected, abs=1e-12)
-        assert any(0 < common < doc.norm for common, doc in zip(index.common_norms, index.documents))  # both kinds
+        assert any(0 < common < norm for common, norm in zip(index.common_norms, index.norms))  # both kinds
 
     def test_empty_document_kept_as_zero_vector_with_warning(self, caplog):
         with caplog.at_level(logging.WARNING):
@@ -264,7 +276,7 @@ class TestBuildCorpusIndex:
                 [("full", "safe", (), "a b c"), ("blank", "safe", (), "// only a comment")]
             )
         assert document_weights(index)[1] == {}
-        assert index.documents[1].norm == 0.0
+        assert index.norms[1] == 0.0
         assert any("blank" in rec.message for rec in caplog.records)
 
     def test_empty_corpus_rejected(self):
@@ -328,7 +340,7 @@ class TestBuildCorpusIndex:
 
 def similarities(index: CorpusIndex, query_id: str, text: str) -> dict[str, float]:
     """Similarity of every indexed document to ``text``, read off ``top_k``."""
-    neighbors = top_k(load_source(query_id, text), index, len(index.documents))
+    neighbors = top_k(load_source(query_id, text), index, len(index.ids))
     return {nb.contract_id: nb.similarity for nb in neighbors}
 
 
@@ -373,9 +385,9 @@ class TestCosine:
 def brute_force_top_k(query_terms, index: CorpusIndex, k: int, exclude_id: str):
     qweights, _ = index.vectorize(query_terms)
     sims = [
-        (doc.id, oracle_cosine(qweights, weights), doc.label)
-        for doc, weights in zip(index.documents, document_weights(index))
-        if doc.id != exclude_id
+        (doc_id, oracle_cosine(qweights, weights), label)
+        for doc_id, label, weights in zip(index.ids, index.labels, document_weights(index))
+        if doc_id != exclude_id
     ]
     sims.sort(key=lambda t: (-t[1], t[0]))
     return sims[:k]
@@ -387,14 +399,14 @@ def scan_top_k(query_terms, index: CorpusIndex, k: int, exclude_id: str) -> list
     norm) and sort by (-similarity, id)."""
     qweights, qnorm = index.vectorize(query_terms)
     rows = []
-    for doc, weights in zip(index.documents, document_weights(index)):
-        if doc.id == exclude_id:
+    for doc_id, norm, weights in zip(index.ids, index.norms, document_weights(index)):
+        if doc_id == exclude_id:
             continue
         dot = 0.0
         for t, qw in qweights.items():
             dot += qw * weights.get(t, 0.0)
-        sim = min(1.0, dot / (qnorm * doc.norm)) if qnorm and doc.norm else 0.0
-        rows.append((doc.id, sim))
+        sim = min(1.0, dot / (qnorm * norm)) if qnorm and norm else 0.0
+        rows.append((doc_id, sim))
     rows.sort(key=lambda row: (-row[1], row[0]))
     return rows[:k]
 
@@ -508,6 +520,17 @@ class TestRankWeighting:
 
     def test_empty(self):
         assert rank_weighted_probability([]) == 0.0
+
+    def test_all_vulnerable_is_a_probability_for_every_k(self):
+        # the rank weights' sum rounds to 1.0000000000000002 for k = 14, 18,
+        # 24 and others, and a finding refuses a confidence above 1
+        query = load_source("q", "contract Q {}")
+        for k in range(1, 201):
+            nbs = [Neighbor(f"d{r}", 1.0, r, "vulnerable", ("Reentrancy",)) for r in range(1, k + 1)]
+            score = rank_weighted_probability(nbs)
+            assert 1.0 - 1e-12 < score <= 1.0, k
+            [finding] = retrieval_channel(query, nbs, 0.5).findings
+            assert finding.confidence == score
 
     @given(st.lists(st.booleans(), min_size=1, max_size=12))
     def test_flipping_safe_to_vulnerable_never_decreases(self, flags):

@@ -16,9 +16,10 @@ from pathlib import Path
 import pytest
 
 from solguard.errors import SnapshotError
+from solguard.jsonl import load_labeled_records
 from solguard.retrieval.kb import KbDocument, build_kb_index, load_kb_documents
 from solguard.retrieval.snapshot import CorpusSnapshotStore, KbSnapshotStore
-from solguard.retrieval.tfidf import build_corpus_index, load_corpus_file, top_k
+from solguard.retrieval.tfidf import build_corpus_index, top_k
 from solguard.static_analysis.scanner import load_file, load_source
 
 import reference_corpus_snapshot_v1 as reference
@@ -73,8 +74,8 @@ class TestPublishLoad:
         store.publish(corpus_for(2))
         assert store.current_version() == 2
         # the held snapshot is untouched by the publish
-        assert held.documents[0].classes == ("tag1",)
-        assert store.load().documents[0].classes == ("tag2",)
+        assert held.classes[0] == ("tag1",)
+        assert store.load().classes[0] == ("tag2",)
 
     def test_load_without_publish(self, tmp_path):
         with pytest.raises(SnapshotError, match="no snapshot"):
@@ -99,7 +100,7 @@ class TestCrashSafety:
             store.publish(corpus_for(2))
         monkeypatch.undo()
         assert store.current_version() == 1
-        assert store.load().documents[0].classes == ("tag1",)
+        assert store.load().classes[0] == ("tag1",)
         # and the next publish still finds a fresh version number
         assert store.publish(corpus_for(3)) == 3
 
@@ -129,7 +130,7 @@ class TestConcurrentReaders:
         def reader() -> None:
             while not stop.is_set():
                 index = store.load()
-                tags = {doc.classes[0] for doc in index.documents}
+                tags = {classes[0] for classes in index.classes}
                 if len(tags) != 1 or tags != {f"tag{index.snapshot_version - 1}"}:
                     problems.append(f"mixed snapshot: version={index.snapshot_version} tags={tags}")
 
@@ -147,7 +148,7 @@ class TestConcurrentReaders:
 
 
 def fixture_index():
-    return build_corpus_index(load_corpus_file(FIXTURES / "corpus.jsonl"))
+    return build_corpus_index(load_labeled_records(FIXTURES / "corpus.jsonl"))
 
 
 def digests(directory: Path) -> dict[str, str]:
@@ -185,7 +186,7 @@ class TestRoundTrip:
         # format 3 appends one float64 per document to format 2's postings.bin,
         # whose bytes stay what format 2 wrote
         postings = (tmp_path / "1" / "postings.bin").read_bytes()
-        format2 = postings[: -8 * len(fixture_index().documents)]
+        format2 = postings[: -8 * len(fixture_index().ids)]
         assert hashlib.sha256(format2).hexdigest() == "34e8e30512c410bfa722233de6220f0579062595a9d1999dda42211084d3bee6"
 
     def test_fixture_kb_snapshot_bytes_are_pinned(self, tmp_path):
@@ -202,11 +203,11 @@ QUERIES = sorted(FIXTURES.glob("*.sol")) + sorted((FIXTURES / "rules").glob("*.s
 def generated_corpus(n: int, seed: int) -> list[tuple[str, str, tuple[str, ...], str]]:
     """``n`` documents mixed from the fixture corpus records: one record's
     lines, some lines of another, a few rare terms, and some exact copies."""
-    records = load_corpus_file(FIXTURES / "corpus.jsonl")
+    records = load_labeled_records(FIXTURES / "corpus.jsonl")
     rng = random.Random(seed)
     docs = []
     for i in range(n):
-        _, label, classes, source = rng.choice(records)
+        _, label, classes, source, _ = rng.choice(records)
         if docs and rng.random() < 0.05:
             source = rng.choice(docs)[3]
         else:
@@ -224,18 +225,17 @@ class TestSameResultsAsFormat1:
 
     @pytest.mark.parametrize("corpus", ["fixture", "generated"])
     def test_top_k_and_norms_match(self, tmp_path, corpus):
-        docs = load_corpus_file(FIXTURES / "corpus.jsonl") if corpus == "fixture" else generated_corpus(2_000, seed=5)
+        docs = load_labeled_records(FIXTURES / "corpus.jsonl") if corpus == "fixture" else generated_corpus(2_000, seed=5)
         index = build_corpus_index(docs)
         store = CorpusSnapshotStore(tmp_path / "v2")
         store.publish(index)
         v2 = store.load()
         v1 = reference.load_v1(reference.publish_v1(tmp_path / "v1", index))
-        assert len(v1.documents) == len(v2.documents) == len(docs) >= (15 if corpus == "fixture" else 2_000)
-        norms = [array("d", (doc.norm for doc in snapshot.documents)).tobytes() for snapshot in (v1, v2)]
-        assert norms[0] == norms[1]
-        assert any(doc.norm != 1.0 for doc in v2.documents)  # so the order of the sum shows
+        assert len(v1.documents) == len(v2.ids) == len(docs) >= (15 if corpus == "fixture" else 2_000)
+        assert array("d", (doc.norm for doc in v1.documents)).tobytes() == v2.norms.tobytes()
+        assert any(norm != 1.0 for norm in v2.norms)  # so the order of the sum shows
         queries = [load_file(path, path.stem) for path in QUERIES]
-        queries += [load_source(doc_id, source) for doc_id, _, _, source in docs[:15]]  # ids in the index
+        queries += [load_source(doc[0], doc[3]) for doc in docs[:15]]  # ids in the index
         for query in queries:
             for k in (5, len(docs)):
                 assert top_k(query, v2, k) == reference.top_k_v1(query, v1, k), (query.id, k)
@@ -401,7 +401,7 @@ class TestCorruptRecords:
         ):
             store.load()
         assert store.publish(corpus_for(2)) == 2  # what `kb update` does
-        assert store.load().documents[0].classes == ("tag2",)
+        assert store.load().classes[0] == ("tag2",)
 
     def test_format2_version_asks_for_kb_update(self, tmp_path):
         store = CorpusSnapshotStore(tmp_path)
@@ -414,7 +414,7 @@ class TestCorruptRecords:
         with pytest.raises(SnapshotError, match=re.escape(message + "republish the corpus with `solguard kb update --corpus <file>`")):
             store.load()
         assert store.publish(corpus_for(2)) == 2
-        assert store.load().documents[0].classes == ("tag2",)
+        assert store.load().classes[0] == ("tag2",)
 
     def test_format1_kb_version_asks_for_kb_update(self, tmp_path):
         store = KbSnapshotStore(tmp_path)

@@ -20,9 +20,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from solguard.jsonl import load_labeled_records
 from solguard.retrieval import tfidf
 from solguard.retrieval.snapshot import CorpusSnapshotStore
-from solguard.retrieval.tfidf import build_corpus_index, is_common, load_corpus_file, top_k
+from solguard.retrieval.tfidf import build_corpus_index, is_common, top_k
 from solguard.static_analysis.scanner import load_file, load_source
 
 import reference_top_k as reference
@@ -94,7 +95,7 @@ def test_case_matches_the_full_scan(case):
 def test_cases_hold_what_they_name():
     def common_terms(docs):
         index = build_corpus_index(docs)
-        n = len(index.documents)
+        n = len(index.ids)
         return [is_common(index.offsets[t + 1] - index.offsets[t], n) for t in index.term_ids.values()]
 
     assert all(common_terms(CASES["all-common vocabulary"][0]))
@@ -103,7 +104,7 @@ def test_cases_hold_what_they_name():
     assert sum(text in d[3].split() for d in docs) < k
     docs, query_id, _, _ = CASES["query id in the index"]
     assert query_id in [d[0] for d in docs]
-    assert build_corpus_index(CASES["empty document"][0]).documents[1].norm == 0.0
+    assert build_corpus_index(CASES["empty document"][0]).norms[1] == 0.0
     docs, _, _, k = CASES["k at least n"]
     assert k >= len(docs)
 
@@ -141,10 +142,10 @@ def test_generated_corpus_matches_the_full_scan(case, through_snapshot):
 
 @pytest.mark.parametrize("k", [1, 5, 15])
 def test_fixture_corpus_matches_the_full_scan(k):
-    docs = load_corpus_file(FIXTURES / "corpus.jsonl")
+    docs = load_labeled_records(FIXTURES / "corpus.jsonl")
     index = build_corpus_index(docs)
     queries = [load_file(path, path.stem) for path in QUERIES]
-    queries += [load_source(doc_id, source) for doc_id, _, _, source in docs]  # ids in the index
+    queries += [load_source(doc_id, source) for doc_id, _, _, source, _ in docs]  # ids in the index
     for query in queries:
         assert_same(query, index, k)
 

@@ -6,8 +6,8 @@ For each seed, builds the benchmark's eval-20k corpus (20,000 documents) and
 its 16 query contracts with ``perfbench/generate.py``. The index that
 ``solguard.retrieval.tfidf.build_corpus_index`` builds must equal the one the
 replaced two-pass build in ``tests/reference_corpus_build.py`` builds: equal
-documents, term ids, offsets and positions, and the same bytes of ``idf``,
-``weights`` and ``common_norms``. The index is then published as a corpus
+ids, labels, classes, term ids, offsets and positions, and the same bytes of
+``norms``, ``idf``, ``weights`` and ``common_norms``. The index is then published as a corpus
 snapshot and loaded back, and every query is ranked with
 ``solguard.retrieval.tfidf.top_k`` over the loaded snapshot and with the
 replaced full scan in ``tests/reference_top_k.py`` over the built index. Any
@@ -83,7 +83,7 @@ def check_seed(fx: Fixtures, seed: int, full_scans: FullScans) -> int:
     calls = len(queries) * len(KS)
     print(
         f"seed {seed}: build {'equal to' if built_alike else 'unlike'} the two-pass build; "
-        f"{calls} calls over {len(index.documents)} documents, {mismatches} mismatches, "
+        f"{calls} calls over {len(index.ids)} documents, {mismatches} mismatches, "
         f"{full_scans.count - before} full scans, top_k {elapsed * 1000 / calls:.1f} ms per call"
     )
     return mismatches
