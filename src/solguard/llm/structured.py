@@ -35,13 +35,11 @@ def extract_structured(response: str, schema: Record, role: str = "model") -> di
         except (ValueError, RecursionError):
             start = response.find("{", start + 1)
             continue
-        suspect = "\\u" in response or not response.isascii()  # else no string in it is a surrogate
         for key in schema.fields:
             fault = partial(SchemaError, raw_text=response, field=key)
             record[key] = value = schema.value(key, record.get(key, ABSENT), fault, role, "reply")
             try:  # a JSON "\ud800" decodes to a lone surrogate, which no report file can hold
-                if suspect:
-                    json.dumps(value, ensure_ascii=False).encode("utf-8")
+                json.dumps(value, ensure_ascii=False).encode("utf-8")
             except UnicodeEncodeError:
                 raise fault(f"{role}: reply field {key} holds a lone surrogate, which is not text") from None
         return record

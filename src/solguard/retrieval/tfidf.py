@@ -194,7 +194,7 @@ def top_k(query: SourceContract, index: CorpusIndex, k: int) -> list[Neighbor]:
     if sims is None:
         log.debug("top_k for %s: full scan of the query terms' postings", query.id)
         qid = query.id
-        sims = {  # a call per document would cost a third of the scan
+        sims = {  # _cosine, inlined: a call per document would cost a third of the scan
             p: min(1.0, dot / (qnorm * norm)) if dot and norm else 0.0
             for p, (doc_id, norm, dot) in enumerate(zip(index.ids, index.norms, _dots(index, terms)))
             if doc_id != qid
@@ -211,6 +211,10 @@ def _dots(index: CorpusIndex, terms: list[tuple[int, int, float]]) -> list[float
         for position, w in zip(positions[start:end], weights[start:end]):
             dots[position] += qw * w
     return dots
+
+
+def _cosine(dot: float, qnorm: float, norm: float) -> float:
+    return min(1.0, dot / (qnorm * norm)) if dot and norm else 0.0
 
 
 def _bounded_sims(
@@ -242,7 +246,7 @@ def _bounded_sims(
             i = bisect_left(positions, p, start, end)
             if i < end and positions[i] == p:
                 dot += qw * weights[i]
-        return min(1.0, dot / (qnorm * norms[p])) if dot and norms[p] else 0.0  # as the full scan
+        return _cosine(dot, qnorm, norms[p])
 
     probes = heapq.nlargest(PROBES + k, range(n), key=bounds.__getitem__)
     sims = {p: similarity(p) for p in probes if ids[p] != qid}
