@@ -24,6 +24,7 @@ from solguard.core import (
     VulnerabilityClass,
     byte_length,
     merge_findings,
+    payload,
 )
 from solguard.errors import ExtractionError, ModelChannelError, SolguardError
 from solguard.llm.prompts import (
@@ -69,7 +70,7 @@ class FusedVerdict:
             "score": self.score,
             "mode": self.mode,
             "threshold": self.threshold,
-            "channels": [c.to_payload() for c in self.channel_results],
+            "channels": payload(self.channel_results),
         }
 
 

@@ -25,9 +25,11 @@ from solguard.core import (
     Finding,
     Patch,
     RepairSuggestion,
+    RiskLevel,
     SourceContract,
     Verdict,
     VerificationResult,
+    payload,
 )
 from solguard.errors import ConfigError, ModelChannelError, SolguardError
 from solguard.llm.mock import MockProvider
@@ -58,7 +60,6 @@ class PipelineRun:
     findings: tuple[Finding, ...] = ()
     suggestions: tuple[RepairSuggestion, ...] = ()
     risk_assignments: tuple[RiskAssignment, ...] = ()
-    risk_distribution: dict[str, int] = field(default_factory=dict)
     patch: Patch | None = None
     verification: VerificationResult | None = None
     report: AuditReport | None = None
@@ -80,6 +81,13 @@ class PipelineRun:
         missing = (None,) * len(self.findings)
         return list(zip(self.findings, self.suggestions or missing, self.risk_assignments or missing))
 
+    @property
+    def risk_distribution(self) -> dict[str, int]:
+        """Assignments per risk level, every level named in :class:`RiskLevel`
+        order; empty when assess did not run or failed."""
+        levels = [a.level for a in self.risk_assignments]
+        return {level.value: levels.count(level) for level in RiskLevel} if levels else {}
+
     def to_payload(self) -> dict[str, Any]:
         """Serializable run record.
 
@@ -88,15 +96,15 @@ class PipelineRun:
         """
         return {
             "contract_id": self.contract_id,
-            "verdict": self.fused.to_payload(),
-            "findings": [f.to_payload() for f in self.findings],
-            "suggestions": [s.to_payload() for s in self.suggestions],
+            "verdict": payload(self.fused),
+            "findings": payload(self.findings),
+            "suggestions": payload(self.suggestions),
             "risk": {
-                "assignments": [a.to_payload() for a in self.risk_assignments],
+                "assignments": payload(self.risk_assignments),
                 "distribution": self.risk_distribution,
             },
-            "patch": self.patch.to_payload() if self.patch else None,
-            "verification": self.verification.to_payload() if self.verification else None,
+            "patch": payload(self.patch),
+            "verification": payload(self.verification),
             "stages": list(self.stages),
             "errors": self.errors,
         }
@@ -188,7 +196,6 @@ def run_pipeline(contract: SourceContract, ctx: PipelineContext) -> PipelineRun:
 
     suggestions: list[RepairSuggestion] = []
     assignments: list[RiskAssignment] = []
-    distribution: dict[str, int] = {}
     patch: Patch | None = None
     verification: VerificationResult | None = None
 
@@ -196,9 +203,9 @@ def run_pipeline(contract: SourceContract, ctx: PipelineContext) -> PipelineRun:
         suggestions = run_stage("advise", ("detect",), lambda: advise(
             contract, findings, ctx.kb_index, ctx.provider("advisor"), cfg.k
         )) or []
-        assignments, distribution = run_stage("assess", ("detect",), lambda: assess(
+        assignments = run_stage("assess", ("detect",), lambda: assess(
             contract, findings, suggestions, ctx.kb_index, ctx.provider("assessor"), cfg.k
-        )) or ([], {})
+        )) or []
         patch = run_stage("fix", ("advise", "assess"), lambda: fix(
             contract, suggestions, assignments, ctx.provider("fixer")
         ))
@@ -214,7 +221,6 @@ def run_pipeline(contract: SourceContract, ctx: PipelineContext) -> PipelineRun:
         findings=tuple(findings),
         suggestions=tuple(suggestions),
         risk_assignments=tuple(assignments),
-        risk_distribution=distribution,
         patch=patch,
         verification=verification,
         stages=tuple(stages),

@@ -5,7 +5,7 @@ from __future__ import annotations
 import logging
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Any, Callable, Sequence, TypeVar
+from typing import Callable, Sequence, TypeVar
 
 from solguard.core import (
     Channel,
@@ -82,7 +82,7 @@ def build_advisor_prompt(
         ADVISOR_TEMPLATE,
         {
             "vulnerability": finding.vuln_class.name,
-            "function": finding.location.function or "(contract level)",
+            "function": finding.function_label,
             "evidence": finding.evidence or "(none)",
             "reference_notes": notes,
             "code": contract.source,
@@ -143,13 +143,6 @@ class RiskAssignment:
     level: RiskLevel
     defaulted: bool = False  # model answer unusable; level fell back to High
 
-    def to_payload(self) -> dict[str, Any]:
-        return {
-            "finding": self.finding.to_payload(),
-            "level": self.level.value,
-            "defaulted": self.defaulted,
-        }
-
 
 def build_assessor_prompt(
     contract: SourceContract,
@@ -166,7 +159,7 @@ def build_assessor_prompt(
         ASSESSOR_TEMPLATE,
         {
             "vulnerability": finding.vuln_class.name,
-            "function": finding.location.function or "(contract level)",
+            "function": finding.function_label,
             "evidence": finding.evidence or "(none)",
             "suggestion_summary": summary,
             "reference_notes": notes,
@@ -182,8 +175,8 @@ def assess(
     kb_index: KbIndex | None,
     provider: Provider,
     k: int = 5,
-) -> tuple[list[RiskAssignment], dict[str, int]]:
-    """Risk level per finding plus the count-per-level distribution.
+) -> list[RiskAssignment]:
+    """Risk level per finding.
 
     ``suggestions`` is empty or holds one entry per finding, in order; the
     per-finding calls overlap and the levels come back in that order. An
@@ -206,11 +199,7 @@ def assess(
             return high(pair)
 
     paired = list(zip(findings, suggestions or [None] * len(findings), strict=True))
-    assignments = _per_finding(rate, paired, high, f"{contract.id}: assessor")
-    distribution = {lvl.value: 0 for lvl in RiskLevel}
-    for a in assignments:
-        distribution[a.level.value] += 1
-    return assignments, distribution
+    return _per_finding(rate, paired, high, f"{contract.id}: assessor")
 
 
 def _priority(assignment: RiskAssignment) -> tuple[int, int, int]:
@@ -226,10 +215,7 @@ def build_fixer_prompt(
     lines: list[str] = []
     for i, (assignment, suggestion) in enumerate(ordered, start=1):
         finding = assignment.finding
-        line = (
-            f"{i}. [{assignment.level.value}] {finding.vuln_class.name} in "
-            f"{finding.location.function or '(contract level)'}"
-        )
+        line = f"{i}. [{assignment.level.value}] {finding.vuln_class.name} in {finding.function_label}"
         if suggestion.complete:
             line += f": {'; '.join(suggestion.repair_steps)}"
         else:
@@ -286,10 +272,7 @@ def fix(
 
 
 def build_verifier_prompt(contract: SourceContract, patch: Patch) -> str:
-    findings_text = "\n".join(
-        f"- {f.vuln_class.name} in {f.location.function or '(contract level)'}"
-        for f in patch.addressed_findings
-    )
+    findings_text = "\n".join(f"- {f.vuln_class.name} in {f.function_label}" for f in patch.addressed_findings)
     return render_prompt(
         VERIFIER_TEMPLATE,
         {

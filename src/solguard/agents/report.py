@@ -2,7 +2,9 @@
 
 Rendering is deterministic: reports are a pure function of the pipeline
 run, with no wall-clock content, so repeated runs over the same inputs are
-byte-identical.
+byte-identical. Text a reply or finding supplies is put on one line, and a
+discovery-table cell escapes ``|`` and the backslash, so no reply can open a
+section of its own or split a table row.
 """
 
 from __future__ import annotations
@@ -10,10 +12,10 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from solguard.core import (
+    REPORT_SECTION_TITLES,
     AuditReport,
     Channel,
     ReportSection,
-    RiskLevel,
     SourceContract,
     Verdict,
     byte_length,
@@ -35,6 +37,14 @@ _DISCLAIMER = (
     "is given that the contract is free of defects, and the authors of this "
     "report accept no liability for losses arising from its use."
 )
+
+
+def _line(text: str) -> str:
+    return text.replace("\r", " ").replace("\n", " ")
+
+
+def _cell(text: str) -> str:
+    return _line(text).replace("\\", "\\\\").replace("|", "\\|")
 
 
 def _basic_information(contract: SourceContract) -> str:
@@ -64,9 +74,7 @@ def _executive_summary(run: "PipelineRun") -> str:
     elif fused.verdict is Verdict.VULNERABLE:
         lines.append(f"Actionable findings: {len(run.findings)}.")
         if run.risk_distribution:
-            parts = [
-                f"{level.value}: {run.risk_distribution.get(level.value, 0)}" for level in RiskLevel
-            ]
+            parts = [f"{level}: {count}" for level, count in run.risk_distribution.items()]
             lines.append("Risk distribution: " + ", ".join(parts) + ".")
         if run.verification is not None:
             status = "passed" if run.verification.passed else "failed"
@@ -108,7 +116,7 @@ def _discovery_summary(run: "PipelineRun") -> str:
         return _NOT_PERFORMED[Verdict.UNDETERMINED]
     if not run.findings:
         retrieval_hints = [
-            f"- corpus neighbors suggest: {f.vuln_class.name}"
+            f"- corpus neighbors suggest: {_line(f.vuln_class.name)}"
             for c in run.fused.channel_results
             if c.channel is Channel.RETRIEVAL
             for f in c.findings
@@ -120,8 +128,8 @@ def _discovery_summary(run: "PipelineRun") -> str:
     for i, (f, _, assignment) in enumerate(run.per_finding(), start=1):
         risk = assignment.level.value if assignment else "(not assessed)"
         rows.append(
-            f"| {i} | {f.vuln_class.name} | {f.vuln_class.swc_id or '-'} | "
-            f"{f.location.function or '(contract level)'} | {f.channel.value} | "
+            f"| {i} | {_cell(f.vuln_class.name)} | {_cell(f.vuln_class.swc_id or '-')} | "
+            f"{_cell(f.function_label)} | {f.channel.value} | "
             f"{f.confidence:.2f} | {risk} |"
         )
     return "\n".join(rows)
@@ -136,14 +144,14 @@ def _in_depth(run: "PipelineRun") -> str:
     for i, (f, suggestion, assignment) in enumerate(run.per_finding(), start=1):
         risk = assignment.level.value if assignment else "(not assessed)"
         block = [
-            f"### {i}. {f.vuln_class.name} ({risk})",
-            f"- Location: function {f.location.function or '(contract level)'} "
+            f"### {i}. {_line(f.vuln_class.name)} ({risk})",
+            f"- Location: function {_line(f.function_label)} "
             f"(bytes {f.location.span.start}..{f.location.span.end})",
-            f"- Evidence: `{f.evidence}`" if f.evidence else "- Evidence: (none)",
+            f"- Evidence: `{_line(f.evidence)}`" if f.evidence else "- Evidence: (none)",
         ]
         if suggestion is not None and suggestion.complete:
-            block.append(f"- Cause: {suggestion.cause_analysis}")
-            block.append(f"- Impact: {suggestion.impact_assessment}")
+            block.append(f"- Cause: {_line(suggestion.cause_analysis)}")
+            block.append(f"- Impact: {_line(suggestion.impact_assessment)}")
         elif suggestion is not None:
             block.append("- Cause analysis unavailable (advisor output could not be parsed).")
         blocks.append("\n".join(block))
@@ -157,14 +165,14 @@ def _improvements(run: "PipelineRun") -> str:
     for suggestion in run.suggestions:
         if not suggestion.complete:
             continue
-        steps = "\n".join(f"  {j}. {step}" for j, step in enumerate(suggestion.repair_steps, 1))
-        measures = "\n".join(f"  - {m}" for m in suggestion.preventive_measures)
+        steps = "\n".join(f"  {j}. {_line(step)}" for j, step in enumerate(suggestion.repair_steps, 1))
+        measures = "\n".join(f"  - {_line(m)}" for m in suggestion.preventive_measures)
         blocks.append(
-            f"**{suggestion.vulnerability_name}**\n- Repair steps:\n{steps}\n"
+            f"**{_line(suggestion.vulnerability_name)}**\n- Repair steps:\n{steps}\n"
             f"- Preventive measures:\n{measures}"
         )
     if run.patch is not None:
-        blocks.append(f"**Applied repair**\n{run.patch.rationale}")
+        blocks.append(f"**Applied repair**\n{_line(run.patch.rationale)}")
         if run.verification is not None:
             if run.verification.passed:
                 blocks.append(
@@ -172,7 +180,7 @@ def _improvements(run: "PipelineRun") -> str:
                     "no new issues introduced."
                 )
             else:
-                issues = ", ".join(f.vuln_class.name for f in run.verification.new_issues) or "none"
+                issues = ", ".join(_line(f.vuln_class.name) for f in run.verification.new_issues) or "none"
                 blocks.append(
                     f"Verification: failed (new or remaining issues: {issues}). "
                     "Apply the repair steps manually and re-audit."
@@ -184,13 +192,6 @@ def _improvements(run: "PipelineRun") -> str:
 
 def build_report(run: "PipelineRun", contract: SourceContract) -> AuditReport:
     """Assemble the seven-section report from a completed run."""
-    sections = (
-        ReportSection("Contract Basic Information Overview", _basic_information(contract)),
-        ReportSection("Executive Summary", _executive_summary(run)),
-        ReportSection("Audit Methodology Explanation", _methodology(run)),
-        ReportSection("Vulnerability Discovery Summary", _discovery_summary(run)),
-        ReportSection("In-Depth Analysis Report", _in_depth(run)),
-        ReportSection("Improvement Suggestions", _improvements(run)),
-        ReportSection("Compliance Disclaimer", _DISCLAIMER),
-    )
-    return AuditReport(sections=sections, machine_payload=run.to_payload())
+    bodies = (_basic_information(contract), _executive_summary(run), _methodology(run), _discovery_summary(run),
+              _in_depth(run), _improvements(run), _DISCLAIMER)
+    return AuditReport(tuple(map(ReportSection, REPORT_SECTION_TITLES, bodies)), machine_payload=run.to_payload())

@@ -26,7 +26,7 @@ import yaml
 from solguard.agents.config import MODES, WEIGHTS, PipelineConfig, apply_overrides, load_config
 from solguard.agents.detect import detect as run_detect
 from solguard.agents.pipeline import PipelineContext, PipelineRun, build_context, run_pipeline
-from solguard.core import SourceContract, Verdict, gc_paused
+from solguard.core import SourceContract, Verdict, gc_paused, payload
 from solguard.errors import ConfigError, SnapshotError, SolguardError
 from solguard.evaluation import (
     calibrate_threshold,
@@ -187,17 +187,10 @@ def cmd_audit(paths, config_path, output_dir, mode, weights, threshold, k, jobs,
 
     def audit(contract: SourceContract) -> PipelineRun:
         run = run_pipeline(contract, ctx)
-        report_payload = {
-            "sections": [{"title": s.title, "body": s.body} for s in run.report.sections],
-            "machine_payload": run.report.machine_payload,
-        }
         (out_dir / f"{contract.id}.report.md").write_text(run.report.to_markdown(), encoding="utf-8")
-        (out_dir / f"{contract.id}.report.json").write_text(
-            json.dumps(report_payload, indent=2, ensure_ascii=False) + "\n", encoding="utf-8"
-        )
-        (out_dir / f"{contract.id}.run.json").write_text(
-            json.dumps(run.to_payload(), indent=2, ensure_ascii=False) + "\n", encoding="utf-8"
-        )
+        for name, record in (("report", run.report), ("run", run)):
+            text = json.dumps(payload(record), indent=2, ensure_ascii=False) + "\n"
+            (out_dir / f"{contract.id}.{name}.json").write_text(text, encoding="utf-8")
         return run
 
     outcomes = _each_contract(items, audit, jobs or os.cpu_count() or 1)
@@ -248,8 +241,8 @@ def cmd_detect(paths, config_path, mode, weights, threshold, k, as_json, verbose
             for channel in fused.channel_results:
                 click.echo(f"  {channel.channel.value:<10} {channel.verdict.value:<10} {channel.score:.2f}")
     if as_json:
-        payload = [{"contract_id": cid, **fused.to_payload()} for cid, fused, error in outcomes if error is None]
-        click.echo(json.dumps(payload, indent=2, ensure_ascii=False))
+        verdicts = [{"contract_id": cid, **fused.to_payload()} for cid, fused, error in outcomes if error is None]
+        click.echo(json.dumps(verdicts, indent=2, ensure_ascii=False))
     if any(error is not None for _, _, error in outcomes):
         sys.exit(EXIT_PROCESSING)
 
@@ -352,11 +345,11 @@ def cmd_eval(dataset_path, config_path, variants, split, out, verbose):
     except SolguardError as exc:
         _fail(EXIT_USAGE, str(exc))
     click.echo(format_table(reports))
-    payload = {"dataset": str(dataset_path), "results": [r.to_payload() for r in reports]}
+    results = payload({"dataset": str(dataset_path), "results": reports})
     out_path = Path(out) if out else Path(config.output_dir) / "eval_results.json"
     try:
         out_path.parent.mkdir(parents=True, exist_ok=True)
-        out_path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+        out_path.write_text(json.dumps(results, indent=2) + "\n", encoding="utf-8")
     except OSError as exc:
         _fail(EXIT_PROCESSING, f"cannot write results to {out_path}: {exc}")
     click.echo(f"results written to {out_path}")
@@ -384,9 +377,9 @@ def cmd_calibrate(dataset_path, config_path, split, write, verbose):
     if write:
         path = Path(config_path)
         try:
-            payload = yaml.safe_load(path.read_text(encoding="utf-8")) or {}
-            payload["threshold"] = threshold
-            path.write_text(yaml.safe_dump(payload, sort_keys=False), encoding="utf-8")
+            settings = yaml.safe_load(path.read_text(encoding="utf-8")) or {}
+            settings["threshold"] = threshold
+            path.write_text(yaml.safe_dump(settings, sort_keys=False), encoding="utf-8")
         except OSError as exc:
             _fail(EXIT_PROCESSING, f"cannot write threshold to {path}: {exc}")
         click.echo(f"threshold written to {path}")

@@ -2,6 +2,12 @@
 
 Everything here is immutable after construction and free of I/O, so values
 can be shared across threads and serialized deterministically.
+
+One rule, :func:`payload`, turns any run-record value into JSON data: an
+enum becomes its value, a list or tuple a list, a dict a dict of payloads,
+and a dataclass its fields in declaration order. Only a record whose JSON
+differs from its fields defines ``to_payload()``, and ``payload`` returns
+that instead.
 """
 
 from __future__ import annotations
@@ -9,7 +15,7 @@ from __future__ import annotations
 import enum
 import gc
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property, reduce
 from itertools import chain
 from operator import add
@@ -101,6 +107,22 @@ def gc_paused() -> Iterator[None]:
             gc.enable()
 
 
+def payload(value: Any) -> Any:
+    """Plain JSON data for a run-record value, by the rule in the module docstring."""
+    if isinstance(value, enum.Enum):
+        return value.value
+    if value is None or isinstance(value, (str, int, float)):
+        return value
+    if isinstance(value, (list, tuple)):
+        return [payload(item) for item in value]
+    if isinstance(value, dict):
+        return {key: payload(item) for key, item in value.items()}
+    to_payload = getattr(value, "to_payload", None)
+    if to_payload is not None:
+        return to_payload()
+    return {f.name: payload(getattr(value, f.name)) for f in fields(value)}
+
+
 @dataclass(frozen=True)
 class SourceContract:
     """One Solidity source unit with its tokenized view.
@@ -138,9 +160,6 @@ class VulnerabilityClass:
     name: str
     swc_id: str | None = None
 
-    def to_payload(self) -> dict[str, Any]:
-        return {"name": self.name, "swc_id": self.swc_id}
-
 
 @dataclass(frozen=True)
 class Location:
@@ -172,11 +191,16 @@ class Finding:
         that share it report the same weakness."""
         return (self.vuln_class.name, self.location.function)
 
+    @property
+    def function_label(self) -> str:
+        """The enclosing function's name as prompts and reports print it."""
+        return self.location.function or "(contract level)"
+
     def to_payload(self) -> dict[str, Any]:
         return {
             "contract_id": self.contract_id,
-            "class": self.vuln_class.to_payload(),
-            "location": self.location.to_payload(),
+            "class": payload(self.vuln_class),
+            "location": payload(self.location),
             "evidence": self.evidence,
             "channel": self.channel.value,
             "confidence": self.confidence,
@@ -191,14 +215,6 @@ class ChannelResult:
     verdict: Verdict
     score: float
     findings: tuple[Finding, ...] = ()
-
-    def to_payload(self) -> dict[str, Any]:
-        return {
-            "channel": self.channel.value,
-            "verdict": self.verdict.value,
-            "score": self.score,
-            "findings": [f.to_payload() for f in self.findings],
-        }
 
 
 @dataclass(frozen=True)
@@ -225,17 +241,6 @@ class RepairSuggestion:
             if not filled:
                 raise ValueError("a complete suggestion requires all five fields non-empty")
 
-    def to_payload(self) -> dict[str, Any]:
-        return {
-            "vulnerability_name": self.vulnerability_name,
-            "cause_analysis": self.cause_analysis,
-            "impact_assessment": self.impact_assessment,
-            "repair_steps": list(self.repair_steps),
-            "preventive_measures": list(self.preventive_measures),
-            "finding": self.finding.to_payload(),
-            "complete": self.complete,
-        }
-
 
 @dataclass(frozen=True)
 class Patch:
@@ -260,14 +265,6 @@ class Patch:
 
         return load_source(f"{self.original}.patched", self.repaired_source)
 
-    def to_payload(self) -> dict[str, Any]:
-        return {
-            "original": self.original,
-            "repaired_source": self.repaired_source,
-            "addressed_findings": [f.to_payload() for f in self.addressed_findings],
-            "rationale": self.rationale,
-        }
-
 
 @dataclass(frozen=True)
 class VerificationResult:
@@ -279,14 +276,6 @@ class VerificationResult:
     def __post_init__(self) -> None:
         if self.passed and self.new_issues:
             raise ValueError("a passing verification cannot carry new issues")
-
-    def to_payload(self) -> dict[str, Any]:
-        return {
-            "passed": self.passed,
-            "eliminated": [f.to_payload() for f in self.eliminated],
-            "new_issues": [f.to_payload() for f in self.new_issues],
-            "verifier_model": self.verifier_model,
-        }
 
 
 REPORT_SECTION_TITLES: tuple[str, ...] = (

@@ -9,7 +9,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Sequence
 
 from solguard.agents.detect import fuse_channels, run_channels
 from solguard.agents.pipeline import PipelineContext
@@ -94,19 +94,6 @@ class MetricsReport:
     degenerate: tuple[str, ...] = ()  # metrics whose denominator was zero
     failures: int = 0
     evaluated: int = 0
-
-    def to_payload(self) -> dict[str, Any]:
-        return {
-            "variant": self.variant,
-            "accuracy": self.accuracy,
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-            "fpr": self.fpr,
-            "degenerate": list(self.degenerate),
-            "failures": self.failures,
-            "evaluated": self.evaluated,
-        }
 
 
 def metrics(cm: ConfusionMatrix, variant: str = "", failures: int = 0) -> MetricsReport:

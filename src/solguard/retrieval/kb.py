@@ -50,6 +50,11 @@ class KbChunk:
     embedding: tuple[float, ...]
 
 
+def embedded_chunk(doc_id: str, chunk_index: int, text: str) -> KbChunk:
+    """A chunk with its text's :func:`embed` vector, as a build makes it and a snapshot load remakes it."""
+    return KbChunk(doc_id, chunk_index, text, tuple(embed(text)))
+
+
 @dataclass(frozen=True)
 class KbIndex:
     """Embedded chunks, each of ``EMBEDDING_DIM`` numbers; a snapshot store's
@@ -82,11 +87,7 @@ def split_chunks(doc: KbDocument) -> list[tuple[int, str]]:
 
 def build_kb_index(docs: Iterable[KbDocument]) -> KbIndex:
     """Chunk and embed every document."""
-    chunks: list[KbChunk] = []
-    for doc in docs:
-        for chunk_index, text in split_chunks(doc):
-            chunks.append(KbChunk(doc.doc_id, chunk_index, text, tuple(embed(text))))
-    return KbIndex(tuple(chunks))
+    return KbIndex(tuple(embedded_chunk(doc.doc_id, i, text) for doc in docs for i, text in split_chunks(doc)))
 
 
 def _dense_cosine(a: tuple[float, ...] | list[float], b: tuple[float, ...] | list[float]) -> float:

@@ -29,7 +29,7 @@ from solguard.core import gc_paused
 from solguard.errors import SnapshotError
 from solguard.jsonl import read_jsonl
 from solguard.records import Record, mapping, one_of, string, whole
-from solguard.retrieval.kb import KbChunk, KbIndex, embed
+from solguard.retrieval.kb import KbIndex, embedded_chunk
 from solguard.retrieval.tfidf import CorpusIndex
 
 T = TypeVar("T")
@@ -225,11 +225,7 @@ class KbSnapshotStore(SnapshotStore[KbIndex]):
         return KbIndex(tuple(chunks), meta["version"])
 
 
-def _embedded(doc_id: str, chunk_index: int, text: str) -> KbChunk:
-    return KbChunk(doc_id, chunk_index, text, tuple(embed(text)))
-
-
-CHUNK = Record({"doc_id": string(), "chunk_index": whole(0), "text": string()}, make=_embedded)
+CHUNK = Record({"doc_id": string(), "chunk_index": whole(0), "text": string()}, make=embedded_chunk)
 
 
 def _write_json(path: Path, payload: object) -> None:

@@ -6,6 +6,9 @@ import pytest
 import yaml
 from click.testing import CliRunner
 
+from solguard.agents.detect import FusedVerdict
+from solguard.agents.pipeline import PipelineRun
+from solguard.core import Verdict
 from solguard.jsonl import load_labeled_records
 from solguard.retrieval.kb import build_kb_index, load_kb_documents
 from solguard.retrieval.snapshot import CorpusSnapshotStore, KbSnapshotStore
@@ -28,6 +31,13 @@ def built_index_root(tmp_path_factory) -> Path:
     kb = build_kb_index(load_kb_documents(FIXTURES / "kb_docs"))
     KbSnapshotStore(root / "kb").publish(kb)
     return root
+
+
+def risk_distribution(assignments) -> dict[str, int]:
+    """The distribution a run record derives from these risk assignments."""
+    fused = FusedVerdict(Verdict.VULNERABLE, 0.9, "weighted", (), 0.5)
+    findings = tuple(a.finding for a in assignments)
+    return PipelineRun("c", fused, findings=findings, risk_assignments=tuple(assignments)).risk_distribution
 
 
 def write_pipeline_config(

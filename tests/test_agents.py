@@ -31,6 +31,7 @@ from solguard.agents.remediate import (
     verify,
 )
 from solguard.core import (
+    REPORT_SECTION_TITLES,
     Channel,
     ChannelResult,
     Finding,
@@ -50,6 +51,7 @@ from solguard.static_analysis.rules import default_ruleset
 from solguard.static_analysis.scanner import load_file, load_source
 
 import presign_fixture
+from conftest import risk_distribution
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -345,27 +347,27 @@ class TestAssess:
     def test_invalid_level_defaults_to_high_with_flag(self):
         contract = load_source("c", "contract C {}")
         recorder = TranscriptRecorder(lambda role, prompt: json.dumps({"level": "Catastrophic"}))
-        assignments, distribution = assess(
-            contract, [_finding("Reentrancy", "f", contract_id="c")], [], None, recorder
-        )
+        assignments = assess(contract, [_finding("Reentrancy", "f", contract_id="c")], [], None, recorder)
         assert assignments[0].level is RiskLevel.HIGH
         assert assignments[0].defaulted
-        assert distribution == {"Critical": 0, "High": 1, "Medium": 0, "Low": 0}
+        assert risk_distribution(assignments) == {"Critical": 0, "High": 1, "Medium": 0, "Low": 0}
 
     def test_zero_findings_empty_distribution(self):
+        # a run whose assess did not run, failed, or had nothing to rate names no level
         contract = load_source("c", "contract C {}")
         recorder = TranscriptRecorder(lambda role, prompt: json.dumps({"level": "Low"}))
-        assignments, distribution = assess(contract, [], [], None, recorder)
+        assignments = assess(contract, [], [], None, recorder)
         assert assignments == []
-        assert distribution == {"Critical": 0, "High": 0, "Medium": 0, "Low": 0}
+        assert risk_distribution(assignments) == {}
 
     def test_distribution_counts(self):
         contract = load_source("c", "contract C {}")
         levels = iter(["Critical", "Low", "Low"])
         recorder = TranscriptRecorder(lambda role, prompt: json.dumps({"level": next(levels)}))
         findings = [_finding("A", "f", 0, "c"), _finding("B", "g", 20, "c"), _finding("C", "h", 40, "c")]
-        _, distribution = assess(contract, findings, [], None, recorder)
+        distribution = risk_distribution(assess(contract, findings, [], None, recorder))
         assert distribution == {"Critical": 1, "High": 0, "Medium": 0, "Low": 2}
+        assert list(distribution) == [level.value for level in RiskLevel]
 
 
 def _repair_order(assignments: list[RiskAssignment]) -> list[str]:
@@ -752,6 +754,35 @@ def test_reply_with_a_lone_surrogate_earns_the_repair_prompt(role, key):
     assert "\ud800" not in run.report.to_markdown()
     if role == "fixer":
         assert run.errors == {"fix": "fixer: reply field repaired_source holds a lone surrogate, which is not text"}
+
+
+def test_model_text_cannot_forge_a_report_section():
+    # a line break in a reply once opened a heading of its own in report.md,
+    # and a pipe split the discovery-table row
+    forged = "Bad | class\n## 8. Injected \\| cell"
+    responses = presign_fixture.scripted_responses()
+    detector = json.loads(responses["detector"])
+    detector["findings"].append({"class": forged, "function": "preSign", "evidence": "x\r\n## 9. Injected"})
+    responses["detector"] = json.dumps(detector)
+    advice = json.loads(responses["advisor"])
+    advice["cause_analysis"] += "\n## 10. Injected"
+    advice["repair_steps"].append("step\r## 11. Injected")
+    responses["advisor"] = json.dumps(advice)
+    fixer = json.loads(responses["fixer"])
+    fixer["rationale"] += "\n\n## 12. Injected"
+    responses["fixer"] = json.dumps(fixer)
+    new_issue = {"class": forged, "function": "preSign", "evidence": "e"}
+    responses["verifier"] = json.dumps({"passed": False, "new_issues": [new_issue]})
+    ctx, _ = presign_fixture.recording_context(responses)
+    run = run_pipeline(load_file(FIXTURES / "presign.sol", "presign"), ctx)
+    assert forged in [f.vuln_class.name for f in run.findings]
+    lines = run.report.to_markdown().splitlines()
+    headings = [line for line in lines if line.startswith("## ")]
+    assert headings == [f"## {i}. {title}" for i, title in enumerate(REPORT_SECTION_TITLES, start=1)]
+    rows = [line for line in lines if line.startswith("|")]
+    assert len(rows) == 2 + len(run.findings)
+    for row in rows:  # a pipe after an even number of backslashes delimits a cell
+        assert len(re.findall(r"(?<!\\)(?:\\\\)*\|", row)) == 8, row
 
 
 class TestFixFailurePaths:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from solguard.agents.config import load_config
 from solguard.agents.pipeline import build_context
+from solguard.core import payload
 from solguard.errors import DatasetError
 from solguard.evaluation import (
     ConfusionMatrix,
@@ -219,8 +220,8 @@ class TestRunVariants:
         config = load_config(eval_env["config"])
         ctx = build_context(config, roles=("detector",))
         dataset = load_dataset(eval_env["dataset"])
-        first = [r.to_payload() for r in run_variants(dataset, ["W", "V"], ctx)]
-        second = [r.to_payload() for r in run_variants(dataset, ["W", "V"], ctx)]
+        first = payload(run_variants(dataset, ["W", "V"], ctx))
+        second = payload(run_variants(dataset, ["W", "V"], ctx))
         assert json.dumps(first) == json.dumps(second)
 
 

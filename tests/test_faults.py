@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from solguard.agents.pipeline import PipelineRun, run_pipeline
 from solguard.agents.remediate import RiskAssignment, advise, assess
 from solguard.cli import main
-from solguard.core import RepairSuggestion, RiskLevel
+from solguard.core import RepairSuggestion, RiskLevel, payload
 from solguard.errors import SolguardError
 from solguard.llm.mock import TranscriptRecorder
 from solguard.static_analysis.rules import default_ruleset
@@ -98,6 +98,19 @@ def test_every_run_ends_with_a_report(seed):
             assert NEEDS.get(stage, set()) <= set(run.stages), run.stages
 
 
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_every_run_record_is_plain_json(seed):
+    """No tuple, enum or other non-JSON value reaches a record through
+    ``payload``'s generic rule, whatever the faults degraded."""
+    ctx = replace(BASE_CONTEXT, providers={role: faulty(seed, role) for role in BASE_CONTEXT.providers})
+    for contract_id, path in CONTRACTS.items():
+        run = run_pipeline(load_file(path, contract_id), ctx)
+        for record in (run.to_payload(), payload(run.report)):
+            # repr, not ==: a str enum equals its value, a tuple never equals a list
+            assert repr(record) == repr(json.loads(json.dumps(record)))
+
+
 @settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
 def test_every_contract_ends_with_a_recorded_outcome(seed, runner, built_index_root, tmp_path):
@@ -143,7 +156,7 @@ def test_a_failed_call_degrades_only_its_own_finding(seed):
             lambda f: RepairSuggestion(f.vuln_class.name, "", "", (), (), f, complete=False),
         ),
         "assess": (
-            lambda findings: assess(MULTI, findings, [], None, provider)[0],
+            lambda findings: assess(MULTI, findings, [], None, provider),
             lambda f: RiskAssignment(f, RiskLevel.HIGH, defaulted=True),
         ),
     }

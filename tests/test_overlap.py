@@ -19,6 +19,8 @@ from solguard.llm.mock import TranscriptRecorder
 from solguard.llm.provider import ProviderConfig
 from solguard.static_analysis.scanner import load_source
 
+from conftest import risk_distribution
+
 FUNCTIONS = ("fnAlpha", "fnBravo", "fnCharlie")
 LEVELS = {"fnAlpha": "Critical", "fnBravo": "Low", "fnCharlie": "Medium"}
 CONTRACT = load_source("c", "contract C {}")
@@ -93,7 +95,7 @@ REVERSED = {"fnAlpha": 0.12, "fnBravo": 0.08, "fnCharlie": 0.04}
 def sequential_baseline(findings: list[Finding]):
     provider = SlowProvider({})
     suggestions = [advise(CONTRACT, [f], None, provider)[0] for f in findings]
-    assignments = [assess(CONTRACT, [f], [s], None, provider)[0][0] for f, s in zip(findings, suggestions)]
+    assignments = [assess(CONTRACT, [f], [s], None, provider)[0] for f, s in zip(findings, suggestions)]
     return suggestions, assignments
 
 
@@ -102,14 +104,14 @@ class TestFindingOverlap:
         findings = findings_for()
         provider = SlowProvider(REVERSED)
         suggestions = advise(CONTRACT, findings, None, provider)
-        assignments, distribution = assess(CONTRACT, findings, suggestions, None, provider)
+        assignments = assess(CONTRACT, findings, suggestions, None, provider)
         for role in ("advisor", "assessor"):
             assert 2 <= provider.peak[role] <= FINDING_CALLS_IN_FLIGHT, role
         expected_suggestions, expected_assignments = sequential_baseline(findings)
         assert suggestions == expected_suggestions
         assert assignments == expected_assignments
         assert [a.level.value for a in assignments] == ["Critical", "Low", "Medium"]
-        assert distribution == {"Critical": 1, "High": 0, "Medium": 1, "Low": 1}
+        assert risk_distribution(assignments) == {"Critical": 1, "High": 0, "Medium": 1, "Low": 1}
 
     def test_cap_bounds_calls_in_flight(self, monkeypatch):
         monkeypatch.setattr(remediate, "FINDING_CALLS_IN_FLIGHT", 2)
@@ -133,13 +135,13 @@ class TestFindingOverlap:
         findings = findings_for()
         provider = SlowProvider({"fnAlpha": 0.1, "fnBravo": 0.06, "fnCharlie": 0.0}, frozenset({"fnBravo", "fnCharlie"}))
         suggestions = advise(CONTRACT, findings, None, provider)
-        assignments, distribution = assess(CONTRACT, findings, suggestions, None, provider)
+        assignments = assess(CONTRACT, findings, suggestions, None, provider)
         assert [s.complete for s in suggestions] == [True, False, False]
         assert [s.vulnerability_name for s in suggestions] == ["fnAlpha", "Class1", "Class2"]
         assert [(a.level.value, a.defaulted) for a in assignments] == [
             ("Critical", False), ("High", True), ("High", True)
         ]
-        assert distribution == {"Critical": 1, "High": 2, "Medium": 0, "Low": 0}
+        assert risk_distribution(assignments) == {"Critical": 1, "High": 2, "Medium": 0, "Low": 0}
 
     def test_single_finding_runs_on_the_calling_thread(self):
         (finding,) = findings_for(FUNCTIONS[:1])
@@ -160,7 +162,7 @@ class TestFindingOverlap:
         try:
             findings = findings_for(names)
             suggestions = advise(CONTRACT, findings, None, recorder)
-            assignments, _ = assess(CONTRACT, findings, suggestions, None, recorder)
+            assignments = assess(CONTRACT, findings, suggestions, None, recorder)
         finally:
             sys.setswitchinterval(previous)
         assert [s.finding for s in suggestions] == [a.finding for a in assignments] == findings

@@ -283,12 +283,14 @@ class TestBuildCorpusIndex:
         with pytest.raises(ValueError):
             build_corpus_index([])
 
-    @pytest.mark.parametrize("parity", [0, 1])
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=300, deadline=None)
     @given(data=st.data())
-    def test_same_index_as_the_two_pass_build(self, parity, data):
+    def test_same_index_as_the_two_pass_build(self, data):
         # n documents, of which exactly ceil(n/2) hold "half", the fewest a
-        # common term needs; each side repeats some of its documents exactly
+        # common term needs; each side repeats some of its documents exactly.
+        # The parity is drawn, not parametrized: a parametrized @given method
+        # fails Hypothesis's differing_executors check without its plugin.
+        parity = data.draw(st.integers(0, 1))
         words = ["a", "b", "b2", "Zeta", "straße", "Ünïcode", "\u212a", "İd", "日本", "//", "/*", "*/", "\n"]
         texts = st.one_of(
             st.sampled_from(["", "// only a comment", "/* block */"]),
