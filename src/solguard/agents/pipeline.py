@@ -32,14 +32,14 @@ from solguard.core import (
     payload,
 )
 from solguard.errors import ConfigError, ModelChannelError, SolguardError
-from solguard.llm.mock import MockProvider
+from solguard.llm.mock import MockProvider, transcripts_read_once
 from solguard.llm.provider import ExchangeLog, HttpProvider, Provider, ProviderConfig
 from solguard.retrieval.kb import KbIndex
 from solguard.retrieval.snapshot import CorpusSnapshotStore, KbSnapshotStore
 from solguard.retrieval.tfidf import CorpusIndex
 from solguard.static_analysis.rules import PatternRule, default_ruleset, load_ruleset
 
-from solguard.agents.config import PipelineConfig
+from solguard.agents.config import ROLES, PipelineConfig
 from solguard.agents.detect import FusedVerdict, actionable_findings, detect, fuse_channels
 from solguard.agents.remediate import RiskAssignment, advise, assess, fix, verify
 from solguard.agents.report import build_report
@@ -151,9 +151,8 @@ def build_context(config: PipelineConfig, roles: tuple[str, ...] | None = None) 
     else:
         kb_index = kb_store.load()
     exchange_log = ExchangeLog(config.exchange_log) if config.exchange_log else None
-    providers: dict[str, Provider] = {}
-    for role in roles or ("detector", "advisor", "assessor", "fixer", "verifier"):
-        providers[role] = build_provider(config.require_provider(role), exchange_log)
+    with transcripts_read_once():  # roles that share a transcript read it once
+        providers = {role: build_provider(config.require_provider(role), exchange_log) for role in roles or ROLES}
     return PipelineContext(
         config=config,
         ruleset=ruleset,

@@ -1,8 +1,25 @@
-"""The repair chain: advise, assess, fix, verify."""
+"""The repair chain: advise, assess, fix, verify.
+
+Advisor and assessor prompts decompose: a finding inside a function shows
+the model an :func:`excerpt` of the source, not the whole file. Its home
+containers are the top-level contracts, interfaces and libraries that
+define a function of the finding's name (every one, for a repeated or
+overloaded name). A container is kept when it is a home, or when its name
+appears as an identifier inside a kept container or a free function of
+that name (bases, libraries, interfaces, ``new X`` and casts), until
+nothing more is added. Every other container is cut with the whitespace
+after it; everything outside containers (licence, pragma, imports,
+comments, free functions) stays in order. The whole source goes instead
+for a contract-level finding, a name that no function has, a file of fewer
+than two containers, or when nothing would be cut. The detector, the fixer
+(which returns the whole repaired source) and the verifier see the whole
+source.
+"""
 
 from __future__ import annotations
 
 import logging
+import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence, TypeVar
@@ -74,6 +91,37 @@ def _per_finding(call: Callable[[T], R], items: Sequence[T], fallback: Callable[
     return [fallback(item) if isinstance(outcome, SolguardError) else outcome for item, outcome in zip(items, outcomes)]
 
 
+_TRAILING_SPACE = re.compile(rb"\s*")
+
+
+def excerpt(contract: SourceContract, finding: Finding) -> str:
+    """The source an advisor or assessor prompt shows for ``finding``: the
+    module docstring's rule, over the containers and functions of the view."""
+    view = contract.view
+    definitions = [fn for fn in view.functions if fn.name == finding.location.function]
+    if len(view.containers) < 2 or not definitions:
+        return contract.source
+    kept = {fn.container for fn in definitions if fn.container is not None}
+    todo = [view.containers[c].rows for c in kept] + [fn.body for fn in definitions if fn.container is None]
+    while todo:
+        rows = todo.pop()
+        for c, container in enumerate(view.containers):
+            if c not in kept and view.index.find(container.name, rows):
+                kept.add(c)
+                todo.append(container.rows)
+    cut = [container.span for c, container in enumerate(view.containers) if c not in kept]
+    if not cut:
+        return contract.source
+    data = contract.token_stream.data
+    pieces: list[bytes] = []
+    at = 0
+    for span in cut:
+        pieces.append(data[at : span.start])
+        at = _TRAILING_SPACE.match(data, span.end).end()
+    pieces.append(data[at:])
+    return b"".join(pieces).decode("utf-8")
+
+
 def build_advisor_prompt(
     contract: SourceContract, finding: Finding, kb_index: KbIndex | None, k: int = 5
 ) -> str:
@@ -85,7 +133,7 @@ def build_advisor_prompt(
             "function": finding.function_label,
             "evidence": finding.evidence or "(none)",
             "reference_notes": notes,
-            "code": contract.source,
+            "code": excerpt(contract, finding),
         },
     )
 
@@ -163,7 +211,7 @@ def build_assessor_prompt(
             "evidence": finding.evidence or "(none)",
             "suggestion_summary": summary,
             "reference_notes": notes,
-            "code": contract.source,
+            "code": excerpt(contract, finding),
         },
     )
 

@@ -97,6 +97,7 @@ class ExchangeLog:
             "latency_s": round(latency_s, 6),
             "request_fingerprint": prompt_fingerprint(request),
             "request_chars": len(request),
+            "request_bytes": len(request.encode("utf-8")),
             "response": response,
         }
         line = json.dumps(record, sort_keys=True) + "\n"

@@ -5,7 +5,9 @@ brace-matched body, which keeps the view tolerant of grammar-version
 differences. :func:`build_view` indexes the table once (:class:`TokenIndex`):
 each lexeme's ascending rows, and the closing row of every bracket. A walk
 then finds a lexeme's rows in a range by bisection and a closer by lookup,
-instead of stepping token by token. A function body is a range of rows.
+instead of stepping token by token. A function body is a range of rows, and
+so is each top-level container, which the view finds once and each function
+names by its index.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass
 from itertools import chain
-from typing import Collection, Iterator
+from typing import Collection, Iterator, NamedTuple
 
 from solguard.core import Span, TokenKind
 from solguard.errors import StructuralError
@@ -80,6 +82,12 @@ class TokenIndex:
             rows = self._rows_of_any[lexemes] = sorted(chain.from_iterable(self.positions.get(x, []) for x in lexemes))
         return rows[bisect_left(rows, within.start) : bisect_left(rows, within.stop)]
 
+    def first(self, lexeme: str, within: range) -> int | None:
+        """The first row in ``within`` of a lexeme, if any."""
+        rows = self.positions.get(lexeme, [])
+        k = bisect_left(rows, within.start)
+        return rows[k] if k < len(rows) and rows[k] < within.stop else None
+
     def is_ident(self, i: int) -> bool:
         return self.tokens.kind(i) is TokenKind.IDENT
 
@@ -99,10 +107,20 @@ class FunctionSpan:
     # (open, close) rows of each require(...)/if(...)/while(...) group; a
     # group left open closes at the body's end
     conditions: tuple[tuple[int, int], ...] = ()
+    container: int | None = None  # index into ContractView.containers; None outside any
 
     def in_condition(self, i: int) -> bool:
         """Whether row ``i`` lies inside one of the body's condition groups."""
         return any(open_ < i < close for open_, close in self.conditions)
+
+
+class Container(NamedTuple):
+    """One top-level ``contract``, ``interface`` or ``library``, a leading
+    ``abstract`` included."""
+
+    name: str
+    rows: range  # table rows, first keyword to closing `}`
+    span: Span
 
 
 @dataclass(frozen=True)
@@ -110,6 +128,7 @@ class ContractView:
     """Everything the pattern rules need to evaluate one source unit."""
 
     index: TokenIndex
+    containers: tuple[Container, ...]
     functions: tuple[FunctionSpan, ...]
     state_variables: frozenset[str]
     pragma_version: str | None
@@ -135,11 +154,14 @@ def _param_names(index: TokenIndex, open_idx: int, close_idx: int) -> tuple[str,
     return tuple(filter(None, names))
 
 
-def _function_spans(index: TokenIndex, state_vars: frozenset[str]) -> list[FunctionSpan]:
+def _function_spans(
+    index: TokenIndex, state_vars: frozenset[str], containers: tuple[Container, ...]
+) -> list[FunctionSpan]:
     lexemes = index.lexemes
     n = len(lexemes)
     spans: list[FunctionSpan] = []
     i = 0
+    c = 0  # the first container that does not end before this declaration
     for start in index.find(_DECLARATION_KEYWORDS, range(n)):
         if start < i:
             continue  # inside the body of the function before
@@ -170,6 +192,8 @@ def _function_spans(index: TokenIndex, state_vars: frozenset[str]) -> list[Funct
             continue
         close = index.close(j)
         body = range(j, close + 1)
+        while c < len(containers) and containers[c].rows.stop <= start:
+            c += 1
         spans.append(
             FunctionSpan(
                 name=name,
@@ -181,6 +205,7 @@ def _function_spans(index: TokenIndex, state_vars: frozenset[str]) -> list[Funct
                 params=params,
                 body=body,
                 conditions=_conditions(index, body),
+                container=c if c < len(containers) and start in containers[c].rows else None,
             )
         )
         i = close + 1
@@ -236,25 +261,38 @@ def assignment_roots(index: TokenIndex, within: range) -> Iterator[tuple[int, st
                 break  # local declaration or tuple assignment
 
 
-def collect_state_variables(index: TokenIndex) -> frozenset[str]:
-    """Names of contract-level variable declarations.
-
-    Walks statements that sit at contract depth (directly inside a
-    contract/interface/library block) and picks the declared name: the last
-    identifier before ``=`` or ``;``.
-    """
-    names: set[str] = set()
-    n = len(index.lexemes)
+def find_containers(index: TokenIndex) -> tuple[Container, ...]:
+    """The top-level containers in source order: each container keyword not
+    inside the container before, through the brace its first ``{`` opens."""
+    lexemes, tokens = index.lexemes, index.tokens
+    n = len(lexemes)
+    containers: list[Container] = []
     i = 0
     for start in index.find(_CONTAINER_KEYWORDS, range(n)):
         if start < i:
             continue  # inside the container before
-        j = next((k for k in range(start + 1, n) if index.lexemes[k] == "{"), n)  # the body brace
-        if j >= n:
+        brace = index.first("{", range(start + 1, n))
+        if brace is None:
             break
-        end = index.close(j)
-        names |= _state_vars_in_block(index, j + 1, end)
+        end = index.close(brace)
+        first = start - 1 if start and lexemes[start - 1] == "abstract" else start
+        name = lexemes[start + 1] if index.is_ident(start + 1) else ""
+        containers.append(Container(name, range(first, end + 1), Span(tokens.starts[first], tokens.ends[end])))
         i = end + 1
+    return tuple(containers)
+
+
+def collect_state_variables(index: TokenIndex, containers: tuple[Container, ...]) -> frozenset[str]:
+    """Names of contract-level variable declarations.
+
+    Walks statements that sit at contract depth (directly inside a
+    container's block) and picks the declared name: the last identifier
+    before ``=`` or ``;``.
+    """
+    names: set[str] = set()
+    for container in containers:
+        body = index.first("{", container.rows)
+        names |= _state_vars_in_block(index, body + 1, container.rows.stop - 1)
     return frozenset(names)
 
 
@@ -311,10 +349,12 @@ def parse_pragma(index: TokenIndex) -> str | None:
 
 def build_view(tokens: TokenTable) -> ContractView:
     index = TokenIndex(tokens)
-    state_variables = collect_state_variables(index)
+    containers = find_containers(index)
+    state_variables = collect_state_variables(index, containers)
     return ContractView(
         index=index,
-        functions=tuple(_function_spans(index, state_variables)),
+        containers=containers,
+        functions=tuple(_function_spans(index, state_variables, containers)),
         state_variables=state_variables,
         pragma_version=parse_pragma(index),
         lexemes=index.positions.keys(),

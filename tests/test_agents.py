@@ -690,9 +690,9 @@ class TestPipeline:
         ):
             original = getattr(importlib.import_module(module_name), name)
 
-            def counted(arg, _original=original, _calls=calls[name]):
+            def counted(arg, *rest, _original=original, _calls=calls[name]):
                 _calls.append(arg)
-                return _original(arg)
+                return _original(arg, *rest)
 
             # patch every module that imported the function by name
             for module_key, module in list(sys.modules.items()):

@@ -22,7 +22,7 @@ from solguard.errors import (
     TranscriptError,
     TransportError,
 )
-from solguard.agents.config import parse_config
+from solguard.agents.config import load_config, parse_config
 from solguard.llm.mock import MockProvider, TranscriptRecorder, prompt_fingerprint
 from solguard.llm.provider import HttpProvider, ProviderConfig
 from solguard.llm.structured import DETECTOR_REPLY, extract_structured
@@ -32,6 +32,7 @@ from solguard.llm.prompts import DETECTOR_TEMPLATE
 from solguard.agents.detect import ask_structured
 import reference_reply_reader
 from chat_stub import ChatStub, Reply, closed_port_endpoint
+from conftest import FIXTURES, write_pipeline_config
 
 
 class TestRenderPrompt:
@@ -510,6 +511,50 @@ class TestExchangeLog:
         )
         provider.complete("p", role="detector")
         assert json.loads(log_path.read_text(encoding="utf-8"))["provider"] == "mock:m"
+
+    def test_request_bytes_count_utf8_beside_the_characters(self, tmp_path):
+        from solguard.llm.provider import ExchangeLog
+
+        log_path = tmp_path / "exchanges.jsonl"
+        ExchangeLog(log_path).append("advisor", "mock:m", 0.0, "é", "resp")
+        record = json.loads(log_path.read_text(encoding="utf-8"))
+        assert (record["request_chars"], record["request_bytes"]) == (1, 2)
+
+
+class TestTranscriptReads:
+    @staticmethod
+    def write_transcript(path: Path, response: str) -> None:
+        path.write_text(
+            json.dumps({"role": "detector", "fingerprint": prompt_fingerprint("p"), "response": response}) + "\n",
+            encoding="utf-8",
+        )
+
+    def test_five_roles_on_one_transcript_read_it_once(self, presign_config, monkeypatch):
+        from solguard.agents.pipeline import build_context
+        from solguard.llm import mock
+
+        reads: list[str] = []
+        original = mock.load_transcript
+        monkeypatch.setattr(mock, "load_transcript", lambda path: reads.append(path) or original(path))
+        ctx = build_context(load_config(presign_config))
+        assert len(ctx.providers) == 5
+        assert reads == [str(FIXTURES / "presign_transcript.jsonl")]
+
+    def test_a_transcript_rewritten_between_two_contexts_is_read_again(self, tmp_path, built_index_root):
+        from solguard.agents.pipeline import build_context
+
+        transcript = tmp_path / "t.jsonl"
+        config = write_pipeline_config(tmp_path / "config.yaml", built_index_root, tmp_path / "out", transcript)
+        self.write_transcript(transcript, "first")
+        first = build_context(load_config(config))
+        self.write_transcript(transcript, "second")
+        second = build_context(load_config(config))
+        assert first.provider("detector").complete("p", role="detector") == "first"
+        assert second.provider("detector").complete("p", role="detector") == "second"
+        # outside build_context, each provider reads the file itself
+        self.write_transcript(transcript, "third")
+        alone = MockProvider(ProviderConfig(kind="mock", model_id="m", transcript=str(transcript)))
+        assert alone.complete("p", role="detector") == "third"
 
 
 class TestProxy:

@@ -9,6 +9,7 @@ from solguard.static_analysis.structure import (
     TokenIndex,
     build_view,
     collect_state_variables,
+    find_containers,
     parse_pragma,
 )
 from solguard.static_analysis.tokenizer import tokenize_solidity
@@ -133,7 +134,7 @@ def test_state_variables_collected():
     }
     """
     index = TokenIndex(tokenize_solidity(source))
-    assert collect_state_variables(index) == {"owner", "preSignatures", "FEE"}
+    assert collect_state_variables(index, find_containers(index)) == {"owner", "preSignatures", "FEE"}
 
 
 def test_mutates_state_detection():
