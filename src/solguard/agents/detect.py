@@ -182,7 +182,11 @@ def model_channel(
 
 
 def _model_findings(contract: SourceContract, raw: list[Any], score: float) -> tuple[Finding, ...]:
-    spans_by_name = {fn.name: fn.body_span for fn in contract.view.functions}
+    # functions come in source order, so a name defined more than once spans
+    # from its first body to its last: the smallest span covering them all
+    functions = contract.view.functions
+    first = {fn.name: fn.body_span for fn in reversed(functions)}
+    last = {fn.name: fn.body_span for fn in functions}
     whole = Span(0, byte_length(contract.source))
     findings: list[Finding] = []
     for item in raw:
@@ -191,11 +195,13 @@ def _model_findings(contract: SourceContract, raw: list[Any], score: float) -> t
         except SolguardError as exc:
             log.warning("%s: ignoring malformed model finding %r: %s", contract.id, item, exc)
             continue
+        name = item["function"]
+        span = Span(first[name].start, last[name].end) if name in last else whole
         findings.append(
             Finding(
                 contract_id=contract.id,
                 vuln_class=VulnerabilityClass(name=item["class"]),
-                location=Location(span=spans_by_name.get(item["function"], whole), function=item["function"]),
+                location=Location(span=span, function=name),
                 evidence=item["evidence"],
                 channel=Channel.MODEL,
                 confidence=score,

@@ -1,25 +1,39 @@
 """The repair chain: advise, assess, fix, verify.
 
-Advisor and assessor prompts decompose: a finding inside a function shows
-the model an :func:`excerpt` of the source, not the whole file. Its home
-containers are the top-level contracts, interfaces and libraries that
-define a function of the finding's name (every one, for a repeated or
-overloaded name). A container is kept when it is a home, or when its name
-appears as an identifier inside a kept container or a free function of
-that name (bases, libraries, interfaces, ``new X`` and casts), until
+Advisor, assessor and verifier prompts decompose: they show the model an
+excerpt of the source, not the whole file. A container is a top-level
+contract, interface or library. Each excerpt starts from seed containers,
+and a container also stays when its name appears as an identifier inside a
+kept container (bases, libraries, interfaces, ``new X`` and casts), until
 nothing more is added. Every other container is cut with the whitespace
 after it; everything outside containers (licence, pragma, imports,
 comments, free functions) stays in order. The whole source goes instead
-for a contract-level finding, a name that no function has, a file of fewer
-than two containers, or when nothing would be cut. The detector, the fixer
-(which returns the whole repaired source) and the verifier see the whole
-source.
+for a file of fewer than two containers, when there is nothing to start
+from, or when nothing would be cut.
+
+For an advisor or assessor prompt (:func:`excerpt`), the seeds are the
+finding's home containers: those that define a function of the finding's
+name (every one, for a repeated or overloaded name). A free function of
+that name is a starting point too: a container named inside it stays. A
+contract-level finding or a name that no function has starts from nothing.
+
+For a verifier prompt (:func:`verifier_excerpts`), each side of the patch,
+original and patched, has its own seeds: the containers whose exact text
+matches no container on the other side (matched as a multiset, so renamed,
+added, removed and reordered containers count), the containers that define
+a function named by an addressed finding, and every container that names a
+seed, transitively (a contract derived from a changed base, a user of a
+changed library). :func:`verify` still re-scans the whole patched source.
+
+The detector and the fixer, which returns the whole repaired source, see
+the whole source.
 """
 
 from __future__ import annotations
 
 import logging
 import re
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence, TypeVar
@@ -94,15 +108,20 @@ def _per_finding(call: Callable[[T], R], items: Sequence[T], fallback: Callable[
 _TRAILING_SPACE = re.compile(rb"\s*")
 
 
-def excerpt(contract: SourceContract, finding: Finding) -> str:
-    """The source an advisor or assessor prompt shows for ``finding``: the
-    module docstring's rule, over the containers and functions of the view."""
-    view = contract.view
-    definitions = [fn for fn in view.functions if fn.name == finding.location.function]
-    if len(view.containers) < 2 or not definitions:
-        return contract.source
-    kept = {fn.container for fn in definitions if fn.container is not None}
-    todo = [view.containers[c].rows for c in kept] + [fn.body for fn in definitions if fn.container is None]
+def _cut(side: SourceContract, seeds: set[int], roots: Sequence[range] = ()) -> str:
+    """``side``'s source without the containers that neither ``seeds`` (indices
+    into its containers) nor ``roots`` (rows outside any container) need.
+
+    A container stays when it is a seed or when its name appears inside a kept
+    container or a root, until nothing more is added. Every other container is
+    cut with the whitespace after it. The whole source goes when ``side`` has
+    fewer than two containers, there is no seed or root, or nothing is cut.
+    """
+    view = side.view
+    if len(view.containers) < 2 or not (seeds or roots):
+        return side.source
+    kept = set(seeds)
+    todo = [view.containers[c].rows for c in kept] + list(roots)
     while todo:
         rows = todo.pop()
         for c, container in enumerate(view.containers):
@@ -111,8 +130,8 @@ def excerpt(contract: SourceContract, finding: Finding) -> str:
                 todo.append(container.rows)
     cut = [container.span for c, container in enumerate(view.containers) if c not in kept]
     if not cut:
-        return contract.source
-    data = contract.token_stream.data
+        return side.source
+    data = side.token_stream.data
     pieces: list[bytes] = []
     at = 0
     for span in cut:
@@ -120,6 +139,52 @@ def excerpt(contract: SourceContract, finding: Finding) -> str:
         at = _TRAILING_SPACE.match(data, span.end).end()
     pieces.append(data[at:])
     return b"".join(pieces).decode("utf-8")
+
+
+def excerpt(contract: SourceContract, finding: Finding) -> str:
+    """The source an advisor or assessor prompt shows for ``finding``: the
+    module docstring's rule, over the containers and functions of the view."""
+    definitions = [fn for fn in contract.view.functions if fn.name == finding.location.function]
+    homes = {fn.container for fn in definitions if fn.container is not None}
+    return _cut(contract, homes, [fn.body for fn in definitions if fn.container is None])
+
+
+def _container_texts(side: SourceContract) -> list[bytes]:
+    data = side.token_stream.data
+    return [data[c.span.start : c.span.end] for c in side.view.containers]
+
+
+def _verifier_seeds(side: SourceContract, other: SourceContract, names: set[str]) -> set[int]:
+    """The containers of ``side`` left over when both sides' container texts
+    are matched as multisets, those that define a function in ``names``, and
+    every container that names one of these, transitively."""
+    view = side.view
+    unmatched = Counter(_container_texts(other))
+    seeds = {fn.container for fn in view.functions if fn.name in names and fn.container is not None}
+    for c, text in enumerate(_container_texts(side)):
+        if unmatched[text]:
+            unmatched[text] -= 1
+        else:
+            seeds.add(c)
+    todo = list(seeds)
+    while todo:
+        name = view.containers[todo.pop()].name
+        for c, container in enumerate(view.containers):
+            if c not in seeds and view.index.find(name, container.rows):
+                seeds.add(c)
+                todo.append(c)
+    return seeds
+
+
+def verifier_excerpts(contract: SourceContract, patch: Patch) -> tuple[str, str]:
+    """The original and patched sources a verifier prompt shows: the module
+    docstring's rule, applied to each side on its own."""
+    names = {f.location.function for f in patch.addressed_findings}
+    patched = patch.repaired
+    return (
+        _cut(contract, _verifier_seeds(contract, patched, names)),
+        _cut(patched, _verifier_seeds(patched, contract, names)),
+    )
 
 
 def build_advisor_prompt(
@@ -321,12 +386,13 @@ def fix(
 
 def build_verifier_prompt(contract: SourceContract, patch: Patch) -> str:
     findings_text = "\n".join(f"- {f.vuln_class.name} in {f.function_label}" for f in patch.addressed_findings)
+    code, patched_code = verifier_excerpts(contract, patch)
     return render_prompt(
         VERIFIER_TEMPLATE,
         {
             "findings": findings_text,
-            "code": contract.source,
-            "patched_code": patch.repaired_source,
+            "code": code,
+            "patched_code": patched_code,
         },
     )
 

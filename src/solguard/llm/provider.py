@@ -82,7 +82,12 @@ def prompt_fingerprint(prompt: str) -> str:
 
 
 class ExchangeLog:
-    """Append-only line-delimited exchange log with serialized writes."""
+    """Append-only line-delimited exchange log with serialized writes.
+
+    Each line is appended by one ``os.write`` on a descriptor opened with
+    ``O_APPEND``, however long its verbatim response, so processes that
+    share the log add whole lines at its end rather than pieces of them.
+    """
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
@@ -100,10 +105,14 @@ class ExchangeLog:
             "request_bytes": len(request.encode("utf-8")),
             "response": response,
         }
-        line = json.dumps(record, sort_keys=True) + "\n"
+        line = (json.dumps(record, sort_keys=True) + "\n").encode("utf-8")
         with self._lock:
-            with open(self.path, "a", encoding="utf-8") as fh:
-                fh.write(line)
+            fd = os.open(self.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
+            try:
+                if os.write(fd, line) != len(line):
+                    raise OSError(f"short write to exchange log {self.path}")
+            finally:
+                os.close(fd)
 
 
 class HttpProvider:

@@ -270,6 +270,14 @@ class TestModelChannel:
         ghost = result.findings[1]
         assert ghost.location.span == Span(0, len(source.encode()))
 
+    def test_a_name_defined_twice_spans_every_definition(self):
+        source = "contract A { constructor() { uint x = 1; } }\ncontract B { constructor() { uint y = 2; } }\n"
+        reply = json.dumps({"verdict": "vulnerable", "score": 0.9,
+                            "findings": [{"class": "Reentrancy", "function": "constructor", "evidence": "e"}]})
+        result = model_channel(load_source("c", source), TranscriptRecorder(lambda role, prompt: reply))
+        # from A's constructor body to B's, not B's alone
+        assert result.findings[0].location.span == Span(27, 87)
+
     @staticmethod
     def _presign_findings(findings: list) -> tuple[tuple[Finding, ...], Span]:
         source = (FIXTURES / "presign.sol").read_text(encoding="utf-8")

@@ -1,18 +1,30 @@
-"""The source an advisor or assessor prompt shows for one finding."""
+"""The source an advisor or assessor prompt shows for one finding, and the
+two sources a verifier prompt shows for one patch."""
 
 from __future__ import annotations
 
+import json
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from solguard.agents.remediate import build_advisor_prompt, build_assessor_prompt, excerpt
-from solguard.core import Channel, Finding, Location, Span, VulnerabilityClass
-from solguard.static_analysis.scanner import load_source
+from solguard.agents.remediate import (
+    build_advisor_prompt,
+    build_assessor_prompt,
+    build_verifier_prompt,
+    excerpt,
+    verifier_excerpts,
+)
+from solguard.core import Channel, Finding, Location, Patch, Span, VulnerabilityClass
+from solguard.llm.prompts import VERIFIER_TEMPLATE
+from solguard.llm.provider import prompt_fingerprint
+from solguard.llm.template import render_prompt
+from solguard.static_analysis.scanner import load_file, load_source
 
-RULE_FIXTURES = Path(__file__).resolve().parent.parent / "fixtures" / "rules"
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+RULE_FIXTURES = FIXTURES / "rules"
 
 
 def finding(function: str) -> Finding:
@@ -189,3 +201,153 @@ def test_every_excerpt_lexes_segments_and_keeps_its_function(bodies, pick):
         if text not in shown_texts:
             assert container.name not in kept_names
             assert not any(view.index.find(container.name, c.rows) for c in view.containers)
+
+
+# -- the verifier's two excerpts ------------------------------------------
+
+
+def patch_of(repaired: str, *functions: str) -> Patch:
+    return Patch(
+        original="c",
+        repaired_source=repaired,
+        addressed_findings=tuple(finding(name) for name in functions or ("",)),
+        rationale="r",
+    )
+
+
+def whole_source_prompt(contract, patch: Patch) -> str:
+    """A verifier prompt that binds both whole sources."""
+    findings_text = "\n".join(f"- {f.vuln_class.name} in {f.function_label}" for f in patch.addressed_findings)
+    return render_prompt(
+        VERIFIER_TEMPLATE, {"findings": findings_text, "code": contract.source, "patched_code": patch.repaired_source}
+    )
+
+
+THREE = """\
+// SPDX-License-Identifier: MIT
+pragma solidity ^0.8.0;
+
+contract A {
+    function f() public { x = 1; }
+}
+
+contract B {
+    function g() public { y = 2; }
+}
+
+contract C {
+    function h() public { z = 3; }
+}
+"""
+
+
+def test_a_swapped_contract_is_all_either_side_shows():
+    contract = load_source("c", THREE)
+    patch = patch_of(THREE.replace("y = 2;", "require(msg.sender == owner); y = 2;"), "g")
+    head = "// SPDX-License-Identifier: MIT\npragma solidity ^0.8.0;\n\n"
+    assert verifier_excerpts(contract, patch) == (
+        head + "contract B {\n    function g() public { y = 2; }\n}\n\n",
+        head + "contract B {\n    function g() public { require(msg.sender == owner); y = 2; }\n}\n\n",
+    )
+
+
+def test_a_renamed_contract_shows_the_old_name_before_and_the_new_one_after():
+    contract = load_source("c", TWO)
+    original, patched = verifier_excerpts(contract, patch_of(TWO.replace("contract B", "contract Guarded")))
+    assert "contract B" in original and "Guarded" not in original
+    assert "contract Guarded" in patched and "contract B" not in patched
+    assert "contract A" not in original and "contract A" not in patched
+
+
+def test_a_contract_deriving_from_a_changed_base_stays_with_the_base_s_bases():
+    source = """\
+pragma solidity ^0.8.0;
+
+contract Root { uint256 internal total; }
+
+contract Base is Root {
+    function bump() internal { total += 1; }
+}
+
+contract Derived is Base {
+    function run() external { bump(); }
+}
+
+contract Other {
+    function idle() external {}
+}
+"""
+    contract = load_source("c", source)
+    patch = patch_of(source.replace("total += 1;", "total += 2;"), "bump")
+    for side in verifier_excerpts(contract, patch):
+        assert "contract Root" in side and "contract Base is Root" in side and "contract Derived is Base" in side
+        assert "Other" not in side
+
+
+def test_a_patch_of_file_level_text_alone_keeps_the_findings_home_contracts():
+    contract = load_source("c", TWO)
+    patch = patch_of(TWO.replace("pragma solidity ^0.8.0;", "pragma solidity ^0.8.20;"), "g")
+    original, patched = verifier_excerpts(contract, patch)
+    assert original == "pragma solidity ^0.8.0;\n\ncontract B {\n    function g() public { y = 2; }\n}\n"
+    assert patched == original.replace("^0.8.0", "^0.8.20")
+
+
+def test_a_one_contract_side_is_the_whole_source():
+    one = "pragma solidity ^0.8.0;\ncontract A { function f() public { x = 2; } }\n"
+    contract = load_source("c", one)
+    patch = patch_of(one + "\ncontract Helper { function help() public {} }\n")
+    original, patched = verifier_excerpts(contract, patch)
+    assert original == contract.source
+    assert patched == "pragma solidity ^0.8.0;\ncontract Helper { function help() public {} }\n"  # the other side is cut
+    original, patched = verifier_excerpts(load_source("c", patch.repaired_source), patch_of(one))
+    assert original == "pragma solidity ^0.8.0;\ncontract Helper { function help() public {} }\n"
+    assert patched == one
+
+
+def test_the_presign_verifier_prompt_still_replays_from_the_shipped_transcript():
+    import presign_fixture
+
+    _, run = presign_fixture.build_transcript()
+    prompt = build_verifier_prompt(load_file(FIXTURES / "presign.sol", "presign"), run.patch)
+    shipped = (FIXTURES / "presign_transcript.jsonl").read_text(encoding="utf-8").splitlines()
+    assert {"role": "verifier", "fingerprint": prompt_fingerprint(prompt)} in [
+        {k: entry[k] for k in ("role", "fingerprint")} for entry in map(json.loads, shipped)
+    ]
+
+
+TWINS = {
+    path.name: sorted(RULE_FIXTURES.glob(path.name.replace("_pos.sol", "_neg*.sol")))
+    for path in sorted(RULE_FIXTURES.glob("*_pos.sol"))
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    names=st.lists(st.sampled_from(sorted(TWINS)), min_size=1, max_size=4),
+    swap=st.integers(min_value=0),
+    twin=st.integers(min_value=0),
+    pick=st.integers(min_value=0),
+)
+def test_every_changed_container_shows_verbatim_on_its_side(names, swap, twin, pick):
+    segments = [_fixture_body(RULE_FIXTURES / name) for name in names]
+    twins = TWINS[names[swap % len(names)]]
+    patched_segments = list(segments)
+    patched_segments[swap % len(names)] = _fixture_body(twins[twin % len(twins)])
+    head = "pragma solidity ^0.8.0;\n\n"
+    contract = load_source("c", head + "\n".join(segments))
+    functions = sorted({fn.name for fn in contract.view.functions})
+    patch = patch_of(head + "\n".join(patched_segments), functions[pick % len(functions)])
+    shown = verifier_excerpts(contract, patch)
+    sides = (contract, patch.repaired)
+    for side, other, text in zip(sides, reversed(sides), shown):
+        load_source("e", text).view  # raises unless it lexes and segments
+        data, other_data = side.token_stream.data, other.token_stream.data
+        twins_left = [other_data[c.span.start : c.span.end] for c in other.view.containers]
+        for c in side.view.containers:
+            container_text = data[c.span.start : c.span.end]
+            if container_text in twins_left:
+                twins_left.remove(container_text)
+            else:
+                assert container_text.decode("utf-8") in text
+    if shown == (contract.source, patch.repaired_source):
+        assert build_verifier_prompt(contract, patch) == whole_source_prompt(contract, patch)

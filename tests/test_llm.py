@@ -520,6 +520,33 @@ class TestExchangeLog:
         record = json.loads(log_path.read_text(encoding="utf-8"))
         assert (record["request_chars"], record["request_bytes"]) == (1, 2)
 
+    def test_a_one_megabyte_response_lands_as_one_whole_line(self, tmp_path):
+        from solguard.llm.provider import ExchangeLog
+
+        log_path = tmp_path / "exchanges.jsonl"
+        log = ExchangeLog(log_path)
+        log.append("detector", "mock:m", 0.0, "p", "short")
+        log.append("fixer", "mock:m", 0.0, "p", "x" * 1_000_000)
+        lines = log_path.read_bytes().split(b"\n")
+        assert lines[-1] == b"" and len(lines) == 3
+        assert json.loads(lines[1])["response"] == "x" * 1_000_000
+
+    def test_each_line_is_one_os_write(self, tmp_path, monkeypatch):
+        from solguard.llm import provider as provider_module
+
+        writes: list[bytes] = []
+        real_write = os.write
+
+        def counting_write(fd, data):
+            writes.append(bytes(data))
+            return real_write(fd, data)
+
+        monkeypatch.setattr(provider_module.os, "write", counting_write)
+        log_path = tmp_path / "exchanges.jsonl"
+        provider_module.ExchangeLog(log_path).append("fixer", "mock:m", 0.0, "p", "y" * 200_000)
+        assert len(writes) == 1
+        assert writes[0] == log_path.read_bytes()
+
 
 class TestTranscriptReads:
     @staticmethod
