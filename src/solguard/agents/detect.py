@@ -22,7 +22,6 @@ from solguard.core import (
     Span,
     Verdict,
     VulnerabilityClass,
-    byte_length,
     merge_findings,
     payload,
 )
@@ -187,7 +186,6 @@ def _model_findings(contract: SourceContract, raw: list[Any], score: float) -> t
     functions = contract.view.functions
     first = {fn.name: fn.body_span for fn in reversed(functions)}
     last = {fn.name: fn.body_span for fn in functions}
-    whole = Span(0, byte_length(contract.source))
     findings: list[Finding] = []
     for item in raw:
         try:
@@ -196,7 +194,7 @@ def _model_findings(contract: SourceContract, raw: list[Any], score: float) -> t
             log.warning("%s: ignoring malformed model finding %r: %s", contract.id, item, exc)
             continue
         name = item["function"]
-        span = Span(first[name].start, last[name].end) if name in last else whole
+        span = Span(first[name].start, last[name].end) if name in last else contract.whole
         findings.append(
             Finding(
                 contract_id=contract.id,

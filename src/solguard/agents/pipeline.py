@@ -32,10 +32,10 @@ from solguard.core import (
     payload,
 )
 from solguard.errors import ConfigError, ModelChannelError, SolguardError
-from solguard.llm.mock import MockProvider, transcripts_read_once
+from solguard.llm.mock import MockProvider
 from solguard.llm.provider import ExchangeLog, HttpProvider, Provider, ProviderConfig
 from solguard.retrieval.kb import KbIndex
-from solguard.retrieval.snapshot import CorpusSnapshotStore, KbSnapshotStore
+from solguard.retrieval.snapshot import index_stores
 from solguard.retrieval.tfidf import CorpusIndex
 from solguard.static_analysis.rules import PatternRule, default_ruleset, load_ruleset
 
@@ -126,10 +126,13 @@ class PipelineContext:
         return self.providers[role]
 
 
-def build_provider(config: ProviderConfig, exchange_log: ExchangeLog | None = None) -> Provider:
-    """Instantiate the provider named by a config record."""
+def build_provider(
+    config: ProviderConfig, exchange_log: ExchangeLog | None = None, transcripts: dict | None = None
+) -> Provider:
+    """Instantiate the provider named by a config record; a mock one reads
+    its transcript through ``transcripts`` (see :mod:`solguard.llm.mock`)."""
     if config.kind == "mock":
-        return MockProvider(config, exchange_log)
+        return MockProvider(config, exchange_log, transcripts)
     return HttpProvider(config, exchange_log)
 
 
@@ -139,20 +142,23 @@ def build_context(config: PipelineConfig, roles: tuple[str, ...] | None = None) 
     ``roles`` limits which providers must exist (detection-only commands
     need just the detector). A knowledge base that was never published
     disables advisory retrieval; one that cannot be read is a
-    ``SnapshotError``.
+    ``SnapshotError``. The providers share one transcript map (path ->
+    entries), so mock roles that name one transcript read it once per
+    context, and a transcript rewritten before the next context is read again.
     """
     ruleset = load_ruleset(config.ruleset_path) if config.ruleset_path else default_ruleset()
-    corpus_store = CorpusSnapshotStore(f"{config.index_root}/corpus")
+    corpus_store, kb_store = index_stores(config.index_root)
     corpus_index = corpus_store.load()
-    kb_store = KbSnapshotStore(f"{config.index_root}/kb")
     kb_index: KbIndex | None = None
     if kb_store.current_version() is None:
         log.info("no knowledge base snapshot under %s; advisory retrieval disabled", config.index_root)
     else:
         kb_index = kb_store.load()
     exchange_log = ExchangeLog(config.exchange_log) if config.exchange_log else None
-    with transcripts_read_once():  # roles that share a transcript read it once
-        providers = {role: build_provider(config.require_provider(role), exchange_log) for role in roles or ROLES}
+    transcripts: dict[str, dict[tuple[str, str], str]] = {}
+    providers = {
+        role: build_provider(config.require_provider(role), exchange_log, transcripts) for role in roles or ROLES
+    }
     return PipelineContext(
         config=config,
         ruleset=ruleset,

@@ -2,28 +2,31 @@
 
 Advisor, assessor and verifier prompts decompose: they show the model an
 excerpt of the source, not the whole file. A container is a top-level
-contract, interface or library. Each excerpt starts from seed containers,
-and a container also stays when its name appears as an identifier inside a
-kept container (bases, libraries, interfaces, ``new X`` and casts), until
-nothing more is added. Every other container is cut with the whitespace
-after it; everything outside containers (licence, pragma, imports,
-comments, free functions) stays in order. The whole source goes instead
-for a file of fewer than two containers, when there is nothing to start
-from, or when nothing would be cut.
+contract, interface or library. An excerpt starts from where a function
+name points (:func:`_homes`): the containers that define a function of
+that name (every one, for a repeated or overloaded name) and the bodies of
+the free functions of that name. A container also stays when its name
+appears as an identifier inside a kept container or one of those bodies
+(bases, libraries, interfaces, ``new X`` and casts), until nothing more is
+added. Every other container is cut with the whitespace after it;
+everything outside containers (licence, pragma, imports, comments, free
+functions) stays in order. The whole source goes instead for a file of
+fewer than two containers or when there is nothing to start from.
 
-For an advisor or assessor prompt (:func:`excerpt`), the seeds are the
-finding's home containers: those that define a function of the finding's
-name (every one, for a repeated or overloaded name). A free function of
-that name is a starting point too: a container named inside it stays. A
-contract-level finding or a name that no function has starts from nothing.
+An advisor or assessor prompt (:func:`excerpt`) starts from the finding's
+name; a contract-level finding or a name that no function has starts from
+nothing. A verifier prompt (:func:`verifier_excerpts`) shows each side of
+the patch, original and patched, on its own. A side starts from the
+addressed findings' names, from the containers whose exact text matches
+no container on the other side (matched as a multiset, so renamed, added,
+removed and reordered containers count), and from every container that
+names one of these containers, transitively (a contract derived from a
+changed base, a user of a changed library). :func:`verify` still re-scans
+the whole patched source.
 
-For a verifier prompt (:func:`verifier_excerpts`), each side of the patch,
-original and patched, has its own seeds: the containers whose exact text
-matches no container on the other side (matched as a multiset, so renamed,
-added, removed and reordered containers count), the containers that define
-a function named by an addressed finding, and every container that names a
-seed, transitively (a contract derived from a changed base, a user of a
-changed library). :func:`verify` still re-scans the whole patched source.
+Both closures are linear in the file: the kept rows are read once, each
+container name looked up until it is first seen, and a seed's dependents
+come from the rows of its name, each mapped to its container by bisection.
 
 The detector and the fixer, which returns the whole repaired source, see
 the whole source.
@@ -33,6 +36,7 @@ from __future__ import annotations
 
 import logging
 import re
+from bisect import bisect_right
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -46,10 +50,8 @@ from solguard.core import (
     RepairSuggestion,
     RiskLevel,
     SourceContract,
-    Span,
     VerificationResult,
     VulnerabilityClass,
-    byte_length,
 )
 from solguard.errors import ExtractionError, LexicalError, PipelineError, SolguardError, StructuralError
 from solguard.llm.prompts import (
@@ -108,35 +110,39 @@ def _per_finding(call: Callable[[T], R], items: Sequence[T], fallback: Callable[
 _TRAILING_SPACE = re.compile(rb"\s*")
 
 
-def _cut(side: SourceContract, seeds: set[int], roots: Sequence[range] = ()) -> str:
-    """``side``'s source without the containers that neither ``seeds`` (indices
-    into its containers) nor ``roots`` (rows outside any container) need.
+def _homes(side: SourceContract, names: set[str]) -> tuple[set[int], list[range]]:
+    """Where the function names in ``names`` point in ``side``: the containers
+    that define one, and the bodies of the free functions so named."""
+    named = [fn for fn in side.view.functions if fn.name in names]
+    return {fn.container for fn in named if fn.container is not None}, [fn.body for fn in named if fn.container is None]
 
-    A container stays when it is a seed or when its name appears inside a kept
-    container or a root, until nothing more is added. Every other container is
-    cut with the whitespace after it. The whole source goes when ``side`` has
-    fewer than two containers, there is no seed or root, or nothing is cut.
-    """
+
+def _cut(side: SourceContract, seeds: set[int], roots: list[range]) -> str:
+    """``side``'s source without the containers that neither ``seeds`` (indices
+    into its containers) nor ``roots`` (rows outside any container) need: the
+    module docstring's closure and cut."""
     view = side.view
     if len(view.containers) < 2 or not (seeds or roots):
         return side.source
+    unseen: dict[str, list[int]] = {}  # container name -> its containers, until the name is first seen
+    for c, container in enumerate(view.containers):
+        unseen.setdefault(container.name, []).append(c)
     kept = set(seeds)
-    todo = [view.containers[c].rows for c in kept] + list(roots)
+    todo = [view.containers[c].rows for c in kept] + roots
     while todo:
         rows = todo.pop()
-        for c, container in enumerate(view.containers):
-            if c not in kept and view.index.find(container.name, rows):
-                kept.add(c)
-                todo.append(container.rows)
-    cut = [container.span for c, container in enumerate(view.containers) if c not in kept]
-    if not cut:
-        return side.source
+        for lexeme in view.index.lexemes[rows.start : rows.stop]:
+            for c in unseen.pop(lexeme, ()):
+                if c not in kept:
+                    kept.add(c)
+                    todo.append(view.containers[c].rows)
     data = side.token_stream.data
     pieces: list[bytes] = []
     at = 0
-    for span in cut:
-        pieces.append(data[at : span.start])
-        at = _TRAILING_SPACE.match(data, span.end).end()
+    for c, container in enumerate(view.containers):
+        if c not in kept:
+            pieces.append(data[at : container.span.start])
+            at = _TRAILING_SPACE.match(data, container.span.end).end()
     pieces.append(data[at:])
     return b"".join(pieces).decode("utf-8")
 
@@ -144,63 +150,59 @@ def _cut(side: SourceContract, seeds: set[int], roots: Sequence[range] = ()) -> 
 def excerpt(contract: SourceContract, finding: Finding) -> str:
     """The source an advisor or assessor prompt shows for ``finding``: the
     module docstring's rule, over the containers and functions of the view."""
-    definitions = [fn for fn in contract.view.functions if fn.name == finding.location.function]
-    homes = {fn.container for fn in definitions if fn.container is not None}
-    return _cut(contract, homes, [fn.body for fn in definitions if fn.container is None])
-
-
-def _container_texts(side: SourceContract) -> list[bytes]:
-    data = side.token_stream.data
-    return [data[c.span.start : c.span.end] for c in side.view.containers]
-
-
-def _verifier_seeds(side: SourceContract, other: SourceContract, names: set[str]) -> set[int]:
-    """The containers of ``side`` left over when both sides' container texts
-    are matched as multisets, those that define a function in ``names``, and
-    every container that names one of these, transitively."""
-    view = side.view
-    unmatched = Counter(_container_texts(other))
-    seeds = {fn.container for fn in view.functions if fn.name in names and fn.container is not None}
-    for c, text in enumerate(_container_texts(side)):
-        if unmatched[text]:
-            unmatched[text] -= 1
-        else:
-            seeds.add(c)
-    todo = list(seeds)
-    while todo:
-        name = view.containers[todo.pop()].name
-        for c, container in enumerate(view.containers):
-            if c not in seeds and view.index.find(name, container.rows):
-                seeds.add(c)
-                todo.append(c)
-    return seeds
+    return _cut(contract, *_homes(contract, {finding.location.function}))
 
 
 def verifier_excerpts(contract: SourceContract, patch: Patch) -> tuple[str, str]:
     """The original and patched sources a verifier prompt shows: the module
     docstring's rule, applied to each side on its own."""
     names = {f.location.function for f in patch.addressed_findings}
-    patched = patch.repaired
-    return (
-        _cut(contract, _verifier_seeds(contract, patched, names)),
-        _cut(patched, _verifier_seeds(patched, contract, names)),
-    )
+    sides = (contract, patch.repaired)
+    texts = [[side.token_stream.data[c.span.start : c.span.end] for c in side.view.containers] for side in sides]
+    shown: list[str] = []
+    for side, own, other in zip(sides, texts, reversed(texts)):
+        containers = side.view.containers
+        seeds, roots = _homes(side, names)
+        unmatched = Counter(other)
+        for c, text in enumerate(own):
+            if unmatched[text]:
+                unmatched[text] -= 1
+            else:
+                seeds.add(c)
+        # add each container that names a seed: the rows of a seed's name, read
+        # once per name, each mapped to its container by bisection
+        starts = [container.rows.start for container in containers]
+        unlooked = {container.name: side.view.index.positions.get(container.name, ()) for container in containers}
+        todo = [containers[c].name for c in seeds]
+        while todo:
+            for row in unlooked.pop(todo.pop(), ()):
+                c = bisect_right(starts, row) - 1
+                if c >= 0 and row in containers[c].rows and c not in seeds:
+                    seeds.add(c)
+                    todo.append(containers[c].name)
+        shown.append(_cut(side, seeds, roots))
+    return shown[0], shown[1]
+
+
+def _finding_bindings(
+    contract: SourceContract, finding: Finding, kb_index: KbIndex | None, query: str, k: int
+) -> dict[str, str]:
+    """What advisor and assessor prompts bind for ``finding``, with the
+    knowledge retrieved for ``query``."""
+    return {
+        "vulnerability": finding.vuln_class.name,
+        "function": finding.function_label,
+        "evidence": finding.evidence or "(none)",
+        "reference_notes": reference_notes(kb_index, query, k),
+        "code": excerpt(contract, finding),
+    }
 
 
 def build_advisor_prompt(
     contract: SourceContract, finding: Finding, kb_index: KbIndex | None, k: int = 5
 ) -> str:
-    notes = reference_notes(kb_index, f"{finding.vuln_class.name} {finding.evidence}", k)
-    return render_prompt(
-        ADVISOR_TEMPLATE,
-        {
-            "vulnerability": finding.vuln_class.name,
-            "function": finding.function_label,
-            "evidence": finding.evidence or "(none)",
-            "reference_notes": notes,
-            "code": excerpt(contract, finding),
-        },
-    )
+    query = f"{finding.vuln_class.name} {finding.evidence}"
+    return render_prompt(ADVISOR_TEMPLATE, _finding_bindings(contract, finding, kb_index, query, k))
 
 
 def advise(
@@ -267,18 +269,8 @@ def build_assessor_prompt(
     summary = "(no suggestion available)"
     if suggestion is not None and suggestion.complete:
         summary = f"{suggestion.cause_analysis} Repair: {'; '.join(suggestion.repair_steps)}"
-    notes = reference_notes(kb_index, f"{finding.vuln_class.name} severity impact", k)
-    return render_prompt(
-        ASSESSOR_TEMPLATE,
-        {
-            "vulnerability": finding.vuln_class.name,
-            "function": finding.function_label,
-            "evidence": finding.evidence or "(none)",
-            "suggestion_summary": summary,
-            "reference_notes": notes,
-            "code": excerpt(contract, finding),
-        },
-    )
+    bindings = _finding_bindings(contract, finding, kb_index, f"{finding.vuln_class.name} severity impact", k)
+    return render_prompt(ASSESSOR_TEMPLATE, {**bindings, "suggestion_summary": summary})
 
 
 def assess(
@@ -419,12 +411,11 @@ def verify(
     new_from_rescan = tuple(f for f in rescan if f.key not in original_keys)
     still_present = {f.key for f in patch.addressed_findings if f.key in rescan_keys}
 
-    whole = Span(0, byte_length(patch.repaired_source))
     model_new = tuple(
         Finding(
             contract_id=contract.id,
             vuln_class=VulnerabilityClass(name=item["class"]),
-            location=Location(span=whole, function=item["function"]),
+            location=Location(span=patch.repaired.whole, function=item["function"]),
             evidence=item["evidence"],
             channel=Channel.MODEL,
             confidence=0.5,

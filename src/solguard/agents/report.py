@@ -18,7 +18,6 @@ from solguard.core import (
     ReportSection,
     SourceContract,
     Verdict,
-    byte_length,
 )
 
 if TYPE_CHECKING:
@@ -52,7 +51,7 @@ def _basic_information(contract: SourceContract) -> str:
     functions = ", ".join(fn.name for fn in view.functions) or "(none)"
     lines = [
         f"- Contract id: {contract.id}",
-        f"- Source size: {byte_length(contract.source)} bytes",
+        f"- Source size: {contract.whole.end} bytes",
         f"- Compiler pragma: {view.pragma_version or '(none declared)'}",
         f"- Functions ({len(view.functions)}): {functions}",
         f"- State variables: {', '.join(sorted(view.state_variables)) or '(none)'}",

@@ -38,7 +38,7 @@ from solguard.evaluation import (
 )
 from solguard.jsonl import LabeledRow, load_labeled_records
 from solguard.retrieval.kb import build_kb_index, load_kb_documents
-from solguard.retrieval.snapshot import CorpusSnapshotStore, KbSnapshotStore
+from solguard.retrieval.snapshot import index_stores
 from solguard.retrieval.tfidf import build_corpus_index
 from solguard.static_analysis.scanner import load_file
 
@@ -260,8 +260,7 @@ def _publish_snapshots(
     _setup_logging(verbose)
     if not corpus and not docs:
         _fail(EXIT_USAGE, f"kb {command} needs --corpus and/or --docs")
-    corpus_store = CorpusSnapshotStore(Path(index_root) / "corpus")
-    kb_store = KbSnapshotStore(Path(index_root) / "kb")
+    corpus_store, kb_store = index_stores(index_root)
     published: list[str] = []
     try:
         if command == "build" and (corpus_store.current_version() or kb_store.current_version()):
@@ -307,8 +306,7 @@ def cmd_kb_update(corpus, docs, index_root, verbose):
 @click.option("--index-root", required=True, type=click.Path())
 def cmd_kb_status(index_root):
     """Show the live snapshot versions and document counts."""
-    corpus_store = CorpusSnapshotStore(Path(index_root) / "corpus")
-    kb_store = KbSnapshotStore(Path(index_root) / "kb")
+    corpus_store, kb_store = index_stores(index_root)
     try:
         corpus_version = corpus_store.current_version()
         if corpus_version is None:

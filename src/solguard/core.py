@@ -138,12 +138,17 @@ class SourceContract:
 
     def __post_init__(self) -> None:
         tokens = self.token_stream
-        limit = byte_length(self.source)
+        limit = self.whole.end
         for start, end, prev_end in zip(tokens.starts, tokens.ends, chain((0,), tokens.ends)):
             if not (0 <= start < end <= limit):
                 raise ValueError(f"token span {Span(start, end)} outside source bounds 0..{limit}")
             if start < prev_end:
                 raise ValueError(f"token spans overlap or descend at {Span(start, end)}")
+
+    @cached_property
+    def whole(self) -> Span:
+        """The span of the whole source: a contract-level finding's location."""
+        return Span(0, byte_length(self.source))
 
     @cached_property
     def view(self) -> ContractView:

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from itertools import groupby
+from operator import itemgetter
 from pathlib import Path
 from typing import Sequence
 
@@ -206,23 +208,22 @@ def calibrate_threshold(scores: list[tuple[float, str]]) -> float:
 
     Candidates are the distinct observed scores; a contract is predicted
     vulnerable when its score >= threshold. Ties break toward the larger
-    threshold. Requires both labels present.
+    threshold. Requires both labels present. One sweep down the sorted
+    scores counts, at each candidate, the contracts scored at or above it.
     """
-    labels = {label for _, label in scores}
-    if labels != {"safe", "vulnerable"}:
+    labels = [label for _, label in scores]
+    if set(labels) != {"safe", "vulnerable"}:
         raise DatasetError("calibration needs both safe and vulnerable examples")
-    best_threshold = None
-    best_f1 = -1.0
-    for candidate in sorted({s for s, _ in scores}):
-        tp = sum(1 for s, l in scores if s >= candidate and l == "vulnerable")
-        fp = sum(1 for s, l in scores if s >= candidate and l == "safe")
-        fn = sum(1 for s, l in scores if s < candidate and l == "vulnerable")
-        denom = 2 * tp + fp + fn
-        f1 = (2 * tp / denom) if denom else 0.0
-        if f1 >= best_f1:
-            best_f1 = f1
-            best_threshold = candidate
-    assert best_threshold is not None
+    vulnerable = labels.count("vulnerable")
+    best_threshold, best_f1 = 0.0, -1.0
+    tp = fp = 0
+    for candidate, group in groupby(sorted(scores, reverse=True), key=itemgetter(0)):
+        above = [label for _, label in group]
+        tp += above.count("vulnerable")
+        fp += above.count("safe")
+        f1 = 2 * tp / (2 * tp + fp + (vulnerable - tp))  # a vulnerable contract below is a false negative
+        if f1 > best_f1:  # strictly: of thresholds with equal F1, the larger came first
+            best_f1, best_threshold = f1, candidate
     return best_threshold
 
 

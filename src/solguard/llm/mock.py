@@ -4,15 +4,17 @@ A transcript is a line-delimited file of ``{role, fingerprint, response}``
 records. The fingerprint is a stable hash of the rendered prompt with
 whitespace runs collapsed, so formatting-only differences replay the same
 response. Prompts absent from the transcript yield the ``UNKNOWN`` sentinel.
+
+Providers given one transcript map (path -> entries) share each file's
+read: the first to need a path reads it into the map. A provider given no
+map reads its transcript itself.
 """
 
 from __future__ import annotations
 
 import json
-from contextlib import contextmanager
-from contextvars import ContextVar
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import Callable
 
 from solguard.errors import TranscriptError
 from solguard.jsonl import read_jsonl
@@ -36,36 +38,17 @@ def load_transcript(path: str | Path) -> dict[tuple[str, str], str]:
     return entries
 
 
-# the transcripts read inside a ``transcripts_read_once`` block, by path
-_READ_ONCE: ContextVar[dict[str, dict[tuple[str, str], str]] | None] = ContextVar("read_once", default=None)
-
-
-@contextmanager
-def transcripts_read_once() -> Iterator[None]:
-    """Inside the block, the mock providers of one transcript path share one
-    read of it; a provider made after the block reads the file again."""
-    token = _READ_ONCE.set({})
-    try:
-        yield
-    finally:
-        _READ_ONCE.reset(token)
-
-
-def _entries(path: str) -> dict[tuple[str, str], str]:
-    read = _READ_ONCE.get()
-    if read is None:
-        return load_transcript(path)
-    if path not in read:
-        read[path] = load_transcript(path)
-    return read[path]
-
-
 class MockProvider:
     """Replays scripted responses keyed by (role, prompt fingerprint)."""
 
-    def __init__(self, config: ProviderConfig, exchange_log: ExchangeLog | None = None):
+    def __init__(
+        self, config: ProviderConfig, exchange_log: ExchangeLog | None = None, transcripts: dict | None = None
+    ):
         self.config = config
-        self._entries = _entries(config.transcript)
+        read = {} if transcripts is None else transcripts
+        if config.transcript not in read:
+            read[config.transcript] = load_transcript(config.transcript)
+        self._entries = read[config.transcript]
         self._log = exchange_log
 
     @property

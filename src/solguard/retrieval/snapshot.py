@@ -1,9 +1,10 @@
 """Versioned, hot-swappable persistence for retrieval indexes.
 
-Layout under a store root:
+An index root holds two stores, ``<root>/corpus`` and ``<root>/kb``
+(:func:`index_stores`). Layout under a store root:
 
-    <root>/1/ <root>/2/ ...   immutable version directories
-    <root>/CURRENT            pointer file naming the live version
+    <store>/1/ <store>/2/ ...   immutable version directories
+    <store>/CURRENT             pointer file naming the live version
 
 A publish writes the new version directory completely, then replaces
 CURRENT atomically. Readers resolve CURRENT once per load, so an audit that
@@ -226,6 +227,12 @@ class KbSnapshotStore(SnapshotStore[KbIndex]):
 
 
 CHUNK = Record({"doc_id": string(), "chunk_index": whole(0), "text": string()}, make=embedded_chunk)
+
+
+def index_stores(root: str | Path) -> tuple[CorpusSnapshotStore, KbSnapshotStore]:
+    """The corpus and KB stores of an index root, each in the directory its kind names."""
+    root = Path(root)
+    return CorpusSnapshotStore(root / CorpusSnapshotStore.kind), KbSnapshotStore(root / KbSnapshotStore.kind)
 
 
 def _write_json(path: Path, payload: object) -> None:

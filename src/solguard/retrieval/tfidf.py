@@ -42,10 +42,8 @@ from solguard.core import (
     Finding,
     Location,
     SourceContract,
-    Span,
     Verdict,
     VulnerabilityClass,
-    byte_length,
     ordered_sum,
 )
 from solguard.retrieval.terms import tokenize_for_tfidf
@@ -308,12 +306,11 @@ def retrieval_channel(
         for name in nb.classes:
             if name not in classes:
                 classes.append(name)
-    whole = Location(span=Span(0, byte_length(query.source)), function="")
     findings = tuple(
         Finding(
             contract_id=query.id,
             vuln_class=VulnerabilityClass(name=name),
-            location=whole,
+            location=Location(query.whole),
             evidence="similar contracts in the corpus share this weakness",
             channel=Channel.RETRIEVAL,
             confidence=score,

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 from pathlib import Path
+from typing import Callable
 
 import pytest
 import yaml
@@ -10,6 +11,7 @@ from solguard.agents.detect import FusedVerdict
 from solguard.agents.pipeline import PipelineRun
 from solguard.core import Verdict
 from solguard.jsonl import load_labeled_records
+from solguard.llm.provider import Provider, ProviderConfig
 from solguard.retrieval.kb import build_kb_index, load_kb_documents
 from solguard.retrieval.snapshot import CorpusSnapshotStore, KbSnapshotStore
 from solguard.retrieval.tfidf import build_corpus_index
@@ -86,3 +88,17 @@ def eval_env(tmp_path_factory) -> dict[str, Path]:
 @pytest.fixture
 def runner() -> CliRunner:
     return CliRunner()
+
+
+@pytest.fixture
+def fake_providers(monkeypatch) -> Callable[[Callable[[ProviderConfig], Provider]], None]:
+    """``fake_providers(make)``: from then until the test ends, each provider
+    that ``build_context`` builds is ``make(config)`` of its role's record."""
+
+    def install(make: Callable[[ProviderConfig], Provider]) -> None:
+        monkeypatch.setattr(
+            "solguard.agents.pipeline.build_provider",
+            lambda config, exchange_log=None, transcripts=None: make(config),
+        )
+
+    return install

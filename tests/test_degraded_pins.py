@@ -90,15 +90,10 @@ def sha256(data: bytes) -> str:
 
 
 @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
-def test_degraded_audit_outputs_are_pinned(scenario, runner, built_index_root, tmp_path, monkeypatch):
+def test_degraded_audit_outputs_are_pinned(scenario, runner, built_index_root, tmp_path, fake_providers):
     replies, overrides, shown = SCENARIOS[scenario]
     responses = {**SCRIPTED, **replies}
-    monkeypatch.setattr(
-        "solguard.agents.pipeline.build_provider",
-        lambda config, exchange_log=None: TranscriptRecorder(
-            lambda role, prompt: responses[role], model_id=config.model_id
-        ),
-    )
+    fake_providers(lambda config: TranscriptRecorder(lambda role, prompt: responses[role], model_id=config.model_id))
     out_dir = tmp_path / "out"
     config = write_pipeline_config(
         tmp_path / "config.yaml", built_index_root, out_dir, FIXTURES / "presign_transcript.jsonl", **overrides

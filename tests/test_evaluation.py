@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -133,6 +134,31 @@ class TestVariantNames:
             normalize_variant("mystery")
 
 
+def sweep_oracle(scores: list[tuple[float, str]]) -> float:
+    """The F1-best threshold by a full pass over the scores per candidate,
+    ties to the larger one: quadratic, and plainly the definition."""
+    best_threshold = None
+    best_f1 = -1.0
+    for candidate in sorted({s for s, _ in scores}):
+        tp = sum(1 for s, l in scores if s >= candidate and l == "vulnerable")
+        fp = sum(1 for s, l in scores if s >= candidate and l == "safe")
+        fn = sum(1 for s, l in scores if s < candidate and l == "vulnerable")
+        denom = 2 * tp + fp + fn
+        f1 = (2 * tp / denom) if denom else 0.0
+        if f1 >= best_f1:
+            best_f1 = f1
+            best_threshold = candidate
+    assert best_threshold is not None
+    return best_threshold
+
+
+# (fused score, label) lists with both labels; the few fixed scores make ties common
+SCORE = st.floats(min_value=0.0, max_value=1.0) | st.sampled_from([0.0, 0.25, 0.5, 1.0])
+SCORED = st.lists(st.tuples(SCORE, st.sampled_from(["safe", "vulnerable"])), min_size=2, max_size=60).filter(
+    lambda scores: {label for _, label in scores} == {"safe", "vulnerable"}
+)
+
+
 class TestCalibration:
     def test_perfectly_separable_returns_min_vulnerable_score(self):
         scores = [(0.1, "safe"), (0.2, "safe"), (0.7, "vulnerable"), (0.9, "vulnerable")]
@@ -146,25 +172,18 @@ class TestCalibration:
         with pytest.raises(DatasetError, match="both safe and vulnerable"):
             calibrate_threshold([(0.3, "safe"), (0.6, "safe")])
 
-    def test_matches_exhaustive_sweep_oracle(self):
+    @given(scores=SCORED)
+    def test_matches_exhaustive_sweep_oracle(self, scores):
+        assert calibrate_threshold(scores) == sweep_oracle(scores)
+
+    def test_one_sweep_is_not_quadratic(self):
         import random
 
-        rng = random.Random(99)
-        scores = [(round(rng.random(), 3), rng.choice(["safe", "vulnerable"])) for _ in range(60)]
-        scores += [(0.9, "vulnerable"), (0.05, "safe")]  # both labels guaranteed
-
-        def oracle(pairs):
-            best_t, best_f1 = None, -1.0
-            for t in sorted({s for s, _ in pairs}):
-                tp = sum(1 for s, l in pairs if s >= t and l == "vulnerable")
-                fp = sum(1 for s, l in pairs if s >= t and l == "safe")
-                fn = sum(1 for s, l in pairs if s < t and l == "vulnerable")
-                f1 = 2 * tp / (2 * tp + fp + fn) if (2 * tp + fp + fn) else 0.0
-                if f1 >= best_f1:
-                    best_f1, best_t = f1, t
-            return best_t
-
-        assert calibrate_threshold(scores) == pytest.approx(oracle(scores))
+        rng = random.Random(7)
+        scores = [(rng.random(), rng.choice(["safe", "vulnerable"])) for _ in range(20_000)]
+        started = time.perf_counter()
+        calibrate_threshold(scores)
+        assert time.perf_counter() - started < 1.0  # three passes per candidate take about a minute
 
 
 class TestRunVariants:

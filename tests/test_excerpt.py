@@ -4,6 +4,7 @@ two sources a verifier prompt shows for one patch."""
 from __future__ import annotations
 
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -302,6 +303,57 @@ def test_a_one_contract_side_is_the_whole_source():
     original, patched = verifier_excerpts(load_source("c", patch.repaired_source), patch_of(one))
     assert original == "pragma solidity ^0.8.0;\ncontract Helper { function help() public {} }\n"
     assert patched == one
+
+
+FREE_FUNCTION = """\
+// SPDX-License-Identifier: MIT
+pragma solidity ^0.8.0;
+
+function double(uint256 a) pure returns (uint256) { return Maths.twice(a); }
+
+library Maths { function twice(uint256 a) internal pure returns (uint256) { return a * 2; } }
+
+contract A { function f() public { x = double(1); } }
+
+contract B { function g() public { y = 2; } }
+"""
+
+
+def test_a_one_contract_file_shows_whole_for_a_free_function_s_finding():
+    source = (
+        "pragma solidity ^0.8.0;\nfunction double(uint256 a) pure returns (uint256) { return a * 2; }\n"
+        "contract A { function f() public { x = double(1); } }\n"
+    )
+    contract = load_source("c", source)
+    assert excerpt(contract, finding("double")) == source
+
+
+def test_a_verifier_side_keeps_what_an_addressed_free_function_names():
+    contract = load_source("c", FREE_FUNCTION)
+    patch = patch_of(FREE_FUNCTION.replace("x = double(1);", "require(msg.sender == owner); x = double(1);"), "double")
+    for side in verifier_excerpts(contract, patch):
+        assert "library Maths" in side and "contract A" in side
+        assert "contract B" not in side
+
+
+def chain(n: int) -> str:
+    """``n`` contracts, each deriving from the one before."""
+    lines = ["pragma solidity ^0.8.0;", "contract C0 { function f0() public { x = 0; } }"]
+    lines += [f"contract C{i} is C{i - 1} {{ function f{i}() public {{ x = {i}; }} }}" for i in range(1, n)]
+    return "\n".join(lines) + "\n"
+
+
+def test_both_closures_are_linear_in_the_containers_of_a_file():
+    source = chain(4_000)
+    contract = load_source("c", source)
+    patch = patch_of(source.replace("x = 0;", "x = 1;"), "f0")
+    contract.view, patch.repaired.view  # segment both sides before the clock starts
+    started = time.perf_counter()
+    assert excerpt(contract, finding("f3999")) == source  # the last contract keeps every base
+    assert time.perf_counter() - started < 1.0
+    started = time.perf_counter()
+    assert verifier_excerpts(contract, patch) == (source, patch.repaired_source)  # each derives from C0
+    assert time.perf_counter() - started < 1.0
 
 
 def test_the_presign_verifier_prompt_still_replays_from_the_shipped_transcript():

@@ -9,7 +9,6 @@ import shutil
 from dataclasses import replace
 from pathlib import Path
 
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -113,19 +112,15 @@ def test_every_run_record_is_plain_json(seed):
 
 @settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
-def test_every_contract_ends_with_a_recorded_outcome(seed, runner, built_index_root, tmp_path):
+def test_every_contract_ends_with_a_recorded_outcome(seed, runner, built_index_root, tmp_path, fake_providers):
     out_dir = tmp_path / f"out-{seed}"
     config = write_pipeline_config(
         tmp_path / "cfg.yaml", built_index_root, out_dir, FIXTURES / "presign_transcript.jsonl"
     )
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(
-            "solguard.agents.pipeline.build_provider",
-            lambda config, exchange_log=None: faulty(seed, config.model_id),
-        )
-        sequential = audit_outcome(runner, config, out_dir, jobs=1)
-        parallel = audit_outcome(runner, config, out_dir, jobs=2)
-        again = audit_outcome(runner, config, out_dir, jobs=2)
+    fake_providers(lambda config: faulty(seed, config.model_id))
+    sequential = audit_outcome(runner, config, out_dir, jobs=1)
+    parallel = audit_outcome(runner, config, out_dir, jobs=2)
+    again = audit_outcome(runner, config, out_dir, jobs=2)
     assert parallel == sequential
     assert again == parallel
 

@@ -138,7 +138,7 @@ class TestVerifierReply:
     ids=["400 digits", "100,000 nested ["],
 )
 def test_audit_records_a_detector_reply_the_decoder_refuses_and_goes_on(
-    runner, built_index_root, tmp_path, monkeypatch, score, fault
+    runner, built_index_root, tmp_path, fake_providers, score, fault
 ):
     huge = detector_reply(score)
 
@@ -150,9 +150,7 @@ def test_audit_records_a_detector_reply_the_decoder_refuses_and_goes_on(
     out_dir = tmp_path / "out"
     transcript = FIXTURES / "presign_transcript.jsonl"
     config = write_pipeline_config(tmp_path / "cfg.yaml", built_index_root, out_dir, transcript)
-    monkeypatch.setattr(
-        "solguard.agents.pipeline.build_provider", lambda config, exchange_log=None: TranscriptRecorder(reply)
-    )
+    fake_providers(lambda config: TranscriptRecorder(reply))
     paths = [str(FIXTURES / "rules" / "multi_vuln.sol"), str(FIXTURES / "safe.sol")]
     result = runner.invoke(main, ["audit", *paths, "-c", str(config), "--jobs", "1"])
     assert isinstance(result.exception, SystemExit) and result.exit_code == 1, result.output
