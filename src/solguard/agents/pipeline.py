@@ -31,7 +31,7 @@ from solguard.core import (
     VerificationResult,
     payload,
 )
-from solguard.errors import ConfigError, ModelChannelError, SolguardError
+from solguard.errors import ConfigError, ModelChannelError, SnapshotError, SolguardError
 from solguard.llm.mock import MockProvider
 from solguard.llm.provider import ExchangeLog, HttpProvider, Provider, ProviderConfig
 from solguard.retrieval.kb import KbIndex
@@ -140,20 +140,21 @@ def build_context(config: PipelineConfig, roles: tuple[str, ...] | None = None) 
     """Load rules, index snapshots, and providers named by the config.
 
     ``roles`` limits which providers must exist (detection-only commands
-    need just the detector). A knowledge base that was never published
-    disables advisory retrieval; one that cannot be read is a
-    ``SnapshotError``. The providers share one transcript map (path ->
-    entries), so mock roles that name one transcript read it once per
+    need just the detector). Each store's CURRENT is read once, by its
+    load. A corpus that was never published, or a snapshot that cannot be
+    read, is a ``SnapshotError``; a knowledge base that was never published
+    disables advisory retrieval. The providers share one transcript map
+    (path -> entries), so mock roles that name one transcript read it once per
     context, and a transcript rewritten before the next context is read again.
     """
     ruleset = load_ruleset(config.ruleset_path) if config.ruleset_path else default_ruleset()
     corpus_store, kb_store = index_stores(config.index_root)
     corpus_index = corpus_store.load()
-    kb_index: KbIndex | None = None
-    if kb_store.current_version() is None:
+    if corpus_index is None:
+        raise SnapshotError(f"no snapshot published under {corpus_store.root}")
+    kb_index = kb_store.load()
+    if kb_index is None:
         log.info("no knowledge base snapshot under %s; advisory retrieval disabled", config.index_root)
-    else:
-        kb_index = kb_store.load()
     exchange_log = ExchangeLog(config.exchange_log) if config.exchange_log else None
     transcripts: dict[str, dict[tuple[str, str], str]] = {}
     providers = {

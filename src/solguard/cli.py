@@ -31,12 +31,12 @@ from solguard.errors import ConfigError, SnapshotError, SolguardError
 from solguard.evaluation import (
     calibrate_threshold,
     format_table,
-    fused_scores,
+    fused_variants,
     load_dataset,
     normalize_variant,
     run_variants,
 )
-from solguard.jsonl import LabeledRow, load_labeled_records
+from solguard.jsonl import LabeledRow, file_id, load_labeled_records
 from solguard.retrieval.kb import build_kb_index, load_kb_documents
 from solguard.retrieval.snapshot import index_stores
 from solguard.retrieval.tfidf import build_corpus_index
@@ -113,8 +113,9 @@ def _exit_if_detection_failed(failures: int, total: int) -> None:
 
 def _contracts(paths: tuple[str, ...]) -> list[tuple[str, Path]]:
     """(id, path) per contract in argument order. Files stay, directories
-    recurse over *.sol; ids are file stems, suffixed ``_2``, ``_3``... where
-    a stem repeats. Exits 2 when there is no contract to read."""
+    recurse over *.sol; ids are the files' :func:`~solguard.jsonl.file_id`,
+    suffixed ``_2``, ``_3``... where one repeats. Exits 2 when there is no
+    contract to read."""
     if not paths:
         _fail(EXIT_USAGE, "no input files given")
     files: list[Path] = []
@@ -126,9 +127,10 @@ def _contracts(paths: tuple[str, ...]) -> list[tuple[str, Path]]:
     items: list[tuple[str, Path]] = []
     used: set[str] = set()
     for path in files:
-        contract_id, suffix = path.stem, 2
+        stem = contract_id = file_id(path)
+        suffix = 2
         while contract_id in used:
-            contract_id = f"{path.stem}_{suffix}"
+            contract_id = f"{stem}_{suffix}"
             suffix += 1
         used.add(contract_id)
         items.append((contract_id, path))
@@ -219,11 +221,11 @@ def cmd_audit(paths, config_path, output_dir, mode, weights, threshold, k, jobs,
 
 @main.command("detect")
 @click.argument("paths", nargs=-1, type=click.Path())
-@click.option("--config", "-c", "config_path", required=True, type=click.Path())
+@click.option("--config", "-c", "config_path", required=True, type=click.Path(), help="Pipeline configuration file.")
 @click.option("--mode", type=click.Choice(MODES), default=None)
 @click.option("--weights", default=None, help="Fusion weights as model,static,retrieval.")
 @click.option("--threshold", type=float, default=None)
-@click.option("--k", type=int, default=None)
+@click.option("--k", type=int, default=None, help="Neighbors for similarity retrieval.")
 @click.option("--json", "as_json", is_flag=True, help="Machine-readable output.")
 @click.option("-v", "--verbose", count=True)
 def cmd_detect(paths, config_path, mode, weights, threshold, k, as_json, verbose):
@@ -289,8 +291,8 @@ def cmd_kb_build(corpus, docs, index_root, verbose):
 
 
 @cmd_kb.command("update")
-@click.option("--corpus", type=click.Path(), default=None)
-@click.option("--docs", type=click.Path(), default=None)
+@click.option("--corpus", type=click.Path(), default=None, help="Labeled contract corpus (JSONL).")
+@click.option("--docs", type=click.Path(), default=None, help="Knowledge document directory.")
 @click.option("--index-root", required=True, type=click.Path())
 @click.option("-v", "--verbose", count=True)
 def cmd_kb_update(corpus, docs, index_root, verbose):
@@ -308,19 +310,17 @@ def cmd_kb_status(index_root):
     """Show the live snapshot versions and document counts."""
     corpus_store, kb_store = index_stores(index_root)
     try:
-        corpus_version = corpus_store.current_version()
-        if corpus_version is None:
+        index = corpus_store.load()
+        if index is None:
             click.echo("corpus: no snapshot published")
         else:
-            index = corpus_store.load()
-            click.echo(f"corpus: version {corpus_version}, {len(index.ids)} documents")
-        kb_version = kb_store.current_version()
-        if kb_version is None:
+            click.echo(f"corpus: version {index.snapshot_version}, {len(index.ids)} documents")
+        kb_index = kb_store.load()
+        if kb_index is None:
             click.echo("kb: no snapshot published")
         else:
-            kb_index = kb_store.load()
             docs = len({c.doc_id for c in kb_index.chunks})
-            click.echo(f"kb: version {kb_version}, {docs} documents, {len(kb_index.chunks)} chunks")
+            click.echo(f"kb: version {kb_index.snapshot_version}, {docs} documents, {len(kb_index.chunks)} chunks")
     except SnapshotError as exc:
         _fail(EXIT_PROCESSING, str(exc))
 
@@ -366,9 +366,9 @@ def cmd_calibrate(dataset_path, config_path, split, write, verbose):
     config = _config(config_path)
     try:
         dataset, ctx = _dataset_split(dataset_path, split, config)
-        scores, failures = fused_scores(dataset, ctx)
+        failures, fused = fused_variants(dataset, ctx, ["weighted"])
         _exit_if_detection_failed(failures, len(dataset))
-        threshold = calibrate_threshold(scores)
+        threshold = calibrate_threshold([(f.score, label) for f, label in fused["weighted"]])
     except SolguardError as exc:
         _fail(EXIT_USAGE, str(exc))
     click.echo(f"calibrated threshold: {threshold}")

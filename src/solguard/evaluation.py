@@ -1,7 +1,11 @@
 """Detection metrics and the variant/ablation harness.
 
-The positive class is "vulnerable" throughout; the false positive rate is
-the fraction of safe contracts flagged vulnerable.
+One fusion pass, :func:`fused_variants`, runs each contract's channels once
+and fuses them per variant: ``eval`` counts a confusion matrix from each
+variant's (verdict, gold label) pairs, and ``calibrate`` sweeps the
+weighted variant's fused scores. The positive class is "vulnerable"
+throughout; the false positive rate is the fraction of safe contracts
+flagged vulnerable.
 """
 
 from __future__ import annotations
@@ -11,11 +15,11 @@ from dataclasses import dataclass
 from itertools import groupby
 from operator import itemgetter
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
-from solguard.agents.detect import fuse_channels, run_channels
+from solguard.agents.detect import FusedVerdict, fuse_channels, run_channels
 from solguard.agents.pipeline import PipelineContext
-from solguard.core import Channel, ChannelResult
+from solguard.core import Channel
 from solguard.errors import ConfigError, DatasetError, SolguardError
 from solguard.jsonl import LabeledRow, load_labeled_records
 from solguard.static_analysis.scanner import load_source
@@ -66,14 +70,10 @@ class ConfusionMatrix:
         return self.tp + self.fp + self.fn + self.tn
 
 
-def confusion(predictions: dict[str, str], gold: dict[str, str]) -> ConfusionMatrix:
-    """Count tp/fp/fn/tn over predictions aligned with gold by contract id."""
-    if set(predictions) != set(gold):
-        missing = set(gold) ^ set(predictions)
-        raise DatasetError(f"predictions and gold labels disagree on ids: {sorted(missing)[:5]}")
+def confusion(pairs: Iterable[tuple[str, str]]) -> ConfusionMatrix:
+    """Count tp/fp/fn/tn over (predicted, actual) label pairs."""
     tp = fp = fn = tn = 0
-    for contract_id, predicted in predictions.items():
-        actual = gold[contract_id]
+    for predicted, actual in pairs:
         if predicted == "vulnerable" and actual == "vulnerable":
             tp += 1
         elif predicted == "vulnerable":
@@ -126,70 +126,58 @@ def metrics(cm: ConfusionMatrix, variant: str = "", failures: int = 0) -> Metric
     )
 
 
-@dataclass(frozen=True)
-class ChannelCache:
-    """Channel results per contract and detection mode, computed once and
-    re-fused for every variant or calibration sweep."""
+def fused_variants(
+    dataset: Sequence[LabeledRow], ctx: PipelineContext, names: Sequence[str]
+) -> tuple[int, dict[str, list[tuple[FusedVerdict, str]]]]:
+    """The one fusion pass: the number of contracts that failed detection,
+    and per variant name each surviving contract's fused verdict beside its
+    gold label, in dataset order.
 
-    labels: dict[str, str]  # contract id -> gold label
-    channels: dict[str, dict[str, dict[Channel, ChannelResult]]]  # contract id -> mode -> channels
-    failures: int
-
-
-def channel_cache(dataset: Sequence[LabeledRow], ctx: PipelineContext, modes: tuple[str, ...]) -> ChannelCache:
-    """Run the channels once per contract for ``modes``.
-
-    A contract whose detection fails is excluded, counted, and logged.
+    Channels run once per contract, for the detect modes the variants name,
+    and are re-fused per variant. A contract whose detection fails is
+    excluded from every variant, counted, and logged.
     """
-    labels: dict[str, str] = {}
-    channels: dict[str, dict[str, dict[Channel, ChannelResult]]] = {}
+    config = ctx.config
+    modes = tuple(dict.fromkeys(VARIANTS[name][0] for name in names))
+    fused: dict[str, list[tuple[FusedVerdict, str]]] = {name: [] for name in names}
     failures = 0
     for row in dataset:
         try:
-            channels[row.id] = run_channels(load_source(row.id, row.source), ctx, modes)
-            labels[row.id] = row.label
+            by_mode = run_channels(load_source(row.id, row.source), ctx, modes)
         except SolguardError as exc:
             failures += 1
             log.warning("evaluation: %s failed and is excluded: %s", row.id, exc)
-    return ChannelCache(labels, channels, failures)
+            continue
+        for name in names:
+            mode, dropped, _ = VARIANTS[name]
+            channels = {ch: res for ch, res in by_mode[mode].items() if ch is not dropped}
+            fused[name].append((fuse_channels(channels, mode, config.weights, config.threshold), row.label))
+    return failures, fused
 
 
-def run_variants(
-    dataset: Sequence[LabeledRow],
-    variants: list[str],
-    ctx: PipelineContext,
-) -> list[MetricsReport]:
-    """Evaluate each variant over the dataset with shared channel results.
+def run_variants(dataset: Sequence[LabeledRow], variants: list[str], ctx: PipelineContext) -> list[MetricsReport]:
+    """Evaluate each variant over the dataset through :func:`fused_variants`.
 
-    Channels run once per contract, for the detect modes the variants name;
-    the model is asked once per distinct prompt, so only an enriched variant
-    adds a call. Fusion is then re-applied per variant, so ablations cannot
-    disturb the surviving channels' raw scores. Contracts that fail
-    detection are excluded from every variant and counted. An empty or
-    repeated variant list, or an ablation that would leave no fusion
-    weight, is refused before any channel runs.
+    The model is asked once per distinct prompt, so only an enriched variant
+    adds a call; re-fusing per variant keeps ablations from disturbing the
+    surviving channels' raw scores. An empty or repeated variant list, or an
+    ablation that would leave no fusion weight, is refused before any
+    channel runs.
     """
     names = [normalize_variant(v) for v in variants]
     if not names:
         raise DatasetError("no variants requested")
     if len(set(names)) != len(names):
         raise DatasetError(f"duplicate variants requested: {variants}")
-    config = ctx.config
     for name in names:
         dropped = VARIANTS[name][1]
-        if dropped and not any(getattr(config.weights, ch.value) for ch in Channel if ch is not dropped):
+        if dropped and not any(getattr(ctx.config.weights, ch.value) for ch in Channel if ch is not dropped):
             raise ConfigError(f"cannot drop {dropped.value}: no weight would remain")
-    cache = channel_cache(dataset, ctx, tuple(dict.fromkeys(VARIANTS[name][0] for name in names)))
-
-    reports: list[MetricsReport] = []
-    for name in names:
-        mode, dropped, _ = VARIANTS[name]
-        predictions: dict[str, str] = {}
-        for cid, by_mode in cache.channels.items():
-            channels = {ch: res for ch, res in by_mode[mode].items() if ch is not dropped}
-            predictions[cid] = fuse_channels(channels, mode, config.weights, config.threshold).verdict.value
-        reports.append(metrics(confusion(predictions, cache.labels), variant=name, failures=cache.failures))
-    return reports
+    failures, fused = fused_variants(dataset, ctx, names)
+    return [
+        metrics(confusion((f.verdict.value, label) for f, label in fused[name]), variant=name, failures=failures)
+        for name in names
+    ]
 
 
 def format_table(reports: list[MetricsReport]) -> str:
@@ -225,18 +213,3 @@ def calibrate_threshold(scores: list[tuple[float, str]]) -> float:
         if f1 > best_f1:  # strictly: of thresholds with equal F1, the larger came first
             best_f1, best_threshold = f1, candidate
     return best_threshold
-
-
-def fused_scores(dataset: Sequence[LabeledRow], ctx: PipelineContext) -> tuple[list[tuple[float, str]], int]:
-    """(weighted fused score, gold label) per contract, for calibration, and
-    the number of contracts that failed detection.
-
-    Failed contracts are excluded and logged, as in :func:`run_variants`.
-    """
-    config = ctx.config
-    cache = channel_cache(dataset, ctx, ("weighted",))
-    scores = [
-        (fuse_channels(by_mode["weighted"], "weighted", config.weights, config.threshold).score, cache.labels[cid])
-        for cid, by_mode in cache.channels.items()
-    ]
-    return scores, cache.failures

@@ -5,13 +5,14 @@ that corpus and dataset files share."""
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 from typing import Any, Callable, NamedTuple
 
 import yaml
 
 from solguard.errors import DatasetError, SolguardError
-from solguard.records import Record, one_of, path, string, strings
+from solguard.records import Record, one_of, path, string, text, texts
 
 
 def read_text(path: str | Path, error: type[SolguardError], what: str) -> str:
@@ -20,6 +21,11 @@ def read_text(path: str | Path, error: type[SolguardError], what: str) -> str:
         return Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise error(f"cannot read {what} {path}: {exc}") from exc
+
+
+def file_id(path: Path) -> str:
+    """The id a file name gives: its stem, each byte that is not UTF-8 written as ``\\xNN``."""
+    return os.fsencode(path.stem).decode("utf-8", "backslashreplace")
 
 
 def read_yaml(text: str, error: type[SolguardError], what: str) -> Any:
@@ -52,8 +58,8 @@ def read_jsonl(path: str | Path, read: Callable[[dict], None], error: type[Solgu
 
 
 LABELED_RECORD = Record({
-    "id": string(), "label": one_of(("safe", "vulnerable")), "source": string(None), "source_path": path(None),
-    "classes": strings([]), "split": string(""),
+    "id": text(), "label": one_of(("safe", "vulnerable")), "source": string(None), "source_path": path(None),
+    "classes": texts([]), "split": string(""),
 })
 
 

@@ -20,7 +20,7 @@ from typing import Any, Protocol
 from urllib.parse import urlsplit
 
 from solguard.errors import CompletionTimeout, ConfigError, TransportError
-from solguard.records import Field, Record, number, one_of, path, string, whole
+from solguard.records import Field, Record, number, one_of, path, string, text, whole
 
 log = logging.getLogger(__name__)
 
@@ -58,7 +58,7 @@ def _is_http_url(value: Any) -> bool:
 # a provider record of the configuration; each default is the dataclass's own
 PROVIDER = Record({
     "kind": one_of(("http-endpoint", "mock")),
-    "model_id": string(),
+    "model_id": text(),
     "endpoint": Field("an http(s) URL with a host, no user or password, and a numeric port if any", _is_http_url, None),
     "api_key_env": string(None),
     "transcript": path(None),

@@ -4,12 +4,14 @@ A :class:`Record` is a set of named fields, each of a type and either
 required or with a default. A value of the wrong type, or a key an input
 record does not declare, is the caller's error naming where the record came
 from and the key. ``bool`` is not a number, a number is finite, and a field whose default
-is ``None`` also takes ``null``. A record can parse into the object it
+is ``None`` also takes ``null``. A :data:`text` field, or each item of a :data:`texts`
+field, holds no lone surrogate. A record can parse into the object it
 describes, whose own faults then name the record and where it came from too.
 """
 
 from __future__ import annotations
 
+import re
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -20,6 +22,7 @@ from solguard.errors import SolguardError
 REQUIRED = object()  # the default of a field that must be given
 ABSENT = object()  # the value of a key the record was not given
 _MAX = sys.float_info.max
+_SURROGATE = re.compile(r"[\ud800-\udfff]")
 
 
 @contextmanager
@@ -47,9 +50,20 @@ def _type(expected: str, accepts: Callable[[Any], bool], convert: Callable | Non
     return lambda default=REQUIRED: Field(expected, accepts, default, convert)
 
 
+def _text(value: str | list[str], error: Any, where: str, key: str, base: Path | None) -> str | list[str]:
+    """``value``, a string or a list of them, unless one holds a lone surrogate (a
+    JSON or YAML "\\ud800" decodes to one), which UTF-8 prompts and records cannot hold."""
+    for item in (value,) if type(value) is str else value:
+        if not item.isascii() and _SURROGATE.search(item):
+            raise error(f"{where}: {key} {item!r} holds a lone surrogate, which is not text")
+    return value
+
+
 string = _type("a string", lambda v: type(v) is str)
+text = _type(string().expected, string().accepts, _text)
 path = _type("a path", lambda v: type(v) is str and v != "", _resolve)  # relative to the base directory
 strings = _type("a list of strings", lambda v: type(v) is list and all(type(s) is str for s in v))
+texts = _type(strings().expected, strings().accepts, _text)
 mapping = _type("a mapping", lambda v: type(v) is dict)
 boolean = _type("true or false", lambda v: type(v) is bool)
 

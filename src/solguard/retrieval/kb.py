@@ -15,7 +15,7 @@ from typing import Iterable
 
 from solguard.core import ordered_sum
 from solguard.errors import DatasetError
-from solguard.jsonl import read_text, read_yaml
+from solguard.jsonl import file_id, read_text, read_yaml
 from solguard.retrieval.terms import words
 
 CHUNK_TOKENS = 512
@@ -115,7 +115,7 @@ def load_kb_documents(directory: str | Path) -> list[KbDocument]:
 
     Each file may start with a YAML preamble fenced by ``---`` lines, which
     must be a mapping and is not read further; the remainder is the
-    document body. A document's id is its file stem, and no id may repeat.
+    document body. A document's id is its name's :func:`~solguard.jsonl.file_id`; no id may repeat.
     """
     root = Path(directory)
     if not root.is_dir():
@@ -125,9 +125,10 @@ def load_kb_documents(directory: str | Path) -> list[KbDocument]:
     for path in sorted(root.iterdir()):
         if path.suffix.lower() not in (".md", ".txt"):
             continue
-        if path.stem in paths:
-            raise DatasetError(f"{paths[path.stem]} and {path}: duplicate document id {path.stem!r}")
-        paths[path.stem] = path
+        doc_id = file_id(path)
+        if doc_id in paths:
+            raise DatasetError(f"{paths[doc_id]} and {path}: duplicate document id {doc_id!r}")
+        paths[doc_id] = path
         body = read_text(path, DatasetError, "knowledge document")
         if body.startswith("---\n"):
             closing = body.find("\n---\n", 4)
@@ -136,5 +137,5 @@ def load_kb_documents(directory: str | Path) -> list[KbDocument]:
             if not isinstance(read_yaml(body[4:closing], DatasetError, f"{path}: bad metadata preamble"), dict):
                 raise DatasetError(f"{path}: metadata preamble must be a mapping")
             body = body[closing + 5 :]
-        docs.append(KbDocument(doc_id=path.stem, text=body.strip()))
+        docs.append(KbDocument(doc_id=doc_id, text=body.strip()))
     return docs

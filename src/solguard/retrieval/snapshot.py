@@ -7,10 +7,12 @@ An index root holds two stores, ``<root>/corpus`` and ``<root>/kb``
     <store>/CURRENT             pointer file naming the live version
 
 A publish writes the new version directory completely, then replaces
-CURRENT atomically. Readers resolve CURRENT once per load, so an audit that
-already loaded version N keeps N even while N+1 is being published; a crash
-before the pointer swap leaves CURRENT untouched and the half-written
-directory unreferenced.
+CURRENT atomically. :meth:`SnapshotStore.load` reads CURRENT once and
+returns the live index, which carries its own ``snapshot_version``, or
+``None`` when nothing is published, so a reader never pairs one version's
+number with another's contents. An audit that already loaded version N
+keeps N even while N+1 is being published; a crash before the pointer swap
+leaves CURRENT untouched and the half-written directory unreferenced.
 """
 
 from __future__ import annotations
@@ -79,12 +81,10 @@ class SnapshotStore(Generic[T]):
         self._activate(version)
         return version
 
-    def load(self) -> T:
-        """Load the currently published snapshot."""
+    def load(self) -> T | None:
+        """The live snapshot, reading CURRENT once; ``None`` when none is published."""
         version = self.current_version()
-        if version is None:
-            raise SnapshotError(f"no snapshot published under {self.root}")
-        return self.load_version(version)
+        return None if version is None else self.load_version(version)
 
     def load_version(self, version: int) -> T:
         target = self.root / str(version)

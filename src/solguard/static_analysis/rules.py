@@ -16,7 +16,7 @@ from typing import Any, Callable, Sequence
 from solguard.core import VulnerabilityClass
 from solguard.errors import RulesetError
 from solguard.jsonl import read_text, read_yaml
-from solguard.records import Field, Record, mapping, naming, number, string, strings
+from solguard.records import Field, Record, mapping, naming, number, string, strings, text
 from solguard.static_analysis.structure import (
     ASSIGNMENT_OPS,
     ContractView,
@@ -156,7 +156,7 @@ def _match_member_call_on_parameter(spec: Spec, fn: FunctionSpan, view: Contract
 
 
 RULE = Record({
-    "rule_id": string(), "class": string(), "swc_id": string(None), "matcher": mapping(), "description": string(""),
+    "rule_id": text(), "class": text(), "swc_id": text(None), "matcher": mapping(), "description": string(""),
     "confidence": number("[0, 1]"),
 })
 

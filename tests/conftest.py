@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import os
 from pathlib import Path
 from typing import Callable
 
@@ -102,3 +103,14 @@ def fake_providers(monkeypatch) -> Callable[[Callable[[ProviderConfig], Provider
         )
 
     return install
+
+
+def write_bytes_named(directory: Path, name: bytes, content: bytes) -> Path:
+    """Write ``content`` to the file ``name`` of ``directory``, a name that need
+    not be UTF-8; skips the test where the filesystem refuses such a name."""
+    path = Path(os.fsdecode(os.fsencode(directory) + b"/" + name))
+    try:
+        path.write_bytes(content)
+    except (OSError, UnicodeError) as exc:
+        pytest.skip(f"the filesystem refuses the file name {name!r}: {exc}")
+    return path

@@ -15,8 +15,9 @@ from solguard.agents.pipeline import run_pipeline
 from solguard.cli import EXIT_PROCESSING, main
 from solguard.jsonl import load_labeled_records
 from solguard.static_analysis.scanner import load_file
+from solguard.retrieval.snapshot import CorpusSnapshotStore, SnapshotStore
 from solguard.retrieval.tfidf import build_corpus_index
-from conftest import write_pipeline_config
+from conftest import write_bytes_named, write_pipeline_config
 import presign_fixture
 from chat_stub import ChatStub, Reply, closed_port_endpoint
 import reference_corpus_snapshot_v1
@@ -204,6 +205,23 @@ class TestUndecodableContract:
         assert verdicts == ["presign: vulnerable 0.84 (mode weighted)", "safe: safe 0.00 (mode weighted)"]
 
 
+def test_contract_file_name_that_is_not_utf8_gives_a_text_id(runner, presign_config, tmp_path):
+    # the byte \xff of the name is written as the four characters \xff; as a
+    # surrogate it aborted the batch while its report was written, with no summary
+    batch = tmp_path / "batch"
+    batch.mkdir()
+    shutil.copy(FIXTURES / "presign.sol", batch / "presign.sol")
+    write_bytes_named(batch, b"bad\xff.sol", (FIXTURES / "presign.sol").read_bytes())
+    result = runner.invoke(main, ["audit", str(batch), "-c", str(presign_config), "--jobs", "1"])
+    assert result.exit_code == 0, result.output
+    assert "bad\\xff: vulnerable" in result.stdout
+    assert "processed 2/2 contracts, 2 vulnerable" in result.stdout
+    written = sorted(p.name for p in (tmp_path / "out").iterdir())
+    assert written == [
+        f"{cid}.{kind}" for cid in ("bad\\xff", "presign") for kind in ("report.json", "report.md", "run.json")
+    ]
+
+
 class TestDetect:
     def test_safe_fixture_prints_three_channel_rows(self, runner, presign_config):
         result = runner.invoke(main, ["detect", str(FIXTURES / "safe.sol"), "-c", str(presign_config)])
@@ -361,6 +379,36 @@ class TestKb:
         assert result.exit_code == 0, result.output
         status = runner.invoke(main, ["kb", "status", "--index-root", str(index_root)])
         assert "corpus: version 2" in status.output
+
+    def test_status_prints_the_version_and_counts_of_one_snapshot(self, runner, tmp_path, monkeypatch):
+        # an update landing between two reads of CURRENT paired version 1's
+        # number with version 2's document count
+        index_root = tmp_path / "idx"
+        build = ["kb", "build", "--corpus", str(FIXTURES / "corpus.jsonl"), "--index-root", str(index_root)]
+        assert runner.invoke(main, build).exit_code == 0
+        read, landed = SnapshotStore.current_version, []
+
+        def read_then_publish(store):
+            version = read(store)
+            if store.kind == "corpus" and not landed:
+                landed.append(True)
+                rows = load_labeled_records(FIXTURES / "corpus.jsonl")[:3]
+                CorpusSnapshotStore(store.root).publish(build_corpus_index(rows))
+            return version
+
+        monkeypatch.setattr(SnapshotStore, "current_version", read_then_publish)
+        status = runner.invoke(main, ["kb", "status", "--index-root", str(index_root)])
+        assert status.exit_code == 0, status.output
+        assert landed and read(CorpusSnapshotStore(index_root / "corpus")) == 2
+        assert "corpus: version 1, 15 documents" in status.output
+
+    def test_audit_without_a_corpus_snapshot_is_processing_error(self, runner, tmp_path):
+        index_root = tmp_path / "idx"
+        build = ["kb", "build", "--docs", str(FIXTURES / "kb_docs"), "--index-root", str(index_root)]
+        assert runner.invoke(main, build).exit_code == 0
+        config = write_pipeline_config(tmp_path / "cfg.yaml", index_root, tmp_path / "out", TRANSCRIPT)
+        result = runner.invoke(main, ["audit", str(FIXTURES / "presign.sol"), "-c", str(config)])
+        assert_clean_error(result, EXIT_PROCESSING, f"error: no snapshot published under {index_root / 'corpus'}\n")
 
     def test_build_twice_is_usage_error(self, runner, tmp_path):
         index_root = tmp_path / "idx"
@@ -1025,6 +1073,21 @@ def _knowledge_document(content: bytes):
     return write
 
 
+def _labeled_records(command: str, **record: object):
+    """A corpus (``kb build``) or dataset (``eval``) file of one labelled record
+    with the fields ``record`` sets; JSON writes a lone surrogate as an escape."""
+
+    def write(tmp_path: Path, config: Path) -> tuple[list[str], str]:
+        path = tmp_path / "records.jsonl"
+        line = json.dumps({"id": "a", "label": "safe", "source": "contract A {}", **record})
+        path.write_text(line + "\n", encoding="utf-8")
+        if command == "kb build":
+            return ["kb", "build", "--corpus", str(path), "--index-root", str(tmp_path / "idx")], f"{path}:1: "
+        return [command, str(path), "-c", str(config)], f"{path}:1: "
+
+    return write
+
+
 # YAML values PyYAML refuses with a ValueError or a RecursionError, not a YAMLError
 HUGE, DEEP = "1" * 5001, "[" * 5000 + "]" * 5000
 DIGIT_LIMIT = pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no integer digit limit")
@@ -1074,6 +1137,23 @@ INPUT_FAULTS = [
         ["rule r: ", "matcher type 'nope'"], id="rules-bad-record",
     ),
     pytest.param(_contract, EXIT_PROCESSING, ["cannot read contract", "utf-8"], id="contract-not-utf-8"),
+    # a lone surrogate in a name that prompts, reports or run records carry
+    pytest.param(
+        _detector(kind="mock", model_id="detector-\ud800", transcript=str(TRANSCRIPT)), 2,
+        ["model_id 'detector-\\ud800' holds a lone surrogate"], id="provider-model-id-surrogate",
+    ),
+    pytest.param(
+        _rule_file('- {rule_id: r, class: "X\\ud800", matcher: {type: unguarded_token, token: x}, confidence: 0.5}\n'),
+        2, ["class 'X\\ud800' holds a lone surrogate"], id="rules-class-surrogate",
+    ),
+    pytest.param(
+        _labeled_records("kb build", classes=["Bad\ud800Class"]), EXIT_PROCESSING,
+        ["classes 'Bad\\ud800Class' holds a lone surrogate"], id="corpus-class-surrogate",
+    ),
+    pytest.param(
+        _labeled_records("eval", id="a\ud800"), EXIT_PROCESSING, ["id 'a\\ud800' holds a lone surrogate"],
+        id="dataset-id-surrogate",
+    ),
     pytest.param(
         _knowledge_document(b"caf\xe9\n"), EXIT_PROCESSING, ["cannot read knowledge document", "utf-8"],
         id="knowledge-document-not-utf-8",

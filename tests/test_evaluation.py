@@ -17,7 +17,7 @@ from solguard.evaluation import (
     calibrate_threshold,
     confusion,
     format_table,
-    fused_scores,
+    fused_variants,
     load_dataset,
     metrics,
     normalize_variant,
@@ -27,34 +27,24 @@ from solguard.evaluation import (
 
 class TestConfusion:
     def test_perfect_predictions(self):
-        gold = {"a": "vulnerable", "b": "safe"}
-        cm = confusion(dict(gold), gold)
+        cm = confusion([("vulnerable", "vulnerable"), ("safe", "safe")])
         assert (cm.tp, cm.fp, cm.fn, cm.tn) == (1, 0, 0, 1)
 
     def test_all_safe_on_all_vulnerable(self):
-        gold = {f"c{i}": "vulnerable" for i in range(8)}
-        predictions = {cid: "safe" for cid in gold}
-        cm = confusion(predictions, gold)
+        cm = confusion([("safe", "vulnerable")] * 8)
         assert (cm.tp, cm.fn) == (0, 8)
 
     def test_twenty_prediction_hand_tally(self):
         # hand-tallied: 6 tp, 3 fp, 4 fn, 7 tn
-        gold, predictions = {}, {}
-        for i in range(6):
-            gold[f"tp{i}"], predictions[f"tp{i}"] = "vulnerable", "vulnerable"
-        for i in range(3):
-            gold[f"fp{i}"], predictions[f"fp{i}"] = "safe", "vulnerable"
-        for i in range(4):
-            gold[f"fn{i}"], predictions[f"fn{i}"] = "vulnerable", "safe"
-        for i in range(7):
-            gold[f"tn{i}"], predictions[f"tn{i}"] = "safe", "safe"
-        cm = confusion(predictions, gold)
+        pairs = (
+            [("vulnerable", "vulnerable")] * 6
+            + [("vulnerable", "safe")] * 3
+            + [("safe", "vulnerable")] * 4
+            + [("safe", "safe")] * 7
+        )
+        cm = confusion(pairs)
         assert (cm.tp, cm.fp, cm.fn, cm.tn) == (6, 3, 4, 7)
         assert cm.total == 20
-
-    def test_id_mismatch_rejected(self):
-        with pytest.raises(DatasetError, match="disagree"):
-            confusion({"a": "safe"}, {"b": "safe"})
 
     def test_negative_counts_rejected(self):
         with pytest.raises(ValueError):
@@ -295,5 +285,5 @@ class TestFailureCounting:
         reports = run_variants(load_dataset(dataset_path), ["weighted"], ctx)
         assert reports[0].failures == 1
         assert reports[0].evaluated == 40
-        scores, failures = fused_scores(load_dataset(dataset_path), ctx)
-        assert (len(scores), failures) == (40, 1)  # calibrate excludes it too, and counts it
+        failures, fused = fused_variants(load_dataset(dataset_path), ctx, ["weighted"])
+        assert (len(fused["weighted"]), failures) == (40, 1)  # calibrate excludes it too, and counts it

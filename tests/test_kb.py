@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import math
 import re
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from solguard.agents.pipeline import run_pipeline
 from solguard.errors import DatasetError
 from solguard.retrieval.kb import (
     KbDocument,
@@ -20,6 +22,9 @@ from solguard.retrieval.kb import (
     split_chunks,
 )
 from solguard.retrieval.terms import words as split_words
+from solguard.static_analysis.scanner import load_file
+from conftest import write_bytes_named
+import presign_fixture
 
 
 def words(n: int, prefix: str = "w") -> str:
@@ -187,3 +192,16 @@ def test_non_mapping_preamble_rejected(tmp_path):
     (tmp_path / "odd.md").write_text("---\n- just\n- a list\n---\nbody", encoding="utf-8")
     with pytest.raises(DatasetError, match="mapping"):
         load_kb_documents(tmp_path)
+
+
+def test_file_name_that_is_not_utf8_gives_a_text_id(tmp_path, fixtures_dir):
+    # the byte \xff of the name is written as the four characters \xff; as a
+    # surrogate, the id failed every advisor and assessor prompt that cited it
+    write_bytes_named(tmp_path, b"x\xff.md", (fixtures_dir / "kb_docs" / "reentrancy.md").read_bytes())
+    docs = load_kb_documents(tmp_path)
+    assert [d.doc_id for d in docs] == ["x\\xff"]
+    ctx, recorders = presign_fixture.recording_context()
+    ctx = dataclasses.replace(ctx, kb_index=build_kb_index(docs))
+    run = run_pipeline(load_file(fixtures_dir / "presign.sol", "presign"), ctx)
+    assert run.errors == {}
+    assert len(recorders["advisor"].entries) == len(recorders["assessor"].entries) == len(run.findings) > 0

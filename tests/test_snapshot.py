@@ -78,8 +78,7 @@ class TestPublishLoad:
         assert store.load().classes[0] == ("tag2",)
 
     def test_load_without_publish(self, tmp_path):
-        with pytest.raises(SnapshotError, match="no snapshot"):
-            CorpusSnapshotStore(tmp_path).load()
+        assert CorpusSnapshotStore(tmp_path).load() is None
 
     def test_corrupt_pointer(self, tmp_path):
         tmp_path.joinpath("CURRENT").write_text("not-a-number", encoding="utf-8")
