@@ -65,7 +65,6 @@ class PipelineRun:
     report: AuditReport | None = None
     stages: tuple[str, ...] = ()
     errors: dict[str, str] = field(default_factory=dict)
-    timings: dict[str, float] = field(default_factory=dict)  # in-memory only
 
     def __post_init__(self) -> None:
         order = [STAGE_ORDER.index(s) for s in self.stages]
@@ -89,11 +88,7 @@ class PipelineRun:
         return {level.value: levels.count(level) for level in RiskLevel} if levels else {}
 
     def to_payload(self) -> dict[str, Any]:
-        """Serializable run record.
-
-        Wall-clock timings are deliberately left out so repeated runs over
-        identical inputs serialize byte-identically; timings go to the log.
-        """
+        """Serializable run record; stage timings go only to the log, so identical inputs serialize byte-identically."""
         return {
             "contract_id": self.contract_id,
             "verdict": payload(self.fused),
@@ -174,7 +169,6 @@ def run_pipeline(contract: SourceContract, ctx: PipelineContext) -> PipelineRun:
     cfg = ctx.config
     stages: list[str] = []
     failures: dict[str, SolguardError] = {}
-    timings: dict[str, float] = {}
 
     def run_stage(stage: str, needs: tuple[str, ...], call: Callable[[], T]) -> T | None:
         """Time ``call`` once every stage it needs succeeded; record its ``SolguardError``."""
@@ -189,8 +183,7 @@ def run_pipeline(contract: SourceContract, ctx: PipelineContext) -> PipelineRun:
             failures[stage] = exc
             log.warning("%s: %s stage failed: %s", contract.id, stage, exc)
         finally:
-            timings[stage] = time.perf_counter() - started
-            log.info("%s: stage %s finished in %.3fs", contract.id, stage, timings[stage])
+            log.info("%s: stage %s finished in %.3fs", contract.id, stage, time.perf_counter() - started)
 
     fused = run_stage("detect", (), lambda: detect(contract, ctx))
     if fused is None:
@@ -231,7 +224,6 @@ def run_pipeline(contract: SourceContract, ctx: PipelineContext) -> PipelineRun:
         verification=verification,
         stages=tuple(stages),
         errors={stage: str(exc) for stage, exc in failures.items()},
-        timings=timings,
     )
     report = run_stage("report", (), lambda: build_report(run, contract))
     return replace(run, report=report, stages=tuple(stages))

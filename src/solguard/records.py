@@ -1,9 +1,9 @@
 """Untrusted records, inputs and model replies, each declared once and parsed where it is read.
 
 A :class:`Record` is a set of named fields, each of a type and either
-required or with a default. A value of the wrong type, or a key an input
-record does not declare, is the caller's error naming where the record came
-from and the key. ``bool`` is not a number, a number is finite, and a field whose default
+required or with a default. A value of the wrong type or that its convert step refuses,
+or a key an input record does not declare, is the caller's error naming where the record
+came from and the key. ``bool`` is not a number, a number is finite, and a field whose default
 is ``None`` also takes ``null``. A :data:`text` field, or each item of a :data:`texts`
 field, holds no lone surrogate. A record can parse into the object it
 describes, whose own faults then name the record and where it came from too.
@@ -38,7 +38,7 @@ class Field(NamedTuple):
     expected: str  # the type, as messages and the docs state it
     accepts: Callable[[Any], bool]
     default: Any = REQUIRED
-    convert: Callable[..., Any] | None = None  # (value, error, where, key, base) -> plain value
+    convert: Callable[..., Any] | None = None  # (value, error, where, key, base) -> plain value, or ValueError
 
 
 def _resolve(value: str, error: Any, where: str, key: str, base: Path | None) -> str:
@@ -50,12 +50,12 @@ def _type(expected: str, accepts: Callable[[Any], bool], convert: Callable | Non
     return lambda default=REQUIRED: Field(expected, accepts, default, convert)
 
 
-def _text(value: str | list[str], error: Any, where: str, key: str, base: Path | None) -> str | list[str]:
+def _text(value: str | list[str], *_: Any) -> str | list[str]:
     """``value``, a string or a list of them, unless one holds a lone surrogate (a
     JSON or YAML "\\ud800" decodes to one), which UTF-8 prompts and records cannot hold."""
     for item in (value,) if type(value) is str else value:
         if not item.isascii() and _SURROGATE.search(item):
-            raise error(f"{where}: {key} {item!r} holds a lone surrogate, which is not text")
+            raise ValueError(f"{item!r} holds a lone surrogate, which is not text")
     return value
 
 
@@ -145,4 +145,7 @@ class Record:
             value = field.default
         elif not (value is None and field.default is None or field.accepts(value)):
             raise error(f"{where}: {name} {self.noun} {key} must be {field.expected}, got {value!r}")
-        return value if field.convert is None or value is None else field.convert(value, error, where, key, base)
+        try:
+            return value if field.convert is None or value is None else field.convert(value, error, where, key, base)
+        except ValueError as exc:
+            raise error(f"{where}: {name} {self.noun} {key} {exc}") from exc

@@ -13,18 +13,23 @@ returns the live index, which carries its own ``snapshot_version``, or
 number with another's contents. An audit that already loaded version N
 keeps N even while N+1 is being published; a crash before the pointer swap
 leaves CURRENT untouched and the half-written directory unreferenced.
+
+``meta.json`` records each data file's sha256, and a load refuses a file
+whose bytes hash otherwise before it parses any. Past the digest, it checks
+only what another machine or writer could get wrong: byte order, item sizes
+and the shapes that the counts in ``meta.json`` give the files.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
-import math
 import os
 import sys
 from array import array
 from itertools import chain
-from operator import gt, mul
+from operator import mul
 from pathlib import Path
 from typing import Generic, TypeVar
 
@@ -38,18 +43,19 @@ from solguard.retrieval.tfidf import CorpusIndex
 T = TypeVar("T")
 
 POINTER_NAME = "CURRENT"
-FORMAT_VERSION = 3  # of corpus snapshots
+FORMAT_VERSION = 4  # of corpus snapshots
 POSTINGS = {  # array -> typecode
     "idf": "d", "offsets": "q", "positions": "i", "weights": "d", "norms": "d", "common_norms": "d",
 }
 ITEMSIZE = {name: array(typecode).itemsize for name, typecode in POSTINGS.items()}
-_META = {"kind": string(), "version": whole(1), "format_version": whole(1), "documents": whole(0)}  # of every store
+_META = {"kind": string(), "version": whole(1), "format_version": whole(1), "sha256": mapping()}  # of every store
 
 
 class SnapshotStore(Generic[T]):
-    """Base store; subclasses serialize one index type."""
+    """Base store; subclasses serialize one index type into the data ``files`` that meta.json digests."""
 
     kind = "index"
+    files: tuple[str, ...]  # the data files of a version, each with its sha256 in meta.json
     meta: Record
     format_version: int  # the one a load accepts; a meta.json without one is format 1
     republish: str  # what a load of another format asks for
@@ -100,8 +106,15 @@ class SnapshotStore(Generic[T]):
         meta = self.meta.parse(payload, SnapshotError, f"snapshot file {path} is corrupt", "meta")
         if meta["version"] != version:
             raise SnapshotError(f"snapshot {target} is internally inconsistent: meta names version {meta['version']}")
-        with gc_paused():
-            return self._read_files(target, meta)
+        try:
+            for path in (target / name for name in self.files):  # every byte, before any parse
+                found, recorded = _sha256(path), meta["sha256"].get(path.name)
+                if found != recorded:
+                    raise _corrupt(path, f"its sha256 is {found}, but meta.json records {recorded}")
+            with gc_paused():
+                return self._read_files(target, meta)
+        except OSError as exc:  # its message names the file
+            raise SnapshotError(f"snapshot {target} cannot be read: {exc}") from exc
 
     def versions(self) -> list[int]:
         if not self.root.is_dir():
@@ -121,7 +134,8 @@ class SnapshotStore(Generic[T]):
         os.replace(tmp, pointer)
 
     def _write_meta(self, target: Path, index: T, **fields: object) -> None:
-        header = {"kind": self.kind, "version": index.snapshot_version, "format_version": self.format_version}
+        header = {"kind": self.kind, "version": index.snapshot_version, "format_version": self.format_version,
+                  "sha256": {name: _sha256(target / name) for name in self.files}}
         _write_json(target / "meta.json", {**header, **fields})
 
     def _write_files(self, target: Path, index: T) -> None:
@@ -132,16 +146,17 @@ class SnapshotStore(Generic[T]):
 
 
 class CorpusSnapshotStore(SnapshotStore[CorpusIndex]):
-    """Corpus snapshots in format 3: ``terms.json``, the sorted term list;
+    """Corpus snapshots in format 4: ``terms.json``, the sorted term list;
     ``documents.json``, one ``[id, label, classes]`` row per document; and
     ``postings.bin``, the arrays of ``POSTINGS`` back to back, in the byte
     order and item sizes that ``meta.json`` records with the counts."""
 
     kind = "corpus"
+    files = ("terms.json", "documents.json", "postings.bin")
     format_version, republish = FORMAT_VERSION, "republish the corpus with `solguard kb update --corpus <file>`"
     meta = Record({
         **_META, "byteorder": one_of(("little", "big")), "itemsize": mapping(),
-        "terms": whole(0), "postings": whole(0),
+        "terms": whole(0), "postings": whole(0), "documents": whole(0),
     })
 
     def _write_files(self, target: Path, index: CorpusIndex) -> None:
@@ -171,37 +186,26 @@ class CorpusSnapshotStore(SnapshotStore[CorpusIndex]):
             raise _corrupt(rows_path, f"it must hold meta.json's {n_documents} [id, label, [class, ...]] rows of strings")
         arrays = {name: array(typecode) for name, typecode in POSTINGS.items()}
         lengths = (n_terms, n_terms + 1, n_postings, n_postings, n_documents, n_documents)
-        try:
-            with open(path, "rb") as fh:
-                size, expected = os.fstat(fh.fileno()).st_size, sum(map(mul, ITEMSIZE.values(), lengths))
-                if size != expected:
-                    raise _corrupt(path, f"it holds {size} bytes, but the counts in meta.json make {expected}")
-                for values, length in zip(arrays.values(), lengths):
-                    values.fromfile(fh, length)
-        except (OSError, EOFError) as exc:
-            raise SnapshotError(f"snapshot file {path} cannot be read: {exc}") from exc
-        for name in ("idf", "weights", "norms", "common_norms"):  # a NaN fails one check or the other
-            if min(arrays[name], default=0.0) < 0 or not math.isfinite(sum(arrays[name])):
-                raise _corrupt(path, f"{name} must be finite numbers >= 0")
-        idf, offsets, positions, weights, norms, common_norms = arrays.values()
-        if offsets[0] != 0 or offsets[-1] != n_postings or any(map(gt, offsets, offsets[1:])):
-            raise _corrupt(path, f"offsets must rise from 0 to the {n_postings} postings")
-        if positions and max(array("I", positions.tobytes())) >= n_documents:  # unsigned, a negative is >= 2**31
-            raise _corrupt(path, f"every position must lie in [0, {n_documents})")
+        with open(path, "rb") as fh:
+            size, expected = os.fstat(fh.fileno()).st_size, sum(map(mul, ITEMSIZE.values(), lengths))
+            if size != expected:
+                raise _corrupt(path, f"it holds {size} bytes, but the counts in meta.json make {expected}")
+            for values, length in zip(arrays.values(), lengths):
+                values.fromfile(fh, length)
         return CorpusIndex(
-            ids, labels, tuple(map(tuple, classes)), norms, term_ids, idf, offsets, positions, weights, common_norms,
-            meta["version"],
+            ids, labels, tuple(map(tuple, classes)), term_ids=term_ids, snapshot_version=meta["version"], **arrays
         )
 
 
 class KbSnapshotStore(SnapshotStore[KbIndex]):
-    """KB snapshots in format 2: ``chunks.jsonl``, one :data:`CHUNK` line per
+    """KB snapshots in format 3: ``chunks.jsonl``, one :data:`CHUNK` line per
     chunk. A load embeds each chunk's text with :func:`embed`, which embeds
     every query too, so the two cannot disagree."""
 
     kind = "kb"
-    format_version, republish = 2, "republish the knowledge base with `solguard kb update --docs <dir>`"
-    meta = Record({**_META, "chunks": whole(0)})
+    files = ("chunks.jsonl",)
+    format_version, republish = 3, "republish the knowledge base with `solguard kb update --docs <dir>`"
+    meta = Record(_META)
 
     def _write_files(self, target: Path, index: KbIndex) -> None:
         with open(target / "chunks.jsonl", "w", encoding="utf-8") as fh:
@@ -209,20 +213,11 @@ class KbSnapshotStore(SnapshotStore[KbIndex]):
                 json.dumps({"chunk_index": c.chunk_index, "doc_id": c.doc_id, "text": c.text}) + "\n"
                 for c in index.chunks
             )
-        self._write_meta(target, index, documents=len({c.doc_id for c in index.chunks}), chunks=len(index.chunks))
+        self._write_meta(target, index)
 
     def _read_files(self, target: Path, meta: dict) -> KbIndex:
-        path, chunks = target / "chunks.jsonl", []
-        read_jsonl(path, chunks.append, SnapshotError, CHUNK)
-        n_chunks, n_documents = len(chunks), len({c.doc_id for c in chunks})
-        if (n_chunks, n_documents) != (meta["chunks"], meta["documents"]):
-            raise _corrupt(path, f"it holds {n_chunks} chunks of {n_documents} documents, "
-                           f"but meta.json counts {meta['chunks']} of {meta['documents']}")
-        first: dict[tuple[str, int], int] = {}
-        for line, chunk in enumerate(chunks, start=1):  # publish writes no blank lines
-            key = chunk.doc_id, chunk.chunk_index
-            if first.setdefault(key, line) != line:
-                raise _corrupt(path, f"line {line} repeats doc_id/chunk_index {key[0]!r}/{key[1]} of line {first[key]}")
+        chunks: list = []
+        read_jsonl(target / "chunks.jsonl", chunks.append, SnapshotError, CHUNK)
         return KbIndex(tuple(chunks), meta["version"])
 
 
@@ -237,6 +232,15 @@ def index_stores(root: str | Path) -> tuple[CorpusSnapshotStore, KbSnapshotStore
 
 def _write_json(path: Path, payload: object) -> None:
     path.write_text(json.dumps(payload, sort_keys=True, indent=0), encoding="utf-8")
+
+
+def _sha256(path: Path) -> str:
+    """The hex sha256 of a file, read in 1 MiB blocks."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for block in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(block)
+    return digest.hexdigest()
 
 
 def _corrupt(path: Path, reason: str) -> SnapshotError:

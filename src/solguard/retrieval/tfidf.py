@@ -20,7 +20,8 @@ best similarity are never scored; the rest are scored exactly, adding
 products in the query's term order, so every result is the one a full scan
 of the query terms' postings gives, bit for bit. The full scan itself runs
 when fewer than k documents share a query term (the zero-fill) or when it
-is the cheaper of the two.
+is the cheaper of the two. The snapshot load's sha256 check covers the position
+order and the common norms that pruning relies on, so a loaded index holds them as built.
 """
 
 from __future__ import annotations

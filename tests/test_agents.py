@@ -636,9 +636,10 @@ class TestPipeline:
         ],
     )
     def test_failed_stage_skips_only_the_stages_that_need_it(self, role, stage, stages):
-        responses = presign_fixture.scripted_responses()
+        responses, asked_roles = presign_fixture.scripted_responses(), set()
 
         def responder(asked: str, prompt: str) -> str:
+            asked_roles.add(asked)
             if asked == role:
                 raise TransportError(f"{role} server error 503")
             return responses[asked]
@@ -649,7 +650,8 @@ class TestPipeline:
         assert list(run.errors) == [stage]
         assert f"{role} server error 503" in run.errors[stage]
         assert run.stages == stages
-        assert set(run.timings) == set(stages) | {stage}  # skipped stages never start
+        roles = {"detect": "detector", "advise": "advisor", "assess": "assessor", "fix": "fixer", "verify": "verifier"}
+        assert asked_roles == {roles[s] for s in (*stages, stage) if s in roles}  # skipped stages never start
         assert len(run.report.sections) == 7
         assert f"Stages with errors: {stage}" in run.report.sections[1].body
         assert (run.patch is not None) == (stage == "verify")
@@ -662,12 +664,6 @@ class TestPipeline:
             total = w.static + w.retrieval
             renormalized = FusionWeights(model=0.0, static=w.static / total, retrieval=w.retrieval / total)
             assert run.fused.score == weighted_score(renormalized, 0.0, static.score, retrieval.score)
-
-    def test_stage_timings_recorded_in_memory_but_not_serialized(self):
-        ctx, _ = presign_fixture.recording_context()
-        run = run_pipeline(load_file(FIXTURES / "presign.sol", "presign"), ctx)
-        assert set(run.timings) >= {"detect", "report"}
-        assert "timings" not in run.to_payload()
 
     def test_report_sections_for_presign(self):
         ctx, _ = presign_fixture.recording_context()

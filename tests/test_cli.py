@@ -438,7 +438,7 @@ class TestKb:
         result = runner.invoke(main, ["kb", "build", "--index-root", str(tmp_path / "idx")])
         assert result.exit_code == 2
 
-    @pytest.mark.parametrize("fault", ["corpus meta not an object", "kb meta without a chunk count"])
+    @pytest.mark.parametrize("fault", ["corpus meta not an object", "kb meta without its digests"])
     def test_status_on_corrupt_meta_is_processing_error(self, runner, built_index_root, tmp_path, fault):
         index_root = tmp_path / "idx"
         shutil.copytree(built_index_root, index_root)
@@ -448,7 +448,7 @@ class TestKb:
         else:
             meta = index_root / "kb" / "1" / "meta.json"
             payload = json.loads(meta.read_text(encoding="utf-8"))
-            del payload["chunks"]
+            del payload["sha256"]
             meta.write_text(json.dumps(payload), encoding="utf-8")
         status = runner.invoke(main, ["kb", "status", "--index-root", str(index_root)])
         assert status.exit_code == EXIT_PROCESSING
@@ -579,7 +579,28 @@ class TestSnapshotChecksOnLoad:
             ["eval", str(eval_env["dataset"]), "-c", str(config)],
         ):
             result = runner.invoke(main, args)
-            assert_clean_error(result, EXIT_PROCESSING, f"error: snapshot file {postings} is corrupt: idf must be")
+            assert_clean_error(result, EXIT_PROCESSING, f"error: snapshot file {postings} is corrupt: its sha256 is ")
+
+    @pytest.mark.parametrize("name", [
+        "corpus/1/terms.json", "corpus/1/documents.json", "corpus/1/postings.bin", "kb/1/chunks.jsonl",
+    ])
+    def test_flipped_byte_of_a_data_file_stops_status_audit_and_eval(
+        self, runner, built_index_root, eval_env, tmp_path, name
+    ):
+        index_root = tmp_path / "idx"
+        shutil.copytree(built_index_root, index_root)
+        path = index_root / name
+        data = bytearray(path.read_bytes())
+        data[len(data) // 2] ^= 0x01
+        path.write_bytes(data)
+        config = write_pipeline_config(tmp_path / "cfg.yaml", index_root, tmp_path / "out", TRANSCRIPT)
+        for args in (
+            ["kb", "status", "--index-root", str(index_root)],
+            ["audit", str(FIXTURES / "presign.sol"), "-c", str(config)],
+            ["eval", str(eval_env["dataset"]), "-c", str(config)],
+        ):
+            result = runner.invoke(main, args)
+            assert_clean_error(result, EXIT_PROCESSING, f"error: snapshot file {path} is corrupt: its sha256 is ")
 
     def test_format1_corpus_stops_status_and_audit_until_kb_update(self, runner, built_index_root, tmp_path):
         index_root = tmp_path / "idx"
@@ -600,21 +621,21 @@ class TestSnapshotChecksOnLoad:
         assert "corpus: version 2, 15 documents" in result.output
 
     @pytest.mark.parametrize("lines", ["one", "every"])
-    def test_chunk_line_carrying_an_embedding_names_the_line(self, runner, built_index_root, tmp_path, lines):
+    def test_chunk_line_carrying_an_embedding_fails_the_digest(self, runner, built_index_root, tmp_path, lines):
         index_root = tmp_path / "idx"
         shutil.copytree(built_index_root, index_root)
         chunks = index_root / "kb" / "1" / "chunks.jsonl"
         records = [json.loads(line) for line in chunks.read_text(encoding="utf-8").splitlines()]
         for rec in records if lines == "every" else records[2:3]:
-            rec["embedding"] = [0.0] * 256  # a format-1 line: format 2 embeds the text on load
+            rec["embedding"] = [0.0] * 256  # a format-1 line: later formats embed the text on load
         chunks.write_text("".join(json.dumps(rec) + "\n" for rec in records), encoding="utf-8")
-        where = f"{chunks}:{1 if lines == 'every' else 3}: "
         config = write_pipeline_config(tmp_path / "cfg.yaml", index_root, tmp_path / "out", TRANSCRIPT)
         for args in (
             ["kb", "status", "--index-root", str(index_root)],
             ["audit", str(FIXTURES / "presign.sol"), "-c", str(config)],
         ):
-            assert_clean_error(runner.invoke(main, args), EXIT_PROCESSING, where, "embedding")
+            result = runner.invoke(main, args)
+            assert_clean_error(result, EXIT_PROCESSING, f"error: snapshot file {chunks} is corrupt: its sha256 is ")
 
     def test_format1_kb_stops_status_and_audit_until_kb_update(self, runner, built_index_root, tmp_path):
         index_root = tmp_path / "idx"
@@ -629,7 +650,7 @@ class TestSnapshotChecksOnLoad:
             ["audit", str(FIXTURES / "presign.sol"), "-c", str(config)],
         ):
             result = runner.invoke(main, args)
-            assert_clean_error(result, EXIT_PROCESSING, f"error: snapshot file {meta} names format 1, not 2",
+            assert_clean_error(result, EXIT_PROCESSING, f"error: snapshot file {meta} names format 1, not 3",
                                "solguard kb update --docs <dir>")
         update = ["kb", "update", "--docs", str(FIXTURES / "kb_docs"), "--index-root", str(index_root)]
         assert runner.invoke(main, update).output == "kb: published version 2\n"

@@ -8,8 +8,9 @@ from pathlib import Path
 
 import pytest
 
+from solguard.agents.config import parse_config
 from solguard.errors import ConfigError
-from solguard.records import Record, boolean, items, mapping, number, one_of, path, string, strings, whole
+from solguard.records import Record, boolean, items, mapping, number, one_of, path, string, strings, text, whole
 
 INNER = Record({"size": whole(1, 3)}, noun="setting")
 RECORD = Record(
@@ -95,6 +96,18 @@ def test_nested_record_is_named_by_its_key_and_uses_its_noun():
         nested.parse({"inner": {}}, ConfigError, "cfg.yaml", "thing")
     with pytest.raises(ConfigError, match="^cfg.yaml: inner setting size must be a whole number >= 1, got 0$"):
         parse({"name": "n", "inner": {"size": 0}})
+
+
+def test_a_convert_fault_names_the_record_and_key_as_a_type_fault_does():
+    with pytest.raises(ConfigError) as raised:
+        Record({"id": text()}).parse({"id": "a\ud800"}, ConfigError, "cfg.yaml", "thing")
+    assert str(raised.value) == "cfg.yaml: thing key id 'a\\ud800' holds a lone surrogate, which is not text"
+    provider = {"kind": "mock", "model_id": "detector-\ud800", "transcript": "t.jsonl"}
+    with pytest.raises(ConfigError) as raised:
+        parse_config({"providers": {"detector": provider}}, where="cfg.yaml")
+    assert str(raised.value) == (
+        "cfg.yaml: detector provider key model_id 'detector-\\ud800' holds a lone surrogate, which is not text"
+    )
 
 
 def test_null_is_taken_only_where_the_default_is_none():

@@ -173,15 +173,18 @@ class TestRoundTrip:
             "idf.json": "c7ac17cb8a492c24d3760e960f1a2a13987f371c2380a1890107a4b3a9b99138",
         }
 
-    def test_fixture_snapshot_v3_bytes_are_pinned(self, tmp_path):
+    def test_fixture_snapshot_v4_bytes_are_pinned(self, tmp_path):
         # postings.bin and meta.json as written on a little-endian machine
         CorpusSnapshotStore(tmp_path).publish(fixture_index())
         assert digests(tmp_path / "1") == {
             "documents.json": "a3eb05de2346c5ca8bb87f68e306d9ed05bc3ade0ad5538f44b0f3a8fb854ba2",
-            "meta.json": "ab486d6735d87c0da529c468c330cd8d567e09d4c46bb9742b4ca1aba6cce582",
+            "meta.json": "f69072fb1c3e359f9c59267e2890a9ccd588cd88374d2e204fbf315d596f3f72",
             "postings.bin": "16a2343daf624efd85ac7357d0a5d4d26aef3f58dd7af8985ceb8311b7ec62ae",
             "terms.json": "48299822ba707d2139cd31f4a74b5353cc07d250e0b1887484acf1ac532dde97",
         }
+        # format 4 writes format 3's data files, and meta.json records their digests
+        meta = json.loads((tmp_path / "1" / "meta.json").read_text(encoding="utf-8"))
+        assert meta["sha256"] == {name: d for name, d in digests(tmp_path / "1").items() if name != "meta.json"}
         # format 3 appends one float64 per document to format 2's postings.bin,
         # whose bytes stay what format 2 wrote
         postings = (tmp_path / "1" / "postings.bin").read_bytes()
@@ -192,8 +195,11 @@ class TestRoundTrip:
         KbSnapshotStore(tmp_path).publish(build_kb_index(load_kb_documents(FIXTURES / "kb_docs")))
         assert digests(tmp_path / "1") == {
             "chunks.jsonl": "6b05870a064a46281559b9726f3344f57b40913e453952410bed2c6057df87c9",
-            "meta.json": "f47bd5c33915ee0ac6437f8f417702ac339f1ee8cf5524b01ba14ee878058909",
+            "meta.json": "8925a26509854f64fab1ceb95888f0c2950776fa958d3ed8da29f4c6566b88fe",
         }
+        meta = json.loads((tmp_path / "1" / "meta.json").read_text(encoding="utf-8"))
+        chunks = digests(tmp_path / "1")["chunks.jsonl"]
+        assert meta == {"format_version": 3, "kind": "kb", "sha256": {"chunks.jsonl": chunks}, "version": 1}
 
 
 QUERIES = sorted(FIXTURES.glob("*.sol")) + sorted((FIXTURES / "rules").glob("*.sol"))
@@ -279,23 +285,30 @@ def truncated(line: str) -> str:
 LAYOUT = {"idf": "d", "offsets": "q", "positions": "i", "weights": "d", "norms": "d", "common_norms": "d"}
 
 
+def read_postings(version: Path) -> dict[str, array]:
+    """The arrays of a version's postings.bin, cut by the counts in its meta.json."""
+    meta = json.loads((version / "meta.json").read_text(encoding="utf-8"))
+    terms, postings, documents = meta["terms"], meta["postings"], meta["documents"]
+    lengths = (terms, terms + 1, postings, postings, documents, documents)
+    data, arrays, start = (version / "postings.bin").read_bytes(), {}, 0
+    for (name, typecode), length in zip(LAYOUT.items(), lengths):
+        arrays[name] = array(typecode, data[start : start + array(typecode).itemsize * length])
+        start += arrays[name].itemsize * length
+    return arrays
+
+
+def write_postings(version: Path, arrays: dict[str, array]) -> None:
+    (version / "postings.bin").write_bytes(b"".join(arrays[name].tobytes() for name in LAYOUT))
+
+
 def set_item(name: str, item: int, value):
     """Overwrite item ``item`` (negative counts from the end) of one array in
     a version's postings.bin."""
 
     def edit(version: Path) -> None:
-        meta = json.loads((version / "meta.json").read_text(encoding="utf-8"))
-        terms, postings, documents = meta["terms"], meta["postings"], meta["documents"]
-        lengths = {
-            "idf": terms, "offsets": terms + 1, "positions": postings, "weights": postings,
-            "norms": documents, "common_norms": documents,
-        }
-        names = list(LAYOUT)
-        start = sum(struct.calcsize("=" + LAYOUT[n]) * lengths[n] for n in names[: names.index(name)])
-        start += struct.calcsize("=" + LAYOUT[name]) * (item % lengths[name])
-        data = bytearray((version / "postings.bin").read_bytes())
-        struct.pack_into("=" + LAYOUT[name], data, start, value)
-        (version / "postings.bin").write_bytes(bytes(data))
+        arrays = read_postings(version)
+        arrays[name][item] = value
+        write_postings(version, arrays)
 
     return edit
 
@@ -319,51 +332,119 @@ def meta_with(**changes):
     return edit_json("meta.json", lambda meta: {**meta, **changes})
 
 
+def meta_without(key: str):
+    return edit_json("meta.json", lambda meta: {k: v for k, v in meta.items() if k != key})
+
+
+def digest_recorded(name: str, digest):
+    """meta.json recording ``digest(the recorded digests)`` for the data file ``name``."""
+    return edit_json("meta.json", lambda meta: {**meta, "sha256": {**meta["sha256"], name: digest(meta["sha256"])}})
+
+
 def rows_with(edit_row):
     return edit_json("documents.json", lambda rows: [edit_row(row) for row in rows])
 
 
+def redigest(version: Path) -> None:
+    """Record in meta.json the sha256 of each data file as it now stands, so
+    that a load of an edited file passes the digest and reaches the check
+    behind it, as a file that its writer got wrong would."""
+    edit_json("meta.json", lambda meta: {
+        **meta, "sha256": {name: hashlib.sha256((version / name).read_bytes()).hexdigest() for name in meta["sha256"]},
+    })(version)
+
+
+def redigested(edit):
+    def apply(version: Path) -> None:
+        edit(version)
+        redigest(version)
+
+    return apply
+
+
+DIGEST = "its sha256 is "  # what a load says of a data file whose digest meta.json does not record
+JSON_ERROR = "line 1 column "
+
 # fault -> (edit of a published corpus_for(1) version directory, the file the
-# error must name); corpus_for(1) has 7 terms, 16 postings and 4 documents
+# error must name, what it says of it); corpus_for(1) has 7 terms, 16 postings
+# and 4 documents. A value edit meets the digest; an edit that redigests
+# reaches the structural check that guards against another machine or writer.
 CORPUS_FAULTS = {
-    "postings.bin truncated": (edit_bytes("postings.bin", lambda data: data[:-1]), "postings.bin"),
-    "postings.bin with trailing bytes": (edit_bytes("postings.bin", lambda data: data + bytes(8)), "postings.bin"),
-    "meta.json counts a posting too many": (meta_with(postings=17), "postings.bin"),
-    "meta.json counts a term too few": (meta_with(terms=6), "terms.json"),
-    "meta.json counts a document too many": (meta_with(documents=5), "documents.json"),
-    "meta.json without a count": (edit_json("meta.json", lambda meta: {k: v for k, v in meta.items() if k != "terms"}), "meta.json"),
-    "meta.json count not a number": (meta_with(postings="heavy"), "meta.json"),
-    "meta.json count a boolean": (meta_with(documents=True), "meta.json"),
-    "meta.json count negative": (meta_with(documents=-1), "meta.json"),
-    "meta.json item sizes": (meta_with(itemsize=dict.fromkeys(LAYOUT, 8)), "meta.json"),
-    "meta.json byte order": (meta_with(byteorder="big" if sys.byteorder == "little" else "little"), "meta.json"),
-    "meta.json format version 2": (meta_with(format_version=2), "meta.json"),
-    "meta.json format version 4": (meta_with(format_version=4), "meta.json"),
-    "meta.json format version a string": (meta_with(format_version="3"), "meta.json"),
-    "idf NaN": (set_item("idf", 0, math.nan), "postings.bin"),
-    "idf negative": (set_item("idf", -1, -0.5), "postings.bin"),
-    "weight NaN": (set_item("weights", 3, math.nan), "postings.bin"),
-    "weight negative": (set_item("weights", -1, -0.5), "postings.bin"),
-    "weight infinite": (set_item("weights", 0, math.inf), "postings.bin"),
-    "norm NaN": (set_item("norms", 0, math.nan), "postings.bin"),
-    "norm negative": (set_item("norms", 2, -1.0), "postings.bin"),
-    "common norm NaN": (set_item("common_norms", 1, math.nan), "postings.bin"),
-    "common norm negative": (set_item("common_norms", -1, -1.0), "postings.bin"),
-    "position past the documents": (set_item("positions", 5, 4), "postings.bin"),
-    "position negative": (set_item("positions", 0, -1), "postings.bin"),
-    "offsets decreasing": (set_item("offsets", 4, 9), "postings.bin"),
-    "offsets not from 0": (set_item("offsets", 0, 1), "postings.bin"),
-    "terms.json one term short": (edit_json("terms.json", lambda terms: terms[:-1]), "terms.json"),
-    "terms.json repeating a term": (edit_json("terms.json", lambda terms: terms[:-1] + terms[:1]), "terms.json"),
-    "terms.json not an array": (edit_json("terms.json", lambda terms: dict.fromkeys(terms, 1)), "terms.json"),
-    "terms.json truncated": (edit_bytes("terms.json", lambda data: data[: len(data) // 2]), "terms.json"),
-    "documents.json one row short": (edit_json("documents.json", lambda rows: rows[:-1]), "documents.json"),
-    "documents.json row without classes": (rows_with(lambda row: row[:2]), "documents.json"),
-    "documents.json classes a string": (rows_with(lambda row: [*row[:2], "tag1"]), "documents.json"),
-    "documents.json id a number": (rows_with(lambda row: [7, *row[1:]]), "documents.json"),
-    "documents.json row not an array": (rows_with(lambda row: dict(zip(("id", "label", "classes"), row))), "documents.json"),
-    "documents.json not an array": (edit_json("documents.json", lambda rows: {"rows": rows}), "documents.json"),
-    "documents.json truncated": (edit_bytes("documents.json", lambda data: data[: len(data) // 2]), "documents.json"),
+    "postings.bin truncated": (
+        redigested(edit_bytes("postings.bin", lambda data: data[:-1])), "postings.bin", "bytes, but",
+    ),
+    "postings.bin with trailing bytes": (
+        redigested(edit_bytes("postings.bin", lambda data: data + bytes(8))), "postings.bin", "bytes, but",
+    ),
+    "meta.json counts a posting too many": (meta_with(postings=17), "postings.bin", "bytes, but"),
+    "meta.json counts a term too few": (meta_with(terms=6), "terms.json", "distinct terms"),
+    "meta.json counts a document too many": (meta_with(documents=5), "documents.json", "rows of strings"),
+    "meta.json without a count": (meta_without("terms"), "meta.json", "needs a terms key"),
+    "meta.json count not a number": (meta_with(postings="heavy"), "meta.json", "must be a whole number"),
+    "meta.json count a boolean": (meta_with(documents=True), "meta.json", "must be a whole number"),
+    "meta.json count negative": (meta_with(documents=-1), "meta.json", "must be a whole number"),
+    "meta.json item sizes": (meta_with(itemsize=dict.fromkeys(LAYOUT, 8)), "meta.json", "this machine reads"),
+    "meta.json byte order": (
+        meta_with(byteorder="big" if sys.byteorder == "little" else "little"), "meta.json", "this machine reads",
+    ),
+    "meta.json format version 3": (meta_with(format_version=3), "meta.json", "names format 3, not 4"),
+    "meta.json format version 5": (meta_with(format_version=5), "meta.json", "names format 5, not 4"),
+    "meta.json format version a string": (meta_with(format_version="4"), "meta.json", "names format '4', not 4"),
+    "meta.json without digests": (meta_without("sha256"), "meta.json", "needs a sha256 key"),
+    "meta.json digests not a mapping": (meta_with(sha256=[]), "meta.json", "sha256 must be a mapping"),
+    "meta.json without the digest of one file": (
+        digest_recorded("terms.json", lambda recorded: None), "terms.json", "but meta.json records None",
+    ),
+    "meta.json with another file's digest": (
+        digest_recorded("postings.bin", lambda recorded: recorded["terms.json"]), "postings.bin", DIGEST,
+    ),
+    "idf NaN": (set_item("idf", 0, math.nan), "postings.bin", DIGEST),
+    "idf negative": (set_item("idf", -1, -0.5), "postings.bin", DIGEST),
+    "weight NaN": (set_item("weights", 3, math.nan), "postings.bin", DIGEST),
+    "weight negative": (set_item("weights", -1, -0.5), "postings.bin", DIGEST),
+    "weight infinite": (set_item("weights", 0, math.inf), "postings.bin", DIGEST),
+    "norm NaN": (set_item("norms", 0, math.nan), "postings.bin", DIGEST),
+    "norm negative": (set_item("norms", 2, -1.0), "postings.bin", DIGEST),
+    "common norm NaN": (set_item("common_norms", 1, math.nan), "postings.bin", DIGEST),
+    "common norm negative": (set_item("common_norms", -1, -1.0), "postings.bin", DIGEST),
+    "position past the documents": (set_item("positions", 5, 4), "postings.bin", DIGEST),
+    "position negative": (set_item("positions", 0, -1), "postings.bin", DIGEST),
+    "offsets decreasing": (set_item("offsets", 4, 9), "postings.bin", DIGEST),
+    "offsets not from 0": (set_item("offsets", 0, 1), "postings.bin", DIGEST),
+    "terms.json one term short": (
+        redigested(edit_json("terms.json", lambda terms: terms[:-1])), "terms.json", "distinct terms",
+    ),
+    "terms.json repeating a term": (
+        redigested(edit_json("terms.json", lambda terms: terms[:-1] + terms[:1])), "terms.json", "distinct terms",
+    ),
+    "terms.json not an array": (
+        redigested(edit_json("terms.json", lambda terms: dict.fromkeys(terms, 1))), "terms.json", "not a JSON array",
+    ),
+    "terms.json truncated": (
+        redigested(edit_bytes("terms.json", lambda data: data[: len(data) // 2])), "terms.json", JSON_ERROR,
+    ),
+    "documents.json one row short": (
+        redigested(edit_json("documents.json", lambda rows: rows[:-1])), "documents.json", "rows of strings",
+    ),
+    "documents.json row without classes": (
+        redigested(rows_with(lambda row: row[:2])), "documents.json", "rows of strings",
+    ),
+    "documents.json classes a string": (
+        redigested(rows_with(lambda row: [*row[:2], "tag1"])), "documents.json", "rows of strings",
+    ),
+    "documents.json id a number": (
+        redigested(rows_with(lambda row: [7, *row[1:]])), "documents.json", "rows of strings",
+    ),
+    "documents.json row not an array": (
+        redigested(rows_with(lambda row: dict(zip(("id", "label", "classes"), row)))), "documents.json",
+        "rows of strings",
+    ),
+    "documents.json not an array": (
+        redigested(edit_json("documents.json", lambda rows: {"rows": rows})), "documents.json", "not a JSON array",
+    ),
+    "documents.json truncated": (
+        redigested(edit_bytes("documents.json", lambda data: data[: len(data) // 2])), "documents.json", JSON_ERROR,
+    ),
 }
 
 KB_FAULTS = {
@@ -375,14 +456,25 @@ KB_FAULTS = {
 }
 
 
+def published(kind: str, root: Path) -> CorpusSnapshotStore | KbSnapshotStore:
+    """A store of ``kind`` under ``root`` with version 1 published: corpus_for(1), or the fixture KB."""
+    if kind == "corpus":
+        store = CorpusSnapshotStore(root)
+        store.publish(corpus_for(1))
+    else:
+        store = KbSnapshotStore(root)
+        store.publish(build_kb_index(load_kb_documents(FIXTURES / "kb_docs")))
+    return store
+
+
 class TestCorruptRecords:
     @pytest.mark.parametrize("fault", sorted(CORPUS_FAULTS))
     def test_corpus_file_fault_names_the_file(self, tmp_path, fault):
-        store = CorpusSnapshotStore(tmp_path)
-        store.publish(corpus_for(1))
-        edit, name = CORPUS_FAULTS[fault]
+        store = published("corpus", tmp_path)
+        edit, name, says = CORPUS_FAULTS[fault]
         edit(tmp_path / "1")
-        with pytest.raises(SnapshotError, match=re.escape(f"snapshot file {tmp_path / '1' / name} ")):
+        message = re.escape(f"snapshot file {tmp_path / '1' / name} ") + ".*" + re.escape(says)
+        with pytest.raises(SnapshotError, match=message):
             store.load()
 
     def test_published_corpus_matches_the_fault_table(self, tmp_path):
@@ -391,12 +483,51 @@ class TestCorruptRecords:
         assert (meta["terms"], meta["postings"], meta["documents"]) == (7, 16, 4)
         offsets = struct.unpack_from("=8q", (tmp_path / "1" / "postings.bin").read_bytes(), 7 * 8)
         assert offsets == (0, 1, 2, 3, 4, 8, 12, 16)  # so offsets[4] = 9 decreases
+        assert read_postings(tmp_path / "1")["offsets"].tolist() == list(offsets)
+
+    @pytest.mark.parametrize("kind, name", [
+        ("corpus", "terms.json"), ("corpus", "documents.json"), ("corpus", "postings.bin"), ("kb", "chunks.jsonl"),
+    ])
+    def test_any_flipped_byte_of_a_data_file_is_refused_naming_it(self, tmp_path, kind, name):
+        store = published(kind, tmp_path)
+        path = tmp_path / "1" / name
+        original = path.read_bytes()
+        for at in range(len(original)):
+            flipped = bytearray(original)
+            flipped[at] ^= 0x01
+            path.write_bytes(flipped)
+            with pytest.raises(SnapshotError, match=re.escape(f"snapshot file {path} is corrupt: {DIGEST}")):
+                store.load()
+        path.write_bytes(original)
+        assert store.load().snapshot_version == 1
+
+    def test_a_common_terms_positions_reversed_is_refused(self, tmp_path):
+        # top_k bisects each term's ascending positions and bounds a document
+        # by its common norm; six documents that all hold `shared`, each
+        # with its own term, and the postings of `shared` reversed in place,
+        # weights with them: every value stays finite, in range and in count
+        store = CorpusSnapshotStore(tmp_path)
+        store.publish(build_corpus_index([
+            (f"d{i}", "safe", (), f"contract C{i} {{ uint shared; uint own{i}; }}" + " shared" * i) for i in range(6)
+        ]))
+        version = tmp_path / "1"
+        arrays = read_postings(version)
+        term = json.loads((version / "terms.json").read_text(encoding="utf-8")).index("shared")
+        common = slice(arrays["offsets"][term], arrays["offsets"][term + 1])
+        assert arrays["positions"][common].tolist() == list(range(6))
+        assert len(set(arrays["weights"][common])) == 6  # so the reversal moves every weight
+        for name in ("positions", "weights"):
+            arrays[name][common] = array(LAYOUT[name], reversed(arrays[name][common]))
+        write_postings(version, arrays)
+        message = f"snapshot file {version / 'postings.bin'} is corrupt: {DIGEST}"
+        with pytest.raises(SnapshotError, match=re.escape(message)):
+            store.load()
 
     def test_format1_version_asks_for_kb_update(self, tmp_path):
         version = reference.publish_v1(tmp_path, corpus_for(1))
         store = CorpusSnapshotStore(tmp_path)
         with pytest.raises(
-            SnapshotError, match=re.escape(f"snapshot file {version / 'meta.json'} names format 1, not 3: ") + ".*kb update"
+            SnapshotError, match=re.escape(f"snapshot file {version / 'meta.json'} names format 1, not 4: ") + ".*kb update"
         ):
             store.load()
         assert store.publish(corpus_for(2)) == 2  # what `kb update` does
@@ -406,10 +537,12 @@ class TestCorruptRecords:
         store = CorpusSnapshotStore(tmp_path)
         store.publish(corpus_for(1))
         version = tmp_path / "1"
-        # format 2 is format 3 without the trailing common_norms, one float64 per document
+        # format 2 is format 3 without the trailing common_norms, one float64
+        # per document, and format 3 is format 4 without the digests
         edit_bytes("postings.bin", lambda data: data[: -8 * 4])(version)
+        meta_without("sha256")(version)
         meta_with(format_version=2)(version)
-        message = f"snapshot file {version / 'meta.json'} names format 2, not 3: "
+        message = f"snapshot file {version / 'meta.json'} names format 2, not 4: "
         with pytest.raises(SnapshotError, match=re.escape(message + "republish the corpus with `solguard kb update --corpus <file>`")):
             store.load()
         assert store.publish(corpus_for(2)) == 2
@@ -418,11 +551,21 @@ class TestCorruptRecords:
     def test_format1_kb_version_asks_for_kb_update(self, tmp_path):
         store = KbSnapshotStore(tmp_path)
         version = write_kb_v1(tmp_path, [KbDocument("d", "alpha beta")])
-        message = f"snapshot file {version / 'meta.json'} names format 1, not 2: "
+        message = f"snapshot file {version / 'meta.json'} names format 1, not 3: "
         with pytest.raises(SnapshotError, match=re.escape(message + "republish the knowledge base with `solguard kb update --docs <dir>`")):
             store.load()
         assert store.publish(build_kb_index([KbDocument("e", "gamma")])) == 2  # what `kb update --docs` does
         assert [c.doc_id for c in store.load().chunks] == ["e"]
+
+    def test_format2_kb_version_asks_for_kb_update(self, tmp_path):
+        store = published("kb", tmp_path)
+        version = tmp_path / "1"
+        # format 2 wrote the same chunks.jsonl, and meta.json with counts in place of the digest
+        meta_v2 = {"kind": "kb", "version": 1, "format_version": 2, "documents": 6, "chunks": 6}
+        (version / "meta.json").write_text(json.dumps(meta_v2), encoding="utf-8")
+        message = f"snapshot file {version / 'meta.json'} names format 2, not 3: "
+        with pytest.raises(SnapshotError, match=re.escape(message + "republish the knowledge base with `solguard kb update --docs <dir>`")):
+            store.load()
 
     @pytest.mark.parametrize("fault", sorted(KB_FAULTS))
     def test_kb_line_fault_names_file_and_line(self, tmp_path, fault):
@@ -430,29 +573,17 @@ class TestCorruptRecords:
         docs = [KbDocument(f"d{i}", f"alpha beta {i}") for i in range(3)]
         store.publish(build_kb_index(docs))
         edit_record(tmp_path / "1" / "chunks.jsonl", 2, KB_FAULTS[fault])
+        redigest(tmp_path / "1")
         with pytest.raises(SnapshotError, match=r"chunks\.jsonl:2: "):
             store.load()
 
     @pytest.mark.parametrize("lines", [[0, 1], [0, 0, 0], [0, 0, 2, 3, 4, 5]], ids=["2 of 6", "3 copies", "a copy"])
-    def test_kb_chunks_other_than_meta_counts_name_the_file(self, tmp_path, lines):
-        store = KbSnapshotStore(tmp_path)
-        store.publish(build_kb_index(load_kb_documents(FIXTURES / "kb_docs")))
+    def test_kb_chunks_dropped_or_repeated_fail_the_digest(self, tmp_path, lines):
+        store = published("kb", tmp_path)
         path = tmp_path / "1" / "chunks.jsonl"
         records = path.read_text(encoding="utf-8").splitlines(keepends=True)
         path.write_text("".join(records[i] for i in lines), encoding="utf-8")
-        with pytest.raises(SnapshotError, match=re.escape(f"snapshot file {path} is corrupt: ") + ".* counts 6 of 6"):
-            store.load()
-
-
-    def test_kb_chunk_repeating_an_earlier_doc_and_index_names_the_lines(self, tmp_path):
-        store = KbSnapshotStore(tmp_path)
-        store.publish(build_kb_index([KbDocument("d", " ".join(f"w{i}" for i in range(1000)))]))
-        path = tmp_path / "1" / "chunks.jsonl"
-        records = path.read_text(encoding="utf-8").splitlines(keepends=True)
-        assert len(records) == 3
-        path.write_text(records[0] * 2 + records[2], encoding="utf-8")  # the counts still agree with meta.json
-        message = f"snapshot file {path} is corrupt: line 2 repeats doc_id/chunk_index 'd'/0 of line 1"
-        with pytest.raises(SnapshotError, match=re.escape(message)):
+        with pytest.raises(SnapshotError, match=re.escape(f"snapshot file {path} is corrupt: {DIGEST}")):
             store.load()
 
 
@@ -469,7 +600,12 @@ class TestGarbageCollector:
             assert store.load().snapshot_version == 1
             assert gc.isenabled() is enabled
             set_item("norms", 0, math.nan)(tmp_path / "1")
-            with pytest.raises(SnapshotError, match="norms must be finite"):
+            with pytest.raises(SnapshotError, match=DIGEST):
+                store.load()
+            assert gc.isenabled() is enabled
+            redigest(tmp_path / "1")
+            meta_with(documents=5)(tmp_path / "1")  # so the fault is met while the files are read
+            with pytest.raises(SnapshotError, match="rows of strings"):
                 store.load()
             assert gc.isenabled() is enabled
         finally:
