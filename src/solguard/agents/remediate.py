@@ -1,17 +1,18 @@
 """The repair chain: advise, assess, fix, verify.
 
-Advisor, assessor and verifier prompts decompose: they show the model an
-excerpt of the source, not the whole file. A container is a top-level
-contract, interface or library. An excerpt starts from where a function
-name points (:func:`_homes`): the containers that define a function of
-that name (every one, for a repeated or overloaded name) and the bodies of
-the free functions of that name. A container also stays when its name
-appears as an identifier inside a kept container or one of those bodies
-(bases, libraries, interfaces, ``new X`` and casts), until nothing more is
-added. Every other container is cut with the whitespace after it;
-everything outside containers (licence, pragma, imports, comments, free
-functions) stays in order. The whole source goes instead for a file of
-fewer than two containers or when there is nothing to start from.
+Every repair prompt decomposes: it shows the model an excerpt of the
+source, not the whole file; only the detector sees the whole source. A
+container is a top-level contract, interface or library. An excerpt starts
+from where a function name points (:func:`_homes`): the containers that
+define a function of that name (every one, for a repeated or overloaded
+name) and the bodies of the free functions of that name. A container also
+stays when its name appears as an identifier inside a kept container or
+one of those bodies (bases, libraries, interfaces, ``new X`` and casts),
+until nothing more is added. Every other container is cut with the
+whitespace after it; everything outside containers (licence, pragma,
+imports, comments, free functions) stays in order. The whole source goes
+instead for a file of fewer than two containers or when there is nothing
+to start from.
 
 An advisor or assessor prompt (:func:`excerpt`) starts from the finding's
 name; a contract-level finding or a name that no function has starts from
@@ -24,12 +25,17 @@ names one of these containers, transitively (a contract derived from a
 changed base, a user of a changed library). :func:`verify` still re-scans
 the whole patched source.
 
+A fixer prompt (:func:`fix`) starts from the addressed findings' names;
+two containers of one name send the whole source. The reply, the repaired
+excerpt, goes to :func:`splice`. If it keeps the excerpt's bytes outside
+containers and the kept containers' names in order, the whole file takes
+the reply's text for each kept container. Otherwise each cut container whose
+name the reply lacks goes before the next kept one the reply has, or at
+the end; a whole-file reply stands as it is.
+
 Both closures are linear in the file: the kept rows are read once, each
 container name looked up until it is first seen, and a seed's dependents
 come from the rows of its name, each mapped to its container by bisection.
-
-The detector and the fixer, which returns the whole repaired source, see
-the whole source.
 """
 
 from __future__ import annotations
@@ -39,8 +45,8 @@ import re
 from bisect import bisect_right
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
-from typing import Callable, Sequence, TypeVar
+from dataclasses import dataclass, replace
+from typing import Callable, Iterable, Sequence, TypeVar
 
 from solguard.core import (
     Channel,
@@ -117,13 +123,12 @@ def _homes(side: SourceContract, names: set[str]) -> tuple[set[int], list[range]
     return {fn.container for fn in named if fn.container is not None}, [fn.body for fn in named if fn.container is None]
 
 
-def _cut(side: SourceContract, seeds: set[int], roots: list[range]) -> str:
-    """``side``'s source without the containers that neither ``seeds`` (indices
-    into its containers) nor ``roots`` (rows outside any container) need: the
-    module docstring's closure and cut."""
+def _kept(side: SourceContract, seeds: set[int], roots: list[range]) -> set[int]:
+    """The containers of ``side`` that ``seeds`` (container indices) and ``roots`` (rows outside
+    containers) need by the module docstring's closure; all when there is nothing to decompose."""
     view = side.view
     if len(view.containers) < 2 or not (seeds or roots):
-        return side.source
+        return set(range(len(view.containers)))
     unseen: dict[str, list[int]] = {}  # container name -> its containers, until the name is first seen
     for c, container in enumerate(view.containers):
         unseen.setdefault(container.name, []).append(c)
@@ -136,21 +141,34 @@ def _cut(side: SourceContract, seeds: set[int], roots: list[range]) -> str:
                 if c not in kept:
                     kept.add(c)
                     todo.append(view.containers[c].rows)
-    data = side.token_stream.data
+    return kept
+
+
+def _edited(data: bytes, edits: Iterable[tuple[tuple[int, int], bytes]]) -> bytes:
+    """``data`` with each ``(span, text)`` of ``edits``, in span order, putting ``text`` in place of the span."""
     pieces: list[bytes] = []
     at = 0
-    for c, container in enumerate(view.containers):
-        if c not in kept:
-            pieces.append(data[at : container.span.start])
-            at = _TRAILING_SPACE.match(data, container.span.end).end()
+    for (start, end), text in edits:
+        pieces += (data[at:start], text)
+        at = end
     pieces.append(data[at:])
-    return b"".join(pieces).decode("utf-8")
+    return b"".join(pieces)
+
+
+def _cut(side: SourceContract, kept: set[int]) -> str:
+    """``side``'s source without the containers ``kept`` lacks: the module docstring's cut."""
+    containers = side.view.containers
+    if len(kept) == len(containers):
+        return side.source
+    data = side.token_stream.data
+    cuts = (container.span for c, container in enumerate(containers) if c not in kept)
+    return _edited(data, (((start, _TRAILING_SPACE.match(data, end).end()), b"") for start, end in cuts)).decode("utf-8")
 
 
 def excerpt(contract: SourceContract, finding: Finding) -> str:
     """The source an advisor or assessor prompt shows for ``finding``: the
     module docstring's rule, over the containers and functions of the view."""
-    return _cut(contract, *_homes(contract, {finding.location.function}))
+    return _cut(contract, _kept(contract, *_homes(contract, {finding.location.function})))
 
 
 def verifier_excerpts(contract: SourceContract, patch: Patch) -> tuple[str, str]:
@@ -180,7 +198,7 @@ def verifier_excerpts(contract: SourceContract, patch: Patch) -> tuple[str, str]
                 if c >= 0 and row in containers[c].rows and c not in seeds:
                     seeds.add(c)
                     todo.append(containers[c].name)
-        shown.append(_cut(side, seeds, roots))
+        shown.append(_cut(side, _kept(side, seeds, roots)))
     return shown[0], shown[1]
 
 
@@ -313,9 +331,39 @@ def _priority(assignment: RiskAssignment) -> tuple[int, int, int]:
     return (-assignment.level.severity, span.start, span.end)
 
 
+def splice(contract: SourceContract, kept: set[int], patch: Patch) -> Patch:
+    """``patch``, the repair of the excerpt of ``contract`` that keeps the
+    containers ``kept``, with the cut containers put back by the module
+    docstring's rule; ``patch`` itself when none goes back. When some were
+    cut, a reply that does not lex or segment raises as its view does."""
+    containers = contract.view.containers
+    if len(kept) == len(containers):
+        return patch
+    data, reply = contract.token_stream.data, patch.repaired
+    got, got_data = reply.view.containers, reply.token_stream.data
+    shown = [containers[c] for c in sorted(kept)]
+    if [c.name for c in got] == [c.name for c in shown]:
+        unedited = _edited(got_data, ((new.span, data[old.span.start : old.span.end]) for old, new in zip(shown, got)))
+        if unedited == _cut(contract, kept).encode("utf-8"):  # the reply changed only the kept containers
+            edits = ((old.span, got_data[new.span.start : new.span.end]) for old, new in zip(shown, got))
+            return replace(patch, repaired_source=_edited(data, edits).decode("utf-8"))
+    starts = {c.name: c.span.start for c in reversed(got)}  # the first reply container of each name
+    puts, waiting = [], []
+    for c, container in enumerate(containers):
+        if c not in kept and container.name not in starts:
+            waiting.append(data[container.span.start : _TRAILING_SPACE.match(data, container.span.end).end()])
+        elif c in kept and waiting and container.name in starts:
+            puts.append(((starts[container.name],) * 2, b"".join(waiting)))
+            waiting = []
+    if waiting:  # on a line of their own, so that no comment on the reply's last line takes them in
+        puts.append(((len(got_data),) * 2, (b"" if got_data.endswith(b"\n") else b"\n") + b"".join(waiting)))
+    return replace(patch, repaired_source=_edited(got_data, sorted(puts)).decode("utf-8")) if puts else patch
+
+
 def build_fixer_prompt(
     contract: SourceContract,
     ordered: list[tuple[RiskAssignment, RepairSuggestion]],
+    kept: set[int],
 ) -> str:
     lines: list[str] = []
     for i, (assignment, suggestion) in enumerate(ordered, start=1):
@@ -326,9 +374,7 @@ def build_fixer_prompt(
         else:
             line += ": (no complete suggestion; repair from first principles)"
         lines.append(line)
-    return render_prompt(
-        FIXER_TEMPLATE, {"suggestions": "\n".join(lines), "code": contract.source}
-    )
+    return render_prompt(FIXER_TEMPLATE, {"suggestions": "\n".join(lines), "code": _cut(contract, kept)})
 
 
 def fix(
@@ -340,15 +386,19 @@ def fix(
     """Generate a patch; the repaired source must tokenize and segment cleanly.
 
     ``suggestions`` and ``assignments`` hold one entry per finding, in the
-    same order. An answer that does not tokenize or segment earns one repair
-    retry; a second failure raises :class:`PipelineError`. The returned patch
-    carries its lexed and segmented source as :attr:`Patch.repaired`, which
-    :func:`verify` reuses.
+    same order. The model repairs an excerpt, which :func:`splice` puts back
+    into the whole file. A result that does not tokenize or segment earns one
+    repair retry; a second failure raises :class:`PipelineError`. The returned
+    patch carries its lexed and segmented source as :attr:`Patch.repaired`,
+    which :func:`verify` reuses.
     """
     if not suggestions:
         raise PipelineError(f"{contract.id}: fix requires at least one suggestion")
     ordered = sorted(zip(assignments, suggestions, strict=True), key=lambda pair: _priority(pair[0]))
-    prompt = build_fixer_prompt(contract, ordered)
+    names = [container.name for container in contract.view.containers]
+    unique = len(set(names)) == len(names)  # splice tells containers apart by name, so else the whole source goes
+    kept = _kept(contract, *_homes(contract, {a.finding.location.function for a, _ in ordered} if unique else set()))
+    prompt = build_fixer_prompt(contract, ordered, kept)
 
     def ask(fixer_prompt: str) -> Patch:
         record = ask_structured(provider, "fixer", fixer_prompt, FIXER_REPLY)
@@ -361,6 +411,7 @@ def fix(
 
     patch = ask(prompt)
     try:
+        patch = splice(contract, kept, patch)
         patch.repaired.view  # lexes and segments the repaired source now, so verify need not
     except (LexicalError, StructuralError):
         patch = ask(
@@ -368,6 +419,7 @@ def fix(
             "Return the complete corrected source."
         )
         try:
+            patch = splice(contract, kept, patch)
             patch.repaired.view
         except LexicalError as exc:
             raise PipelineError(f"{contract.id}: repaired source does not tokenize: {exc}") from exc

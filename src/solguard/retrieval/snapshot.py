@@ -31,7 +31,7 @@ from array import array
 from itertools import chain
 from operator import mul
 from pathlib import Path
-from typing import Generic, TypeVar
+from typing import Generic, Iterable, TypeVar
 
 from solguard.core import gc_paused
 from solguard.errors import SnapshotError
@@ -133,9 +133,18 @@ class SnapshotStore(Generic[T]):
         tmp.write_text(f"{version}\n", encoding="utf-8")
         os.replace(tmp, pointer)
 
-    def _write_meta(self, target: Path, index: T, **fields: object) -> None:
+    def _write_all(self, target: Path, index: T, blocks: dict[str, Iterable[bytes | array]], **fields: object) -> None:
+        """Each data file from its ``blocks``, hashed on the way out, then meta.json with ``fields``."""
+        sha256 = {}
+        for name, parts in blocks.items():
+            digest = hashlib.sha256()
+            with open(target / name, "wb") as fh:
+                for block in parts:
+                    digest.update(block)
+                    fh.write(block)
+            sha256[name] = digest.hexdigest()
         header = {"kind": self.kind, "version": index.snapshot_version, "format_version": self.format_version,
-                  "sha256": {name: _sha256(target / name) for name in self.files}}
+                  "sha256": sha256}
         _write_json(target / "meta.json", {**header, **fields})
 
     def _write_files(self, target: Path, index: T) -> None:
@@ -160,14 +169,14 @@ class CorpusSnapshotStore(SnapshotStore[CorpusIndex]):
     })
 
     def _write_files(self, target: Path, index: CorpusIndex) -> None:
-        with open(target / "postings.bin", "wb") as fh:
-            for values in (index.idf, index.offsets, index.positions, index.weights, index.norms, index.common_norms):
-                values.tofile(fh)
-        (target / "terms.json").write_text(json.dumps(list(index.term_ids)), encoding="utf-8")
         rows = list(zip(index.ids, index.labels, index.classes))  # tuples write as JSON arrays
-        (target / "documents.json").write_text(json.dumps(rows), encoding="utf-8")
+        blocks = {
+            "postings.bin": (index.idf, index.offsets, index.positions, index.weights, index.norms, index.common_norms),
+            "terms.json": [json.dumps(list(index.term_ids)).encode("utf-8")],
+            "documents.json": [json.dumps(rows).encode("utf-8")],
+        }
         counts = {"terms": len(index.term_ids), "postings": len(index.positions), "documents": len(index.ids)}
-        self._write_meta(target, index, byteorder=sys.byteorder, itemsize=ITEMSIZE, **counts)
+        self._write_all(target, index, blocks, byteorder=sys.byteorder, itemsize=ITEMSIZE, **counts)
 
     def _read_files(self, target: Path, meta: dict) -> CorpusIndex:
         meta_path, terms_path, rows_path, path = (
@@ -208,12 +217,11 @@ class KbSnapshotStore(SnapshotStore[KbIndex]):
     meta = Record(_META)
 
     def _write_files(self, target: Path, index: KbIndex) -> None:
-        with open(target / "chunks.jsonl", "w", encoding="utf-8") as fh:
-            fh.writelines(
-                json.dumps({"chunk_index": c.chunk_index, "doc_id": c.doc_id, "text": c.text}) + "\n"
-                for c in index.chunks
-            )
-        self._write_meta(target, index)
+        lines = (
+            (json.dumps({"chunk_index": c.chunk_index, "doc_id": c.doc_id, "text": c.text}) + "\n").encode("utf-8")
+            for c in index.chunks
+        )
+        self._write_all(target, index, {"chunks.jsonl": lines})
 
     def _read_files(self, target: Path, meta: dict) -> KbIndex:
         chunks: list = []

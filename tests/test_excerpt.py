@@ -1,5 +1,6 @@
-"""The source an advisor or assessor prompt shows for one finding, and the
-two sources a verifier prompt shows for one patch."""
+"""The source an advisor or assessor prompt shows for one finding, the two
+sources a verifier prompt shows for one patch, and the source a fixer
+prompt shows with the splice that puts its reply back into the whole file."""
 
 from __future__ import annotations
 
@@ -12,16 +13,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from solguard.agents.remediate import (
+    RiskAssignment,
     build_advisor_prompt,
     build_assessor_prompt,
     build_verifier_prompt,
     excerpt,
+    fix,
     verifier_excerpts,
 )
-from solguard.core import Channel, Finding, Location, Patch, Span, VulnerabilityClass
+from solguard.core import Channel, Finding, Location, Patch, RepairSuggestion, RiskLevel, Span, VulnerabilityClass
+from solguard.llm.mock import TranscriptRecorder
 from solguard.llm.prompts import VERIFIER_TEMPLATE
 from solguard.llm.provider import prompt_fingerprint
 from solguard.llm.template import render_prompt
+from solguard.static_analysis import scanner
 from solguard.static_analysis.scanner import load_file, load_source
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -403,3 +408,164 @@ def test_every_changed_container_shows_verbatim_on_its_side(names, swap, twin, p
                 assert container_text.decode("utf-8") in text
     if shown == (contract.source, patch.repaired_source):
         assert build_verifier_prompt(contract, patch) == whole_source_prompt(contract, patch)
+
+
+# -- the fixer's excerpt and the splice ------------------------------------
+
+
+def fixed(source: str, edit, *functions: str) -> tuple[str, Patch]:
+    """The code of the fixer prompt for findings in ``functions`` of
+    ``source``, and the patch :func:`fix` makes of ``edit(that code)``."""
+    shown: list[str] = []
+
+    def reply(role: str, prompt: str) -> str:
+        shown.append(prompt.split("\n\nContract code:\n", 1)[1])
+        return json.dumps({"repaired_source": edit(shown[-1]), "rationale": "r"})
+
+    assignments = [RiskAssignment(finding(name), RiskLevel.HIGH) for name in functions]
+    suggestions = [RepairSuggestion("", "", "", (), (), a.finding, complete=False) for a in assignments]
+    patch = fix(load_source("c", source), suggestions, assignments, TranscriptRecorder(reply))
+    return shown[0], patch
+
+
+def grown(source: str, names: set[str] | None = None) -> str:
+    """``source`` with a function added at the end of each container named in
+    ``names``, or of every container."""
+    contract = load_source("e", source)
+    data = contract.token_stream.data
+    for container in reversed(contract.view.containers):
+        if names is None or container.name in names:
+            at = container.span.end - 1  # the closing brace
+            data = data[:at] + b"    function spliced() public { touched += 1; }\n" + data[at:]
+    return data.decode("utf-8")
+
+
+LIBRARY_AND_THREE = """\
+// SPDX-License-Identifier: MIT
+pragma solidity ^0.8.0;
+import "./Token.sol";
+
+/// Arithmetic the vault relies on.
+library SafeAdd {
+    function plus(uint256 a, uint256 b) internal pure returns (uint256) { return a + b; }
+}
+
+// the vault
+contract Vault {
+    using SafeAdd for uint256;
+    function withdraw() external { total = total.plus(1); }
+}
+
+// the lottery
+contract Lottery {
+    function draw() external { winner = block.timestamp % 7; }
+}
+
+// the registry
+contract Registry {
+    function register() external { owner = msg.sender; }
+}
+"""
+
+
+def test_a_fixer_prompt_shows_the_findings_containers_their_closure_and_every_root_line():
+    contract = load_source("c", LIBRARY_AND_THREE)
+    shown, patch = fixed(LIBRARY_AND_THREE, lambda code: code, "withdraw", "draw")
+    registry = "contract Registry {\n    function register() external { owner = msg.sender; }\n}\n"
+    assert shown == LIBRARY_AND_THREE.replace(registry, "")
+    for kept in ("library SafeAdd", "contract Vault", "contract Lottery"):
+        assert kept in shown
+    assert body_of(contract, "register") not in shown
+    roots = [line for line in LIBRARY_AND_THREE.splitlines() if line.startswith(("//", "pragma", "import"))]
+    assert len(roots) == 7 and all(line in shown.splitlines() for line in roots)
+    assert patch.repaired_source == LIBRARY_AND_THREE  # an unedited excerpt splices back to its source
+
+
+HEAD = "// SPDX-License-Identifier: MIT\npragma solidity ^0.8.0;\n\n"
+A, B, C, D = (
+    f"contract {name} {{\n    function {function}() public {{ {variable} = {i}; }}\n}}"
+    for i, (name, function, variable) in enumerate(zip("ABCD", "fghk", "xyzw"), start=1)
+)
+FOUR = HEAD + "\n\n".join([A, B, C, D]) + "\n"
+
+
+@pytest.mark.parametrize(
+    "functions, edit, spliced",
+    [
+        (
+            ("g", "k"),
+            lambda code: code.replace("^0.8.0", "^0.8.20").replace("y = 2;", "y = 3;"),
+            FOUR.replace("^0.8.0", "^0.8.20").replace("y = 2;", "y = 3;"),  # each before the next kept container
+        ),
+        (
+            ("g", "k"),
+            lambda code: code.replace("contract B", "contract Guarded"),
+            HEAD + "\n\n".join([B.replace("contract B", "contract Guarded"), A, C, D]) + "\n",  # A and C before D
+        ),
+        (
+            ("k",),
+            lambda code: code.replace("contract D", "contract Last").rstrip("\n"),
+            HEAD + D.replace("contract D", "contract Last") + "\n" + "\n\n".join([A, B, C]) + "\n\n",  # at the end
+        ),
+    ],
+    ids=["pragma-edited", "kept-container-renamed", "last-kept-container-renamed"],
+)
+def test_a_reply_that_edits_outside_its_containers_or_renames_one_splices_by_name(functions, edit, spliced):
+    shown, patch = fixed(FOUR, edit, *functions)
+    assert shown == HEAD + "\n\n".join(c for c in (A, B, C, D) if any(f"{f}()" in c for f in functions)) + "\n"
+    assert patch.repaired_source == spliced
+    load_source("e", spliced).view  # lexes and segments
+
+
+def test_a_whole_file_reply_stands_as_it_is_and_is_lexed_once(monkeypatch):
+    lexed: list[str] = []
+    monkeypatch.setattr(scanner, "load_source", lambda *args: lexed.append(args[0]) or load_source(*args))
+    whole = FOUR.replace("y = 2;", "y = 3;")
+    shown, patch = fixed(FOUR, lambda code: whole, "g")
+    assert shown != FOUR and patch.repaired_source == whole
+    patch.repaired.view
+    assert lexed == ["c.patched"]  # the reply's own lex is the patch's
+    lexed.clear()
+    _, patch = fixed(FOUR, lambda code: code.replace("y = 2;", "y = 3;"), "g")
+    assert patch.repaired_source == whole
+    patch.repaired.view
+    assert lexed == ["c.patched", "c.patched"]  # the reply, then the spliced file
+
+
+def test_two_containers_of_one_name_send_the_whole_source():
+    source = FOUR.replace("contract C", "contract A")
+    shown, patch = fixed(source, lambda code: code.replace("y = 2;", "y = 3;"), "g")
+    assert shown == source
+    assert patch.repaired_source == source.replace("y = 2;", "y = 3;")
+
+
+RULE_TEXTS = {path: path.read_text(encoding="utf-8") for path in sorted(RULE_FIXTURES.glob("*.sol"))}
+
+
+def _by_container() -> dict[str, list[Path]]:
+    """The rules fixtures, grouped by the name of each container they hold."""
+    grouped: dict[str, list[Path]] = {}
+    for path, text in RULE_TEXTS.items():
+        for container in load_source(path.stem, text).view.containers:
+            grouped.setdefault(container.name, []).append(path)
+    return grouped
+
+
+BY_CONTAINER = _by_container()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    picks=st.lists(
+        st.tuples(st.sampled_from(sorted(BY_CONTAINER)), st.integers(min_value=0)),
+        min_size=1, max_size=5, unique_by=lambda pick: pick[0],
+    ),
+    chosen=st.lists(st.integers(min_value=0), min_size=1, max_size=2),
+)
+def test_a_spliced_edit_of_the_fixer_s_excerpt_is_the_same_edit_of_the_whole_file(picks, chosen):
+    # whole rule files, so each cut contract lies before the next file's licence and pragma lines
+    source = "\n".join(RULE_TEXTS[BY_CONTAINER[name][i % len(BY_CONTAINER[name])]] for name, i in picks)
+    functions = sorted({fn.name for fn in load_source("c", source).view.functions})
+    shown, patch = fixed(source, grown, *(functions[i % len(functions)] for i in chosen))
+    kept = {container.name for container in load_source("e", shown).view.containers}
+    assert patch.repaired_source == grown(source, kept)

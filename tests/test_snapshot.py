@@ -18,6 +18,7 @@ import pytest
 from solguard.errors import SnapshotError
 from solguard.jsonl import load_labeled_records
 from solguard.retrieval.kb import KbDocument, build_kb_index, load_kb_documents
+from solguard.retrieval import snapshot
 from solguard.retrieval.snapshot import CorpusSnapshotStore, KbSnapshotStore
 from solguard.retrieval.tfidf import build_corpus_index, top_k
 from solguard.static_analysis.scanner import load_file, load_source
@@ -500,6 +501,23 @@ class TestCorruptRecords:
                 store.load()
         path.write_bytes(original)
         assert store.load().snapshot_version == 1
+
+    @pytest.mark.parametrize("kind", ["corpus", "kb"])
+    def test_a_publish_hashes_its_files_as_it_writes_them(self, tmp_path, monkeypatch, kind):
+        def read_back(path: Path) -> str:
+            raise AssertionError(f"publish read back {path}")
+
+        sha256 = snapshot._sha256
+        monkeypatch.setattr(snapshot, "_sha256", read_back)
+        store = published(kind, tmp_path)
+        monkeypatch.undo()
+        version = tmp_path / "1"
+        meta = json.loads((version / "meta.json").read_text(encoding="utf-8"))
+        assert meta["sha256"] == {name: d for name, d in digests(version).items() if name != "meta.json"}
+        hashed: list[str] = []
+        monkeypatch.setattr(snapshot, "_sha256", lambda path: hashed.append(path.name) or sha256(path))
+        assert store.load().snapshot_version == 1
+        assert hashed == list(store.files)  # the load still checks every data file
 
     def test_a_common_terms_positions_reversed_is_refused(self, tmp_path):
         # top_k bisects each term's ascending positions and bounds a document
