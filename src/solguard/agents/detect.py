@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Any, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from solguard.core import (
     Channel,
@@ -25,7 +25,7 @@ from solguard.core import (
     merge_findings,
     payload,
 )
-from solguard.errors import ExtractionError, ModelChannelError, SolguardError
+from solguard.errors import ExtractionError, ModelChannelError, SolguardError, TransportError
 from solguard.llm.prompts import (
     DETECTOR_ENRICHED_TEMPLATE,
     DETECTOR_TEMPLATE,
@@ -117,13 +117,32 @@ def fuse_channels(
     )
 
 
-def ask_structured(provider: Provider, role: str, prompt: str, schema: Record) -> dict[str, Any]:
-    """Complete and extract the reply record ``schema``; on a parse failure
-    or a field fault, retry once with a repair instruction appended."""
+def ask_structured(
+    provider: Provider, role: str, prompt: str, schema: Record, answer: Callable[[dict[str, Any]], Any] = lambda r: r
+) -> Any:
+    """``answer`` of the reply record ``schema`` (the record itself by default),
+    by the one rule for a reply fault: an :class:`ExtractionError`, from
+    extraction or ``answer``, or a ``ValueError`` from ``answer`` earns one
+    retry with :data:`REPAIR_INSTRUCTION` appended, and a second fault is
+    raised as an :class:`ExtractionError`. A provider's own exception that is
+    not a :class:`SolguardError` is a :class:`TransportError`, not a reply fault."""
+
+    def attempt(text: str) -> Any:
+        try:
+            reply = provider.complete(text, role=role)
+        except SolguardError:
+            raise
+        except Exception as exc:
+            raise TransportError(f"{role}: provider failed: {exc!r}") from exc
+        try:
+            return answer(extract_structured(reply, schema, role))
+        except ValueError as exc:
+            raise ExtractionError(f"{role}: reply unusable: {exc}", reply) from exc
+
     try:
-        return extract_structured(provider.complete(prompt, role=role), schema, role)
+        return attempt(prompt)
     except ExtractionError:
-        return extract_structured(provider.complete(f"{prompt}\n\n{REPAIR_INSTRUCTION}", role=role), schema, role)
+        return attempt(f"{prompt}\n\n{REPAIR_INSTRUCTION}")
 
 
 def reference_notes(kb_index: KbIndex | None, query: str, k: int) -> str:

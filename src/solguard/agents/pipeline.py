@@ -3,10 +3,12 @@
 Later stages run only when detection judged the contract vulnerable and
 produced actionable findings. One runner times each stage and records a
 ``SolguardError`` as ``errors[stage]``; only the stages that need the failed
-one are skipped. Advise and assess degrade a finding whose call failed, and
-fail only when every finding's call did. Advise and assess need detect (assess
-runs without suggestions if advise failed), fix needs advise and assess,
-verify needs fix, and the report always renders. A failed model channel is a ``detect`` error
+one are skipped. A reply still unusable after the one repair prompt of
+:func:`~solguard.agents.detect.ask_structured` degrades its finding in advise
+and assess (an unusable patch is a ``fix`` error); they fail only when every
+finding's call failed. Advise and assess need detect (assess runs without
+suggestions if advise failed), fix needs advise and assess, verify needs fix,
+and the report always renders. A failed model channel is a ``detect`` error
 that keeps a verdict, fused from the static and retrieval channels with their
 weights renormalized, and skips the repair chain; when neither of them has
 weight, the verdict is undetermined. ``solguard audit`` exits 1 on any

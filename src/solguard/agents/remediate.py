@@ -36,6 +36,10 @@ the end; a whole-file reply stands as it is.
 Both closures are linear in the file: the kept rows are read once, each
 container name looked up until it is first seen, and a seed's dependents
 come from the rows of its name, each mapped to its container by bisection.
+
+Each role's answer step runs inside :func:`~solguard.agents.detect.ask_structured`,
+so a value it refuses (an empty advisor field, an assessor level outside the
+four, a patch that does not lex or segment) earns the one repair prompt.
 """
 
 from __future__ import annotations
@@ -88,16 +92,20 @@ def _per_finding(call: Callable[[T], R], items: Sequence[T], fallback: Callable[
     """``[call(item) for item in items]`` with the calls overlapped on up to
     :data:`FINDING_CALLS_IN_FLIGHT` threads when there are two or more.
 
-    Results keep the items' order. An item whose call raises a
-    :class:`SolguardError`, such as a transport fault, gets
-    ``fallback(item)`` instead, so one finding's failure costs only its own
-    answer. Only when every item's call raised does the exception of the
-    first item propagate, failing the stage.
+    Results keep the items' order. An item whose reply stayed unusable (an
+    :class:`ExtractionError`) or whose call raises another
+    :class:`SolguardError`, such as a transport fault, gets ``fallback(item)``
+    instead, so one finding's failure costs only its own answer. Only when
+    every item's call failed (an unusable reply is not a failed call) does the
+    exception of the first item propagate, failing the stage.
     """
 
     def attempt(item: T) -> R | SolguardError:
         try:
             return call(item)
+        except ExtractionError as exc:
+            log.warning("%s output unusable for one finding: %s", what, exc)
+            return fallback(item)
         except SolguardError as exc:
             log.warning("%s call failed for one finding: %s", what, exc)
             return exc
@@ -233,39 +241,26 @@ def advise(
     """One repair suggestion per finding, grounded in retrieved knowledge,
     in findings order; the per-finding calls overlap.
 
-    A suggestion that cannot be extracted even after the repair retry, that
-    leaves a field empty, or whose call fails is recorded as incomplete; the
-    pipeline carries on. The stage fails only when every call failed.
+    A reply that leaves a field empty earns the repair prompt, as a reply
+    fault does. A suggestion still unusable after it, or whose call failed,
+    is recorded as incomplete; the pipeline carries on. The stage fails
+    only when every call failed.
     """
     if not findings:
         raise PipelineError(f"{contract.id}: advise requires at least one finding")
 
     def incomplete(finding: Finding) -> RepairSuggestion:
-        return RepairSuggestion(
-            vulnerability_name=finding.vuln_class.name,
-            cause_analysis="",
-            impact_assessment="",
-            repair_steps=(),
-            preventive_measures=(),
-            finding=finding,
-            complete=False,
-        )
+        return RepairSuggestion(finding.vuln_class.name, "", "", (), (), finding, complete=False)
 
     def suggest(finding: Finding) -> RepairSuggestion:
-        prompt = build_advisor_prompt(contract, finding, kb_index, k)
-        try:
-            record = ask_structured(provider, "advisor", prompt, ADVISOR_REPLY)
+        def answer(record: dict) -> RepairSuggestion:  # ValueError: a field left empty
             return RepairSuggestion(
-                vulnerability_name=record["vulnerability_name"],
-                cause_analysis=record["cause_analysis"],
-                impact_assessment=record["impact_assessment"],
-                repair_steps=tuple(record["repair_steps"]),
-                preventive_measures=tuple(record["preventive_measures"]),
-                finding=finding,
+                record["vulnerability_name"], record["cause_analysis"], record["impact_assessment"],
+                tuple(record["repair_steps"]), tuple(record["preventive_measures"]), finding,
             )
-        except (ExtractionError, ValueError) as exc:  # ValueError: a field left empty
-            log.warning("%s: advisor output unusable for %s: %s", contract.id, finding.vuln_class.name, exc)
-            return incomplete(finding)
+
+        prompt = build_advisor_prompt(contract, finding, kb_index, k)
+        return ask_structured(provider, "advisor", prompt, ADVISOR_REPLY, answer)
 
     return _per_finding(suggest, findings, incomplete, f"{contract.id}: advisor")
 
@@ -302,10 +297,11 @@ def assess(
     """Risk level per finding.
 
     ``suggestions`` is empty or holds one entry per finding, in order; the
-    per-finding calls overlap and the levels come back in that order. An
-    unusable model answer or a failed call falls back to High, flagged,
-    erring toward caution rather than silence. The stage fails only when
-    every call failed.
+    per-finding calls overlap and the levels come back in that order. A
+    level outside the four earns the repair prompt, as a reply fault does.
+    An answer still unusable after it, or a failed call, falls back to
+    High, flagged, erring toward caution rather than silence. The stage
+    fails only when every call failed.
     """
 
     def high(pair: tuple[Finding, RepairSuggestion | None]) -> RiskAssignment:
@@ -314,12 +310,10 @@ def assess(
     def rate(pair: tuple[Finding, RepairSuggestion | None]) -> RiskAssignment:
         finding, suggestion = pair
         prompt = build_assessor_prompt(contract, finding, suggestion, kb_index, k)
-        try:
-            record = ask_structured(provider, "assessor", prompt, ASSESSOR_REPLY)
-            return RiskAssignment(finding=finding, level=RiskLevel(record["level"].strip().title()))
-        except (ExtractionError, ValueError) as exc:
-            log.warning("%s: assessor output unusable for %s: %s", contract.id, finding.vuln_class.name, exc)
-            return high(pair)
+        return ask_structured(
+            provider, "assessor", prompt, ASSESSOR_REPLY,
+            lambda record: RiskAssignment(finding=finding, level=RiskLevel(record["level"].strip().title())),
+        )
 
     paired = list(zip(findings, suggestions or [None] * len(findings), strict=True))
     return _per_finding(rate, paired, high, f"{contract.id}: assessor")
@@ -387,10 +381,10 @@ def fix(
 
     ``suggestions`` and ``assignments`` hold one entry per finding, in the
     same order. The model repairs an excerpt, which :func:`splice` puts back
-    into the whole file. A result that does not tokenize or segment earns one
-    repair retry; a second failure raises :class:`PipelineError`. The returned
-    patch carries its lexed and segmented source as :attr:`Patch.repaired`,
-    which :func:`verify` reuses.
+    into the whole file. A result that does not tokenize or segment is a
+    reply fault (:class:`ExtractionError`), so it earns the one repair prompt
+    of :func:`ask_structured`. The returned patch carries its lexed and
+    segmented source as :attr:`Patch.repaired`, which :func:`verify` reuses.
     """
     if not suggestions:
         raise PipelineError(f"{contract.id}: fix requires at least one suggestion")
@@ -398,34 +392,18 @@ def fix(
     names = [container.name for container in contract.view.containers]
     unique = len(set(names)) == len(names)  # splice tells containers apart by name, so else the whole source goes
     kept = _kept(contract, *_homes(contract, {a.finding.location.function for a, _ in ordered} if unique else set()))
-    prompt = build_fixer_prompt(contract, ordered, kept)
 
-    def ask(fixer_prompt: str) -> Patch:
-        record = ask_structured(provider, "fixer", fixer_prompt, FIXER_REPLY)
-        return Patch(
-            original=contract.id,
-            repaired_source=record["repaired_source"],
-            addressed_findings=tuple(a.finding for a, _ in ordered),
-            rationale=record["rationale"],
-        )
-
-    patch = ask(prompt)
-    try:
-        patch = splice(contract, kept, patch)
-        patch.repaired.view  # lexes and segments the repaired source now, so verify need not
-    except (LexicalError, StructuralError):
-        patch = ask(
-            f"{prompt}\n\nThe repaired source you returned does not lex as Solidity. "
-            "Return the complete corrected source."
-        )
+    def answer(record: dict) -> Patch:
+        patch = Patch(contract.id, record["repaired_source"], tuple(a.finding for a, _ in ordered), record["rationale"])
         try:
             patch = splice(contract, kept, patch)
-            patch.repaired.view
-        except LexicalError as exc:
-            raise PipelineError(f"{contract.id}: repaired source does not tokenize: {exc}") from exc
-        except StructuralError as exc:
-            raise PipelineError(f"{contract.id}: repaired source does not segment: {exc}") from exc
-    return patch
+            patch.repaired.view  # lexes and segments the repaired source now, so verify need not
+        except (LexicalError, StructuralError) as exc:
+            fault = "tokenize" if isinstance(exc, LexicalError) else "segment"
+            raise ExtractionError(f"{contract.id}: repaired source does not {fault}: {exc}", patch.repaired_source)
+        return patch
+
+    return ask_structured(provider, "fixer", build_fixer_prompt(contract, ordered, kept), FIXER_REPLY, answer)
 
 
 def build_verifier_prompt(contract: SourceContract, patch: Patch) -> str:

@@ -83,10 +83,6 @@ def normalize_text(text: str) -> str:
     return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
-def byte_length(text: str) -> int:
-    return len(text.encode("utf-8"))
-
-
 def ordered_sum(values: Iterable[float]) -> float:
     """``sum`` added left to right, as before Python 3.12's compensated float sums: the same bits on every Python."""
     return reduce(add, values, 0)
@@ -148,7 +144,7 @@ class SourceContract:
     @cached_property
     def whole(self) -> Span:
         """The span of the whole source: a contract-level finding's location."""
-        return Span(0, byte_length(self.source))
+        return Span(0, len(self.token_stream.data))
 
     @cached_property
     def view(self) -> ContractView:

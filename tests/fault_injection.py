@@ -16,8 +16,9 @@ from solguard.errors import CompletionTimeout, TransportError
 from solguard.llm.mock import prompt_fingerprint
 from solguard.llm.provider import Provider
 
-FAULTS = ("timeout", "server-error", "truncated-json", "wrong-type")
-PASS_THROUGH_WEIGHT = 12  # clean calls per round of the four faults
+# "provider-bug" is an exception of the provider's own, not a SolguardError
+FAULTS = ("timeout", "server-error", "provider-bug", "truncated-json", "wrong-type")
+PASS_THROUGH_WEIGHT = 12  # clean calls per round of the five faults
 
 
 def fault_for(seed: int, role: str, prompt: str) -> tuple[str | None, int, float]:
@@ -56,6 +57,8 @@ class FaultInjectingProvider:
             raise CompletionTimeout(f"injected: {role} request timed out")
         if fault == "server-error":
             raise TransportError(f"injected: {role} server error 503")
+        if fault == "provider-bug":
+            raise ValueError(f"injected: {role} provider bug")
         response = self.inner.complete(prompt, role=role)
         if fault == "truncated-json":
             return response[: len(response) // 2]

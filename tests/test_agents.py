@@ -665,6 +665,32 @@ class TestPipeline:
             renormalized = FusionWeights(model=0.0, static=w.static / total, retrieval=w.retrieval / total)
             assert run.fused.score == weighted_score(renormalized, 0.0, static.score, retrieval.score)
 
+    @pytest.mark.parametrize(
+        "role, stage", [("detector", "detect"), ("advisor", "advise"), ("assessor", "assess"),
+                        ("fixer", "fix"), ("verifier", "verify")],
+    )
+    def test_a_provider_value_error_is_a_stage_error_not_a_degraded_finding(self, role, stage):
+        # a provider's own exception is a transport fault: it is asked once and
+        # fails its stage (a detect error keeps the fused verdict), where a
+        # ValueError used to pass for an unusable reply or leave run_pipeline
+        responses, asked = presign_fixture.scripted_responses(), []
+
+        def responder(r: str, prompt: str) -> str:
+            asked.append(r)
+            if r == role:
+                raise ValueError("provider bug")
+            return responses[r]
+
+        ctx, _ = presign_fixture.recording_context()
+        ctx = replace(ctx, providers={r: TranscriptRecorder(responder, model_id=f"{r}-m") for r in ctx.providers})
+        run = run_pipeline(load_file(FIXTURES / "presign.sol", "presign"), ctx)
+        assert list(run.errors) == [stage]
+        assert f"{role}: provider failed: ValueError('provider bug')" in run.errors[stage]
+        assert asked.count(role) == 1
+        assert all(s.complete for s in run.suggestions)
+        assert not any(a.defaulted for a in run.risk_assignments)
+        assert len(run.report.sections) == 7
+
     def test_report_sections_for_presign(self):
         ctx, _ = presign_fixture.recording_context()
         run = run_pipeline(load_file(FIXTURES / "presign.sol", "presign"), ctx)
@@ -817,6 +843,24 @@ class TestFixFailurePaths:
         assert run.patch is None
         assert run.stages == ("detect", "advise", "assess", "report")
         assert run.report is not None
+
+    def test_prose_then_untokenizable_patch_is_two_fixer_calls_and_one_fix_error(self):
+        responses = presign_fixture.scripted_responses()
+        replies = iter(["I would add an owner check to preSign.", json.dumps(
+            {"repaired_source": 'contract Broken { string s = "open', "rationale": "r"}
+        )])
+
+        def responder(role: str, prompt: str) -> str:
+            return next(replies) if role == "fixer" else responses[role]
+
+        ctx, _ = presign_fixture.recording_context()
+        ctx = replace(ctx, providers={r: TranscriptRecorder(responder, model_id=f"{r}-m") for r in ctx.providers})
+        run = run_pipeline(load_file(FIXTURES / "presign.sol", "presign"), ctx)
+        assert len(ctx.providers["fixer"].entries) == 2  # the repair prompt, and no retry of fix's own
+        assert run.errors == {
+            "fix": "presign: repaired source does not tokenize: unterminated string literal at bytes 29..34"
+        }
+        assert run.stages == ("detect", "advise", "assess", "report")
 
     def test_untokenizable_then_repaired_patch_succeeds(self):
         responses = presign_fixture.scripted_responses()

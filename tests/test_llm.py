@@ -25,10 +25,10 @@ from solguard.errors import (
 from solguard.agents.config import load_config, parse_config
 from solguard.llm.mock import MockProvider, TranscriptRecorder, prompt_fingerprint
 from solguard.llm.provider import HttpProvider, ProviderConfig
-from solguard.llm.structured import DETECTOR_REPLY, extract_structured
+from solguard.llm.structured import ADVISOR_REPLY, DETECTOR_REPLY, extract_structured
 from solguard.llm.template import PromptTemplate, TemplateError, render_prompt
 from solguard.records import Record, items, string, whole
-from solguard.llm.prompts import DETECTOR_TEMPLATE
+from solguard.llm.prompts import DETECTOR_TEMPLATE, REPAIR_INSTRUCTION
 from solguard.agents.detect import ask_structured
 import reference_reply_reader
 from chat_stub import ChatStub, Reply, closed_port_endpoint
@@ -472,6 +472,31 @@ class TestAskStructured:
         provider = _ScriptedProvider(["junk", "more junk"])
         with pytest.raises(ExtractionError):
             ask_structured(provider, "detector", "prompt", DETECTOR_REPLY)
+
+    def test_value_error_of_the_answer_step_is_a_reply_fault(self):
+        safe = '{"verdict":"safe","score":0.1,"findings":[]}'
+        provider = _ScriptedProvider([safe, safe])
+
+        def answer(record):
+            raise ValueError(f"no use for {record['verdict']}")
+
+        with pytest.raises(ExtractionError, match="detector: reply unusable: no use for safe"):
+            ask_structured(provider, "detector", "prompt", DETECTOR_REPLY, answer)
+        assert provider.prompts == ["prompt", f"prompt\n\n{REPAIR_INSTRUCTION}"]
+
+    @pytest.mark.parametrize(
+        "fault", [ValueError("bug"), KeyError("bug"), UnicodeEncodeError("utf-8", "x", 0, 1, "no")]
+    )
+    def test_exception_of_the_provider_is_a_transport_fault_asked_once(self, fault):
+        prompts = []
+
+        def reply(role, prompt):
+            prompts.append(prompt)
+            raise fault
+
+        with pytest.raises(TransportError, match=r"^advisor: provider failed: ") as err:
+            ask_structured(TranscriptRecorder(reply), "advisor", "prompt", ADVISOR_REPLY)
+        assert prompts == ["prompt"] and err.value.__cause__ is fault
 
 
 class TestExchangeLog:

@@ -16,7 +16,7 @@ from solguard.agents.detect import model_channel
 from solguard.agents.remediate import RiskAssignment, advise, assess, fix, verify
 from solguard.cli import main
 from solguard.core import Channel, Finding, Location, Patch, RepairSuggestion, RiskLevel, Span, VulnerabilityClass
-from solguard.errors import SchemaError, SolguardError
+from solguard.errors import ExtractionError, SchemaError, SolguardError
 from solguard.llm.mock import TranscriptRecorder
 from solguard.llm.prompts import REPAIR_INSTRUCTION
 from solguard.llm.structured import DETECTOR_REPLY, extract_structured
@@ -107,12 +107,50 @@ class TestAdvisorReply:
         [suggestion] = advise(PRESIGN, [FINDING], None, provider)
         assert repaired(provider) and not suggestion.complete
 
+    def test_empty_field_earns_the_repair_prompt_then_leaves_the_suggestion_incomplete(self):
+        provider = answering(json.dumps({**json.loads(SCRIPTED["advisor"]), "cause_analysis": ""}))
+        [suggestion] = advise(PRESIGN, [FINDING], None, provider)
+        assert repaired(provider) and not suggestion.complete
+
     def test_steps_repaired_on_the_second_reply_stand(self):
         faulty = json.dumps({**json.loads(SCRIPTED["advisor"]), "repair_steps": [None]})
         provider = answering(faulty, SCRIPTED["advisor"])
         [suggestion] = advise(PRESIGN, [FINDING], None, provider)
         assert repaired(provider) and suggestion.complete
         assert suggestion.repair_steps == tuple(json.loads(SCRIPTED["advisor"])["repair_steps"])
+
+
+class TestAssessorReply:
+    def test_level_outside_the_four_earns_the_repair_prompt_then_defaults_to_high(self):
+        provider = answering(json.dumps({"level": "Severe"}))
+        [assignment] = assess(PRESIGN, [FINDING], [], None, provider)
+        assert repaired(provider) and assignment == RiskAssignment(FINDING, RiskLevel.HIGH, defaulted=True)
+
+    def test_level_repaired_on_the_second_reply_stands(self):
+        provider = answering(json.dumps({"level": "Severe"}), json.dumps({"level": " low "}))
+        [assignment] = assess(PRESIGN, [FINDING], [], None, provider)
+        assert repaired(provider) and assignment == RiskAssignment(FINDING, RiskLevel.LOW)
+
+
+class TestFixerReply:
+    SUGGESTION = RepairSuggestion("n", "c", "i", ("s",), ("p",), FINDING)
+    ASSIGNMENT = RiskAssignment(FINDING, RiskLevel.HIGH)
+
+    def test_prose_then_an_unlexable_source_is_one_repair_prompt_then_a_named_fault(self):
+        unlexable = json.dumps({"repaired_source": 'contract Broken { string s = "open', "rationale": "r"})
+        provider = answering("I would add an owner check to preSign.", unlexable)
+        with pytest.raises(ExtractionError) as err:
+            fix(PRESIGN, [self.SUGGESTION], [self.ASSIGNMENT], provider)
+        assert repaired(provider)
+        assert str(err.value) == (
+            "presign: repaired source does not tokenize: unterminated string literal at bytes 29..34"
+        )
+
+    def test_unsegmentable_then_whole_source_stands(self):
+        unsegmentable = json.dumps({"repaired_source": "contract A { function f() public {", "rationale": "r"})
+        provider = answering(unsegmentable, SCRIPTED["fixer"])
+        patch = fix(PRESIGN, [self.SUGGESTION], [self.ASSIGNMENT], provider)
+        assert repaired(provider) and patch.repaired_source == json.loads(SCRIPTED["fixer"])["repaired_source"]
 
 
 class TestVerifierReply:
@@ -159,6 +197,33 @@ def test_audit_records_a_detector_reply_the_decoder_refuses_and_goes_on(
     assert set(records) == {"multi_vuln.run.json", "safe.run.json"}
     assert fault in records["multi_vuln.run.json"]["errors"]["detect"]
     assert records["safe.run.json"]["errors"] == {}
+
+
+@pytest.mark.parametrize("role, stage", [("detector", "detect"), ("fixer", "fix")])
+def test_audit_records_a_provider_value_error_and_goes_on(
+    runner, built_index_root, tmp_path, fake_providers, role, stage
+):
+    # a provider's own exception is a transport fault of its stage: it once
+    # left run_pipeline and aborted the batch
+    def reply(asked: str, prompt: str) -> str:
+        if asked == role:
+            raise ValueError("provider bug")
+        if asked == "detector" and "BalanceReader" in prompt:
+            return presign_fixture.safe_detector_response()
+        return SCRIPTED[asked]
+
+    out_dir = tmp_path / "out"
+    transcript = FIXTURES / "presign_transcript.jsonl"
+    config = write_pipeline_config(tmp_path / "cfg.yaml", built_index_root, out_dir, transcript)
+    fake_providers(lambda config: TranscriptRecorder(reply))
+    paths = [str(FIXTURES / "presign.sol"), str(FIXTURES / "safe.sol")]
+    result = runner.invoke(main, ["audit", *paths, "-c", str(config), "--jobs", "1"])
+    assert isinstance(result.exception, SystemExit) and result.exit_code == 1, result.output
+    assert "processed 2/2 contracts" in result.output
+    records = {p.name: json.loads(p.read_text(encoding="utf-8")) for p in out_dir.glob("*.run.json")}
+    assert set(records) == {"presign.run.json", "safe.run.json"}
+    assert list(records["presign.run.json"]["errors"]) == [stage]
+    assert f"{role}: provider failed: ValueError('provider bug')" in records["presign.run.json"]["errors"][stage]
 
 
 JSON = st.recursive(

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import reference_lexer
 import reference_static_analysis
-from solguard.core import TokenKind, byte_length
+from solguard.core import TokenKind
 from solguard.errors import LexicalError
 from solguard.static_analysis.tokenizer import tokenize_solidity
 
@@ -91,7 +91,7 @@ def test_unexpected_byte_raises():
 def test_spans_are_ascending_non_overlapping_and_in_bounds():
     for path in sorted((FIXTURES / "rules").glob("*.sol")):
         source = path.read_text(encoding="utf-8")
-        limit = byte_length(source)
+        limit = len(source.encode("utf-8"))
         prev_end = 0
         for tok in tokenize_solidity(source):
             assert 0 <= tok.span.start < tok.span.end <= limit
