@@ -26,12 +26,14 @@ changed base, a user of a changed library). :func:`verify` still re-scans
 the whole patched source.
 
 A fixer prompt (:func:`fix`) starts from the addressed findings' names;
-two containers of one name send the whole source. The reply, the repaired
-excerpt, goes to :func:`splice`. If it keeps the excerpt's bytes outside
-containers and the kept containers' names in order, the whole file takes
-the reply's text for each kept container. Otherwise each cut container whose
-name the reply lacks goes before the next kept one the reply has, or at
-the end; a whole-file reply stands as it is.
+two containers of one name send the whole source. The fixer returns the
+code it was shown, repaired. :func:`fix` cuts that excerpt once, and
+:func:`splice` reads the reply against the same text: if the reply keeps
+the excerpt's bytes outside containers and the kept containers' names in
+order, the whole file takes the reply's text for each kept container.
+Otherwise each cut container whose name the reply lacks goes before the
+next kept one the reply has, or at the end; a whole-file reply stands as
+it is.
 
 Both closures are linear in the file: the kept rows are read once, each
 container name looked up until it is first seen, and a seed's dependents
@@ -89,8 +91,8 @@ R = TypeVar("R")
 
 
 def _per_finding(call: Callable[[T], R], items: Sequence[T], fallback: Callable[[T], R], what: str) -> list[R]:
-    """``[call(item) for item in items]`` with the calls overlapped on up to
-    :data:`FINDING_CALLS_IN_FLIGHT` threads when there are two or more.
+    """``[call(item) for item in items]`` with the calls overlapped on a pool
+    of up to :data:`FINDING_CALLS_IN_FLIGHT` threads.
 
     Results keep the items' order. An item whose reply stayed unusable (an
     :class:`ExtractionError`) or whose call raises another
@@ -110,11 +112,8 @@ def _per_finding(call: Callable[[T], R], items: Sequence[T], fallback: Callable[
             log.warning("%s call failed for one finding: %s", what, exc)
             return exc
 
-    if len(items) < 2:
-        outcomes = [attempt(item) for item in items]
-    else:
-        with ThreadPoolExecutor(max_workers=min(len(items), FINDING_CALLS_IN_FLIGHT)) as pool:
-            outcomes = list(pool.map(attempt, items))
+    with ThreadPoolExecutor(max_workers=max(1, min(len(items), FINDING_CALLS_IN_FLIGHT))) as pool:
+        outcomes = list(pool.map(attempt, items))
     failed = [outcome for outcome in outcomes if isinstance(outcome, SolguardError)]
     if failed and len(failed) == len(outcomes):
         raise failed[0]
@@ -325,21 +324,21 @@ def _priority(assignment: RiskAssignment) -> tuple[int, int, int]:
     return (-assignment.level.severity, span.start, span.end)
 
 
-def splice(contract: SourceContract, kept: set[int], patch: Patch) -> Patch:
-    """``patch``, the repair of the excerpt of ``contract`` that keeps the
-    containers ``kept``, with the cut containers put back by the module
-    docstring's rule; ``patch`` itself when none goes back. When some were
-    cut, a reply that does not lex or segment raises as its view does."""
+def splice(contract: SourceContract, kept: set[int], shown: str, patch: Patch) -> Patch:
+    """``patch``, the repair of ``shown``, the excerpt of ``contract`` that
+    keeps the containers ``kept``, with the cut containers put back by the
+    module docstring's rule; ``patch`` itself when none goes back. When some
+    were cut, a reply that does not lex or segment raises as its view does."""
     containers = contract.view.containers
     if len(kept) == len(containers):
         return patch
     data, reply = contract.token_stream.data, patch.repaired
     got, got_data = reply.view.containers, reply.token_stream.data
-    shown = [containers[c] for c in sorted(kept)]
-    if [c.name for c in got] == [c.name for c in shown]:
-        unedited = _edited(got_data, ((new.span, data[old.span.start : old.span.end]) for old, new in zip(shown, got)))
-        if unedited == _cut(contract, kept).encode("utf-8"):  # the reply changed only the kept containers
-            edits = ((old.span, got_data[new.span.start : new.span.end]) for old, new in zip(shown, got))
+    held = [containers[c] for c in sorted(kept)]
+    if [c.name for c in got] == [c.name for c in held]:
+        unedited = _edited(got_data, ((new.span, data[old.span.start : old.span.end]) for old, new in zip(held, got)))
+        if unedited == shown.encode("utf-8"):  # the reply changed only the kept containers
+            edits = ((old.span, got_data[new.span.start : new.span.end]) for old, new in zip(held, got))
             return replace(patch, repaired_source=_edited(data, edits).decode("utf-8"))
     starts = {c.name: c.span.start for c in reversed(got)}  # the first reply container of each name
     puts, waiting = [], []
@@ -354,11 +353,7 @@ def splice(contract: SourceContract, kept: set[int], patch: Patch) -> Patch:
     return replace(patch, repaired_source=_edited(got_data, sorted(puts)).decode("utf-8")) if puts else patch
 
 
-def build_fixer_prompt(
-    contract: SourceContract,
-    ordered: list[tuple[RiskAssignment, RepairSuggestion]],
-    kept: set[int],
-) -> str:
+def build_fixer_prompt(ordered: list[tuple[RiskAssignment, RepairSuggestion]], shown: str) -> str:
     lines: list[str] = []
     for i, (assignment, suggestion) in enumerate(ordered, start=1):
         finding = assignment.finding
@@ -368,7 +363,7 @@ def build_fixer_prompt(
         else:
             line += ": (no complete suggestion; repair from first principles)"
         lines.append(line)
-    return render_prompt(FIXER_TEMPLATE, {"suggestions": "\n".join(lines), "code": _cut(contract, kept)})
+    return render_prompt(FIXER_TEMPLATE, {"suggestions": "\n".join(lines), "code": shown})
 
 
 def fix(
@@ -392,18 +387,19 @@ def fix(
     names = [container.name for container in contract.view.containers]
     unique = len(set(names)) == len(names)  # splice tells containers apart by name, so else the whole source goes
     kept = _kept(contract, *_homes(contract, {a.finding.location.function for a, _ in ordered} if unique else set()))
+    shown = _cut(contract, kept)
 
     def answer(record: dict) -> Patch:
         patch = Patch(contract.id, record["repaired_source"], tuple(a.finding for a, _ in ordered), record["rationale"])
         try:
-            patch = splice(contract, kept, patch)
+            patch = splice(contract, kept, shown, patch)
             patch.repaired.view  # lexes and segments the repaired source now, so verify need not
         except (LexicalError, StructuralError) as exc:
             fault = "tokenize" if isinstance(exc, LexicalError) else "segment"
             raise ExtractionError(f"{contract.id}: repaired source does not {fault}: {exc}", patch.repaired_source)
         return patch
 
-    return ask_structured(provider, "fixer", build_fixer_prompt(contract, ordered, kept), FIXER_REPLY, answer)
+    return ask_structured(provider, "fixer", build_fixer_prompt(ordered, shown), FIXER_REPLY, answer)
 
 
 def build_verifier_prompt(contract: SourceContract, patch: Patch) -> str:

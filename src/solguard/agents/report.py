@@ -23,7 +23,7 @@ from solguard.core import (
 if TYPE_CHECKING:
     from solguard.agents.pipeline import PipelineRun
 
-_NOT_PERFORMED = {  # the sections that follow a vulnerable verdict, under any other
+_NOT_PERFORMED = {  # the in-depth and improvement sections under any verdict but vulnerable
     Verdict.SAFE: "Not performed: the contract was judged safe during detection.",
     Verdict.UNDETERMINED: "Not performed: detection failed, so no verdict was reached.",
 }
@@ -135,8 +135,6 @@ def _discovery_summary(run: "PipelineRun") -> str:
 
 
 def _in_depth(run: "PipelineRun") -> str:
-    if run.fused.verdict in _NOT_PERFORMED:
-        return _NOT_PERFORMED[run.fused.verdict]
     if not run.findings:
         return "No localized findings to analyze."
     blocks: list[str] = []
@@ -158,8 +156,6 @@ def _in_depth(run: "PipelineRun") -> str:
 
 
 def _improvements(run: "PipelineRun") -> str:
-    if run.fused.verdict in _NOT_PERFORMED:
-        return _NOT_PERFORMED[run.fused.verdict]
     blocks: list[str] = []
     for suggestion in run.suggestions:
         if not suggestion.complete:
@@ -191,6 +187,8 @@ def _improvements(run: "PipelineRun") -> str:
 
 def build_report(run: "PipelineRun", contract: SourceContract) -> AuditReport:
     """Assemble the seven-section report from a completed run."""
+    skipped = _NOT_PERFORMED.get(run.fused.verdict)
+    analysis = (skipped, skipped) if skipped else (_in_depth(run), _improvements(run))
     bodies = (_basic_information(contract), _executive_summary(run), _methodology(run), _discovery_summary(run),
-              _in_depth(run), _improvements(run), _DISCLAIMER)
+              *analysis, _DISCLAIMER)
     return AuditReport(tuple(map(ReportSection, REPORT_SECTION_TITLES, bodies)), machine_payload=run.to_payload())

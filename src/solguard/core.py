@@ -60,6 +60,9 @@ class Verdict(str, enum.Enum):
 
 
 class RiskLevel(str, enum.Enum):
+    """Declared from the most severe level down: :attr:`severity` and the
+    risk distribution read this order."""
+
     CRITICAL = "Critical"
     HIGH = "High"
     MEDIUM = "Medium"
@@ -67,15 +70,9 @@ class RiskLevel(str, enum.Enum):
 
     @property
     def severity(self) -> int:
-        return _RISK_SEVERITY[self]
-
-
-_RISK_SEVERITY = {
-    RiskLevel.CRITICAL: 4,
-    RiskLevel.HIGH: 3,
-    RiskLevel.MEDIUM: 2,
-    RiskLevel.LOW: 1,
-}
+        """4 for Critical down to 1 for Low."""
+        levels = list(RiskLevel)
+        return len(levels) - levels.index(self)
 
 
 def normalize_text(text: str) -> str:

@@ -101,10 +101,10 @@ FIXER_TEMPLATE = PromptTemplate(
     task_description=(
         "Rewrite the contract to fix the vulnerabilities listed below, in the "
         "given priority order. Preserve behavior otherwise, keep the original "
-        "style, and return the complete repaired source."
+        "style, and return the code shown, repaired in full."
     ),
     expected_output=(
-        'A JSON object of the form {"repaired_source": "<full Solidity source>", '
+        'A JSON object of the form {"repaired_source": "<repaired code>", '
         '"rationale": "<what changed and why>"}. ' + _JSON_ONLY
     ),
     background_information=(

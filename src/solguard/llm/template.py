@@ -31,24 +31,9 @@ class PromptTemplate:
     body: str
 
 
-def _substitute(text: str, bindings: dict[str, str]) -> str:
-    unbound: list[str] = []
-
-    def repl(match: re.Match[str]) -> str:
-        key = match.group(1)
-        if key not in bindings:
-            unbound.append(key)
-            return match.group(0)
-        return bindings[key]
-
-    result = _PLACEHOLDER_RE.sub(repl, text)
-    if unbound:
-        raise TemplateError(f"unbound placeholder: {unbound[0]}")
-    return result
-
-
 def render_prompt(template: PromptTemplate, bindings: dict[str, str]) -> str:
-    """Emit the four sections in canonical order, then the bound body.
+    """Emit the four sections in canonical order, then the body, with every
+    placeholder bound in one pass.
 
     Raises :class:`TemplateError` naming the first placeholder that has no
     binding.
@@ -59,8 +44,17 @@ def render_prompt(template: PromptTemplate, bindings: dict[str, str]) -> str:
         ("Expected Output", template.expected_output),
         ("Background Information", template.background_information),
     ]
-    parts: list[str] = []
-    for title, text in sections:
-        parts.append(f"## {title}\n{_substitute(text, bindings)}")
-    parts.append(_substitute(template.body, bindings))
-    return "\n\n".join(parts)
+    unbound: list[str] = []
+
+    def repl(match: re.Match[str]) -> str:
+        key = match.group(1)
+        if key not in bindings:
+            unbound.append(key)
+            return match.group(0)
+        return bindings[key]
+
+    text = "\n\n".join([*(f"## {title}\n{section}" for title, section in sections), template.body])
+    result = _PLACEHOLDER_RE.sub(repl, text)
+    if unbound:
+        raise TemplateError(f"unbound placeholder: {unbound[0]}")
+    return result

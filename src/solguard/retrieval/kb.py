@@ -65,19 +65,13 @@ class KbIndex:
 
 
 def chunk_spans(n_tokens: int) -> list[tuple[int, int]]:
-    """Token-index windows [start, end) of ``CHUNK_TOKENS`` covering ``n_tokens``,
-    each overlapping the one before by ``CHUNK_OVERLAP``."""
+    """Token-index windows [start, end) of up to ``CHUNK_TOKENS`` covering
+    ``n_tokens``, each overlapping the one before by ``CHUNK_OVERLAP``; the
+    last is the first to reach the end."""
     if n_tokens <= 0:
         return []
-    spans: list[tuple[int, int]] = []
-    stride = CHUNK_TOKENS - CHUNK_OVERLAP
-    start = 0
-    while True:
-        end = min(start + CHUNK_TOKENS, n_tokens)
-        spans.append((start, end))
-        if end == n_tokens:
-            return spans
-        start += stride
+    starts = range(0, max(n_tokens - CHUNK_OVERLAP, 1), CHUNK_TOKENS - CHUNK_OVERLAP)
+    return [(start, min(start + CHUNK_TOKENS, n_tokens)) for start in starts]
 
 
 def split_chunks(doc: KbDocument) -> list[tuple[int, str]]:

@@ -15,7 +15,7 @@ from solguard.core import (
     normalize_text,
 )
 from solguard.errors import SolguardError
-from solguard.jsonl import read_text
+from solguard.jsonl import file_id, read_text
 from solguard.static_analysis.rules import PatternRule, evaluate_rule
 from solguard.static_analysis.tokenizer import tokenize_solidity
 
@@ -27,9 +27,10 @@ def load_source(contract_id: str, text: str) -> SourceContract:
 
 
 def load_file(path: str | Path, contract_id: str | None = None) -> SourceContract:
-    """``load_source`` over a UTF-8 file; a file that cannot be read or
+    """``load_source`` over a UTF-8 file, with the id ``contract_id`` or else the
+    file's :func:`~solguard.jsonl.file_id`; a file that cannot be read or
     decoded is a ``SolguardError`` naming it."""
-    return load_source(contract_id or Path(path).stem, read_text(path, SolguardError, "contract"))
+    return load_source(contract_id or file_id(Path(path)), read_text(path, SolguardError, "contract"))
 
 
 def evidence_line(data: bytes, byte_offset: int) -> str:

@@ -11,8 +11,10 @@ from pathlib import Path
 import pytest
 import yaml
 
-from solguard.agents.pipeline import run_pipeline
+from solguard.agents.config import load_config
+from solguard.agents.pipeline import build_context, run_pipeline
 from solguard.cli import EXIT_PROCESSING, main
+from solguard.core import payload
 from solguard.jsonl import load_labeled_records
 from solguard.static_analysis.scanner import load_file
 from solguard.retrieval.snapshot import CorpusSnapshotStore, SnapshotStore
@@ -220,6 +222,23 @@ def test_contract_file_name_that_is_not_utf8_gives_a_text_id(runner, presign_con
     assert written == [
         f"{cid}.{kind}" for cid in ("bad\\xff", "presign") for kind in ("report.json", "report.md", "run.json")
     ]
+
+
+def test_load_file_gives_a_name_that_is_not_utf8_the_id_that_audit_gives(runner, presign_config, tmp_path):
+    # load_file once named a contract by its file's stem, so \xff became a
+    # lone surrogate that neither its run record nor its report could encode
+    path = write_bytes_named(tmp_path, b"bad\xff.sol", (FIXTURES / "presign.sol").read_bytes())
+    contract = load_file(path)
+    assert contract.id == "bad\\xff"
+    run = run_pipeline(contract, build_context(load_config(presign_config)))
+    library = tmp_path / "library"
+    library.mkdir()
+    (library / "run.json").write_text(json.dumps(payload(run), indent=2, ensure_ascii=False) + "\n", encoding="utf-8")
+    (library / "report.md").write_text(run.report.to_markdown(), encoding="utf-8")
+    result = runner.invoke(main, ["audit", str(path), "-c", str(presign_config)])
+    assert result.exit_code == 0, result.output
+    for name in ("run.json", "report.md"):
+        assert (library / name).read_bytes() == (tmp_path / "out" / f"bad\\xff.{name}").read_bytes()
 
 
 class TestDetect:

@@ -5,6 +5,7 @@ prompt shows with the splice that puts its reply back into the whole file."""
 from __future__ import annotations
 
 import json
+import re
 import time
 from pathlib import Path
 
@@ -479,6 +480,25 @@ def test_a_fixer_prompt_shows_the_findings_containers_their_closure_and_every_ro
     roots = [line for line in LIBRARY_AND_THREE.splitlines() if line.startswith(("//", "pragma", "import"))]
     assert len(roots) == 7 and all(line in shown.splitlines() for line in roots)
     assert patch.repaired_source == LIBRARY_AND_THREE  # an unedited excerpt splices back to its source
+
+
+def test_a_fixer_prompt_for_several_containers_asks_for_the_code_shown_not_the_whole_source():
+    # a model told to return the complete source may write a stand-in for a
+    # cut container, which the splice cannot tell from an edit of it
+    prompts: list[str] = []
+
+    def reply(role: str, prompt: str) -> str:
+        prompts.append(prompt)
+        return json.dumps({"repaired_source": prompt.split("\n\nContract code:\n", 1)[1], "rationale": "r"})
+
+    assignments = [RiskAssignment(finding("withdraw"), RiskLevel.HIGH)]
+    suggestions = [RepairSuggestion("", "", "", (), (), assignments[0].finding, complete=False)]
+    fix(load_source("c", LIBRARY_AND_THREE), suggestions, assignments, TranscriptRecorder(reply))
+    (prompt,) = prompts
+    instructions, code = prompt.split("\n\nVulnerabilities in priority order:\n", 1)
+    assert "contract Registry" not in code and "contract Lottery" not in code  # an excerpt
+    assert not re.search(r"\b(complete|full)\b[^.\n]*\bsource", instructions, re.IGNORECASE), instructions
+    assert "the code shown, repaired in full" in instructions
 
 
 HEAD = "// SPDX-License-Identifier: MIT\npragma solidity ^0.8.0;\n\n"

@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 from solguard.agents.pipeline import run_pipeline
 from solguard.errors import DatasetError
 from solguard.retrieval.kb import (
+    CHUNK_OVERLAP,
+    CHUNK_TOKENS,
     KbDocument,
     KbIndex,
     build_kb_index,
@@ -48,6 +50,15 @@ class TestChunking:
         spans = chunk_spans(2000)
         for (s1, e1), (s2, _) in zip(spans, spans[1:]):
             assert e1 - s2 == 64
+
+    def test_windows_of_every_length_to_3000(self):
+        assert chunk_spans(0) == []
+        for n in range(1, 3001):
+            spans = chunk_spans(n)
+            assert spans[0][0] == 0 and spans[-1][1] == n, n
+            assert all(end - start <= CHUNK_TOKENS for start, end in spans), n
+            assert all(end - next_start == CHUNK_OVERLAP for (_, end), (next_start, _) in zip(spans, spans[1:])), n
+            assert all(end < n for _, end in spans[:-1]), n
 
     def test_split_chunks_reconstructs_token_windows(self):
         doc = KbDocument("d", words(1000))

@@ -143,13 +143,15 @@ class TestFindingOverlap:
         ]
         assert risk_distribution(assignments) == {"Critical": 1, "High": 2, "Medium": 0, "Low": 0}
 
-    def test_single_finding_runs_on_the_calling_thread(self):
+    def test_single_finding_goes_through_the_pool_and_leaves_no_thread_behind(self):
         (finding,) = findings_for(FUNCTIONS[:1])
         provider = SlowProvider({})
         before = threading.active_count()
         suggestions = advise(CONTRACT, [finding], None, provider)
-        assess(CONTRACT, [finding], suggestions, None, provider)
-        assert provider.threads == {threading.get_ident()}
+        assignments = assess(CONTRACT, [finding], suggestions, None, provider)
+        assert [s.vulnerability_name for s in suggestions] == ["fnAlpha"]
+        assert [a.level.value for a in assignments] == ["Critical"]
+        assert threading.get_ident() not in provider.threads
         assert threading.active_count() == before
 
     def test_shared_recorder_loses_no_entry_under_contention(self):
