@@ -199,12 +199,26 @@ def model_channel(
     return ChannelResult(channel=Channel.MODEL, verdict=verdict, score=score, findings=findings)
 
 
+def model_finding(source: SourceContract, item: dict[str, Any], confidence: float) -> Finding:
+    """The finding a model reports in ``source`` as a parsed finding record
+    ``item``: located at the smallest span covering every body of the
+    function it names (functions come in source order), or at the whole
+    source when no function has that name."""
+    name = item["function"]
+    bodies = [fn.body_span for fn in source.view.functions if fn.name == name]
+    return Finding(
+        contract_id=source.id,
+        vuln_class=VulnerabilityClass(name=item["class"]),
+        location=Location(span=Span(bodies[0].start, bodies[-1].end) if bodies else source.whole, function=name),
+        evidence=item["evidence"],
+        channel=Channel.MODEL,
+        confidence=confidence,
+    )
+
+
 def _model_findings(contract: SourceContract, raw: list[Any], score: float) -> tuple[Finding, ...]:
-    # functions come in source order, so a name defined more than once spans
-    # from its first body to its last: the smallest span covering them all
-    functions = contract.view.functions
-    first = {fn.name: fn.body_span for fn in reversed(functions)}
-    last = {fn.name: fn.body_span for fn in functions}
+    """The detector's findings by :func:`model_finding`, each at ``score``;
+    an item that is not a finding record is logged and skipped."""
     findings: list[Finding] = []
     for item in raw:
         try:
@@ -212,18 +226,7 @@ def _model_findings(contract: SourceContract, raw: list[Any], score: float) -> t
         except SolguardError as exc:
             log.warning("%s: ignoring malformed model finding %r: %s", contract.id, item, exc)
             continue
-        name = item["function"]
-        span = Span(first[name].start, last[name].end) if name in last else contract.whole
-        findings.append(
-            Finding(
-                contract_id=contract.id,
-                vuln_class=VulnerabilityClass(name=item["class"]),
-                location=Location(span=span, function=name),
-                evidence=item["evidence"],
-                channel=Channel.MODEL,
-                confidence=score,
-            )
-        )
+        findings.append(model_finding(contract, item, score))
     return tuple(findings)
 
 

@@ -54,17 +54,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Sequence, TypeVar
 
-from solguard.core import (
-    Channel,
-    Finding,
-    Location,
-    Patch,
-    RepairSuggestion,
-    RiskLevel,
-    SourceContract,
-    VerificationResult,
-    VulnerabilityClass,
-)
+from solguard.core import Finding, Patch, RepairSuggestion, RiskLevel, SourceContract, VerificationResult
 from solguard.errors import ExtractionError, LexicalError, PipelineError, SolguardError, StructuralError
 from solguard.llm.prompts import (
     ADVISOR_TEMPLATE,
@@ -79,7 +69,7 @@ from solguard.retrieval.kb import KbIndex
 from solguard.static_analysis.rules import PatternRule
 from solguard.static_analysis.scanner import scan
 
-from solguard.agents.detect import ask_structured, reference_notes
+from solguard.agents.detect import ask_structured, model_finding, reference_notes
 
 log = logging.getLogger(__name__)
 
@@ -426,7 +416,10 @@ def verify(
 
     The patched source is re-scanned; static findings absent from the
     original finding set count as new issues, and an addressed finding that
-    still fires blocks the pass regardless of the model's opinion.
+    still fires blocks the pass regardless of the model's opinion. The
+    verifier's own new issues are findings in the patched source, located
+    as :func:`~solguard.agents.detect.model_finding` locates a detector's,
+    at confidence 0.5. ``verifier_model`` is the provider's id.
     """
     prompt = build_verifier_prompt(contract, patch)
     record = ask_structured(provider, "verifier", prompt, VERIFIER_REPLY)
@@ -437,18 +430,7 @@ def verify(
     new_from_rescan = tuple(f for f in rescan if f.key not in original_keys)
     still_present = {f.key for f in patch.addressed_findings if f.key in rescan_keys}
 
-    model_new = tuple(
-        Finding(
-            contract_id=contract.id,
-            vuln_class=VulnerabilityClass(name=item["class"]),
-            location=Location(span=patch.repaired.whole, function=item["function"]),
-            evidence=item["evidence"],
-            channel=Channel.MODEL,
-            confidence=0.5,
-        )
-        for item in record["new_issues"]
-    )
-
+    model_new = tuple(model_finding(patch.repaired, item, 0.5) for item in record["new_issues"])
     new_issues = new_from_rescan + model_new
     passed = record["passed"] and not new_issues and not still_present
     eliminated = tuple(f for f in patch.addressed_findings if f.key not in rescan_keys)
@@ -456,5 +438,5 @@ def verify(
         passed=passed,
         eliminated=eliminated,
         new_issues=new_issues,
-        verifier_model=f"{provider.config.kind}:{provider.config.model_id}",
+        verifier_model=provider.config.provider_id,
     )

@@ -36,7 +36,7 @@ from solguard.evaluation import (
     normalize_variant,
     run_variants,
 )
-from solguard.jsonl import LabeledRow, file_id, load_labeled_records
+from solguard.jsonl import LabeledRow, file_id, load_labeled_records, read_text, read_yaml
 from solguard.retrieval.kb import build_kb_index, load_kb_documents
 from solguard.retrieval.snapshot import index_stores
 from solguard.retrieval.tfidf import build_corpus_index
@@ -257,27 +257,24 @@ def cmd_kb() -> None:
 def _publish_snapshots(
     command: str, corpus: str | None, docs: str | None, index_root: str, verbose: int
 ) -> None:
-    """The body of ``kb build`` and ``kb update``: publish a new snapshot of
-    each source given. ``build`` refuses an index that already exists."""
+    """The body of ``kb build`` and ``kb update``: build an index of each
+    source given, then publish each one, so that a failed build publishes
+    nothing. ``build`` refuses an index that already exists."""
     _setup_logging(verbose)
     if not corpus and not docs:
         _fail(EXIT_USAGE, f"kb {command} needs --corpus and/or --docs")
     corpus_store, kb_store = index_stores(index_root)
-    published: list[str] = []
     try:
         if command == "build" and (corpus_store.current_version() or kb_store.current_version()):
             _fail(EXIT_USAGE, f"index under {index_root} already exists; use 'kb update'")
-        if corpus:
-            with gc_paused():
-                version = corpus_store.publish(build_corpus_index(load_labeled_records(corpus)))
-            published.append(f"corpus: published version {version}")
-        if docs:
-            version = kb_store.publish(build_kb_index(load_kb_documents(docs)))
-            published.append(f"kb: published version {version}")
+        with gc_paused():
+            built = [("corpus", corpus_store, build_corpus_index(load_labeled_records(corpus)))] if corpus else []
+            if docs:
+                built.append(("kb", kb_store, build_kb_index(load_kb_documents(docs))))
+            for name, store, index in built:
+                click.echo(f"{name}: published version {store.publish(index)}")
     except SolguardError as exc:
         _fail(EXIT_PROCESSING, str(exc))
-    for line in published:
-        click.echo(line)
 
 
 @cmd_kb.command("build")
@@ -298,8 +295,9 @@ def cmd_kb_build(corpus, docs, index_root, verbose):
 def cmd_kb_update(corpus, docs, index_root, verbose):
     """Publish a new snapshot version and swap the pointer atomically.
 
-    Audits already running keep the snapshot they loaded; a failed build
-    leaves the pointer untouched.
+    Audits already running keep the snapshot they loaded. Every index given
+    is built before any is published, so a failed build leaves every
+    pointer untouched.
     """
     _publish_snapshots("update", corpus, docs, index_root, verbose)
 
@@ -375,10 +373,11 @@ def cmd_calibrate(dataset_path, config_path, split, write, verbose):
     if write:
         path = Path(config_path)
         try:
-            settings = yaml.safe_load(path.read_text(encoding="utf-8")) or {}
+            text = read_text(path, ConfigError, "configuration")
+            settings = read_yaml(text, ConfigError, f"configuration {path} is not valid YAML") or {}
             settings["threshold"] = threshold
             path.write_text(yaml.safe_dump(settings, sort_keys=False), encoding="utf-8")
-        except OSError as exc:
+        except (OSError, ConfigError) as exc:
             _fail(EXIT_PROCESSING, f"cannot write threshold to {path}: {exc}")
         click.echo(f"threshold written to {path}")
 

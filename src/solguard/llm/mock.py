@@ -51,14 +51,10 @@ class MockProvider:
         self._entries = read[config.transcript]
         self._log = exchange_log
 
-    @property
-    def provider_id(self) -> str:
-        return f"mock:{self.config.model_id}"
-
     def complete(self, prompt: str, *, role: str) -> str:
         response = self._entries.get((role, prompt_fingerprint(prompt)), UNKNOWN_RESPONSE)
         if self._log:
-            self._log.append(role, self.provider_id, 0.0, prompt, response)
+            self._log.append(role, self.config.provider_id, 0.0, prompt, response)
         return response
 
 

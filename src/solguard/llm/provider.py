@@ -43,6 +43,11 @@ class ProviderConfig:
         if self.kind == "http-endpoint" and not self.endpoint:
             raise ConfigError("an http-endpoint provider needs an endpoint key")
 
+    @property
+    def provider_id(self) -> str:
+        """``<kind>:<model_id>``: the provider as run records, the exchange log and transport errors name it."""
+        return f"{self.kind}:{self.model_id}"
+
 
 def _is_http_url(value: Any) -> bool:
     if type(value) is not str:
@@ -137,10 +142,6 @@ class HttpProvider:
         self._opener: Any = None  # a urllib.request.OpenerDirector, from the first call on
         self._opener_lock = threading.Lock()
 
-    @property
-    def provider_id(self) -> str:
-        return f"http:{self.config.model_id}"
-
     def complete(self, prompt: str, *, role: str) -> str:
         # the HTTP stack is imported here, not with this module, so that runs
         # making no HTTP call (mock audits, kb, eval) never load it
@@ -166,6 +167,7 @@ class HttpProvider:
             if self._opener is None:  # one per provider: building one loads the CA store on Python 3.12+
                 self._opener = urllib.request.build_opener()
             opener = self._opener
+        provider_id = self.config.provider_id
         started = time.perf_counter()
         last_error: Exception | None = None
         retry_after: float | None = None
@@ -186,28 +188,28 @@ class HttpProvider:
             except (OSError, http.client.HTTPException, ValueError) as exc:
                 # a timeout comes bare from the reply, wrapped in URLError from the connect
                 if isinstance(exc, TimeoutError) or isinstance(getattr(exc, "reason", None), TimeoutError):
-                    last_error = CompletionTimeout(f"{self.provider_id}: request timed out")
+                    last_error = CompletionTimeout(f"{provider_id}: request timed out")
                     log.warning("completion timeout (attempt %d): %s", attempt + 1, exc)
                 else:
-                    last_error = TransportError(f"{self.provider_id}: {exc}")
+                    last_error = TransportError(f"{provider_id}: {exc}")
                     log.warning("completion transport failure (attempt %d): %s", attempt + 1, exc)
                 continue
             if status >= 500 or status == 429:
                 reason = "rate limited" if status == 429 else "server error"
-                last_error = TransportError(f"{self.provider_id}: {reason} {status}")
+                last_error = TransportError(f"{provider_id}: {reason} {status}")
                 retry_after = _retry_after_s(reply_headers.get("Retry-After"), self.config.timeout_s)
                 continue
             if status != 200:
-                raise TransportError(f"{self.provider_id}: unexpected status {status}")
+                raise TransportError(f"{provider_id}: unexpected status {status}")
             try:
                 payload = json.loads(raw.decode("utf-8"))
             except ValueError as exc:  # UnicodeDecodeError included
-                raise TransportError(f"{self.provider_id}: response body is not JSON") from exc
-            text = _response_text(payload, self.provider_id)
+                raise TransportError(f"{provider_id}: response body is not JSON") from exc
+            text = _response_text(payload, provider_id)
             if self._log:
-                self._log.append(role, self.provider_id, time.perf_counter() - started, prompt, text)
+                self._log.append(role, provider_id, time.perf_counter() - started, prompt, text)
             return text
-        raise last_error or TransportError(f"{self.provider_id}: no attempts made")
+        raise last_error or TransportError(f"{provider_id}: no attempts made")
 
 
 def _retry_after_s(header: str | None, cap: float) -> float | None:

@@ -427,6 +427,25 @@ class TestVerify:
         assert not result.passed
         assert "Unprotected Selfdestruct" in {f.vuln_class.name for f in result.new_issues}
 
+    def test_a_verifier_new_issue_is_located_in_the_patched_file_like_a_rescan_issue(self):
+        contract = load_file(FIXTURES / "presign.sol", "presign")
+        findings = [_finding("Unprotected Function", "preSign")]
+        bad_source = (FIXTURES / "presign_patched.sol").read_text(encoding="utf-8").replace(
+            "emit PreSignature(msg.sender, orderUid, signed);",
+            "emit PreSignature(msg.sender, orderUid, signed);\n    }\n\n"
+            "    function scrap() external {\n        selfdestruct(payable(msg.sender));",
+        )
+        patch = Patch("presign", bad_source, tuple(findings), "adds a backdoor")
+        issue = {"class": "Reentrancy", "function": "preSign", "evidence": "emit after write"}
+        recorder = TranscriptRecorder(lambda role, prompt: json.dumps({"passed": False, "new_issues": [issue]}))
+        result = verify(contract, patch, findings, default_ruleset(), recorder)
+        [rescan] = [f for f in result.new_issues if f.channel is Channel.STATIC]
+        [model] = [f for f in result.new_issues if f.channel is Channel.MODEL]
+        [pre_sign] = [fn for fn in patch.repaired.view.functions if fn.name == "preSign"]
+        assert rescan.contract_id == model.contract_id == "presign.patched"
+        assert rescan.location.function == "scrap"
+        assert model.location == Location(pre_sign.body_span, "preSign") != Location(patch.repaired.whole, "preSign")
+
     def test_model_rejection_fails_even_when_rescan_clean(self):
         contract = load_file(FIXTURES / "presign.sol", "presign")
         findings = [_finding("Unprotected Function", "preSign")]

@@ -453,6 +453,25 @@ class TestKb:
         status = runner.invoke(main, ["kb", "status", "--index-root", str(index_root)])
         assert "kb: version 1" in status.output
 
+    @pytest.mark.parametrize("command", ["build", "update"])
+    def test_a_failed_build_publishes_none_of_the_sources_given(self, runner, tmp_path, command):
+        # a good corpus with missing docs used to publish the corpus, print
+        # only the error, and leave a retried build refused as already there
+        index_root = tmp_path / "idx"
+        both = ["--corpus", str(FIXTURES / "corpus.jsonl"), "--index-root", str(index_root)]
+        if command == "update":
+            assert runner.invoke(main, ["kb", "build", *both, "--docs", str(FIXTURES / "kb_docs")]).exit_code == 0
+        pointers = [index_root / kind / "CURRENT" for kind in ("corpus", "kb")]
+        before = [p.read_bytes() if p.exists() else None for p in pointers]
+        missing = tmp_path / "missing"
+        result = runner.invoke(main, ["kb", command, *both, "--docs", str(missing)])
+        assert_clean_error(result, EXIT_PROCESSING, f"error: knowledge base source {missing} is not a directory")
+        assert "published" not in result.output
+        assert [p.read_bytes() if p.exists() else None for p in pointers] == before
+        if command == "build":
+            retry = runner.invoke(main, ["kb", "build", *both, "--docs", str(FIXTURES / "kb_docs")])
+            assert (retry.exit_code, retry.output) == (0, "corpus: published version 1\nkb: published version 1\n")
+
     def test_build_without_sources_is_usage_error(self, runner, tmp_path):
         result = runner.invoke(main, ["kb", "build", "--index-root", str(tmp_path / "idx")])
         assert result.exit_code == 2

@@ -40,7 +40,13 @@ SCENARIOS = {
     "failed-verification": (
         {"verifier": json.dumps({"passed": False, "new_issues": [NEW_ISSUE]})},
         {},
-        lambda run: not run["verification"]["passed"] and run["verification"]["new_issues"],
+        # the verifier's new issue is in the patched file, at preSign's body there
+        lambda run: not run["verification"]["passed"] and any(
+            issue["contract_id"] == "presign.patched"
+            and issue["location"]["function"] == "preSign"
+            and (issue["location"]["start"], issue["location"]["end"]) != (0, len(run["patch"]["repaired_source"].encode()))
+            for issue in run["verification"]["new_issues"]
+        ),
     ),
     "failed-fix": (
         {"fixer": json.dumps({"repaired_source": 'contract Broken { string s = "open', "rationale": "Unfinished."})},
@@ -66,9 +72,9 @@ PINNED = {
         "presign.run.json": "72824cbeecb11f056937d45cd6e677e6d896f597e251e9385b72e128ccdf7269",
     },
     "failed-verification": {
-        "presign.report.json": "afe1a8e2fe092990e4afd1fdb0200cb949202cdcff3cfb506029f29afc08bc12",
+        "presign.report.json": "91284049747dfb52b8e9dd884c1ddd11bded78b030647adf8ca64e6311e1a477",
         "presign.report.md": "f09737aac5007b7e63f97e118a971fb7fdc1b34fa18ee95dff98d61f359a53d5",
-        "presign.run.json": "0a0f53540fa57b9feca9f26289c2636fbf49d8c404887de22147a577eaaacd4b",
+        "presign.run.json": "a050f8407a399508181730b7739593c9fa2825e1d41bcdcb1359fcf23a80b213",
     },
     "failed-fix": {
         "presign.report.json": "60e5839bcc7c12cc42f2ef4f810648e3ebf25e9bc753bb1cdf2804f0067c7e9f",

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import ast
 import json
 import os
 import re
+from pathlib import Path
 
 import pytest
 
+import solguard
 from solguard.errors import DatasetError, TranscriptError
 from solguard.evaluation import load_dataset
 from solguard.jsonl import load_labeled_records
@@ -180,3 +183,28 @@ def test_faulty_line_of_a_pipe_is_named(kind):
             load(path)
     finally:
         os.close(read_end)
+
+
+def test_yaml_is_parsed_only_in_read_yaml():
+    # one home for the YAML parser, so a change of loader changes every reader
+    parsers = {"safe_load", "load", "full_load", "unsafe_load"}
+    package = Path(solguard.__file__).parent
+    found: list[tuple[str, str]] = []
+
+    def visit(node: ast.AST, where: str, path: str) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            where = f"{where}.{node.name}" if where else node.name
+        imported = isinstance(node, ast.ImportFrom) and node.module == "yaml" and {a.name for a in node.names} & parsers
+        called = (
+            isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr in parsers
+            and isinstance(node.func.value, ast.Name) and node.func.value.id == "yaml"
+        )
+        if imported or called:
+            found.append((path, where))
+        for child in ast.iter_child_nodes(node):
+            visit(child, where, path)
+
+    for module in sorted(package.rglob("*.py")):
+        path = module.relative_to(package).as_posix()
+        visit(ast.parse(module.read_text(encoding="utf-8"), path), "", path)
+    assert found == [("jsonl.py", "read_yaml")]

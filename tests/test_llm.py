@@ -23,8 +23,12 @@ from solguard.errors import (
     TransportError,
 )
 from solguard.agents.config import load_config, parse_config
+from solguard.agents.remediate import verify
+from solguard.core import Channel, Finding, Location, Patch, Span, VulnerabilityClass
 from solguard.llm.mock import MockProvider, TranscriptRecorder, prompt_fingerprint
-from solguard.llm.provider import HttpProvider, ProviderConfig
+from solguard.llm.provider import ExchangeLog, HttpProvider, ProviderConfig
+from solguard.static_analysis.rules import default_ruleset
+from solguard.static_analysis.scanner import load_file
 from solguard.llm.structured import ADVISOR_REPLY, DETECTOR_REPLY, extract_structured
 from solguard.llm.template import PromptTemplate, TemplateError, render_prompt
 from solguard.records import Record, items, string, whole
@@ -281,7 +285,6 @@ class TestHttpProvider:
         stub.replies.append(Reply(body={"content": "stub says hi"}))
         provider = http_provider(stub.endpoint)
         assert provider.complete("hello", role="detector") == "stub says hi"
-        assert provider.provider_id == "http:remote"
         [(headers, request)] = stub.received
         assert headers["Content-Type"] == "application/json"
         assert headers["User-Agent"] == f"solguard/{solguard.__version__}"
@@ -291,6 +294,22 @@ class TestHttpProvider:
             "temperature": 0.0,
             "max_tokens": 2048,
         }
+
+    def test_the_exchange_log_errors_and_run_record_name_it_by_one_id(self, scripted_http, tmp_path):
+        stub, _ = scripted_http
+        log_path = tmp_path / "exchanges.jsonl"
+        config = ProviderConfig(kind="http-endpoint", model_id="remote", endpoint=stub.endpoint, retry_count=0)
+        provider = HttpProvider(config, ExchangeLog(log_path))
+        stub.replies += [Reply(body={"content": json.dumps({"passed": True, "new_issues": []})}), Reply(503)]
+        finding = Finding("presign", VulnerabilityClass("Unprotected Function"), Location(Span(0, 10), "preSign"),
+                          "evidence line", Channel.STATIC, 0.9)
+        patch = Patch("presign", (FIXTURES / "presign_patched.sol").read_text(encoding="utf-8"), (finding,), "r")
+        result = verify(load_file(FIXTURES / "presign.sol", "presign"), patch, [finding], default_ruleset(), provider)
+        assert result.verifier_model == "http-endpoint:remote"
+        assert json.loads(log_path.read_text(encoding="utf-8"))["provider"] == "http-endpoint:remote"
+        with pytest.raises(TransportError) as err:
+            provider.complete("hello", role="detector")
+        assert str(err.value) == "http-endpoint:remote: server error 503"
 
     def test_one_opener_serves_every_call(self, scripted_http, monkeypatch):
         # building an opener loads the system CA store on Python 3.12 and later,
