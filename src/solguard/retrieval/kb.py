@@ -1,39 +1,25 @@
-"""Vulnerability knowledge base: chunked documents with dense embeddings.
+"""Vulnerability knowledge base: chunked documents ranked by TF-IDF.
 
-Documents are split into overlapping windows of whitespace tokens, and
-every chunk and every query is embedded by :func:`embed`, a deterministic
-feature-hashing bag-of-words model, so runs need no external service.
+Documents are split into overlapping windows of whitespace tokens. The
+chunks are indexed by the corpus's TF-IDF (:mod:`solguard.retrieval.tfidf`)
+over their :func:`~solguard.retrieval.terms.words`, and a query is weighed
+by the same words, so runs need no external service. A chunk that shares
+no word with the query scores 0 and is never returned.
 """
 
 from __future__ import annotations
 
-import hashlib
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
 
-from solguard.core import ordered_sum
 from solguard.errors import DatasetError
 from solguard.jsonl import file_id, read_text, read_yaml
 from solguard.retrieval.terms import words
+from solguard.retrieval.tfidf import CorpusIndex, build_corpus_index, rank
 
 CHUNK_TOKENS = 512
 CHUNK_OVERLAP = 64
-EMBEDDING_DIM = 256
-
-
-def embed(text: str) -> list[float]:
-    """The L2-normalized counts of ``text``'s :func:`~solguard.retrieval.terms.words`
-    hashed into ``EMBEDDING_DIM`` buckets; the same numbers on every platform."""
-    vec = [0.0] * EMBEDDING_DIM
-    for word in words(text):
-        digest = hashlib.md5(word.encode("utf-8")).digest()
-        vec[int.from_bytes(digest[:4], "big") % EMBEDDING_DIM] += 1.0
-    norm = math.sqrt(ordered_sum(x * x for x in vec))
-    if norm > 0:
-        vec = [x / norm for x in vec]
-    return vec
 
 
 @dataclass(frozen=True)
@@ -47,21 +33,23 @@ class KbChunk:
     doc_id: str
     chunk_index: int
     text: str
-    embedding: tuple[float, ...]
-
-
-def embedded_chunk(doc_id: str, chunk_index: int, text: str) -> KbChunk:
-    """A chunk with its text's :func:`embed` vector, as a build makes it and a snapshot load remakes it."""
-    return KbChunk(doc_id, chunk_index, text, tuple(embed(text)))
 
 
 @dataclass(frozen=True)
 class KbIndex:
-    """Embedded chunks, each of ``EMBEDDING_DIM`` numbers; a snapshot store's
-    publish or load sets the version."""
+    """Chunks and ``tfidf``, their TF-IDF index, which is built from the
+    chunks when not given: by a build and by a snapshot load, never by a
+    query. The index names each chunk by its document id, at the chunk's
+    position. A snapshot store's publish or load sets the version."""
 
     chunks: tuple[KbChunk, ...]
     snapshot_version: int = 0
+    tfidf: CorpusIndex | None = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if self.tfidf is None and self.chunks:
+            rows = [(c.doc_id, "", (), c.text) for c in self.chunks]
+            object.__setattr__(self, "tfidf", build_corpus_index(rows, words))
 
 
 def chunk_spans(n_tokens: int) -> list[tuple[int, int]]:
@@ -80,28 +68,16 @@ def split_chunks(doc: KbDocument) -> list[tuple[int, str]]:
 
 
 def build_kb_index(docs: Iterable[KbDocument]) -> KbIndex:
-    """Chunk and embed every document."""
-    return KbIndex(tuple(embedded_chunk(doc.doc_id, i, text) for doc in docs for i, text in split_chunks(doc)))
-
-
-def _dense_cosine(a: tuple[float, ...] | list[float], b: tuple[float, ...] | list[float]) -> float:
-    dot = ordered_sum(x * y for x, y in zip(a, b))
-    na = math.sqrt(ordered_sum(x * x for x in a))
-    nb = math.sqrt(ordered_sum(x * x for x in b))
-    if na == 0.0 or nb == 0.0:
-        return 0.0
-    return dot / (na * nb)
+    """Chunk and index every document."""
+    return KbIndex(tuple(KbChunk(doc.doc_id, i, text) for doc in docs for i, text in split_chunks(doc)))
 
 
 def kb_search(query: str, index: KbIndex, k: int) -> list[KbChunk]:
-    """Top-k chunks by cosine similarity to the embedded query; ties break
-    on (doc id, chunk index)."""
-    qvec = embed(query)
-    scored = sorted(
-        ((chunk, _dense_cosine(qvec, chunk.embedding)) for chunk in index.chunks),
-        key=lambda pair: (-pair[1], pair[0].doc_id, pair[0].chunk_index),
-    )
-    return [chunk for chunk, _ in scored[:k]]
+    """At most k chunks that share a word with the query, by TF-IDF cosine
+    similarity descending; ties break on (doc id, chunk index)."""
+    if index.tfidf is None:
+        return []
+    return [index.chunks[p] for p, sim in rank(index.tfidf, words(query), k) if sim > 0.0]
 
 
 def load_kb_documents(directory: str | Path) -> list[KbDocument]:

@@ -37,7 +37,7 @@ from solguard.core import gc_paused
 from solguard.errors import SnapshotError
 from solguard.jsonl import read_jsonl
 from solguard.records import Record, mapping, one_of, string, whole
-from solguard.retrieval.kb import KbIndex, embedded_chunk
+from solguard.retrieval.kb import KbChunk, KbIndex
 from solguard.retrieval.tfidf import CorpusIndex
 
 T = TypeVar("T")
@@ -76,7 +76,8 @@ class SnapshotStore(Generic[T]):
 
     def publish(self, index: T) -> int:
         """Write a new snapshot and swap the pointer; returns the version. A
-        write fault is a ``SnapshotError`` naming the directory; the pointer stays."""
+        write fault is a ``SnapshotError`` naming the directory, and a swap
+        fault one naming the pointer; either way the pointer stays."""
         version = self._next_version()
         target = self.root / str(version)
         try:
@@ -127,11 +128,15 @@ class SnapshotStore(Generic[T]):
         return max([self.current_version() or 0, *self.versions()]) + 1
 
     def _activate(self, version: int) -> None:
-        """Atomically repoint CURRENT at ``version``."""
+        """Atomically repoint CURRENT at ``version``. A fault is a
+        ``SnapshotError`` naming the pointer, which stays as it was."""
         pointer = self.root / POINTER_NAME
         tmp = self.root / f"{POINTER_NAME}.tmp"
-        tmp.write_text(f"{version}\n", encoding="utf-8")
-        os.replace(tmp, pointer)
+        try:
+            tmp.write_text(f"{version}\n", encoding="utf-8")
+            os.replace(tmp, pointer)
+        except OSError as exc:
+            raise SnapshotError(f"cannot point {pointer} at version {version}: {exc}") from exc
 
     def _write_all(self, target: Path, index: T, blocks: dict[str, Iterable[bytes | array]], **fields: object) -> None:
         """Each data file from its ``blocks``, hashed on the way out, then meta.json with ``fields``."""
@@ -208,8 +213,9 @@ class CorpusSnapshotStore(SnapshotStore[CorpusIndex]):
 
 class KbSnapshotStore(SnapshotStore[KbIndex]):
     """KB snapshots in format 3: ``chunks.jsonl``, one :data:`CHUNK` line per
-    chunk. A load embeds each chunk's text with :func:`embed`, which embeds
-    every query too, so the two cannot disagree."""
+    chunk. A load indexes the chunks' texts by TF-IDF over their
+    :func:`~solguard.retrieval.terms.words`, as a build does, so the loaded
+    index ranks as the published one did."""
 
     kind = "kb"
     files = ("chunks.jsonl",)
@@ -229,7 +235,7 @@ class KbSnapshotStore(SnapshotStore[KbIndex]):
         return KbIndex(tuple(chunks), meta["version"])
 
 
-CHUNK = Record({"doc_id": string(), "chunk_index": whole(0), "text": string()}, make=embedded_chunk)
+CHUNK = Record({"doc_id": string(), "chunk_index": whole(0), "text": string()}, make=KbChunk)
 
 
 def index_stores(root: str | Path) -> tuple[CorpusSnapshotStore, KbSnapshotStore]:

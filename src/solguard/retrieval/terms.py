@@ -1,9 +1,9 @@
-"""Term extraction for the contract-similarity index.
+"""Term extraction for the similarity indexes.
 
 Drops comments and string literals, lowercases, and splits the rest into
-runs of ``[a-z0-9]`` with :func:`words`, which also splits the text that
-the knowledge base embeds. Kept independent from the full Solidity lexer so
-the two views cannot drift together.
+runs of ``[a-z0-9]`` with :func:`words`, which alone gives the terms of the
+knowledge base's chunks and queries. Kept independent from the full
+Solidity lexer so the two views cannot drift together.
 
 One regex pass replaces each comment and string literal with a space:
 

@@ -1,5 +1,7 @@
-"""Contract-similarity index: TF-IDF vectors, cosine ranking, and the
-retrieval detection channel.
+"""Similarity index: TF-IDF vectors, cosine ranking, and the retrieval
+detection channel. The corpus indexes contracts by
+:func:`~solguard.retrieval.terms.tokenize_for_tfidf`, and the knowledge base
+indexes its chunks by :func:`~solguard.retrieval.terms.words`.
 
 Weighting scheme (stated exactly so independent oracles can reproduce it):
 tf = term count / document term count; idf = ln((1+N)/(1+df)) + 1;
@@ -10,7 +12,7 @@ A build counts each document's terms once: that one count gives the
 document frequencies, then the document's weights, which go straight into
 the postings. Documents and queries are weighed by the one :func:`weigh`.
 
-Ranking (``top_k``) is exact but scores only the documents that can win. A
+Ranking (:func:`rank`) is exact but scores only the documents that can win. A
 term is common when at least half the documents hold it (``df >=
 ceil(n/2)``); the index stores each document's common-term norm, and a
 query bounds a document's similarity by its exact rare-term dot product
@@ -35,7 +37,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate, chain, repeat
 from operator import mul, truediv
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from solguard.core import (
     Channel,
@@ -114,14 +116,17 @@ def weigh(counts: Iterable[int], total: int, idfs: Iterable[float]) -> tuple[lis
     return (list(map(truediv, raw, repeat(norm))) if norm else raw), norm
 
 
-def build_corpus_index(docs: Sequence[Sequence]) -> CorpusIndex:
-    """Index labeled contracts given as rows that start (id, label, classes,
-    source), such as :func:`~solguard.jsonl.load_labeled_records` returns.
-    A document's weights are those ``vectorize`` gives its terms, bit for bit."""
+def build_corpus_index(
+    docs: Sequence[Sequence], terms_of: Callable[[str], list[str]] = tokenize_for_tfidf
+) -> CorpusIndex:
+    """Index labeled documents given as rows that start (id, label, classes,
+    text), such as :func:`~solguard.jsonl.load_labeled_records` returns, by
+    the terms ``terms_of`` gives each text. A document's weights are those
+    ``vectorize`` gives its terms, bit for bit."""
     if not docs:
         raise ValueError("corpus must contain at least one document")
     ids, labels, classes, sources = list(zip(*docs))[:4]
-    counts = [Counter(tokenize_for_tfidf(source)) for source in sources]
+    counts = [Counter(terms_of(source)) for source in sources]
     n = len(docs)
     df = Counter(chain.from_iterable(counts))  # a count's keys are its distinct terms
     vocabulary = sorted(df)
@@ -162,12 +167,21 @@ def is_common(df: int, n: int) -> bool:
 
 
 def top_k(query: SourceContract, index: CorpusIndex, k: int) -> list[Neighbor]:
-    """Exact top-k, similarity descending, ties broken by id ascending.
+    """The :func:`rank` neighbors of a contract, its own id excluded."""
+    return [
+        Neighbor(index.ids[p], sim, i, index.labels[p], index.classes[p])
+        for i, (p, sim) in enumerate(rank(index, tokenize_for_tfidf(query.source), k, query.id), start=1)
+    ]
+
+
+def rank(index: CorpusIndex, terms: list[str], k: int, exclude: str | None = None) -> list[tuple[int, float]]:
+    """Exact top-k (document position, similarity) pairs for a query of
+    ``terms``, similarity descending, ties broken by (id, position); a
+    document with the id ``exclude`` never ranks.
 
     A document's dot product adds one product per shared query term, in the
     query's term order. Documents that share no term score 0 and fill any
-    remaining ranks in id order. The query's own id is excluded when present
-    in the index.
+    remaining ranks.
 
     Only documents that can reach the k-th best similarity are scored. The
     postings of the rare (not ``is_common``) query terms give every document
@@ -178,25 +192,24 @@ def top_k(query: SourceContract, index: CorpusIndex, k: int) -> list[Neighbor]:
     best of those scores is the cut: the documents whose bound reaches it
     are scored too, and no other can rank. A document is scored by finding
     each query term's posting for it by bisection and adding the products
-    in the query's term order, as a full scan adds them, so neighbors,
-    similarities (bit for bit), ranks and tie order are those of the full
-    scan. The full scan runs instead when the query holds no common term,
-    when the cut is 0 (as when fewer than k documents share a term), or
-    when scoring the documents one by one would cost more than the postings
-    it reads (``BISECT_COST``).
+    in the query's term order, as a full scan adds them, so positions,
+    similarities (bit for bit) and tie order are those of the full scan.
+    The full scan runs instead when the query holds no common term, when
+    the cut is 0 (as when fewer than k documents share a term), or when
+    scoring the documents one by one would cost more than the postings it
+    reads (``BISECT_COST``).
     """
-    qweights, qnorm = index.vectorize(tokenize_for_tfidf(query.source))
+    qweights, qnorm = index.vectorize(terms)
     offsets = index.offsets
     term_ids = map(index.term_ids.__getitem__, qweights)
-    terms = [(offsets[t], offsets[t + 1], qw) for t, qw in zip(term_ids, qweights.values())]  # query term order
-    sims = _bounded_sims(query.id, index, terms, qnorm, k)
+    ranges = [(offsets[t], offsets[t + 1], qw) for t, qw in zip(term_ids, qweights.values())]  # query term order
+    sims = _bounded_sims(exclude, index, ranges, qnorm, k)
     if sims is None:
-        log.debug("top_k for %s: full scan of the query terms' postings", query.id)
-        qid = query.id
+        log.debug("full scan of the query terms' postings (excluding %s)", exclude)
         sims = {  # _cosine, inlined: a call per document would cost a third of the scan
             p: min(1.0, dot / (qnorm * norm)) if dot and norm else 0.0
-            for p, (doc_id, norm, dot) in enumerate(zip(index.ids, index.norms, _dots(index, terms)))
-            if doc_id != qid
+            for p, (doc_id, norm, dot) in enumerate(zip(index.ids, index.norms, _dots(index, ranges)))
+            if doc_id != exclude
         }
     return _ranked(index, sims, k)
 
@@ -217,7 +230,7 @@ def _cosine(dot: float, qnorm: float, norm: float) -> float:
 
 
 def _bounded_sims(
-    qid: str, index: CorpusIndex, terms: list[tuple[int, int, float]], qnorm: float, k: int
+    qid: str | None, index: CorpusIndex, terms: list[tuple[int, int, float]], qnorm: float, k: int
 ) -> dict[int, float] | None:
     """Exact similarities of a set of documents that holds every document
     scoring at least the k-th best; None when a full scan is due instead.
@@ -260,18 +273,16 @@ def _bounded_sims(
     return sims
 
 
-def _ranked(index: CorpusIndex, sims: dict[int, float], k: int) -> list[Neighbor]:
-    """The first k neighbors among the scored document positions. Every
-    document scoring at least the k-th best similarity (0 when fewer than k
-    share a term) competes for the k ranks, so ``sims`` may leave out any
-    document that scores below it. Repeated ids keep position order."""
+def _ranked(index: CorpusIndex, sims: dict[int, float], k: int) -> list[tuple[int, float]]:
+    """The first k (position, similarity) pairs among the scored document
+    positions. Every document scoring at least the k-th best similarity (0
+    when fewer than k share a term) competes for the k ranks, so ``sims``
+    may leave out any document that scores below it. Repeated ids keep
+    position order."""
     cut = max(0.0, min(heapq.nlargest(k, sims.values()), default=0.0))
     contenders = [p for p, sim in sims.items() if sim >= cut]
     contenders.sort(key=lambda p: (-sims[p], index.ids[p], p))
-    return [
-        Neighbor(index.ids[p], sims[p], rank, index.labels[p], index.classes[p])
-        for rank, p in enumerate(contenders[:k], start=1)
-    ]
+    return [(p, sims[p]) for p in contenders[:k]]
 
 
 def rank_weights(m: int) -> list[float]:

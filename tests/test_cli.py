@@ -453,6 +453,20 @@ class TestKb:
         status = runner.invoke(main, ["kb", "status", "--index-root", str(index_root)])
         assert "kb: version 1" in status.output
 
+    def test_a_failed_pointer_swap_is_an_error_naming_the_pointer(self, runner, tmp_path):
+        # a directory in the way of the pointer's temporary file used to end
+        # the update in an IsADirectoryError traceback
+        index_root = tmp_path / "idx"
+        build = ["kb", "build", "--docs", str(FIXTURES / "kb_docs"), "--index-root", str(index_root)]
+        assert runner.invoke(main, build).exit_code == 0
+        (index_root / "kb" / "CURRENT.tmp").mkdir()
+        update = ["kb", "update", "--docs", str(FIXTURES / "kb_docs"), "--index-root", str(index_root)]
+        result = runner.invoke(main, update)
+        assert_clean_error(result, EXIT_PROCESSING, f"error: cannot point {index_root / 'kb' / 'CURRENT'} at version 2")
+        assert (index_root / "kb" / "CURRENT").read_text(encoding="utf-8") == "1\n"
+        status = runner.invoke(main, ["kb", "status", "--index-root", str(index_root)])
+        assert "kb: version 1, 6 documents" in status.output
+
     @pytest.mark.parametrize("command", ["build", "update"])
     def test_a_failed_build_publishes_none_of_the_sources_given(self, runner, tmp_path, command):
         # a good corpus with missing docs used to publish the corpus, print

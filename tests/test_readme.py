@@ -78,13 +78,21 @@ def resolve(dotted: str) -> object:
         try:
             target = importlib.import_module(module_name)
         except ModuleNotFoundError as exc:
-            if exc.name != module_name:
+            # a dotted prefix missing means the rest are attributes; any
+            # other missing module is an import fault of the module itself
+            if exc.name != module_name and not module_name.startswith(f"{exc.name}."):
                 raise
             continue
         for attr in parts[cut:]:
             target = getattr(target, attr)
         return target
     raise ModuleNotFoundError(dotted)
+
+
+def test_a_name_two_attributes_past_its_module_resolves():
+    from solguard.llm.provider import ProviderConfig
+
+    assert resolve("solguard.llm.provider.ProviderConfig.provider_id") is ProviderConfig.provider_id
 
 
 @pytest.mark.parametrize("dotted", sorted(set(re.findall(r"\bsolguard(?:\.[A-Za-z_]\w*)+", README))))

@@ -55,15 +55,16 @@ class TestPublishLoad:
         assert loaded == dataclasses.replace(index, snapshot_version=1)
         assert loaded.chunks[0].text == "alpha beta gamma"
 
-    def test_kb_snapshot_stores_text_and_a_load_embeds_it_as_the_build_did(self, tmp_path):
+    def test_kb_snapshot_stores_text_and_a_load_indexes_it_as_the_build_did(self, tmp_path):
         store = KbSnapshotStore(tmp_path)
         index = build_kb_index(load_kb_documents(FIXTURES / "kb_docs"))
         store.publish(index)
         lines = (tmp_path / "1" / "chunks.jsonl").read_text(encoding="utf-8").splitlines()
         assert [sorted(json.loads(line)) for line in lines] == [["chunk_index", "doc_id", "text"]] * len(index.chunks)
         loaded = store.load()
-        assert [struct.pack(f"{len(c.embedding)}d", *c.embedding) for c in loaded.chunks] == [
-            struct.pack(f"{len(c.embedding)}d", *c.embedding) for c in index.chunks
+        assert loaded.tfidf.ids == index.tfidf.ids and loaded.tfidf.term_ids == index.tfidf.term_ids
+        assert [getattr(loaded.tfidf, name).tobytes() for name in LAYOUT] == [
+            getattr(index.tfidf, name).tobytes() for name in LAYOUT
         ]  # bit for bit, where == would take -0.0 for 0.0
         assert loaded == dataclasses.replace(index, snapshot_version=1)
 
@@ -270,7 +271,7 @@ def write_kb_v1(root: Path, docs: list[KbDocument]) -> Path:
     version = root / "1"
     version.mkdir(parents=True)
     chunks = build_kb_index(docs).chunks
-    rows = [{**dataclasses.asdict(c), "embedding": list(c.embedding), "metadata": {}} for c in chunks]
+    rows = [{**dataclasses.asdict(c), "embedding": [0.0] * 256, "metadata": {}} for c in chunks]
     (version / "chunks.jsonl").write_text("".join(json.dumps(r, sort_keys=True) + "\n" for r in rows), encoding="utf-8")
     meta = {"kind": "kb", "version": 1, "embedder": "hash-bow-256-v1", "documents": len(docs), "chunks": len(chunks)}
     (version / "meta.json").write_text(json.dumps(meta), encoding="utf-8")
