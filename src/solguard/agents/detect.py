@@ -145,12 +145,16 @@ def ask_structured(
         return attempt(f"{prompt}\n\n{REPAIR_INSTRUCTION}")
 
 
-def reference_notes(kb_index: KbIndex | None, query: str, k: int) -> str:
-    """The ``k`` knowledge-base chunks nearest ``query``, rendered for a
-    prompt's reference-notes slot."""
+NOTES_PER_PROMPT = 3  # knowledge-base chunks a prompt cites at most
+
+
+def reference_notes(kb_index: KbIndex | None, query: str, swc_id: str | None = None) -> str:
+    """At most :data:`NOTES_PER_PROMPT` knowledge-base chunks for ``query``,
+    rendered for a prompt's reference-notes slot: those of documents tagged
+    ``swc_id`` first, then the nearest by similarity (:func:`kb_search`)."""
     if kb_index is None:
         return NO_REFERENCES_NOTE
-    chunks = kb_search(query, kb_index, k)
+    chunks = kb_search(query, kb_index, NOTES_PER_PROMPT, swc_id)
     if not chunks:
         return NO_REFERENCES_NOTE
     return "\n\n".join(f"[{c.doc_id}#{c.chunk_index}] {c.text}" for c in chunks)
@@ -177,7 +181,7 @@ def build_detection_prompt(
         {
             "code": contract.source,
             "similar_contracts": similar,
-            "reference_notes": reference_notes(kb_index, contract.source, 3),
+            "reference_notes": reference_notes(kb_index, contract.source),
         },
     )
 

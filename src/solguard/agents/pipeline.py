@@ -202,10 +202,10 @@ def run_pipeline(contract: SourceContract, ctx: PipelineContext) -> PipelineRun:
 
     if fused.verdict is Verdict.VULNERABLE and findings:
         suggestions = run_stage("advise", ("detect",), lambda: advise(
-            contract, findings, ctx.kb_index, ctx.provider("advisor"), cfg.k
+            contract, findings, ctx.kb_index, ctx.provider("advisor")
         )) or []
         assignments = run_stage("assess", ("detect",), lambda: assess(
-            contract, findings, suggestions, ctx.kb_index, ctx.provider("assessor"), cfg.k
+            contract, findings, suggestions, ctx.kb_index, ctx.provider("assessor")
         )) or []
         patch = run_stage("fix", ("advise", "assess"), lambda: fix(
             contract, suggestions, assignments, ctx.provider("fixer")

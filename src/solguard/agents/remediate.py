@@ -200,24 +200,22 @@ def verifier_excerpts(contract: SourceContract, patch: Patch) -> tuple[str, str]
 
 
 def _finding_bindings(
-    contract: SourceContract, finding: Finding, kb_index: KbIndex | None, query: str, k: int
+    contract: SourceContract, finding: Finding, kb_index: KbIndex | None, query: str
 ) -> dict[str, str]:
     """What advisor and assessor prompts bind for ``finding``, with the
-    knowledge retrieved for ``query``."""
+    knowledge retrieved for ``query`` and the finding's SWC id."""
     return {
         "vulnerability": finding.vuln_class.name,
         "function": finding.function_label,
         "evidence": finding.evidence or "(none)",
-        "reference_notes": reference_notes(kb_index, query, k),
+        "reference_notes": reference_notes(kb_index, query, finding.vuln_class.swc_id),
         "code": excerpt(contract, finding),
     }
 
 
-def build_advisor_prompt(
-    contract: SourceContract, finding: Finding, kb_index: KbIndex | None, k: int = 5
-) -> str:
+def build_advisor_prompt(contract: SourceContract, finding: Finding, kb_index: KbIndex | None) -> str:
     query = f"{finding.vuln_class.name} {finding.evidence}"
-    return render_prompt(ADVISOR_TEMPLATE, _finding_bindings(contract, finding, kb_index, query, k))
+    return render_prompt(ADVISOR_TEMPLATE, _finding_bindings(contract, finding, kb_index, query))
 
 
 def advise(
@@ -225,7 +223,6 @@ def advise(
     findings: list[Finding],
     kb_index: KbIndex | None,
     provider: Provider,
-    k: int = 5,
 ) -> list[RepairSuggestion]:
     """One repair suggestion per finding, grounded in retrieved knowledge,
     in findings order; the per-finding calls overlap.
@@ -248,7 +245,7 @@ def advise(
                 tuple(record["repair_steps"]), tuple(record["preventive_measures"]), finding,
             )
 
-        prompt = build_advisor_prompt(contract, finding, kb_index, k)
+        prompt = build_advisor_prompt(contract, finding, kb_index)
         return ask_structured(provider, "advisor", prompt, ADVISOR_REPLY, answer)
 
     return _per_finding(suggest, findings, incomplete, f"{contract.id}: advisor")
@@ -266,12 +263,11 @@ def build_assessor_prompt(
     finding: Finding,
     suggestion: RepairSuggestion | None,
     kb_index: KbIndex | None,
-    k: int = 5,
 ) -> str:
     summary = "(no suggestion available)"
     if suggestion is not None and suggestion.complete:
         summary = f"{suggestion.cause_analysis} Repair: {'; '.join(suggestion.repair_steps)}"
-    bindings = _finding_bindings(contract, finding, kb_index, f"{finding.vuln_class.name} severity impact", k)
+    bindings = _finding_bindings(contract, finding, kb_index, f"{finding.vuln_class.name} severity impact")
     return render_prompt(ASSESSOR_TEMPLATE, {**bindings, "suggestion_summary": summary})
 
 
@@ -281,7 +277,6 @@ def assess(
     suggestions: list[RepairSuggestion],
     kb_index: KbIndex | None,
     provider: Provider,
-    k: int = 5,
 ) -> list[RiskAssignment]:
     """Risk level per finding.
 
@@ -298,7 +293,7 @@ def assess(
 
     def rate(pair: tuple[Finding, RepairSuggestion | None]) -> RiskAssignment:
         finding, suggestion = pair
-        prompt = build_assessor_prompt(contract, finding, suggestion, kb_index, k)
+        prompt = build_assessor_prompt(contract, finding, suggestion, kb_index)
         return ask_structured(
             provider, "assessor", prompt, ASSESSOR_REPLY,
             lambda record: RiskAssignment(finding=finding, level=RiskLevel(record["level"].strip().title())),

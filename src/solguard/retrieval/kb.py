@@ -3,8 +3,10 @@
 Documents are split into overlapping windows of whitespace tokens. The
 chunks are indexed by the corpus's TF-IDF (:mod:`solguard.retrieval.tfidf`)
 over their :func:`~solguard.retrieval.terms.words`, and a query is weighed
-by the same words, so runs need no external service. A chunk that shares
-no word with the query scores 0 and is never returned.
+by the same words, so runs need no external service. Each chunk carries
+its document's ``swc_tags``. A search for an SWC id returns the chunks
+tagged with it first, whatever they score; any other chunk that shares no
+word with the query scores 0 and is never returned.
 """
 
 from __future__ import annotations
@@ -15,17 +17,20 @@ from typing import Iterable
 
 from solguard.errors import DatasetError
 from solguard.jsonl import file_id, read_text, read_yaml
+from solguard.records import ABSENT, Record, texts
 from solguard.retrieval.terms import words
 from solguard.retrieval.tfidf import CorpusIndex, build_corpus_index, rank
 
 CHUNK_TOKENS = 512
 CHUNK_OVERLAP = 64
+PREAMBLE = Record({"swc_tags": texts([])})  # the one preamble key retrieval reads
 
 
 @dataclass(frozen=True)
 class KbDocument:
     doc_id: str
     text: str
+    swc_tags: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -33,23 +38,31 @@ class KbChunk:
     doc_id: str
     chunk_index: int
     text: str
+    swc_tags: tuple[str, ...] = ()  # its document's
 
 
 @dataclass(frozen=True)
 class KbIndex:
-    """Chunks and ``tfidf``, their TF-IDF index, which is built from the
-    chunks when not given: by a build and by a snapshot load, never by a
-    query. The index names each chunk by its document id, at the chunk's
-    position. A snapshot store's publish or load sets the version."""
+    """Chunks and two lookups built from them by a build and by a snapshot
+    load, never by a query: ``tfidf``, their TF-IDF index (unless given),
+    which names each chunk by its document id at the chunk's position, and
+    ``tagged``, the positions of the chunks each SWC id tags. A snapshot
+    store's publish or load sets the version."""
 
     chunks: tuple[KbChunk, ...]
     snapshot_version: int = 0
     tfidf: CorpusIndex | None = field(default=None, repr=False, compare=False)
+    tagged: dict[str, frozenset[int]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.tfidf is None and self.chunks:
             rows = [(c.doc_id, "", (), c.text) for c in self.chunks]
-            object.__setattr__(self, "tfidf", build_corpus_index(rows, words))
+            object.__setattr__(self, "tfidf", build_corpus_index(rows, words, "knowledge-base chunk of document"))
+        tagged: dict[str, set[int]] = {}
+        for p, chunk in enumerate(self.chunks):
+            for tag in chunk.swc_tags:
+                tagged.setdefault(tag, set()).add(p)
+        object.__setattr__(self, "tagged", {tag: frozenset(positions) for tag, positions in tagged.items()})
 
 
 def chunk_spans(n_tokens: int) -> list[tuple[int, int]]:
@@ -69,23 +82,31 @@ def split_chunks(doc: KbDocument) -> list[tuple[int, str]]:
 
 def build_kb_index(docs: Iterable[KbDocument]) -> KbIndex:
     """Chunk and index every document."""
-    return KbIndex(tuple(KbChunk(doc.doc_id, i, text) for doc in docs for i, text in split_chunks(doc)))
+    return KbIndex(tuple(
+        KbChunk(doc.doc_id, i, text, doc.swc_tags) for doc in docs for i, text in split_chunks(doc)
+    ))
 
 
-def kb_search(query: str, index: KbIndex, k: int) -> list[KbChunk]:
-    """At most k chunks that share a word with the query, by TF-IDF cosine
-    similarity descending; ties break on (doc id, chunk index)."""
+def kb_search(query: str, index: KbIndex, k: int, swc_id: str | None = None) -> list[KbChunk]:
+    """At most k chunks: first those whose document is tagged ``swc_id``,
+    whatever they score, then those that share a word with the query; each
+    group by TF-IDF cosine similarity descending, ties broken on (doc id,
+    chunk index)."""
     if index.tfidf is None:
         return []
-    return [index.chunks[p] for p, sim in rank(index.tfidf, words(query), k) if sim > 0.0]
+    tagged = index.tagged.get(swc_id, frozenset())
+    ranked = rank(index.tfidf, words(query), len(index.chunks) if tagged else k)
+    cited = [p for p, sim in ranked if p in tagged or sim > 0.0]
+    return [index.chunks[p] for p in sorted(cited, key=lambda p: p not in tagged)[:k]]
 
 
 def load_kb_documents(directory: str | Path) -> list[KbDocument]:
     """Read knowledge documents from a directory of text/markdown files.
 
     Each file may start with a YAML preamble fenced by ``---`` lines, which
-    must be a mapping and is not read further; the remainder is the
-    document body. A document's id is its name's :func:`~solguard.jsonl.file_id`; no id may repeat.
+    must be a mapping; of its keys only ``swc_tags``, a list of strings, is
+    read. The remainder is the document body. A document's id is its name's
+    :func:`~solguard.jsonl.file_id`; no id may repeat.
     """
     root = Path(directory)
     if not root.is_dir():
@@ -100,12 +121,17 @@ def load_kb_documents(directory: str | Path) -> list[KbDocument]:
             raise DatasetError(f"{paths[doc_id]} and {path}: duplicate document id {doc_id!r}")
         paths[doc_id] = path
         body = read_text(path, DatasetError, "knowledge document")
+        tags: list[str] = []
         if body.startswith("---\n"):
             closing = body.find("\n---\n", 4)
             if closing == -1:
                 raise DatasetError(f"{path}: unterminated metadata preamble")
-            if not isinstance(read_yaml(body[4:closing], DatasetError, f"{path}: bad metadata preamble"), dict):
+            preamble = read_yaml(body[4:closing], DatasetError, f"{path}: bad metadata preamble")
+            if not isinstance(preamble, dict):
                 raise DatasetError(f"{path}: metadata preamble must be a mapping")
+            tags = PREAMBLE.value(
+                "swc_tags", preamble.get("swc_tags", ABSENT), DatasetError, str(path), "metadata preamble"
+            )
             body = body[closing + 5 :]
-        docs.append(KbDocument(doc_id=doc_id, text=body.strip()))
+        docs.append(KbDocument(doc_id=doc_id, text=body.strip(), swc_tags=tuple(tags)))
     return docs

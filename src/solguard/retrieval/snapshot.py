@@ -5,14 +5,19 @@ An index root holds two stores, ``<root>/corpus`` and ``<root>/kb``
 
     <store>/1/ <store>/2/ ...   immutable version directories
     <store>/CURRENT             pointer file naming the live version
+    <store>/CURRENT.lock        the lock publishes take turns on
 
 A publish writes the new version directory completely, then replaces
-CURRENT atomically. :meth:`SnapshotStore.load` reads CURRENT once and
-returns the live index, which carries its own ``snapshot_version``, or
-``None`` when nothing is published, so a reader never pairs one version's
-number with another's contents. An audit that already loaded version N
-keeps N even while N+1 is being published; a crash before the pointer swap
-leaves CURRENT untouched and the half-written directory unreferenced.
+CURRENT atomically. Where the platform has ``fcntl``, it holds an exclusive
+``flock`` on ``CURRENT.lock`` from choosing the version through the swap,
+so overlapping publishes, in one process or several, take turns and
+CURRENT never moves back to a lower version. :meth:`SnapshotStore.load`
+reads CURRENT once and returns the live index, which carries its own
+``snapshot_version``, or ``None`` when nothing is published, so a reader
+never pairs one version's number with another's contents. An audit that
+already loaded version N keeps N even while N+1 is being published; a
+crash before the pointer swap leaves CURRENT untouched and the
+half-written directory unreferenced.
 
 ``meta.json`` records each data file's sha256, and a load refuses a file
 whose bytes hash otherwise before it parses any. Past the digest, it checks
@@ -28,21 +33,28 @@ import json
 import os
 import sys
 from array import array
+from contextlib import contextmanager
 from itertools import chain
 from operator import mul
 from pathlib import Path
-from typing import Generic, Iterable, TypeVar
+from typing import Generic, Iterable, Iterator, TypeVar
 
 from solguard.core import gc_paused
 from solguard.errors import SnapshotError
 from solguard.jsonl import read_jsonl
-from solguard.records import Record, mapping, one_of, string, whole
+from solguard.records import Record, mapping, one_of, string, strings, whole
 from solguard.retrieval.kb import KbChunk, KbIndex
 from solguard.retrieval.tfidf import CorpusIndex
+
+try:
+    import fcntl
+except ImportError:  # no flock on this platform: publishes are not ordered
+    fcntl = None
 
 T = TypeVar("T")
 
 POINTER_NAME = "CURRENT"
+LOCK_NAME = f"{POINTER_NAME}.lock"
 FORMAT_VERSION = 4  # of corpus snapshots
 POSTINGS = {  # array -> typecode
     "idf": "d", "offsets": "q", "positions": "i", "weights": "d", "norms": "d", "common_norms": "d",
@@ -75,17 +87,19 @@ class SnapshotStore(Generic[T]):
             raise SnapshotError(f"corrupt pointer file {pointer}: {exc}") from exc
 
     def publish(self, index: T) -> int:
-        """Write a new snapshot and swap the pointer; returns the version. A
-        write fault is a ``SnapshotError`` naming the directory, and a swap
-        fault one naming the pointer; either way the pointer stays."""
-        version = self._next_version()
-        target = self.root / str(version)
-        try:
-            target.mkdir(parents=True, exist_ok=False)
-            self._write_files(target, dataclasses.replace(index, snapshot_version=version))
-        except OSError as exc:
-            raise SnapshotError(f"cannot write snapshot {target}: {exc}") from exc
-        self._activate(version)
+        """Write a new snapshot and swap the pointer, under the store's lock;
+        returns the version. A write fault is a ``SnapshotError`` naming the
+        directory, and a swap fault one naming the pointer; either way the
+        pointer stays."""
+        with self._locked():
+            version = self._next_version()
+            target = self.root / str(version)
+            try:
+                target.mkdir(parents=True, exist_ok=False)
+                self._write_files(target, dataclasses.replace(index, snapshot_version=version))
+            except OSError as exc:
+                raise SnapshotError(f"cannot write snapshot {target}: {exc}") from exc
+            self._activate(version)
         return version
 
     def load(self) -> T | None:
@@ -123,6 +137,27 @@ class SnapshotStore(Generic[T]):
         return sorted(int(p.name) for p in self.root.iterdir() if p.is_dir() and p.name.isdigit())
 
     # -- internals -------------------------------------------------------
+
+    @contextmanager
+    def _locked(self) -> Iterator[None]:
+        """Hold an exclusive ``flock`` on the store's lock file, where ``fcntl``
+        exists. A fault is a ``SnapshotError`` naming the lock file."""
+        if fcntl is None:
+            yield
+            return
+        lock = self.root / LOCK_NAME
+        try:
+            self.root.mkdir(parents=True, exist_ok=True)
+            fh = open(lock, "ab")  # created when missing, never truncated
+            try:
+                fcntl.flock(fh, fcntl.LOCK_EX)
+            except OSError:
+                fh.close()
+                raise
+        except OSError as exc:
+            raise SnapshotError(f"cannot lock {lock}: {exc}") from exc
+        with fh:  # closing it releases the lock
+            yield
 
     def _next_version(self) -> int:
         return max([self.current_version() or 0, *self.versions()]) + 1
@@ -212,21 +247,18 @@ class CorpusSnapshotStore(SnapshotStore[CorpusIndex]):
 
 
 class KbSnapshotStore(SnapshotStore[KbIndex]):
-    """KB snapshots in format 3: ``chunks.jsonl``, one :data:`CHUNK` line per
-    chunk. A load indexes the chunks' texts by TF-IDF over their
-    :func:`~solguard.retrieval.terms.words`, as a build does, so the loaded
-    index ranks as the published one did."""
+    """KB snapshots in format 4: ``chunks.jsonl``, one :data:`CHUNK` line per
+    chunk, with its document's ``swc_tags``. A load indexes the chunks' texts
+    by TF-IDF over their :func:`~solguard.retrieval.terms.words`, and their
+    tags, as a build does, so the loaded index ranks as the published one did."""
 
     kind = "kb"
     files = ("chunks.jsonl",)
-    format_version, republish = 3, "republish the knowledge base with `solguard kb update --docs <dir>`"
+    format_version, republish = 4, "republish the knowledge base with `solguard kb update --docs <dir>`"
     meta = Record(_META)
 
     def _write_files(self, target: Path, index: KbIndex) -> None:
-        lines = (
-            (json.dumps({"chunk_index": c.chunk_index, "doc_id": c.doc_id, "text": c.text}) + "\n").encode("utf-8")
-            for c in index.chunks
-        )
+        lines = ((json.dumps(dataclasses.asdict(c), sort_keys=True) + "\n").encode("utf-8") for c in index.chunks)
         self._write_all(target, index, {"chunks.jsonl": lines})
 
     def _read_files(self, target: Path, meta: dict) -> KbIndex:
@@ -235,7 +267,10 @@ class KbSnapshotStore(SnapshotStore[KbIndex]):
         return KbIndex(tuple(chunks), meta["version"])
 
 
-CHUNK = Record({"doc_id": string(), "chunk_index": whole(0), "text": string()}, make=KbChunk)
+CHUNK = Record(
+    {"doc_id": string(), "chunk_index": whole(0), "text": string(), "swc_tags": strings()},
+    make=lambda swc_tags, **chunk: KbChunk(**chunk, swc_tags=tuple(swc_tags)),
+)
 
 
 def index_stores(root: str | Path) -> tuple[CorpusSnapshotStore, KbSnapshotStore]:

@@ -117,12 +117,13 @@ def weigh(counts: Iterable[int], total: int, idfs: Iterable[float]) -> tuple[lis
 
 
 def build_corpus_index(
-    docs: Sequence[Sequence], terms_of: Callable[[str], list[str]] = tokenize_for_tfidf
+    docs: Sequence[Sequence], terms_of: Callable[[str], list[str]] = tokenize_for_tfidf, noun: str = "corpus document"
 ) -> CorpusIndex:
     """Index labeled documents given as rows that start (id, label, classes,
     text), such as :func:`~solguard.jsonl.load_labeled_records` returns, by
     the terms ``terms_of`` gives each text. A document's weights are those
-    ``vectorize`` gives its terms, bit for bit."""
+    ``vectorize`` gives its terms, bit for bit. The warning for a document
+    without terms calls it ``noun``."""
     if not docs:
         raise ValueError("corpus must contain at least one document")
     ids, labels, classes, sources = list(zip(*docs))[:4]
@@ -137,7 +138,7 @@ def build_corpus_index(
     free = offsets.tolist()  # each term's next unfilled posting
     for position, (doc_id, terms) in enumerate(zip(ids, counts)):
         if not terms:
-            log.warning("corpus document %s has no terms; indexing a zero vector", doc_id)
+            log.warning("%s %s has no terms; indexing a zero vector", noun, doc_id)
             continue
         doc_term_ids = list(map(term_ids.__getitem__, terms))
         for t, w in zip(doc_term_ids, weigh(terms.values(), terms.total(), map(idf.__getitem__, doc_term_ids))[0]):

@@ -574,7 +574,7 @@ class TestInputFileErrors:
         result = runner.invoke(main, ["kb", "build", "--docs", str(docs), "--index-root", str(index_root)])
         assert result.exit_code == 0, result.output
         lines = (index_root / "kb" / "1" / "chunks.jsonl").read_text(encoding="utf-8").splitlines()
-        assert {"chunk_index": 0, "doc_id": "x", "text": "body"} in [json.loads(line) for line in lines]
+        assert {"chunk_index": 0, "doc_id": "x", "swc_tags": [], "text": "body"} in [json.loads(line) for line in lines]
         result = runner.invoke(main, ["kb", "status", "--index-root", str(index_root)])
         assert result.exit_code == 0
         assert "kb: version 1, 7 documents, 7 chunks" in result.output
@@ -702,7 +702,7 @@ class TestSnapshotChecksOnLoad:
             ["audit", str(FIXTURES / "presign.sol"), "-c", str(config)],
         ):
             result = runner.invoke(main, args)
-            assert_clean_error(result, EXIT_PROCESSING, f"error: snapshot file {meta} names format 1, not 3",
+            assert_clean_error(result, EXIT_PROCESSING, f"error: snapshot file {meta} names format 1, not 4",
                                "solguard kb update --docs <dir>")
         update = ["kb", "update", "--docs", str(FIXTURES / "kb_docs"), "--index-root", str(index_root)]
         assert runner.invoke(main, update).output == "kb: published version 2\n"
@@ -1259,7 +1259,8 @@ def test_index_root_that_cannot_be_created_is_processing_error(runner, tmp_path,
         main, ["kb", "build", "--corpus", str(FIXTURES / "corpus.jsonl"), "--index-root", str(root)]
     )
     monkeypatch.undo()
-    assert_clean_error(result, EXIT_PROCESSING, f"cannot write snapshot {root / 'corpus' / '1'}: ")
+    # the store's directory is made first, for its publish lock
+    assert_clean_error(result, EXIT_PROCESSING, f"cannot lock {root / 'corpus' / 'CURRENT.lock'}: ", "Permission denied")
     assert not (root / "corpus" / "CURRENT").exists()
 
 

@@ -2,16 +2,20 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import logging
 import math
 import re
 from collections import Counter
 
 import pytest
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from solguard.agents.detect import NOTES_PER_PROMPT, build_detection_prompt
 from solguard.agents.pipeline import run_pipeline
 from solguard.agents.remediate import build_advisor_prompt, build_assessor_prompt
+from solguard.core import Channel, Finding, Location, VulnerabilityClass
 from solguard.errors import DatasetError
 from solguard.llm.prompts import NO_REFERENCES_NOTE
 from solguard.retrieval.kb import (
@@ -28,11 +32,17 @@ from solguard.retrieval.kb import (
 )
 from solguard.retrieval.terms import words as split_words
 from solguard.static_analysis.rules import default_ruleset
-from solguard.static_analysis.scanner import load_file, scan
+from solguard.static_analysis.scanner import load_file, load_source, scan
 from conftest import write_bytes_named
 import presign_fixture
 
 SHIPPED = build_kb_index(load_kb_documents(presign_fixture.FIXTURES / "kb_docs"))
+# each shipped document's swc_tags, read from its preamble here
+SHIPPED_TAGS = {
+    path.stem: yaml.safe_load(path.read_text(encoding="utf-8").split("---\n")[1])["swc_tags"]
+    for path in sorted((presign_fixture.FIXTURES / "kb_docs").glob("*.md"))
+}
+CATALOG_SWC_IDS = sorted({r.vuln_class.swc_id for r in default_ruleset() if r.vuln_class.swc_id})
 
 
 def words(n: int, prefix: str = "w") -> str:
@@ -98,16 +108,23 @@ class TestBuildIndex:
         # the words after an apostrophe count: no string literal is stripped
         assert {"contract", "s", "owner"} <= set(index.tfidf.term_ids)
 
+    def test_a_chunk_without_words_is_warned_about_as_a_knowledge_base_chunk(self, caplog):
+        with caplog.at_level(logging.WARNING, logger="solguard.retrieval.tfidf"):
+            build_kb_index([KbDocument("a", "alpha"), KbDocument("c", "!!!")])
+        assert [r.getMessage() for r in caplog.records] == [
+            "knowledge-base chunk of document c has no terms; indexing a zero vector"
+        ]
+
     def test_build_assigns_no_snapshot_version(self):
         # only a snapshot store's publish or load sets the version
         assert build_kb_index([KbDocument("d", "alpha beta")]).snapshot_version == 0
 
 
-def oracle(query: str, chunks: tuple[KbChunk, ...], k: int) -> list[tuple[str, int]]:
-    """The chunks ``kb_search`` must return, by the corpus's weighting written
-    out: tf = count / term count, idf = ln((1+N)/(1+df)) + 1 over the chunks,
-    cosine of the tf * idf vectors; chunks that score 0 dropped, ties broken
-    on (doc id, chunk index)."""
+def scored(query: str, chunks: tuple[KbChunk, ...]) -> list[tuple[float, str, int]]:
+    """Every chunk's (similarity, doc id, chunk index) by the corpus's
+    weighting written out: tf = count / term count, idf = ln((1+N)/(1+df)) + 1
+    over the chunks, cosine of the tf * idf vectors; similarity descending,
+    ties broken on (doc id, chunk index)."""
     counts = [Counter(split_words(c.text)) for c in chunks]
     df = Counter(term for count in counts for term in count)
     idf = {term: math.log((1 + len(chunks)) / (1 + n)) + 1 for term, n in df.items()}
@@ -121,11 +138,27 @@ def oracle(query: str, chunks: tuple[KbChunk, ...], k: int) -> list[tuple[str, i
         return dot / math.sqrt(math.fsum(w * w for w in a.values()) * math.fsum(w * w for w in b.values())) if dot else 0.0
 
     q = weights(Counter(split_words(query)))
-    scored = sorted(
+    return sorted(
         ((cosine(q, weights(count)), c.doc_id, c.chunk_index) for c, count in zip(chunks, counts)),
         key=lambda row: (-row[0], row[1], row[2]),
     )
-    return [(doc_id, chunk_index) for sim, doc_id, chunk_index in scored if sim > 0][:k]
+
+
+def oracle(query: str, chunks: tuple[KbChunk, ...], k: int) -> list[tuple[str, int]]:
+    """The chunks ``kb_search`` must return without an SWC id: the
+    :func:`scored` ones, those that score 0 dropped."""
+    return [(doc_id, chunk_index) for sim, doc_id, chunk_index in scored(query, chunks) if sim > 0][:k]
+
+
+# words of the shipped documents, with noise: words no chunk holds, and
+# characters that split words or hold none
+QUERIES = st.lists(
+    st.one_of(
+        st.sampled_from(sorted({w for c in SHIPPED.chunks for w in split_words(c.text)})),
+        st.sampled_from(["zyzzyva", "0xdeadbeef", "--", "'", "İ", "!!"]),
+    ),
+    max_size=12,
+).map(" ".join)
 
 
 def found(chunks: list[KbChunk]) -> list[tuple[str, int]]:
@@ -177,24 +210,32 @@ class TestSearch:
         assert found(kb_search("alpha", index, k=24)) == [(doc, i) for doc in "ab" for i in range(12)]
         assert found(kb_search("alpha", index, k=3)) == [("a", 0), ("a", 1), ("a", 2)]
 
-    # words of the shipped documents, with noise: words no chunk holds, and
-    # characters that split words or hold none
     @settings(max_examples=300, deadline=None)
-    @given(
-        st.lists(
-            st.one_of(
-                st.sampled_from(sorted({w for c in SHIPPED.chunks for w in split_words(c.text)})),
-                st.sampled_from(["zyzzyva", "0xdeadbeef", "--", "'", "İ", "!!"]),
-            ),
-            max_size=12,
-        ).map(" ".join),
-        st.integers(1, 8),
-    )
+    @given(QUERIES, st.integers(1, 8))
     def test_shipped_chunks_returned_share_a_word_and_rank_as_the_oracle(self, query, k):
         got = kb_search(query, SHIPPED, k)
         assert len(got) <= k
         assert all(set(split_words(c.text)) & set(split_words(query)) for c in got)
         assert found(got) == oracle(query, SHIPPED.chunks, k)
+
+    @settings(max_examples=300, deadline=None)
+    @given(QUERIES, st.integers(1, 8), st.sampled_from([None, *CATALOG_SWC_IDS]))
+    def test_chunks_tagged_with_the_swc_id_come_first_then_the_oracle_order(self, query, k, swc_id):
+        got = kb_search(query, SHIPPED, k, swc_id)
+        assert len(got) <= k
+        tagged = [(d, i) for _, d, i in scored(query, SHIPPED.chunks) if swc_id in SHIPPED_TAGS[d]]
+        assert found(got[: len(tagged)]) == tagged[:k]
+        rest = [(d, i) for sim, d, i in scored(query, SHIPPED.chunks) if swc_id not in SHIPPED_TAGS[d] and sim > 0]
+        assert found(got[len(tagged) :]) == rest[: max(k - len(tagged), 0)]
+
+    def test_a_tagged_chunk_sharing_no_word_with_the_query_still_comes_first(self):
+        index = build_kb_index([
+            KbDocument("a", "alpha words", ("SWC-1",)), KbDocument("b", "beta", ("SWC-2",)), KbDocument("c", "alpha"),
+        ])
+        assert found(kb_search("alpha", index, 3, "SWC-2")) == [("b", 0), ("c", 0), ("a", 0)]
+        assert found(kb_search("alpha", index, 1, "SWC-2")) == [("b", 0)]
+        # the id must be spelled as the document tags it, and none ranks as today
+        assert found(kb_search("alpha", index, 3, "SWC-02")) == found(kb_search("alpha", index, 3)) == [("c", 0), ("a", 0)]
 
     def test_empty_index(self):
         index = KbIndex(chunks=())
@@ -203,7 +244,8 @@ class TestSearch:
 
 # the document of the first chunk that the advisor and the assessor prompt
 # cite for each catalog class, found by its rule in the rule's positive
-# fixture; None where no chunk shares a word with the query
+# fixture; None where no chunk shares a word with the query and none is
+# tagged with the class's SWC id
 FIRST_CHUNKS = {
     "Reentrancy": ("reentrancy", "reentrancy"),
     "Integer Overflow/Underflow": ("arithmetic", "arithmetic"),
@@ -211,7 +253,7 @@ FIRST_CHUNKS = {
     "tx.origin Authentication": ("authentication", "authentication"),
     "Unchecked Low-Level Call": ("external_calls", "external_calls"),
     "Timestamp Dependence": ("randomness_time", "randomness_time"),
-    "Unprotected Selfdestruct": ("authentication", None),
+    "Unprotected Selfdestruct": ("access_control", "access_control"),  # tagged SWC-106
     "Delegatecall to Untrusted Callee": ("external_calls", "external_calls"),
 }
 NOTES_RE = re.compile(rf"Reference notes:\n(?:\[([^#\]]+)#\d+\] |{re.escape(NO_REFERENCES_NOTE)}\n)")
@@ -221,28 +263,75 @@ def first_note(prompt: str) -> str | None:
     return NOTES_RE.search(prompt).group(1)
 
 
-def test_each_catalog_class_cites_its_first_chunk(fixtures_dir):
+def cited_notes(prompt: str) -> list[str]:
+    return re.findall(r"^\[([^#\]]+#\d+)\] ", prompt.split("Reference notes:\n", 1)[1], re.MULTILINE)
+
+
+def catalog_prompts(fixtures_dir):
+    """(rule, advisor prompt, assessor prompt) for each catalog rule's finding
+    in the rule's positive fixture, citing the shipped documents."""
     manifest = json.loads((fixtures_dir / "rules" / "manifest.json").read_text(encoding="utf-8"))
-    cited = {}
     for rule in default_ruleset():
         (name,) = [n for n, entry in manifest.items() if n.endswith("_pos.sol") and entry["findings"][0][0] == rule.rule_id]
         contract = load_file(fixtures_dir / "rules" / name)
         (finding,) = scan(contract, [rule])
-        cited[rule.vuln_class.name] = (
-            first_note(build_advisor_prompt(contract, finding, SHIPPED)),
-            first_note(build_assessor_prompt(contract, finding, None, SHIPPED)),
-        )
+        yield rule, build_advisor_prompt(contract, finding, SHIPPED), build_assessor_prompt(contract, finding, None, SHIPPED)
+
+
+def test_each_catalog_class_cites_its_first_chunk(fixtures_dir):
+    cited = {rule.vuln_class.name: (first_note(a), first_note(b)) for rule, a, b in catalog_prompts(fixtures_dir)}
     assert cited == FIRST_CHUNKS
 
 
+def test_the_document_tagged_with_a_class_swc_id_is_cited_first(fixtures_dir):
+    checked = []
+    for rule, advisor, assessor in catalog_prompts(fixtures_dir):
+        tagged = {doc for doc, tags in SHIPPED_TAGS.items() if rule.vuln_class.swc_id in tags}
+        if tagged:
+            assert first_note(advisor) in tagged and first_note(assessor) in tagged, rule.rule_id
+            checked.append(rule.vuln_class.swc_id)
+    # every catalog SWC id is some shipped document's tag
+    assert sorted(checked) == CATALOG_SWC_IDS
+
+
+def test_no_prompt_cites_more_than_three_notes(fixtures_dir):
+    assert NOTES_PER_PROMPT == 3
+    for _, advisor, assessor in catalog_prompts(fixtures_dir):
+        assert len(cited_notes(advisor)) <= 3 and len(cited_notes(assessor)) <= 3
+    # six documents that each share a word with every query below
+    docs = [KbDocument(f"d{i}", f"reentrancy severity impact contract note {i}", ("SWC-107",) * (i % 2)) for i in range(6)]
+    index = build_kb_index(docs)
+    contract = load_source("c", "contract C { function f() public {} }")
+    finding = Finding("c", VulnerabilityClass("Reentrancy", "SWC-107"), Location(contract.whole, "f"), "call", Channel.STATIC, 0.9)
+    prompts = {
+        "advisor": build_advisor_prompt(contract, finding, index),
+        "assessor": build_assessor_prompt(contract, finding, None, index),
+        "enriched detector": build_detection_prompt(contract, "enriched", (), index),
+    }
+    assert {role: len(cited_notes(prompt)) for role, prompt in prompts.items()} == dict.fromkeys(prompts, 3)
+    assert cited_notes(prompts["advisor"]) == ["d1#0", "d3#0", "d5#0"]  # the tagged ones
+
+
 class TestDocumentLoading:
-    def test_metadata_preamble_stripped_from_the_body(self, tmp_path):
+    def test_metadata_preamble_stripped_from_the_body_and_its_tags_kept(self, tmp_path):
         (tmp_path / "doc.md").write_text(
             "---\nsource: SWC registry\nswc_tags: [SWC-107]\n---\nBody text here.\n",
             encoding="utf-8",
         )
         docs = load_kb_documents(tmp_path)
-        assert docs == [KbDocument("doc", "Body text here.")]
+        assert docs == [KbDocument("doc", "Body text here.", ("SWC-107",))]
+        assert build_kb_index(docs).chunks == (KbChunk("doc", 0, "Body text here.", ("SWC-107",)),)
+
+    @pytest.mark.parametrize("value", ["oops", "[1]", "{a: b}", "null", '["\\ud800"]'])
+    def test_swc_tags_that_are_not_a_list_of_strings_name_the_file(self, tmp_path, value):
+        path = tmp_path / "doc.md"
+        path.write_text(f"---\nswc_tags: {value}\n---\nbody\n", encoding="utf-8")
+        with pytest.raises(DatasetError, match=re.escape(f"{path}: metadata preamble key swc_tags ")):
+            load_kb_documents(tmp_path)
+
+    def test_shipped_tags_are_kept(self, fixtures_dir):
+        docs = load_kb_documents(fixtures_dir / "kb_docs")
+        assert {d.doc_id: list(d.swc_tags) for d in docs} == SHIPPED_TAGS
 
     def test_document_without_preamble(self, tmp_path):
         (tmp_path / "plain.txt").write_text("Just words.", encoding="utf-8")

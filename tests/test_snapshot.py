@@ -17,7 +17,7 @@ import pytest
 
 from solguard.errors import SnapshotError
 from solguard.jsonl import load_labeled_records
-from solguard.retrieval.kb import KbDocument, build_kb_index, load_kb_documents
+from solguard.retrieval.kb import KbDocument, build_kb_index, kb_search, load_kb_documents
 from solguard.retrieval import snapshot
 from solguard.retrieval.snapshot import CorpusSnapshotStore, KbSnapshotStore
 from solguard.retrieval.tfidf import build_corpus_index, top_k
@@ -60,13 +60,24 @@ class TestPublishLoad:
         index = build_kb_index(load_kb_documents(FIXTURES / "kb_docs"))
         store.publish(index)
         lines = (tmp_path / "1" / "chunks.jsonl").read_text(encoding="utf-8").splitlines()
-        assert [sorted(json.loads(line)) for line in lines] == [["chunk_index", "doc_id", "text"]] * len(index.chunks)
+        assert [sorted(json.loads(line)) for line in lines] == [["chunk_index", "doc_id", "swc_tags", "text"]] * len(index.chunks)
         loaded = store.load()
         assert loaded.tfidf.ids == index.tfidf.ids and loaded.tfidf.term_ids == index.tfidf.term_ids
         assert [getattr(loaded.tfidf, name).tobytes() for name in LAYOUT] == [
             getattr(index.tfidf, name).tobytes() for name in LAYOUT
         ]  # bit for bit, where == would take -0.0 for 0.0
         assert loaded == dataclasses.replace(index, snapshot_version=1)
+
+    def test_kb_tags_round_trip_and_rank_the_loaded_index(self, tmp_path):
+        store = KbSnapshotStore(tmp_path)
+        index = build_kb_index([KbDocument("a", "alpha", ("SWC-1", "SWC-2")), KbDocument("b", "beta alpha")])
+        store.publish(index)
+        lines = (tmp_path / "1" / "chunks.jsonl").read_text(encoding="utf-8").splitlines()
+        assert [json.loads(line)["swc_tags"] for line in lines] == [["SWC-1", "SWC-2"], []]
+        loaded = store.load()
+        assert [c.swc_tags for c in loaded.chunks] == [("SWC-1", "SWC-2"), ()]
+        assert loaded.tagged == index.tagged == {"SWC-1": {0}, "SWC-2": {0}}
+        assert [c.doc_id for c in kb_search("beta", loaded, 3, "SWC-2")] == ["a", "b"]
 
     def test_versions_increment_and_old_reader_keeps_its_snapshot(self, tmp_path):
         store = CorpusSnapshotStore(tmp_path)
@@ -119,6 +130,57 @@ class TestCrashSafety:
         monkeypatch.undo()
         assert store.current_version() == 1
         assert store.load().snapshot_version == 1
+
+
+class TestPublishOrder:
+    def test_a_publish_started_while_another_writes_waits_for_it(self, tmp_path, monkeypatch):
+        store = KbSnapshotStore(tmp_path)
+        store.publish(build_kb_index([KbDocument("first", "alpha")]))
+        writing, release = threading.Event(), threading.Event()
+        write = KbSnapshotStore._write_files
+
+        def paused(self, target, index):
+            if index.chunks[0].doc_id == "a":  # publish A pauses mid-write
+                writing.set()
+                release.wait(10)
+            write(self, target, index)
+
+        monkeypatch.setattr(KbSnapshotStore, "_write_files", paused)
+        versions: dict[str, int] = {}
+
+        def publish(doc_id: str) -> None:
+            versions[doc_id] = KbSnapshotStore(tmp_path).publish(build_kb_index([KbDocument(doc_id, "alpha")]))
+
+        a, b = (threading.Thread(target=publish, args=(doc_id,)) for doc_id in "ab")
+        a.start()
+        assert writing.wait(10)
+        b.start()
+        b.join(0.5)  # unordered, B would publish version 3 meanwhile, and A's swap then set CURRENT back to 2
+        release.set()
+        a.join(10)
+        b.join(10)
+        assert not a.is_alive() and not b.is_alive()
+        assert versions == {"a": 2, "b": 3}
+        assert store.current_version() == 3
+        assert [c.doc_id for c in store.load().chunks] == ["b"]
+
+    def test_a_lock_that_fails_is_an_error_naming_it_and_the_pointer_stays(self, tmp_path, monkeypatch):
+        store = CorpusSnapshotStore(tmp_path)
+        store.publish(corpus_for(1))
+
+        def refuse(fh, operation):
+            raise OSError(37, "No locks available")
+
+        monkeypatch.setattr(snapshot.fcntl, "flock", refuse)
+        with pytest.raises(SnapshotError, match=re.escape(f"cannot lock {tmp_path / 'CURRENT.lock'}: ")):
+            store.publish(corpus_for(2))
+        assert store.versions() == [1] and store.current_version() == 1
+
+    def test_without_fcntl_a_publish_takes_no_lock(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(snapshot, "fcntl", None)
+        store = CorpusSnapshotStore(tmp_path / "corpus")
+        assert store.publish(corpus_for(1)) == 1
+        assert sorted(p.name for p in store.root.iterdir()) == ["1", "CURRENT"]
 
 
 class TestConcurrentReaders:
@@ -196,12 +258,12 @@ class TestRoundTrip:
     def test_fixture_kb_snapshot_bytes_are_pinned(self, tmp_path):
         KbSnapshotStore(tmp_path).publish(build_kb_index(load_kb_documents(FIXTURES / "kb_docs")))
         assert digests(tmp_path / "1") == {
-            "chunks.jsonl": "6b05870a064a46281559b9726f3344f57b40913e453952410bed2c6057df87c9",
-            "meta.json": "8925a26509854f64fab1ceb95888f0c2950776fa958d3ed8da29f4c6566b88fe",
+            "chunks.jsonl": "ce213a1b5d437cee648c7d8c06ac98e475a868a3e64d02e86fb2b69bdc3d62b1",
+            "meta.json": "4b65409e6a080d07e61d50051805916f588d148aa3b7b7201f1f40925484577a",
         }
         meta = json.loads((tmp_path / "1" / "meta.json").read_text(encoding="utf-8"))
         chunks = digests(tmp_path / "1")["chunks.jsonl"]
-        assert meta == {"format_version": 3, "kind": "kb", "sha256": {"chunks.jsonl": chunks}, "version": 1}
+        assert meta == {"format_version": 4, "kind": "kb", "sha256": {"chunks.jsonl": chunks}, "version": 1}
 
 
 QUERIES = sorted(FIXTURES.glob("*.sol")) + sorted((FIXTURES / "rules").glob("*.sol"))
@@ -570,7 +632,7 @@ class TestCorruptRecords:
     def test_format1_kb_version_asks_for_kb_update(self, tmp_path):
         store = KbSnapshotStore(tmp_path)
         version = write_kb_v1(tmp_path, [KbDocument("d", "alpha beta")])
-        message = f"snapshot file {version / 'meta.json'} names format 1, not 3: "
+        message = f"snapshot file {version / 'meta.json'} names format 1, not 4: "
         with pytest.raises(SnapshotError, match=re.escape(message + "republish the knowledge base with `solguard kb update --docs <dir>`")):
             store.load()
         assert store.publish(build_kb_index([KbDocument("e", "gamma")])) == 2  # what `kb update --docs` does
@@ -582,9 +644,26 @@ class TestCorruptRecords:
         # format 2 wrote the same chunks.jsonl, and meta.json with counts in place of the digest
         meta_v2 = {"kind": "kb", "version": 1, "format_version": 2, "documents": 6, "chunks": 6}
         (version / "meta.json").write_text(json.dumps(meta_v2), encoding="utf-8")
-        message = f"snapshot file {version / 'meta.json'} names format 2, not 3: "
+        message = f"snapshot file {version / 'meta.json'} names format 2, not 4: "
         with pytest.raises(SnapshotError, match=re.escape(message + "republish the knowledge base with `solguard kb update --docs <dir>`")):
             store.load()
+
+    def test_format3_kb_version_asks_for_kb_update(self, tmp_path):
+        store = published("kb", tmp_path)
+        version = tmp_path / "1"
+        # format 3 wrote each chunks.jsonl line without its document's swc_tags
+        path = version / "chunks.jsonl"
+        lines = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+        path.write_text(
+            "".join(json.dumps({k: v for k, v in line.items() if k != "swc_tags"}) + "\n" for line in lines), encoding="utf-8"
+        )
+        redigest(version)
+        meta_with(format_version=3)(version)
+        message = f"snapshot file {version / 'meta.json'} names format 3, not 4: "
+        with pytest.raises(SnapshotError, match=re.escape(message + "republish the knowledge base with `solguard kb update --docs <dir>`")):
+            store.load()
+        assert store.publish(build_kb_index(load_kb_documents(FIXTURES / "kb_docs"))) == 2  # what `kb update --docs` does
+        assert store.load().tagged["SWC-106"] == {0}
 
     @pytest.mark.parametrize("fault", sorted(KB_FAULTS))
     def test_kb_line_fault_names_file_and_line(self, tmp_path, fault):
