@@ -54,12 +54,6 @@ class PipelineConfig:
         """Effective provider for a role: explicit entry, else the base entry."""
         return self.providers.get(role) or self.providers.get("base")
 
-    def require_provider(self, role: str) -> ProviderConfig:
-        cfg = self.provider_for(role)
-        if cfg is None:
-            raise ConfigError(f"no provider configured for role {role!r}")
-        return cfg
-
 
 # the records of the configuration file; each default is the dataclass's own
 WEIGHTS = Record(

@@ -137,7 +137,8 @@ def build_context(config: PipelineConfig, roles: tuple[str, ...] | None = None) 
     """Load rules, index snapshots, and providers named by the config.
 
     ``roles`` limits which providers must exist (detection-only commands
-    need just the detector). Each store's CURRENT is read once, by its
+    need just the detector); :meth:`PipelineContext.provider` refuses a
+    requested role without one. Each store's CURRENT is read once, by its
     load. A corpus that was never published, or a snapshot that cannot be
     read, is a ``SnapshotError``; a knowledge base that was never published
     disables advisory retrieval. The providers share one transcript map
@@ -154,16 +155,12 @@ def build_context(config: PipelineConfig, roles: tuple[str, ...] | None = None) 
         log.info("no knowledge base snapshot under %s; advisory retrieval disabled", config.index_root)
     exchange_log = ExchangeLog(config.exchange_log) if config.exchange_log else None
     transcripts: dict[str, dict[tuple[str, str], str]] = {}
-    providers = {
-        role: build_provider(config.require_provider(role), exchange_log, transcripts) for role in roles or ROLES
-    }
-    return PipelineContext(
-        config=config,
-        ruleset=ruleset,
-        corpus_index=corpus_index,
-        kb_index=kb_index,
-        providers=providers,
-    )
+    wanted = {role: config.provider_for(role) for role in roles or ROLES}
+    providers = {role: build_provider(p, exchange_log, transcripts) for role, p in wanted.items() if p is not None}
+    ctx = PipelineContext(config, ruleset, corpus_index, kb_index, providers)
+    for role in wanted:
+        ctx.provider(role)
+    return ctx
 
 
 def run_pipeline(contract: SourceContract, ctx: PipelineContext) -> PipelineRun:

@@ -55,7 +55,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Sequence, TypeVar
 
 from solguard.core import Finding, Patch, RepairSuggestion, RiskLevel, SourceContract, VerificationResult
-from solguard.errors import ExtractionError, LexicalError, PipelineError, SolguardError, StructuralError
+from solguard.errors import ExtractionError, LexicalError, PipelineError, SolguardError, SpanError
 from solguard.llm.prompts import (
     ADVISOR_TEMPLATE,
     ASSESSOR_TEMPLATE,
@@ -379,7 +379,7 @@ def fix(
         try:
             patch = splice(contract, kept, shown, patch)
             patch.repaired.view  # lexes and segments the repaired source now, so verify need not
-        except (LexicalError, StructuralError) as exc:
+        except SpanError as exc:
             fault = "tokenize" if isinstance(exc, LexicalError) else "segment"
             raise ExtractionError(f"{contract.id}: repaired source does not {fault}: {exc}", patch.repaired_source)
         return patch

@@ -7,20 +7,20 @@ class SolguardError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class LexicalError(SolguardError):
-    """Tokenization failed; ``span`` points at the offending bytes."""
+class SpanError(SolguardError):
+    """A source could not be tokenized or segmented; ``span`` points at the offending bytes."""
 
     def __init__(self, message: str, span: tuple[int, int]):
         super().__init__(f"{message} at bytes {span[0]}..{span[1]}")
         self.span = span
 
 
-class StructuralError(SolguardError):
+class LexicalError(SpanError):
+    """Tokenization failed."""
+
+
+class StructuralError(SpanError):
     """Source structure (brace nesting, declarations) could not be resolved."""
-
-    def __init__(self, message: str, span: tuple[int, int]):
-        super().__init__(f"{message} at bytes {span[0]}..{span[1]}")
-        self.span = span
 
 
 class RulesetError(SolguardError):

@@ -15,7 +15,7 @@ from solguard.errors import DatasetError, SolguardError
 from solguard.records import Record, one_of, path, string, text, texts
 
 
-def read_text(path: str | Path, error: type[SolguardError], what: str) -> str:
+def read_text(path: str | Path, error: type[Exception], what: str) -> str:
     """The text of the UTF-8 file ``path``; a read or decode fault is an ``error`` naming it as ``what``."""
     try:
         return Path(path).read_text(encoding="utf-8")
@@ -41,8 +41,8 @@ def read_yaml(text: str, error: type[SolguardError], what: str) -> Any:
 def read_jsonl(path: str | Path, read: Callable[[dict], None], error: type[SolguardError], record: Record) -> None:
     """Call ``read`` on each non-blank line of ``path``, streamed, parsed as a
     ``record`` with paths relative to the file's directory. An unopenable file
-    is an ``error`` naming it; a fault in a line, a ``ValueError`` from ``read``
-    included, is an ``error`` naming ``<file>:<line>``."""
+    is an ``error`` naming it; a fault in a line, a ``ValueError`` or
+    ``OSError`` from ``read`` included, is an ``error`` naming ``<file>:<line>``."""
     lineno = 0
     base, decode = Path(path).parent, json.JSONDecoder().decode
     try:
@@ -84,7 +84,7 @@ def load_labeled_records(path: str | Path) -> list[LabeledRow]:
         if source is None:
             if rec["source_path"] is None:
                 raise ValueError("record needs source or source_path")
-            source = Path(rec["source_path"]).read_text(encoding="utf-8")
+            source = read_text(rec["source_path"], OSError, "contract source")  # an OSError names its line
         rows[contract_id] = LabeledRow(contract_id, rec["label"], tuple(rec["classes"]), source, rec["split"])
 
     read_jsonl(path, read, DatasetError, LABELED_RECORD)

@@ -227,8 +227,8 @@ def _response_text(payload: Any, provider_id: str) -> str:
         return payload["content"]
     try:
         text = payload["choices"][0]["message"]["content"]
-    except (KeyError, IndexError, TypeError) as exc:
-        raise TransportError(f"{provider_id}: unrecognized response shape") from exc
+    except (KeyError, IndexError, TypeError):
+        text = None
     if not isinstance(text, str):
         raise TransportError(f"{provider_id}: unrecognized response shape")
     return text

@@ -105,8 +105,9 @@ def load_kb_documents(directory: str | Path) -> list[KbDocument]:
 
     Each file may start with a YAML preamble fenced by ``---`` lines, which
     must be a mapping; of its keys only ``swc_tags``, a list of strings, is
-    read. The remainder is the document body. A document's id is its name's
-    :func:`~solguard.jsonl.file_id`; no id may repeat.
+    read. The remainder is the document body, which must hold text. A
+    document's id is its name's :func:`~solguard.jsonl.file_id`; no id may
+    repeat, and the directory must hold a document.
     """
     root = Path(directory)
     if not root.is_dir():
@@ -133,5 +134,9 @@ def load_kb_documents(directory: str | Path) -> list[KbDocument]:
                 "swc_tags", preamble.get("swc_tags", ABSENT), DatasetError, str(path), "metadata preamble"
             )
             body = body[closing + 5 :]
+        if not body.strip():
+            raise DatasetError(f"{path}: knowledge document holds no text")
         docs.append(KbDocument(doc_id=doc_id, text=body.strip(), swc_tags=tuple(tags)))
+    if not docs:
+        raise DatasetError(f"knowledge base source {root} holds no .md or .txt document")
     return docs

@@ -55,7 +55,6 @@ T = TypeVar("T")
 
 POINTER_NAME = "CURRENT"
 LOCK_NAME = f"{POINTER_NAME}.lock"
-FORMAT_VERSION = 4  # of corpus snapshots
 POSTINGS = {  # array -> typecode
     "idf": "d", "offsets": "q", "positions": "i", "weights": "d", "norms": "d", "common_norms": "d",
 }
@@ -185,7 +184,7 @@ class SnapshotStore(Generic[T]):
             sha256[name] = digest.hexdigest()
         header = {"kind": self.kind, "version": index.snapshot_version, "format_version": self.format_version,
                   "sha256": sha256}
-        _write_json(target / "meta.json", {**header, **fields})
+        (target / "meta.json").write_text(json.dumps({**header, **fields}, sort_keys=True, indent=0), encoding="utf-8")
 
     def _write_files(self, target: Path, index: T) -> None:
         raise NotImplementedError
@@ -202,7 +201,7 @@ class CorpusSnapshotStore(SnapshotStore[CorpusIndex]):
 
     kind = "corpus"
     files = ("terms.json", "documents.json", "postings.bin")
-    format_version, republish = FORMAT_VERSION, "republish the corpus with `solguard kb update --corpus <file>`"
+    format_version, republish = 4, "republish the corpus with `solguard kb update --corpus <file>`"
     meta = Record({
         **_META, "byteorder": one_of(("little", "big")), "itemsize": mapping(),
         "terms": whole(0), "postings": whole(0), "documents": whole(0),
@@ -277,10 +276,6 @@ def index_stores(root: str | Path) -> tuple[CorpusSnapshotStore, KbSnapshotStore
     """The corpus and KB stores of an index root, each in the directory its kind names."""
     root = Path(root)
     return CorpusSnapshotStore(root / CorpusSnapshotStore.kind), KbSnapshotStore(root / KbSnapshotStore.kind)
-
-
-def _write_json(path: Path, payload: object) -> None:
-    path.write_text(json.dumps(payload, sort_keys=True, indent=0), encoding="utf-8")
 
 
 def _sha256(path: Path) -> str:

@@ -5,8 +5,10 @@ indexes its chunks by :func:`~solguard.retrieval.terms.words`.
 
 Weighting scheme (stated exactly so independent oracles can reproduce it):
 tf = term count / document term count; idf = ln((1+N)/(1+df)) + 1;
-weight = tf * idf; vectors are L2-normalized. Neighbor ranks are weighted
-linearly, rank 1 heaviest, weights summing to 1.
+weight = tf * idf; vectors are L2-normalized. A query is a unit vector (or
+empty), and its similarity to a document is their dot product divided by the
+document's norm. Neighbor ranks are weighted linearly, rank 1 heaviest,
+weights summing to 1.
 
 A build counts each document's terms once: that one count gives the
 document frequencies, then the document's weights, which go straight into
@@ -88,14 +90,13 @@ class CorpusIndex:
     common_norms: array  # "d", by document position
     snapshot_version: int = 0
 
-    def vectorize(self, terms: list[str]) -> tuple[dict[str, float], float]:
-        """Project a term list into this index's weighting space: the
-        (term -> weight, L2 norm) pair of the terms it knows, the norm 1, or 0
-        when none is known. Unknown terms still count in the total."""
+    def vectorize(self, terms: list[str]) -> dict[str, float]:
+        """Project a term list into this index's weighting space: term ->
+        weight over the terms it knows, a unit vector, or empty when none is
+        known. Unknown terms still count in the total."""
         known = Counter(term for term in terms if term in self.term_ids)
         idfs = map(self.idf.__getitem__, map(self.term_ids.__getitem__, known))
-        weights, norm = weigh(known.values(), len(terms), idfs)
-        return dict(zip(known, weights)), 1.0 if norm else 0.0
+        return dict(zip(known, weigh(known.values(), len(terms), idfs)[0]))
 
 
 @dataclass(frozen=True)
@@ -180,16 +181,17 @@ def rank(index: CorpusIndex, terms: list[str], k: int, exclude: str | None = Non
     ``terms``, similarity descending, ties broken by (id, position); a
     document with the id ``exclude`` never ranks.
 
-    A document's dot product adds one product per shared query term, in the
-    query's term order. Documents that share no term score 0 and fill any
-    remaining ranks.
+    The query is a unit vector (:meth:`CorpusIndex.vectorize`), so a
+    similarity is a dot product divided by the document's norm; the dot
+    product adds one product per shared query term, in the query's term
+    order. Documents that share no term score 0 and fill any remaining ranks.
 
     Only documents that can reach the k-th best similarity are scored. The
     postings of the rare (not ``is_common``) query terms give every document
     its exact rare part, and Cauchy-Schwarz bounds the common part by
     ``|q_common| * |d_common|``; the sum, widened by the relative ``SLACK``
-    for rounding and divided by the norms, bounds the similarity. The
-    ``PROBES + k`` best-bounded documents are scored exactly, and the k-th
+    for rounding and divided by the document's norm, bounds the similarity.
+    The ``PROBES + k`` best-bounded documents are scored exactly, and the k-th
     best of those scores is the cut: the documents whose bound reaches it
     are scored too, and no other can rank. A document is scored by finding
     each query term's posting for it by bisection and adding the products
@@ -200,15 +202,15 @@ def rank(index: CorpusIndex, terms: list[str], k: int, exclude: str | None = Non
     scoring the documents one by one would cost more than the postings it
     reads (``BISECT_COST``).
     """
-    qweights, qnorm = index.vectorize(terms)
+    qweights = index.vectorize(terms)
     offsets = index.offsets
     term_ids = map(index.term_ids.__getitem__, qweights)
     ranges = [(offsets[t], offsets[t + 1], qw) for t, qw in zip(term_ids, qweights.values())]  # query term order
-    sims = _bounded_sims(exclude, index, ranges, qnorm, k)
+    sims = _bounded_sims(exclude, index, ranges, k)
     if sims is None:
         log.debug("full scan of the query terms' postings (excluding %s)", exclude)
         sims = {  # _cosine, inlined: a call per document would cost a third of the scan
-            p: min(1.0, dot / (qnorm * norm)) if dot and norm else 0.0
+            p: min(1.0, dot / norm) if dot and norm else 0.0
             for p, (doc_id, norm, dot) in enumerate(zip(index.ids, index.norms, _dots(index, ranges)))
             if doc_id != exclude
         }
@@ -226,12 +228,12 @@ def _dots(index: CorpusIndex, terms: list[tuple[int, int, float]]) -> list[float
     return dots
 
 
-def _cosine(dot: float, qnorm: float, norm: float) -> float:
-    return min(1.0, dot / (qnorm * norm)) if dot and norm else 0.0
+def _cosine(dot: float, norm: float) -> float:
+    return min(1.0, dot / norm) if dot and norm else 0.0
 
 
 def _bounded_sims(
-    qid: str | None, index: CorpusIndex, terms: list[tuple[int, int, float]], qnorm: float, k: int
+    qid: str | None, index: CorpusIndex, terms: list[tuple[int, int, float]], k: int
 ) -> dict[int, float] | None:
     """Exact similarities of a set of documents that holds every document
     scoring at least the k-th best; None when a full scan is due instead.
@@ -247,7 +249,7 @@ def _bounded_sims(
         return None
     dots = _dots(index, [term for term in terms if not is_common(term[1] - term[0], n)])
     qcommon = math.sqrt(sum(qw * qw for qw in common_qweights))
-    widen = (1.0 + SLACK) / qnorm
+    widen = 1.0 + SLACK
     bounds = [
         (dot + qcommon * dcommon) * widen / norm if norm else 0.0
         for dot, dcommon, norm in zip(dots, index.common_norms, norms)
@@ -259,7 +261,7 @@ def _bounded_sims(
             i = bisect_left(positions, p, start, end)
             if i < end and positions[i] == p:
                 dot += qw * weights[i]
-        return _cosine(dot, qnorm, norms[p])
+        return _cosine(dot, norms[p])
 
     probes = heapq.nlargest(PROBES + k, range(n), key=bounds.__getitem__)
     sims = {p: similarity(p) for p in probes if ids[p] != qid}

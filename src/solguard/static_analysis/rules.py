@@ -34,7 +34,6 @@ class PatternRule:
     rule_id: str
     vuln_class: VulnerabilityClass
     matcher: dict[str, Any]  # the type and every parameter of its record, defaults filled in
-    description: str
     default_confidence: float
 
 
@@ -187,7 +186,7 @@ def parse_ruleset(text: str) -> list[PatternRule]:
         if matcher.get("type") not in tuple(_MATCHERS):  # a tuple takes a type that is no dict key, such as a list
             raise RulesetError(f"{where}: unknown matcher type {matcher.get('type')!r}")
         spec = _MATCHERS[matcher["type"]][1].parse(matcher, RulesetError, where, "matcher")
-        rule = PatternRule(values["rule_id"], vuln_class, spec, values["description"], values["confidence"])
+        rule = PatternRule(values["rule_id"], vuln_class, spec, values["confidence"])
         if rule.rule_id in seen_ids:
             raise RulesetError(f"duplicate rule_id {rule.rule_id!r}")
         if rule.vuln_class.name in seen_classes:

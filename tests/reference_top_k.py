@@ -7,7 +7,8 @@ must return the same neighbors with bit-identical similarities, ranks and
 tie order; ``tests/test_retrieval.py`` and ``tools/check_top_k.py`` require
 that. The code below is the replaced function as it was, except that it
 reads the document columns that ``CorpusIndex`` now holds in place of one
-record per document.
+record per document, and divides by the document's norm alone, since the
+query is a unit vector.
 
 Never import this module from ``src/``.
 """
@@ -29,7 +30,7 @@ def top_k(query: SourceContract, index: CorpusIndex, k: int) -> list[Neighbor]:
     share no term score 0 and fill any remaining ranks in id order. The
     query's own id is excluded when present in the index.
     """
-    qweights, qnorm = index.vectorize(tokenize_for_tfidf(query.source))
+    qweights = index.vectorize(tokenize_for_tfidf(query.source))  # a unit vector
     ids, norms, offsets, positions, weights = index.ids, index.norms, index.offsets, index.positions, index.weights
     dots = [0.0] * len(ids)
     for term, qw in qweights.items():
@@ -40,7 +41,7 @@ def top_k(query: SourceContract, index: CorpusIndex, k: int) -> list[Neighbor]:
     qid = query.id
     sims = [
         -1.0 if doc_id == qid  # never ranked
-        else min(1.0, dot / (qnorm * norm)) if dot and norm
+        else min(1.0, dot / norm) if dot and norm
         else 0.0
         for doc_id, norm, dot in zip(ids, norms, dots)
     ]

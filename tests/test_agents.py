@@ -21,7 +21,7 @@ from solguard.agents.detect import (
     model_channel,
     weighted_score,
 )
-from solguard.agents.pipeline import PipelineRun, run_pipeline
+from solguard.agents.pipeline import PipelineRun, build_context, run_pipeline
 from solguard.agents.remediate import (
     RiskAssignment,
     advise,
@@ -644,6 +644,18 @@ class TestPipeline:
         assert run.stages == ("detect", "advise", "assess", "report")
         assert run.report is not None
         assert len(run.suggestions) == 1  # earlier stages intact
+
+    def test_a_detector_only_context_records_the_missing_roles_and_still_reports(self, presign_config):
+        ctx = build_context(load_config(presign_config), roles=("detector",))
+        run = run_pipeline(load_file(FIXTURES / "presign.sol", "presign"), ctx)
+        assert run.errors == {
+            "advise": "no provider configured for role 'advisor'",
+            "assess": "no provider configured for role 'assessor'",
+        }
+        assert run.stages == ("detect", "report")
+        assert run.patch is None and run.verification is None
+        assert len(run.report.sections) == 7
+        assert "Stages with errors: advise, assess" in run.report.sections[1].body
 
     @pytest.mark.parametrize(
         "role, stage, stages",

@@ -565,6 +565,27 @@ class TestInputFileErrors:
         assert_clean_error(result, EXIT_PROCESSING, f"error: cannot read knowledge document {bad}: ")
         assert not (tmp_path / "idx" / "kb" / "CURRENT").exists()
 
+    @pytest.mark.parametrize("command", ["build", "update"])
+    @pytest.mark.parametrize("body", ["", "\n  \n"], ids=["empty", "blank"])
+    def test_knowledge_document_without_text_names_file(self, runner, tmp_path, command, body):
+        # its tags would reach no chunk, so it would drop out of retrieval without a word
+        docs = tmp_path / "docs"
+        shutil.copytree(FIXTURES / "kb_docs", docs)
+        empty = docs / "empty.md"
+        empty.write_text(f"---\nswc_tags: [SWC-999]\n---\n{body}", encoding="utf-8")
+        result = runner.invoke(main, ["kb", command, "--docs", str(docs), "--index-root", str(tmp_path / "idx")])
+        assert_clean_error(result, EXIT_PROCESSING, f"error: {empty}: knowledge document holds no text")
+        assert not (tmp_path / "idx" / "kb" / "CURRENT").exists()
+
+    @pytest.mark.parametrize("command", ["build", "update"])
+    def test_docs_directory_without_a_document_names_it(self, runner, tmp_path, command):
+        docs = tmp_path / "docs"
+        docs.mkdir()
+        (docs / "notes.rst").write_text("not a knowledge document\n", encoding="utf-8")
+        result = runner.invoke(main, ["kb", command, "--docs", str(docs), "--index-root", str(tmp_path / "idx")])
+        assert_clean_error(result, EXIT_PROCESSING, f"error: knowledge base source {docs} holds no .md or .txt document")
+        assert not (tmp_path / "idx" / "kb" / "CURRENT").exists()
+
     @pytest.mark.parametrize("value", ["2024-05-01", "{1: one}", ".nan"])
     def test_knowledge_document_preamble_value_that_is_not_json_is_stripped(self, runner, tmp_path, value):
         docs = tmp_path / "docs"
@@ -850,6 +871,18 @@ class TestConfigValidationExitCodes:
         result = runner.invoke(main, ["audit", str(FIXTURES / "presign.sol"), "-c", str(config)])
         assert result.exit_code == 2
         assert "different model" in result.output
+
+    def test_a_role_without_a_provider_rejected_exit_2_naming_it(self, runner, built_index_root, tmp_path):
+        def mutate(p):
+            p["index_root"] = str(built_index_root)
+            del p["providers"]["base"], p["providers"]["verifier"]
+            for role in ("advisor", "assessor"):
+                p["providers"][role] = {"kind": "mock", "model_id": role, "transcript": str(TRANSCRIPT)}
+
+        config = self._write_config(tmp_path, mutate)
+        result = runner.invoke(main, ["audit", str(FIXTURES / "presign.sol"), "-c", str(config)])
+        assert_clean_error(result, 2, "no provider configured for role 'verifier'")
+        assert not (tmp_path / "out").exists()
 
     def test_weights_not_summing_rejected_exit_2(self, runner, tmp_path):
         def mutate(p):

@@ -162,6 +162,20 @@ def test_source_paths_and_inline_sources_mix(tmp_path, kind):
 
 
 @pytest.mark.parametrize("kind", ["corpus", "dataset"])
+def test_source_file_that_is_not_utf8_is_named_with_its_line(tmp_path, kind):
+    # the record is well formed; its source file is the fault
+    load, error, _ = LOADERS[kind]
+    source = tmp_path / "x.sol"
+    source.write_bytes(b"contract X { \xff }")
+    path = tmp_path / "input.jsonl"
+    path.write_bytes(contract("a") + contract("b", source=None, source_path="x.sol"))
+    with pytest.raises(error) as err:
+        load(path)
+    assert str(err.value).startswith(f"{path}:2: cannot read contract source {source}: 'utf-8' codec can't decode")
+    assert "malformed record" not in str(err.value)
+
+
+@pytest.mark.parametrize("kind", ["corpus", "dataset"])
 def test_faulty_last_line_of_a_long_file_is_named(tmp_path, kind):
     load, error, _ = LOADERS[kind]
     path = tmp_path / "input.jsonl"

@@ -256,9 +256,8 @@ class TestBuildCorpusIndex:
         # query weighs bit for bit as the index stores it
         index = build_corpus_index([(f"d{i}", "safe", (), source) for i, source in enumerate(sources)])
         for source, stored in zip(sources, document_weights(index)):
-            weights, norm = index.vectorize(tokenize_for_tfidf(source))
+            weights = index.vectorize(tokenize_for_tfidf(source))
             assert {t: w.hex() for t, w in weights.items()} == {t: w.hex() for t, w in stored.items()}
-            assert norm == (1.0 if stored else 0.0)
 
     def test_common_norms_match_brute_force_oracle(self):
         # a term is common when at least half the documents hold it
@@ -385,7 +384,7 @@ class TestCosine:
 
 
 def brute_force_top_k(query_terms, index: CorpusIndex, k: int, exclude_id: str):
-    qweights, _ = index.vectorize(query_terms)
+    qweights = index.vectorize(query_terms)
     sims = [
         (doc_id, oracle_cosine(qweights, weights), label)
         for doc_id, label, weights in zip(index.ids, index.labels, document_weights(index))
@@ -397,9 +396,9 @@ def brute_force_top_k(query_terms, index: CorpusIndex, k: int, exclude_id: str):
 
 def scan_top_k(query_terms, index: CorpusIndex, k: int, exclude_id: str) -> list[tuple[str, float]]:
     """Score every document by the stated rule (products added one at a time
-    in the query's term order, ``min(1, dot / (qnorm * dnorm))``, 0 at zero
-    norm) and sort by (-similarity, id)."""
-    qweights, qnorm = index.vectorize(query_terms)
+    in the query's term order, ``min(1, dot / dnorm)`` for the unit query, 0
+    at zero norm) and sort by (-similarity, id)."""
+    qweights = index.vectorize(query_terms)
     rows = []
     for doc_id, norm, weights in zip(index.ids, index.norms, document_weights(index)):
         if doc_id == exclude_id:
@@ -407,7 +406,7 @@ def scan_top_k(query_terms, index: CorpusIndex, k: int, exclude_id: str) -> list
         dot = 0.0
         for t, qw in qweights.items():
             dot += qw * weights.get(t, 0.0)
-        sim = min(1.0, dot / (qnorm * norm)) if qnorm and norm else 0.0
+        sim = min(1.0, dot / norm) if norm else 0.0
         rows.append((doc_id, sim))
     rows.sort(key=lambda row: (-row[1], row[0]))
     return rows[:k]

@@ -219,7 +219,7 @@ class TestRulesetFile:
     def test_absent_matcher_parameters_take_their_declared_defaults(self):
         (rule,) = parse_ruleset("- {rule_id: x, class: X, matcher: {type: unchecked_arithmetic}, confidence: 1}")
         assert rule.matcher == {"type": "unchecked_arithmetic", "flag_below": "0.8", "guard_markers": ["SafeMath"]}
-        assert rule.default_confidence == 1.0 and rule.description == "" and rule.vuln_class.swc_id is None
+        assert rule.default_confidence == 1.0 and rule.vuln_class.swc_id is None
 
     def test_non_numeric_confidence_rejected(self):
         complaint = "rule x: record key confidence must be a number in [0, 1], got 'high'"
