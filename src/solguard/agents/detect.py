@@ -275,15 +275,17 @@ def detect(contract: SourceContract, ctx: PipelineContext) -> FusedVerdict:
 def actionable_findings(fused: FusedVerdict, contract: SourceContract, ruleset: list[PatternRule]) -> list[Finding]:
     """Findings handed to the repair chain.
 
-    Static and model findings (of whichever of the two ran) take the
-    ruleset's name for their class (:func:`canonical_class`), then merge by
-    (class, function); unlocalized retrieval hints step in only when the
-    localized channels found nothing despite a vulnerable verdict.
+    Findings take the ruleset's name for their class (:func:`canonical_class`),
+    then merge by (class, function). Static and model findings (of whichever
+    of the two ran) come first; unlocalized retrieval hints step in only when
+    those found nothing despite a vulnerable verdict.
     """
-    localized = merge_findings(
-        [replace(f, vuln_class=canonical_class(f.vuln_class.name, ruleset)) for f in c.findings]
-        for c in fused.channel_results if c.channel is not Channel.RETRIEVAL
-    )
+    def folded(channels: Sequence[ChannelResult]) -> list[Finding]:
+        return merge_findings(
+            [replace(f, vuln_class=canonical_class(f.vuln_class.name, ruleset)) for f in c.findings] for c in channels
+        )
+
+    localized = folded([c for c in fused.channel_results if c.channel is not Channel.RETRIEVAL])
     if localized or fused.verdict is Verdict.SAFE:
         return localized
-    return merge_findings([fused.channel(Channel.RETRIEVAL).findings])
+    return folded([fused.channel(Channel.RETRIEVAL)])

@@ -55,7 +55,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Sequence, TypeVar
 
 from solguard.core import Finding, Patch, RepairSuggestion, RiskLevel, SourceContract, VerificationResult
-from solguard.errors import ExtractionError, LexicalError, PipelineError, SolguardError, SpanError
+from solguard.errors import ExtractionError, LexicalError, SolguardError, SpanError
 from solguard.llm.prompts import (
     ADVISOR_TEMPLATE,
     ASSESSOR_TEMPLATE,
@@ -232,8 +232,6 @@ def advise(
     is recorded as incomplete; the pipeline carries on. The stage fails
     only when every call failed.
     """
-    if not findings:
-        raise PipelineError(f"{contract.id}: advise requires at least one finding")
 
     def incomplete(finding: Finding) -> RepairSuggestion:
         return RepairSuggestion(finding.vuln_class.name, "", "", (), (), finding, complete=False)
@@ -366,8 +364,6 @@ def fix(
     of :func:`ask_structured`. The returned patch carries its lexed and
     segmented source as :attr:`Patch.repaired`, which :func:`verify` reuses.
     """
-    if not suggestions:
-        raise PipelineError(f"{contract.id}: fix requires at least one suggestion")
     ordered = sorted(zip(assignments, suggestions, strict=True), key=lambda pair: _priority(pair[0]))
     names = [container.name for container in contract.view.containers]
     unique = len(set(names)) == len(names)  # splice tells containers apart by name, so else the whole source goes

@@ -14,7 +14,6 @@ from typing import TYPE_CHECKING
 from solguard.core import (
     REPORT_SECTION_TITLES,
     AuditReport,
-    Channel,
     ReportSection,
     SourceContract,
     Verdict,
@@ -114,14 +113,6 @@ def _discovery_summary(run: "PipelineRun") -> str:
     if run.fused.verdict is Verdict.UNDETERMINED:
         return _NOT_PERFORMED[Verdict.UNDETERMINED]
     if not run.findings:
-        retrieval_hints = [
-            f"- corpus neighbors suggest: {_line(f.vuln_class.name)}"
-            for c in run.fused.channel_results
-            if c.channel is Channel.RETRIEVAL
-            for f in c.findings
-        ]
-        if run.fused.verdict is Verdict.VULNERABLE and retrieval_hints:
-            return "No localized findings.\n" + "\n".join(retrieval_hints)
         return "No vulnerabilities were found."
     rows = ["| # | Class | SWC | Function | Channel | Confidence | Risk |", "|---|---|---|---|---|---|---|"]
     for i, (f, _, assignment) in enumerate(run.per_finding(), start=1):

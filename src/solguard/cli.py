@@ -349,7 +349,7 @@ def cmd_eval(dataset_path, config_path, variants, split, out, verbose):
     except OSError as exc:
         _fail(EXIT_PROCESSING, f"cannot write results to {out_path}: {exc}")
     click.echo(f"results written to {out_path}")
-    _exit_if_detection_failed(reports[0].failures if reports else 0, len(dataset))
+    _exit_if_detection_failed(reports[0].failures, len(dataset))
 
 
 @main.command("calibrate")

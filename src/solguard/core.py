@@ -322,18 +322,11 @@ def merge_findings(lists: Iterable[Iterable[Finding]]) -> list[Finding]:
 
     Findings that share a :attr:`Finding.key` are considered the same
     defect reported by different channels; the highest-confidence
-    instance wins. Output is sorted by location ascending. All findings must
-    reference the same contract.
+    instance wins. Output is sorted by location ascending. The caller passes
+    one contract's findings.
     """
-    flat = [f for group in lists for f in group]
-    if not flat:
-        return []
-    ids = {f.contract_id for f in flat}
-    if len(ids) > 1:
-        raise ValueError(f"cannot merge findings from different contracts: {sorted(ids)}")
-
     best: dict[tuple[str, str], Finding] = {}
-    for f in flat:
+    for f in chain.from_iterable(lists):
         cur = best.get(f.key)
         if cur is None or (f.confidence, f.channel.value) > (cur.confidence, cur.channel.value):
             best[f.key] = f

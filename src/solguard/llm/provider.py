@@ -209,7 +209,7 @@ class HttpProvider:
             if self._log:
                 self._log.append(role, provider_id, time.perf_counter() - started, prompt, text)
             return text
-        raise last_error or TransportError(f"{provider_id}: no attempts made")
+        raise last_error
 
 
 def _retry_after_s(header: str | None, cap: float) -> float | None:

@@ -125,8 +125,6 @@ def build_corpus_index(
     the terms ``terms_of`` gives each text. A document's weights are those
     ``vectorize`` gives its terms, bit for bit. The warning for a document
     without terms calls it ``noun``."""
-    if not docs:
-        raise ValueError("corpus must contain at least one document")
     ids, labels, classes, sources = list(zip(*docs))[:4]
     counts = [Counter(terms_of(source)) for source in sources]
     n = len(docs)

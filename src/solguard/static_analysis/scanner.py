@@ -47,8 +47,6 @@ def scan(contract: SourceContract, ruleset: list[PatternRule]) -> list[Finding]:
     Results pass through :func:`merge_findings`, so duplicate (class,
     function) hits collapse to the highest-confidence instance.
     """
-    if not ruleset:
-        raise ValueError("ruleset must not be empty")
     view = contract.view
     tokens = view.index.tokens
     findings: list[Finding] = []

@@ -43,10 +43,10 @@ from solguard.core import (
     Verdict,
     VulnerabilityClass,
 )
-from solguard.errors import ConfigError, PipelineError, TransportError
+from solguard.errors import ConfigError, TransportError
 from solguard.llm.mock import TranscriptRecorder
 from solguard.llm.provider import ProviderConfig
-from solguard.retrieval.tfidf import top_k
+from solguard.retrieval.tfidf import build_corpus_index, top_k
 from solguard.static_analysis.rules import default_ruleset
 from solguard.static_analysis.scanner import load_file, load_source
 
@@ -316,12 +316,6 @@ def _finding(cls: str, function: str, start: int = 0, contract_id: str = "presig
 
 
 class TestAdvise:
-    def test_empty_findings_rejected(self):
-        contract = load_source("c", "contract C {}")
-        recorder = TranscriptRecorder(lambda role, prompt: "{}")
-        with pytest.raises(PipelineError, match="at least one finding"):
-            advise(contract, [], None, recorder)
-
     def test_no_kb_marks_background_slot(self):
         contract = load_source("c", "contract C {}")
         prompt = build_advisor_prompt(contract, _finding("Reentrancy", "f", contract_id="c"), None)
@@ -619,6 +613,27 @@ class TestPipeline:
         assert run.stages == ("detect", "report")
         assert run.findings == ()
         assert run.patch is None and run.verification is None
+
+    def test_retrieval_hints_reach_the_chain_folded_onto_the_ruleset(self):
+        # no rule flags safe.sol and the detector names nothing, so the
+        # vulnerable neighbours' classes become the findings; both spellings
+        # fold onto the ruleset's Reentrancy and merge into one
+        responses = presign_fixture.scripted_responses()
+        responses["detector"] = json.dumps({"verdict": "vulnerable", "score": 0.9, "findings": []})
+        ctx, _ = presign_fixture.recording_context(responses)
+        source = (FIXTURES / "safe.sol").read_text(encoding="utf-8")
+        ctx = replace(ctx, corpus_index=build_corpus_index(
+            [("n1", "vulnerable", ("SWC-107",), source), ("n2", "vulnerable", ("reentrancy",), source)]
+        ))
+        run = run_pipeline(load_file(FIXTURES / "safe.sol", "safe"), ctx)
+        assert run.fused.verdict is Verdict.VULNERABLE
+        assert [(f.vuln_class, f.channel, f.location.function) for f in run.findings] == [
+            (VulnerabilityClass("Reentrancy", "SWC-107"), Channel.RETRIEVAL, "")
+        ]
+        table = run.report.sections[3].body.splitlines()
+        assert len(table) == 3 and table[2].startswith("| 1 | Reentrancy | SWC-107 | (contract level) | retrieval |")
+        channels = {c["channel"]: c for c in run.to_payload()["verdict"]["channels"]}
+        assert [f["class"]["name"] for f in channels["retrieval"]["findings"]] == ["SWC-107", "reentrancy"]
 
     def test_missing_fixer_response_degrades_gracefully(self):
         responses = presign_fixture.scripted_responses()

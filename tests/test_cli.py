@@ -207,6 +207,28 @@ class TestUndecodableContract:
         assert verdicts == ["presign: vulnerable 0.84 (mode weighted)", "safe: safe 0.00 (mode weighted)"]
 
 
+@pytest.mark.parametrize("command", ["audit", "detect"])
+def test_a_contract_that_cannot_be_lexed_or_segmented_is_one_error_line(runner, presign_config, tmp_path, command):
+    batch = tmp_path / "batch"
+    batch.mkdir()
+    (batch / "open_brace.sol").write_text("contract A {\n    function f() public {\n", encoding="utf-8")
+    (batch / "open_string.sol").write_text('contract B { string s = "never closed; }\n', encoding="utf-8")
+    shutil.copy(FIXTURES / "presign.sol", batch / "presign.sol")
+    result = runner.invoke(main, [command, str(batch), "-c", str(presign_config)])
+    assert result.exit_code == EXIT_PROCESSING, result.output
+    assert "Traceback" not in result.output
+    errors = sorted(l for l in result.stderr.splitlines() if ": error: " in l)
+    assert len(errors) == 2, errors
+    assert errors[0].startswith("open_brace: error: ") and "unbalanced braces at bytes " in errors[0]
+    assert errors[1].startswith("open_string: error: ") and "unterminated string literal at bytes " in errors[1]
+    assert result.stdout.startswith("presign: vulnerable ")
+    if command == "audit":
+        assert "processed 1/3 contracts" in result.stdout
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+            f"presign.{kind}" for kind in ("report.json", "report.md", "run.json")
+        ]
+
+
 def test_contract_file_name_that_is_not_utf8_gives_a_text_id(runner, presign_config, tmp_path):
     # the byte \xff of the name is written as the four characters \xff; as a
     # surrogate it aborted the batch while its report was written, with no summary

@@ -32,10 +32,9 @@ def _finding(
     confidence: float = 0.5,
     channel: Channel = Channel.STATIC,
     start: int = 0,
-    contract_id: str = "c1",
 ) -> Finding:
     return Finding(
-        contract_id=contract_id,
+        contract_id="c1",
         vuln_class=VulnerabilityClass(cls),
         location=Location(Span(start, start + 10), function),
         evidence="e",
@@ -67,10 +66,6 @@ class TestMergeFindings:
         a = _finding(cls="Reentrancy", start=100)
         b = _finding(cls="Timestamp Dependence", start=5)
         assert merge_findings([[a], [b]]) == [b, a]
-
-    def test_mixed_contracts_rejected(self):
-        with pytest.raises(ValueError, match="different contracts"):
-            merge_findings([[_finding(contract_id="c1")], [_finding(contract_id="c2")]])
 
     def test_empty_input(self):
         assert merge_findings([]) == []

@@ -278,10 +278,6 @@ class TestBuildCorpusIndex:
         assert index.norms[1] == 0.0
         assert any("blank" in rec.message for rec in caplog.records)
 
-    def test_empty_corpus_rejected(self):
-        with pytest.raises(ValueError):
-            build_corpus_index([])
-
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
     def test_same_index_as_the_two_pass_build(self, data):
