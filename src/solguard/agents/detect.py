@@ -91,9 +91,7 @@ def fuse_channels(
     by the present weights' sum; when that sum is 0, the verdict is
     undetermined with score 0.
     """
-    ordered = tuple(
-        channels[ch] for ch in (Channel.STATIC, Channel.RETRIEVAL, Channel.MODEL) if ch in channels
-    )
+    ordered = tuple(channels[ch] for ch in Channel if ch in channels)
     if len(channels) < len(Channel):
         present = {ch.value: getattr(weights, ch.value) for ch in channels}
         total = sum(present.values())

@@ -208,7 +208,7 @@ def run_pipeline(contract: SourceContract, ctx: PipelineContext) -> PipelineRun:
             contract, suggestions, assignments, ctx.provider("fixer")
         ))
         verification = run_stage("verify", ("fix",), lambda: verify(
-            contract, patch, findings, ctx.ruleset, ctx.provider("verifier")
+            contract, patch, ctx.ruleset, ctx.provider("verifier")
         ))
     elif fused.verdict is Verdict.VULNERABLE:
         log.warning("%s: vulnerable verdict without actionable findings; skipping repair chain", contract.id)

@@ -23,7 +23,7 @@ no container on the other side (matched as a multiset, so renamed, added,
 removed and reordered containers count), and from every container that
 names one of these containers, transitively (a contract derived from a
 changed base, a user of a changed library). :func:`verify` still re-scans
-the whole patched source.
+the whole patched source and compares it with the addressed findings.
 
 A fixer prompt (:func:`fix`) starts from the addressed findings' names;
 two containers of one name send the whole source. The fixer returns the
@@ -399,34 +399,32 @@ def build_verifier_prompt(contract: SourceContract, patch: Patch) -> str:
 def verify(
     contract: SourceContract,
     patch: Patch,
-    original_findings: list[Finding],
     ruleset: list[PatternRule],
     provider: Provider,
 ) -> VerificationResult:
     """Independent patch verification: model judgment plus a static re-scan.
 
-    The patched source is re-scanned; static findings absent from the
-    original finding set count as new issues, and an addressed finding that
-    still fires blocks the pass regardless of the model's opinion. The
-    verifier's own new issues are findings in the patched source, located
-    as :func:`~solguard.agents.detect.model_finding` locates a detector's,
-    at confidence 0.5. ``verifier_model`` is the provider's id.
+    The patched source is re-scanned. A re-scan finding whose key no
+    addressed finding holds is a new issue; an addressed finding whose key
+    the re-scan no longer holds is eliminated. The patch passes when the
+    model says so, nothing is new and every addressed finding is eliminated,
+    so one that still fires vetoes the model. The verifier's own new issues
+    are findings in the patched source, located as
+    :func:`~solguard.agents.detect.model_finding` locates a detector's, at
+    confidence 0.5. ``verifier_model`` is the provider's id.
     """
     prompt = build_verifier_prompt(contract, patch)
     record = ask_structured(provider, "verifier", prompt, VERIFIER_REPLY)
 
     rescan = scan(patch.repaired, ruleset)
-    original_keys = {f.key for f in original_findings}
+    addressed_keys = {f.key for f in patch.addressed_findings}
     rescan_keys = {f.key for f in rescan}
-    new_from_rescan = tuple(f for f in rescan if f.key not in original_keys)
-    still_present = {f.key for f in patch.addressed_findings if f.key in rescan_keys}
-
-    model_new = tuple(model_finding(patch.repaired, item, 0.5) for item in record["new_issues"])
-    new_issues = new_from_rescan + model_new
-    passed = record["passed"] and not new_issues and not still_present
+    new_issues = tuple(f for f in rescan if f.key not in addressed_keys) + tuple(
+        model_finding(patch.repaired, item, 0.5) for item in record["new_issues"]
+    )
     eliminated = tuple(f for f in patch.addressed_findings if f.key not in rescan_keys)
     return VerificationResult(
-        passed=passed,
+        passed=record["passed"] and not new_issues and len(eliminated) == len(patch.addressed_findings),
         eliminated=eliminated,
         new_issues=new_issues,
         verifier_model=provider.config.provider_id,

@@ -33,7 +33,6 @@ from solguard.evaluation import (
     format_table,
     fused_variants,
     load_dataset,
-    normalize_variant,
     run_variants,
 )
 from solguard.jsonl import LabeledRow, file_id, load_labeled_records, read_text, read_yaml
@@ -335,9 +334,8 @@ def cmd_eval(dataset_path, config_path, variants, split, out, verbose):
     _setup_logging(verbose)
     config = _config(config_path)
     try:
-        names = [normalize_variant(v) for v in variants.split(",") if v.strip()]
         dataset, ctx = _dataset_split(dataset_path, split, config)
-        reports = run_variants(dataset, names, ctx)
+        reports = run_variants(dataset, [v for v in variants.split(",") if v.strip()], ctx)
     except SolguardError as exc:
         _fail(EXIT_USAGE, str(exc))
     click.echo(format_table(reports))

@@ -67,11 +67,7 @@ class DatasetError(SolguardError):
     """Labeled dataset file is malformed or unusable."""
 
 
-class PipelineError(SolguardError):
-    """A pipeline stage failed for one contract."""
-
-
-class ModelChannelError(PipelineError):
+class ModelChannelError(SolguardError):
     """The model channel failed; ``channels`` holds the static and retrieval results."""
 
     def __init__(self, message: str, channels: dict):

@@ -168,7 +168,7 @@ def run_variants(dataset: Sequence[LabeledRow], variants: list[str], ctx: Pipeli
     if not names:
         raise DatasetError("no variants requested")
     if len(set(names)) != len(names):
-        raise DatasetError(f"duplicate variants requested: {variants}")
+        raise DatasetError(f"duplicate variants requested: {names}")
     for name in names:
         dropped = VARIANTS[name][1]
         if dropped and not any(getattr(ctx.config.weights, ch.value) for ch in Channel if ch is not dropped):

@@ -47,8 +47,9 @@ def extract_structured(response: str, schema: Record, role: str = "model") -> di
 
 
 def _function_name(value: object, *_: object) -> str:
-    """`foo()` and `foo(uint256)` name the function foo; a non-text function is contract level."""
-    return re.sub(r"\s*\([^()]*\)$", "", value.strip()) if type(value) is str else ""
+    """`foo()`, `foo(uint256)` and `Vault.foo()` name the function foo (a
+    Solidity function name holds no dot); a non-text function is contract level."""
+    return re.sub(r"\s*\([^()]*\)$", "", value.strip()).rsplit(".", 1)[-1] if type(value) is str else ""
 
 
 def _reply(fields: dict[str, Field]) -> Record:

@@ -43,26 +43,19 @@ class KbChunk:
 
 @dataclass(frozen=True)
 class KbIndex:
-    """Chunks and two lookups built from them by a build and by a snapshot
-    load, never by a query: ``tfidf``, their TF-IDF index (unless given),
-    which names each chunk by its document id at the chunk's position, and
-    ``tagged``, the positions of the chunks each SWC id tags. A snapshot
-    store's publish or load sets the version."""
+    """Chunks and the one lookup built from them by a build and by a
+    snapshot load, never by a query: ``tfidf``, their TF-IDF index (``None``
+    without chunks), which names each chunk by its document id at the
+    chunk's position. A snapshot load sets the version."""
 
     chunks: tuple[KbChunk, ...]
     snapshot_version: int = 0
-    tfidf: CorpusIndex | None = field(default=None, repr=False, compare=False)
-    tagged: dict[str, frozenset[int]] = field(init=False, repr=False, compare=False)
+    tfidf: CorpusIndex | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.tfidf is None and self.chunks:
-            rows = [(c.doc_id, "", (), c.text) for c in self.chunks]
-            object.__setattr__(self, "tfidf", build_corpus_index(rows, words, "knowledge-base chunk of document"))
-        tagged: dict[str, set[int]] = {}
-        for p, chunk in enumerate(self.chunks):
-            for tag in chunk.swc_tags:
-                tagged.setdefault(tag, set()).add(p)
-        object.__setattr__(self, "tagged", {tag: frozenset(positions) for tag, positions in tagged.items()})
+        rows = [(c.doc_id, "", (), c.text) for c in self.chunks]
+        tfidf = build_corpus_index(rows, words, "knowledge-base chunk of document") if rows else None
+        object.__setattr__(self, "tfidf", tfidf)
 
 
 def chunk_spans(n_tokens: int) -> list[tuple[int, int]]:
@@ -94,7 +87,7 @@ def kb_search(query: str, index: KbIndex, k: int, swc_id: str | None = None) -> 
     chunk index)."""
     if index.tfidf is None:
         return []
-    tagged = index.tagged.get(swc_id, frozenset())
+    tagged = {p for p, chunk in enumerate(index.chunks) if swc_id in chunk.swc_tags}
     ranked = rank(index.tfidf, words(query), len(index.chunks) if tagged else k)
     cited = [p for p, sim in ranked if p in tagged or sim > 0.0]
     return [index.chunks[p] for p in sorted(cited, key=lambda p: p not in tagged)[:k]]

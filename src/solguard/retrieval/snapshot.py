@@ -87,15 +87,16 @@ class SnapshotStore(Generic[T]):
 
     def publish(self, index: T) -> int:
         """Write a new snapshot and swap the pointer, under the store's lock;
-        returns the version. A write fault is a ``SnapshotError`` naming the
-        directory, and a swap fault one naming the pointer; either way the
-        pointer stays."""
+        returns the version, which ``meta.json`` and the pointer record, not
+        ``index`` (a load sets it). A write fault is a ``SnapshotError``
+        naming the directory, and a swap fault one naming the pointer;
+        either way the pointer stays."""
         with self._locked():
             version = self._next_version()
             target = self.root / str(version)
             try:
                 target.mkdir(parents=True, exist_ok=False)
-                self._write_files(target, dataclasses.replace(index, snapshot_version=version))
+                self._write_files(target, index, version)
             except OSError as exc:
                 raise SnapshotError(f"cannot write snapshot {target}: {exc}") from exc
             self._activate(version)
@@ -172,8 +173,8 @@ class SnapshotStore(Generic[T]):
         except OSError as exc:
             raise SnapshotError(f"cannot point {pointer} at version {version}: {exc}") from exc
 
-    def _write_all(self, target: Path, index: T, blocks: dict[str, Iterable[bytes | array]], **fields: object) -> None:
-        """Each data file from its ``blocks``, hashed on the way out, then meta.json with ``fields``."""
+    def _write_all(self, target: Path, version: int, blocks: dict[str, Iterable[bytes | array]], **fields: object) -> None:
+        """Each data file from its ``blocks``, hashed on the way out, then meta.json naming ``version``."""
         sha256 = {}
         for name, parts in blocks.items():
             digest = hashlib.sha256()
@@ -182,11 +183,10 @@ class SnapshotStore(Generic[T]):
                     digest.update(block)
                     fh.write(block)
             sha256[name] = digest.hexdigest()
-        header = {"kind": self.kind, "version": index.snapshot_version, "format_version": self.format_version,
-                  "sha256": sha256}
+        header = {"kind": self.kind, "version": version, "format_version": self.format_version, "sha256": sha256}
         (target / "meta.json").write_text(json.dumps({**header, **fields}, sort_keys=True, indent=0), encoding="utf-8")
 
-    def _write_files(self, target: Path, index: T) -> None:
+    def _write_files(self, target: Path, index: T, version: int) -> None:
         raise NotImplementedError
 
     def _read_files(self, target: Path, meta: dict) -> T:
@@ -207,7 +207,7 @@ class CorpusSnapshotStore(SnapshotStore[CorpusIndex]):
         "terms": whole(0), "postings": whole(0), "documents": whole(0),
     })
 
-    def _write_files(self, target: Path, index: CorpusIndex) -> None:
+    def _write_files(self, target: Path, index: CorpusIndex, version: int) -> None:
         rows = list(zip(index.ids, index.labels, index.classes))  # tuples write as JSON arrays
         blocks = {
             "postings.bin": (index.idf, index.offsets, index.positions, index.weights, index.norms, index.common_norms),
@@ -215,7 +215,7 @@ class CorpusSnapshotStore(SnapshotStore[CorpusIndex]):
             "documents.json": [json.dumps(rows).encode("utf-8")],
         }
         counts = {"terms": len(index.term_ids), "postings": len(index.positions), "documents": len(index.ids)}
-        self._write_all(target, index, blocks, byteorder=sys.byteorder, itemsize=ITEMSIZE, **counts)
+        self._write_all(target, version, blocks, byteorder=sys.byteorder, itemsize=ITEMSIZE, **counts)
 
     def _read_files(self, target: Path, meta: dict) -> CorpusIndex:
         meta_path, terms_path, rows_path, path = (
@@ -256,9 +256,9 @@ class KbSnapshotStore(SnapshotStore[KbIndex]):
     format_version, republish = 4, "republish the knowledge base with `solguard kb update --docs <dir>`"
     meta = Record(_META)
 
-    def _write_files(self, target: Path, index: KbIndex) -> None:
+    def _write_files(self, target: Path, index: KbIndex, version: int) -> None:
         lines = ((json.dumps(dataclasses.asdict(c), sort_keys=True) + "\n").encode("utf-8") for c in index.chunks)
-        self._write_all(target, index, {"chunks.jsonl": lines})
+        self._write_all(target, version, {"chunks.jsonl": lines})
 
     def _read_files(self, target: Path, meta: dict) -> KbIndex:
         chunks: list = []

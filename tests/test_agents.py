@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from solguard.agents.config import MODES, FusionWeights, PipelineConfig, apply_overrides, load_config, parse_config
 from solguard.agents.detect import (
     FusedVerdict,
+    actionable_findings,
     build_detection_prompt,
     fuse_channels,
     model_channel,
@@ -48,7 +49,7 @@ from solguard.llm.mock import TranscriptRecorder
 from solguard.llm.provider import ProviderConfig
 from solguard.retrieval.tfidf import build_corpus_index, top_k
 from solguard.static_analysis.rules import default_ruleset
-from solguard.static_analysis.scanner import load_file, load_source
+from solguard.static_analysis.scanner import load_file, load_source, scan, static_channel
 
 import presign_fixture
 from conftest import risk_distribution
@@ -293,6 +294,20 @@ class TestModelChannel:
         assert {f.location.function for f in findings} == {"preSign"}
         assert len({f.location.span for f in findings}) == 1 and findings[0].location.span != whole
 
+    def test_a_contract_qualified_name_merges_with_the_static_finding_on_that_function(self):
+        contract = load_file(FIXTURES / "presign.sol", "presign")
+        reply = json.dumps({"verdict": "vulnerable", "score": 0.9, "findings": [
+            {"class": "Unprotected Function", "function": "OrderPreSignManager.preSign"},
+        ]})
+        channels = {
+            Channel.STATIC: static_channel(contract, default_ruleset()),
+            Channel.MODEL: model_channel(contract, TranscriptRecorder(lambda role, prompt: reply)),
+        }
+        fused = fuse_channels(channels, "weighted", FusionWeights(), 0.5)
+        [finding] = actionable_findings(fused, contract, default_ruleset())
+        assert finding.key == ("Unprotected Function", "preSign")
+        assert finding.location.span == Span(369, 483)
+
     def test_null_function_is_contract_level_and_null_class_is_skipped(self, caplog):
         findings, whole = self._presign_findings([
             {"class": "Reentrancy", "function": None},
@@ -402,6 +417,14 @@ class TestPrioritize:
 
 
 class TestVerify:
+    def test_an_addressed_finding_the_rescan_still_fires_fails_a_patch_the_model_passes(self):
+        contract = load_file(FIXTURES / "presign.sol", "presign")
+        [finding] = scan(contract, default_ruleset())  # Unprotected Function on preSign
+        patch = Patch("presign", contract.source, (finding,), "changes nothing")
+        recorder = TranscriptRecorder(lambda role, prompt: json.dumps({"passed": True, "new_issues": []}))
+        result = verify(contract, patch, default_ruleset(), recorder)
+        assert (result.passed, result.eliminated, result.new_issues) == (False, (), ())
+
     def test_selfdestruct_in_patch_fails_with_new_issue(self):
         contract = load_file(FIXTURES / "presign.sol", "presign")
         findings = [_finding("Unprotected Function", "preSign")]
@@ -417,7 +440,7 @@ class TestVerify:
             rationale="adds a backdoor",
         )
         recorder = TranscriptRecorder(lambda role, prompt: json.dumps({"passed": True, "new_issues": []}))
-        result = verify(contract, patch, findings, default_ruleset(), recorder)
+        result = verify(contract, patch, default_ruleset(), recorder)
         assert not result.passed
         assert "Unprotected Selfdestruct" in {f.vuln_class.name for f in result.new_issues}
 
@@ -432,7 +455,7 @@ class TestVerify:
         patch = Patch("presign", bad_source, tuple(findings), "adds a backdoor")
         issue = {"class": "Reentrancy", "function": "preSign", "evidence": "emit after write"}
         recorder = TranscriptRecorder(lambda role, prompt: json.dumps({"passed": False, "new_issues": [issue]}))
-        result = verify(contract, patch, findings, default_ruleset(), recorder)
+        result = verify(contract, patch, default_ruleset(), recorder)
         [rescan] = [f for f in result.new_issues if f.channel is Channel.STATIC]
         [model] = [f for f in result.new_issues if f.channel is Channel.MODEL]
         [pre_sign] = [fn for fn in patch.repaired.view.functions if fn.name == "preSign"]
@@ -450,7 +473,7 @@ class TestVerify:
             rationale="owner guard",
         )
         recorder = TranscriptRecorder(lambda role, prompt: json.dumps({"passed": False, "new_issues": []}))
-        result = verify(contract, patch, findings, default_ruleset(), recorder)
+        result = verify(contract, patch, default_ruleset(), recorder)
         assert not result.passed
         assert result.eliminated == tuple(findings)  # rescan confirms elimination
 

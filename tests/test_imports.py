@@ -1,6 +1,7 @@
 """The import graph, checked in fresh interpreters: importing a module loads
 only what that module needs, since every command starts as a new process.
-And every name a module imports is used in that module."""
+And every name a module imports is used in that module, and every exception
+class ``errors.py`` declares is used by another module."""
 
 from __future__ import annotations
 
@@ -106,3 +107,21 @@ def test_every_imported_name_is_used(path):
 )
 def test_the_unused_import_check_itself(source, unused):
     assert unused_imports(source) == unused
+
+
+ERRORS = SRC / "solguard" / "errors.py"
+
+
+def names_read(source: str) -> set[str]:
+    """The names a module reads, bare or as an attribute (``errors.X`` reads ``X``)."""
+    nodes = [node for node in ast.walk(ast.parse(source)) if isinstance(node, (ast.Name, ast.Attribute))]
+    return {node.id if isinstance(node, ast.Name) else node.attr for node in nodes}
+
+
+@pytest.mark.parametrize(
+    "name", [node.name for node in ast.parse(ERRORS.read_text(encoding="utf-8")).body if isinstance(node, ast.ClassDef)]
+)
+def test_every_exception_class_is_named_outside_errors(name):
+    """Some other module raises, catches or subclasses it: a class that no module names is dead code."""
+    others = [p for p in SRC.rglob("*.py") if p != ERRORS]
+    assert any(name in names_read(p.read_text(encoding="utf-8")) for p in others)

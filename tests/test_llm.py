@@ -304,7 +304,7 @@ class TestHttpProvider:
         finding = Finding("presign", VulnerabilityClass("Unprotected Function"), Location(Span(0, 10), "preSign"),
                           "evidence line", Channel.STATIC, 0.9)
         patch = Patch("presign", (FIXTURES / "presign_patched.sol").read_text(encoding="utf-8"), (finding,), "r")
-        result = verify(load_file(FIXTURES / "presign.sol", "presign"), patch, [finding], default_ruleset(), provider)
+        result = verify(load_file(FIXTURES / "presign.sol", "presign"), patch, default_ruleset(), provider)
         assert result.verifier_model == "http-endpoint:remote"
         assert json.loads(log_path.read_text(encoding="utf-8"))["provider"] == "http-endpoint:remote"
         with pytest.raises(TransportError) as err:

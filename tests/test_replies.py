@@ -157,7 +157,7 @@ class TestVerifierReply:
     @pytest.mark.parametrize("item", [{"class": None, "function": None, "evidence": None}, {}])
     def test_new_issue_without_class_or_function_is_unspecified_at_contract_level(self, item):
         provider = answering(json.dumps({"passed": True, "new_issues": [item]}))
-        result = verify(PRESIGN, PATCH, [FINDING], default_ruleset(), provider)
+        result = verify(PRESIGN, PATCH, default_ruleset(), provider)
         assert not repaired(provider) and not result.passed
         [issue] = result.new_issues
         whole = Span(0, len(PATCHED_SOURCE.encode()))
@@ -166,7 +166,7 @@ class TestVerifierReply:
     def test_new_issue_that_is_not_a_mapping_is_a_reply_fault_not_a_pass(self):
         provider = answering(json.dumps({"passed": True, "new_issues": ["reentrancy in withdraw"]}))
         with pytest.raises(SchemaError, match="new_issues must be a list, each item a mapping") as err:
-            verify(PRESIGN, PATCH, [FINDING], default_ruleset(), provider)
+            verify(PRESIGN, PATCH, default_ruleset(), provider)
         assert err.value.field == "new_issues" and repaired(provider)
 
 
@@ -260,7 +260,7 @@ def test_every_reply_ends_each_call_with_a_result_or_a_solguard_error(reply):
         lambda provider: advise(PRESIGN, [FINDING], None, provider),
         lambda provider: assess(PRESIGN, [FINDING], [suggestion], None, provider),
         lambda provider: fix(PRESIGN, [suggestion], [assignment], provider),
-        lambda provider: verify(PRESIGN, PATCH, [FINDING], default_ruleset(), provider),
+        lambda provider: verify(PRESIGN, PATCH, default_ruleset(), provider),
     ]
     for call in calls:
         try:

@@ -76,8 +76,9 @@ class TestPublishLoad:
         assert [json.loads(line)["swc_tags"] for line in lines] == [["SWC-1", "SWC-2"], []]
         loaded = store.load()
         assert [c.swc_tags for c in loaded.chunks] == [("SWC-1", "SWC-2"), ()]
-        assert loaded.tagged == index.tagged == {"SWC-1": {0}, "SWC-2": {0}}
-        assert [c.doc_id for c in kb_search("beta", loaded, 3, "SWC-2")] == ["a", "b"]
+        assert [c.doc_id for c in kb_search("beta", loaded, 3)] == ["b"]
+        for tag in ("SWC-1", "SWC-2"):
+            assert [c.doc_id for c in kb_search("beta", loaded, 3, tag)] == ["a", "b"]
 
     def test_versions_increment_and_old_reader_keeps_its_snapshot(self, tmp_path):
         store = CorpusSnapshotStore(tmp_path)
@@ -120,7 +121,7 @@ class TestCrashSafety:
         store = CorpusSnapshotStore(tmp_path)
         store.publish(corpus_for(1))
 
-        def explode(target, index) -> None:
+        def explode(target, index, version) -> None:
             (target / "postings.bin").write_bytes(b"partial")
             raise OSError("simulated crash mid-write")
 
@@ -139,11 +140,11 @@ class TestPublishOrder:
         writing, release = threading.Event(), threading.Event()
         write = KbSnapshotStore._write_files
 
-        def paused(self, target, index):
+        def paused(self, target, index, version):
             if index.chunks[0].doc_id == "a":  # publish A pauses mid-write
                 writing.set()
                 release.wait(10)
-            write(self, target, index)
+            write(self, target, index, version)
 
         monkeypatch.setattr(KbSnapshotStore, "_write_files", paused)
         versions: dict[str, int] = {}
@@ -663,7 +664,7 @@ class TestCorruptRecords:
         with pytest.raises(SnapshotError, match=re.escape(message + "republish the knowledge base with `solguard kb update --docs <dir>`")):
             store.load()
         assert store.publish(build_kb_index(load_kb_documents(FIXTURES / "kb_docs"))) == 2  # what `kb update --docs` does
-        assert store.load().tagged["SWC-106"] == {0}
+        assert [c.doc_id for c in kb_search("", store.load(), 1, "SWC-106")] == ["access_control"]
 
     @pytest.mark.parametrize("fault", sorted(KB_FAULTS))
     def test_kb_line_fault_names_file_and_line(self, tmp_path, fault):
